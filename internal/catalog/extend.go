@@ -77,10 +77,10 @@ func (t *Table) growLocked(old, cur Signature) error {
 // the append — is reused verbatim; that is the point.
 //
 // On error the caller must fall back to full invalidation, which also
-// discards anything a partial pass touched (positional-map tail entries,
-// half-appended split files). Caller holds snapMu; loadMu is taken here
-// and held for the whole pass, so loads, merges and region bookkeeping
-// cannot interleave.
+// discards anything a partial pass touched (half-appended split files; the
+// positional map gains its tail entries only once the pass succeeds).
+// Caller holds snapMu; loadMu is taken here and held for the whole pass,
+// so loads, merges and region bookkeeping cannot interleave.
 func (t *Table) extendForGrowth(old, cur Signature) error {
 	t.loadMu.Lock()
 	defer t.loadMu.Unlock()
@@ -263,6 +263,12 @@ func (t *Table) extendForGrowth(old, cur Signature) error {
 		return err
 	}
 
+	// Tail positions are collected per column and installed as one run at
+	// oldRows once the pass succeeds, like a column load's.
+	var tailOffs [][]int64
+	if t.PosMap != nil {
+		tailOffs = make([][]int64, len(scanCols))
+	}
 	var tailRows int64
 	rowVals := make([]storage.Value, len(scanCols))
 	rowState := make([]int8, len(scanCols)) // 0 unparsed, 1 parsed, 2 failed
@@ -299,8 +305,8 @@ func (t *Table) extendForGrowth(old, cur Signature) error {
 			}
 		}
 		// Positional map: field offsets come free with the tokenization.
-		for i, c := range scanCols {
-			t.PosMap.Record(c, grow, fields[i].Offset)
+		for i := range tailOffs {
+			tailOffs[i] = append(tailOffs[i], fields[i].Offset)
 		}
 		// Dense columns: a parse failure aborts the extension — a cold load
 		// of the grown file would fail on the same value.
@@ -424,6 +430,9 @@ func (t *Table) extendForGrowth(old, cur Signature) error {
 	}
 	for _, d := range dense {
 		t.SetDense(d.col, &storage.DenseColumn{Typ: d.typ, Ints: d.ints, Floats: d.floats, Strs: d.strs})
+	}
+	for i, offs := range tailOffs {
+		t.PosMap.RecordRun(scanCols[i], oldRows, offs)
 	}
 	if acc != nil {
 		ps := synopsis.PortionState{

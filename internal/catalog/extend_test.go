@@ -2,6 +2,7 @@ package catalog
 
 import (
 	"os"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -117,6 +118,13 @@ func TestRevalidateGrowthExtendsState(t *testing.T) {
 	}
 	if got := tab.PosMap.Entries(); got <= baseEntries {
 		t.Errorf("posmap entries = %d, want > %d (appended rows recorded)", got, baseEntries)
+	}
+	// The tail's positions land as one run starting at the old row count.
+	if rows, offs := tab.PosMap.Pairs(0); !slices.Equal(rows, []int64{0, 1, 2, 3}) || !slices.Equal(offs, []int64{0, 4, 8, 12}) {
+		t.Errorf("col 0 positions after growth = %v @ %v, want rows 0..3 @ 0,4,8,12", rows, offs)
+	}
+	if !tab.PosMap.Covers(0, 0, 4) {
+		t.Error("col 0 coverage should span the grown table")
 	}
 	ing := tab.Ingest()
 	if ing.AppendedRows != 2 || ing.Refreshes != 1 || ing.AppendedBytes != 8 {

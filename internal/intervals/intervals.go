@@ -176,7 +176,9 @@ func (s *Set) Total() int64 { return s.total }
 func (s *Set) Height() int { return height(s.root) }
 
 // Add inserts [lo, hi) into the set, merging any intervals it touches or
-// overlaps. Adding an empty interval is a no-op.
+// overlaps. Adding an empty interval is a no-op. The common case — iv
+// extends one stored interval without reaching another, as an in-order
+// append does — widens that interval in place and allocates nothing.
 func (s *Set) Add(iv Interval) {
 	if iv.Empty() {
 		return
@@ -185,15 +187,14 @@ func (s *Set) Add(iv Interval) {
 	// Adjacency ([1,3) + [3,5)) merges too, keeping the representation
 	// canonical.
 	for {
-		ov := s.findTouching(iv)
-		if ov == nil {
+		ov, ok := s.findTouching(iv)
+		if !ok {
 			break
 		}
-		if ov.Lo < iv.Lo {
-			iv.Lo = ov.Lo
-		}
-		if ov.Hi > iv.Hi {
-			iv.Hi = ov.Hi
+		iv.Lo, iv.Hi = min(iv.Lo, ov.Lo), max(iv.Hi, ov.Hi)
+		if s.widen(ov.Lo, iv) {
+			s.total += iv.Len() - ov.Len()
+			return
 		}
 		s.root = remove(s.root, ov.Lo)
 		s.count--
@@ -205,14 +206,13 @@ func (s *Set) Add(iv Interval) {
 }
 
 // findTouching returns any stored interval that overlaps or is adjacent to
-// iv, or nil.
-func (s *Set) findTouching(iv Interval) *Interval {
+// iv.
+func (s *Set) findTouching(iv Interval) (Interval, bool) {
 	n := s.root
 	for n != nil {
 		// Adjacent-or-overlapping test against the widened interval.
 		if n.iv.Lo <= iv.Hi && iv.Lo <= n.iv.Hi {
-			out := n.iv
-			return &out
+			return n.iv, true
 		}
 		if iv.Hi < n.iv.Lo {
 			n = n.left
@@ -220,7 +220,43 @@ func (s *Set) findTouching(iv Interval) *Interval {
 			n = n.right
 		}
 	}
-	return nil
+	return Interval{}, false
+}
+
+// widen replaces the stored interval starting at lo with to (a superset of
+// it) when to touches neither in-order neighbour, reporting whether it
+// did. Search-tree order survives: every key left of the node stays below
+// to.Lo, every key right of it above to.Hi.
+func (s *Set) widen(lo int64, to Interval) bool {
+	var pred, succ *node // nearest ancestors on the left and right
+	n := s.root
+	for n != nil && n.iv.Lo != lo {
+		if lo < n.iv.Lo {
+			succ, n = n, n.left
+		} else {
+			pred, n = n, n.right
+		}
+	}
+	if n == nil {
+		return false
+	}
+	if l := n.left; l != nil {
+		for l.right != nil {
+			l = l.right
+		}
+		pred = l
+	}
+	if r := n.right; r != nil {
+		for r.left != nil {
+			r = r.left
+		}
+		succ = r
+	}
+	if (pred != nil && pred.iv.Hi >= to.Lo) || (succ != nil && succ.iv.Lo <= to.Hi) {
+		return false
+	}
+	n.iv = to
+	return true
 }
 
 // Contains reports whether the point x is covered.

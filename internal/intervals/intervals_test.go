@@ -247,6 +247,67 @@ func TestSetAgainstReference(t *testing.T) {
 	}
 }
 
+// TestSetAppendAllocFree pins the positional map's hot path: extending the
+// last interval by one point, as an in-order append does, allocates
+// nothing — with neighbours on both sides of the tree, too.
+func TestSetAppendAllocFree(t *testing.T) {
+	var s Set
+	for i := int64(0); i < 64; i++ {
+		s.Add(Interval{i * 10, i*10 + 5})
+	}
+	hi := int64(1000)
+	s.Add(Interval{hi - 1, hi})
+	allocs := testing.AllocsPerRun(1000, func() {
+		s.Add(Interval{hi, hi + 1})
+		hi++
+	})
+	if allocs != 0 {
+		t.Fatalf("in-order append allocates %.1f times per Add, want 0", allocs)
+	}
+	// Widening a middle interval toward, but short of, its neighbour is
+	// in place as well.
+	if allocs := testing.AllocsPerRun(3, func() { s.Add(Interval{305, 308}) }); allocs != 0 {
+		t.Fatalf("in-place widen allocates %.1f times, want 0", allocs)
+	}
+	if got, want := s.Len(), 65; got != want {
+		t.Fatalf("Len = %d, want %d (%s)", got, want, s.String())
+	}
+	if !s.Covers(Interval{300, 308}) || s.Covers(Interval{300, 311}) {
+		t.Fatalf("widened interval wrong: %s", s.String())
+	}
+}
+
+// TestSetStaysCanonical: however intervals are widened, the set keeps one
+// stored interval per maximal covered run.
+func TestSetStaysCanonical(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	for trial := 0; trial < 200; trial++ {
+		var s Set
+		var ref refSet
+		for op := 0; op < 60; op++ {
+			lo := rng.Int63n(250)
+			iv := Interval{lo, min(lo+1+rng.Int63n(6), 256)}
+			s.Add(iv)
+			ref.add(iv)
+		}
+		runs := 0
+		for x := range ref.pts {
+			if ref.pts[x] && (x == 0 || !ref.pts[x-1]) {
+				runs++
+			}
+		}
+		if s.Len() != runs {
+			t.Fatalf("trial %d: Len = %d, want %d maximal runs (%s)", trial, s.Len(), runs, s.String())
+		}
+		all := s.All()
+		for i := 1; i < len(all); i++ {
+			if all[i].Lo <= all[i-1].Hi {
+				t.Fatalf("trial %d: %v and %v touch (%s)", trial, all[i-1], all[i], s.String())
+			}
+		}
+	}
+}
+
 // TestSetBalance checks the AVL property holds under sequential insertion:
 // height must stay logarithmic.
 func TestSetBalance(t *testing.T) {

@@ -16,14 +16,19 @@
 //
 // All operators feed the positional map as a free side effect of
 // tokenization, and exploit it to skip tokenization of leading attributes
-// on later loads.
+// on later loads. The column-granular loads (ColumnLoad, its positional
+// variant, and the catalog's tail extension) collect a pass' offsets into
+// one row-indexed slice per column — scattered lock-free by row id on a
+// parallel pass, appended on a sequential one — and install each column
+// with a single PosMap.RecordRun once the pass has succeeded, next to its
+// dense values; a failed pass installs neither. Work counters are tallied
+// per portion and flushed once per portion or pass, never per value.
 package loader
 
 import (
 	"context"
 	"fmt"
 	"sort"
-	"sync"
 
 	"nodb/internal/catalog"
 	"nodb/internal/exec"
@@ -82,11 +87,18 @@ func colTypes(sch *schema.Schema, cols []int) []schema.Type {
 	return out
 }
 
-// sequentialScan reports whether a scan with this loader's settings will
-// stream rows in file order from a single goroutine (append
-// materialization) rather than scattering them by row id.
-func (l *Loader) sequentialScan(ports []scan.PortionInfo) bool {
-	return scan.EffectiveWorkers(l.Workers) == 1 || len(ports) <= 1
+// countedRows returns the total row count of a portion layout, or -1 when
+// a portion is uncounted (a single-portion stream that numbers rows as it
+// goes).
+func countedRows(ports []scan.PortionInfo) int64 {
+	var n int64
+	for _, p := range ports {
+		if p.Rows < 0 {
+			return -1
+		}
+		n += p.Rows
+	}
+	return n
 }
 
 // portionedScan bundles the per-pass synopsis wiring every loading
@@ -131,12 +143,32 @@ func (l *Loader) openPortioned(ctx context.Context, t *catalog.Table, cols []int
 	}, nil
 }
 
-// funcs assembles one pass' portion hooks: per-portion handler and
+// portionTally is one portion's count of values parsed, padded to a cache
+// line so portions on different workers never write the same line.
+type portionTally struct {
+	parsed int64
+	_      [56]byte
+}
+
+// run makes one pass over cols through per-portion hooks: handler and
 // abandon closures around the collector (mkAbandon may be nil), bound
 // commits on portion end, and — when the synopsis can refute conj —
 // portion skipping. Pass an empty conjunction for loads that must visit
-// every row.
-func (ps *portionedScan) funcs(conj expr.Conjunction, mkHandler func(*synopsis.PortionAcc) scan.RowHandler, mkAbandon func(*synopsis.PortionAcc) scan.AbandonFunc) scan.PortionFuncs {
+// every row. Each handler counts the values it parses into its portion's
+// own tally (parsed); the pass adds their sum to counters once, on every
+// return path, so ValuesParsed stays exact without a shared atomic per
+// row.
+func (ps *portionedScan) run(cols []int, conj expr.Conjunction, counters *metrics.Counters, mkHandler func(pc *synopsis.PortionAcc, parsed *int64) scan.RowHandler, mkAbandon func(*synopsis.PortionAcc) scan.AbandonFunc) error {
+	tallies := make([]portionTally, len(ps.ports))
+	if counters != nil {
+		defer func() {
+			var n int64
+			for i := range tallies {
+				n += tallies[i].parsed
+			}
+			counters.AddValuesParsed(n)
+		}()
+	}
 	pf := scan.PortionFuncs{
 		Begin: func(p scan.PortionInfo) (scan.RowHandler, scan.AbandonFunc) {
 			pc := ps.collector.Begin(p)
@@ -144,7 +176,7 @@ func (ps *portionedScan) funcs(conj expr.Conjunction, mkHandler func(*synopsis.P
 			if mkAbandon != nil {
 				ab = mkAbandon(pc)
 			}
-			return mkHandler(pc), ab
+			return mkHandler(pc, &tallies[p.Index].parsed), ab
 		},
 		End: func(p scan.PortionInfo, n int64) error {
 			ps.collector.Commit(p, n)
@@ -154,7 +186,7 @@ func (ps *portionedScan) funcs(conj expr.Conjunction, mkHandler func(*synopsis.P
 	if pr := ps.syn.Pruner(conj); pr != nil {
 		pf.Skip = pr.Skip
 	}
-	return pf
+	return ps.sc.ScanColumnsPortioned(cols, pf)
 }
 
 // finish records a completed pass' row-count discovery — every row was
@@ -280,80 +312,96 @@ func (l *Loader) columnLoadLocked(ctx context.Context, t *catalog.Table, cols []
 	if err != nil {
 		return err
 	}
-	sc := ps.sc
 
 	sch := t.Schema()
-	sequential := l.sequentialScan(ps.ports)
+	record := l.RecordPositions && t.PosMap != nil
+	// A counted layout (every multi-portion one, so every parallel pass)
+	// sizes the columns up front and rows scatter into them by row id; row
+	// ids are disjoint across portions, so the slots need no lock. Only a
+	// single uncounted portion — a sequential stream with no counting
+	// pre-pass, reading the file exactly once — appends instead.
+	rows := countedRows(ps.ports)
+	scatter := rows >= 0
 	dense := make([]*storage.DenseColumn, len(missing))
-	var rows int64
-	if sequential {
-		// Sequential scans stream rows in order: append as they arrive,
-		// no counting pre-pass, the file is read exactly once.
-		for i, c := range missing {
-			dense[i] = storage.NewDense(sch.Columns[c].Type, 1024)
-		}
-	} else {
-		// Parallel portions emit rows out of order; size the columns from
-		// the phase-1 row count and scatter by row id.
-		rows, err = sc.NumRows()
-		if err != nil {
-			return err
-		}
-		for i, c := range missing {
+	var offs [][]int64 // per loaded column, indexed by row id
+	if record {
+		offs = make([][]int64, len(missing))
+	}
+	for i, c := range missing {
+		if scatter {
 			dense[i] = storage.NewDenseSized(sch.Columns[c].Type, int(rows))
+			if record {
+				offs[i] = make([]int64, rows)
+			}
+		} else {
+			dense[i] = storage.NewDense(sch.Columns[c].Type, 1024)
+			if record {
+				offs[i] = make([]int64, 0, 1024)
+			}
 		}
 	}
 
-	var mu sync.Mutex // guards posmap batching only; dense sets are disjoint per row
-	record := l.RecordPositions && t.PosMap != nil
 	// A full column load observes every row, so each portion it completes
 	// gains exact bounds for every loaded column — synopsis collection as
 	// a free byproduct of work the load does anyway.
-	mkHandler := func(pc *synopsis.PortionAcc) scan.RowHandler {
+	mkHandler := func(pc *synopsis.PortionAcc, parsed *int64) scan.RowHandler {
 		return func(rowID int64, fields []scan.FieldRef) error {
+			if scatter && rowID >= rows {
+				return fmt.Errorf("loader: row %d beyond the %d rows the layout counted", rowID, rows)
+			}
 			for i, f := range fields {
 				v, err := parseField(f.Bytes, sch.Columns[missing[i]].Type, sch.Format)
 				if err != nil {
 					return fmt.Errorf("loader: row %d col %d: %w", rowID, missing[i], err)
 				}
 				pc.Observe(i, v)
-				if sequential {
-					dense[i].Append(v)
-				} else {
+				if scatter {
 					dense[i].Set(int(rowID), v)
+					if record {
+						offs[i][rowID] = f.Offset
+					}
+				} else {
+					dense[i].Append(v)
+					if record {
+						offs[i] = append(offs[i], f.Offset)
+					}
 				}
 			}
-			if l.Counters != nil {
-				l.Counters.AddValuesParsed(int64(len(fields)))
-			}
-			if record {
-				mu.Lock()
-				for i, f := range fields {
-					t.PosMap.Record(missing[i], rowID, f.Offset)
-				}
-				mu.Unlock()
-			}
+			*parsed += int64(len(fields))
 			return nil
 		}
 	}
 	// Loads must visit every row (dense columns are complete), so no
 	// conjunction is offered for pruning.
-	if err := sc.ScanColumnsPortioned(missing, ps.funcs(expr.Conjunction{}, mkHandler, nil)); err != nil {
+	if err := ps.run(missing, expr.Conjunction{}, l.Counters, mkHandler, nil); err != nil {
 		return err
 	}
+	if n := ps.sc.RowsScanned(); scatter && n != rows {
+		// Every slot must have been written exactly once.
+		return fmt.Errorf("loader: scanned %d rows, the layout counted %d", n, rows)
+	}
 	l.finish(ps, t)
+	l.install(t, missing, dense, offs)
+	return nil
+}
 
+// install publishes a successful pass over cols: each column's dense
+// values and, when offs is non-nil, its field offsets for rows 0..n-1 as
+// one positional-map run.
+func (l *Loader) install(t *catalog.Table, cols []int, dense []*storage.DenseColumn, offs [][]int64) {
 	var written int64
-	for i, c := range missing {
+	for i, c := range cols {
 		t.SetDense(c, dense[i])
 		written += dense[i].MemSize()
+		if offs != nil {
+			t.PosMap.RecordRun(c, 0, offs[i])
+		}
 	}
 	if l.Counters != nil {
 		// Model the cost of writing the loaded columns to the engine's
 		// binary store (what a DBMS pays when the load exceeds memory).
 		l.Counters.AddInternalBytesWritten(written)
 	}
-	return nil
 }
 
 // DenseSourceFor assembles the executor's DenseSource over the listed

@@ -430,6 +430,14 @@ func TestPositionalColumnLoad(t *testing.T) {
 	if delta.AttrsTokenized > 5*1000 {
 		t.Errorf("positional load tokenized %d attrs, want <= %d", delta.AttrsTokenized, 5*1000)
 	}
+	// Each row's anchor position was served by the map.
+	if delta.PosMapHits != 1000 {
+		t.Errorf("positional load counted %d posmap hits, want 1000", delta.PosMapHits)
+	}
+	// The positions it learned for column 8 are installed in one run.
+	if rows, _ := tab.PosMap.Pairs(8); len(rows) != 1000 || !tab.PosMap.Covers(8, 0, 1000) {
+		t.Errorf("positional load recorded %d positions for col 8, want 1000", len(rows))
+	}
 
 	// Correctness: compare against a plain load.
 	tab2, c2 := genTable(t, spec, catalog.Options{})

@@ -118,7 +118,7 @@ func (l *Loader) PartialScanContext(ctx context.Context, t *catalog.Table, needC
 	}
 
 	lateFilter := l.DisableEarlyAbandon && !conj.Empty()
-	mkHandler := func(pc *synopsis.PortionAcc) scan.RowHandler {
+	mkHandler := func(pc *synopsis.PortionAcc, parsed *int64) scan.RowHandler {
 		return func(rowID int64, fields []scan.FieldRef) error {
 			vals := make([]storage.Value, len(loadCols))
 			for i, f := range fields {
@@ -131,9 +131,7 @@ func (l *Loader) PartialScanContext(ctx context.Context, t *catalog.Table, needC
 					pc.Observe(i, v)
 				}
 			}
-			if l.Counters != nil {
-				l.Counters.AddValuesParsed(int64(len(fields)))
-			}
+			*parsed += int64(len(fields))
 			if record {
 				for i, f := range fields {
 					t.PosMap.Record(loadCols[i], rowID, f.Offset)
@@ -165,7 +163,7 @@ func (l *Loader) PartialScanContext(ctx context.Context, t *catalog.Table, needC
 	if !useAbandon {
 		ab = nil
 	}
-	if err := ps.sc.ScanColumnsPortioned(loadCols, ps.funcs(conj, mkHandler, ab)); err != nil {
+	if err := ps.run(loadCols, conj, l.Counters, mkHandler, ab); err != nil {
 		return nil, err
 	}
 	l.finish(ps, t)

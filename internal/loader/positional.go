@@ -56,11 +56,19 @@ func (l *Loader) tryPositionalColumnLoad(ctx context.Context, t *catalog.Table, 
 	sch := t.Schema()
 	dense := make([]*storage.DenseColumn, len(missing))
 	relCols := make([]int, len(missing))
+	var found [][]int64 // positions learned for the missing columns, by row
+	if l.RecordPositions {
+		found = make([][]int64, len(missing))
+	}
 	for i, c := range missing {
 		dense[i] = storage.NewDenseSized(sch.Columns[c].Type, int(rows))
 		relCols[i] = c - anchor
+		if found != nil {
+			found[i] = make([]int64, rows)
+		}
 	}
 
+	var parsed int64
 	err := l.positionalScan(ctx, t.Path(), t.Schema().Delimiter, offs, relCols, func(rowID int64, fields []scan.FieldRef) error {
 		for i, f := range fields {
 			v, err := parseField(f.Bytes, sch.Columns[missing[i]].Type, sch.Format)
@@ -68,29 +76,25 @@ func (l *Loader) tryPositionalColumnLoad(ctx context.Context, t *catalog.Table, 
 				return fmt.Errorf("loader: row %d col %d: %w", rowID, missing[i], err)
 			}
 			dense[i].Set(int(rowID), v)
-		}
-		if l.Counters != nil {
-			l.Counters.AddValuesParsed(int64(len(fields)))
-		}
-		if l.RecordPositions {
-			for i, f := range fields {
-				t.PosMap.Record(missing[i], rowID, f.Offset)
+			if found != nil {
+				found[i][rowID] = f.Offset
 			}
 		}
+		parsed += int64(len(fields))
 		return nil
 	})
+	if l.Counters != nil {
+		l.Counters.AddValuesParsed(parsed)
+	}
 	if err != nil {
 		return false // fall back to the plain scan
 	}
-
-	var written int64
-	for i, c := range missing {
-		t.SetDense(c, dense[i])
-		written += dense[i].MemSize()
-	}
 	if l.Counters != nil {
-		l.Counters.AddInternalBytesWritten(written)
+		// Every row's tokenization started at the anchor position the map
+		// served.
+		l.Counters.AddPosMapHit(rows)
 	}
+	l.install(t, missing, dense, found)
 	return true
 }
 
@@ -192,11 +196,18 @@ func (l *Loader) positionalScan(ctx context.Context, path string, delim byte, of
 	sort.Ints(sortedRel)
 	fields := make([]scan.FieldRef, len(relCols))
 
+	var rows, attrs int64 // tokenized rows' work, flushed once on every return path
+	if c := l.Counters; c != nil {
+		defer func() {
+			c.AddRowsTokenized(rows)
+			c.AddAttrsTokenized(attrs)
+		}()
+	}
 	return l.eachLineAt(ctx, path, offs, func(rowID, off int64, line []byte) error {
 		// Tokenize relCols within the line (relative attribute 0 starts
 		// at position 0 of the anchor offset).
 		fieldIdx, pos := 0, 0
-		attrs := int64(0)
+		rowAttrs := int64(0)
 		for si, want := range sortedRel {
 			for fieldIdx < want {
 				i := bytes.IndexByte(line[pos:], delim)
@@ -205,7 +216,7 @@ func (l *Loader) positionalScan(ctx context.Context, path string, delim byte, of
 				}
 				pos += i + 1
 				fieldIdx++
-				attrs++
+				rowAttrs++
 			}
 			end := bytes.IndexByte(line[pos:], delim)
 			var fb []byte
@@ -214,7 +225,7 @@ func (l *Loader) positionalScan(ctx context.Context, path string, delim byte, of
 			} else {
 				fb = line[pos : pos+end]
 			}
-			attrs++
+			rowAttrs++
 			fr := scan.FieldRef{Bytes: fb, Offset: off + int64(pos)}
 			for i, rc := range relCols {
 				if rc == want {
@@ -228,10 +239,8 @@ func (l *Loader) positionalScan(ctx context.Context, path string, delim byte, of
 				return fmt.Errorf("loader: row %d ended before relative column %d", rowID, sortedRel[si+1])
 			}
 		}
-		if l.Counters != nil {
-			l.Counters.AddRowsTokenized(1)
-			l.Counters.AddAttrsTokenized(attrs)
-		}
+		rows++
+		attrs += rowAttrs
 		return handler(rowID, fields)
 	})
 }
@@ -262,6 +271,7 @@ func (l *Loader) tryPositionalColumnLoadJSON(ctx context.Context, t *catalog.Tab
 			return false
 		}
 		col := storage.NewDenseSized(sch.Columns[c].Type, int(rows))
+		var done int64 // rows tokenized and parsed, one value each
 		err := l.eachLineAt(ctx, t.Path(), offs, func(rowID, off int64, line []byte) error {
 			end, err := scan.ScanJSONValue(line, 0)
 			if err != nil {
@@ -272,26 +282,23 @@ func (l *Loader) tryPositionalColumnLoadJSON(ctx context.Context, t *catalog.Tab
 				return fmt.Errorf("loader: row %d col %d: %w", rowID, c, err)
 			}
 			col.Set(int(rowID), v)
-			if l.Counters != nil {
-				l.Counters.AddRowsTokenized(1)
-				l.Counters.AddAttrsTokenized(1)
-				l.Counters.AddValuesParsed(1)
-			}
+			done++
 			return nil
 		})
+		if l.Counters != nil {
+			l.Counters.AddRowsTokenized(done)
+			l.Counters.AddAttrsTokenized(done)
+			l.Counters.AddValuesParsed(done)
+		}
 		if err != nil {
 			return false // fall back to the plain scan
 		}
 		dense[i] = col
 	}
-
-	var written int64
-	for i, c := range missing {
-		t.SetDense(c, dense[i])
-		written += dense[i].MemSize()
-	}
 	if l.Counters != nil {
-		l.Counters.AddInternalBytesWritten(written)
+		// Every value was read at a position the map served.
+		l.Counters.AddPosMapHit(rows * int64(len(missing)))
 	}
+	l.install(t, missing, dense, nil)
 	return true
 }

@@ -139,8 +139,8 @@ func (l *Loader) loadGroup(ctx context.Context, t *catalog.Table, src splitfile.
 
 	fieldBytes := make([][]byte, maxLocal+1)
 	splitErr := error(nil)
+	var parsed int64
 	err = sc.ScanColumnsTail(tokCols, func(rowID int64, fields []scan.FieldRef, tail scan.FieldRef) error {
-		parsed := int64(0)
 		for i, f := range fields {
 			if pi := parseAt[i]; pi >= 0 {
 				v, err := parseField(f.Bytes, sch.Columns[origs[pi]].Type, sch.Format)
@@ -152,14 +152,14 @@ func (l *Loader) loadGroup(ctx context.Context, t *catalog.Table, src splitfile.
 			}
 			fieldBytes[i] = f.Bytes
 		}
-		if l.Counters != nil {
-			l.Counters.AddValuesParsed(parsed)
-		}
 		if splitErr == nil {
 			splitErr = w.WriteRow(fieldBytes, tail.Bytes)
 		}
 		return nil
 	}, nil)
+	if l.Counters != nil {
+		l.Counters.AddValuesParsed(parsed)
+	}
 	if err != nil {
 		w.Abort() // the feed stopped early; the files hold a prefix
 		return err
@@ -180,14 +180,7 @@ func (l *Loader) loadGroup(ctx context.Context, t *catalog.Table, src splitfile.
 	if err := w.Close(); err != nil {
 		return err
 	}
-	var written int64
-	for i, c := range origs {
-		t.SetDense(c, dense[i])
-		written += dense[i].MemSize()
-	}
-	if l.Counters != nil {
-		l.Counters.AddInternalBytesWritten(written)
-	}
+	l.install(t, origs, dense, nil)
 	return nil
 }
 
@@ -210,11 +203,12 @@ func (l *Loader) loadSidecar(t *catalog.Table, sc *scan.Scanner, src splitfile.S
 			return fmt.Errorf("loader: sidecar %s row %d: %w", src.Path, rowID, err)
 		}
 		dense.Append(v)
-		if l.Counters != nil {
-			l.Counters.AddValuesParsed(1)
-		}
 		return nil
 	}, nil)
+	if l.Counters != nil {
+		// One value per appended row, whatever ended the scan.
+		l.Counters.AddValuesParsed(int64(dense.Len()))
+	}
 	if err != nil {
 		return err
 	}
@@ -224,9 +218,6 @@ func (l *Loader) loadSidecar(t *catalog.Table, sc *scan.Scanner, src splitfile.S
 		t.Splits.Drop()
 		return err
 	}
-	t.SetDense(orig, dense)
-	if l.Counters != nil {
-		l.Counters.AddInternalBytesWritten(dense.MemSize())
-	}
+	l.install(t, []int{orig}, []*storage.DenseColumn{dense}, nil)
 	return nil
 }

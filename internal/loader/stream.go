@@ -82,7 +82,7 @@ func (l *Loader) ScanRowsContext(ctx context.Context, t *catalog.Table, outCols 
 		}
 	}
 
-	mkHandler := func(pc *synopsis.PortionAcc) scan.RowHandler {
+	mkHandler := func(pc *synopsis.PortionAcc, nparsed *int64) scan.RowHandler {
 		return func(rowID int64, fields []scan.FieldRef) error {
 			parsed := make([]storage.Value, len(loadCols))
 			for i, f := range fields {
@@ -95,9 +95,7 @@ func (l *Loader) ScanRowsContext(ctx context.Context, t *catalog.Table, outCols 
 					pc.Observe(i, v)
 				}
 			}
-			if l.Counters != nil {
-				l.Counters.AddValuesParsed(int64(len(fields)))
-			}
+			*nparsed += int64(len(fields))
 			if record {
 				for i, f := range fields {
 					t.PosMap.Record(loadCols[i], rowID, f.Offset)
@@ -115,7 +113,7 @@ func (l *Loader) ScanRowsContext(ctx context.Context, t *catalog.Table, outCols 
 	if !useAbandon {
 		ab = nil
 	}
-	if err := ps.sc.ScanColumnsPortioned(loadCols, ps.funcs(conj, mkHandler, ab)); err != nil {
+	if err := ps.run(loadCols, conj, l.Counters, mkHandler, ab); err != nil {
 		return err
 	}
 	l.finish(ps, t)

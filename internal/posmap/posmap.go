@@ -10,6 +10,13 @@
 // known, the loader jumps directly to j and tokenizes only j..k, skipping
 // the attributes before j entirely.
 //
+// Positions are installed once per pass, not once per value: a column
+// load collects its offsets into a plain slice while it tokenizes and,
+// once the pass has succeeded, hands each column to RecordRun — one lock,
+// one coverage interval, one accounting update. A failed pass installs
+// nothing. Record remains for loaders that retain scattered qualifying
+// rows; an in-order Record appends without allocating.
+//
 // The map is partial by design: it covers only rows and attributes that
 // past queries touched, and it stops growing at a configurable memory
 // budget (unbounded maps would defeat the "minimum possible investment"
@@ -17,6 +24,7 @@
 package posmap
 
 import (
+	"slices"
 	"sort"
 	"sync"
 
@@ -34,8 +42,7 @@ type Accountant interface {
 }
 
 // Map records known byte positions of attributes in one raw file. It is
-// safe for concurrent use; parallel scan workers record runs while queries
-// look positions up.
+// safe for concurrent use; loaders record while queries look positions up.
 type Map struct {
 	mu       sync.RWMutex
 	cols     map[int]*colMap
@@ -228,15 +235,19 @@ func (m *Map) flush() {
 	m.mu.Unlock()
 }
 
-// RecordRun stores offsets for rows startRow, startRow+1, ... in one lock
-// acquisition. Scan portions call it once per chunk.
+// RecordRun stores offsets for rows startRow, startRow+1, ... as one bulk
+// install: one lock acquisition, one accountant update, one coverage
+// interval, and the column's slices grown once. Column loads call it once
+// per loaded column after the pass succeeds. The run is cut where it would
+// cross the memory budget, so MemSize never exceeds it. offs is copied;
+// the caller may reuse it.
 func (m *Map) RecordRun(col int, startRow int64, offs []int64) {
-	if len(offs) == 0 {
-		return
-	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.bytes >= m.maxBytes {
+	if room := (m.maxBytes - m.bytes) / 16; int64(len(offs)) > room {
+		offs = offs[:max(room, 0)]
+	}
+	if len(offs) == 0 {
 		return
 	}
 	c := m.cols[col]
@@ -244,22 +255,32 @@ func (m *Map) RecordRun(col int, startRow int64, offs []int64) {
 		c = &colMap{}
 		m.cols[col] = c
 	}
-	n := len(c.rows)
-	if len(c.pendRows) == 0 && (n == 0 || startRow > c.rows[n-1]) {
-		for i, off := range offs {
-			c.rows = append(c.rows, startRow+int64(i))
-			c.offs = append(c.offs, off)
-		}
+	added := int64(len(offs)) * 16
+	m.bytes += added
+	if m.acct != nil {
+		m.acct.AddBytes(added)
+	}
+	if n := len(c.rows); len(c.pendRows) == 0 && (n == 0 || startRow > c.rows[n-1]) {
+		c.rows = appendRowIDs(c.rows, startRow, len(offs))
+		c.offs = append(c.offs, offs...)
 		c.cov.Add(intervals.Interval{Lo: startRow, Hi: startRow + int64(len(offs))})
-		m.bytes += int64(len(offs)) * 16
-		if m.acct != nil {
-			m.acct.AddBytes(int64(len(offs)) * 16)
-		}
 		return
 	}
-	for i, off := range offs {
-		m.pendLocked(c, startRow+int64(i), off)
+	// The run overlaps or precedes recorded rows: buffer it whole and fold
+	// it in with a single merge (which releases the bytes of duplicates).
+	c.pendRows = appendRowIDs(c.pendRows, startRow, len(offs))
+	c.pendOffs = append(c.pendOffs, offs...)
+	m.mergeLocked(c)
+}
+
+// appendRowIDs appends the n consecutive row ids from start to rows,
+// growing it once.
+func appendRowIDs(rows []int64, start int64, n int) []int64 {
+	rows = slices.Grow(rows, n)
+	for i := range n {
+		rows = append(rows, start+int64(i))
 	}
+	return rows
 }
 
 // LoadColumn bulk-installs a column's positions from a snapshot: rows

@@ -1,6 +1,7 @@
 package posmap
 
 import (
+	"slices"
 	"sync"
 	"testing"
 
@@ -79,6 +80,98 @@ func TestRecordRunOutOfOrderFallback(t *testing.T) {
 	}
 	if m.Entries() != 4 {
 		t.Errorf("Entries = %d, want 4", m.Entries())
+	}
+}
+
+// TestRecordRunMatchesRecord: a bulk install into an empty column leaves
+// the same map as recording the entries one by one.
+func TestRecordRunMatchesRecord(t *testing.T) {
+	offs := make([]int64, 5000)
+	for i := range offs {
+		offs[i] = int64(i)*37 + 3
+	}
+	bulk, single := New(0, nil), New(0, nil)
+	bulk.RecordRun(4, 200, offs)
+	for i, off := range offs {
+		single.Record(4, 200+int64(i), off)
+	}
+	offs[0] = -1 // the run was copied, not adopted
+	br, bo := bulk.Pairs(4)
+	sr, so := single.Pairs(4)
+	if !slices.Equal(br, sr) || !slices.Equal(bo, so) {
+		t.Fatal("RecordRun and per-entry Record disagree on Pairs")
+	}
+	if bo[0] != 3 {
+		t.Fatalf("first offset = %d: RecordRun must copy its input", bo[0])
+	}
+	for _, r := range [][2]int64{{200, 5200}, {199, 201}, {5199, 5201}, {1000, 1001}} {
+		if bulk.Covers(4, r[0], r[1]) != single.Covers(4, r[0], r[1]) {
+			t.Fatalf("Covers(%d,%d) disagrees", r[0], r[1])
+		}
+	}
+	if bulk.MemSize() != single.MemSize() || bulk.MemSize() != 5000*16 {
+		t.Fatalf("MemSize bulk=%d single=%d, want %d", bulk.MemSize(), single.MemSize(), 5000*16)
+	}
+}
+
+// TestRecordRunBudgetCut: a run that would cross the budget is cut at it,
+// and later runs add nothing.
+func TestRecordRunBudgetCut(t *testing.T) {
+	m := New(10*16, nil)
+	m.RecordRun(0, 0, []int64{0, 1, 2, 3})
+	m.RecordRun(1, 0, []int64{0, 1, 2, 3, 4, 5, 6, 7, 8})
+	if got := m.MemSize(); got != 10*16 {
+		t.Fatalf("MemSize = %d, want exactly the budget %d", got, 10*16)
+	}
+	rows, _ := m.Pairs(1)
+	if len(rows) != 6 || rows[5] != 5 {
+		t.Fatalf("cut run rows = %v, want the first 6", rows)
+	}
+	if !m.Covers(1, 0, 6) || m.Covers(1, 0, 7) {
+		t.Fatal("coverage must end where the run was cut")
+	}
+	if !m.Full() {
+		t.Fatal("map should report full at the budget")
+	}
+	m.RecordRun(2, 0, []int64{1})
+	if m.Entries() != 10 || m.MemSize() != 10*16 {
+		t.Fatalf("a full map accepted more: entries=%d bytes=%d", m.Entries(), m.MemSize())
+	}
+}
+
+// TestRecordRunOverlapMerges: a run over rows the column already holds
+// folds in with newest-wins semantics and exact byte accounting.
+func TestRecordRunOverlapMerges(t *testing.T) {
+	m := New(0, nil)
+	for r := int64(0); r < 100; r += 10 {
+		m.Record(0, r, r)
+	}
+	run := make([]int64, 100)
+	for i := range run {
+		run[i] = int64(i) + 1000
+	}
+	m.RecordRun(0, 0, run)
+	rows, offs := m.Pairs(0)
+	if len(rows) != 100 || offs[0] != 1000 || offs[50] != 1050 {
+		t.Fatalf("merged pairs wrong: %d rows, offs[0]=%d offs[50]=%d", len(rows), offs[0], offs[50])
+	}
+	if m.MemSize() != 100*16 || !m.Covers(0, 0, 100) {
+		t.Fatalf("MemSize = %d, covers=%v", m.MemSize(), m.Covers(0, 0, 100))
+	}
+}
+
+// TestRecordInOrderAllocFree: the sparse loaders record value by value;
+// an in-order append must not allocate beyond amortized slice growth.
+func TestRecordInOrderAllocFree(t *testing.T) {
+	m := New(1<<30, nil)
+	row := int64(0)
+	m.Record(0, row, 0)
+	allocs := testing.AllocsPerRun(10000, func() {
+		row++
+		m.Record(0, row, row*8)
+	})
+	if allocs != 0 {
+		t.Fatalf("in-order Record allocates %.1f times per call, want 0", allocs)
 	}
 }
 

@@ -6,8 +6,6 @@ import (
 	"unicode"
 	"unicode/utf16"
 	"unicode/utf8"
-
-	"nodb/internal/metrics"
 )
 
 // jsonTokenizer locates requested attributes inside one NDJSON row (one
@@ -81,7 +79,7 @@ func (t *jsonTokenizer) match(key []byte, esc bool) int {
 	return -1
 }
 
-func (t *jsonTokenizer) row(line []byte, lineOff, rowID int64, handler RowHandler, tailH RowTailHandler, abandon AbandonFunc, c *metrics.Counters) error {
+func (t *jsonTokenizer) row(line []byte, lineOff, rowID int64, handler RowHandler, tailH RowTailHandler, abandon AbandonFunc, w *tally) error {
 	if tailH != nil {
 		return fmt.Errorf("scan: row %d: ndjson does not support tail capture", rowID)
 	}
@@ -141,10 +139,8 @@ func (t *jsonTokenizer) row(line []byte, lineOff, rowID int64, handler RowHandle
 			if abandon != nil {
 				for _, pos := range t.req[attr] {
 					if abandon(pos, fr) {
-						if c != nil {
-							c.AddAttrsTokenized(attrs)
-							c.AddRowsAbandoned(1)
-						}
+						w.attrs += attrs
+						w.abandoned++
 						return nil
 					}
 				}
@@ -161,9 +157,7 @@ func (t *jsonTokenizer) row(line []byte, lineOff, rowID int64, handler RowHandle
 			}
 		}
 	}
-	if c != nil {
-		c.AddAttrsTokenized(attrs)
-	}
+	w.attrs += attrs
 	return handler(rowID, t.fields)
 }
 

@@ -95,6 +95,59 @@ func TestParallelErrStop(t *testing.T) {
 	}
 }
 
+// TestWorkCountsExact: portions count into their own tallies and flush
+// once, so the shared counters come out identical at any worker count, and
+// agree with RowsScanned on the early-exit paths too.
+func TestWorkCountsExact(t *testing.T) {
+	const rows = 20000
+	path := writeRows(t, rows)
+	abandon := func(idx int, f FieldRef) bool { return f.Bytes[len(f.Bytes)-1] == '7' }
+	count := func(workers int) metrics.Snapshot {
+		var c metrics.Counters
+		s, err := Open(path, Options{Workers: workers, ChunkSize: 2048, Counters: &c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ScanColumns([]int{1, 0}, func(int64, []FieldRef) error { return nil }, abandon); err != nil {
+			t.Fatal(err)
+		}
+		return c.Snapshot()
+	}
+	seq, par := count(1), count(8)
+	if seq.RowsTokenized != rows || seq.RowsAbandoned == 0 {
+		t.Fatalf("sequential: rows=%d abandoned=%d", seq.RowsTokenized, seq.RowsAbandoned)
+	}
+	if seq.RowsTokenized != par.RowsTokenized || seq.AttrsTokenized != par.AttrsTokenized || seq.RowsAbandoned != par.RowsAbandoned {
+		t.Fatalf("workers 1 vs 8 disagree: %v vs %v", seq, par)
+	}
+
+	stop := errors.New("handler failed")
+	for _, tc := range []struct {
+		name string
+		err  error
+	}{{"ErrStop", ErrStop}, {"error", stop}} {
+		var c metrics.Counters
+		s, err := Open(path, Options{Workers: 8, ChunkSize: 2048, Counters: &c})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var seen atomic.Int64
+		err = s.ScanColumns([]int{0}, func(int64, []FieldRef) error {
+			if seen.Add(1) == 500 {
+				return tc.err
+			}
+			return nil
+		}, nil)
+		if tc.err == stop && !errors.Is(err, stop) {
+			t.Fatalf("%s: err = %v", tc.name, err)
+		}
+		got := c.Snapshot()
+		if got.RowsTokenized != s.RowsScanned() || got.AttrsTokenized != got.RowsTokenized || got.RowsTokenized < 500 {
+			t.Fatalf("%s: counters rows=%d attrs=%d, RowsScanned=%d", tc.name, got.RowsTokenized, got.AttrsTokenized, s.RowsScanned())
+		}
+	}
+}
+
 // TestParallelCancelDuringCountPass: cancellation during the row-count
 // pre-pass (before any handler runs) surfaces the context error.
 func TestParallelCancelDuringCountPass(t *testing.T) {

@@ -151,21 +151,17 @@ func (o Options) delim() byte {
 	return o.Delimiter
 }
 
-func (o Options) workers() int { return EffectiveWorkers(o.Workers) }
-
-// EffectiveWorkers resolves a Workers setting to the actual parallelism: 0
-// (unset) means one worker per CPU, negative means sequential, anything
-// else is taken literally. Callers that must know whether a scan will run
-// sequentially (e.g. to choose append-in-order versus scatter-by-row-id
-// materialization) resolve through this same function.
-func EffectiveWorkers(n int) int {
-	if n == 0 {
+// workers resolves Workers to the actual parallelism: 0 (unset) means one
+// worker per CPU, negative means sequential, anything else is taken
+// literally.
+func (o Options) workers() int {
+	if o.Workers == 0 {
 		return runtime.GOMAXPROCS(0)
 	}
-	if n < 0 {
+	if o.Workers < 0 {
 		return 1
 	}
-	return n
+	return o.Workers
 }
 
 func (o Options) chunkSize() int {
@@ -185,8 +181,16 @@ type FieldRef struct {
 
 // RowHandler receives one tokenized row. fields[i] corresponds to cols[i]
 // of the ScanColumns call (or to attribute i when scanning all columns).
-// Handlers run concurrently when Workers > 1, but each is called from a
-// single goroutine per portion with rowIDs from a contiguous range.
+//
+// Concurrency contract: when Workers > 1 the same handler is called from
+// several goroutines at once, one per portion in flight; within a portion
+// calls come from a single goroutine with ascending rowIDs from a
+// contiguous range. Every row id is delivered at most once per scan, so a
+// handler may write its row's slot of a slice pre-sized to NumRows
+// without a lock — that is how loaders fill dense columns and positional
+// offsets in parallel. Any other shared state (maps, appends, counters)
+// must be synchronized by the handler, or kept per portion via
+// ScanColumnsPortioned.
 type RowHandler func(rowID int64, fields []FieldRef) error
 
 // AbandonFunc is consulted after each requested column of a row is
@@ -712,6 +716,23 @@ dispatch:
 	return nil
 }
 
+// tally is one portion's tokenization work. A worker counts into its own
+// tally and flushes it to the shared Counters once when the portion
+// returns — on success, error, ErrStop and cancellation alike — so the
+// per-row loop touches no shared cache line and the totals stay exact.
+type tally struct {
+	rows, attrs, abandoned int64
+}
+
+func (w *tally) flush(c *metrics.Counters) {
+	if c == nil {
+		return
+	}
+	c.AddRowsTokenized(w.rows)
+	c.AddAttrsTokenized(w.attrs)
+	c.AddRowsAbandoned(w.abandoned)
+}
+
 // scanPortion streams one portion and tokenizes its rows, returning how
 // many it tokenized.
 func (s *Scanner) scanPortion(p portion, cols []int, handler RowHandler, tailH RowTailHandler, abandon AbandonFunc) (int64, error) {
@@ -720,9 +741,13 @@ func (s *Scanner) scanPortion(p portion, cols []int, handler RowHandler, tailH R
 		return 0, errs.Wrap(errs.ErrRawIO, "scan open", s.path, err)
 	}
 	defer f.Close()
-	var portionRows int64
 
 	c := s.opts.Counters
+	var w tally
+	defer func() {
+		s.scannedRows.Add(w.rows)
+		w.flush(c)
+	}()
 	chunk := s.opts.chunkSize()
 	buf := make([]byte, chunk+4096)
 	carry := 0 // bytes of an incomplete row carried from the previous chunk
@@ -736,7 +761,7 @@ func (s *Scanner) scanPortion(p portion, cols []int, handler RowHandler, tailH R
 
 	for pos < p.end || carry > 0 {
 		if err := s.opts.canceled(); err != nil {
-			return portionRows, err
+			return w.rows, err
 		}
 		n := 0
 		if pos < p.end {
@@ -757,14 +782,14 @@ func (s *Scanner) scanPortion(p portion, cols []int, handler RowHandler, tailH R
 				}
 			}
 			if err != nil && err != io.EOF {
-				return portionRows, errs.Wrap(errs.ErrRawIO, "scan read", s.path, err)
+				return w.rows, errs.Wrap(errs.ErrRawIO, "scan read", s.path, err)
 			}
 			n = carry + m
 			if m == 0 && err == io.EOF {
 				// EOF before the portion's end: the file shrank after
 				// its size was captured. Tokenizing the prefix as if it
 				// were the whole portion would return wrong results.
-				return portionRows, errs.New(errs.ErrFileShrunk, "scan read", s.path)
+				return w.rows, errs.New(errs.ErrFileShrunk, "scan read", s.path)
 			}
 		} else {
 			n = carry
@@ -797,15 +822,11 @@ func (s *Scanner) scanPortion(p portion, cols []int, handler RowHandler, tailH R
 			if len(line) > 0 && line[len(line)-1] == '\r' {
 				line = line[:len(line)-1]
 			}
-			if c != nil {
-				c.AddRowsTokenized(1)
-			}
-			s.scannedRows.Add(1)
-			portionRows++
-			err := tok.row(line, base+int64(lineStart), rowID, handler, tailH, abandon, c)
+			w.rows++
+			err := tok.row(line, base+int64(lineStart), rowID, handler, tailH, abandon, &w)
 			rowID++
 			if err != nil {
-				return portionRows, err
+				return w.rows, err
 			}
 			if consumed >= len(data) {
 				break
@@ -820,10 +841,10 @@ func (s *Scanner) scanPortion(p portion, cols []int, handler RowHandler, tailH R
 			carry = 0
 		}
 		if pos >= p.end && carry > 0 && consumed == 0 {
-			return portionRows, fmt.Errorf("scan: row longer than buffer at offset %d", base)
+			return w.rows, fmt.Errorf("scan: row longer than buffer at offset %d", base)
 		}
 	}
-	return portionRows, nil
+	return w.rows, nil
 }
 
 // rowTokenizer locates requested attributes within one line. The CSV
@@ -831,7 +852,7 @@ func (s *Scanner) scanPortion(p portion, cols []int, handler RowHandler, tailH R
 // single row — chunked reads, portion scheduling, row ids, carry buffers —
 // is format-agnostic and shared.
 type rowTokenizer interface {
-	row(line []byte, lineOff, rowID int64, handler RowHandler, tailH RowTailHandler, abandon AbandonFunc, c *metrics.Counters) error
+	row(line []byte, lineOff, rowID int64, handler RowHandler, tailH RowTailHandler, abandon AbandonFunc, w *tally) error
 }
 
 // newRowTokenizer builds the per-row attribute locator for the configured
@@ -889,9 +910,9 @@ func newTokenizer(delim byte, cols []int) *tokenizer {
 }
 
 // row tokenizes one line. lineOff is the absolute file offset of line[0].
-func (t *tokenizer) row(line []byte, lineOff, rowID int64, handler RowHandler, tailH RowTailHandler, abandon AbandonFunc, c *metrics.Counters) error {
+func (t *tokenizer) row(line []byte, lineOff, rowID int64, handler RowHandler, tailH RowTailHandler, abandon AbandonFunc, w *tally) error {
 	if t.all {
-		return t.rowAll(line, lineOff, rowID, handler, tailH, c)
+		return t.rowAll(line, lineOff, rowID, handler, tailH, w)
 	}
 	fieldIdx := 0 // current attribute index in the row
 	off := 0
@@ -928,10 +949,8 @@ func (t *tokenizer) row(line []byte, lineOff, rowID int64, handler RowHandler, t
 		if abandon != nil {
 			for _, ci := range t.dup[si] {
 				if abandon(ci, fr) {
-					if c != nil {
-						c.AddAttrsTokenized(attrs)
-						c.AddRowsAbandoned(1)
-					}
+					w.attrs += attrs
+					w.abandoned++
 					return nil
 				}
 			}
@@ -944,9 +963,7 @@ func (t *tokenizer) row(line []byte, lineOff, rowID int64, handler RowHandler, t
 			return fmt.Errorf("scan: row %d ended before attribute %d", rowID, t.sorted[si+1])
 		}
 	}
-	if c != nil {
-		c.AddAttrsTokenized(attrs)
-	}
+	w.attrs += attrs
 	if tailH != nil {
 		tail := FieldRef{Bytes: nil, Offset: lineOff + int64(len(line))}
 		if lastEnd < len(line) { // line[lastEnd] is the delimiter
@@ -958,7 +975,7 @@ func (t *tokenizer) row(line []byte, lineOff, rowID int64, handler RowHandler, t
 }
 
 // rowAll tokenizes every attribute of the line.
-func (t *tokenizer) rowAll(line []byte, lineOff, rowID int64, handler RowHandler, tailH RowTailHandler, c *metrics.Counters) error {
+func (t *tokenizer) rowAll(line []byte, lineOff, rowID int64, handler RowHandler, tailH RowTailHandler, w *tally) error {
 	t.fields = t.fields[:0]
 	off := 0
 	for {
@@ -970,9 +987,7 @@ func (t *tokenizer) rowAll(line []byte, lineOff, rowID int64, handler RowHandler
 		t.fields = append(t.fields, FieldRef{Bytes: line[off : off+i], Offset: lineOff + int64(off)})
 		off += i + 1
 	}
-	if c != nil {
-		c.AddAttrsTokenized(int64(len(t.fields)))
-	}
+	w.attrs += int64(len(t.fields))
 	if tailH != nil {
 		return tailH(rowID, t.fields, FieldRef{Offset: lineOff + int64(len(line))})
 	}
@@ -1020,12 +1035,11 @@ func (s *Scanner) ReadRowAt(rowOff int64, rowID int64, cols []int, handler RowHa
 	if len(line) > 0 && line[len(line)-1] == '\r' {
 		line = line[:len(line)-1]
 	}
-	if s.opts.Counters != nil {
-		s.opts.Counters.AddRowsTokenized(1)
-	}
+	w := tally{rows: 1}
+	defer w.flush(s.opts.Counters)
 	tok, err := s.opts.newRowTokenizer(cols)
 	if err != nil {
 		return err
 	}
-	return tok.row(line, rowOff, rowID, handler, nil, nil, s.opts.Counters)
+	return tok.row(line, rowOff, rowID, handler, nil, nil, &w)
 }

@@ -495,7 +495,10 @@ func TestQuickScannerMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		got := map[int64][]string{}
+		// Workers defaults to GOMAXPROCS, so the handler runs on several
+		// goroutines at once: it scatters into a row-indexed slice (one
+		// slot per row id, never shared) instead of writing a map.
+		got := make([][]string, rows)
 		err = sc.ScanColumns(req, func(rowID int64, fields []FieldRef) error {
 			vals := make([]string, len(fields))
 			for i, f := range fields {
@@ -507,14 +510,17 @@ func TestQuickScannerMatchesReference(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
-		if len(got) != rows {
-			t.Fatalf("trial %d: got %d rows, want %d", trial, len(got), rows)
+		if n := sc.RowsScanned(); n != int64(rows) {
+			t.Fatalf("trial %d: scanned %d rows, want %d", trial, n, rows)
 		}
 		for r := 0; r < rows; r++ {
+			if got[r] == nil {
+				t.Fatalf("trial %d: row %d never delivered", trial, r)
+			}
 			for i, c := range req {
-				if got[int64(r)][i] != table[r][c] {
+				if got[r][i] != table[r][c] {
 					t.Fatalf("trial %d row %d col %d: %q != %q",
-						trial, r, c, got[int64(r)][i], table[r][c])
+						trial, r, c, got[r][i], table[r][c])
 				}
 			}
 		}
