@@ -16,8 +16,8 @@ import (
 
 	"nodb/internal/exec"
 	"nodb/internal/metrics"
+	"nodb/internal/ndjson"
 	"nodb/internal/qos"
-	"nodb/internal/schema"
 	"nodb/internal/storage"
 	"nodb/internal/synopsis"
 )
@@ -750,6 +750,8 @@ func writeError(w http.ResponseWriter, status int, format string, args ...any) {
 		code = "method_not_allowed"
 	case http.StatusRequestEntityTooLarge:
 		code = "payload_too_large"
+	case http.StatusUnprocessableEntity:
+		code = "unsupported_value"
 	case http.StatusTooManyRequests:
 		code = "rate_limited"
 	case http.StatusBadGateway:
@@ -934,14 +936,18 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusBadGateway, "%v", err)
 		return
 	}
-	out := make([][]any, len(rows))
-	for i, row := range rows {
-		out[i] = encodeRow(row)
+	// Encode the rows before any header goes out, so a value JSON cannot
+	// represent still gets a proper error response.
+	out, err := storage.AppendJSONRows(nil, rows)
+	if err != nil {
+		c.failed.Add(1)
+		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		return
 	}
 	writeJSON(w, http.StatusOK, struct {
-		Columns []string       `json:"columns"`
-		Rows    [][]any        `json:"rows"`
-		Stats   coordStatsJSON `json:"stats"`
+		Columns []string        `json:"columns"`
+		Rows    json.RawMessage `json:"rows"`
+		Stats   coordStatsJSON  `json:"stats"`
 	}{
 		Columns: res.columns,
 		Rows:    out,
@@ -952,11 +958,6 @@ func (c *Coordinator) handleQuery(w http.ResponseWriter, r *http.Request) {
 		},
 	})
 }
-
-const (
-	streamFlushEvery    = 64
-	streamFlushInterval = 50 * time.Millisecond
-)
 
 // handleQueryStream streams the merged result as NDJSON with the same
 // framing as a single node: a {"columns": [...]} header, one JSON array
@@ -995,109 +996,46 @@ func (c *Coordinator) handleQueryStream(w http.ResponseWriter, r *http.Request) 
 		c.fold(res.stats)
 	}()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Content-Type-Options", "nosniff")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-
-	var wmu sync.Mutex
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	stopFlush := make(chan struct{})
-	flushDone := make(chan struct{})
-	defer func() { close(stopFlush); <-flushDone }()
-	go func() {
-		defer close(flushDone)
-		tick := time.NewTicker(streamFlushInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				wmu.Lock()
-				flush()
-				wmu.Unlock()
-			case <-stopFlush:
-				return
-			}
-		}
-	}()
-
-	wmu.Lock()
-	err := enc.Encode(map[string][]string{"columns": res.columns})
-	flush()
-	wmu.Unlock()
-	if err != nil {
+	st := ndjson.Start(w)
+	defer st.Close()
+	if err := st.Line(map[string][]string{"columns": res.columns}); err != nil {
 		c.cancelled.Add(1)
 		return
 	}
-
-	n := 0
-	for {
+	for first := true; ; first = false {
 		row, ok, rerr := res.iter.Next()
 		if rerr != nil {
 			c.failed.Add(1)
-			wmu.Lock()
-			_ = enc.Encode(errorResponse{Error: rerr.Error()})
-			flush()
-			wmu.Unlock()
+			_ = st.Line(errorResponse{Error: rerr.Error()})
 			return
 		}
 		if !ok {
 			break
 		}
 		res.stats.rows.Add(1)
-		wmu.Lock()
-		werr := enc.Encode(encodeRow(row))
-		if werr == nil && n%streamFlushEvery == 0 {
-			flush()
+		// The merge has no batch boundaries: after the first row, which
+		// goes out at once, rows reach the client when the pending buffer
+		// fills or the stream's ticker fires.
+		werr := st.Append(row)
+		if werr == nil && first {
+			werr = st.Flush()
 		}
-		wmu.Unlock()
-		n++
+		var uve *json.UnsupportedValueError
+		if errors.As(werr, &uve) {
+			c.failed.Add(1)
+			_ = st.Line(errorResponse{Error: werr.Error()})
+			return
+		}
 		if werr != nil {
-			var uve *json.UnsupportedValueError
-			if errors.As(werr, &uve) {
-				c.failed.Add(1)
-				wmu.Lock()
-				_ = enc.Encode(errorResponse{Error: werr.Error()})
-				flush()
-				wmu.Unlock()
-				return
-			}
 			c.cancelled.Add(1)
 			return
 		}
 	}
-	wmu.Lock()
-	defer wmu.Unlock()
-	_ = enc.Encode(map[string]coordStatsJSON{"stats": {
+	_ = st.Line(map[string]coordStatsJSON{"stats": {
 		WallMicros: time.Since(start).Microseconds(),
 		Plan:       planString(res.plan, res.stats),
 		Cluster:    res.stats.json(),
 	}})
-	flush()
-}
-
-// encodeRow converts one typed row to JSON-friendly scalars, mirroring
-// the single-node server's encoding so coordinator output is
-// byte-identical.
-func encodeRow(row []storage.Value) []any {
-	out := make([]any, len(row))
-	for j, v := range row {
-		switch v.Typ {
-		case schema.Int64:
-			out[j] = v.I
-		case schema.Float64:
-			out[j] = v.F
-		default:
-			out[j] = v.S
-		}
-	}
-	return out
 }
 
 // handleExplain compiles the scatter plan without executing it.

@@ -255,10 +255,11 @@ func (e *Engine) executeVector(ctx context.Context, p *plan.Plan, w *rowWriter) 
 }
 
 // drainPipeline pulls the root to exhaustion, flattening each batch's
-// output-keyed vectors into result rows for the cursor. Each batch backs
-// its rows with one flat value array, keeping the drain under one
-// allocation per row.
+// output-keyed vectors into result rows for the cursor. The rows come
+// from the writer, which carves them from slabs or refills released ones,
+// keeping the drain well under one allocation per row.
 func drainPipeline(ctx context.Context, root exec.Operator, arity int, w *rowWriter) error {
+	cols := make([]*storage.DenseColumn, arity)
 	for {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -270,31 +271,21 @@ func drainPipeline(ctx context.Context, root exec.Operator, arity int, w *rowWri
 		if b == nil {
 			return nil
 		}
-		cols := make([]*storage.DenseColumn, arity)
 		for j := 0; j < arity; j++ {
 			if cols[j] = b.Col(exec.OutKey(j)); cols[j] == nil {
 				return fmt.Errorf("core: output column %d not in batch", j)
 			}
 		}
-		rows := make([][]storage.Value, 0, b.Rows())
-		flat := make([]storage.Value, b.Rows()*arity)
-		fill := func(r, i int) {
-			row := flat[r*arity : (r+1)*arity : (r+1)*arity]
+		err = w.emitFilled(b.Rows(), arity, func(row []storage.Value, r int) {
+			i := r
+			if b.Sel != nil {
+				i = int(b.Sel[r])
+			}
 			for j, c := range cols {
 				row[j] = c.Value(i)
 			}
-			rows = append(rows, row)
-		}
-		if b.Sel == nil {
-			for i := 0; i < b.N; i++ {
-				fill(i, i)
-			}
-		} else {
-			for r, i := range b.Sel {
-				fill(r, int(i))
-			}
-		}
-		if err := w.emitAll(rows); err != nil {
+		})
+		if err != nil {
 			return err
 		}
 	}

@@ -97,6 +97,7 @@ type Rows struct {
 	cancel context.CancelFunc
 	unhook func() // releases the engine-close hook
 	ch     chan [][]storage.Value
+	free   chan [][]storage.Value // batches handed back by ReleaseBatch
 
 	// Written by the producer before it closes ch; the channel close is
 	// the synchronization point making them visible to the consumer.
@@ -137,6 +138,36 @@ func (r *Rows) Next() bool {
 	r.cur, r.idx = batch, 1
 	r.row = batch[0]
 	return true
+}
+
+// NextBatch advances the cursor past every row up to the end of the
+// producer's current batch and returns them: the remainder of a batch
+// partly consumed by Next, or else the next batch, blocking until one is
+// available. It returns nil where Next would return false (consult Err).
+// The rows are owned by the caller, like Row's, until handed back with
+// ReleaseBatch. It is a function rather than a method so nodb.Rows keeps
+// its database/sql shape; the HTTP servers use it to encode and write a
+// result a batch at a time.
+func NextBatch(r *Rows) [][]storage.Value {
+	if !r.Next() {
+		return nil
+	}
+	batch := r.cur[r.idx-1:]
+	r.idx = len(r.cur)
+	r.row = batch[len(batch)-1]
+	return batch
+}
+
+// ReleaseBatch hands a batch returned by NextBatch back to the cursor's
+// producer, which refills its rows in place instead of allocating new
+// ones; a consumer that encodes each batch and drops it thereby keeps
+// the stream's working set to a few batches. The caller must not touch
+// the batch, its rows or Row afterwards.
+func ReleaseBatch(r *Rows, batch [][]storage.Value) {
+	select {
+	case r.free <- batch:
+	default: // nil free list, or already full
+	}
 }
 
 // finish records the producer's final error and stats (visible once the
@@ -288,12 +319,14 @@ func (r *Rows) Result() (*Result, error) {
 type rowWriter struct {
 	ctx   context.Context
 	ch    chan<- [][]storage.Value
-	limit int // -1 = unlimited
+	free  <-chan [][]storage.Value // released batches to refill; may be nil
+	limit int                      // -1 = unlimited
 
 	mu    sync.Mutex
 	count int
 	batch [][]storage.Value
-	sink  *resultSink // optional tee of emitted rows for the result cache
+	slab  []storage.Value // unused tail of the values emitFilled carves rows from
+	sink  *resultSink     // optional tee of emitted rows for the result cache
 }
 
 // emit appends one row, taking ownership of it. It returns errLimitReached
@@ -339,6 +372,66 @@ func (w *rowWriter) emitAll(rows [][]storage.Value) error {
 		}
 	}
 	return nil
+}
+
+// emitFilled appends n rows of arity values, each written in place by
+// fill(row, r) for r in [0, n), under one lock acquisition. The rows are
+// the writer's own: rows of a released batch where one is at hand, else
+// carved from a slab allocated for the rows still to come in this batch.
+func (w *rowWriter) emitFilled(n, arity int, fill func(row []storage.Value, r int)) error {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for r := 0; r < n; r++ {
+		if w.limit >= 0 && w.count >= w.limit {
+			return errLimitReached
+		}
+		row := w.slot(arity, min(n-r, rowBatchSize-len(w.batch)))
+		fill(row, r)
+		w.sink.add(row)
+		w.count++
+		if len(w.batch) >= rowBatchSize {
+			if err := w.flushLocked(); err != nil {
+				return err
+			}
+		}
+	}
+	return nil
+}
+
+// slot extends the batch by one row of arity values and returns it. When
+// it must allocate, it allocates for the next rows rows at once.
+func (w *rowWriter) slot(arity, rows int) []storage.Value {
+	if len(w.batch) == 0 {
+		w.batch = w.fresh()
+	}
+	n := len(w.batch)
+	if n < cap(w.batch) {
+		w.batch = w.batch[:n+1]
+		if row := w.batch[n]; cap(row) >= arity { // left by a released batch
+			w.batch[n] = row[:arity]
+			return w.batch[n]
+		}
+	} else {
+		w.batch = append(w.batch, nil)
+	}
+	if len(w.slab) < arity {
+		w.slab = make([]storage.Value, rows*arity)
+	}
+	row := w.slab[:arity:arity]
+	w.slab = w.slab[arity:]
+	w.batch[n] = row
+	return row
+}
+
+// fresh returns a released batch emptied for refilling, or nil when the
+// consumer has handed none back.
+func (w *rowWriter) fresh() [][]storage.Value {
+	select {
+	case b := <-w.free:
+		return b[:0]
+	default:
+		return nil
+	}
 }
 
 func (w *rowWriter) flush() error {
@@ -452,6 +545,7 @@ func (e *Engine) QueryRowsStmt(ctx context.Context, stmt *sql.SelectStmt) (*Rows
 		cancel: cancel,
 		unhook: func() { unhook() },
 		ch:     make(chan [][]storage.Value, 4),
+		free:   make(chan [][]storage.Value, 8),
 	}
 	go e.produce(cctx, p, r, before, timer, qkey)
 	return r, nil
@@ -464,7 +558,7 @@ func (e *Engine) QueryRowsStmt(ctx context.Context, stmt *sql.SelectStmt) (*Rows
 // cache and handed to the waiting followers.
 func (e *Engine) produce(ctx context.Context, p *plan.Plan, r *Rows, before metrics.Snapshot, timer metrics.Timer, qkey string) {
 	defer close(r.ch)
-	w := &rowWriter{ctx: ctx, ch: r.ch, limit: p.Limit}
+	w := &rowWriter{ctx: ctx, ch: r.ch, free: r.free, limit: p.Limit}
 	if qkey != "" {
 		w.sink = &resultSink{max: e.qcache.MaxEntryBytes()}
 	}

@@ -60,10 +60,11 @@ import (
 
 	"nodb"
 	"nodb/internal/cluster"
+	"nodb/internal/core"
 	"nodb/internal/errs"
 	"nodb/internal/metrics"
+	"nodb/internal/ndjson"
 	"nodb/internal/qos"
-	"nodb/internal/schema"
 	"nodb/internal/storage"
 )
 
@@ -491,6 +492,8 @@ func errCode(status int) string {
 		return "method_not_allowed"
 	case http.StatusRequestEntityTooLarge:
 		return "payload_too_large"
+	case http.StatusUnprocessableEntity:
+		return "unsupported_value"
 	case http.StatusTooManyRequests:
 		return "rate_limited"
 	case http.StatusServiceUnavailable:
@@ -502,11 +505,12 @@ func errCode(status int) string {
 	}
 }
 
-// queryResponse is the /query response body.
-type queryResponse struct {
-	Columns []string       `json:"columns"`
-	Rows    [][]any        `json:"rows"`
-	Stats   queryStatsJSON `json:"stats"`
+// queryReply is the /query response body. Rows arrive pre-encoded by
+// storage.AppendJSONRows: an array of row arrays of plain JSON scalars.
+type queryReply struct {
+	Columns []string        `json:"columns"`
+	Rows    json.RawMessage `json:"rows"`
+	Stats   queryStatsJSON  `json:"stats"`
 }
 
 type queryStatsJSON struct {
@@ -762,9 +766,18 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	writeJSON(w, http.StatusOK, queryResponse{
+	// Encode the rows before any header goes out, so a value JSON cannot
+	// represent still gets a proper error response instead of a 200 with
+	// an empty body.
+	rows, err := storage.AppendJSONRows(nil, res.Rows)
+	if err != nil {
+		s.failed.Add(1)
+		writeError(w, http.StatusUnprocessableEntity, "%v", err)
+		return
+	}
+	writeJSON(w, http.StatusOK, queryReply{
 		Columns: res.Columns,
-		Rows:    encodeRows(res.Rows),
+		Rows:    rows,
 		Stats: queryStatsJSON{
 			WallMicros: res.Stats.Wall.Microseconds(),
 			Work:       res.Stats.Work,
@@ -773,23 +786,13 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	})
 }
 
-// streamFlushEvery bounds how many rows accumulate before the NDJSON
-// stream is flushed to the client, and streamFlushInterval bounds how long
-// written rows may sit in the response buffer when qualifying rows trickle
-// out of a selective scan (a background ticker flushes while the handler
-// is blocked waiting for the next row). Together they keep a fast scan
-// from being syscall-bound while a slow one delivers rows promptly.
-const (
-	streamFlushEvery    = 64
-	streamFlushInterval = 50 * time.Millisecond
-)
-
 // handleQueryStream streams a result as NDJSON through the engine's
 // cursor: a header line {"columns": [...]}, one JSON array per row, and a
 // trailer line — {"stats": {...}} on success, {"error": "..."} if the
-// query dies mid-stream. Rows are flushed incrementally, so the client
-// sees data while the raw-file scan is still running; a disconnect
-// cancels the request context, which stops the scan between chunks.
+// query dies mid-stream. Each batch the cursor hands over is encoded and
+// written with one Write and one Flush, so the client sees data while the
+// raw-file scan is still running; a disconnect cancels the request
+// context, which stops the scan between chunks.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.readQueryRequest(w, r)
 	if !ok {
@@ -826,81 +829,41 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	}
 	defer rows.Close()
 
-	w.Header().Set("Content-Type", "application/x-ndjson")
-	w.Header().Set("X-Content-Type-Options", "nosniff")
-	w.WriteHeader(http.StatusOK)
-	flusher, _ := w.(http.Flusher)
-	enc := json.NewEncoder(w)
-	enc.SetEscapeHTML(false)
-
-	// The ResponseWriter is not safe for concurrent use; wmu serializes
-	// row writes against the background ticker that flushes pending bytes
-	// while the handler is blocked in rows.Next.
-	var wmu sync.Mutex
-	flush := func() {
-		if flusher != nil {
-			flusher.Flush()
-		}
-	}
-	// The writer must not be touched after the handler returns, so stop
-	// the ticker and wait for it before unwinding.
-	stopFlush := make(chan struct{})
-	flushDone := make(chan struct{})
-	defer func() { close(stopFlush); <-flushDone }()
-	go func() {
-		defer close(flushDone)
-		tick := time.NewTicker(streamFlushInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				wmu.Lock()
-				flush()
-				wmu.Unlock()
-			case <-stopFlush:
-				return
-			}
-		}
-	}()
-
-	wmu.Lock()
-	err = enc.Encode(map[string][]string{"columns": rows.Columns()})
-	flush()
-	wmu.Unlock()
-	if err != nil {
+	st := ndjson.Start(w)
+	defer st.Close()
+	if err := st.Line(map[string][]string{"columns": rows.Columns()}); err != nil {
 		s.cancelled.Add(1)
 		return
 	}
-
-	n := 0
-	for rows.Next() {
-		wmu.Lock()
-		err := enc.Encode(encodeRow(rows.Row()))
-		if err == nil && n%streamFlushEvery == 0 {
-			flush()
+	// The first row goes out on its own, so the client holds an answer as
+	// soon as the cursor yields one; after that, whole batches, each handed
+	// back to the cursor for reuse once encoded.
+	var batch [][]storage.Value
+	if rows.Next() {
+		batch = [][]storage.Value{rows.Row()}
+	}
+	for own := false; batch != nil; batch, own = core.NextBatch(rows), true {
+		err := st.Append(batch...)
+		if own {
+			core.ReleaseBatch(rows, batch)
 		}
-		wmu.Unlock()
-		n++
+		if err == nil {
+			err = st.Flush()
+		}
+		var uve *json.UnsupportedValueError
+		if errors.As(err, &uve) {
+			// A value JSON cannot represent (NaN/Inf float). The client is
+			// still connected, so report the failure in-band as the trailer.
+			s.failed.Add(1)
+			_ = st.Line(streamError{Error: err.Error()})
+			return
+		}
 		if err != nil {
-			var uve *json.UnsupportedValueError
-			if errors.As(err, &uve) {
-				// A value JSON cannot represent (NaN/Inf float). The
-				// client is still connected — the failed Encode wrote
-				// nothing — so report the failure in-band as the trailer.
-				s.failed.Add(1)
-				wmu.Lock()
-				_ = enc.Encode(streamError{Error: err.Error()})
-				flush()
-				wmu.Unlock()
-				return
-			}
 			// Client went away; rows.Close (deferred) stops the scan.
 			s.cancelled.Add(1)
 			return
 		}
 	}
-	wmu.Lock()
-	defer wmu.Unlock()
 	if err := rows.Err(); err != nil {
 		// Headers are gone; report the failure in-band as the trailer.
 		if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
@@ -908,33 +871,15 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		} else {
 			s.failed.Add(1)
 		}
-		_ = enc.Encode(streamError{Error: err.Error()})
-		flush()
+		_ = st.Line(streamError{Error: err.Error()})
 		return
 	}
-	st := rows.Stats()
-	_ = enc.Encode(map[string]queryStatsJSON{"stats": {
-		WallMicros: st.Wall.Microseconds(),
-		Work:       st.Work,
-		Plan:       st.Plan,
+	stats := rows.Stats()
+	_ = st.Line(map[string]queryStatsJSON{"stats": {
+		WallMicros: stats.Wall.Microseconds(),
+		Work:       stats.Work,
+		Plan:       stats.Plan,
 	}})
-	flush()
-}
-
-// encodeRow converts one typed row to JSON-friendly scalars.
-func encodeRow(row []storage.Value) []any {
-	out := make([]any, len(row))
-	for j, v := range row {
-		switch v.Typ {
-		case schema.Int64:
-			out[j] = v.I
-		case schema.Float64:
-			out[j] = v.F
-		default:
-			out[j] = v.S
-		}
-	}
-	return out
 }
 
 func (s *Server) handleExplain(w http.ResponseWriter, r *http.Request) {
@@ -1252,13 +1197,4 @@ func (s *Server) handleClusterSynopsis(w http.ResponseWriter, r *http.Request) {
 		out.Tables[name] = cluster.EncodeTableSynopsis(exp, sch)
 	}
 	writeJSON(w, http.StatusOK, out)
-}
-
-// encodeRows converts typed values to JSON-friendly scalars.
-func encodeRows(rows [][]storage.Value) [][]any {
-	out := make([][]any, len(rows))
-	for i, row := range rows {
-		out[i] = encodeRow(row)
-	}
-	return out
 }
