@@ -460,16 +460,15 @@ func BenchmarkSelectiveColdScan(b *testing.B) { selectiveColdScan(b, false) }
 // synopsis disabled — the pre-PR full re-scan, kept as the comparator.
 func BenchmarkSelectiveColdScanNoSynopsis(b *testing.B) { selectiveColdScan(b, true) }
 
-// --- Vectorized-execution benchmarks: the batch pipeline vs the
-// row-at-a-time path it replaced ---
+// --- Vectorized-execution benchmark ---
 
-// batchPipelineBench measures a hot full-scan aggregate — the table fully
-// loaded, every row consumed — with the execution mode toggled. The
-// difference is pure execution machinery.
-func batchPipelineBench(b *testing.B, disableVector bool) {
+// BenchmarkBatchPipeline measures a hot full-scan aggregate through the
+// vectorized operator pipeline — the table fully loaded, every row
+// consumed — so the number is pure execution machinery.
+func BenchmarkBatchPipeline(b *testing.B) {
 	const rows = 400_000
 	path := benchTable(b, rows, 4)
-	db := nodb.Open(nodb.Options{Policy: nodb.ColumnLoads, Workers: 1, DisableVectorExec: disableVector, DisableRevalidation: true})
+	db := nodb.Open(nodb.Options{Policy: nodb.ColumnLoads, Workers: 1, DisableRevalidation: true})
 	defer db.Close()
 	if err := db.Link("t", path); err != nil {
 		b.Fatal(err)
@@ -486,14 +485,6 @@ func batchPipelineBench(b *testing.B, disableVector bool) {
 		}
 	}
 }
-
-// BenchmarkBatchPipeline: the vectorized operator pipeline (the default
-// execution path).
-func BenchmarkBatchPipeline(b *testing.B) { batchPipelineBench(b, false) }
-
-// BenchmarkBatchPipelineRowAtATime: the same query through the legacy
-// row-at-a-time path, kept as the comparator.
-func BenchmarkBatchPipelineRowAtATime(b *testing.B) { batchPipelineBench(b, true) }
 
 // --- NDJSON benchmarks: in-situ scans over newline-delimited JSON ---
 

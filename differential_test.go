@@ -2,7 +2,8 @@ package nodb
 
 // Differential property tests: randomized query workloads must produce
 // identical answers under every loading policy and under adaptive
-// indexing. The adaptive machinery (partial loading, region reuse, split
+// indexing, and the first configuration must match the reference
+// evaluator (oracle_test.go). The adaptive machinery (partial loading, region reuse, split
 // files, cracking, auto promotion) is pure mechanism — any observable
 // difference is a bug.
 
@@ -135,6 +136,15 @@ func TestDifferentialPolicies(t *testing.T) {
 		}
 		db.Close()
 	}
+	// Anchor the chain: the first configuration must match the oracle,
+	// and every other one must match the first.
+	o := newOracle(t, map[string]string{"t": path})
+	for qi, q := range queries {
+		if want, _ := o.answer(q); results[0][qi]+"\n" != want {
+			t.Errorf("%s disagrees with the oracle on query %d (%s):\n  %s\n  %s",
+				configs[0].name, qi, q, results[0][qi], want)
+		}
+	}
 	for ci := 1; ci < len(configs); ci++ {
 		for qi := range queries {
 			if results[ci][qi] != results[0][qi] {
@@ -204,6 +214,7 @@ func TestDifferentialJoins(t *testing.T) {
 		"select sum(l.a2), sum(r.a2) from l join r on l.a1 = r.a1 where l.a3 < 100",
 		"select count(*), max(l.a3) from l join r on l.a2 = r.a2 where r.a1 > 50",
 	}
+	o := newOracle(t, map[string]string{"l": lp, "r": rp})
 	var want []string
 	for ci, cfg := range diffConfigs(dir) {
 		db := Open(cfg.opts)
@@ -220,6 +231,9 @@ func TestDifferentialJoins(t *testing.T) {
 			}
 			got := strings.Join(row, "|")
 			if ci == 0 {
+				if ref, _ := o.answer(q); got+"\n" != ref {
+					t.Errorf("%s join query %d: %s != oracle %s", cfg.name, qi, got, ref)
+				}
 				want = append(want, got)
 			} else if got != want[qi] {
 				t.Errorf("%s join query %d: %s != %s", cfg.name, qi, got, want[qi])

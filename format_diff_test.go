@@ -189,9 +189,8 @@ func TestFormatDifferentialWarmRestart(t *testing.T) {
 	runFormatDiff(t, csvOpts, jsonOpts, csvPath, jsonPath, queries[half:])
 }
 
-// TestFormatDifferentialVectorModes crosses the format axis with the
-// execution-mode axis: NDJSON through the batch pipeline vs CSV through
-// the legacy row-at-a-time path (and vice versa) must still agree.
+// TestFormatDifferentialVectorModes holds both formats, at a small batch
+// size, to the oracle's answers over the CSV copy of the rows.
 func TestFormatDifferentialVectorModes(t *testing.T) {
 	dir := t.TempDir()
 	csvPath := filepath.Join(dir, "t.csv")
@@ -199,18 +198,21 @@ func TestFormatDifferentialVectorModes(t *testing.T) {
 	const rows, cols = 1000, 3
 	const maxVal = 500
 	writeDualFormatTable(t, csvPath, jsonPath, rows, cols, maxVal, 64)
+	o := newOracle(t, map[string]string{"t": csvPath})
 
 	rng := rand.New(rand.NewSource(37))
 	queries := formatDiffQueries(rng, cols, maxVal)
 
-	t.Run("ndjson-vector-vs-csv-legacy", func(t *testing.T) {
-		csvOpts := Options{Policy: PartialLoadsV2, Workers: 1, DisableVectorExec: true}
-		jsonOpts := Options{Policy: PartialLoadsV2, Workers: 1, BatchSize: 32}
-		runFormatDiff(t, csvOpts, jsonOpts, csvPath, jsonPath, queries)
-	})
-	t.Run("ndjson-legacy-vs-csv-vector", func(t *testing.T) {
-		csvOpts := Options{Policy: PartialLoadsV2, Workers: 1, BatchSize: 32}
-		jsonOpts := Options{Policy: PartialLoadsV2, Workers: 1, DisableVectorExec: true}
-		runFormatDiff(t, csvOpts, jsonOpts, csvPath, jsonPath, queries)
-	})
+	for _, f := range []struct{ name, path string }{{"csv-vs-oracle", csvPath}, {"ndjson-vs-oracle", jsonPath}} {
+		t.Run(f.name, func(t *testing.T) {
+			db := Open(Options{Policy: PartialLoadsV2, Workers: 1, BatchSize: 32})
+			defer db.Close()
+			if err := db.Link("t", f.path); err != nil {
+				t.Fatal(err)
+			}
+			for qi, q := range queries {
+				checkOracle(t, o, db, q, fmt.Sprintf("query %d", qi))
+			}
+		})
+	}
 }

@@ -88,10 +88,6 @@ type Options struct {
 	// exec.DefaultBatchSize). Small sizes tighten LIMIT/cancellation
 	// granularity at the cost of per-batch overhead.
 	BatchSize int
-	// DisableVectorExec routes queries through the row-at-a-time
-	// execution paths instead of the vectorized operator pipeline (for
-	// ablations and differential testing).
-	DisableVectorExec bool
 	// ResultCacheBytes bounds the query result cache (0 disables it).
 	// Results are keyed by normalized bound SQL plus the signature of
 	// every table the statement touches, so editing a raw file implicitly
@@ -510,10 +506,7 @@ func (e *Engine) ExplainContext(ctx context.Context, query string) (string, erro
 	if err != nil {
 		return "", err
 	}
-	out := p.String()
-	if !e.opts.DisableVectorExec {
-		out += describePipeline(p, e.batchSize())
-	}
+	out := p.String() + describePipeline(p, e.batchSize())
 	if !e.opts.DisableSynopsis {
 		for i := range p.Tables {
 			tp := &p.Tables[i]
@@ -607,48 +600,6 @@ func (e *Engine) QueryStmtContext(ctx context.Context, stmt *sql.SelectStmt) (*R
 	return rows.Result()
 }
 
-// tryFusedAggregate applies the fused select+aggregate operator when the
-// plan is a single-table aggregation (no joins, no grouping) whose load
-// operator yields dense columns and cracking is off. Returns ok=false when
-// the plan does not qualify; the caller then takes the general path.
-func (e *Engine) tryFusedAggregate(ctx context.Context, p *plan.Plan) ([]storage.Value, bool, error) {
-	if len(p.Tables) != 1 || len(p.Joins) != 0 || len(p.Aggs) == 0 ||
-		len(p.GroupBy) != 0 || len(p.Project) != 0 || e.opts.Cracking {
-		return nil, false, nil
-	}
-	tp := &p.Tables[0]
-	switch tp.LoadOp {
-	case plan.LoadNone, plan.LoadFull, plan.LoadColumns, plan.LoadSplit:
-		// Run the load operator first, then fuse the scan. Prepare gives
-		// the snapshot cache a chance to restore the needed columns (or
-		// the positional map that makes the load cheap) beforehand.
-		t, err := e.cat.Get(tp.Name)
-		if err != nil {
-			return nil, false, err
-		}
-		t.Prepare(prepareCols(t, tp))
-		if err := e.runLoad(ctx, t, tp); err != nil {
-			return nil, false, err
-		}
-	default:
-		return nil, false, nil // partial/external paths produce views
-	}
-	t, err := e.cat.Get(tp.Name)
-	if err != nil {
-		return nil, false, err
-	}
-	src, unpin, err := e.ensureDensePinned(ctx, t, tp.Pins)
-	if err != nil {
-		return nil, false, err
-	}
-	defer unpin()
-	row, err := exec.SelectAggregateDense(src, tp.Conj, p.Aggs)
-	if err != nil {
-		return nil, false, err
-	}
-	return row, true, nil
-}
-
 // ensureDensePinned delivers a pinned dense source over cols, reloading
 // as needed: a plan may carry a stale LoadNone (the columns were evicted
 // between planning and execution), and a concurrent query's post-query
@@ -710,33 +661,6 @@ func (e *Engine) runLoad(ctx context.Context, t *catalog.Table, tp *plan.TablePl
 		return e.ld.SplitColumnLoadContext(ctx, t, tp.NeedCols)
 	default:
 		return fmt.Errorf("core: load op %v is not column-granularity", tp.LoadOp)
-	}
-}
-
-// tableView runs the table's load operator and selection, yielding the
-// qualifying rows with all needed columns.
-func (e *Engine) tableView(ctx context.Context, tp *plan.TablePlan) (*exec.View, error) {
-	t, err := e.cat.Get(tp.Name)
-	if err != nil {
-		return nil, err
-	}
-	t.Prepare(prepareCols(t, tp)) // lazy snapshot restore before the load operator runs
-	switch tp.LoadOp {
-	case plan.LoadNone, plan.LoadFull, plan.LoadColumns, plan.LoadSplit:
-		if err := e.runLoad(ctx, t, tp); err != nil {
-			return nil, err
-		}
-		return e.denseSelect(ctx, t, tp)
-	case plan.LoadPartialEphemeral:
-		return e.ld.PartialScanContext(ctx, t, tp.NeedCols, tp.Conj, tp.Ordinal)
-	case plan.LoadPartialRetained:
-		return e.ld.PartialLoadV2Context(ctx, t, tp.NeedCols, tp.Conj, tp.Ordinal)
-	case plan.LoadExternal:
-		return e.extLd.PartialScanContext(ctx, t, tp.NeedCols, tp.Conj, tp.Ordinal)
-	case plan.LoadAuto:
-		return e.autoLoad(ctx, t, tp)
-	default:
-		return nil, fmt.Errorf("core: unknown load op %v", tp.LoadOp)
 	}
 }
 
@@ -886,47 +810,4 @@ func (e *Engine) TableSynopsis(name string) ([]synopsis.PortionState, catalog.Si
 		return nil, catalog.Signature{}, err
 	}
 	return t.Syn.Export(), t.Signature(), nil
-}
-
-// assemble turns the final view into output rows in select-list order.
-func (e *Engine) assemble(p *plan.Plan, v *exec.View) ([][]storage.Value, error) {
-	switch {
-	case !p.HasAggregates():
-		return exec.ProjectRows(v, p.Project), nil
-	case len(p.GroupBy) == 0:
-		row, err := exec.Aggregate(v, p.Aggs)
-		if err != nil {
-			return nil, err
-		}
-		return [][]storage.Value{row}, nil
-	default:
-		grows, err := exec.GroupBy(v, p.GroupBy, p.Aggs)
-		if err != nil {
-			return nil, err
-		}
-		out := make([][]storage.Value, len(grows))
-		for ri, grow := range grows {
-			row := make([]storage.Value, len(p.Slots))
-			for si, slot := range p.Slots {
-				if slot.Agg {
-					row[si] = grow[len(p.GroupBy)+slot.Idx]
-					continue
-				}
-				key := p.Project[slot.Idx]
-				pos := -1
-				for j, g := range p.GroupBy {
-					if g == key {
-						pos = j
-						break
-					}
-				}
-				if pos < 0 {
-					return nil, fmt.Errorf("core: projected column %v not a group key", key)
-				}
-				row[si] = grow[pos]
-			}
-			out[ri] = row
-		}
-		return out, nil
-	}
 }

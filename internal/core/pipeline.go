@@ -17,8 +17,6 @@ import (
 // This file wires the vectorized operator pipeline (internal/exec's Batch
 // operators) into the engine: plans compile into Scan → Filter → Project →
 // Aggregate/Join → Sort → Limit trees, and the cursor drains the root.
-// The row-at-a-time paths survive behind Options.DisableVectorExec as the
-// differential-testing oracle.
 
 // batchSize returns the configured rows-per-batch (DefaultBatchSize when
 // unset).
@@ -116,7 +114,7 @@ func (e *Engine) buildPipeline(ctx context.Context, p *plan.Plan) (exec.Operator
 	// Streaming scans keep raw-file row order only with one worker; the
 	// buffered loaders always deliver rowID order. Plans that fold rows
 	// into order-sensitive results (float sums accumulate in input order)
-	// take the buffered source so both execution modes agree bit-for-bit.
+	// take the buffered source so their answers do not depend on Workers.
 	streamOK := len(p.Tables) == 1 && len(p.Joins) == 0 && !p.HasAggregates() &&
 		len(p.GroupBy) == 0 && len(p.OrderBy) == 0
 
@@ -168,8 +166,8 @@ func (e *Engine) buildPipeline(ctx context.Context, p *plan.Plan) (exec.Operator
 }
 
 // tableSource builds one table's scan subtree: its adaptive load operator
-// runs (or streams) exactly as on the row-at-a-time paths, and the result
-// enters the pipeline as batches keyed under the table's ordinal.
+// runs (or streams), and the result enters the pipeline as batches keyed
+// under the table's ordinal.
 func (e *Engine) tableSource(ctx context.Context, tp *plan.TablePlan, size int, streamOK bool) (exec.Operator, func(), error) {
 	t, err := e.cat.Get(tp.Name)
 	if err != nil {
@@ -235,23 +233,6 @@ func (e *Engine) streamSource(ctx context.Context, ld *loader.Loader, t *catalog
 	return newBatchStream(ctx, name, func(sctx context.Context, emit func(*exec.Batch) error) error {
 		return ld.ScanBatchesContext(sctx, t, tp.NeedCols, tp.Conj, tp.Ordinal, size, emit)
 	})
-}
-
-// executeVector compiles and drains the vectorized pipeline, and returns
-// the executed operator tree (with per-operator batch/row counters) as the
-// plan note.
-func (e *Engine) executeVector(ctx context.Context, p *plan.Plan, w *rowWriter) (string, error) {
-	root, cleanup, err := e.buildPipeline(ctx, p)
-	if err != nil {
-		cleanup()
-		return "", err
-	}
-	defer cleanup()
-	defer root.Close()
-
-	err = drainPipeline(ctx, root, len(p.Output), w)
-	note := "vectorized pipeline:\n" + indentTree(exec.ExplainTree(root))
-	return note, err
 }
 
 // drainPipeline pulls the root to exhaustion, flattening each batch's

@@ -78,11 +78,11 @@ func (c *cursorContext) Value(key any) any { return c.parent.Value(key) }
 var errLimitReached = errors.New("core: row limit reached")
 
 // Rows is a streaming query cursor. Rows are produced by a pull-based
-// pipeline with early termination: for streamable plans (see the
-// streamable method) a LIMIT — or closing the cursor — stops a raw-file
-// scan mid-pass (between chunks, via the per-chunk cancellation hooks)
-// instead of letting it finish; non-streamable plans materialize first,
-// and closing their cursor cancels whatever scan is still running.
+// operator pipeline with early termination: a LIMIT — or closing the
+// cursor — stops a raw-file scan mid-pass (between chunks, via the
+// per-chunk cancellation hooks) instead of letting it finish; plans that
+// sort, group or join materialize first, and closing their cursor cancels
+// whatever scan is still running.
 //
 // The iteration protocol matches database/sql: Next advances and reports
 // whether a row is available, Scan copies the current row into Go values,
@@ -314,8 +314,8 @@ func (r *Rows) Result() (*Result, error) {
 }
 
 // rowWriter batches produced rows onto the cursor channel, enforcing LIMIT.
-// Streaming scans may emit from multiple tokenizer goroutines, so emission
-// is serialized here.
+// The pipeline drain and the background flusher both touch the batch, so
+// access is serialized here.
 type rowWriter struct {
 	ctx   context.Context
 	ch    chan<- [][]storage.Value
@@ -349,27 +349,6 @@ func (w *rowWriter) emit(row []storage.Value) error {
 	}
 	if len(w.batch) >= rowBatchSize {
 		return w.flushLocked()
-	}
-	return nil
-}
-
-// emitAll streams pre-materialized rows (already limited by the caller)
-// through the batching path under one lock acquisition.
-func (w *rowWriter) emitAll(rows [][]storage.Value) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for _, row := range rows {
-		if w.limit >= 0 && w.count >= w.limit {
-			return errLimitReached
-		}
-		w.sink.add(row)
-		w.batch = append(w.batch, row)
-		w.count++
-		if len(w.batch) >= rowBatchSize {
-			if err := w.flushLocked(); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
 }
@@ -647,119 +626,22 @@ func (e *Engine) pinPlan(p *plan.Plan) func() {
 	}
 }
 
-// execute dispatches the plan to its execution path. The default is the
-// vectorized batch-operator pipeline; with DisableVectorExec the plan
-// routes through the pre-pipeline row-at-a-time paths (the fused
-// select+aggregate operator, the streaming row pipeline, or the general
-// materializing path), kept as the differential-testing oracle. It
-// returns an EXPLAIN note for the stats plan.
+// execute compiles the plan into the vectorized operator pipeline and
+// drains it into the cursor. It returns the executed operator tree, with
+// per-operator batch/row counters, as an EXPLAIN note for the stats plan.
 func (e *Engine) execute(ctx context.Context, p *plan.Plan, w *rowWriter) (string, error) {
 	if p.Limit == 0 {
 		return "", nil
 	}
-	if !e.opts.DisableVectorExec {
-		return e.executeVector(ctx, p, w)
-	}
-	if row, ok, err := e.tryFusedAggregate(ctx, p); err != nil {
-		return "", err
-	} else if ok {
-		return "fused select+aggregate\n", w.emit(row)
-	}
-	if e.streamable(p) {
-		return "streaming cursor\n", e.executeStream(ctx, p, w)
-	}
-	rows, err := e.executeMaterialized(ctx, p)
+	root, cleanup, err := e.buildPipeline(ctx, p)
 	if err != nil {
+		cleanup()
 		return "", err
 	}
-	return "", w.emitAll(rows)
-}
+	defer cleanup()
+	defer root.Close()
 
-// streamable reports whether the plan can produce rows incrementally with
-// early termination: a single-table plain selection whose load operator
-// either scans the raw file row-by-row or reads already-dense columns.
-// Aggregation, grouping, ordering and joins need the full input before the
-// first output row; the retaining partial loaders merge scan results into
-// the adaptive store post-pass, so they keep the materializing path.
-func (e *Engine) streamable(p *plan.Plan) bool {
-	if len(p.Tables) != 1 || len(p.Joins) != 0 || p.HasAggregates() ||
-		len(p.GroupBy) != 0 || len(p.OrderBy) != 0 || e.opts.Cracking {
-		return false
-	}
-	switch p.Tables[0].LoadOp {
-	case plan.LoadNone, plan.LoadFull, plan.LoadColumns, plan.LoadSplit,
-		plan.LoadPartialEphemeral, plan.LoadExternal:
-		return true
-	default: // LoadPartialRetained, LoadAuto
-		return false
-	}
-}
-
-// executeStream runs the streaming row pipeline for a qualifying plan.
-func (e *Engine) executeStream(ctx context.Context, p *plan.Plan, w *rowWriter) error {
-	tp := &p.Tables[0]
-	t, err := e.cat.Get(tp.Name)
-	if err != nil {
-		return err
-	}
-	t.Prepare(prepareCols(t, tp)) // lazy snapshot restore before the load operator runs
-	outCols := make([]int, len(p.Project))
-	for i, k := range p.Project {
-		outCols[i] = k.Col
-	}
-	emit := func(rowID int64, vals []storage.Value) error { return w.emit(vals) }
-
-	switch tp.LoadOp {
-	case plan.LoadPartialEphemeral:
-		return e.ld.ScanRowsContext(ctx, t, outCols, tp.Conj, emit)
-	case plan.LoadExternal:
-		return e.extLd.ScanRowsContext(ctx, t, outCols, tp.Conj, emit)
-	default:
-		// Column-granularity policies load first (a full pass by design),
-		// then stream the selection over the dense columns. NeedCols
-		// already includes every predicate column (plan.Build marks them).
-		// ensureDensePinned re-loads columns a governor eviction removed
-		// after planning, and pins them for the duration of the stream.
-		if err := e.runLoad(ctx, t, tp); err != nil {
-			return err
-		}
-		src, unpin, err := e.ensureDensePinned(ctx, t, tp.Pins)
-		if err != nil {
-			return err
-		}
-		defer unpin()
-		return exec.SelectDenseRows(src, tp.Conj, outCols, emit)
-	}
-}
-
-// executeMaterialized is the general path: per-table views, joins,
-// aggregation/grouping, sort and limit — fully materialized.
-func (e *Engine) executeMaterialized(ctx context.Context, p *plan.Plan) ([][]storage.Value, error) {
-	views := make([]*exec.View, len(p.Tables))
-	for i := range p.Tables {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		v, err := e.tableView(ctx, &p.Tables[i])
-		if err != nil {
-			return nil, err
-		}
-		views[i] = v
-	}
-
-	combined := views[0]
-	var err error
-	for i, edge := range p.Joins {
-		combined, err = exec.HashJoin(combined, views[i+1], edge.Left, edge.Right)
-		if err != nil {
-			return nil, err
-		}
-	}
-
-	rows, err := e.assemble(p, combined)
-	if err != nil {
-		return nil, err
-	}
-	exec.SortRows(rows, p.OrderBy)
-	return exec.LimitRows(rows, p.Limit), nil
+	err = drainPipeline(ctx, root, len(p.Output), w)
+	note := "vectorized pipeline:\n" + indentTree(exec.ExplainTree(root))
+	return note, err
 }

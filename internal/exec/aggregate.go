@@ -222,18 +222,3 @@ func LimitRows(rows [][]storage.Value, n int) [][]storage.Value {
 	}
 	return rows[:n]
 }
-
-// ProjectRows converts a view into result rows for plain (non-aggregate)
-// selects, one output column per key.
-func ProjectRows(v *View, cols []ColKey) [][]storage.Value {
-	n := v.Len()
-	out := make([][]storage.Value, n)
-	for i := 0; i < n; i++ {
-		row := make([]storage.Value, len(cols))
-		for j, k := range cols {
-			row[j] = v.Value(k, i)
-		}
-		out[i] = row
-	}
-	return out
-}

@@ -12,9 +12,7 @@ import (
 // of operators exchanging column-oriented Batches of ~1024 rows. Scans
 // emit zero-copy windows into dense columns; filters refine a selection
 // vector without moving values; only operators that must regroup rows
-// (joins, sorts, group-bys) materialize. The row-at-a-time path the
-// pipeline replaced survives behind Options.DisableVectorExec as the
-// differential-testing oracle.
+// (joins, sorts, group-bys) materialize.
 
 // DefaultBatchSize is the target rows per Batch. Large enough to amortize
 // per-batch overhead (virtual calls, map lookups, allocation) over ~1k

@@ -39,6 +39,18 @@ func rowsEqual(t *testing.T, got, want [][]storage.Value) {
 	}
 }
 
+// viewRows flattens a view into result rows, one output column per key.
+func viewRows(v *View, cols []ColKey) [][]storage.Value {
+	out := make([][]storage.Value, v.Len())
+	for i := range out {
+		out[i] = make([]storage.Value, len(cols))
+		for j, k := range cols {
+			out[i][j] = v.Value(k, i)
+		}
+	}
+	return out
+}
+
 func TestDenseScanWindows(t *testing.T) {
 	src := mkSource(map[int][]int64{0: {0, 1, 2, 3, 4, 5, 6, 7, 8, 9}})
 	s := mustDenseScan(t, src, 0, []int{0}, 3)
@@ -75,7 +87,7 @@ func TestDenseScanWindows(t *testing.T) {
 }
 
 // TestPipelineMatchesSelectDense differentially pins Scan→Filter→Project
-// against the row-at-a-time SelectDense + ProjectRows on random data,
+// against SelectDense's materialized view on random data,
 // across batch sizes that do and don't divide the row count.
 func TestPipelineMatchesSelectDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -96,7 +108,7 @@ func TestPipelineMatchesSelectDense(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ProjectRows(v, proj)
+	want := viewRows(v, proj)
 
 	for _, size := range []int{1, 7, 256, 1024, 5000} {
 		scan := mustDenseScan(t, src, 0, []int{0, 1}, size)
@@ -243,7 +255,7 @@ func TestHashJoinOpMatchesHashJoin(t *testing.T) {
 			t.Fatal(err)
 		}
 		proj := []ColKey{{0, 1}, {1, 1}, {0, 0}}
-		wantRows := ProjectRows(want, proj)
+		wantRows := viewRows(want, proj)
 
 		ls := mustDenseScan(t, lsrc, 0, []int{0, 1}, 97)
 		rs := mustDenseScan(t, rsrc, 1, []int{0, 1}, 97)
@@ -286,7 +298,7 @@ func TestSortOpAndLimitOp(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := ProjectRows(v, proj)
+	want := viewRows(v, proj)
 	SortRows(want, sortKeys)
 	want = LimitRows(want, 17)
 
@@ -396,8 +408,8 @@ func TestDrainRowsAllocs(t *testing.T) {
 }
 
 // BenchmarkBatchPipeline measures the vectorized filter+aggregate chain
-// that replaced the row-at-a-time SelectDense/Aggregate pair (compare
-// with BenchmarkSelectDense1M).
+// (compare with BenchmarkSelectDense1M, the materializing SelectDense +
+// Aggregate pair).
 func BenchmarkBatchPipeline(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	n := 1_000_000

@@ -97,7 +97,7 @@ func (e *rowEmitter) next() *Batch {
 // AggOp folds its whole input into one output row of aggregate results.
 // out maps select-list position to aggregate index. Accumulation runs
 // typed loops over each batch's vectors; the scalar aggState supplies the
-// exact result semantics of the row-at-a-time path (empty sum = int 0,
+// result semantics shared with Aggregate and GroupBy (empty sum = int 0,
 // avg of nothing = NaN, int sums stay int).
 type AggOp struct {
 	opBase
@@ -164,8 +164,8 @@ func (a *AggOp) accumulate(b *Batch) error {
 }
 
 // accumulateColumn is the vectorized equivalent of calling aggState.add
-// for every live row, in row order (float sums accumulate in the same
-// order as the row-at-a-time path, so results are bit-identical).
+// for every live row, in row order (float sums accumulate in input order,
+// so the result does not depend on the batch size).
 func accumulateColumn(st *aggState, col *storage.DenseColumn, n int, sel []int32, rows int64) {
 	st.count += rows
 	switch st.spec.Kind {

@@ -5,11 +5,10 @@ import (
 )
 
 // HashJoinOp joins two operator subtrees on lkey = rkey. Both sides are
-// materialized and handed to the same HashJoin the row-at-a-time path
-// uses — build-side choice (smaller input) and output order (probe order,
-// matches in build-insertion order) are therefore identical, which the
-// differential tests rely on. The joined view is re-emitted as zero-copy
-// windows carrying every column of both inputs.
+// materialized and handed to HashJoin, which builds on the smaller input
+// and emits in probe order, matches in build-insertion order. The joined
+// view is re-emitted as zero-copy windows carrying every column of both
+// inputs.
 type HashJoinOp struct {
 	opBase
 	left, right Operator

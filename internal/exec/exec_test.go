@@ -89,22 +89,6 @@ func TestSelectDenseMixedTypesSlowPath(t *testing.T) {
 	}
 }
 
-func TestFilterView(t *testing.T) {
-	src := mkSource(map[int][]int64{0: {10, 20, 30}, 1: {1, 2, 3}})
-	v, _ := SelectDense(src, expr.Conjunction{}, []int{0, 1}, 0)
-	f := FilterView(v, expr.Conjunction{Preds: []expr.Pred{intPred(0, expr.Ge, 20)}}, 0)
-	if f.Len() != 2 {
-		t.Fatalf("filtered Len = %d, want 2", f.Len())
-	}
-	if f.Rows[0] != 1 || f.Col(ColKey{0, 1}).Ints[0] != 2 {
-		t.Error("filter misaligned")
-	}
-	// Empty conjunction returns the view unchanged.
-	if FilterView(v, expr.Conjunction{}, 0) != v {
-		t.Error("empty filter should be identity")
-	}
-}
-
 func TestAggregate(t *testing.T) {
 	src := mkSource(map[int][]int64{0: {1, 2, 3, 4}, 1: {10, 20, 30, 40}})
 	v, _ := SelectDense(src, expr.Conjunction{}, []int{0, 1}, 0)
@@ -221,15 +205,6 @@ func TestSortStableMultiKey(t *testing.T) {
 	SortRows(rows, []SortKey{{Index: 0}, {Index: 1}})
 	if rows[0][1].I != 5 || rows[1][1].I != 3 || rows[2][1].I != 9 {
 		t.Errorf("multi-key sort: %v", rows)
-	}
-}
-
-func TestProjectRows(t *testing.T) {
-	src := mkSource(map[int][]int64{0: {7, 8}, 1: {70, 80}})
-	v, _ := SelectDense(src, expr.Conjunction{}, []int{0, 1}, 0)
-	rows := ProjectRows(v, []ColKey{{0, 1}, {0, 0}})
-	if len(rows) != 2 || rows[0][0].I != 70 || rows[0][1].I != 7 {
-		t.Errorf("project = %v", rows)
 	}
 }
 
@@ -501,16 +476,5 @@ func TestHashJoinStringKeys(t *testing.T) {
 	}
 	if out.Len() != 2 {
 		t.Errorf("string join Len = %d, want 2", out.Len())
-	}
-}
-
-func TestFilterViewNoRows(t *testing.T) {
-	v := NewView()
-	c := storage.NewDense(schema.Int64, 0)
-	c.Ints = append(c.Ints, 1, 2, 3)
-	v.AddCol(ColKey{0, 0}, c) // Rows nil (post-join shape)
-	f := FilterView(v, expr.Conjunction{Preds: []expr.Pred{intPred(0, expr.Ge, 2)}}, 0)
-	if f.Len() != 2 || f.Rows != nil {
-		t.Errorf("rowless filter: len=%d rows=%v", f.Len(), f.Rows)
 	}
 }

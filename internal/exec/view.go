@@ -1,6 +1,6 @@
 // Package exec implements the physical query operators: selections over
-// dense or cracked columns, filtered views, aggregation, grouping, hash
-// and merge joins, sorting and limits.
+// dense or cracked columns, aggregation, grouping, hash and merge joins,
+// sorting and limits.
 //
 // The universal intermediate is the View: a typed, columnar batch holding
 // the values of the qualifying rows only. Adaptive loading operators
@@ -192,35 +192,4 @@ func gatherDense(src DenseSource, rowids []int64, needCols []int, tab int) *View
 		v.AddCol(ColKey{Tab: tab, Col: col}, out)
 	}
 	return v
-}
-
-// FilterView re-evaluates a (usually narrower) conjunction over an
-// existing view and returns the surviving rows. Serving a query from the
-// adaptive store's cached region uses this: cached rows satisfy the old,
-// wider region and must be re-filtered by the new predicates.
-func FilterView(v *View, conj expr.Conjunction, tab int) *View {
-	if conj.Empty() {
-		return v
-	}
-	out := NewView()
-	for k := range v.Cols {
-		out.AddCol(k, storage.NewDense(v.Cols[k].Typ, 0))
-	}
-	keepRows := v.Rows != nil
-	n := v.Len()
-	for i := 0; i < n; i++ {
-		ok := conj.EvalRow(func(col int) storage.Value {
-			return v.Value(ColKey{Tab: tab, Col: col}, i)
-		})
-		if !ok {
-			continue
-		}
-		if keepRows {
-			out.Rows = append(out.Rows, v.Rows[i])
-		}
-		for k, c := range v.Cols {
-			out.Cols[k].Append(c.Value(i))
-		}
-	}
-	return out
 }

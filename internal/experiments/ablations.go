@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"os"
 
@@ -33,12 +34,12 @@ func AblationPositionalMap(c Config) (*Report, error) {
 		}
 		ld := &loader.Loader{Counters: &counters, RecordPositions: true, UsePositions: use}
 		// Warm load: column 5, recording positions (not measured).
-		if err := ld.ColumnLoad(tab, []int{5}); err != nil {
+		if err := ld.ColumnLoadContext(context.Background(), tab, []int{5}); err != nil {
 			return Point{}, err
 		}
 		counters.Reset()
 		timer := metrics.StartTimer()
-		if err := ld.ColumnLoad(tab, []int{8}); err != nil {
+		if err := ld.ColumnLoadContext(context.Background(), tab, []int{8}); err != nil {
 			return Point{}, err
 		}
 		work := counters.Snapshot()
@@ -102,9 +103,9 @@ func AblationSplitFiles(c Config) (*Report, error) {
 			before := counters.Snapshot()
 			timer := metrics.StartTimer()
 			if split {
-				err = ld.SplitColumnLoad(tab, colset)
+				err = ld.SplitColumnLoadContext(context.Background(), tab, colset)
 			} else {
-				err = ld.ColumnLoad(tab, colset)
+				err = ld.ColumnLoadContext(context.Background(), tab, colset)
 			}
 			if err != nil {
 				return Series{}, err
@@ -163,7 +164,7 @@ func AblationWorkers(c Config) (*Report, error) {
 		}
 		ld := &loader.Loader{Counters: &counters, Workers: w}
 		timer := metrics.StartTimer()
-		if err := ld.FullLoad(tab); err != nil {
+		if err := ld.FullLoadContext(context.Background(), tab); err != nil {
 			return nil, err
 		}
 		elapsed := timer.Elapsed()
@@ -205,7 +206,7 @@ func AblationEarlyAbandon(c Config) (*Report, error) {
 		}
 		ld := &loader.Loader{Counters: &counters, DisableEarlyAbandon: disable}
 		timer := metrics.StartTimer()
-		if _, err := ld.PartialScan(tab, need, conj, 0); err != nil {
+		if _, err := ld.PartialScanContext(context.Background(), tab, need, conj, 0); err != nil {
 			return Series{}, err
 		}
 		work := counters.Snapshot()

@@ -260,7 +260,6 @@ func All() []Runner {
 		{"conc", "Concurrent clients: fixed workload wall-clock vs client count over one shared engine", Concurrency},
 		{"warm-restart", "Warm vs cold restart: the adaptive learning curve with and without the snapshot cache", WarmRestart},
 		{"synopsis", "Adaptive scan synopses: selectivity sweep with and without portion skipping", SynopsisSweep},
-		{"vectorized", "Vectorized batch execution vs row-at-a-time on hot full-scan aggregates", Vectorized},
 		{"cluster-scaling", "Scatter-gather cluster: cold full-scan workload speedup vs shard count", ClusterScaling},
 		{"redundant-traffic", "Result cache + singleflight collapse on a 100%-duplicate workload", RedundantTraffic},
 		{"tenant-isolation", "Per-tenant admission slots: light-tenant p99 under a saturating heavy tenant", TenantIsolation},

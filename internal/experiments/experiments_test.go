@@ -289,8 +289,8 @@ func TestReportFormat(t *testing.T) {
 
 func TestAllAndLookup(t *testing.T) {
 	all := All()
-	if len(all) != 19 {
-		t.Fatalf("experiments = %d, want 19", len(all))
+	if len(all) != 18 {
+		t.Fatalf("experiments = %d, want 18", len(all))
 	}
 	ids := map[string]bool{}
 	for _, r := range all {
@@ -387,39 +387,6 @@ func TestSynopsisSweepSpeedup(t *testing.T) {
 	if syn.Points[last].Work.RawBytesRead > full.Points[last].Work.RawBytesRead {
 		t.Errorf("100%% query read more bytes with synopsis (%d) than without (%d)",
 			syn.Points[last].Work.RawBytesRead, full.Points[last].Work.RawBytesRead)
-	}
-}
-
-// TestVectorizedShape checks the batch-vs-row experiment's structure at
-// test scale. The >= 1.5x full-scan speedup itself is enforced inside
-// Vectorized at experiment scale (vectorizedEnforceRows); at a few
-// thousand rows per-query fixed costs dominate and wall-clock ratios are
-// meaningless, so here we pin shape and the hot-table invariant only.
-func TestVectorizedShape(t *testing.T) {
-	r, err := Vectorized(smallCfg(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	vec, ok1 := r.SeriesByName("batch pipeline")
-	row, ok2 := r.SeriesByName("row-at-a-time")
-	if !ok1 || !ok2 {
-		t.Fatal("missing series")
-	}
-	if len(vec.Points) != 3 || len(row.Points) != 3 {
-		t.Fatalf("series shape: %d vs %d points, want 3 each", len(vec.Points), len(row.Points))
-	}
-	for i := range vec.Points {
-		// Hot-table invariant (also enforced inside the experiment): no
-		// raw-file I/O contaminates the execution measurement.
-		if vec.Points[i].Work.RawBytesRead != 0 || row.Points[i].Work.RawBytesRead != 0 {
-			t.Errorf("point %d read raw bytes on a hot table", i)
-		}
-		if vec.Points[i].ModelSec <= 0 || row.Points[i].ModelSec <= 0 {
-			t.Errorf("point %d measured zero wall-clock", i)
-		}
-	}
-	if vec.Points[2].X != 100 {
-		t.Errorf("last point at %v%%, want 100%%", vec.Points[2].X)
 	}
 }
 

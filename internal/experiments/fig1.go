@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"os"
@@ -61,7 +62,7 @@ func Fig1a(c Config) (*Report, error) {
 		}
 		ld := &loader.Loader{Counters: &counters}
 		timer := metrics.StartTimer()
-		if err := ld.FullLoad(tab); err != nil {
+		if err := ld.FullLoadContext(context.Background(), tab); err != nil {
 			return nil, err
 		}
 		work := counters.Snapshot()

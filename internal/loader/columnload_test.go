@@ -1,6 +1,7 @@
 package loader
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"os"
@@ -56,7 +57,7 @@ func TestColumnLoadWorkersAgree(t *testing.T) {
 		// A small chunk gives both synopsis loads the same multi-portion
 		// layout, so even their layout pre-pass reads the same bytes.
 		l := &Loader{Counters: c, Workers: workers, ChunkSize: 4096, RecordPositions: true, UseSynopsis: synopsis}
-		if err := l.ColumnLoad(tab, cols); err != nil {
+		if err := l.ColumnLoadContext(context.Background(), tab, cols); err != nil {
 			t.Fatal(err)
 		}
 		return result{tab, c.Snapshot()}
@@ -101,7 +102,7 @@ func TestColumnLoadFaultInstallsNothing(t *testing.T) {
 	// inside the scan.
 	const chunk = 64 << 10
 	twin, tc := linkFresh(t, path, catalog.Options{})
-	if err := (&Loader{Counters: tc, Workers: 4, ChunkSize: chunk, RecordPositions: true}).ColumnLoad(twin, cols); err != nil {
+	if err := (&Loader{Counters: tc, Workers: 4, ChunkSize: chunk, RecordPositions: true}).ColumnLoadContext(context.Background(), twin, cols); err != nil {
 		t.Fatal(err)
 	}
 	clean := tc.Snapshot().RawBytesRead
@@ -111,14 +112,14 @@ func TestColumnLoadFaultInstallsNothing(t *testing.T) {
 	tab, c := linkFresh(t, path, catalog.Options{FS: ffs, Governor: gov})
 	l := &Loader{Counters: c, Workers: 4, ChunkSize: chunk, RecordPositions: true, FS: ffs}
 	// Learn one unrelated column first: its state must survive the fault.
-	if err := l.ColumnLoad(tab, []int{0}); err != nil {
+	if err := l.ColumnLoadContext(context.Background(), tab, []int{0}); err != nil {
 		t.Fatal(err)
 	}
 	usedBefore, pmBefore := gov.Used(), tab.PosMap.MemSize()
 	workBefore := c.Snapshot()
 
 	ffs.AddRule(vfs.Rule{Op: vfs.OpRead, PathContains: "g.csv", Err: syscall.EIO, AfterBytes: clean * 3 / 4, Times: -1})
-	err := l.ColumnLoad(tab, cols)
+	err := l.ColumnLoadContext(context.Background(), tab, cols)
 	if !errors.Is(err, syscall.EIO) {
 		t.Fatalf("load error = %v, want EIO", err)
 	}
@@ -148,7 +149,7 @@ func TestColumnLoadFaultInstallsNothing(t *testing.T) {
 
 	// The same load succeeds once the fault clears.
 	ffs.Clear()
-	if err := l.ColumnLoad(tab, cols); err != nil {
+	if err := l.ColumnLoadContext(context.Background(), tab, cols); err != nil {
 		t.Fatal(err)
 	}
 	if rows, _ := tab.PosMap.Pairs(5); len(rows) != 20000 {
@@ -171,7 +172,7 @@ func TestColumnLoadAllocsFlat(t *testing.T) {
 			l := &Loader{Counters: c, Workers: cfg.workers, RecordPositions: true, UseSynopsis: cfg.synopsis}
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
-			if err := l.ColumnLoad(tab, []int{0, 2, 3}); err != nil {
+			if err := l.ColumnLoadContext(context.Background(), tab, []int{0, 2, 3}); err != nil {
 				t.Fatal(err)
 			}
 			runtime.ReadMemStats(&after)
@@ -210,7 +211,7 @@ func TestColumnLoadLayoutMismatchErrors(t *testing.T) {
 		}
 		tab, c := linkFresh(t, path, catalog.Options{})
 		l := &Loader{Counters: c, Workers: 4, ChunkSize: 4096, UseSynopsis: true}
-		if err := l.ColumnLoad(tab, []int{1}); err != nil { // learns the layout
+		if err := l.ColumnLoadContext(context.Background(), tab, []int{1}); err != nil { // learns the layout
 			t.Fatal(err)
 		}
 		edited := []byte(content)
@@ -218,7 +219,7 @@ func TestColumnLoadLayoutMismatchErrors(t *testing.T) {
 		if err := os.WriteFile(path, edited, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		err := l.ColumnLoad(tab, []int{0})
+		err := l.ColumnLoadContext(context.Background(), tab, []int{0})
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Fatalf("%s: err = %v, want %q", tc.name, err, tc.want)
 		}

@@ -2,21 +2,23 @@
 // (§3–§4): the pieces that bring data from raw flat files into the
 // adaptive store, each with a different cost/benefit point:
 //
-//   - FullLoad — the classic DBMS behavior: load every column up front
-//     (the MonetDB curve in Figures 3 and 4).
-//   - ColumnLoad — load whole missing columns, triggered by the query that
-//     needs them (the Column Loads curve).
-//   - PartialScan — push the WHERE clause into loading, materialize only
-//     qualifying values, keep nothing (Partial Loads V1).
-//   - PartialLoadV2 — like PartialScan but qualifying values are retained
-//     in sparse columns and a covered-region table of contents lets future
-//     queries reuse them (Partial Loads V2).
-//   - SplitColumnLoad — ColumnLoad through the split-file registry,
-//     creating per-column files as a side effect (Split Files).
+//   - FullLoadContext — the classic DBMS behavior: load every column up
+//     front (the MonetDB curve in Figures 3 and 4).
+//   - ColumnLoadContext — load whole missing columns, triggered by the
+//     query that needs them (the Column Loads curve).
+//   - PartialScanContext — push the WHERE clause into loading, materialize
+//     only qualifying values, keep nothing (Partial Loads V1);
+//     ScanBatchesContext is its streaming form.
+//   - PartialLoadV2Context — like PartialScanContext but qualifying values
+//     are retained in sparse columns and a covered-region table of contents
+//     lets future queries reuse them (Partial Loads V2).
+//   - SplitColumnLoadContext — ColumnLoadContext through the split-file
+//     registry, creating per-column files as a side effect (Split Files).
 //
-// All operators feed the positional map as a free side effect of
+// Every operator takes a context: a cancelled ctx stops its scan between
+// chunks. All operators feed the positional map as a free side effect of
 // tokenization, and exploit it to skip tokenization of leading attributes
-// on later loads. The column-granular loads (ColumnLoad, its positional
+// on later loads. The column-granular loads (ColumnLoadContext, its positional
 // variant, and the catalog's tail extension) collect a pass' offsets into
 // one row-indexed slice per column — scattered lock-free by row id on a
 // parallel pass, appended on a sequential one — and install each column
@@ -154,12 +156,15 @@ type portionTally struct {
 // abandon closures around the collector (mkAbandon may be nil), bound
 // commits on portion end, and — when the synopsis can refute conj —
 // portion skipping. Pass an empty conjunction for loads that must visit
-// every row. Each handler counts the values it parses into its portion's
-// own tally (parsed); the pass adds their sum to counters once, on every
-// return path, so ValuesParsed stays exact without a shared atomic per
-// row.
-func (ps *portionedScan) run(cols []int, conj expr.Conjunction, counters *metrics.Counters, mkHandler func(pc *synopsis.PortionAcc, parsed *int64) scan.RowHandler, mkAbandon func(*synopsis.PortionAcc) scan.AbandonFunc) error {
+// every row. mkHandler may also return an end hook, called on the
+// portion's goroutine after its last row and before its bounds commit; an
+// error from it fails the pass. Each handler counts the values it parses
+// into its portion's own tally (parsed); the pass adds their sum to
+// counters once, on every return path, so ValuesParsed stays exact
+// without a shared atomic per row.
+func (ps *portionedScan) run(cols []int, conj expr.Conjunction, counters *metrics.Counters, mkHandler func(pc *synopsis.PortionAcc, parsed *int64) (scan.RowHandler, func() error), mkAbandon func(*synopsis.PortionAcc) scan.AbandonFunc) error {
 	tallies := make([]portionTally, len(ps.ports))
+	ends := make([]func() error, len(ps.ports))
 	if counters != nil {
 		defer func() {
 			var n int64
@@ -176,9 +181,16 @@ func (ps *portionedScan) run(cols []int, conj expr.Conjunction, counters *metric
 			if mkAbandon != nil {
 				ab = mkAbandon(pc)
 			}
-			return mkHandler(pc, &tallies[p.Index].parsed), ab
+			h, end := mkHandler(pc, &tallies[p.Index].parsed)
+			ends[p.Index] = end
+			return h, ab
 		},
 		End: func(p scan.PortionInfo, n int64) error {
+			if end := ends[p.Index]; end != nil {
+				if err := end(); err != nil {
+					return err
+				}
+			}
 			ps.collector.Commit(p, n)
 			return nil
 		},
@@ -259,12 +271,8 @@ func parseField(b []byte, typ schema.Type, format scan.Format) (storage.Value, e
 	}
 }
 
-// FullLoad loads every column of the table (classic up-front loading).
-func (l *Loader) FullLoad(t *catalog.Table) error {
-	return l.FullLoadContext(context.Background(), t)
-}
-
-// FullLoadContext is FullLoad with cooperative cancellation.
+// FullLoadContext loads every column of the table (classic up-front
+// loading), with cooperative cancellation.
 func (l *Loader) FullLoadContext(ctx context.Context, t *catalog.Table) error {
 	all := make([]int, t.Schema().NumCols())
 	for i := range all {
@@ -273,18 +281,13 @@ func (l *Loader) FullLoadContext(ctx context.Context, t *catalog.Table) error {
 	return l.ColumnLoadContext(ctx, t, all)
 }
 
-// ColumnLoad fully loads the given columns from the raw file. Columns that
-// are already dense are skipped; the rest are brought in with one scan
-// (the paper's "one adaptive load operator to bring in one go all missing
-// columns"). When the positional map covers an anchor attribute for every
-// row, tokenization starts there instead of at the row start.
-func (l *Loader) ColumnLoad(t *catalog.Table, cols []int) error {
-	return l.ColumnLoadContext(context.Background(), t, cols)
-}
-
-// ColumnLoadContext is ColumnLoad with cooperative cancellation: a
-// cancelled ctx aborts the underlying scan between chunks, leaving the
-// table's loaded state untouched.
+// ColumnLoadContext fully loads the given columns from the raw file.
+// Columns that are already dense are skipped; the rest are brought in with
+// one scan (the paper's "one adaptive load operator to bring in one go all
+// missing columns"). When the positional map covers an anchor attribute
+// for every row, tokenization starts there instead of at the row start.
+// A cancelled ctx aborts the scan between chunks, leaving the table's
+// loaded state untouched.
 func (l *Loader) ColumnLoadContext(ctx context.Context, t *catalog.Table, cols []int) error {
 	t.LockLoads()
 	defer t.UnlockLoads()
@@ -344,7 +347,7 @@ func (l *Loader) columnLoadLocked(ctx context.Context, t *catalog.Table, cols []
 	// A full column load observes every row, so each portion it completes
 	// gains exact bounds for every loaded column — synopsis collection as
 	// a free byproduct of work the load does anyway.
-	mkHandler := func(pc *synopsis.PortionAcc, parsed *int64) scan.RowHandler {
+	mkHandler := func(pc *synopsis.PortionAcc, parsed *int64) (scan.RowHandler, func() error) {
 		return func(rowID int64, fields []scan.FieldRef) error {
 			if scatter && rowID >= rows {
 				return fmt.Errorf("loader: row %d beyond the %d rows the layout counted", rowID, rows)
@@ -369,7 +372,7 @@ func (l *Loader) columnLoadLocked(ctx context.Context, t *catalog.Table, cols []
 			}
 			*parsed += int64(len(fields))
 			return nil
-		}
+		}, nil
 	}
 	// Loads must visit every row (dense columns are complete), so no
 	// conjunction is offered for pruning.

@@ -1,6 +1,7 @@
 package loader
 
 import (
+	"context"
 	"fmt"
 	"os"
 	"path/filepath"
@@ -62,7 +63,7 @@ const smallCSV = "10,100,1000,5\n20,200,2000,6\n30,300,3000,7\n40,400,4000,8\n"
 func TestColumnLoad(t *testing.T) {
 	tab, c := testTable(t, smallCSV, catalog.Options{})
 	l := &Loader{Counters: c}
-	if err := l.ColumnLoad(tab, []int{0, 2}); err != nil {
+	if err := l.ColumnLoadContext(context.Background(), tab, []int{0, 2}); err != nil {
 		t.Fatal(err)
 	}
 	if tab.NumRows() != 4 {
@@ -86,11 +87,11 @@ func TestColumnLoad(t *testing.T) {
 func TestColumnLoadCacheHit(t *testing.T) {
 	tab, c := testTable(t, smallCSV, catalog.Options{})
 	l := &Loader{Counters: c}
-	if err := l.ColumnLoad(tab, []int{0}); err != nil {
+	if err := l.ColumnLoadContext(context.Background(), tab, []int{0}); err != nil {
 		t.Fatal(err)
 	}
 	before := c.Snapshot()
-	if err := l.ColumnLoad(tab, []int{0}); err != nil {
+	if err := l.ColumnLoadContext(context.Background(), tab, []int{0}); err != nil {
 		t.Fatal(err)
 	}
 	delta := c.Snapshot().Sub(before)
@@ -105,7 +106,7 @@ func TestColumnLoadCacheHit(t *testing.T) {
 func TestFullLoad(t *testing.T) {
 	tab, c := testTable(t, smallCSV, catalog.Options{})
 	l := &Loader{Counters: c}
-	if err := l.FullLoad(tab); err != nil {
+	if err := l.FullLoadContext(context.Background(), tab); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 4; i++ {
@@ -121,7 +122,7 @@ func TestFullLoad(t *testing.T) {
 func TestColumnLoadFloatsAndStrings(t *testing.T) {
 	tab, c := testTable(t, "1,2.5,abc\n2,3.5,def\n", catalog.Options{})
 	l := &Loader{Counters: c}
-	if err := l.FullLoad(tab); err != nil {
+	if err := l.FullLoadContext(context.Background(), tab); err != nil {
 		t.Fatal(err)
 	}
 	if tab.Dense(1).Floats[1] != 3.5 {
@@ -138,7 +139,7 @@ func TestDenseSourceFor(t *testing.T) {
 	if _, err := DenseSourceFor(tab, []int{0}, nil); err == nil {
 		t.Error("unloaded column should error")
 	}
-	if err := l.ColumnLoad(tab, []int{0, 1}); err != nil {
+	if err := l.ColumnLoadContext(context.Background(), tab, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	src, err := DenseSourceFor(tab, []int{0, 1}, nil)
@@ -165,7 +166,7 @@ func TestPartialScan(t *testing.T) {
 	tab, c := testTable(t, smallCSV, catalog.Options{})
 	l := &Loader{Counters: c}
 	conj := q2Conj(15, 45, 150, 350)
-	v, err := l.PartialScan(tab, []int{0, 1}, conj, 0)
+	v, err := l.PartialScanContext(context.Background(), tab, []int{0, 1}, conj, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -193,7 +194,7 @@ func TestPartialScanProjectionBeyondPredicates(t *testing.T) {
 	tab, c := testTable(t, smallCSV, catalog.Options{})
 	l := &Loader{Counters: c}
 	conj := q2Conj(15, 45, 150, 350)
-	v, err := l.PartialScan(tab, []int{3}, conj, 0)
+	v, err := l.PartialScanContext(context.Background(), tab, []int{3}, conj, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +213,7 @@ func TestPartialLoadV2CacheFlow(t *testing.T) {
 	l := &Loader{Counters: c}
 	conj := q2Conj(15, 45, 150, 350)
 
-	v1, err := l.PartialLoadV2(tab, []int{0, 1}, conj, 0)
+	v1, err := l.PartialLoadV2Context(context.Background(), tab, []int{0, 1}, conj, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +226,7 @@ func TestPartialLoadV2CacheFlow(t *testing.T) {
 
 	// Identical query: served from the store, no raw reads.
 	before := c.Snapshot()
-	v2, err := l.PartialLoadV2(tab, []int{0, 1}, conj, 0)
+	v2, err := l.PartialLoadV2Context(context.Background(), tab, []int{0, 1}, conj, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +245,7 @@ func TestPartialLoadV2CacheFlow(t *testing.T) {
 	// Only row 1 (a1=20) qualifies under the narrower bound.
 	narrow := q2Conj(15, 25, 150, 350)
 	before = c.Snapshot()
-	v3, err := l.PartialLoadV2(tab, []int{0, 1}, narrow, 0)
+	v3, err := l.PartialLoadV2Context(context.Background(), tab, []int{0, 1}, narrow, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +260,7 @@ func TestPartialLoadV2CacheFlow(t *testing.T) {
 	// Wider query: not covered; must go back to the file.
 	wide := q2Conj(5, 45, 150, 350)
 	before = c.Snapshot()
-	v4, err := l.PartialLoadV2(tab, []int{0, 1}, wide, 0)
+	v4, err := l.PartialLoadV2Context(context.Background(), tab, []int{0, 1}, wide, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,12 +278,12 @@ func TestPartialLoadV2DifferentColumnsNotCovered(t *testing.T) {
 	tab, c := testTable(t, smallCSV, catalog.Options{})
 	l := &Loader{Counters: c}
 	conj := q2Conj(15, 45, 150, 350)
-	if _, err := l.PartialLoadV2(tab, []int{0, 1}, conj, 0); err != nil {
+	if _, err := l.PartialLoadV2Context(context.Background(), tab, []int{0, 1}, conj, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Same predicates but now also needs column 3 → region lacks col 3.
 	before := c.Snapshot()
-	v, err := l.PartialLoadV2(tab, []int{0, 1, 3}, conj, 0)
+	v, err := l.PartialLoadV2Context(context.Background(), tab, []int{0, 1, 3}, conj, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -308,11 +309,11 @@ func TestPartialLoadV2MatchesPartialScan(t *testing.T) {
 		q2Conj(60, 480, 410, 950),  // narrower than previous: hit
 	}
 	for qi, conj := range queries {
-		va, err := la.PartialScan(tabA, []int{0, 1}, conj, 0)
+		va, err := la.PartialScanContext(context.Background(), tabA, []int{0, 1}, conj, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		vb, err := lb.PartialLoadV2(tabB, []int{0, 1}, conj, 0)
+		vb, err := lb.PartialLoadV2Context(context.Background(), tabB, []int{0, 1}, conj, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -332,7 +333,7 @@ func TestSplitColumnLoad(t *testing.T) {
 	tab, c := testTable(t, smallCSV, catalog.Options{})
 	l := &Loader{Counters: c}
 	// First load: columns 0 and 1 → sidecars for 0,1; residual with 2,3.
-	if err := l.SplitColumnLoad(tab, []int{0, 1}); err != nil {
+	if err := l.SplitColumnLoadContext(context.Background(), tab, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if tab.Dense(0) == nil || tab.Dense(0).Ints[2] != 30 {
@@ -345,7 +346,7 @@ func TestSplitColumnLoad(t *testing.T) {
 	// Second load: column 3 must come from the residual file, not raw.
 	rawSize := int64(len(smallCSV))
 	before := c.Snapshot()
-	if err := l.SplitColumnLoad(tab, []int{3}); err != nil {
+	if err := l.SplitColumnLoadContext(context.Background(), tab, []int{3}); err != nil {
 		t.Fatal(err)
 	}
 	delta := c.Snapshot().Sub(before)
@@ -362,7 +363,7 @@ func TestSplitColumnLoad(t *testing.T) {
 
 	// Third: column 2 now loads from its tiny sidecar.
 	before = c.Snapshot()
-	if err := l.SplitColumnLoad(tab, []int{2}); err != nil {
+	if err := l.SplitColumnLoadContext(context.Background(), tab, []int{2}); err != nil {
 		t.Fatal(err)
 	}
 	delta = c.Snapshot().Sub(before)
@@ -382,10 +383,10 @@ func TestSplitColumnLoadMatchesColumnLoad(t *testing.T) {
 	lb := &Loader{Counters: cb}
 	// Load in awkward order: last column first (worst case per paper §4.2).
 	for _, cols := range [][]int{{5}, {2, 3}, {0}, {1, 4}} {
-		if err := la.ColumnLoad(tabA, cols); err != nil {
+		if err := la.ColumnLoadContext(context.Background(), tabA, cols); err != nil {
 			t.Fatal(err)
 		}
-		if err := lb.SplitColumnLoad(tabB, cols); err != nil {
+		if err := lb.SplitColumnLoadContext(context.Background(), tabB, cols); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -416,14 +417,14 @@ func TestPositionalColumnLoad(t *testing.T) {
 	l := &Loader{Counters: c, RecordPositions: true, UsePositions: true}
 
 	// Load column 5: tokenizes 0..5 per row, records positions of col 5.
-	if err := l.ColumnLoad(tab, []int{5}); err != nil {
+	if err := l.ColumnLoadContext(context.Background(), tab, []int{5}); err != nil {
 		t.Fatal(err)
 	}
 	before := c.Snapshot()
 
 	// Load column 8: anchor at col 5 → 4 attrs tokenized per row (5..8)
 	// instead of 9 (0..8).
-	if err := l.ColumnLoad(tab, []int{8}); err != nil {
+	if err := l.ColumnLoadContext(context.Background(), tab, []int{8}); err != nil {
 		t.Fatal(err)
 	}
 	delta := c.Snapshot().Sub(before)
@@ -442,7 +443,7 @@ func TestPositionalColumnLoad(t *testing.T) {
 	// Correctness: compare against a plain load.
 	tab2, c2 := genTable(t, spec, catalog.Options{})
 	l2 := &Loader{Counters: c2}
-	if err := l2.ColumnLoad(tab2, []int{8}); err != nil {
+	if err := l2.ColumnLoadContext(context.Background(), tab2, []int{8}); err != nil {
 		t.Fatal(err)
 	}
 	a, b := tab.Dense(8), tab2.Dense(8)
@@ -457,11 +458,11 @@ func TestPositionalLoadDisabled(t *testing.T) {
 	spec := csvgen.Spec{Rows: 100, Cols: 6, Seed: 4}
 	tab, c := genTable(t, spec, catalog.Options{})
 	l := &Loader{Counters: c, RecordPositions: true, UsePositions: false}
-	if err := l.ColumnLoad(tab, []int{3}); err != nil {
+	if err := l.ColumnLoadContext(context.Background(), tab, []int{3}); err != nil {
 		t.Fatal(err)
 	}
 	before := c.Snapshot()
-	if err := l.ColumnLoad(tab, []int{5}); err != nil {
+	if err := l.ColumnLoadContext(context.Background(), tab, []int{5}); err != nil {
 		t.Fatal(err)
 	}
 	delta := c.Snapshot().Sub(before)
@@ -473,7 +474,7 @@ func TestPositionalLoadDisabled(t *testing.T) {
 func TestLoaderHeaderFile(t *testing.T) {
 	tab, c := testTable(t, "x,y\n1,10\n2,20\n", catalog.Options{})
 	l := &Loader{Counters: c}
-	if err := l.FullLoad(tab); err != nil {
+	if err := l.FullLoadContext(context.Background(), tab); err != nil {
 		t.Fatal(err)
 	}
 	if tab.NumRows() != 2 {
@@ -490,7 +491,7 @@ func TestLoaderHeaderFile(t *testing.T) {
 func TestPartialScanInvalidColumn(t *testing.T) {
 	tab, c := testTable(t, smallCSV, catalog.Options{})
 	l := &Loader{Counters: c}
-	if _, err := l.PartialScan(tab, []int{99}, expr.Conjunction{}, 0); err == nil {
+	if _, err := l.PartialScanContext(context.Background(), tab, []int{99}, expr.Conjunction{}, 0); err == nil {
 		t.Error("out-of-range column should error")
 	}
 }
@@ -498,7 +499,7 @@ func TestPartialScanInvalidColumn(t *testing.T) {
 func TestPartialScanNoPredicates(t *testing.T) {
 	tab, c := testTable(t, smallCSV, catalog.Options{})
 	l := &Loader{Counters: c}
-	v, err := l.PartialScan(tab, []int{2}, expr.Conjunction{}, 0)
+	v, err := l.PartialScanContext(context.Background(), tab, []int{2}, expr.Conjunction{}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -514,11 +515,11 @@ func TestParseErrorsSurface(t *testing.T) {
 	// content where schema says int but a row is malformed. Build schema
 	// with only ints then corrupt.
 	l := &Loader{Counters: c}
-	if err := l.ColumnLoad(tab, []int{1}); err != nil {
+	if err := l.ColumnLoadContext(context.Background(), tab, []int{1}); err != nil {
 		t.Fatalf("valid column should load: %v", err)
 	}
 	// Col 0 is string-typed by detection; loads as strings fine.
-	if err := l.ColumnLoad(tab, []int{0}); err != nil {
+	if err := l.ColumnLoadContext(context.Background(), tab, []int{0}); err != nil {
 		t.Fatalf("string column should load: %v", err)
 	}
 	if tab.Dense(0).Strs[1] != "x" {
@@ -536,20 +537,20 @@ func TestViewFromStoreMultiRegionPartialColumns(t *testing.T) {
 	conj1 := expr.Conjunction{Preds: []expr.Pred{
 		{Col: 0, Op: expr.Le, Val: storage.IntValue(2)},
 	}}
-	if _, err := l.PartialLoadV2(tab, []int{0, 1}, conj1, 0); err != nil {
+	if _, err := l.PartialLoadV2Context(context.Background(), tab, []int{0, 1}, conj1, 0); err != nil {
 		t.Fatal(err)
 	}
 	conj2 := expr.Conjunction{Preds: []expr.Pred{
 		{Col: 0, Op: expr.Ge, Val: storage.IntValue(3)},
 	}}
-	if _, err := l.PartialLoadV2(tab, []int{0, 2}, conj2, 0); err != nil {
+	if _, err := l.PartialLoadV2Context(context.Background(), tab, []int{0, 2}, conj2, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Narrower than region 1, needing col 1.
 	conj3 := expr.Conjunction{Preds: []expr.Pred{
 		{Col: 0, Op: expr.Eq, Val: storage.IntValue(2)},
 	}}
-	v, err := l.PartialLoadV2(tab, []int{0, 1}, conj3, 0)
+	v, err := l.PartialLoadV2Context(context.Background(), tab, []int{0, 1}, conj3, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -565,7 +566,7 @@ func TestSplitLoadRequiresRegistry(t *testing.T) {
 	cat := catalog.New(catalog.Options{}) // no SplitDir
 	tab, _ := cat.Link("X", path)
 	l := &Loader{}
-	if err := l.SplitColumnLoad(tab, []int{0}); err == nil {
+	if err := l.SplitColumnLoadContext(context.Background(), tab, []int{0}); err == nil {
 		t.Error("split load without registry should error")
 	}
 }
@@ -581,7 +582,7 @@ func TestEarlyAbandonReducesWork(t *testing.T) {
 	run := func(conj expr.Conjunction) metrics.Snapshot {
 		tab, c := testTable(t, content, catalog.Options{})
 		l := &Loader{Counters: c}
-		if _, err := l.PartialScan(tab, []int{0, 3}, conj, 0); err != nil {
+		if _, err := l.PartialScanContext(context.Background(), tab, []int{0, 3}, conj, 0); err != nil {
 			t.Fatal(err)
 		}
 		return c.Snapshot()
@@ -620,7 +621,7 @@ func BenchmarkColumnLoad2of4_100k(b *testing.B) {
 		}
 		b.StartTimer()
 		l := &Loader{}
-		if err := l.ColumnLoad(tab, []int{0, 1}); err != nil {
+		if err := l.ColumnLoadContext(context.Background(), tab, []int{0, 1}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -641,7 +642,7 @@ func BenchmarkPartialScan10pct_100k(b *testing.B) {
 	l := &Loader{}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := l.PartialScan(tab, []int{0, 1}, conj, 0); err != nil {
+		if _, err := l.PartialScanContext(context.Background(), tab, []int{0, 1}, conj, 0); err != nil {
 			b.Fatal(err)
 		}
 	}

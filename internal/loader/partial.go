@@ -47,19 +47,13 @@ func (b *rowBatch) sort() {
 	b.rows, b.vals = rows, vals
 }
 
-// PartialScan is the Partial Loads operator: it pushes the conjunction into
-// tokenization (abandoning a row the moment a predicate fails), parses and
-// materializes only needCols of qualifying rows, and returns them as a
-// View. Nothing is stored in the adaptive store — this is V1's "throw the
-// data away immediately after every query" behavior; V2 layers retention
-// on top.
-func (l *Loader) PartialScan(t *catalog.Table, needCols []int, conj expr.Conjunction, tab int) (*exec.View, error) {
-	return l.PartialScanContext(context.Background(), t, needCols, conj, tab)
-}
-
-// PartialScanContext is PartialScan with cooperative cancellation: a
-// cancelled ctx aborts tokenization between chunks and the partial result
-// is discarded.
+// PartialScanContext is the Partial Loads operator: it pushes the
+// conjunction into tokenization (abandoning a row the moment a predicate
+// fails), parses and materializes only needCols of qualifying rows, and
+// returns them as a View. Nothing is stored in the adaptive store — this
+// is V1's "throw the data away immediately after every query" behavior; V2
+// layers retention on top. A cancelled ctx aborts tokenization between
+// chunks and the partial result is discarded.
 func (l *Loader) PartialScanContext(ctx context.Context, t *catalog.Table, needCols []int, conj expr.Conjunction, tab int) (*exec.View, error) {
 	loadCols := neededWithPreds(needCols, conj)
 	sch := t.Schema()
@@ -118,7 +112,7 @@ func (l *Loader) PartialScanContext(ctx context.Context, t *catalog.Table, needC
 	}
 
 	lateFilter := l.DisableEarlyAbandon && !conj.Empty()
-	mkHandler := func(pc *synopsis.PortionAcc, parsed *int64) scan.RowHandler {
+	mkHandler := func(pc *synopsis.PortionAcc, parsed *int64) (scan.RowHandler, func() error) {
 		return func(rowID int64, fields []scan.FieldRef) error {
 			vals := make([]storage.Value, len(loadCols))
 			for i, f := range fields {
@@ -152,7 +146,7 @@ func (l *Loader) PartialScanContext(ctx context.Context, t *catalog.Table, needC
 			}
 			batch.add(rowID, vals)
 			return nil
-		}
+		}, nil
 	}
 
 	// Portion pruning rides on funcs: portions whose recorded bounds
@@ -205,18 +199,12 @@ func queryRegion(t *catalog.Table, loadCols []int, conj expr.Conjunction) (catal
 	return r, true
 }
 
-// PartialLoadV2 is the retaining variant: when the adaptive store's
+// PartialLoadV2Context is the retaining variant: when the adaptive store's
 // recorded regions cover the query, it is answered from the sparse columns
-// without touching the raw file; otherwise a PartialScan runs, its rows are
-// merged into the sparse columns, and the query's region is recorded for
-// future reuse.
-func (l *Loader) PartialLoadV2(t *catalog.Table, needCols []int, conj expr.Conjunction, tab int) (*exec.View, error) {
-	return l.PartialLoadV2Context(context.Background(), t, needCols, conj, tab)
-}
-
-// PartialLoadV2Context is PartialLoadV2 with cooperative cancellation. A
-// cancelled scan merges nothing and records no region, so the adaptive
-// store never sees a half-loaded query's state.
+// without touching the raw file; otherwise a partial scan runs, its rows
+// are merged into the sparse columns, and the query's region is recorded
+// for future reuse. A cancelled scan merges nothing and records no region,
+// so the adaptive store never sees a half-loaded query's state.
 func (l *Loader) PartialLoadV2Context(ctx context.Context, t *catalog.Table, needCols []int, conj expr.Conjunction, tab int) (*exec.View, error) {
 	// Coverage check, scan, merge and region recording must be atomic
 	// with respect to other loads on this table (§5.4).

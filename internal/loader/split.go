@@ -11,20 +11,15 @@ import (
 	"nodb/internal/storage"
 )
 
-// SplitColumnLoad loads the given columns like ColumnLoad, but reads
-// through the split-file registry and *cracks the file* as a side effect:
-// every attribute the load tokenizes is written out as its own sidecar
-// file, and the un-tokenized tail of each row goes to a residual file
-// (paper §4.2). Later loads of already-split attributes read only their
-// sidecar; loads of un-split attributes read only the residual file, which
-// keeps shrinking as splits recurse.
-func (l *Loader) SplitColumnLoad(t *catalog.Table, cols []int) error {
-	return l.SplitColumnLoadContext(context.Background(), t, cols)
-}
-
-// SplitColumnLoadContext is SplitColumnLoad with cooperative cancellation.
-// Cancellation is checked between source groups and inside each scan; a
-// partially written split file is closed and not registered.
+// SplitColumnLoadContext loads the given columns like ColumnLoadContext,
+// but reads through the split-file registry and *cracks the file* as a
+// side effect: every attribute the load tokenizes is written out as its
+// own sidecar file, and the un-tokenized tail of each row goes to a
+// residual file (paper §4.2). Later loads of already-split attributes read
+// only their sidecar; loads of un-split attributes read only the residual
+// file, which keeps shrinking as splits recurse. Cancellation is checked
+// between source groups and inside each scan; a partially written split
+// file is closed and not registered.
 func (l *Loader) SplitColumnLoadContext(ctx context.Context, t *catalog.Table, cols []int) error {
 	if t.Splits == nil {
 		return fmt.Errorf("loader: table %s has no split registry (set SplitDir)", t.Name())

@@ -195,11 +195,6 @@ type Options struct {
 	// pipeline (0 = the default, 1024). Smaller batches tighten LIMIT and
 	// cancellation granularity at the cost of per-batch overhead.
 	BatchSize int
-	// DisableVectorExec routes queries through the row-at-a-time
-	// execution paths instead of the vectorized operator pipeline. The
-	// two produce identical results; the row paths are kept as the
-	// differential-testing oracle and for ablations.
-	DisableVectorExec bool
 	// ResultCacheBytes bounds the query result cache (0, the default,
 	// disables it). Results are keyed by the normalized bound SQL plus the
 	// signature (size, mtime, prefix CRC) of every raw file the statement
@@ -364,7 +359,6 @@ func coreOptions(opts Options) core.Options {
 		DisableSynopsis:      opts.DisableSynopsis,
 		DisableRevalidation:  opts.DisableRevalidation,
 		BatchSize:            opts.BatchSize,
-		DisableVectorExec:    opts.DisableVectorExec,
 		ResultCacheBytes:     opts.ResultCacheBytes,
 		Tenants:              opts.Tenants,
 	}

@@ -37,9 +37,9 @@ func TestServerStreamTrickleFirstRow(t *testing.T) {
 	first, _, _ := strings.Cut(string(raw), ",")
 
 	ffs := vfs.NewFaultFS(nil)
-	// The row-at-a-time streaming path emits a row as soon as its chunk
-	// is tokenized; the vectorized path would hold it for a whole batch.
-	db := nodb.OpenFSForTest(nodb.Options{Policy: nodb.PartialLoadsV1, ChunkSize: 4096, Workers: 1, DisableVectorExec: true}, ffs)
+	// The streaming scan hands a partial batch over when its portion (one
+	// 4 KiB chunk here) ends, instead of holding it for a whole batch.
+	db := nodb.OpenFSForTest(nodb.Options{Policy: nodb.PartialLoadsV1, ChunkSize: 4096, Workers: 1}, ffs)
 	defer db.Close()
 	if err := db.Link("big", path); err != nil {
 		t.Fatal(err)

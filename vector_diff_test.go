@@ -1,10 +1,9 @@
 package nodb
 
 // Differential tests for the vectorized execution pipeline: every query
-// must produce byte-identical results with DisableVectorExec on and off,
-// across loading policies, batch sizes, LIMIT shapes and cancellation.
-// The row-at-a-time paths are the oracle; the batch pipeline is pure
-// mechanism.
+// must produce the reference evaluator's result table (oracle_test.go)
+// byte for byte, across loading policies, batch sizes and LIMIT shapes,
+// and cancellation must stop it cleanly.
 
 import (
 	"context"
@@ -61,68 +60,52 @@ func vectorDiffJoinQueries() []string {
 	}
 }
 
-// TestVectorVsLegacyPolicies demands byte-identical result tables between
-// the batch pipeline and the row-at-a-time paths, for every loading
-// policy and several batch sizes. Workers is pinned to 1 so streaming
-// scans deliver rows in file order in both modes.
+// TestVectorVsLegacyPolicies holds every loading policy, at several batch
+// sizes, to the oracle's result table byte for byte. Workers is pinned to 1
+// so streaming scans deliver rows in file order, the order the oracle uses
+// for queries without ORDER BY. (The "Legacy" in the name is historical:
+// the oracle is the reference now.)
 func TestVectorVsLegacyPolicies(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.csv")
 	writeRandomTable(t, path, 1500, 3, 1000, 42)
+	o := newOracle(t, map[string]string{"t": path})
 
-	queries := vectorDiffQueries()
 	for _, cfg := range diffConfigs(dir) {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
-			legacyOpts := cfg.opts
-			legacyOpts.Workers = 1
-			legacyOpts.DisableVectorExec = true
-			legacy := Open(legacyOpts)
-			defer legacy.Close()
-			if err := legacy.Link("t", path); err != nil {
-				t.Fatal(err)
-			}
-
 			for _, batch := range []int{0, 1, 7, 64} {
-				vecOpts := cfg.opts
-				vecOpts.Workers = 1
-				vecOpts.BatchSize = batch
-				// Split dirs are per-engine state; give each vector engine
-				// its own so the two runs cannot share split files.
-				if vecOpts.SplitDir != "" {
-					vecOpts.SplitDir = filepath.Join(dir, fmt.Sprintf("sf-vec-%d", batch))
+				opts := cfg.opts
+				opts.Workers = 1
+				opts.BatchSize = batch
+				// Split dirs are per-engine state; give each engine its own
+				// so the runs cannot share split files.
+				if opts.SplitDir != "" {
+					opts.SplitDir = filepath.Join(dir, fmt.Sprintf("sf-%s-%d", cfg.name, batch))
 				}
-				vec := Open(vecOpts)
-				if err := vec.Link("t", path); err != nil {
+				db := Open(opts)
+				if err := db.Link("t", path); err != nil {
 					t.Fatal(err)
 				}
-				for qi, q := range queries {
-					want, err := legacy.Query(q)
-					if err != nil {
-						t.Fatalf("legacy query %d (%s): %v", qi, q, err)
-					}
-					got, err := vec.Query(q)
-					if err != nil {
-						t.Fatalf("vector(batch=%d) query %d (%s): %v", batch, qi, q, err)
-					}
-					if g, w := resultTable(got), resultTable(want); g != w {
-						t.Errorf("batch=%d query %d (%s):\nvector:\n%slegacy:\n%s", batch, qi, q, g, w)
-					}
+				for _, q := range vectorDiffQueries() {
+					checkOracle(t, o, db, q, fmt.Sprintf("batch=%d", batch))
 				}
-				vec.Close()
+				db.Close()
 			}
 		})
 	}
 }
 
-// TestVectorVsLegacyJoins covers multi-table pipelines (HashJoinOp builds
-// on the smaller side exactly like the legacy join).
+// TestVectorVsLegacyJoins covers multi-table pipelines: HashJoinOp's output
+// must match the oracle's nested-loop join (as a multiset where the query
+// leaves the order open).
 func TestVectorVsLegacyJoins(t *testing.T) {
 	dir := t.TempDir()
 	lp := filepath.Join(dir, "l.csv")
 	rp := filepath.Join(dir, "r.csv")
 	writeRandomTable(t, lp, 900, 3, 300, 21)
 	writeRandomTable(t, rp, 400, 2, 300, 22)
+	o := newOracle(t, map[string]string{"l": lp, "r": rp})
 
 	for _, cfg := range []diffConfig{
 		{"columns", Options{Policy: ColumnLoads}},
@@ -132,118 +115,82 @@ func TestVectorVsLegacyJoins(t *testing.T) {
 	} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
-			legacyOpts := cfg.opts
-			legacyOpts.Workers = 1
-			legacyOpts.DisableVectorExec = true
-			vecOpts := cfg.opts
-			vecOpts.Workers = 1
-			legacy, vec := Open(legacyOpts), Open(vecOpts)
-			defer legacy.Close()
-			defer vec.Close()
-			for _, db := range []*DB{legacy, vec} {
-				if err := db.Link("l", lp); err != nil {
-					t.Fatal(err)
-				}
-				if err := db.Link("r", rp); err != nil {
-					t.Fatal(err)
-				}
+			opts := cfg.opts
+			opts.Workers = 1
+			db := Open(opts)
+			defer db.Close()
+			if err := db.Link("l", lp); err != nil {
+				t.Fatal(err)
 			}
-			for qi, q := range vectorDiffJoinQueries() {
-				want, err := legacy.Query(q)
-				if err != nil {
-					t.Fatalf("legacy query %d (%s): %v", qi, q, err)
-				}
-				got, err := vec.Query(q)
-				if err != nil {
-					t.Fatalf("vector query %d (%s): %v", qi, q, err)
-				}
-				if g, w := resultTable(got), resultTable(want); g != w {
-					t.Errorf("query %d (%s):\nvector:\n%slegacy:\n%s", qi, q, g, w)
-				}
+			if err := db.Link("r", rp); err != nil {
+				t.Fatal(err)
+			}
+			for _, q := range vectorDiffJoinQueries() {
+				checkOracle(t, o, db, q, cfg.name)
 			}
 		})
 	}
 }
 
-// TestVectorVsLegacyRandom cross-checks the two modes on a randomized
-// aggregate workload (the same generator the policy differential uses).
+// TestVectorVsLegacyRandom checks a randomized aggregate workload (the
+// same generator the policy differential uses) against the oracle.
 func TestVectorVsLegacyRandom(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.csv")
 	const rows, cols = 1200, 4
 	const maxVal = 600
 	writeRandomTable(t, path, rows, cols, maxVal, 314)
+	o := newOracle(t, map[string]string{"t": path})
 
-	legacy := Open(Options{Policy: PartialLoadsV2, Workers: 1, DisableVectorExec: true})
-	vec := Open(Options{Policy: PartialLoadsV2, Workers: 1})
-	defer legacy.Close()
-	defer vec.Close()
-	for _, db := range []*DB{legacy, vec} {
-		if err := db.Link("t", path); err != nil {
-			t.Fatal(err)
-		}
+	db := Open(Options{Policy: PartialLoadsV2, Workers: 1})
+	defer db.Close()
+	if err := db.Link("t", path); err != nil {
+		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2718))
 	for qi := 0; qi < 40; qi++ {
-		q := randomQuery(rng, cols, maxVal)
-		want, err := legacy.Query(q)
-		if err != nil {
-			t.Fatalf("legacy query %d (%s): %v", qi, q, err)
-		}
-		got, err := vec.Query(q)
-		if err != nil {
-			t.Fatalf("vector query %d (%s): %v", qi, q, err)
-		}
-		if g, w := resultTable(got), resultTable(want); g != w {
-			t.Errorf("query %d (%s):\nvector:\n%slegacy:\n%s", qi, q, g, w)
-		}
+		checkOracle(t, o, db, randomQuery(rng, cols, maxVal), fmt.Sprintf("query %d", qi))
 	}
 }
 
-// TestVectorCancellation pins cancellation behavior parity: a cancelled
-// context aborts the query in both modes, and an early cursor Close stops
-// a streaming scan cleanly (no error) in both modes.
+// TestVectorCancellation pins cancellation behavior: a cancelled context
+// aborts the query, and an early cursor Close stops a streaming scan
+// cleanly (no error).
 func TestVectorCancellation(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.csv")
 	writeRandomTable(t, path, 5000, 3, 5000, 77)
 
-	for _, disable := range []bool{false, true} {
-		name := "vector"
-		if disable {
-			name = "legacy"
+	t.Run("vector", func(t *testing.T) {
+		db := Open(Options{Policy: PartialLoadsV1, Workers: 1, BatchSize: 16})
+		defer db.Close()
+		if err := db.Link("t", path); err != nil {
+			t.Fatal(err)
 		}
-		t.Run(name, func(t *testing.T) {
-			db := Open(Options{Policy: PartialLoadsV1, Workers: 1, DisableVectorExec: disable, BatchSize: 16})
-			defer db.Close()
-			if err := db.Link("t", path); err != nil {
-				t.Fatal(err)
-			}
 
-			ctx, cancel := context.WithCancel(context.Background())
-			cancel()
-			if _, err := db.QueryContext(ctx, "select sum(a1) from t"); err == nil {
-				t.Fatal("cancelled context should abort the query")
-			}
+		ctx, cancel := context.WithCancel(context.Background())
+		cancel()
+		if _, err := db.QueryContext(ctx, "select sum(a1) from t"); err == nil {
+			t.Fatal("cancelled context should abort the query")
+		}
 
-			rows, err := db.QueryRows(context.Background(), "select a1 from t where a1 >= 0")
-			if err != nil {
-				t.Fatal(err)
+		rows, err := db.QueryRows(context.Background(), "select a1 from t where a1 >= 0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := 0
+		for rows.Next() {
+			if got++; got == 3 {
+				break
 			}
-			got := 0
-			for rows.Next() {
-				if got++; got == 3 {
-					break
-				}
-			}
-			if got != 3 {
-				t.Fatalf("read %d rows before close, want 3", got)
-			}
-			if err := rows.Close(); err != nil {
-				t.Fatalf("early close: %v", err)
-			}
-		})
-	}
+		}
+		if got != 3 {
+			t.Fatalf("read %d rows before close, want 3", got)
+		}
+		if err := rows.Close(); err != nil {
+			t.Fatalf("early close: %v", err)
+		}
+	})
 }
 
 // TestVectorLimitStopsScan checks that a LIMIT through the batch pipeline
