@@ -185,6 +185,38 @@ func TestColumnLoadAllocsFlat(t *testing.T) {
 	}
 }
 
+// TestColumnLoadAllocBound: a column load allocates its columns, its
+// offsets and the positional map's copy of them, plus one read buffer per
+// worker for the count pre-pass and one for the scan — nothing per portion
+// and nothing per value. A buffer per portion would add about two chunks
+// per portion.
+func TestColumnLoadAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap-byte bounds do not hold under -race")
+	}
+	const chunk = 64 << 10
+	path := writeGen(t, csvgen.Spec{Rows: 100000, Cols: 4, Seed: 14})
+	cols := []int{0, 2}
+	for _, workers := range []int{1, 4} {
+		tab, c := linkFresh(t, path, catalog.Options{})
+		l := &Loader{Counters: c, Workers: workers, ChunkSize: chunk, RecordPositions: true, UseSynopsis: true}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if err := l.ColumnLoadContext(context.Background(), tab, cols); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if portions, _ := tab.Syn.Stats(); portions < 32 {
+			t.Fatalf("workers %d: %d portions, want >= 32", workers, portions)
+		}
+		values := uint64(len(cols)) * uint64(tab.NumRows()) * (8 + 8 + 16) // dense, offsets, posmap rows+offsets
+		buffers := uint64(2 * (workers + 1) * (chunk + 4096))
+		if got := after.TotalAlloc - before.TotalAlloc; got > values+buffers+256<<10 {
+			t.Errorf("workers %d: load allocated %d bytes, want <= %d (values) + %d (read buffers) + 256 KiB", workers, got, values, buffers)
+		}
+	}
+}
+
 // TestColumnLoadLayoutMismatchErrors: when a learned layout no longer
 // matches the file (edited in place, same size), a load that scatters by
 // row id fails instead of writing out of range or leaving a slot unset.

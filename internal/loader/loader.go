@@ -271,6 +271,72 @@ func parseField(b []byte, typ schema.Type, format scan.Format) (storage.Value, e
 	}
 }
 
+// fieldSink parses one raw field of a loaded column straight into the
+// column's typed slice at row and folds the value into the portion's
+// bounds (pc may be nil); no storage.Value is built. Column loads pick one
+// per column per pass, by format and type.
+type fieldSink func(b []byte, row int, pc *synopsis.PortionAcc) error
+
+// newSink returns the sink storing into d, whose values are observed as
+// position idx of the pass' columns. A row one past the end of d appends:
+// a single uncounted portion streams its rows in order.
+func newSink(d *storage.DenseColumn, idx int, format scan.Format) fieldSink {
+	isJSON := format == scan.FormatNDJSON
+	switch d.Typ {
+	case schema.Int64:
+		parse := scan.ParseInt64
+		if isJSON {
+			parse = scan.ParseJSONInt64
+		}
+		return func(b []byte, row int, pc *synopsis.PortionAcc) error {
+			v, err := parse(b)
+			if err != nil {
+				return err
+			}
+			put(&d.Ints, row, v)
+			pc.ObserveInt(idx, v)
+			return nil
+		}
+	case schema.Float64:
+		parse := scan.ParseFloat64
+		if isJSON {
+			parse = scan.ParseJSONFloat64
+		}
+		return func(b []byte, row int, pc *synopsis.PortionAcc) error {
+			v, err := parse(b)
+			if err != nil {
+				return err
+			}
+			put(&d.Floats, row, v)
+			pc.ObserveFloat(idx, v)
+			return nil
+		}
+	default:
+		parse := func(b []byte) (string, error) { return string(b), nil }
+		if isJSON {
+			parse = scan.ParseJSONString
+		}
+		return func(b []byte, row int, pc *synopsis.PortionAcc) error {
+			v, err := parse(b)
+			if err != nil {
+				return err
+			}
+			put(&d.Strs, row, v)
+			pc.ObserveString(idx, v)
+			return nil
+		}
+	}
+}
+
+// put stores v at (*s)[row], appending when row is the next index.
+func put[T any](s *[]T, row int, v T) {
+	if row < len(*s) {
+		(*s)[row] = v
+		return
+	}
+	*s = append(*s, v)
+}
+
 // FullLoadContext loads every column of the table (classic up-front
 // loading), with cooperative cancellation.
 func (l *Loader) FullLoadContext(ctx context.Context, t *catalog.Table) error {
@@ -322,10 +388,13 @@ func (l *Loader) columnLoadLocked(ctx context.Context, t *catalog.Table, cols []
 	// sizes the columns up front and rows scatter into them by row id; row
 	// ids are disjoint across portions, so the slots need no lock. Only a
 	// single uncounted portion — a sequential stream with no counting
-	// pre-pass, reading the file exactly once — appends instead.
+	// pre-pass, reading the file exactly once — appends instead: each row
+	// lands one past the end (put). The handler's bound check keeps a
+	// miscounted layout from appending to a scattered column.
 	rows := countedRows(ps.ports)
 	scatter := rows >= 0
 	dense := make([]*storage.DenseColumn, len(missing))
+	sinks := make([]fieldSink, len(missing))
 	var offs [][]int64 // per loaded column, indexed by row id
 	if record {
 		offs = make([][]int64, len(missing))
@@ -342,6 +411,7 @@ func (l *Loader) columnLoadLocked(ctx context.Context, t *catalog.Table, cols []
 				offs[i] = make([]int64, 0, 1024)
 			}
 		}
+		sinks[i] = newSink(dense[i], i, sch.Format)
 	}
 
 	// A full column load observes every row, so each portion it completes
@@ -353,21 +423,11 @@ func (l *Loader) columnLoadLocked(ctx context.Context, t *catalog.Table, cols []
 				return fmt.Errorf("loader: row %d beyond the %d rows the layout counted", rowID, rows)
 			}
 			for i, f := range fields {
-				v, err := parseField(f.Bytes, sch.Columns[missing[i]].Type, sch.Format)
-				if err != nil {
+				if err := sinks[i](f.Bytes, int(rowID), pc); err != nil {
 					return fmt.Errorf("loader: row %d col %d: %w", rowID, missing[i], err)
 				}
-				pc.Observe(i, v)
-				if scatter {
-					dense[i].Set(int(rowID), v)
-					if record {
-						offs[i][rowID] = f.Offset
-					}
-				} else {
-					dense[i].Append(v)
-					if record {
-						offs[i] = append(offs[i], f.Offset)
-					}
+				if record {
+					put(&offs[i], int(rowID), f.Offset)
 				}
 			}
 			*parsed += int64(len(fields))

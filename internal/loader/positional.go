@@ -5,7 +5,6 @@ import (
 	"context"
 	"fmt"
 	"io"
-	"sort"
 
 	"nodb/internal/catalog"
 	"nodb/internal/errs"
@@ -55,6 +54,7 @@ func (l *Loader) tryPositionalColumnLoad(ctx context.Context, t *catalog.Table, 
 
 	sch := t.Schema()
 	dense := make([]*storage.DenseColumn, len(missing))
+	sinks := make([]fieldSink, len(missing))
 	relCols := make([]int, len(missing))
 	var found [][]int64 // positions learned for the missing columns, by row
 	if l.RecordPositions {
@@ -62,6 +62,7 @@ func (l *Loader) tryPositionalColumnLoad(ctx context.Context, t *catalog.Table, 
 	}
 	for i, c := range missing {
 		dense[i] = storage.NewDenseSized(sch.Columns[c].Type, int(rows))
+		sinks[i] = newSink(dense[i], i, sch.Format)
 		relCols[i] = c - anchor
 		if found != nil {
 			found[i] = make([]int64, rows)
@@ -71,11 +72,9 @@ func (l *Loader) tryPositionalColumnLoad(ctx context.Context, t *catalog.Table, 
 	var parsed int64
 	err := l.positionalScan(ctx, t.Path(), t.Schema().Delimiter, offs, relCols, func(rowID int64, fields []scan.FieldRef) error {
 		for i, f := range fields {
-			v, err := parseField(f.Bytes, sch.Columns[missing[i]].Type, sch.Format)
-			if err != nil {
+			if err := sinks[i](f.Bytes, int(rowID), nil); err != nil {
 				return fmt.Errorf("loader: row %d col %d: %w", rowID, missing[i], err)
 			}
-			dense[i].Set(int(rowID), v)
 			if found != nil {
 				found[i][rowID] = f.Offset
 			}
@@ -189,13 +188,10 @@ func (l *Loader) eachLineAt(ctx context.Context, path string, offs []int64, fn f
 }
 
 // positionalScan streams the file sequentially but tokenizes each row from
-// the given per-row anchor offset (ascending). relCols are attribute
-// indices relative to the anchor attribute.
+// the given per-row anchor offset (ascending), with the scan's own field
+// walker. relCols are attribute indices relative to the anchor attribute.
 func (l *Loader) positionalScan(ctx context.Context, path string, delim byte, offs []int64, relCols []int, handler scan.RowHandler) error {
-	sortedRel := append([]int(nil), relCols...)
-	sort.Ints(sortedRel)
-	fields := make([]scan.FieldRef, len(relCols))
-
+	walker := scan.NewWalker(delim, relCols)
 	var rows, attrs int64 // tokenized rows' work, flushed once on every return path
 	if c := l.Counters; c != nil {
 		defer func() {
@@ -204,43 +200,12 @@ func (l *Loader) positionalScan(ctx context.Context, path string, delim byte, of
 		}()
 	}
 	return l.eachLineAt(ctx, path, offs, func(rowID, off int64, line []byte) error {
-		// Tokenize relCols within the line (relative attribute 0 starts
-		// at position 0 of the anchor offset).
-		fieldIdx, pos := 0, 0
-		rowAttrs := int64(0)
-		for si, want := range sortedRel {
-			for fieldIdx < want {
-				i := bytes.IndexByte(line[pos:], delim)
-				if i < 0 {
-					return fmt.Errorf("loader: row %d too short for relative column %d", rowID, want)
-				}
-				pos += i + 1
-				fieldIdx++
-				rowAttrs++
-			}
-			end := bytes.IndexByte(line[pos:], delim)
-			var fb []byte
-			if end < 0 {
-				fb = line[pos:]
-			} else {
-				fb = line[pos : pos+end]
-			}
-			rowAttrs++
-			fr := scan.FieldRef{Bytes: fb, Offset: off + int64(pos)}
-			for i, rc := range relCols {
-				if rc == want {
-					fields[i] = fr
-				}
-			}
-			if end >= 0 && si+1 < len(sortedRel) {
-				pos += end + 1
-				fieldIdx++
-			} else if end < 0 && si+1 < len(sortedRel) {
-				return fmt.Errorf("loader: row %d ended before relative column %d", rowID, sortedRel[si+1])
-			}
+		fields, n, err := walker.Walk(line, off, rowID)
+		if err != nil {
+			return err
 		}
 		rows++
-		attrs += rowAttrs
+		attrs += n
 		return handler(rowID, fields)
 	})
 }
@@ -271,17 +236,16 @@ func (l *Loader) tryPositionalColumnLoadJSON(ctx context.Context, t *catalog.Tab
 			return false
 		}
 		col := storage.NewDenseSized(sch.Columns[c].Type, int(rows))
+		sink := newSink(col, 0, sch.Format)
 		var done int64 // rows tokenized and parsed, one value each
 		err := l.eachLineAt(ctx, t.Path(), offs, func(rowID, off int64, line []byte) error {
 			end, err := scan.ScanJSONValue(line, 0)
 			if err != nil {
 				return fmt.Errorf("loader: row %d col %d: %w", rowID, c, err)
 			}
-			v, err := parseField(line[:end], sch.Columns[c].Type, sch.Format)
-			if err != nil {
+			if err := sink(line[:end], int(rowID), nil); err != nil {
 				return fmt.Errorf("loader: row %d col %d: %w", rowID, c, err)
 			}
-			col.Set(int(rowID), v)
 			done++
 			return nil
 		})

@@ -3,16 +3,20 @@ package scan
 import (
 	"bytes"
 	"encoding/csv"
+	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 )
 
-// FuzzScanVsCSV differentially tests the tokenizer against encoding/csv.
-// The two parsers agree on the unquoted-CSV dialect the engine speaks:
+// FuzzScanVsCSV differentially tests the tokenizer against encoding/csv,
+// both scanning every attribute and walking to a projected column subset
+// (the path column loads take). The two parsers agree on the unquoted-CSV
+// dialect the engine speaks:
 // comma-delimited fields, LF or CRLF row endings, a final line with or
 // without a trailing newline, and empty (including trailing) fields.
 // Inputs outside that common dialect are skipped:
@@ -34,6 +38,12 @@ func FuzzScanVsCSV(f *testing.F) {
 	f.Add(",,,\n")             // all-empty row
 	f.Add("a,b\r\nc,d")        // CRLF then unterminated final line
 	f.Add("0,1,2,3,4,5,6,7\n") // wide row
+	// The projected walk skips delimiters eight bytes at a time.
+	f.Add("abcdefg,abcdefgh,abcdefghi,x\n")             // fields straddling a word
+	f.Add("abcdefg,abcdefg,abcdefg,\n")                 // a delimiter as a word's last byte
+	f.Add("\x80,\xff,\x80\xff,\xac,,\xff\x80\n")        // bytes >= 0x80 next to delimiters
+	f.Add("a|b,c|d\n|,|\n")                             // '|' is data in a comma file
+	f.Add("0,1,2,3,4,5,6,7,8,9,10,11,12\n1,2\n3,4,5\n") // a row too short for a projection
 
 	f.Fuzz(func(t *testing.T, input string) {
 		if input == "" || strings.ContainsAny(input, "\"") {
@@ -108,6 +118,27 @@ func FuzzScanVsCSV(f *testing.F) {
 			}
 		}
 
+		// The projected walk every column load takes, field by field: an
+		// unsorted column list with a duplicate, once within the narrowest
+		// row and once reaching past it (short rows must fail), then over
+		// a '|'-delimited copy of the input.
+		narrow, wide := len(want[0]), 0
+		for _, rec := range want {
+			narrow, wide = min(narrow, len(rec)), max(wide, len(rec))
+		}
+		h := len(input) + int(input[len(input)/2])
+		inner := []int{narrow - 1, h % narrow, narrow - 1}
+		outer := []int{h % (wide + 2), 0, h % (wide + 2)}
+		checkProjected(t, input, path, ',', want, inner)
+		checkProjected(t, input, path, ',', want, outer)
+		if !strings.Contains(input, "|") {
+			piped := filepath.Join(t.TempDir(), "fuzz.psv")
+			if err := os.WriteFile(piped, []byte(strings.ReplaceAll(input, ",", "|")), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			checkProjected(t, input, piped, '|', want, outer)
+		}
+
 		// The parallel portioned scan must tokenize the same multiset of
 		// rows (order differs across portions).
 		sp, err := Open(path, Options{Workers: 4, ChunkSize: 16, Portioned: true})
@@ -141,6 +172,51 @@ func FuzzScanVsCSV(f *testing.F) {
 			}
 		}
 	})
+}
+
+// checkProjected scans cols of the file at path (Workers 1, tiny chunks)
+// and checks every field against the csv records of input: the rows before
+// the first one too narrow for the largest requested column must match,
+// and that row must fail the scan with the "has N attributes" error.
+func checkProjected(t *testing.T, input, path string, delim byte, want [][]string, cols []int) {
+	t.Helper()
+	s, err := Open(path, Options{Workers: 1, ChunkSize: 16, Delimiter: delim})
+	if err != nil {
+		t.Fatal(err)
+	}
+	seen := 0
+	err = s.ScanColumns(cols, func(rowID int64, fields []FieldRef) error {
+		if rowID != int64(seen) || seen >= len(want) {
+			t.Fatalf("input %q cols %v: row %d after %d of %d rows", input, cols, rowID, seen, len(want))
+		}
+		for j, c := range cols {
+			if got := string(fields[j].Bytes); got != want[seen][c] {
+				t.Fatalf("input %q %q-delimited cols %v row %d field %d: scan %q vs csv %q", input, delim, cols, seen, j, got, want[seen][c])
+			}
+		}
+		seen++
+		return nil
+	}, nil)
+	top := slices.Max(cols)
+	for r, rec := range want {
+		if len(rec) > top {
+			continue
+		}
+		need := top // the first requested attribute past the row's end
+		for _, c := range cols {
+			if c >= len(rec) && c < need {
+				need = c
+			}
+		}
+		msg := fmt.Sprintf("scan: row %d has %d attributes, need index %d", r, len(rec), need)
+		if err == nil || err.Error() != msg || seen != r {
+			t.Fatalf("input %q %q-delimited cols %v: err %v after %d rows, want %q after %d", input, delim, cols, err, seen, msg, r)
+		}
+		return
+	}
+	if err != nil || seen != len(want) {
+		t.Fatalf("input %q %q-delimited cols %v: err %v after %d rows, want %d rows", input, delim, cols, err, seen, len(want))
+	}
 }
 
 func equalRow(a, b []string) bool {

@@ -77,7 +77,7 @@ func TestNDJSONDelayedParsing(t *testing.T) {
 	}
 }
 
-func TestNDJSONFieldOffsetsSupportReadRowAt(t *testing.T) {
+func TestNDJSONFieldOffsetsPointAtTokens(t *testing.T) {
 	input := `{"a":10,"b":"x"}` + "\n" + `{"a":20,"b":"y"}` + "\n"
 	s, err := Open(writeTemp(t, input), ndjsonOpts("a", "b"))
 	if err != nil {

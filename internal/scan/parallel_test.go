@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -13,6 +14,41 @@ import (
 
 	"nodb/internal/metrics"
 )
+
+// TestScanReadBuffersPerWorker: the count pre-pass and the scan each read
+// through one buffer per worker, not one per portion, so a pass over a
+// many-portion file allocates about 2·workers read buffers whatever its
+// size (one per portion per phase would be ~80 here).
+func TestScanReadBuffersPerWorker(t *testing.T) {
+	const chunk = 64 << 10
+	var sb strings.Builder
+	for i := 0; sb.Len() < 40*chunk; i++ {
+		fmt.Fprintf(&sb, "%d,%d,%d\n", i, i*7, i%97)
+	}
+	path := writeFile(t, sb.String())
+	for _, workers := range []int{1, 4} {
+		s, err := Open(path, Options{Workers: workers, ChunkSize: chunk, Portioned: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		if _, err := s.NumRows(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.ScanColumns([]int{2, 0}, func(int64, []FieldRef) error { return nil }, nil); err != nil {
+			t.Fatal(err)
+		}
+		runtime.ReadMemStats(&after)
+		if ports, _ := s.Portions(); len(ports) < 32 {
+			t.Fatalf("workers %d: %d portions, want >= 32", workers, len(ports))
+		}
+		bound := uint64(2*(workers+1)*(chunk+carryRoom) + 64<<10)
+		if got := after.TotalAlloc - before.TotalAlloc; got > bound {
+			t.Errorf("workers %d: pass allocated %d bytes, want <= %d", workers, got, bound)
+		}
+	}
+}
 
 // The parallel default makes Workers > 1 the load-bearing path; these
 // tests run the hairy interactions (SkipHeader, ErrStop, cancellation,

@@ -23,9 +23,11 @@ package scan
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
+	"math/bits"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -306,9 +308,10 @@ func (s *Scanner) NumRows() (int64, error) {
 			return
 		}
 		defer f.Close()
+		buf := make([]byte, s.readBufSize())
 		var total int64
 		for i := range s.portions {
-			n, err := countRows(f, s.portions[i].off, s.portions[i].end, s.opts)
+			n, err := countRows(f, s.portions[i].off, s.portions[i].end, s.opts, buf)
 			if err != nil {
 				s.countErr = err
 				return
@@ -370,9 +373,10 @@ func (s *Scanner) buildPortions() error {
 	}
 	defer f.Close()
 
+	probe := make([]byte, boundaryProbeSize)
 	s.dataStart = 0
 	if s.opts.SkipHeader {
-		off, err := findLineEnd(f, 0, s.size, boundaryProbeSize)
+		off, err := findLineEnd(f, 0, s.size, probe)
 		if err != nil {
 			return err
 		}
@@ -423,7 +427,7 @@ func (s *Scanner) buildPortions() error {
 	bounds = append(bounds, s.dataStart)
 	for i := int64(1); i < n; i++ {
 		nominal := s.dataStart + i*per
-		aligned, err := findLineEnd(f, nominal, s.size, boundaryProbeSize)
+		aligned, err := findLineEnd(f, nominal, s.size, probe)
 		if err != nil {
 			return err
 		}
@@ -433,38 +437,72 @@ func (s *Scanner) buildPortions() error {
 	}
 	bounds = append(bounds, s.size)
 
-	// Count rows per portion in parallel (ReadAt on one *os.File is safe
-	// for concurrent use); global row ids fall out of a prefix sum. This
-	// pre-pass runs once per layout: scans that receive the learned layout
-	// via Options.Layout skip it entirely.
+	// Count rows per portion in parallel; global row ids fall out of a
+	// prefix sum. This pre-pass runs once per layout: scans that receive
+	// the learned layout via Options.Layout skip it entirely.
 	parts := make([]portion, len(bounds)-1)
-	counts := make([]int64, len(parts))
-	errs := make([]error, len(parts))
-	sem := make(chan struct{}, int(w))
-	var wg sync.WaitGroup
 	for i := range parts {
 		parts[i] = portion{off: bounds[i], end: bounds[i+1]}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int) {
-			defer wg.Done()
-			counts[i], errs[i] = countRows(f, parts[i].off, parts[i].end, s.opts)
-			<-sem
-		}(i)
 	}
-	wg.Wait()
+	if err := s.countPortions(f, parts, int(w)); err != nil {
+		return err
+	}
 	var firstRow int64
 	for i := range parts {
-		if errs[i] != nil {
-			return errs[i]
-		}
 		parts[i].firstRow = firstRow
-		parts[i].rows = counts[i]
-		firstRow += counts[i]
+		firstRow += parts[i].rows
 	}
 	s.portions = parts
 	s.rows = firstRow
 	return nil
+}
+
+// countPortions counts the rows of every portion on up to w workers. Each
+// worker pulls the next portion off a shared index and reads through one
+// buffer of its own for the whole pre-pass (ReadAt on one file is safe
+// for concurrent use). It returns the error of the first failed portion.
+func (s *Scanner) countPortions(f vfs.File, parts []portion, w int) error {
+	fails := make([]error, len(parts))
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for range min(w, len(parts)) {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, s.readBufSize())
+			for i := int(next.Add(1) - 1); i < len(parts); i = int(next.Add(1) - 1) {
+				n, err := countRows(f, parts[i].off, parts[i].end, s.opts, buf)
+				if err != nil {
+					fails[i] = err
+					return
+				}
+				parts[i].rows = n
+			}
+		}()
+	}
+	wg.Wait()
+	for _, err := range fails {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// carryRoom is the read-buffer space beyond one chunk, for the partial
+// row a chunk leaves to the next read.
+const carryRoom = 4096
+
+// readBufSize is the size of one worker's read buffer: a chunk plus
+// carryRoom, or the scanned bytes plus carryRoom when they span less than
+// a chunk. Each worker allocates one for a whole pass, so a pass's read
+// memory is workers × (ChunkSize + carryRoom), whatever the file size.
+func (s *Scanner) readBufSize() int {
+	n := int64(s.opts.chunkSize())
+	if span := s.size - s.dataStart; span < n {
+		n = span
+	}
+	return int(n) + carryRoom
 }
 
 // boundaryProbeSize is the read size used to locate a single newline when
@@ -505,9 +543,8 @@ func (s *Scanner) adoptLayout() bool {
 }
 
 // findLineEnd returns the offset just past the first '\n' at or after off,
-// or end if none.
-func findLineEnd(f vfs.File, off, end int64, chunk int) (int64, error) {
-	buf := make([]byte, chunk)
+// or end if none, reading through buf.
+func findLineEnd(f vfs.File, off, end int64, buf []byte) (int64, error) {
 	for off < end {
 		n := int64(len(buf))
 		if off+n > end {
@@ -530,15 +567,10 @@ func findLineEnd(f vfs.File, off, end int64, chunk int) (int64, error) {
 	return end, nil
 }
 
-// countRows counts data rows in [off, end). A final line without a
-// trailing newline counts as a row.
-func countRows(f vfs.File, off, end int64, o Options) (int64, error) {
+// countRows counts data rows in [off, end), reading through buf. A final
+// line without a trailing newline counts as a row.
+func countRows(f vfs.File, off, end int64, o Options, buf []byte) (int64, error) {
 	c := o.Counters
-	bufSize := int64(o.chunkSize())
-	if span := end - off; span < bufSize {
-		bufSize = span // portions can be far smaller than a chunk
-	}
-	buf := make([]byte, bufSize)
 	var rows int64
 	lastByte := byte('\n')
 	pos := off
@@ -610,13 +642,14 @@ func (s *Scanner) info(i int) PortionInfo {
 	return PortionInfo{Index: i, Off: p.off, End: p.end, FirstRow: p.firstRow, Rows: p.rows}
 }
 
-// runPortion scans one portion through the per-portion hooks.
-func (s *Scanner) runPortion(i int, cols []int, handler RowHandler, tailH RowTailHandler, abandon AbandonFunc, pf PortionFuncs) error {
+// runPortion scans one portion through the per-portion hooks, reading
+// through the calling worker's buffer.
+func (s *Scanner) runPortion(i int, cols []int, handler RowHandler, tailH RowTailHandler, abandon AbandonFunc, pf PortionFuncs, buf *[]byte) error {
 	pi := s.info(i)
 	if pf.Begin != nil {
 		handler, abandon = pf.Begin(pi)
 	}
-	n, err := s.scanPortion(s.portions[i], cols, handler, tailH, abandon)
+	n, err := s.scanPortion(s.portions[i], cols, handler, tailH, abandon, buf)
 	if err != nil {
 		return err
 	}
@@ -664,9 +697,12 @@ func (s *Scanner) scan(cols []int, handler RowHandler, tailH RowTailHandler, aba
 	if w > len(survivors) {
 		w = len(survivors)
 	}
+	// Each worker reads every portion it takes through one buffer,
+	// allocated on its first portion and kept for the pass.
 	if w == 1 {
+		var buf []byte
 		for _, i := range survivors {
-			if err := s.runPortion(i, cols, handler, tailH, abandon, pf); err != nil {
+			if err := s.runPortion(i, cols, handler, tailH, abandon, pf, &buf); err != nil {
 				if errors.Is(err, ErrStop) {
 					return nil
 				}
@@ -685,8 +721,9 @@ func (s *Scanner) scan(cols []int, handler RowHandler, tailH RowTailHandler, aba
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
+			var buf []byte
 			for idx := range work {
-				if err := s.runPortion(idx, cols, handler, tailH, abandon, pf); err != nil {
+				if err := s.runPortion(idx, cols, handler, tailH, abandon, pf, &buf); err != nil {
 					errCh <- err
 					quitOnce.Do(func() { close(quit) })
 					return
@@ -734,8 +771,10 @@ func (w *tally) flush(c *metrics.Counters) {
 }
 
 // scanPortion streams one portion and tokenizes its rows, returning how
-// many it tokenized.
-func (s *Scanner) scanPortion(p portion, cols []int, handler RowHandler, tailH RowTailHandler, abandon AbandonFunc) (int64, error) {
+// many it tokenized. It reads through the worker's buffer *bufp,
+// allocating it on first use; a buffer outgrown by a long row is replaced
+// by a larger one, which the worker keeps.
+func (s *Scanner) scanPortion(p portion, cols []int, handler RowHandler, tailH RowTailHandler, abandon AbandonFunc, bufp *[]byte) (int64, error) {
 	f, err := s.opts.fs().Open(s.path)
 	if err != nil {
 		return 0, errs.Wrap(errs.ErrRawIO, "scan open", s.path, err)
@@ -749,7 +788,10 @@ func (s *Scanner) scanPortion(p portion, cols []int, handler RowHandler, tailH R
 		w.flush(c)
 	}()
 	chunk := s.opts.chunkSize()
-	buf := make([]byte, chunk+4096)
+	if *bufp == nil {
+		*bufp = make([]byte, s.readBufSize())
+	}
+	buf := *bufp
 	carry := 0 // bytes of an incomplete row carried from the previous chunk
 	pos := p.off
 	rowID := p.firstRow
@@ -770,9 +812,9 @@ func (s *Scanner) scanPortion(p portion, cols []int, handler RowHandler, tailH R
 				want = int(p.end - pos)
 			}
 			if carry+want > len(buf) {
-				nb := make([]byte, carry+want+4096)
+				nb := make([]byte, carry+want+carryRoom)
 				copy(nb, buf[:carry])
-				buf = nb
+				buf, *bufp = nb, nb
 			}
 			m, err := f.ReadAt(buf[carry:carry+want], pos)
 			if m > 0 {
@@ -862,26 +904,31 @@ func (o Options) newRowTokenizer(cols []int) (rowTokenizer, error) {
 	case FormatNDJSON:
 		return newJSONTokenizer(o.FieldNames, cols)
 	default:
-		return newTokenizer(o.delim(), cols), nil
+		if cols == nil {
+			return &allTokenizer{delim: o.delim()}, nil
+		}
+		return NewWalker(o.delim(), cols), nil
 	}
 }
 
-// tokenizer locates requested columns within rows.
-type tokenizer struct {
-	delim   byte
-	cols    []int // requested columns in caller order, or nil for all
-	sorted  []int // unique requested columns in ascending order
-	sortPos []int // sortPos[i]: index in cols of sorted[i]
-	dup     [][]int
-	fields  []FieldRef
-	all     bool
+// Walker locates a fixed set of attributes in delimiter-separated lines.
+// It is the CSV scan's per-row locator, exported for loaders that start
+// tokenizing at a recorded position instead of a row start. Reaching
+// attribute k means tokenizing the k before it — the cost the paper's
+// §4.1.2 complains about — so the walk skips delimiters a word at a time
+// (skipDelims) and stops at the last requested attribute. A Walker reuses
+// its field slice, so it serves one goroutine.
+type Walker struct {
+	delim  byte
+	sorted []int   // unique requested attributes, ascending
+	dup    [][]int // dup[i]: every index into cols that asks for sorted[i]
+	fields []FieldRef
 }
 
-func newTokenizer(delim byte, cols []int) *tokenizer {
-	t := &tokenizer{delim: delim, cols: cols, all: cols == nil}
-	if t.all {
-		return t
-	}
+// NewWalker returns a walker for cols: 0-based attribute indices in any
+// order, duplicates allowed. Walk returns the fields ordered like cols.
+func NewWalker(delim byte, cols []int) *Walker {
+	t := &Walker{delim: delim, fields: make([]FieldRef, len(cols))}
 	// Build the ascending visit order once; duplicate column requests are
 	// supported (each position in cols gets the field).
 	type pair struct{ col, idx int }
@@ -905,77 +952,124 @@ func newTokenizer(delim byte, cols []int) *tokenizer {
 		t.dup = append(t.dup, idxs)
 		i = j
 	}
-	t.fields = make([]FieldRef, len(cols))
 	return t
 }
 
-// row tokenizes one line. lineOff is the absolute file offset of line[0].
-func (t *tokenizer) row(line []byte, lineOff, rowID int64, handler RowHandler, tailH RowTailHandler, abandon AbandonFunc, w *tally) error {
-	if t.all {
-		return t.rowAll(line, lineOff, rowID, handler, tailH, w)
-	}
-	fieldIdx := 0 // current attribute index in the row
-	off := 0
-	attrs := int64(0)
-	lastEnd := 0 // index just past the last requested field
+// Walk locates the walker's attributes in line, whose first byte sits at
+// file offset lineOff; rowID only labels errors. It returns the fields
+// ordered like cols and the number of attributes tokenized to reach them.
+// The fields alias line and the walker until the next Walk.
+func (t *Walker) Walk(line []byte, lineOff, rowID int64) ([]FieldRef, int64, error) {
+	attrs, _, _, err := t.walk(line, lineOff, rowID, nil)
+	return t.fields, attrs, err
+}
+
+// walk is Walk with early abandonment: abandon, when non-nil, sees each
+// located attribute in file order, and dropped reports that it gave up on
+// the row. end is the index just past the last requested attribute.
+func (t *Walker) walk(line []byte, lineOff, rowID int64, abandon AbandonFunc) (attrs int64, end int, dropped bool, err error) {
+	at, off := 0, 0 // attribute `at` starts at line[off]
 	for si, want := range t.sorted {
-		// Advance to attribute `want`, tokenizing (skipping) intermediate
-		// attributes. This is the cost the paper's §4.1.2 complains
-		// about: locating attribute k requires tokenizing the k-1 before
-		// it.
-		for fieldIdx < want {
-			i := bytes.IndexByte(line[off:], t.delim)
-			if i < 0 {
-				return fmt.Errorf("scan: row %d has %d attributes, need index %d", rowID, fieldIdx+1, want)
+		if k := want - at; k > 0 {
+			next, n := skipDelims(line, off, k, t.delim)
+			attrs += int64(n)
+			if n < k {
+				return attrs, 0, false, fmt.Errorf("scan: row %d has %d attributes, need index %d", rowID, at+n+1, want)
 			}
-			off += i + 1
-			fieldIdx++
-			attrs++
+			at, off = want, next
 		}
-		end := bytes.IndexByte(line[off:], t.delim)
-		var fb []byte
+		end = bytes.IndexByte(line[off:], t.delim)
 		if end < 0 {
-			fb = line[off:]
-			lastEnd = len(line)
+			end = len(line)
 		} else {
-			fb = line[off : off+end]
-			lastEnd = off + end
+			end += off
 		}
 		attrs++
-		fr := FieldRef{Bytes: fb, Offset: lineOff + int64(off)}
+		fr := FieldRef{Bytes: line[off:end], Offset: lineOff + int64(off)}
 		for _, ci := range t.dup[si] {
 			t.fields[ci] = fr
-		}
-		if abandon != nil {
-			for _, ci := range t.dup[si] {
-				if abandon(ci, fr) {
-					w.attrs += attrs
-					w.abandoned++
-					return nil
-				}
+			if abandon != nil && abandon(ci, fr) {
+				return attrs, end, true, nil
 			}
 		}
-		// Position after this field for the next sorted column.
-		if end >= 0 && si+1 < len(t.sorted) {
-			off += end + 1
-			fieldIdx++
-		} else if end < 0 && si+1 < len(t.sorted) {
-			return fmt.Errorf("scan: row %d ended before attribute %d", rowID, t.sorted[si+1])
+		if si+1 < len(t.sorted) {
+			if end == len(line) {
+				return attrs, 0, false, fmt.Errorf("scan: row %d has %d attributes, need index %d", rowID, at+1, t.sorted[si+1])
+			}
+			at, off = at+1, end+1
 		}
 	}
+	return attrs, end, false, nil
+}
+
+// row tokenizes one line for a scan. lineOff is the absolute file offset
+// of line[0].
+func (t *Walker) row(line []byte, lineOff, rowID int64, handler RowHandler, tailH RowTailHandler, abandon AbandonFunc, w *tally) error {
+	attrs, end, dropped, err := t.walk(line, lineOff, rowID, abandon)
+	if err != nil {
+		return err
+	}
 	w.attrs += attrs
+	if dropped {
+		w.abandoned++
+		return nil
+	}
 	if tailH != nil {
-		tail := FieldRef{Bytes: nil, Offset: lineOff + int64(len(line))}
-		if lastEnd < len(line) { // line[lastEnd] is the delimiter
-			tail = FieldRef{Bytes: line[lastEnd+1:], Offset: lineOff + int64(lastEnd) + 1}
+		tail := FieldRef{Offset: lineOff + int64(len(line))}
+		if end < len(line) { // line[end] is the delimiter
+			tail = FieldRef{Bytes: line[end+1:], Offset: lineOff + int64(end) + 1}
 		}
 		return tailH(rowID, t.fields, tail)
 	}
 	return handler(rowID, t.fields)
 }
 
-// rowAll tokenizes every attribute of the line.
-func (t *tokenizer) rowAll(line []byte, lineOff, rowID int64, handler RowHandler, tailH RowTailHandler, w *tally) error {
+// skipDelims returns the index just past the k-th delimiter d at or after
+// line[off], and k; when the line holds fewer, it returns len(line) and
+// how many it found. It tests eight bytes per step: XOR with d in every
+// byte zeroes exactly the bytes equal to d; adding 0x7f to each byte's low
+// seven bits (no carry crosses a byte) and OR-ing the byte back sets the
+// high bit of every nonzero byte, so the complement's high bits mark
+// exactly the delimiters, with no false positive on bytes >= 0x80.
+// OnesCount64 skips a word's delimiters at once; TrailingZeros64 lands on
+// the k-th.
+func skipDelims(line []byte, off, k int, d byte) (int, int) {
+	if k <= 0 {
+		return off, 0
+	}
+	const lo7 = 0x7f7f7f7f7f7f7f7f
+	pat := 0x0101010101010101 * uint64(d)
+	n := 0
+	for ; off+8 <= len(line); off += 8 {
+		x := binary.LittleEndian.Uint64(line[off:]) ^ pat
+		m := ^((x&lo7 + lo7) | x) &^ lo7
+		if c := bits.OnesCount64(m); n+c < k {
+			n += c
+			continue
+		}
+		for ; n+1 < k; n++ {
+			m &= m - 1 // drop a delimiter before the k-th
+		}
+		return off + bits.TrailingZeros64(m)>>3 + 1, k
+	}
+	for ; off < len(line); off++ {
+		if line[off] == d {
+			if n++; n == k {
+				return off + 1, k
+			}
+		}
+	}
+	return len(line), n
+}
+
+// allTokenizer locates every attribute of a row: ScanColumns with nil
+// cols, where the row itself decides how many fields it has.
+type allTokenizer struct {
+	delim  byte
+	fields []FieldRef
+}
+
+func (t *allTokenizer) row(line []byte, lineOff, rowID int64, handler RowHandler, tailH RowTailHandler, _ AbandonFunc, w *tally) error {
 	t.fields = t.fields[:0]
 	off := 0
 	for {
@@ -992,54 +1086,4 @@ func (t *tokenizer) rowAll(line []byte, lineOff, rowID int64, handler RowHandler
 		return tailH(rowID, t.fields, FieldRef{Offset: lineOff + int64(len(line))})
 	}
 	return handler(rowID, t.fields)
-}
-
-// ReadRowAt tokenizes the single row that starts at byte offset rowOff.
-// It is used by positional-map guided access: when the map knows where a
-// row (or attribute) begins, the engine can jump straight to it instead of
-// scanning from the start of the file. cols follows ScanColumns semantics.
-func (s *Scanner) ReadRowAt(rowOff int64, rowID int64, cols []int, handler RowHandler) error {
-	if err := s.opts.canceled(); err != nil {
-		return err
-	}
-	f, err := s.opts.fs().Open(s.path)
-	if err != nil {
-		return errs.Wrap(errs.ErrRawIO, "scan open", s.path, err)
-	}
-	defer f.Close()
-	// Read forward until a full line is available.
-	bufSize := 4096
-	var line []byte
-	for {
-		buf := make([]byte, bufSize)
-		m, err := f.ReadAt(buf, rowOff)
-		if m == 0 && err != nil {
-			if err == io.EOF {
-				break
-			}
-			return errs.Wrap(errs.ErrRawIO, "scan read", s.path, err)
-		}
-		if s.opts.Counters != nil {
-			s.opts.Counters.AddRawBytesRead(int64(m))
-		}
-		if i := bytes.IndexByte(buf[:m], '\n'); i >= 0 {
-			line = buf[:i]
-			break
-		}
-		if err == io.EOF {
-			line = buf[:m]
-			break
-		}
-		bufSize *= 2
-	}
-	if len(line) > 0 && line[len(line)-1] == '\r' {
-		line = line[:len(line)-1]
-	}
-	w := tally{rows: 1}
-	defer w.flush(s.opts.Counters)
-	tok, err := s.opts.newRowTokenizer(cols)
-	if err != nil {
-		return err
-	}
-	return tok.row(line, rowOff, rowID, handler, nil, nil, &w)
 }

@@ -272,38 +272,57 @@ func TestScanCountersBytes(t *testing.T) {
 	}
 }
 
-func TestReadRowAt(t *testing.T) {
-	path := writeFile(t, "10,20,30\n40,50,60\n")
-	sc, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
+// TestSkipDelims checks the word-at-a-time delimiter skip against a plain
+// byte loop: every start offset and count, over lines whose delimiters sit
+// at and across word edges, in long runs, next to bytes >= 0x80 (0xac is
+// ',' with the high bit set) and above d^1 ('-' for ',', '}' for '|'),
+// where a borrowing zero-byte test reports false delimiters.
+func TestSkipDelims(t *testing.T) {
+	naive := func(line []byte, off, k int, d byte) (int, int) {
+		n := 0
+		for i := off; i < len(line); i++ {
+			if line[i] == d {
+				if n++; n == k {
+					return i + 1, n
+				}
+			}
+		}
+		return len(line), n
 	}
-	var got string
-	err = sc.ReadRowAt(9, 1, []int{1}, func(rowID int64, fields []FieldRef) error {
-		got = string(fields[0].Bytes)
-		return nil
-	})
-	if err != nil {
-		t.Fatal(err)
+	lines := []string{
+		"",
+		",",
+		"abcdefg,h",
+		"abcdefgh,",
+		"abcdefg,abcdefgh,abcdefghi,",
+		",,,,,,,,,,,,,,,,,,,",
+		"\x80,\xff,\xac\xac,,\xff\x80|\xfc,",
+		"1234567|1234567|1234567|",
+		",-,-,-,-,-,-,-,-",
+		"|}|}}|}}}|",
 	}
-	if got != "50" {
-		t.Errorf("ReadRowAt field = %q, want 50", got)
+	r := rand.New(rand.NewSource(1))
+	alphabet := []byte{',', '|', '-', '}', 'a', 0x80, 0x81, 0xff, 0xac, 0xfc}
+	for i := 0; i < 200; i++ {
+		b := make([]byte, r.Intn(40))
+		for j := range b {
+			b[j] = alphabet[r.Intn(len(alphabet))]
+		}
+		lines = append(lines, string(b))
 	}
-}
-
-func TestReadRowAtLastRowNoNewline(t *testing.T) {
-	path := writeFile(t, "1,2\n3,4")
-	sc, err := Open(path, Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var got string
-	err = sc.ReadRowAt(4, 1, []int{1}, func(rowID int64, fields []FieldRef) error {
-		got = string(fields[0].Bytes)
-		return nil
-	})
-	if err != nil || got != "4" {
-		t.Errorf("got %q, err %v; want 4", got, err)
+	for _, s := range lines {
+		line := []byte(s)
+		for _, d := range []byte{',', '|', 0x80} {
+			for off := 0; off <= len(line); off++ {
+				for k := 1; k <= len(line)-off+1; k++ {
+					gotPos, gotN := skipDelims(line, off, k, d)
+					wantPos, wantN := naive(line, off, k, d)
+					if gotPos != wantPos || gotN != wantN {
+						t.Fatalf("skipDelims(%q, %d, %d, %q) = %d, %d; want %d, %d", line, off, k, d, gotPos, gotN, wantPos, wantN)
+					}
+				}
+			}
+		}
 	}
 }
 

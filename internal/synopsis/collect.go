@@ -95,48 +95,67 @@ func (c *Collector) Begin(p scan.PortionInfo) *PortionAcc {
 // Observe records one parsed value for column position idx (an index into
 // the collector's cols). Each (row, column) pair must be observed at most
 // once — coverage is judged by comparing observation counts to the
-// portion's row count.
+// portion's row count. Loaders that parse straight into typed columns call
+// the typed ObserveInt/ObserveFloat/ObserveString instead.
 func (a *PortionAcc) Observe(idx int, v storage.Value) {
 	if a == nil {
 		return
 	}
-	ca := &a.b[idx]
 	switch a.types[idx] {
 	case schema.Int64:
-		if ca.n == 0 {
-			ca.minI, ca.maxI = v.I, v.I
-		} else {
-			if v.I < ca.minI {
-				ca.minI = v.I
-			}
-			if v.I > ca.maxI {
-				ca.maxI = v.I
-			}
-		}
+		a.ObserveInt(idx, v.I)
 	case schema.Float64:
-		if v.F != v.F { // NaN poisons ordering; drop the column's bounds
-			ca.bad = true
-		} else if ca.n == 0 {
-			ca.minF, ca.maxF = v.F, v.F
-		} else {
-			if v.F < ca.minF {
-				ca.minF = v.F
-			}
-			if v.F > ca.maxF {
-				ca.maxF = v.F
-			}
-		}
+		a.ObserveFloat(idx, v.F)
 	default:
-		if ca.n == 0 {
-			ca.minS, ca.maxS = v.S, v.S
-		} else {
-			if v.S < ca.minS {
-				ca.minS = v.S
-			}
-			if v.S > ca.maxS {
-				ca.maxS = v.S
-			}
+		a.ObserveString(idx, v.S)
+	}
+}
+
+// ObserveInt is Observe for an Int64 column.
+func (a *PortionAcc) ObserveInt(idx int, v int64) {
+	if a == nil {
+		return
+	}
+	ca := &a.b[idx]
+	if ca.n == 0 || v < ca.minI {
+		ca.minI = v
+	}
+	if ca.n == 0 || v > ca.maxI {
+		ca.maxI = v
+	}
+	ca.n++
+}
+
+// ObserveFloat is Observe for a Float64 column.
+func (a *PortionAcc) ObserveFloat(idx int, v float64) {
+	if a == nil {
+		return
+	}
+	ca := &a.b[idx]
+	if v != v { // NaN poisons ordering; drop the column's bounds
+		ca.bad = true
+	} else {
+		if ca.n == 0 || v < ca.minF {
+			ca.minF = v
 		}
+		if ca.n == 0 || v > ca.maxF {
+			ca.maxF = v
+		}
+	}
+	ca.n++
+}
+
+// ObserveString is Observe for a String column.
+func (a *PortionAcc) ObserveString(idx int, v string) {
+	if a == nil {
+		return
+	}
+	ca := &a.b[idx]
+	if ca.n == 0 || v < ca.minS {
+		ca.minS = v
+	}
+	if ca.n == 0 || v > ca.maxS {
+		ca.maxS = v
 	}
 	ca.n++
 }
