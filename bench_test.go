@@ -486,6 +486,22 @@ func BenchmarkBatchPipeline(b *testing.B) {
 	}
 }
 
+// BenchmarkHotMix cycles the five hot-serve statement shapes (hotmix_test.go)
+// over a warm 300k-row table, a distinct statement per op: the filter,
+// group-by and top-k paths at memory speed, plus parse and plan.
+func BenchmarkHotMix(b *testing.B) {
+	const rows = 300_000
+	db := openHot(b, rows)
+	defer db.Close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := db.QueryContext(context.Background(), hotShapes[i%len(hotShapes)].sql(rows, i)); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 // --- NDJSON benchmarks: in-situ scans over newline-delimited JSON ---
 
 // ndjsonBenchTable writes rows of {"a1":...,...} with aCols integer

@@ -158,7 +158,10 @@ func (e *Engine) buildPipeline(ctx context.Context, p *plan.Plan) (exec.Operator
 	default:
 		root = exec.NewProjectOp(root, p.Project)
 	}
-	if len(p.OrderBy) > 0 {
+	switch {
+	case len(p.OrderBy) > 0 && p.Limit >= 0:
+		root = exec.NewTopKOp(root, p.OrderBy, len(p.Output), p.Limit, size)
+	case len(p.OrderBy) > 0:
 		root = exec.NewSortOp(root, p.OrderBy, len(p.Output), size)
 	}
 	root = exec.NewLimitOp(root, p.Limit)
@@ -310,7 +313,10 @@ func describePipeline(p *plan.Plan, batchSize int) string {
 	default:
 		tree = fmt.Sprintf("Project(%v)\n%s", p.Project, indent(tree))
 	}
-	if len(p.OrderBy) > 0 {
+	switch {
+	case len(p.OrderBy) > 0 && p.Limit >= 0:
+		tree = fmt.Sprintf("TopK(%d %v)\n%s", p.Limit, p.OrderBy, indent(tree))
+	case len(p.OrderBy) > 0:
 		tree = fmt.Sprintf("Sort(%v)\n%s", p.OrderBy, indent(tree))
 	}
 	if p.Limit < 0 {

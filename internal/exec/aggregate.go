@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"strings"
 
 	"nodb/internal/schema"
 	"nodb/internal/sql"
@@ -113,81 +112,6 @@ func Aggregate(v *View, specs []AggSpec) ([]storage.Value, error) {
 	out := make([]storage.Value, len(states))
 	for i, st := range states {
 		out[i] = st.result()
-	}
-	return out, nil
-}
-
-// GroupBy groups the view by the key columns and computes the aggregates
-// per group. The output rows hold the key values first (in keys order),
-// then the aggregate results; groups come out in first-appearance order.
-func GroupBy(v *View, keys []ColKey, specs []AggSpec) ([][]storage.Value, error) {
-	for _, k := range keys {
-		if v.Col(k) == nil {
-			return nil, fmt.Errorf("exec: group key %v not in view", k)
-		}
-	}
-	type group struct {
-		keyVals []storage.Value
-		states  []*aggState
-	}
-	groups := map[string]*group{}
-	var order []string
-
-	mkStates := func() ([]*aggState, error) {
-		states := make([]*aggState, len(specs))
-		for i, s := range specs {
-			typ := schema.Int64
-			if !s.Star {
-				c := v.Col(s.Col)
-				if c == nil {
-					return nil, fmt.Errorf("exec: aggregate column %v not in view", s.Col)
-				}
-				typ = c.Typ
-			}
-			states[i] = newAggState(s, typ)
-		}
-		return states, nil
-	}
-
-	n := v.Len()
-	var kb strings.Builder
-	for i := 0; i < n; i++ {
-		kb.Reset()
-		keyVals := make([]storage.Value, len(keys))
-		for j, k := range keys {
-			keyVals[j] = v.Value(k, i)
-			kb.WriteString(keyVals[j].String())
-			kb.WriteByte('\x00')
-		}
-		gk := kb.String()
-		g := groups[gk]
-		if g == nil {
-			states, err := mkStates()
-			if err != nil {
-				return nil, err
-			}
-			g = &group{keyVals: keyVals, states: states}
-			groups[gk] = g
-			order = append(order, gk)
-		}
-		for _, st := range g.states {
-			if st.spec.Star {
-				st.count++
-				continue
-			}
-			st.add(v.Value(st.spec.Col, i))
-		}
-	}
-
-	out := make([][]storage.Value, 0, len(order))
-	for _, gk := range order {
-		g := groups[gk]
-		row := make([]storage.Value, 0, len(keys)+len(specs))
-		row = append(row, g.keyVals...)
-		for _, st := range g.states {
-			row = append(row, st.result())
-		}
-		out = append(out, row)
 	}
 	return out, nil
 }

@@ -30,9 +30,15 @@ func OutKey(i int) ColKey { return ColKey{Tab: OutTab, Col: i} }
 
 // Batch is a column-oriented packet of rows flowing between operators.
 // The vectors hold N positions; Sel, when non-nil, lists the positions
-// that are still alive (ascending). Filters shrink Sel instead of copying
-// survivors — the batch's vectors are immutable windows shared with
-// upstream operators and must never be written through.
+// that are still alive (ascending). Filters record survivors in a Sel of
+// their own instead of copying values.
+//
+// A batch belongs to the operator that produced it: it is valid until
+// that producer's next Next or Close, which may reuse its shell, column
+// map, selection vector and vectors for the following batch. A consumer
+// never writes through a batch it received, and one that keeps rows past
+// its child's next Next copies them (join builds, group-by keys, sorts and
+// the cursor drain all do).
 type Batch struct {
 	N    int
 	Sel  []int32
@@ -58,7 +64,8 @@ type OpStats struct {
 
 // Operator is one node of the vectorized pipeline. Next returns the next
 // batch, or (nil, nil) at end of stream; batches never have zero live
-// rows. Close releases resources early (a limit cutting off a raw scan);
+// rows, and each stays valid only until the following Next or Close (see
+// Batch). Close releases resources early (a limit cutting off a raw scan);
 // it must be idempotent. Stats reports batches/rows emitted so far —
 // Explain renders them per node after execution.
 type Operator interface {
@@ -105,18 +112,72 @@ func newColMap(n int) map[ColKey]*storage.DenseColumn {
 	return make(map[ColKey]*storage.DenseColumn, n)
 }
 
-// window returns a zero-copy view of col's positions [lo, hi).
-func window(col *storage.DenseColumn, lo, hi int) *storage.DenseColumn {
-	w := &storage.DenseColumn{Typ: col.Typ}
-	switch col.Typ {
-	case schema.Int64:
-		w.Ints = col.Ints[lo:hi]
-	case schema.Float64:
-		w.Floats = col.Floats[lo:hi]
-	default:
-		w.Strs = col.Strs[lo:hi]
+// windows emits positions [0, n) of a fixed set of columns as zero-copy
+// windows of size rows through one reused batch: the shell, its column
+// map and the window headers are allocated once, so emitting costs no
+// allocation per batch.
+type windows struct {
+	b            Batch
+	srcs         []*storage.DenseColumn
+	wins         []storage.DenseColumn
+	pos, n, size int
+}
+
+func newWindows(keys []ColKey, srcs []*storage.DenseColumn, n, size int) *windows {
+	if size <= 0 {
+		size = DefaultBatchSize
+	}
+	w := &windows{b: Batch{Cols: newColMap(len(keys))}, srcs: srcs, wins: make([]storage.DenseColumn, len(srcs)), n: n, size: size}
+	for j, k := range keys {
+		w.wins[j].Typ = srcs[j].Typ
+		w.b.Cols[k] = &w.wins[j]
 	}
 	return w
+}
+
+// next returns the following window, or nil once all n positions are out.
+func (w *windows) next() *Batch {
+	if w.pos >= w.n {
+		return nil
+	}
+	lo := w.pos
+	w.pos = min(lo+w.size, w.n)
+	for j, c := range w.srcs {
+		switch win := &w.wins[j]; c.Typ {
+		case schema.Int64:
+			win.Ints = c.Ints[lo:w.pos]
+		case schema.Float64:
+			win.Floats = c.Floats[lo:w.pos]
+		default:
+			win.Strs = c.Strs[lo:w.pos]
+		}
+	}
+	w.b.N, w.b.Sel = w.pos-lo, nil
+	return &w.b
+}
+
+// liveRows returns b's live positions: b.Sel, or 0..N-1 for a dense batch,
+// taken from the caller's identity buffer ident (grown as needed).
+func liveRows(b *Batch, ident *[]int32) []int32 {
+	if b.Sel != nil {
+		return b.Sel
+	}
+	for i := len(*ident); i < b.N; i++ {
+		*ident = append(*ident, int32(i))
+	}
+	return (*ident)[:b.N]
+}
+
+// appendAt appends src's value at position i to dst (same type).
+func appendAt(dst, src *storage.DenseColumn, i int) {
+	switch src.Typ {
+	case schema.Int64:
+		dst.Ints = append(dst.Ints, src.Ints[i])
+	case schema.Float64:
+		dst.Floats = append(dst.Floats, src.Floats[i])
+	default:
+		dst.Strs = append(dst.Strs, src.Strs[i])
+	}
 }
 
 // appendSelected appends the live positions of src (per sel) to dst.

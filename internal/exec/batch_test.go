@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"fmt"
 	"math/rand"
 	"strings"
 	"testing"
@@ -47,6 +48,101 @@ func viewRows(v *View, cols []ColKey) [][]storage.Value {
 		for j, k := range cols {
 			out[i][j] = v.Value(k, i)
 		}
+	}
+	return out
+}
+
+// drainRows pulls op to exhaustion and flattens its output-keyed batches
+// into result rows of the given arity, copied out of each batch before the
+// next pull. The rows of a batch share one backing array.
+func drainRows(op Operator, arity int) ([][]storage.Value, error) {
+	var out [][]storage.Value
+	var ident []int32
+	cols := make([]*storage.DenseColumn, arity)
+	for {
+		b, err := op.Next()
+		if err != nil || b == nil {
+			return out, err
+		}
+		for j := range cols {
+			if cols[j] = b.Cols[OutKey(j)]; cols[j] == nil {
+				return nil, fmt.Errorf("output column %d not in batch", j)
+			}
+		}
+		flat := make([]storage.Value, b.Rows()*arity)
+		for r, i := range liveRows(b, &ident) {
+			row := flat[r*arity : (r+1)*arity : (r+1)*arity]
+			for j, c := range cols {
+				row[j] = c.Value(int(i))
+			}
+			out = append(out, row)
+		}
+	}
+}
+
+// groupRows runs GroupByOp over every row of v, laying each output row out
+// as the key values, then the aggregate results.
+func groupRows(v *View, keys []ColKey, specs []AggSpec) ([][]storage.Value, error) {
+	return groupRowsBatched(v, keys, specs, 0)
+}
+
+func groupRowsBatched(v *View, keys []ColKey, specs []AggSpec, size int) ([][]storage.Value, error) {
+	var slots []OutSlot
+	for i := range keys {
+		slots = append(slots, OutSlot{Idx: i})
+	}
+	for i := range specs {
+		slots = append(slots, OutSlot{Agg: true, Idx: i})
+	}
+	return drainRows(NewGroupByOp(NewViewScan(v, size), keys, specs, slots, keys, size), len(slots))
+}
+
+// refGroupBy is the row-at-a-time reference for GroupByOp: groups keyed by
+// the values' rendered form in first-appearance order, aggregates through
+// aggState.
+func refGroupBy(v *View, keys []ColKey, specs []AggSpec) [][]storage.Value {
+	type group struct {
+		keys   []storage.Value
+		states []*aggState
+	}
+	index := map[string]*group{}
+	var order []*group
+	for i := 0; i < v.Len(); i++ {
+		var kb strings.Builder
+		for _, k := range keys {
+			fmt.Fprintf(&kb, "%d:%s", len(v.Value(k, i).String()), v.Value(k, i).String())
+		}
+		g := index[kb.String()]
+		if g == nil {
+			g = &group{}
+			for _, k := range keys {
+				g.keys = append(g.keys, v.Value(k, i))
+			}
+			for _, s := range specs {
+				typ := schema.Int64
+				if !s.Star {
+					typ = v.Col(s.Col).Typ
+				}
+				g.states = append(g.states, newAggState(s, typ))
+			}
+			index[kb.String()] = g
+			order = append(order, g)
+		}
+		for _, st := range g.states {
+			if st.spec.Star {
+				st.count++
+				continue
+			}
+			st.add(v.Value(st.spec.Col, i))
+		}
+	}
+	var out [][]storage.Value
+	for _, g := range order {
+		row := append([]storage.Value(nil), g.keys...)
+		for _, st := range g.states {
+			row = append(row, st.result())
+		}
+		out = append(out, row)
 	}
 	return out
 }
@@ -113,7 +209,7 @@ func TestPipelineMatchesSelectDense(t *testing.T) {
 	for _, size := range []int{1, 7, 256, 1024, 5000} {
 		scan := mustDenseScan(t, src, 0, []int{0, 1}, size)
 		p := NewProjectOp(NewFilterOp(scan, 0, conj), proj)
-		got, err := DrainRows(p, len(proj))
+		got, err := drainRows(p, len(proj))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -165,7 +261,7 @@ func TestAggOpMatchesAggregate(t *testing.T) {
 		}
 		scan := mustDenseScan(t, src, 0, []int{0, 1}, 128)
 		agg := NewAggOp(NewFilterOp(scan, 0, conj), specs, out)
-		got, err := DrainRows(agg, len(specs))
+		got, err := drainRows(agg, len(specs))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -173,41 +269,60 @@ func TestAggOpMatchesAggregate(t *testing.T) {
 	}
 }
 
+// TestGroupByOpMatchesGroupBy holds the typed group-by to a row-at-a-time
+// reference (refGroupBy) for every key shape — one int, float or string
+// key, and two keys — with every aggregate over int, float and string
+// columns, at batch sizes around and across the group count.
 func TestGroupByOpMatchesGroupBy(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	const n = 600
-	keys := make([]int64, n)
-	vals := make([]int64, n)
-	for i := range keys {
-		keys[i] = rng.Int63n(12)
-		vals[i] = rng.Int63n(100)
+	v := NewView()
+	ik := storage.NewDense(schema.Int64, n)
+	fk := storage.NewDense(schema.Float64, n)
+	sk := storage.NewDense(schema.String, n)
+	iv := storage.NewDense(schema.Int64, n)
+	fv := storage.NewDense(schema.Float64, n)
+	for i := 0; i < n; i++ {
+		ik.Append(storage.IntValue(rng.Int63n(12) - 6))
+		fk.Append(storage.FloatValue(float64(rng.Int63n(7)) / 4))
+		sk.Append(storage.StringValue([]string{"", "a", "ab", "b", "a\x00"}[rng.Intn(5)]))
+		iv.Append(storage.IntValue(rng.Int63n(100) - 50))
+		fv.Append(storage.FloatValue(float64(rng.Int63n(1000)) / 8))
 	}
-	src := mkSource(map[int][]int64{0: keys, 1: vals})
-	gkeys := []ColKey{{0, 0}}
-	specs := []AggSpec{
-		{Kind: sql.AggSum, Col: ColKey{0, 1}},
-		{Kind: sql.AggCount, Star: true},
+	for c, col := range []*storage.DenseColumn{ik, fk, sk, iv, fv} {
+		v.AddCol(ColKey{0, c}, col)
 	}
-	// Select list: sum(c1), c0, count(*) — exercises slot reordering.
+	var specs []AggSpec
+	for _, kind := range []sql.AggKind{sql.AggSum, sql.AggAvg, sql.AggMin, sql.AggMax, sql.AggCount} {
+		for c := 2; c < 5; c++ {
+			if c == 2 && (kind == sql.AggSum || kind == sql.AggAvg) {
+				continue // the planner rejects sum/avg over strings
+			}
+			specs = append(specs, AggSpec{Kind: kind, Col: ColKey{0, c}})
+		}
+	}
+	specs = append(specs, AggSpec{Kind: sql.AggCount, Star: true})
+
+	for _, keys := range [][]ColKey{{{0, 0}}, {{0, 1}}, {{0, 2}}, {{0, 0}, {0, 2}}, {{0, 1}, {0, 0}}} {
+		want := refGroupBy(v, keys, specs)
+		for _, size := range []int{1, 5, 64, 1024} {
+			got, err := groupRowsBatched(v, keys, specs, size)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rowsEqual(t, got, want)
+		}
+	}
+
+	// Select list sum(c3), c0, count(*): slots reorder keys and aggregates.
 	slots := []OutSlot{{Agg: true, Idx: 0}, {Agg: false, Idx: 0}, {Agg: true, Idx: 1}}
-	proj := []ColKey{{0, 0}}
-
-	v, err := SelectDense(src, expr.Conjunction{}, []int{0, 1}, 0)
-	if err != nil {
-		t.Fatal(err)
+	gspecs := []AggSpec{{Kind: sql.AggSum, Col: ColKey{0, 3}}, {Kind: sql.AggCount, Star: true}}
+	var want [][]storage.Value
+	for _, r := range refGroupBy(v, []ColKey{{0, 0}}, gspecs) {
+		want = append(want, []storage.Value{r[1], r[0], r[2]})
 	}
-	legacy, err := GroupBy(v, gkeys, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([][]storage.Value, len(legacy))
-	for i, r := range legacy {
-		want[i] = []storage.Value{r[1], r[0], r[2]}
-	}
-
-	scan := mustDenseScan(t, src, 0, []int{0, 1}, 64)
-	g := NewGroupByOp(scan, gkeys, specs, slots, proj, 5)
-	got, err := DrainRows(g, 3)
+	g := NewGroupByOp(NewViewScan(v, 64), []ColKey{{0, 0}}, gspecs, slots, []ColKey{{0, 0}}, 5)
+	got, err := drainRows(g, 3)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -220,7 +335,7 @@ func TestGroupByOpEmptyInput(t *testing.T) {
 	f := NewFilterOp(scan, 0, expr.Conjunction{Preds: []expr.Pred{intPred(0, expr.Gt, 99)}})
 	g := NewGroupByOp(f, []ColKey{{0, 0}}, []AggSpec{{Kind: sql.AggCount, Star: true}},
 		[]OutSlot{{Agg: false, Idx: 0}, {Agg: true, Idx: 0}}, []ColKey{{0, 0}}, 0)
-	rows, err := DrainRows(g, 2)
+	rows, err := drainRows(g, 2)
 	if err != nil || len(rows) != 0 {
 		t.Fatalf("empty group-by = %d rows (%v), want 0", len(rows), err)
 	}
@@ -260,7 +375,7 @@ func TestHashJoinOpMatchesHashJoin(t *testing.T) {
 		ls := mustDenseScan(t, lsrc, 0, []int{0, 1}, 97)
 		rs := mustDenseScan(t, rsrc, 1, []int{0, 1}, 97)
 		j := NewHashJoinOp(ls, rs, ColKey{0, 0}, ColKey{1, 0}, 128)
-		got, err := DrainRows(NewProjectOp(j, proj), len(proj))
+		got, err := drainRows(NewProjectOp(j, proj), len(proj))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -304,11 +419,24 @@ func TestSortOpAndLimitOp(t *testing.T) {
 
 	scan := mustDenseScan(t, src, 0, []int{0, 1}, 33)
 	top := NewLimitOp(NewSortOp(NewProjectOp(scan, proj), sortKeys, 2, 9), 17)
-	got, err := DrainRows(top, 2)
+	got, err := drainRows(top, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	rowsEqual(t, got, want)
+
+	// The bounded heap keeps exactly the stable sort's first k rows, ties
+	// (40 key values over 500 rows) in arrival order.
+	all := viewRows(v, proj)
+	SortRows(all, sortKeys)
+	for _, k := range []int{0, 1, 17, 499, 500, 1000} {
+		heap := NewTopKOp(NewProjectOp(mustDenseScan(t, src, 0, []int{0, 1}, 33), proj), sortKeys, 2, k, 9)
+		got, err := drainRows(heap, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rowsEqual(t, got, LimitRows(all, k))
+	}
 }
 
 // pullCounter wraps an operator, counting pulls and Close calls, to prove
@@ -368,7 +496,7 @@ func TestExplainTreeShape(t *testing.T) {
 	scan := mustDenseScan(t, src, 0, []int{0}, 2)
 	f := NewFilterOp(scan, 0, expr.Conjunction{Preds: []expr.Pred{intPred(0, expr.Gt, 1)}})
 	agg := NewAggOp(f, []AggSpec{{Kind: sql.AggCount, Star: true}}, []int{0})
-	if _, err := DrainRows(agg, 1); err != nil {
+	if _, err := drainRows(agg, 1); err != nil {
 		t.Fatal(err)
 	}
 	tree := ExplainTree(agg)
@@ -397,7 +525,7 @@ func TestDrainRowsAllocs(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		rows, err := DrainRows(NewProjectOp(scan, proj), 2)
+		rows, err := drainRows(NewProjectOp(scan, proj), 2)
 		if err != nil || len(rows) != n {
 			t.Fatalf("drain: %d rows, %v", len(rows), err)
 		}
@@ -432,7 +560,7 @@ func BenchmarkBatchPipeline(b *testing.B) {
 			b.Fatal(err)
 		}
 		agg := NewAggOp(NewFilterOp(scan, 0, conj), specs, []int{0})
-		if _, err := DrainRows(agg, 1); err != nil {
+		if _, err := drainRows(agg, 1); err != nil {
 			b.Fatal(err)
 		}
 	}

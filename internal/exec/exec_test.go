@@ -154,7 +154,7 @@ func TestGroupBy(t *testing.T) {
 		1: {10, 20, 30, 40, 50},
 	})
 	v, _ := SelectDense(src, expr.Conjunction{}, []int{0, 1}, 0)
-	rows, err := GroupBy(v, []ColKey{{0, 0}}, []AggSpec{
+	rows, err := groupRows(v, []ColKey{{0, 0}}, []AggSpec{
 		{Kind: sql.AggSum, Col: ColKey{0, 1}},
 		{Kind: sql.AggCount, Star: true},
 	})
@@ -424,7 +424,7 @@ func TestGroupByStringKeys(t *testing.T) {
 	v.AddCol(ColKey{0, 1}, vals)
 	v.Rows = []int64{0, 1, 2, 3, 4}
 
-	rows, err := GroupBy(v, []ColKey{{0, 0}}, []AggSpec{{Kind: sql.AggSum, Col: ColKey{0, 1}}})
+	rows, err := groupRows(v, []ColKey{{0, 0}}, []AggSpec{{Kind: sql.AggSum, Col: ColKey{0, 1}}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +444,7 @@ func TestGroupByMultipleKeys(t *testing.T) {
 		2: {10, 20, 30, 40, 50},
 	})
 	v, _ := SelectDense(src, expr.Conjunction{}, []int{0, 1, 2}, 0)
-	rows, err := GroupBy(v, []ColKey{{0, 0}, {0, 1}}, []AggSpec{{Kind: sql.AggSum, Col: ColKey{0, 2}}})
+	rows, err := groupRows(v, []ColKey{{0, 0}, {0, 1}}, []AggSpec{{Kind: sql.AggSum, Col: ColKey{0, 2}}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -299,7 +299,7 @@ func runGroupBy(t *testing.T, data [][]storage.Value, keys []ColKey, aggs []AggS
 		v.AddCol(ColKey{Tab: 0, Col: c}, col)
 	}
 	v.Rows = make([]int64, len(data))
-	rows, err := GroupBy(v, keys, aggs)
+	rows, err := groupRows(v, keys, aggs)
 	if err != nil {
 		t.Fatalf("GroupBy: %v", err)
 	}

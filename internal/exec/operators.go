@@ -4,34 +4,34 @@ import (
 	"fmt"
 
 	"nodb/internal/expr"
+	"nodb/internal/schema"
 	"nodb/internal/storage"
 )
 
 // DenseScan emits zero-copy windows over a fully loaded table's dense
-// columns. Nothing is copied: each batch's vectors are subslices of the
-// store's columns, so a full-table scan allocates one small Batch header
-// per ~1024 rows.
+// columns. Nothing is copied and nothing is allocated per batch: every
+// batch is the same reused shell whose vectors are subslices of the
+// store's columns.
 type DenseScan struct {
 	opBase
 	src  DenseSource
 	tab  int
 	cols []int
-	size int
-	pos  int64
+	win  *windows
 }
 
 // NewDenseScan builds a scan of cols (attribute indices) from src under
 // table ordinal tab.
 func NewDenseScan(src DenseSource, tab int, cols []int, batchSize int) (*DenseScan, error) {
-	for _, c := range cols {
-		if src.Columns[c] == nil {
+	keys := make([]ColKey, len(cols))
+	srcs := make([]*storage.DenseColumn, len(cols))
+	for j, c := range cols {
+		if srcs[j] = src.Columns[c]; srcs[j] == nil {
 			return nil, fmt.Errorf("exec: scan column %d not loaded", c)
 		}
+		keys[j] = ColKey{Tab: tab, Col: c}
 	}
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
-	}
-	return &DenseScan{src: src, tab: tab, cols: cols, size: batchSize}, nil
+	return &DenseScan{src: src, tab: tab, cols: cols, win: newWindows(keys, srcs, int(src.NumRows), batchSize)}, nil
 }
 
 func (s *DenseScan) Name() string {
@@ -41,74 +41,59 @@ func (s *DenseScan) Children() []Operator { return nil }
 func (s *DenseScan) Close()               {}
 
 func (s *DenseScan) Next() (*Batch, error) {
-	if s.pos >= s.src.NumRows {
-		return nil, nil
+	b := s.win.next()
+	if b != nil {
+		s.src.countScanBytes(s.cols, int64(b.N))
 	}
-	lo := s.pos
-	hi := lo + int64(s.size)
-	if hi > s.src.NumRows {
-		hi = s.src.NumRows
-	}
-	s.pos = hi
-	out := &Batch{N: int(hi - lo), Cols: newColMap(len(s.cols))}
-	for _, c := range s.cols {
-		out.Cols[ColKey{Tab: s.tab, Col: c}] = window(s.src.Columns[c], int(lo), int(hi))
-	}
-	s.src.countScanBytes(s.cols, hi-lo)
-	return s.observe(out), nil
+	return s.observe(b), nil
 }
 
 // ViewScan emits windows over an already-materialized View (partial loads,
-// cached regions, adaptive-store results). Column keys pass through
-// unchanged.
+// cached regions, adaptive-store results, join output) through one reused
+// batch. Column keys pass through unchanged.
 type ViewScan struct {
 	opBase
-	v    *View
-	size int
-	pos  int
+	v   *View
+	win *windows
 }
 
 func NewViewScan(v *View, batchSize int) *ViewScan {
-	if batchSize <= 0 {
-		batchSize = DefaultBatchSize
+	keys := make([]ColKey, 0, len(v.Cols))
+	srcs := make([]*storage.DenseColumn, 0, len(v.Cols))
+	for k, c := range v.Cols {
+		keys = append(keys, k)
+		srcs = append(srcs, c)
 	}
-	return &ViewScan{v: v, size: batchSize}
+	return &ViewScan{v: v, win: newWindows(keys, srcs, v.Len(), batchSize)}
 }
 
 func (s *ViewScan) Name() string         { return fmt.Sprintf("ViewScan(rows=%d)", s.v.Len()) }
 func (s *ViewScan) Children() []Operator { return nil }
 func (s *ViewScan) Close()               {}
 
-func (s *ViewScan) Next() (*Batch, error) {
-	n := s.v.Len()
-	if s.pos >= n {
-		return nil, nil
-	}
-	lo := s.pos
-	hi := lo + s.size
-	if hi > n {
-		hi = n
-	}
-	s.pos = hi
-	b := &Batch{N: hi - lo, Cols: newColMap(len(s.v.Cols))}
-	for k, c := range s.v.Cols {
-		b.Cols[k] = window(c, lo, hi)
-	}
-	return s.observe(b), nil
-}
+func (s *ViewScan) Next() (*Batch, error) { return s.observe(s.win.next()), nil }
 
-// FilterOp refines each batch's selection vector by a conjunction over
-// table tab's columns. Survivor positions are recorded in Sel — values
-// never move. Batches left with zero survivors are absorbed, not emitted.
+// FilterOp refines each batch's selection by a conjunction over table
+// tab's columns, compiled once for the column types of the first batch.
+// Survivor positions go to a selection vector the operator owns and reuses;
+// values never move and the child's batch is never written. Batches left
+// with zero survivors are absorbed, not emitted.
 type FilterOp struct {
 	opBase
-	child Operator
-	tab   int
-	conj  expr.Conjunction
+	child  Operator
+	tab    int
+	conj   expr.Conjunction
+	filter *expr.Filter
+	in     *Batch // the child's batch being filtered
+	get    func(col int) *storage.DenseColumn
+	sel    []int32
+	out    Batch
 }
 
 func NewFilterOp(child Operator, tab int, conj expr.Conjunction) *FilterOp {
-	return &FilterOp{child: child, tab: tab, conj: conj}
+	f := &FilterOp{child: child, tab: tab, conj: conj}
+	f.get = func(col int) *storage.DenseColumn { return f.in.Cols[ColKey{Tab: f.tab, Col: col}] }
+	return f
 }
 
 func (f *FilterOp) Name() string {
@@ -123,47 +108,54 @@ func (f *FilterOp) Next() (*Batch, error) {
 		if err != nil || b == nil {
 			return nil, err
 		}
-		for _, p := range f.conj.Preds {
-			if b.Cols[ColKey{Tab: f.tab, Col: p.Col}] == nil {
-				return nil, fmt.Errorf("exec: predicate column %d not in batch", p.Col)
+		f.in = b
+		if f.filter == nil {
+			if err := f.compile(); err != nil {
+				return nil, err
 			}
 		}
-		sel := b.Sel
-		dense := sel == nil
-		if dense {
-			// A fresh selection vector per batch: downstream operators may
-			// buffer batches (join build, sort), so scratch reuse would alias.
-			sel = make([]int32, b.N)
-			for i := range sel {
-				sel[i] = int32(i)
-			}
+		if need := max(b.N, len(b.Sel)); cap(f.sel) < need {
+			f.sel = make([]int32, need)
 		}
-		b.Sel = f.conj.FilterBatch(func(col int) *storage.DenseColumn {
-			return b.Cols[ColKey{Tab: f.tab, Col: col}]
-		}, sel)
-		if len(b.Sel) == 0 {
+		sel := f.filter.Apply(f.get, b.N, b.Sel, f.sel[:cap(f.sel)])
+		if len(sel) == 0 {
 			continue
 		}
-		if dense && len(b.Sel) == b.N {
-			// Every row survived a dense batch: restore Sel = nil so
+		if b.Sel == nil && len(sel) == b.N {
+			// Every row of a dense batch survived: keep it dense so
 			// downstream loops run without the indirection.
-			b.Sel = nil
+			sel = nil
 		}
-		return f.observe(b), nil
+		f.out = Batch{N: b.N, Sel: sel, Cols: b.Cols}
+		return f.observe(&f.out), nil
 	}
+}
+
+// compile checks the predicate columns against the first batch and folds
+// the conjunction for their types.
+func (f *FilterOp) compile() error {
+	for _, p := range f.conj.Preds {
+		if f.get(p.Col) == nil {
+			return fmt.Errorf("exec: predicate column %d not in batch", p.Col)
+		}
+	}
+	filter := f.conj.Compile(func(col int) schema.Type { return f.get(col).Typ })
+	f.filter = &filter
+	return nil
 }
 
 // ProjectOp reshapes batches to the select list: output position i aliases
 // the source column keys[i] under OutKey(i). Zero-copy — vectors and the
-// selection vector pass through.
+// selection vector pass through one reused output shell.
 type ProjectOp struct {
 	opBase
 	child Operator
 	keys  []ColKey
+	out   Batch
 }
 
 func NewProjectOp(child Operator, keys []ColKey) *ProjectOp {
-	return &ProjectOp{child: child, keys: keys}
+	return &ProjectOp{child: child, keys: keys, out: Batch{Cols: newColMap(len(keys))}}
 }
 
 func (p *ProjectOp) Name() string         { return fmt.Sprintf("Project(%v)", p.keys) }
@@ -175,25 +167,28 @@ func (p *ProjectOp) Next() (*Batch, error) {
 	if err != nil || b == nil {
 		return nil, err
 	}
-	out := &Batch{N: b.N, Sel: b.Sel, Cols: newColMap(len(p.keys))}
 	for i, k := range p.keys {
 		c := b.Cols[k]
 		if c == nil {
 			return nil, fmt.Errorf("exec: projected column %v not in batch", k)
 		}
-		out.Cols[OutKey(i)] = c
+		p.out.Cols[OutKey(i)] = c
 	}
-	return p.observe(out), nil
+	p.out.N, p.out.Sel = b.N, b.Sel
+	return p.observe(&p.out), nil
 }
 
 // LimitOp truncates the stream after n live rows and closes its child so
 // upstream producers (raw-file scans) stop early. n < 0 means no limit.
+// The child is closed on the pull after the quota is met, once the last
+// batch it produced has been consumed.
 type LimitOp struct {
 	opBase
 	child     Operator
 	remaining int
 	unlimited bool
 	done      bool
+	out       Batch
 }
 
 func NewLimitOp(child Operator, n int) *LimitOp {
@@ -226,24 +221,22 @@ func (l *LimitOp) Next() (*Batch, error) {
 	if l.unlimited {
 		return l.observe(b), nil
 	}
-	if r := b.Rows(); r >= l.remaining {
-		if b.Sel != nil {
-			b.Sel = b.Sel[:l.remaining]
-		} else if b.N > l.remaining {
-			// Truncating a dense batch needs an explicit selection: vectors
-			// are shared windows and must not be re-sliced in place.
-			sel := make([]int32, l.remaining)
-			for i := range sel {
-				sel[i] = int32(i)
-			}
-			b.Sel = sel
-		}
-		l.remaining = 0
-		l.done = true
-		l.child.Close()
-		return l.observe(b), nil
-	} else {
+	r := b.Rows()
+	if r < l.remaining {
 		l.remaining -= r
+		return l.observe(b), nil
 	}
-	return l.observe(b), nil
+	l.out = *b
+	if b.Sel != nil {
+		l.out.Sel = b.Sel[:l.remaining]
+	} else if b.N > l.remaining {
+		// Truncating a dense batch needs an explicit selection: its
+		// vectors are the producer's and must not be re-sliced.
+		l.out.Sel = make([]int32, l.remaining)
+		for i := range l.out.Sel {
+			l.out.Sel[i] = int32(i)
+		}
+	}
+	l.remaining = 0
+	return l.observe(&l.out), nil
 }

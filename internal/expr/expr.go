@@ -171,66 +171,64 @@ func (c Conjunction) String() string {
 
 // IntRange computes the half-open int64 interval implied by all predicates
 // on column col (assumed of type Int64). The boolean reports whether the
-// interval captures the predicates exactly; it is false when a `<>`
-// predicate exists on the column (the range is then an over-approximation
-// and the caller must still evaluate the residual predicate).
+// interval captures the predicates exactly. It is false when a `<>` or a
+// non-integer literal (a1 > 2.5) constrains the column: the range is then
+// an over-approximation and the caller must still evaluate the residual
+// predicates. It is also false when the predicates admit MaxInt64, which no
+// half-open int64 interval contains.
 //
 // With no predicates on the column, the full interval is returned (exact).
 func (c Conjunction) IntRange(col int) (intervals.Interval, bool) {
-	lo, hi := int64(math.MinInt64), int64(math.MaxInt64)
-	exact := true
+	lo, hi, n, ok := c.foldInt(col)
+	exact := n == len(c.OnColumn(col))
+	switch {
+	case n == 0 && exact:
+		return intervals.Interval{Lo: math.MinInt64, Hi: math.MaxInt64}, true
+	case !ok:
+		return intervals.Interval{Lo: lo, Hi: lo}, exact // canonical empty interval
+	}
+	return intervals.Interval{Lo: lo, Hi: satAdd1(hi)}, exact && hi != math.MaxInt64
+}
+
+// foldInt folds every predicate on col that foldable accepts into one
+// closed interval [lo, hi]; n counts the predicates folded. ok is false
+// when they contradict each other, including a bound past the int64 range
+// (a < MinInt64, a > MaxInt64): the interval is then empty, never wrapped.
+func (c Conjunction) foldInt(col int) (lo, hi int64, n int, ok bool) {
+	lo, hi, ok = math.MinInt64, math.MaxInt64, true
 	for _, p := range c.Preds {
-		if p.Col != col {
+		if p.Col != col || !p.foldable() {
 			continue
 		}
-		if p.Val.Typ != schema.Int64 || (p.Between && p.Val2.Typ != schema.Int64) {
-			// A non-integer literal (e.g. a1 > 2.5) is not representable
-			// as an int interval bound; keep the full range and mark it
-			// inexact so callers re-evaluate the predicate.
-			exact = false
-			continue
+		n++
+		plo, phi := p.Val.I, p.Val.I
+		switch {
+		case p.Between:
+			phi = p.Val2.I
+		case p.Op == Lt:
+			ok = ok && phi != math.MinInt64
+			plo, phi = math.MinInt64, phi-1
+		case p.Op == Le:
+			plo = math.MinInt64
+		case p.Op == Gt:
+			ok = ok && plo != math.MaxInt64
+			plo, phi = plo+1, math.MaxInt64
+		case p.Op == Ge:
+			phi = math.MaxInt64
 		}
-		if p.Between {
-			if p.Val.I > lo {
-				lo = p.Val.I
-			}
-			if h := satAdd1(p.Val2.I); h < hi {
-				hi = h
-			}
-			continue
-		}
-		switch p.Op {
-		case Lt:
-			if p.Val.I < hi {
-				hi = p.Val.I
-			}
-		case Le:
-			if h := satAdd1(p.Val.I); h < hi {
-				hi = h
-			}
-		case Gt:
-			if g := satAdd1(p.Val.I); g > lo {
-				lo = g
-			}
-		case Ge:
-			if p.Val.I > lo {
-				lo = p.Val.I
-			}
-		case Eq:
-			if p.Val.I > lo {
-				lo = p.Val.I
-			}
-			if h := satAdd1(p.Val.I); h < hi {
-				hi = h
-			}
-		case Ne:
-			exact = false
-		}
+		lo, hi = max(lo, plo), min(hi, phi)
 	}
-	if hi < lo {
-		hi = lo // canonical empty interval
+	return lo, hi, n, ok && lo <= hi
+}
+
+// foldable reports whether p compares against integer literals with <,
+// <=, >, >=, = or BETWEEN: the predicates an int column folds into one
+// interval. `<>` and non-integer literals stay separate.
+func (p Pred) foldable() bool {
+	if p.Between {
+		return p.Val.Typ == schema.Int64 && p.Val2.Typ == schema.Int64
 	}
-	return intervals.Interval{Lo: lo, Hi: hi}, exact
+	return p.Op != Ne && p.Val.Typ == schema.Int64
 }
 
 // satAdd1 adds one, saturating at MaxInt64.

@@ -116,10 +116,72 @@ func TestIntRangeIgnoresOtherColumns(t *testing.T) {
 	c := Conjunction{Preds: []Pred{
 		{Col: 0, Op: Gt, Val: storage.IntValue(5)},
 		{Col: 1, Op: Lt, Val: storage.IntValue(3)},
+		{Col: 0, Op: Lt, Val: storage.IntValue(9)},
 	}}
 	got, exact := c.IntRange(0)
-	if got.Lo != 6 || got.Hi != math.MaxInt64 || !exact {
+	if got.Lo != 6 || got.Hi != 9 || !exact {
 		t.Errorf("IntRange(0) = %v exact=%v", got, exact)
+	}
+	// Unbounded above, the range admits MaxInt64, which [6, MaxInt64)
+	// leaves out: the range is reported, but not as exact.
+	c.Preds = c.Preds[:2]
+	got, exact = c.IntRange(0)
+	if got.Lo != 6 || got.Hi != math.MaxInt64 || exact {
+		t.Errorf("IntRange(0) = %v exact=%v, want [6, MaxInt64) inexact", got, exact)
+	}
+}
+
+// TestIntRangeAtInt64Edges: bounds at MinInt64/MaxInt64 give an empty range
+// instead of a wrapped one, and no range that admits MaxInt64 is exact.
+func TestIntRangeAtInt64Edges(t *testing.T) {
+	const lo, hi = math.MinInt64, math.MaxInt64
+	p := func(op CmpOp, v int64) Pred { return Pred{Col: 0, Op: op, Val: storage.IntValue(v)} }
+	between := func(a, b int64) Pred {
+		return Pred{Col: 0, Between: true, Val: storage.IntValue(a), Val2: storage.IntValue(b)}
+	}
+	cases := []struct {
+		name  string
+		preds []Pred
+		want  [2]int64
+		exact bool
+		empty bool
+	}{
+		// The closed range [MaxInt64, MaxInt64] saturates to [MaxInt64,
+		// MaxInt64): inexact, so no caller takes it for the empty set.
+		{"eq max", []Pred{p(Eq, hi)}, [2]int64{hi, hi}, false, false},
+		{"ge max", []Pred{p(Ge, hi)}, [2]int64{hi, hi}, false, false},
+		{"gt max", []Pred{p(Gt, hi)}, [2]int64{}, true, true},
+		{"lt min", []Pred{p(Lt, lo)}, [2]int64{}, true, true},
+		{"le min", []Pred{p(Le, lo)}, [2]int64{lo, lo + 1}, true, false},
+		{"ge 5", []Pred{p(Ge, 5)}, [2]int64{5, hi}, false, false},
+		{"lt max", []Pred{p(Lt, hi)}, [2]int64{lo, hi}, true, false},
+		{"le max-1", []Pred{p(Le, hi-1)}, [2]int64{lo, hi}, true, false},
+		{"between to max", []Pred{between(0, hi)}, [2]int64{0, hi}, false, false},
+		{"reversed between", []Pred{between(3, 1)}, [2]int64{}, true, true},
+		{"gt 5 and lt 3", []Pred{p(Gt, 5), p(Lt, 3)}, [2]int64{}, true, true},
+		{"eq and ne", []Pred{p(Eq, 4), p(Ne, 4)}, [2]int64{4, 5}, false, false},
+	}
+	for _, c := range cases {
+		got, exact := Conjunction{Preds: c.preds}.IntRange(0)
+		if c.empty {
+			if !got.Empty() || exact != c.exact {
+				t.Errorf("%s: IntRange = %v exact=%v, want empty exact=%v", c.name, got, exact, c.exact)
+			}
+		} else if exact != c.exact || got.Lo != c.want[0] || got.Hi != c.want[1] {
+			t.Errorf("%s: IntRange = %v exact=%v, want [%d,%d) exact=%v",
+				c.name, got, exact, c.want[0], c.want[1], c.exact)
+		}
+		// Soundness on the edge values themselves: an exact range holds a
+		// value iff the predicates do.
+		if !exact {
+			continue
+		}
+		for _, v := range []int64{lo, lo + 1, -1, 0, 1, 4, 5, hi - 1, hi} {
+			want := Conjunction{Preds: c.preds}.EvalRow(func(int) storage.Value { return storage.IntValue(v) })
+			if got.Contains(v) != want {
+				t.Errorf("%s: Contains(%d) = %v, predicates say %v", c.name, v, got.Contains(v), want)
+			}
+		}
 	}
 }
 

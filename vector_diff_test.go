@@ -239,13 +239,30 @@ func TestVectorExplainTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, want := range []string{"pipeline (batch=1024):", "Limit(3)", "Sort(", "Project(", "Filter(t0 1 preds)", "DenseScan(t0"} {
+	// ORDER BY ... LIMIT k compiles to the bounded heap, under the name the
+	// executed tree gives it too; without a LIMIT it is a full sort.
+	const topK = "TopK(3 [{0 false}])"
+	for _, want := range []string{"pipeline (batch=1024):", "Limit(3)", topK, "Project(", "Filter(t0 1 preds)", "DenseScan(t0"} {
 		if !strings.Contains(plan, want) {
 			t.Errorf("Explain output missing %q:\n%s", want, plan)
 		}
 	}
+	if strings.Contains(plan, "Sort(") {
+		t.Errorf("ORDER BY with LIMIT should not sort everything:\n%s", plan)
+	}
+	if plan, err := db.Explain("select a1 from t order by a1"); err != nil || !strings.Contains(plan, "Sort([{0 false}])") {
+		t.Errorf("ORDER BY without LIMIT: Explain = %v\n%s", err, plan)
+	}
 
-	res, err := db.Query("select a1 from t where a2 < 50")
+	res, err := db.Query("select a1 from t where a2 < 50 order by a1 limit 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(res.Stats.Plan, topK+"  (batches=1 rows=3)") {
+		t.Errorf("executed plan has no %s node with its counters:\n%s", topK, res.Stats.Plan)
+	}
+
+	res, err = db.Query("select a1 from t where a2 < 50")
 	if err != nil {
 		t.Fatal(err)
 	}
