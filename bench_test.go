@@ -217,28 +217,6 @@ func BenchmarkEvictReloadCycle(b *testing.B) {
 	}
 }
 
-// BenchmarkHotQueryCracking measures steady-state queries with adaptive
-// indexing enabled.
-func BenchmarkHotQueryCracking(b *testing.B) {
-	path := benchTable(b, 200_000, 4)
-	db := nodb.Open(nodb.Options{Policy: nodb.ColumnLoads, Cracking: true, DisableRevalidation: true})
-	defer db.Close()
-	if err := db.Link("t", path); err != nil {
-		b.Fatal(err)
-	}
-	if _, err := db.Query("select sum(a1), avg(a2) from t where a1 > 0"); err != nil {
-		b.Fatal(err)
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		lo := (i * 997) % 150_000
-		q := fmt.Sprintf("select sum(a1), avg(a2) from t where a1 > %d and a1 < %d", lo, lo+20_000)
-		if _, err := db.Query(q); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 // BenchmarkPartialV2CacheHit measures a covered query served entirely from
 // the adaptive store.
 func BenchmarkPartialV2CacheHit(b *testing.B) {

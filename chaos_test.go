@@ -95,7 +95,7 @@ func TestChaosDifferential(t *testing.T) {
 	configs := []chaosConfig{
 		{"columns", func(string) Options { return Options{Policy: ColumnLoads} }, false, false},
 		{"partial-v2", func(string) Options { return Options{Policy: PartialLoadsV2} }, false, false},
-		{"auto+cracking", func(string) Options { return Options{Policy: Auto, Cracking: true} }, false, false},
+		{"auto", func(string) Options { return Options{Policy: Auto} }, false, false},
 		{"splitfiles", func(dir string) Options {
 			return Options{Policy: SplitFiles, SplitDir: filepath.Join(dir, "sf")}
 		}, true, false},

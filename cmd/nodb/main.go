@@ -5,7 +5,7 @@
 // Usage:
 //
 //	nodb [-policy columns|full|partial-v1|partial-v2|splitfiles|external]
-//	     [-cracking] [-mem bytes] [-evict cost|lru] [-splitdir dir]
+//	     [-mem bytes] [-evict cost|lru] [-splitdir dir]
 //	     [-cachedir dir] [-workers n] [-chunksize bytes] [-batchsize rows]
 //	     [name=path.csv ...]
 //
@@ -42,7 +42,6 @@ import (
 func main() {
 	var (
 		policyName = flag.String("policy", "columns", "loading policy")
-		cracking   = flag.Bool("cracking", false, "enable adaptive indexing (database cracking)")
 		mem        = flag.Int64("mem", 0, "memory budget in bytes (0 = unlimited)")
 		evict      = flag.String("evict", "cost", "eviction policy under -mem: cost or lru")
 		splitDir   = flag.String("splitdir", "", "directory for split files (default: $TMPDIR/nodb-splits)")
@@ -70,7 +69,6 @@ func main() {
 	}
 	db, err := nodb.OpenErr(nodb.Options{
 		Policy:         pol,
-		Cracking:       *cracking,
 		MemoryBudget:   *mem,
 		EvictionPolicy: *evict,
 		SplitDir:       sd,

@@ -4,7 +4,7 @@
 // Usage:
 //
 //	nodbd [-addr :8080] [-policy columns|full|partial-v1|partial-v2|splitfiles|external|auto]
-//	      [-cracking] [-mem bytes] [-result-cache bytes] [-splitdir dir]
+//	      [-mem bytes] [-result-cache bytes] [-splitdir dir]
 //	      [-workers n] [-chunksize bytes] [-cachedir dir] [-snapshot-interval d]
 //	      [-follow d] [-tenants spec] [-tenant-unknown reject|default] [-pprof addr]
 //	      [-max-inflight n] [-timeout d] [-max-timeout d] [-grace d]
@@ -96,7 +96,6 @@ func main() {
 	var (
 		addr         = flag.String("addr", ":8080", "listen address")
 		policyName   = flag.String("policy", "columns", "loading policy")
-		cracking     = flag.Bool("cracking", false, "enable adaptive indexing (database cracking)")
 		mem          = flag.Int64("mem", 0, "memory budget in bytes (0 = unlimited)")
 		evict        = flag.String("evict", "cost", "eviction policy under -mem: cost or lru")
 		resultCache  = flag.Int64("result-cache", 0, "result cache budget in bytes (0 = disabled)")
@@ -186,7 +185,6 @@ func main() {
 	}
 	db, err := nodb.OpenErr(nodb.Options{
 		Policy:           pol,
-		Cracking:         *cracking,
 		MemoryBudget:     *mem,
 		EvictionPolicy:   *evict,
 		ResultCacheBytes: *resultCache,

@@ -1,11 +1,10 @@
 package nodb
 
 // Differential property tests: randomized query workloads must produce
-// identical answers under every loading policy and under adaptive
-// indexing, and the first configuration must match the reference
-// evaluator (oracle_test.go). The adaptive machinery (partial loading, region reuse, split
-// files, cracking, auto promotion) is pure mechanism — any observable
-// difference is a bug.
+// identical answers under every loading policy, and the first
+// configuration must match the reference evaluator (oracle_test.go). The
+// adaptive machinery (partial loading, region reuse, split files, auto
+// promotion) is pure mechanism — any observable difference is a bug.
 
 import (
 	"fmt"
@@ -16,7 +15,7 @@ import (
 	"testing"
 )
 
-// diffPolicies are every strategy under test, plus cracking variants.
+// diffConfigs are every strategy under test, plus a memory-budgeted one.
 type diffConfig struct {
 	name string
 	opts Options
@@ -26,7 +25,6 @@ func diffConfigs(splitRoot string) []diffConfig {
 	return []diffConfig{
 		{"full", Options{Policy: FullLoad}},
 		{"columns", Options{Policy: ColumnLoads}},
-		{"columns+cracking", Options{Policy: ColumnLoads, Cracking: true}},
 		{"partial-v1", Options{Policy: PartialLoadsV1}},
 		{"partial-v2", Options{Policy: PartialLoadsV2}},
 		{"splitfiles", Options{Policy: SplitFiles, SplitDir: filepath.Join(splitRoot, "sf")}},

@@ -12,7 +12,6 @@
 //	link=NAME=PATH        link a raw file as table NAME (repeatable)
 //	policy=NAME           loading policy (columns, full, partial-v1,
 //	                      partial-v2, splitfiles, external, auto)
-//	cracking=BOOL         enable adaptive indexing
 //	splitdir=DIR          split-file directory (required for splitfiles)
 //	mem=BYTES             memory budget for adaptive state (0 = unlimited)
 //	evict=NAME            eviction policy under mem: cost (default) or lru
@@ -161,12 +160,6 @@ func ParseDSNConfig(dsn string) (Config, error) {
 					return cfg, fmt.Errorf("nodb driver: %w", err)
 				}
 				opts.Policy = p
-			case "cracking":
-				b, err := strconv.ParseBool(v)
-				if err != nil {
-					return cfg, fmt.Errorf("nodb driver: invalid cracking %q", v)
-				}
-				opts.Cracking = b
 			case "splitdir":
 				opts.SplitDir = v
 			case "cachedir":

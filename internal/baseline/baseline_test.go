@@ -2,6 +2,7 @@ package baseline
 
 import (
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"runtime"
@@ -11,6 +12,7 @@ import (
 	"nodb/internal/exec"
 	"nodb/internal/expr"
 	"nodb/internal/metrics"
+	"nodb/internal/schema"
 	"nodb/internal/storage"
 )
 
@@ -220,5 +222,49 @@ func TestScriptScansStaySequential(t *testing.T) {
 	}
 	if got := lv.Len(); got != rows {
 		t.Fatalf("SortMergeJoinScript matched %d rows, want %d (1:1 self-join)", got, rows)
+	}
+}
+
+// TestMergeJoinMatchesHashJoin holds the merge join to the engine's hash
+// join on random keys with duplicates: the same multiset of matched keys.
+func TestMergeJoinMatchesHashJoin(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	mk := func(tab int) *exec.View {
+		c := storage.NewDense(schema.Int64, 500)
+		for i := 0; i < 500; i++ {
+			c.Ints = append(c.Ints, rng.Int63n(200))
+		}
+		v := exec.NewView()
+		v.AddCol(exec.ColKey{Tab: tab}, c)
+		return v
+	}
+	left, right := mk(0), mk(1)
+	lkey, rkey := exec.ColKey{Tab: 0}, exec.ColKey{Tab: 1}
+	h, err := exec.DrainView(exec.NewHashJoinOp(exec.NewViewScan(left, 0), exec.NewViewScan(right, 0), lkey, rkey, 0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	m, err := mergeJoin(left, right, lkey, rkey)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if h.Len() != m.Len() {
+		t.Fatalf("hash=%d merge=%d", h.Len(), m.Len())
+	}
+	count := func(v *exec.View) map[int64]int {
+		c := map[int64]int{}
+		for _, x := range v.Col(lkey).Ints {
+			c[x]++
+		}
+		return c
+	}
+	hc, mc := count(h), count(m)
+	for k, v := range hc {
+		if mc[k] != v {
+			t.Fatalf("key %d: hash=%d merge=%d", k, v, mc[k])
+		}
+	}
+	if _, err := mergeJoin(left, right, lkey, exec.ColKey{Tab: 1, Col: 9}); err == nil {
+		t.Error("bad right key should error")
 	}
 }

@@ -11,6 +11,8 @@ import (
 	"nodb/internal/expr"
 	"nodb/internal/metrics"
 	"nodb/internal/scan"
+	"nodb/internal/schema"
+	"nodb/internal/storage"
 )
 
 // HashJoinScript emulates the paper's "hash join implementation in Awk"
@@ -34,7 +36,9 @@ func HashJoinScript(left, right Table, leftKey, rightKey int, leftCols, rightCol
 		// join the slowest variant in the paper's §2.2 experiment.
 		counters.AddScriptOps(int64(lv.Len()) + int64(rv.Len()))
 	}
-	return exec.HashJoin(lv, rv, exec.ColKey{Tab: 0, Col: leftKey}, exec.ColKey{Tab: 1, Col: rightKey})
+	// The join builds on its right input, so the left file goes there.
+	return exec.DrainView(exec.NewHashJoinOp(exec.NewViewScan(rv, 0), exec.NewViewScan(lv, 0),
+		exec.ColKey{Tab: 1, Col: rightKey}, exec.ColKey{Tab: 0, Col: leftKey}, 0))
 }
 
 // SortMergeJoinScript emulates "sort the data (using the Unix sort tool)
@@ -65,7 +69,76 @@ func SortMergeJoinScript(left, right Table, leftKey, rightKey int, leftCols, rig
 	if err != nil {
 		return nil, err
 	}
-	return exec.MergeJoin(lv, rv, exec.ColKey{Tab: 0, Col: leftKey}, exec.ColKey{Tab: 1, Col: rightKey})
+	return mergeJoin(lv, rv, exec.ColKey{Tab: 0, Col: leftKey}, exec.ColKey{Tab: 1, Col: rightKey})
+}
+
+// mergeJoin performs an inner equi-join by sorting both inputs on the key
+// and merging — the paper's §2.2 "sort the data ... and then implement a
+// merge join" comparator. Only int64 keys are supported (the experiment's
+// keys are unique integers).
+func mergeJoin(left, right *exec.View, lkey, rkey exec.ColKey) (*exec.View, error) {
+	lc, rc := left.Col(lkey), right.Col(rkey)
+	if lc == nil || rc == nil {
+		return nil, fmt.Errorf("baseline: join keys %v/%v not in views", lkey, rkey)
+	}
+	if lc.Typ != schema.Int64 || rc.Typ != schema.Int64 {
+		return nil, fmt.Errorf("baseline: merge join requires int64 keys")
+	}
+	lperm := sortedPerm(lc.Ints)
+	rperm := sortedPerm(rc.Ints)
+
+	var lIdx, rIdx []int32
+	i, j := 0, 0
+	for i < len(lperm) && j < len(rperm) {
+		lv, rv := lc.Ints[lperm[i]], rc.Ints[rperm[j]]
+		switch {
+		case lv < rv:
+			i++
+		case lv > rv:
+			j++
+		default:
+			// Emit the cross product of the equal runs.
+			i2 := i
+			for i2 < len(lperm) && lc.Ints[lperm[i2]] == lv {
+				i2++
+			}
+			j2 := j
+			for j2 < len(rperm) && rc.Ints[rperm[j2]] == rv {
+				j2++
+			}
+			for a := i; a < i2; a++ {
+				for b := j; b < j2; b++ {
+					lIdx = append(lIdx, lperm[a])
+					rIdx = append(rIdx, rperm[b])
+				}
+			}
+			i, j = i2, j2
+		}
+	}
+	out := exec.NewView()
+	gatherSide(out, left, lIdx)
+	gatherSide(out, right, rIdx)
+	return out, nil
+}
+
+func sortedPerm(vals []int64) []int32 {
+	perm := make([]int32, len(vals))
+	for i := range perm {
+		perm[i] = int32(i)
+	}
+	sort.Slice(perm, func(a, b int) bool { return vals[perm[a]] < vals[perm[b]] })
+	return perm
+}
+
+// gatherSide adds every column of src to out, holding the rows idx.
+func gatherSide(out, src *exec.View, idx []int32) {
+	for k, c := range src.Cols {
+		oc := storage.NewDense(c.Typ, len(idx))
+		for _, i := range idx {
+			oc.Append(c.Value(int(i)))
+		}
+		out.AddCol(k, oc)
+	}
 }
 
 // sortFile reads a whole flat file, sorts its rows by the integer key

@@ -1,7 +1,7 @@
 // Package catalog tracks the raw files linked into the engine and all
 // state derived from them: which columns are loaded (fully or partially),
 // which value regions the adaptive store covers, positional maps, split
-// files, crackers, and the file signatures used to detect edits.
+// files, and the file signatures used to detect edits.
 //
 // The paper's update policy (§5.4, "one easy solution") is implemented
 // verbatim: derived state is auxiliary data "we are not afraid to lose";
@@ -33,7 +33,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"nodb/internal/cracking"
 	"nodb/internal/errs"
 	"nodb/internal/govern"
 	"nodb/internal/intervals"
@@ -223,7 +222,7 @@ type Table struct {
 	mu sync.RWMutex
 
 	// loadMu serializes loading operations that read-modify-write shared
-	// store state (partial-load merges, column loads, cracking). This is
+	// store state (partial-load merges, column loads). This is
 	// the paper's §5.4 scenario — "multiple queries might be asking for
 	// the same column at the same time ... have to touch and update the
 	// same loaded table" — resolved with a plain per-table lock.
@@ -247,7 +246,6 @@ type Table struct {
 	rows    int64 // -1 until discovered by a scan
 	cols    []ColState
 	regions []Region
-	crack   map[int]*cracking.Cracker
 	touches map[int]int // per-column query touch counts (auto policy)
 
 	// PosMap is the positional map for the raw file; Splits the split-file
@@ -459,7 +457,7 @@ func (t *Table) SetDense(col int, c *storage.DenseColumn) {
 }
 
 // evictDense is the governor's victim callback for a dense column: drop
-// the column (and any cracker built over it) and release its handle. The
+// the column and release its handle. The
 // next query that needs the column re-loads it from the raw file. The
 // pin re-check happens under t.mu, which excludes Table.Pin, so a pinned
 // column is vetoed rather than freed mid-scan. h is the handle the
@@ -472,7 +470,6 @@ func (t *Table) evictDense(col int, h *govern.Handle) bool {
 		return false
 	}
 	t.cols[col].Dense = nil
-	delete(t.crack, col)
 	// Dense may have been backing coverage regions (it supersedes sparse
 	// state); a region whose column lost its data must not survive it.
 	if t.cols[col].Sparse == nil {
@@ -1573,32 +1570,6 @@ func (t *Table) Regions() []Region {
 	return append([]Region(nil), t.regions...)
 }
 
-// Cracker returns the cracker for col, building it from the dense column
-// when create is true and the column is loaded (int64 only).
-func (t *Table) Cracker(col int, create bool) *cracking.Cracker {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if cr, ok := t.crack[col]; ok {
-		return cr
-	}
-	if !create {
-		return nil
-	}
-	d := t.cols[col].Dense
-	if d == nil || d.Typ != schema.Int64 {
-		return nil
-	}
-	cr := cracking.New(d.Ints)
-	cr.Counters = t.counters
-	t.crack[col] = cr
-	if t.gov != nil && t.denseH[col] != nil {
-		// The cracker rides on the dense column's registration: evicting
-		// the column drops both.
-		t.denseH[col].AddBytes(cr.MemSize())
-	}
-	return cr
-}
-
 // MemSize returns approximate heap bytes of all loaded state.
 func (t *Table) MemSize() int64 {
 	t.mu.RLock()
@@ -1612,9 +1583,6 @@ func (t *Table) MemSize() int64 {
 			sz += cs.Sparse.MemSize()
 		}
 	}
-	for _, cr := range t.crack {
-		sz += cr.MemSize()
-	}
 	if t.PosMap != nil {
 		sz += t.PosMap.MemSize()
 	}
@@ -1622,7 +1590,7 @@ func (t *Table) MemSize() int64 {
 	return sz
 }
 
-// DropDerived discards all derived state: columns, regions, crackers,
+// DropDerived discards all derived state: columns, regions,
 // positional map and split files. The table remains linked.
 func (t *Table) DropDerived() {
 	t.mu.Lock()
@@ -1635,7 +1603,6 @@ func (t *Table) dropDerivedLocked() {
 		t.cols[i] = ColState{}
 	}
 	t.regions = nil
-	t.crack = make(map[int]*cracking.Cracker)
 	t.touches = nil
 	t.rows = -1
 	for i := range t.denseH {
@@ -1835,7 +1802,6 @@ func (c *Catalog) LinkOpts(name, path string, dopts schema.DetectOptions) (*Tabl
 		fs:       c.opts.FS,
 		rows:     -1,
 		cols:     make([]ColState, len(sch.Columns)),
-		crack:    make(map[int]*cracking.Cracker),
 		counters: c.opts.Counters,
 		gov:      c.opts.Governor,
 		PosMap:   posmap.New(c.opts.PosMapBudget, c.opts.Counters),

@@ -231,26 +231,6 @@ func TestRevalidateSchemaChange(t *testing.T) {
 	}
 }
 
-func TestCracker(t *testing.T) {
-	dir := t.TempDir()
-	path := writeCSV(t, dir, "r.csv", "1\n2\n3\n")
-	c := New(Options{})
-	tab, _ := c.Link("R", path)
-	if tab.Cracker(0, true) != nil {
-		t.Error("cracker without dense column should be nil")
-	}
-	d := storage.NewDense(schema.Int64, 3)
-	d.Ints = append(d.Ints, 3, 1, 2)
-	tab.SetDense(0, d)
-	cr := tab.Cracker(0, true)
-	if cr == nil || cr.Len() != 3 {
-		t.Fatal("cracker not built from dense column")
-	}
-	if tab.Cracker(0, false) != cr {
-		t.Error("cracker should be cached")
-	}
-}
-
 func TestGovernedEviction(t *testing.T) {
 	dir := t.TempDir()
 	p1 := writeCSV(t, dir, "a.csv", "1\n2\n")

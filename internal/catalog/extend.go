@@ -409,10 +409,6 @@ func (t *Table) extendForGrowth(old, cur Signature) error {
 		}
 		t.regions = kept
 	}
-	for _, d := range dense {
-		// The cracker indexed the old dense array; it rebuilds on demand.
-		delete(t.crack, d.col)
-	}
 	t.mu.Unlock()
 
 	for ri := range regions {

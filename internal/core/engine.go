@@ -22,7 +22,6 @@ import (
 	"time"
 
 	"nodb/internal/catalog"
-	"nodb/internal/cracking"
 	"nodb/internal/exec"
 	"nodb/internal/govern"
 	"nodb/internal/loader"
@@ -41,9 +40,6 @@ import (
 type Options struct {
 	// Policy selects the adaptive loading strategy (default ColumnLoads).
 	Policy plan.Policy
-	// Cracking enables adaptive indexing (database cracking) on dense
-	// int64 predicate columns — the "Index DB" behavior.
-	Cracking bool
 	// SplitDir is where split files are written; required for
 	// PolicySplitFiles.
 	SplitDir string
@@ -674,7 +670,8 @@ const (
 // autoLoad is the self-tuning load operator (paper §5.5): cold columns are
 // partially loaded with retention; columns the workload keeps coming back
 // for are promoted to full column loads, bounding the number of trips back
-// to the raw file.
+// to the raw file. It returns nil, with no error, once every column the
+// plan reads is dense: the caller then scans them like a column load.
 func (e *Engine) autoLoad(ctx context.Context, t *catalog.Table, tp *plan.TablePlan) (*exec.View, error) {
 	needAll := tp.Pins
 	touches := t.Touch(needAll)
@@ -694,46 +691,9 @@ func (e *Engine) autoLoad(ctx context.Context, t *catalog.Table, tp *plan.TableP
 		}
 	}
 	if t.DenseAll(needAll) {
-		return e.denseSelect(ctx, t, tp)
+		return nil, nil
 	}
 	return e.ld.PartialLoadV2Context(ctx, t, tp.NeedCols, tp.Conj, tp.Ordinal)
-}
-
-// denseSelect evaluates the selection over dense columns, via the cracker
-// when adaptive indexing is on.
-func (e *Engine) denseSelect(ctx context.Context, t *catalog.Table, tp *plan.TablePlan) (*exec.View, error) {
-	// tp.Pins is exactly the set this path reads: NeedCols plus the
-	// predicate columns (plan.Build computes and Explain displays it).
-	src, unpin, err := e.ensureDensePinned(ctx, t, tp.Pins)
-	if err != nil {
-		return nil, err
-	}
-	defer unpin()
-	if e.opts.Cracking && !tp.Conj.Empty() {
-		if v, err := e.crackedSelect(t, src, tp); err == nil {
-			return v, nil
-		}
-		// Fall back to a plain scan when no predicate column is
-		// crackable (non-int, inexact range, ...).
-	}
-	return exec.SelectDense(src, tp.Conj, tp.NeedCols, tp.Ordinal)
-}
-
-func (e *Engine) crackedSelect(t *catalog.Table, src exec.DenseSource, tp *plan.TablePlan) (*exec.View, error) {
-	// Cracking physically reorganizes shared cracker columns; serialize
-	// with other loads on the table.
-	t.LockLoads()
-	defer t.UnlockLoads()
-	crackers := map[int]*cracking.Cracker{}
-	for _, c := range tp.Conj.Columns() {
-		if cr := t.Cracker(c, true); cr != nil {
-			crackers[c] = cr
-		}
-	}
-	if len(crackers) == 0 {
-		return nil, fmt.Errorf("core: no crackable predicate column")
-	}
-	return exec.SelectCracked(src, crackers, tp.Conj, tp.NeedCols, tp.Ordinal)
 }
 
 // TableStats describes the adaptive-store state of one linked table.

@@ -119,33 +119,6 @@ func TestQuerySequenceConsistencyAcrossPolicies(t *testing.T) {
 	}
 }
 
-func TestCrackingMatchesPlain(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "g.csv")
-	if err := csvgen.WriteFile(path, csvgen.Spec{Rows: 5000, Cols: 4, Seed: 23}); err != nil {
-		t.Fatal(err)
-	}
-	plainE := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
-	crackE := newEngine(t, Options{Policy: plan.PolicyColumnLoads, Cracking: true})
-	plainE.Link("G", path)
-	crackE.Link("G", path)
-	for i := 0; i < 10; i++ {
-		lo := int64(i * 400)
-		q := fmt.Sprintf("select sum(a1), count(*) from G where a1 > %d and a1 < %d and a2 > 100 and a2 < 4500", lo, lo+700)
-		a, err := plainE.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		b, err := crackE.Query(q)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if a.Rows[0][0].I != b.Rows[0][0].I || a.Rows[0][1].I != b.Rows[0][1].I {
-			t.Fatalf("query %d: plain=%v cracked=%v", i, a.Rows[0], b.Rows[0])
-		}
-	}
-}
-
 func TestJoinQueryAllPolicies(t *testing.T) {
 	dir := t.TempDir()
 	// R: key + value; S: key + value. 1:1 join on key.

@@ -190,26 +190,7 @@ func (e *Engine) tableSource(ctx context.Context, tp *plan.TablePlan, size int, 
 		if err := e.runLoad(ctx, t, tp); err != nil {
 			return nil, nil, err
 		}
-		if e.opts.Cracking && !tp.Conj.Empty() {
-			// Cracking reorganizes columns as a selection side effect; the
-			// cracked select stays row-at-a-time and its (already filtered)
-			// view re-enters the pipeline as batches.
-			return viewSrc(e.denseSelect(ctx, t, tp))
-		}
-		src, unpin, err := e.ensureDensePinned(ctx, t, tp.Pins)
-		if err != nil {
-			return nil, nil, err
-		}
-		scan, err := exec.NewDenseScan(src, tp.Ordinal, tp.Pins, size)
-		if err != nil {
-			unpin()
-			return nil, nil, err
-		}
-		var op exec.Operator = scan
-		if !tp.Conj.Empty() {
-			op = exec.NewFilterOp(op, tp.Ordinal, tp.Conj)
-		}
-		return op, unpin, nil
+		return e.denseSource(ctx, t, tp, size)
 	case plan.LoadPartialEphemeral:
 		if streamOK {
 			return e.streamSource(ctx, e.ld, t, tp, size), nil, nil
@@ -223,10 +204,31 @@ func (e *Engine) tableSource(ctx context.Context, tp *plan.TablePlan, size int, 
 	case plan.LoadPartialRetained:
 		return viewSrc(e.ld.PartialLoadV2Context(ctx, t, tp.NeedCols, tp.Conj, tp.Ordinal))
 	case plan.LoadAuto:
-		return viewSrc(e.autoLoad(ctx, t, tp))
+		v, err := e.autoLoad(ctx, t, tp)
+		if v != nil || err != nil {
+			return viewSrc(v, err)
+		}
+		return e.denseSource(ctx, t, tp, size)
 	default:
 		return nil, nil, fmt.Errorf("core: unknown load op %v", tp.LoadOp)
 	}
+}
+
+// denseSource selects the plan's rows from its pinned dense columns. The
+// returned unpin releases the pins once the tree is closed.
+func (e *Engine) denseSource(ctx context.Context, t *catalog.Table, tp *plan.TablePlan, size int) (exec.Operator, func(), error) {
+	// tp.Pins is exactly the set the scan reads: NeedCols plus the
+	// predicate columns (plan.Build computes and Explain displays it).
+	src, unpin, err := e.ensureDensePinned(ctx, t, tp.Pins)
+	if err != nil {
+		return nil, nil, err
+	}
+	op, err := exec.NewDenseSelect(src, tp.Ordinal, tp.Pins, tp.Conj, size)
+	if err != nil {
+		unpin()
+		return nil, nil, err
+	}
+	return op, unpin, nil
 }
 
 // streamSource wraps a predicate-pushing raw-file scan as a pipeline

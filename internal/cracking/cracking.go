@@ -2,7 +2,9 @@
 // scheme behind the paper's "Index DB" curve (Figure 1, citing Idreos,
 // Kersten & Manegold, CIDR 2007).
 //
-// A cracker column is a copy of a base column that gets physically
+// The engine does not crack: the Figure 1b experiment drives this package
+// directly over columns it loads itself. A cracker column is a copy of a
+// base column that gets physically
 // reorganized as a side effect of the range selections that touch it: each
 // query partitions the pieces its bounds fall into, so frequently queried
 // ranges become contiguous and future selections scan ever smaller pieces.
@@ -39,17 +41,7 @@ func New(vals []int64) *Cracker {
 	for i := range rows {
 		rows[i] = int64(i)
 	}
-	return NewWithRows(vals, rows)
-}
-
-// NewWithRows builds a cracker over copies of vals and their row ids.
-// The two slices must have equal length.
-func NewWithRows(vals, rows []int64) *Cracker {
-	c := &Cracker{
-		vals: append([]int64(nil), vals...),
-		rows: append([]int64(nil), rows...),
-	}
-	return c
+	return &Cracker{vals: append([]int64(nil), vals...), rows: rows}
 }
 
 // Len returns the number of values.
@@ -60,13 +52,6 @@ func (c *Cracker) Cracks() int { return c.cracks }
 
 // Pieces returns the current number of pieces (index entries + 1).
 func (c *Cracker) Pieces() int { return len(c.idxVals) + 1 }
-
-// MemSize returns approximate heap bytes (the cracker column doubles the
-// storage of the base column — the cost the paper's §4.2.1 mentions for
-// replicated formats).
-func (c *Cracker) MemSize() int64 {
-	return int64(cap(c.vals)+cap(c.rows)+cap(c.idxVals))*8 + int64(cap(c.idxPos))*8
-}
 
 // Select returns the half-open position range [a, b) of the cracker column
 // that holds exactly the values in [lo, hi), cracking the column at both

@@ -1,11 +1,9 @@
 package exec
 
 import (
-	"fmt"
 	"math"
 	"sort"
 
-	"nodb/internal/schema"
 	"nodb/internal/sql"
 	"nodb/internal/storage"
 )
@@ -28,31 +26,6 @@ type aggState struct {
 	max   storage.Value
 	isInt bool
 	seen  bool
-}
-
-func newAggState(spec AggSpec, typ schema.Type) *aggState {
-	return &aggState{spec: spec, isInt: typ == schema.Int64}
-}
-
-func (a *aggState) add(v storage.Value) {
-	a.count++
-	switch a.spec.Kind {
-	case sql.AggSum, sql.AggAvg:
-		if a.isInt {
-			a.sumI += v.I
-		} else {
-			a.sumF += v.AsFloat()
-		}
-	case sql.AggMin:
-		if !a.seen || v.Compare(a.min) < 0 {
-			a.min = v
-		}
-	case sql.AggMax:
-		if !a.seen || v.Compare(a.max) > 0 {
-			a.max = v
-		}
-	}
-	a.seen = true
 }
 
 func (a *aggState) result() storage.Value {
@@ -82,38 +55,6 @@ func (a *aggState) result() storage.Value {
 	default:
 		return storage.Value{}
 	}
-}
-
-// Aggregate computes the aggregates over every row of the view, returning
-// one result row.
-func Aggregate(v *View, specs []AggSpec) ([]storage.Value, error) {
-	states := make([]*aggState, len(specs))
-	for i, s := range specs {
-		typ := schema.Int64
-		if !s.Star {
-			c := v.Col(s.Col)
-			if c == nil {
-				return nil, fmt.Errorf("exec: aggregate column %v not in view", s.Col)
-			}
-			typ = c.Typ
-		}
-		states[i] = newAggState(s, typ)
-	}
-	n := v.Len()
-	for i := 0; i < n; i++ {
-		for _, st := range states {
-			if st.spec.Star {
-				st.count++
-				continue
-			}
-			st.add(v.Value(st.spec.Col, i))
-		}
-	}
-	out := make([]storage.Value, len(states))
-	for i, st := range states {
-		out[i] = st.result()
-	}
-	return out, nil
 }
 
 // SortKey orders result rows by output column index.

@@ -211,8 +211,8 @@ func appendSelected(dst, src *storage.DenseColumn, n int, sel []int32) {
 }
 
 // DrainView pulls op to exhaustion and compacts every batch into a single
-// View (selection vectors applied). Join builds and materializing
-// operators use it.
+// View (selection vectors applied). The join build and the adaptive
+// store's covered reads use it.
 func DrainView(op Operator) (*View, error) {
 	v := NewView()
 	for {
@@ -223,6 +223,7 @@ func DrainView(op Operator) (*View, error) {
 		if b == nil {
 			return v, nil
 		}
+		v.n += b.Rows()
 		for k, c := range b.Cols {
 			dst := v.Cols[k]
 			if dst == nil {

@@ -40,18 +40,6 @@ func rowsEqual(t *testing.T, got, want [][]storage.Value) {
 	}
 }
 
-// viewRows flattens a view into result rows, one output column per key.
-func viewRows(v *View, cols []ColKey) [][]storage.Value {
-	out := make([][]storage.Value, v.Len())
-	for i := range out {
-		out[i] = make([]storage.Value, len(cols))
-		for j, k := range cols {
-			out[i][j] = v.Value(k, i)
-		}
-	}
-	return out
-}
-
 // drainRows pulls op to exhaustion and flattens its output-keyed batches
 // into result rows of the given arity, copied out of each batch before the
 // next pull. The rows of a batch share one backing array.
@@ -97,54 +85,118 @@ func groupRowsBatched(v *View, keys []ColKey, specs []AggSpec, size int) ([][]st
 	return drainRows(NewGroupByOp(NewViewScan(v, size), keys, specs, slots, keys, size), len(slots))
 }
 
-// refGroupBy is the row-at-a-time reference for GroupByOp: groups keyed by
-// the values' rendered form in first-appearance order, aggregates through
-// aggState.
-func refGroupBy(v *View, keys []ColKey, specs []AggSpec) [][]storage.Value {
-	type group struct {
-		keys   []storage.Value
-		states []*aggState
+// refAggregate is the row-at-a-time reference for one aggregate over the
+// values of its column, one per input row (the rows themselves for
+// count(*)): an empty sum is the int 0, avg of nothing is NaN, int sums
+// stay int, and min and max keep the first of equal values.
+func refAggregate(spec AggSpec, typ schema.Type, vals []storage.Value) storage.Value {
+	switch spec.Kind {
+	case sql.AggCount:
+		return storage.IntValue(int64(len(vals)))
+	case sql.AggSum, sql.AggAvg:
+		var si int64
+		var sf float64
+		for _, v := range vals {
+			si += v.I
+			sf += v.AsFloat()
+		}
+		n := float64(len(vals))
+		switch {
+		case spec.Kind == sql.AggSum && len(vals) == 0:
+			return storage.IntValue(0)
+		case spec.Kind == sql.AggSum && typ == schema.Int64:
+			return storage.IntValue(si)
+		case spec.Kind == sql.AggSum:
+			return storage.FloatValue(sf)
+		case typ == schema.Int64:
+			return storage.FloatValue(float64(si) / n)
+		default:
+			return storage.FloatValue(sf / n)
+		}
+	default:
+		if len(vals) == 0 {
+			return storage.Value{}
+		}
+		best := vals[0]
+		for _, v := range vals[1:] {
+			c := v.Compare(best)
+			if (spec.Kind == sql.AggMin && c < 0) || (spec.Kind == sql.AggMax && c > 0) {
+				best = v
+			}
+		}
+		return best
 	}
-	index := map[string]*group{}
-	var order []*group
+}
+
+// refAggregates applies refAggregate for every spec to rows of v.
+func refAggregates(v *View, rows []int, specs []AggSpec) []storage.Value {
+	var out []storage.Value
+	for _, s := range specs {
+		typ := schema.Int64
+		vals := make([]storage.Value, len(rows))
+		if !s.Star {
+			typ = v.Col(s.Col).Typ
+			for r, i := range rows {
+				vals[r] = v.Value(s.Col, i)
+			}
+		}
+		out = append(out, refAggregate(s, typ, vals))
+	}
+	return out
+}
+
+// refGroupBy is the row-at-a-time reference for GroupByOp: groups keyed by
+// the values' rendered form in first-appearance order, aggregated by
+// refAggregate.
+func refGroupBy(v *View, keys []ColKey, specs []AggSpec) [][]storage.Value {
+	index := map[string]int{}
+	var groups [][]int // row positions per group
 	for i := 0; i < v.Len(); i++ {
 		var kb strings.Builder
 		for _, k := range keys {
 			fmt.Fprintf(&kb, "%d:%s", len(v.Value(k, i).String()), v.Value(k, i).String())
 		}
-		g := index[kb.String()]
-		if g == nil {
-			g = &group{}
-			for _, k := range keys {
-				g.keys = append(g.keys, v.Value(k, i))
-			}
-			for _, s := range specs {
-				typ := schema.Int64
-				if !s.Star {
-					typ = v.Col(s.Col).Typ
-				}
-				g.states = append(g.states, newAggState(s, typ))
-			}
+		g, ok := index[kb.String()]
+		if !ok {
+			g = len(groups)
 			index[kb.String()] = g
-			order = append(order, g)
+			groups = append(groups, nil)
 		}
-		for _, st := range g.states {
-			if st.spec.Star {
-				st.count++
-				continue
-			}
-			st.add(v.Value(st.spec.Col, i))
-		}
+		groups[g] = append(groups[g], i)
 	}
 	var out [][]storage.Value
-	for _, g := range order {
-		row := append([]storage.Value(nil), g.keys...)
-		for _, st := range g.states {
-			row = append(row, st.result())
+	for _, rows := range groups {
+		var row []storage.Value
+		for _, k := range keys {
+			row = append(row, v.Value(k, rows[0]))
 		}
-		out = append(out, row)
+		out = append(out, append(row, refAggregates(v, rows, specs)...))
 	}
 	return out
+}
+
+// intRows renders the rows of int columns as result rows, one per row
+// index in rows, one value per column in cols.
+func intRows(src DenseSource, rows []int, cols []int) [][]storage.Value {
+	out := make([][]storage.Value, len(rows))
+	for r, i := range rows {
+		for _, c := range cols {
+			out[r] = append(out[r], src.Columns[c].Value(i))
+		}
+	}
+	return out
+}
+
+// evalRows returns the rows of src that satisfy conj, evaluated one row at
+// a time.
+func evalRows(src DenseSource, conj expr.Conjunction) []int {
+	var rows []int
+	for i := 0; i < int(src.NumRows); i++ {
+		if conj.EvalRow(func(col int) storage.Value { return src.Columns[col].Value(i) }) {
+			rows = append(rows, i)
+		}
+	}
+	return rows
 }
 
 func TestDenseScanWindows(t *testing.T) {
@@ -183,7 +235,7 @@ func TestDenseScanWindows(t *testing.T) {
 }
 
 // TestPipelineMatchesSelectDense differentially pins Scan→Filter→Project
-// against SelectDense's materialized view on random data,
+// against a row-at-a-time evaluation of the conjunction on random data,
 // across batch sizes that do and don't divide the row count.
 func TestPipelineMatchesSelectDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
@@ -199,12 +251,7 @@ func TestPipelineMatchesSelectDense(t *testing.T) {
 		intPred(0, expr.Ge, 20), intPred(0, expr.Lt, 80), intPred(1, expr.Ne, 500),
 	}}
 	proj := []ColKey{{0, 1}, {0, 0}}
-
-	v, err := SelectDense(src, conj, []int{0, 1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := viewRows(v, proj)
+	want := intRows(src, evalRows(src, conj), []int{1, 0})
 
 	for _, size := range []int{1, 7, 256, 1024, 5000} {
 		scan := mustDenseScan(t, src, 0, []int{0, 1}, size)
@@ -230,6 +277,9 @@ func TestAggOpMatchesAggregate(t *testing.T) {
 	}
 	src := mkSource(map[int][]int64{0: ints})
 	src.Columns[1] = fc
+	all := NewView()
+	all.AddCol(ColKey{0, 0}, src.Columns[0])
+	all.AddCol(ColKey{0, 1}, fc)
 
 	specs := []AggSpec{
 		{Kind: sql.AggCount, Star: true},
@@ -251,14 +301,7 @@ func TestAggOpMatchesAggregate(t *testing.T) {
 		{Preds: []expr.Pred{intPred(0, expr.Gt, 0)}},
 		{Preds: []expr.Pred{intPred(0, expr.Gt, 10_000)}}, // empty result
 	} {
-		v, err := SelectDense(src, conj, []int{0, 1}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := Aggregate(v, specs)
-		if err != nil {
-			t.Fatal(err)
-		}
+		want := refAggregates(all, evalRows(src, conj), specs)
 		scan := mustDenseScan(t, src, 0, []int{0, 1}, 128)
 		agg := NewAggOp(NewFilterOp(scan, 0, conj), specs, out)
 		got, err := drainRows(agg, len(specs))
@@ -341,45 +384,41 @@ func TestGroupByOpEmptyInput(t *testing.T) {
 	}
 }
 
+// TestHashJoinOpMatchesHashJoin holds the streaming join to a nested
+// loop over the same rows: probe rows in order, each with its build
+// matches in build order, at batch sizes around and across the inputs.
 func TestHashJoinOpMatchesHashJoin(t *testing.T) {
 	rng := rand.New(rand.NewSource(19))
-	mk := func(n int, mod int64) (DenseSource, *View) {
+	mk := func(n int, mod int64) DenseSource {
 		ks := make([]int64, n)
 		pay := make([]int64, n)
 		for i := range ks {
 			ks[i] = rng.Int63n(mod)
 			pay[i] = int64(i) * 7
 		}
-		return mkSource(map[int][]int64{0: ks, 1: pay}), nil
+		return mkSource(map[int][]int64{0: ks, 1: pay})
 	}
-	// Both shapes: probe side larger and build side larger, so the
-	// build-on-smaller-side choice is exercised in both directions.
 	for _, sizes := range [][2]int{{300, 80}, {80, 300}, {100, 100}} {
-		lsrc, _ := mk(sizes[0], 50)
-		rsrc, _ := mk(sizes[1], 50)
-		lv, err := SelectDense(lsrc, expr.Conjunction{}, []int{0, 1}, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		rv, err := SelectDense(rsrc, expr.Conjunction{}, []int{0, 1}, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want, err := HashJoin(lv, rv, ColKey{0, 0}, ColKey{1, 0})
-		if err != nil {
-			t.Fatal(err)
+		lsrc, rsrc := mk(sizes[0], 50), mk(sizes[1], 50)
+		var want [][]storage.Value
+		for i := 0; i < sizes[0]; i++ {
+			for k := 0; k < sizes[1]; k++ {
+				if lsrc.Columns[0].Ints[i] == rsrc.Columns[0].Ints[k] {
+					want = append(want, []storage.Value{lsrc.Columns[1].Value(i), rsrc.Columns[1].Value(k), lsrc.Columns[0].Value(i)})
+				}
+			}
 		}
 		proj := []ColKey{{0, 1}, {1, 1}, {0, 0}}
-		wantRows := viewRows(want, proj)
-
-		ls := mustDenseScan(t, lsrc, 0, []int{0, 1}, 97)
-		rs := mustDenseScan(t, rsrc, 1, []int{0, 1}, 97)
-		j := NewHashJoinOp(ls, rs, ColKey{0, 0}, ColKey{1, 0}, 128)
-		got, err := drainRows(NewProjectOp(j, proj), len(proj))
-		if err != nil {
-			t.Fatal(err)
+		for _, size := range []int{1, 97, 1024} {
+			ls := mustDenseScan(t, lsrc, 0, []int{0, 1}, 97)
+			rs := mustDenseScan(t, rsrc, 1, []int{0, 1}, 97)
+			j := NewHashJoinOp(ls, rs, ColKey{0, 0}, ColKey{1, 0}, size)
+			got, err := drainRows(NewProjectOp(j, proj), len(proj))
+			if err != nil {
+				t.Fatal(err)
+			}
+			rowsEqual(t, got, want)
 		}
-		rowsEqual(t, got, wantRows)
 	}
 }
 
@@ -409,11 +448,11 @@ func TestSortOpAndLimitOp(t *testing.T) {
 	proj := []ColKey{{0, 0}, {0, 1}}
 	sortKeys := []SortKey{{Index: 0, Desc: true}}
 
-	v, err := SelectDense(src, expr.Conjunction{}, []int{0, 1}, 0)
-	if err != nil {
-		t.Fatal(err)
+	every := make([]int, n)
+	for i := range every {
+		every[i] = i
 	}
-	want := viewRows(v, proj)
+	want := intRows(src, every, []int{0, 1})
 	SortRows(want, sortKeys)
 	want = LimitRows(want, 17)
 
@@ -427,7 +466,7 @@ func TestSortOpAndLimitOp(t *testing.T) {
 
 	// The bounded heap keeps exactly the stable sort's first k rows, ties
 	// (40 key values over 500 rows) in arrival order.
-	all := viewRows(v, proj)
+	all := intRows(src, every, []int{0, 1})
 	SortRows(all, sortKeys)
 	for _, k := range []int{0, 1, 17, 499, 500, 1000} {
 		heap := NewTopKOp(NewProjectOp(mustDenseScan(t, src, 0, []int{0, 1}, 33), proj), sortKeys, 2, k, 9)
@@ -535,9 +574,7 @@ func TestDrainRowsAllocs(t *testing.T) {
 	}
 }
 
-// BenchmarkBatchPipeline measures the vectorized filter+aggregate chain
-// (compare with BenchmarkSelectDense1M, the materializing SelectDense +
-// Aggregate pair).
+// BenchmarkBatchPipeline measures the vectorized filter+aggregate chain.
 func BenchmarkBatchPipeline(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	n := 1_000_000

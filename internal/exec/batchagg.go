@@ -19,9 +19,9 @@ type OutSlot struct {
 
 // AggOp folds its whole input into one output row of aggregate results.
 // out maps select-list position to aggregate index. Accumulation runs
-// typed loops over each batch's vectors; the scalar aggState supplies the
-// result semantics shared with Aggregate and GroupByOp (empty sum = int 0,
-// avg of nothing = NaN, int sums stay int).
+// typed loops over each batch's vectors into one aggState per aggregate,
+// whose result semantics GroupByOp shares (empty sum = int 0, avg of
+// nothing = NaN, int sums stay int).
 type AggOp struct {
 	opBase
 	child  Operator
@@ -86,9 +86,9 @@ func (a *AggOp) accumulate(b *Batch) error {
 	return nil
 }
 
-// accumulateColumn is the vectorized equivalent of calling aggState.add
-// for every live row, in row order (float sums accumulate in input order,
-// so the result does not depend on the batch size).
+// accumulateColumn folds the live rows of col into st in row order (float
+// sums accumulate in input order, so the result does not depend on the
+// batch size).
 func accumulateColumn(st *aggState, col *storage.DenseColumn, n int, sel []int32, rows int64) {
 	st.count += rows
 	switch st.spec.Kind {
@@ -138,7 +138,7 @@ func accumulateColumn(st *aggState, col *storage.DenseColumn, n int, sel []int32
 }
 
 // columnExtreme returns the batch-local min (or max) of the live rows,
-// keeping the first occurrence on ties like sequential aggState.add.
+// keeping the first occurrence on ties, as a row-at-a-time fold would.
 func columnExtreme(col *storage.DenseColumn, n int, sel []int32, wantMin bool) (storage.Value, bool) {
 	switch col.Typ {
 	case schema.Int64:

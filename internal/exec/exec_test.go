@@ -1,11 +1,10 @@
 package exec
 
 import (
+	"fmt"
 	"math"
-	"math/rand"
 	"testing"
 
-	"nodb/internal/cracking"
 	"nodb/internal/expr"
 	"nodb/internal/schema"
 	"nodb/internal/sql"
@@ -28,6 +27,16 @@ func intPred(col int, op expr.CmpOp, v int64) expr.Pred {
 	return expr.Pred{Col: col, Op: op, Val: storage.IntValue(v)}
 }
 
+// selectDense runs the dense select over cols and drains the survivors
+// into a view.
+func selectDense(src DenseSource, conj expr.Conjunction, cols []int) (*View, error) {
+	op, err := NewDenseSelect(src, 0, cols, conj, 3)
+	if err != nil {
+		return nil, err
+	}
+	return DrainView(op)
+}
+
 func TestSelectDense(t *testing.T) {
 	src := mkSource(map[int][]int64{
 		0: {5, 15, 25, 35, 45},
@@ -37,72 +46,88 @@ func TestSelectDense(t *testing.T) {
 		intPred(0, expr.Gt, 10),
 		intPred(0, expr.Lt, 40),
 	}}
-	v, err := SelectDense(src, conj, []int{0, 1}, 0)
+	v, err := selectDense(src, conj, []int{0, 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if v.Len() != 3 {
 		t.Fatalf("Len = %d, want 3", v.Len())
 	}
-	wantRows := []int64{1, 2, 3}
-	for i, r := range wantRows {
-		if v.Rows[i] != r {
-			t.Errorf("row %d = %d, want %d", i, v.Rows[i], r)
-		}
-	}
-	c1 := v.Col(ColKey{0, 1})
-	if c1.Ints[0] != 2 || c1.Ints[2] != 4 {
+	if c1 := v.Col(ColKey{0, 1}); c1.Ints[0] != 2 || c1.Ints[2] != 4 {
 		t.Errorf("col 1 values = %v", c1.Ints)
 	}
 }
 
 func TestSelectDenseNoPredicates(t *testing.T) {
 	src := mkSource(map[int][]int64{0: {1, 2, 3}})
-	v, err := SelectDense(src, expr.Conjunction{}, []int{0}, 0)
+	v, err := selectDense(src, expr.Conjunction{}, []int{0})
 	if err != nil || v.Len() != 3 {
 		t.Fatalf("full select: %v len=%d", err, v.Len())
+	}
+	// A column-less scan (count(*) alone) still counts its rows.
+	if v, err := selectDense(src, expr.Conjunction{}, nil); err != nil || v.Len() != 3 {
+		t.Fatalf("column-less select: %v len=%d", err, v.Len())
 	}
 }
 
 func TestSelectDenseMissingColumn(t *testing.T) {
 	src := mkSource(map[int][]int64{0: {1}})
-	if _, err := SelectDense(src, expr.Conjunction{Preds: []expr.Pred{intPred(5, expr.Gt, 0)}}, []int{0}, 0); err == nil {
+	if _, err := selectDense(src, expr.Conjunction{Preds: []expr.Pred{intPred(5, expr.Gt, 0)}}, []int{0}); err == nil {
 		t.Error("missing predicate column should error")
 	}
-	if _, err := SelectDense(src, expr.Conjunction{}, []int{9}, 0); err == nil {
+	if _, err := selectDense(src, expr.Conjunction{}, []int{9}); err == nil {
 		t.Error("missing needed column should error")
 	}
 }
 
+// TestSelectDenseMixedTypesSlowPath compares columns with literals of the
+// other numeric type.
 func TestSelectDenseMixedTypesSlowPath(t *testing.T) {
-	src := DenseSource{NumRows: 3, Columns: map[int]*storage.DenseColumn{}}
+	src := mkSource(map[int][]int64{1: {1, 2, 3}})
 	fc := storage.NewDense(schema.Float64, 3)
 	fc.Floats = append(fc.Floats, 1.5, 2.5, 3.5)
 	src.Columns[0] = fc
-	conj := expr.Conjunction{Preds: []expr.Pred{{Col: 0, Op: expr.Gt, Val: storage.FloatValue(2.0)}}}
-	v, err := SelectDense(src, conj, []int{0}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v.Len() != 2 {
-		t.Errorf("float select Len = %d, want 2", v.Len())
+	for _, c := range []struct {
+		pred expr.Pred
+		want int
+	}{
+		{expr.Pred{Col: 0, Op: expr.Gt, Val: storage.FloatValue(2.0)}, 2},
+		{expr.Pred{Col: 0, Op: expr.Lt, Val: storage.IntValue(3)}, 2},
+		{expr.Pred{Col: 1, Op: expr.Ge, Val: storage.FloatValue(1.5)}, 2},
+	} {
+		v, err := selectDense(src, expr.Conjunction{Preds: []expr.Pred{c.pred}}, []int{0, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v.Len() != c.want {
+			t.Errorf("%+v: Len = %d, want %d", c.pred, v.Len(), c.want)
+		}
 	}
 }
 
+// aggregateRow folds every row of v into specs through AggOp.
+func aggregateRow(t *testing.T, op Operator, specs []AggSpec) []storage.Value {
+	t.Helper()
+	out := make([]int, len(specs))
+	for i := range out {
+		out[i] = i
+	}
+	rows, err := drainRows(NewAggOp(op, specs, out), len(specs))
+	if err != nil || len(rows) != 1 {
+		t.Fatalf("aggregate: %d rows, %v", len(rows), err)
+	}
+	return rows[0]
+}
+
 func TestAggregate(t *testing.T) {
-	src := mkSource(map[int][]int64{0: {1, 2, 3, 4}, 1: {10, 20, 30, 40}})
-	v, _ := SelectDense(src, expr.Conjunction{}, []int{0, 1}, 0)
-	specs := []AggSpec{
+	v := mkView(0, map[int][]int64{0: {1, 2, 3, 4}, 1: {10, 20, 30, 40}})
+	got := aggregateRow(t, NewViewScan(v, 3), []AggSpec{
 		{Kind: sql.AggSum, Col: ColKey{0, 0}},
 		{Kind: sql.AggMin, Col: ColKey{0, 1}},
 		{Kind: sql.AggMax, Col: ColKey{0, 1}},
 		{Kind: sql.AggAvg, Col: ColKey{0, 0}},
 		{Kind: sql.AggCount, Star: true},
-	}
-	got, err := Aggregate(v, specs)
-	if err != nil {
-		t.Fatal(err)
-	}
+	})
 	if got[0].I != 10 {
 		t.Errorf("sum = %v", got[0])
 	}
@@ -119,15 +144,12 @@ func TestAggregate(t *testing.T) {
 
 func TestAggregateEmptyView(t *testing.T) {
 	src := mkSource(map[int][]int64{0: {1, 2}})
-	v, _ := SelectDense(src, expr.Conjunction{Preds: []expr.Pred{intPred(0, expr.Gt, 100)}}, []int{0}, 0)
-	got, err := Aggregate(v, []AggSpec{
+	none := NewFilterOp(mustDenseScan(t, src, 0, []int{0}, 0), 0, expr.Conjunction{Preds: []expr.Pred{intPred(0, expr.Gt, 100)}})
+	got := aggregateRow(t, none, []AggSpec{
 		{Kind: sql.AggSum, Col: ColKey{0, 0}},
 		{Kind: sql.AggCount, Star: true},
 		{Kind: sql.AggAvg, Col: ColKey{0, 0}},
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
 	if got[0].I != 0 || got[1].I != 0 {
 		t.Errorf("empty aggregates = %v", got)
 	}
@@ -137,14 +159,12 @@ func TestAggregateEmptyView(t *testing.T) {
 }
 
 func TestAggregateFloatColumn(t *testing.T) {
-	src := DenseSource{NumRows: 2, Columns: map[int]*storage.DenseColumn{}}
+	v := NewView()
 	fc := storage.NewDense(schema.Float64, 2)
 	fc.Floats = append(fc.Floats, 1.5, 2.5)
-	src.Columns[0] = fc
-	v, _ := SelectDense(src, expr.Conjunction{}, []int{0}, 0)
-	got, err := Aggregate(v, []AggSpec{{Kind: sql.AggSum, Col: ColKey{0, 0}}})
-	if err != nil || got[0].F != 4.0 {
-		t.Errorf("float sum = %v, %v", got, err)
+	v.AddCol(ColKey{0, 0}, fc)
+	if got := aggregateRow(t, NewViewScan(v, 0), []AggSpec{{Kind: sql.AggSum, Col: ColKey{0, 0}}}); got[0].F != 4.0 {
+		t.Errorf("float sum = %v", got)
 	}
 }
 
@@ -153,7 +173,10 @@ func TestGroupBy(t *testing.T) {
 		0: {1, 2, 1, 2, 1}, // key
 		1: {10, 20, 30, 40, 50},
 	})
-	v, _ := SelectDense(src, expr.Conjunction{}, []int{0, 1}, 0)
+	v, err := selectDense(src, expr.Conjunction{}, []int{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows, err := groupRows(v, []ColKey{{0, 0}}, []AggSpec{
 		{Kind: sql.AggSum, Col: ColKey{0, 1}},
 		{Kind: sql.AggCount, Star: true},
@@ -224,34 +247,34 @@ func mkView(tab int, cols map[int][]int64) *View {
 	return v
 }
 
+// joinViews runs HashJoinOp with left probing and right building.
+func joinViews(left, right *View, lkey, rkey ColKey) (*View, error) {
+	return DrainView(NewHashJoinOp(NewViewScan(left, 2), NewViewScan(right, 2), lkey, rkey, 3))
+}
+
 func TestHashJoin(t *testing.T) {
 	left := mkView(0, map[int][]int64{0: {1, 2, 3}, 1: {10, 20, 30}})
 	right := mkView(1, map[int][]int64{0: {2, 3, 4}, 1: {200, 300, 400}})
-	out, err := HashJoin(left, right, ColKey{0, 0}, ColKey{1, 0})
+	out, err := joinViews(left, right, ColKey{0, 0}, ColKey{1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if out.Len() != 2 {
 		t.Fatalf("join Len = %d, want 2", out.Len())
 	}
-	// Verify alignment: rows (2,20,2,200) and (3,30,3,300) in some order.
-	seen := map[int64]int64{}
-	for i := 0; i < out.Len(); i++ {
-		k := out.Value(ColKey{0, 0}, i).I
-		seen[k] = out.Value(ColKey{1, 1}, i).I
-		if out.Value(ColKey{0, 1}, i).I != k*10 {
-			t.Errorf("left payload misaligned at %d", i)
+	// Probe order: rows (2,20,2,200) then (3,30,3,300).
+	for i, k := range []int64{2, 3} {
+		if out.Value(ColKey{0, 0}, i).I != k || out.Value(ColKey{0, 1}, i).I != k*10 ||
+			out.Value(ColKey{1, 0}, i).I != k || out.Value(ColKey{1, 1}, i).I != k*100 {
+			t.Errorf("row %d misaligned", i)
 		}
-	}
-	if seen[2] != 200 || seen[3] != 300 {
-		t.Errorf("join result = %v", seen)
 	}
 }
 
 func TestHashJoinDuplicates(t *testing.T) {
 	left := mkView(0, map[int][]int64{0: {1, 1, 2}})
 	right := mkView(1, map[int][]int64{0: {1, 1}})
-	out, err := HashJoin(left, right, ColKey{0, 0}, ColKey{1, 0})
+	out, err := joinViews(left, right, ColKey{0, 0}, ColKey{1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -260,103 +283,97 @@ func TestHashJoinDuplicates(t *testing.T) {
 	}
 }
 
-func TestMergeJoinMatchesHashJoin(t *testing.T) {
-	rng := rand.New(rand.NewSource(5))
-	n := 500
-	lvals := make([]int64, n)
-	rvals := make([]int64, n)
-	for i := range lvals {
-		lvals[i] = rng.Int63n(200)
-		rvals[i] = rng.Int63n(200)
-	}
-	left := mkView(0, map[int][]int64{0: lvals})
-	right := mkView(1, map[int][]int64{0: rvals})
-
-	h, err := HashJoin(left, right, ColKey{0, 0}, ColKey{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	m, err := MergeJoin(left, right, ColKey{0, 0}, ColKey{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if h.Len() != m.Len() {
-		t.Fatalf("hash=%d merge=%d", h.Len(), m.Len())
-	}
-	// Same multiset of key values.
-	count := func(v *View) map[int64]int {
-		c := map[int64]int{}
-		col := v.Col(ColKey{0, 0})
-		for _, x := range col.Ints {
-			c[x]++
-		}
-		return c
-	}
-	hc, mc := count(h), count(m)
-	for k, v := range hc {
-		if mc[k] != v {
-			t.Fatalf("key %d: hash=%d merge=%d", k, v, mc[k])
-		}
-	}
-}
-
 func TestJoinErrors(t *testing.T) {
 	left := mkView(0, map[int][]int64{0: {1}})
 	right := mkView(1, map[int][]int64{0: {1}})
-	if _, err := HashJoin(left, right, ColKey{0, 9}, ColKey{1, 0}); err == nil {
+	if _, err := joinViews(left, right, ColKey{0, 9}, ColKey{1, 0}); err == nil {
 		t.Error("bad left key should error")
 	}
-	if _, err := MergeJoin(left, right, ColKey{0, 0}, ColKey{1, 9}); err == nil {
+	if _, err := joinViews(left, right, ColKey{0, 0}, ColKey{1, 9}); err == nil {
 		t.Error("bad right key should error")
 	}
+	strs := NewView()
+	sc := storage.NewDense(schema.String, 1)
+	sc.Append(storage.StringValue("1"))
+	strs.AddCol(ColKey{1, 0}, sc)
+	if _, err := joinViews(left, strs, ColKey{0, 0}, ColKey{1, 0}); err == nil {
+		t.Error("int key against string key should error")
+	}
 }
 
-func TestSelectCracked(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	n := 2000
-	a1 := make([]int64, n)
-	a2 := make([]int64, n)
-	for i := range a1 {
-		a1[i] = rng.Int63n(1000)
-		a2[i] = rng.Int63n(1000)
-	}
-	src := mkSource(map[int][]int64{0: a1, 1: a2})
-	crackers := map[int]*cracking.Cracker{0: cracking.New(a1)}
-	conj := expr.Conjunction{Preds: []expr.Pred{
-		intPred(0, expr.Ge, 100), intPred(0, expr.Lt, 300),
-		intPred(1, expr.Ge, 200), intPred(1, expr.Lt, 800),
-	}}
-	want, err := SelectDense(src, conj, []int{0, 1}, 0)
+// TestHashJoinNumericKeys joins int and float keys by value: 1000000
+// meets 1e6, -0 meets 0, NaN meets NaN, and 1.5 meets no int.
+func TestHashJoinNumericKeys(t *testing.T) {
+	left := mkView(0, map[int][]int64{0: {1_000_000, 0, 2, 7}})
+	right := NewView()
+	fc := storage.NewDense(schema.Float64, 0)
+	fc.Floats = append(fc.Floats, 1e6, math.Copysign(0, -1), 1.5, 7, 7)
+	right.AddCol(ColKey{1, 0}, fc)
+	out, err := joinViews(left, right, ColKey{0, 0}, ColKey{1, 0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := SelectCracked(src, crackers, conj, []int{0, 1}, 0)
-	if err != nil {
-		t.Fatal(err)
+	var got []int64
+	for i := 0; i < out.Len(); i++ {
+		got = append(got, out.Value(ColKey{0, 0}, i).I)
 	}
-	if got.Len() != want.Len() {
-		t.Fatalf("cracked=%d dense=%d", got.Len(), want.Len())
+	if want := []int64{1_000_000, 0, 7, 7}; fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Errorf("int-float join keys = %v, want %v", got, want)
 	}
-	for i := range got.Rows {
-		if got.Rows[i] != want.Rows[i] {
-			t.Fatalf("row %d: cracked=%d dense=%d", i, got.Rows[i], want.Rows[i])
+
+	nan := NewView()
+	nc := storage.NewDense(schema.Float64, 0)
+	nc.Floats = append(nc.Floats, math.NaN(), 0, math.Copysign(0, -1))
+	nan.AddCol(ColKey{0, 0}, nc)
+	other := NewView()
+	oc := storage.NewDense(schema.Float64, 0)
+	oc.Floats = append(oc.Floats, math.Float64frombits(0x7ff8000000000001), 0)
+	other.AddCol(ColKey{1, 0}, oc)
+	if out, err := joinViews(nan, other, ColKey{0, 0}, ColKey{1, 0}); err != nil || out.Len() != 3 {
+		t.Errorf("float-float join = %d rows (%v), want 3: NaN=NaN, 0=0, -0=0", out.Len(), err)
+	}
+}
+
+func TestHashJoinStringKeys(t *testing.T) {
+	mk := func(tab int, keys []string) *View {
+		v := NewView()
+		c := storage.NewDense(schema.String, 0)
+		for _, k := range keys {
+			c.Append(storage.StringValue(k))
 		}
+		v.AddCol(ColKey{tab, 0}, c)
+		return v
 	}
-	// Repeating the query must give identical results (cracker mutated).
-	got2, err := SelectCracked(src, crackers, conj, []int{0, 1}, 0)
-	if err != nil || got2.Len() != want.Len() {
-		t.Fatalf("repeat cracked select: %v len=%d", err, got2.Len())
+	l := mk(0, []string{"a", "b", "c"})
+	r := mk(1, []string{"b", "c", "d"})
+	out, err := joinViews(l, r, ColKey{0, 0}, ColKey{1, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if out.Len() != 2 {
+		t.Errorf("string join Len = %d, want 2", out.Len())
 	}
 }
 
-func TestSelectCrackedNoCracker(t *testing.T) {
-	src := mkSource(map[int][]int64{0: {1, 2}})
-	conj := expr.Conjunction{Preds: []expr.Pred{intPred(0, expr.Gt, 0)}}
-	if _, err := SelectCracked(src, nil, conj, []int{0}, 0); err == nil {
-		t.Error("no cracker should error")
+// TestLimitOverHashJoinStopsProbe shows the join streams its probe side:
+// once a LIMIT has its rows, the rest of the left input is never pulled.
+func TestLimitOverHashJoinStopsProbe(t *testing.T) {
+	keys := make([]int64, 100)
+	for i := range keys {
+		keys[i] = int64(i)
 	}
-	if _, err := SelectCracked(src, nil, expr.Conjunction{}, []int{0}, 0); err == nil {
-		t.Error("empty conjunction should error")
+	src := mkSource(map[int][]int64{0: keys})
+	probe := &pullCounter{child: mustDenseScan(t, src, 0, []int{0}, 10)}
+	j := NewHashJoinOp(probe, mustDenseScan(t, src, 1, []int{0}, 10), ColKey{0, 0}, ColKey{1, 0}, 10)
+	rows, err := drainRows(NewLimitOp(NewProjectOp(j, []ColKey{{0, 0}}), 15), 1)
+	if err != nil || len(rows) != 15 {
+		t.Fatalf("limit over join: %d rows, %v", len(rows), err)
+	}
+	if probe.pulls != 2 {
+		t.Errorf("join pulled %d probe batches for 15 rows, want 2 (of 10)", probe.pulls)
+	}
+	if probe.closed == 0 {
+		t.Error("limit did not close the join's probe side")
 	}
 }
 
@@ -367,44 +384,34 @@ func TestViewMemSize(t *testing.T) {
 	}
 }
 
-func BenchmarkSelectDense1M(b *testing.B) {
-	rng := rand.New(rand.NewSource(1))
-	n := 1_000_000
-	a1 := make([]int64, n)
-	a2 := make([]int64, n)
-	for i := range a1 {
-		a1[i] = rng.Int63n(int64(n))
-		a2[i] = rng.Int63n(int64(n))
-	}
-	src := mkSource(map[int][]int64{0: a1, 1: a2})
-	conj := expr.Conjunction{Preds: []expr.Pred{
-		intPred(0, expr.Gt, 100_000), intPred(0, expr.Lt, 200_000),
-		intPred(1, expr.Gt, 0), intPred(1, expr.Lt, 900_000),
-	}}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		v, err := SelectDense(src, conj, []int{0, 1}, 0)
-		if err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Aggregate(v, []AggSpec{{Kind: sql.AggSum, Col: ColKey{0, 0}}}); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
+// BenchmarkHashJoin100k joins two 100k-row dense scans 1:1: build the
+// right side's index, stream the left side through it.
 func BenchmarkHashJoin100k(b *testing.B) {
 	n := 100_000
 	keys := make([]int64, n)
 	for i := range keys {
 		keys[i] = int64(i)
 	}
-	left := mkView(0, map[int][]int64{0: keys})
-	right := mkView(1, map[int][]int64{0: keys})
+	src := mkSource(map[int][]int64{0: keys})
+	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := HashJoin(left, right, ColKey{0, 0}, ColKey{1, 0}); err != nil {
-			b.Fatal(err)
+		l, _ := NewDenseScan(src, 0, []int{0}, DefaultBatchSize)
+		r, _ := NewDenseScan(src, 1, []int{0}, DefaultBatchSize)
+		j := NewHashJoinOp(l, r, ColKey{0, 0}, ColKey{1, 0}, DefaultBatchSize)
+		rows := 0
+		for {
+			bt, err := j.Next()
+			if err != nil {
+				b.Fatal(err)
+			}
+			if bt == nil {
+				break
+			}
+			rows += bt.Rows()
+		}
+		if rows != n {
+			b.Fatalf("joined %d rows, want %d", rows, n)
 		}
 	}
 }
@@ -422,7 +429,6 @@ func TestGroupByStringKeys(t *testing.T) {
 	}
 	v.AddCol(ColKey{0, 0}, keys)
 	v.AddCol(ColKey{0, 1}, vals)
-	v.Rows = []int64{0, 1, 2, 3, 4}
 
 	rows, err := groupRows(v, []ColKey{{0, 0}}, []AggSpec{{Kind: sql.AggSum, Col: ColKey{0, 1}}})
 	if err != nil {
@@ -443,7 +449,10 @@ func TestGroupByMultipleKeys(t *testing.T) {
 		1: {0, 0, 0, 1, 1},
 		2: {10, 20, 30, 40, 50},
 	})
-	v, _ := SelectDense(src, expr.Conjunction{}, []int{0, 1, 2}, 0)
+	v, err := selectDense(src, expr.Conjunction{}, []int{0, 1, 2})
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows, err := groupRows(v, []ColKey{{0, 0}, {0, 1}}, []AggSpec{{Kind: sql.AggSum, Col: ColKey{0, 2}}})
 	if err != nil {
 		t.Fatal(err)
@@ -454,27 +463,5 @@ func TestGroupByMultipleKeys(t *testing.T) {
 	// (1,0) → 10+20 = 30.
 	if rows[0][0].I != 1 || rows[0][1].I != 0 || rows[0][2].I != 30 {
 		t.Errorf("group (1,0) = %v", rows[0])
-	}
-}
-
-func TestHashJoinStringKeys(t *testing.T) {
-	mk := func(tab int, keys []string) *View {
-		v := NewView()
-		c := storage.NewDense(schema.String, 0)
-		for _, k := range keys {
-			c.Append(storage.StringValue(k))
-		}
-		v.AddCol(ColKey{tab, 0}, c)
-		v.Rows = make([]int64, len(keys))
-		return v
-	}
-	l := mk(0, []string{"a", "b", "c"})
-	r := mk(1, []string{"b", "c", "d"})
-	out, err := HashJoin(l, r, ColKey{0, 0}, ColKey{1, 0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Len() != 2 {
-		t.Errorf("string join Len = %d, want 2", out.Len())
 	}
 }

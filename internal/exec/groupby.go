@@ -243,7 +243,7 @@ func (st *groupAgg) open(col *storage.DenseColumn, i int) {
 }
 
 // add folds the rows sel of col into their groups gids, in row order (float
-// sums accumulate in input order, like aggState.add).
+// sums accumulate in input order, like AggOp).
 func (st *groupAgg) add(col *storage.DenseColumn, sel, gids []int32) {
 	for _, gid := range gids {
 		st.count[gid]++

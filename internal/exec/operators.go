@@ -96,6 +96,20 @@ func NewFilterOp(child Operator, tab int, conj expr.Conjunction) *FilterOp {
 	return f
 }
 
+// NewDenseSelect is the one selection over dense columns: a DenseScan of
+// cols under table ordinal tab, refined by a FilterOp when conj has
+// predicates.
+func NewDenseSelect(src DenseSource, tab int, cols []int, conj expr.Conjunction, batchSize int) (Operator, error) {
+	scan, err := NewDenseScan(src, tab, cols, batchSize)
+	if err != nil {
+		return nil, err
+	}
+	if conj.Empty() {
+		return scan, nil
+	}
+	return NewFilterOp(scan, tab, conj), nil
+}
+
 func (f *FilterOp) Name() string {
 	return fmt.Sprintf("Filter(t%d %d preds)", f.tab, len(f.conj.Preds))
 }

@@ -1,8 +1,15 @@
 package experiments
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
+
+	"nodb/internal/cracking"
+	"nodb/internal/exec"
+	"nodb/internal/metrics"
+	"nodb/internal/schema"
+	"nodb/internal/storage"
 )
 
 // smallCfg keeps experiment tests fast: ~1% of default scale.
@@ -61,6 +68,54 @@ func TestFig1bShape(t *testing.T) {
 	last := len(awk.Points) - 1
 	if ratio := awk.Points[last].ModelSec / hot.Points[last].ModelSec; ratio < 5 {
 		t.Errorf("Awk/hot ratio = %.1f, want >= 5", ratio)
+	}
+}
+
+// TestSelectCracked holds the Index DB's cracked Q1 to the engine's dense
+// scan and filter over the same columns, query after query while the
+// cracker reorganizes, and checks it charges less than the full scan.
+func TestSelectCracked(t *testing.T) {
+	const rows = 5000
+	rng := rand.New(rand.NewSource(9))
+	src := exec.DenseSource{NumRows: rows, Columns: map[int]*storage.DenseColumn{}}
+	for c := 0; c < 4; c++ {
+		col := storage.NewDense(schema.Int64, rows)
+		for _, v := range rng.Perm(rows) {
+			col.Ints = append(col.Ints, int64(v))
+		}
+		src.Columns[c] = col
+	}
+	cr := cracking.New(src.Columns[0].Ints)
+	for i := 0; i < 8; i++ {
+		_, conj := q1Stmt(rng, rows)
+		var work metrics.Counters
+		got, err := indexQ1(cr, src, conj, &work)
+		if err != nil {
+			t.Fatal(err)
+		}
+		scan, err := exec.NewDenseScan(src, 0, []int{0, 1, 2, 3}, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		v, err := exec.DrainView(exec.NewFilterOp(scan, 0, conj))
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := aggregate(v, q1Aggs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for j := range want {
+			if got[j] != want[j] {
+				t.Fatalf("query %d: cracked Q1 = %v, scanned Q1 = %v", i, got, want)
+			}
+		}
+		if i > 0 && work.Snapshot().InternalBytesRead >= rows*8*4 {
+			t.Errorf("query %d: cracked Q1 read %d bytes, a full scan reads %d", i, work.Snapshot().InternalBytesRead, rows*8*4)
+		}
+	}
+	if cr.Pieces() < 8 {
+		t.Errorf("cracker has %d pieces after 8 range queries", cr.Pieces())
 	}
 }
 

@@ -9,6 +9,7 @@ import (
 	"nodb/internal/baseline"
 	"nodb/internal/catalog"
 	"nodb/internal/core"
+	"nodb/internal/cracking"
 	"nodb/internal/exec"
 	"nodb/internal/expr"
 	"nodb/internal/loader"
@@ -150,7 +151,7 @@ func Fig1b(c Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			if _, err := exec.Aggregate(v, q1Aggs); err != nil {
+			if _, err := aggregate(v, q1Aggs); err != nil {
 				return nil, err
 			}
 			work := counters.Snapshot()
@@ -162,7 +163,7 @@ func Fig1b(c Config) (*Report, error) {
 		// DB: pre-load (not measured), then one Q1; the same work is
 		// priced cold and hot.
 		{
-			eng, cleanup, err := newEngine(c, plan.PolicyColumnLoads, false)
+			eng, cleanup, err := newEngine(c, plan.PolicyColumnLoads)
 			if err != nil {
 				return nil, err
 			}
@@ -187,29 +188,37 @@ func Fig1b(c Config) (*Report, error) {
 			})
 		}
 
-		// Index DB: cracking warms up over a few queries, then measure.
+		// Index DB: the columns are loaded (not measured), a cracker over
+		// a1 warms up over a few queries, then one Q1 is measured.
 		{
-			eng, cleanup, err := newEngine(c, plan.PolicyColumnLoads, true)
+			var counters metrics.Counters
+			tab, err := catalog.New(catalog.Options{Counters: &counters}).Link("R", path)
 			if err != nil {
 				return nil, err
 			}
-			defer cleanup()
-			if err := eng.Link("R", path); err != nil {
+			cols := []int{0, 1, 2, 3}
+			if err := (&loader.Loader{Counters: &counters}).ColumnLoadContext(context.Background(), tab, cols); err != nil {
 				return nil, err
 			}
+			src, err := loader.DenseSourceFor(tab, cols, nil)
+			if err != nil {
+				return nil, err
+			}
+			cr := cracking.New(src.Columns[0].Ints)
 			for i := 0; i < 6; i++ {
-				warm, _ := q1Stmt(rng, rows)
-				if _, err := eng.Query(warm); err != nil {
+				_, conj := q1Stmt(rng, rows)
+				if _, err := indexQ1(cr, src, conj, nil); err != nil {
 					return nil, err
 				}
 			}
-			q, _ := q1Stmt(rng, rows)
-			res, err := eng.Query(q)
-			if err != nil {
+			_, conj := q1Stmt(rng, rows)
+			var work metrics.Counters
+			timer := metrics.StartTimer()
+			if _, err := indexQ1(cr, src, conj, &work); err != nil {
 				return nil, err
 			}
 			series["IndexDB"].Points = append(series["IndexDB"].Points, Point{
-				X: x, Label: label, ModelSec: hot.Seconds(res.Stats.Work), Wall: res.Stats.Wall, Work: res.Stats.Work,
+				X: x, Label: label, ModelSec: hot.Seconds(work.Snapshot()), Wall: timer.Elapsed(), Work: work.Snapshot(),
 			})
 		}
 	}
@@ -246,7 +255,7 @@ func Perl(c Config) (*Report, error) {
 		if err != nil {
 			return Series{}, err
 		}
-		if _, err := exec.Aggregate(v, q1Aggs); err != nil {
+		if _, err := aggregate(v, q1Aggs); err != nil {
 			return Series{}, err
 		}
 		work := counters.Snapshot()
@@ -273,16 +282,73 @@ func Perl(c Config) (*Report, error) {
 	}, nil
 }
 
+// indexQ1 is the Index DB's Q1 (paper Figure 1b, after Idreos et al.'s
+// database cracking): the cracker answers a1's range and reorganizes
+// itself as a side effect, the residual predicates run over the
+// candidates' a2 values, and Q1's aggregates fold the qualifying rows.
+// counters, when non-nil, is charged what a cracked column store reads:
+// the partitioning passes, the qualifying cracker piece (value and row
+// id), the residual column at the candidates and the four columns at the
+// qualifying rows. It returns Q1's answer.
+func indexQ1(cr *cracking.Cracker, src exec.DenseSource, conj expr.Conjunction, counters *metrics.Counters) ([]storage.Value, error) {
+	cr.Counters = counters
+	r, _ := conj.IntRange(0)
+	cands := cr.RowIDs(cr.Select(r.Lo, r.Hi))
+	var residual expr.Conjunction
+	for _, p := range conj.Preds {
+		if p.Col != 0 {
+			residual.Preds = append(residual.Preds, p)
+		}
+	}
+	var rows []int64
+	for _, row := range cands {
+		if residual.EvalRow(func(col int) storage.Value { return src.Columns[col].Value(int(row)) }) {
+			rows = append(rows, row)
+		}
+	}
+	v := exec.NewView()
+	for c, base := range src.Columns {
+		col := storage.NewDense(base.Typ, len(rows))
+		for _, row := range rows {
+			col.Ints = append(col.Ints, base.Ints[row])
+		}
+		v.AddCol(exec.ColKey{Tab: 0, Col: c}, col)
+	}
+	if counters != nil {
+		n, q := int64(len(cands)), int64(len(rows))
+		counters.AddInternalBytesRead(n*16 + n*8*int64(len(residual.Columns())) + q*8*int64(len(src.Columns)))
+	}
+	return aggregate(v, q1Aggs)
+}
+
+// aggregate folds every row of v into specs through the engine's
+// aggregation operator, returning one value per spec; the baselines'
+// costs include it.
+func aggregate(v *exec.View, specs []exec.AggSpec) ([]storage.Value, error) {
+	out := make([]int, len(specs))
+	for i := range out {
+		out[i] = i
+	}
+	b, err := exec.NewAggOp(exec.NewViewScan(v, 0), specs, out).Next()
+	if err != nil {
+		return nil, err
+	}
+	row := make([]storage.Value, len(specs))
+	for i := range row {
+		row[i] = b.Col(exec.OutKey(i)).Value(0)
+	}
+	return row, nil
+}
+
 // newEngine builds a core engine with an isolated split dir; cleanup
 // removes it.
-func newEngine(c Config, pol plan.Policy, cracking bool) (*core.Engine, func(), error) {
+func newEngine(c Config, pol plan.Policy) (*core.Engine, func(), error) {
 	splitDir, err := os.MkdirTemp("", "nodb-splits-*")
 	if err != nil {
 		return nil, nil, err
 	}
 	eng := core.NewEngine(core.Options{
 		Policy:              pol,
-		Cracking:            cracking,
 		SplitDir:            splitDir,
 		DisableRevalidation: true,
 	})

@@ -78,7 +78,7 @@ func fig34Model(c Config) metrics.CostModel {
 // engineSeries runs the query sequence against a fresh engine under the
 // given policy, recording one point per query priced under model.
 func engineSeries(c Config, model metrics.CostModel, name string, pol plan.Policy, path string, queries []string) (Series, error) {
-	eng, cleanup, err := newEngine(c, pol, false)
+	eng, cleanup, err := newEngine(c, pol)
 	if err != nil {
 		return Series{}, err
 	}
@@ -140,7 +140,7 @@ func Fig3(c Config) (*Report, error) {
 		if err != nil {
 			return nil, err
 		}
-		if _, err := exec.Aggregate(v, w.aggs); err != nil {
+		if _, err := aggregate(v, w.aggs); err != nil {
 			return nil, err
 		}
 		work := counters.Snapshot()
@@ -267,7 +267,7 @@ func Joins(c Config) (*Report, error) {
 			{Kind: sql.AggSum, Col: exec.ColKey{Tab: 0, Col: 1}},
 			{Kind: sql.AggSum, Col: exec.ColKey{Tab: 1, Col: 1}},
 		}
-		if _, err := exec.Aggregate(v, sumAggs); err != nil {
+		if _, err := aggregate(v, sumAggs); err != nil {
 			return nil, err
 		}
 		work := counters.Snapshot()
@@ -292,7 +292,7 @@ func Joins(c Config) (*Report, error) {
 			{Kind: sql.AggSum, Col: exec.ColKey{Tab: 0, Col: 1}},
 			{Kind: sql.AggSum, Col: exec.ColKey{Tab: 1, Col: 1}},
 		}
-		if _, err := exec.Aggregate(v, sumAggs); err != nil {
+		if _, err := aggregate(v, sumAggs); err != nil {
 			return nil, err
 		}
 		work := counters.Snapshot()
@@ -305,7 +305,7 @@ func Joins(c Config) (*Report, error) {
 	// numbers); cold prices the binary store at disk speed, hot at memory
 	// speed.
 	{
-		eng, cleanup, err := newEngine(c, plan.PolicyColumnLoads, false)
+		eng, cleanup, err := newEngine(c, plan.PolicyColumnLoads)
 		if err != nil {
 			return nil, err
 		}

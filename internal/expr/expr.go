@@ -1,9 +1,8 @@
 // Package expr implements bound scalar predicates and conjunctions over
 // table columns, plus the interval algebra that turns WHERE clauses into
 // per-column value ranges. Those ranges are what the adaptive machinery
-// consumes: partial loading pushes them into the tokenizer, the adaptive
-// store records them as covered regions, and the cracker uses them as
-// partition bounds.
+// consumes: partial loading pushes them into the tokenizer and the
+// adaptive store records them as covered regions.
 package expr
 
 import (

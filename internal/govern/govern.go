@@ -41,8 +41,7 @@ type Kind int
 
 // Structure kinds.
 const (
-	// KindColumn is a fully loaded dense column (plus any cracker index
-	// built over it, which is evicted with it).
+	// KindColumn is a fully loaded dense column.
 	KindColumn Kind = iota
 	// KindSparse is a retained partial-load column: the sparse values plus
 	// the covered-region bookkeeping that makes them reusable.

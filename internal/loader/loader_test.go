@@ -253,8 +253,8 @@ func TestPartialLoadV2CacheFlow(t *testing.T) {
 	if delta.RawBytesRead != 0 {
 		t.Error("narrower query should be served from the store")
 	}
-	if v3.Len() != 1 || v3.Rows[0] != 1 {
-		t.Errorf("narrow view rows = %v", v3.Rows)
+	if v3.Len() != 1 || v3.Value(exec.ColKey{Tab: 0, Col: 0}, 0).I != 20 {
+		t.Errorf("narrow view = %d rows, want row 1 (a1=20)", v3.Len())
 	}
 
 	// Wider query: not covered; must go back to the file.
@@ -320,10 +320,11 @@ func TestPartialLoadV2MatchesPartialScan(t *testing.T) {
 		if va.Len() != vb.Len() {
 			t.Fatalf("query %d: scan=%d v2=%d", qi, va.Len(), vb.Len())
 		}
-		c0 := exec.ColKey{Tab: 0, Col: 0}
-		for i := range va.Rows {
-			if va.Rows[i] != vb.Rows[i] || va.Value(c0, i).I != vb.Value(c0, i).I {
-				t.Fatalf("query %d row %d differs", qi, i)
+		for _, k := range []exec.ColKey{{Tab: 0, Col: 0}, {Tab: 0, Col: 1}} {
+			for i := 0; i < va.Len(); i++ {
+				if va.Value(k, i).I != vb.Value(k, i).I {
+					t.Fatalf("query %d row %d col %v differs", qi, i, k)
+				}
 			}
 		}
 	}

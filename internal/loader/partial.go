@@ -254,9 +254,9 @@ func (l *Loader) PartialLoadV2Context(ctx context.Context, t *catalog.Table, nee
 	return view, nil
 }
 
-// viewFromStore serves a covered query from the adaptive store: it walks
-// the rows present in the (sparse or dense) columns, re-evaluates the
-// conjunction, and materializes the result view.
+// viewFromStore serves a covered query from the adaptive store: it
+// gathers the rows present in the (sparse or dense) columns and filters
+// them by the conjunction into the result view.
 func (l *Loader) viewFromStore(t *catalog.Table, loadCols []int, conj expr.Conjunction, tab int) (*exec.View, error) {
 	sch := t.Schema()
 
@@ -266,7 +266,8 @@ func (l *Loader) viewFromStore(t *catalog.Table, loadCols []int, conj expr.Conju
 	dense := make(map[int]*storage.DenseColumn, len(loadCols))
 	sparse := make(map[int]*storage.SparseColumn, len(loadCols))
 	// Candidate rows: the sparse column with the fewest entries bounds the
-	// iteration; if every column is dense, fall back to a dense select.
+	// iteration; if every column is dense, the dense scan and filter read
+	// them.
 	var driver *storage.SparseColumn
 	for _, c := range loadCols {
 		if d := t.Dense(c); d != nil {
@@ -287,56 +288,46 @@ func (l *Loader) viewFromStore(t *catalog.Table, loadCols []int, conj expr.Conju
 		if err != nil {
 			return nil, err
 		}
-		return exec.SelectDense(src, conj, loadCols, tab)
+		op, err := exec.NewDenseSelect(src, tab, loadCols, conj, 0)
+		if err != nil {
+			return nil, err
+		}
+		return exec.DrainView(op)
 	}
 
 	get := func(c int, row int64) (storage.Value, bool) {
 		if d := dense[c]; d != nil {
 			return d.Value(int(row)), true
 		}
-		if sp := sparse[c]; sp != nil {
-			return sp.Get(row)
-		}
-		// A column outside loadCols (re-evaluated predicate): read through
-		// the table, tolerating concurrent eviction.
-		if d := t.Dense(c); d != nil {
-			return d.Value(int(row)), true
-		}
-		if sp := t.Sparse(c, false); sp != nil {
-			return sp.Get(row)
-		}
-		return storage.Value{}, false
+		return sparse[c].Get(row)
 	}
 
-	batch := &rowBatch{}
+	// The driver's rows ascend, so the gathered view is in row order.
 	n := driver.Len()
 	if l.Counters != nil {
 		l.Counters.AddInternalBytesRead(int64(n) * 16)
 	}
+	v := exec.NewView()
+	cols := make([]*storage.DenseColumn, len(loadCols))
+	for j, c := range loadCols {
+		cols[j] = storage.NewDense(sch.Columns[c].Type, n)
+		v.AddCol(exec.ColKey{Tab: tab, Col: c}, cols[j])
+	}
+	vals := make([]storage.Value, len(loadCols))
 outer:
 	for i := 0; i < n; i++ {
 		row, _ := driver.At(i)
-		vals := make([]storage.Value, len(loadCols))
 		for j, c := range loadCols {
-			v, ok := get(c, row)
+			val, ok := get(c, row)
 			if !ok {
 				continue outer // row loaded by a region lacking this column
 			}
-			vals[j] = v
+			vals[j] = val
 		}
-		ok := conj.EvalRow(func(col int) storage.Value {
-			for j, c := range loadCols {
-				if c == col {
-					return vals[j]
-				}
-			}
-			v, _ := get(col, row)
-			return v
-		})
-		if ok {
-			batch.add(row, vals)
+		for j, c := range cols {
+			c.Append(vals[j])
 		}
 	}
-	batch.sort()
-	return viewFromBatch(batch, loadCols, sch, tab), nil
+	// loadCols holds every predicate column, so the filter reads the view.
+	return exec.DrainView(exec.NewFilterOp(exec.NewViewScan(v, 0), tab, conj))
 }

@@ -133,9 +133,6 @@ func ParseEvictionPolicy(s string) (string, error) {
 type Options struct {
 	// Policy is the adaptive loading strategy (default ColumnLoads).
 	Policy Policy
-	// Cracking enables adaptive indexing (database cracking) on loaded
-	// integer predicate columns.
-	Cracking bool
 	// SplitDir is the directory for split files; required for the
 	// SplitFiles policy. Files there are derived state and safe to
 	// delete.
@@ -348,7 +345,6 @@ func OpenErr(opts Options) (*DB, error) {
 func coreOptions(opts Options) core.Options {
 	return core.Options{
 		Policy:               opts.Policy.internal(),
-		Cracking:             opts.Cracking,
 		SplitDir:             opts.SplitDir,
 		MemoryBudget:         opts.MemoryBudget,
 		EvictionPolicy:       opts.EvictionPolicy,
@@ -486,7 +482,7 @@ func (db *DB) QueryContext(ctx context.Context, query string, args ...any) (*Res
 // needed columns are loaded) a LIMIT or an early Close stops the raw-file
 // scan mid-pass. Plans that need their whole input first (aggregates,
 // GROUP BY, ORDER BY, joins) and the retaining loaders (PartialLoadsV2,
-// Auto, cracking), which merge their scan into the adaptive store,
+// Auto), which merge their scan into the adaptive store,
 // materialize before the first row is delivered; closing such a cursor
 // mid-load still cancels the scan between chunks.
 func (db *DB) QueryRows(ctx context.Context, query string, args ...any) (*Rows, error) {

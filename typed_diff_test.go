@@ -112,9 +112,10 @@ func TestMixedTypeDifferential(t *testing.T) {
 	}
 }
 
-// TestMaxInt64Predicates: no integer interval the engine records or cracks
-// on may drop MaxInt64. A retained partial load covering `a1 < 10` must not
-// answer `a1 = MaxInt64` as empty, and a cracked `a1 >= 5` must find it.
+// TestMaxInt64Predicates: no integer interval the engine records or folds
+// a predicate into may drop MaxInt64. A retained partial load covering
+// `a1 < 10` must not answer `a1 = MaxInt64` as empty, and the dense
+// filter's folded `a1 >= 5` must find it.
 func TestMaxInt64Predicates(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "t.csv")
@@ -132,7 +133,7 @@ func TestMaxInt64Predicates(t *testing.T) {
 	}
 	for _, cfg := range []diffConfig{
 		{"partial-v2", Options{Policy: PartialLoadsV2}},
-		{"columns+cracking", Options{Policy: ColumnLoads, Cracking: true}},
+		{"columns", Options{Policy: ColumnLoads}},
 	} {
 		t.Run(cfg.name, func(t *testing.T) {
 			db := Open(cfg.opts)

@@ -51,12 +51,19 @@ func vectorDiffQueries() []string {
 	}
 }
 
+// vectorDiffJoinQueries join l (900 rows) and r (400 rows) both ways
+// round, so the probe side is the larger input in some and the smaller
+// in others.
 func vectorDiffJoinQueries() []string {
 	return []string{
 		"select count(*) from l join r on l.a1 = r.a1",
 		"select sum(l.a2), max(r.a2) from l join r on l.a1 = r.a1 where l.a3 < 150",
 		"select l.a1, r.a2 from l join r on l.a1 = r.a1 where r.a2 < 100 order by l.a1, r.a2 limit 15",
 		"select l.a1, count(*) from l join r on l.a1 = r.a1 group by l.a1 order by l.a1 limit 10",
+		"select count(*) from r join l on r.a1 = l.a1",
+		"select sum(r.a2), min(l.a3) from r join l on r.a1 = l.a1 where l.a3 < 150",
+		"select r.a2, l.a3 from r join l on r.a1 = l.a1 where r.a2 < 60 order by r.a2, l.a3 limit 12",
+		"select r.a1, l.a2, r.a2 from r join l on r.a2 = l.a2 where l.a1 < 40",
 	}
 }
 
@@ -112,6 +119,8 @@ func TestVectorVsLegacyJoins(t *testing.T) {
 		{"partial-v1", Options{Policy: PartialLoadsV1}},
 		{"partial-v2", Options{Policy: PartialLoadsV2}},
 		{"external", Options{Policy: External}},
+		{"auto", Options{Policy: Auto}},
+		{"splitfiles", Options{Policy: SplitFiles, SplitDir: filepath.Join(dir, "sf")}},
 	} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
@@ -125,11 +134,104 @@ func TestVectorVsLegacyJoins(t *testing.T) {
 			if err := db.Link("r", rp); err != nil {
 				t.Fatal(err)
 			}
-			for _, q := range vectorDiffJoinQueries() {
+			// Twice over: auto promotes on the third touch of a column.
+			for pass := 0; pass < 2; pass++ {
+				for _, q := range vectorDiffJoinQueries() {
+					checkOracle(t, o, db, q, fmt.Sprintf("%s pass %d", cfg.name, pass))
+				}
+			}
+		})
+	}
+}
+
+// TestJoinNumericKeys joins an int key column with a float one: equal
+// numbers meet whatever their type (1000000 and 1000000.0, 5 and 5.0, 0
+// and -0.0), on either side of the join, under every loading policy.
+func TestJoinNumericKeys(t *testing.T) {
+	dir := t.TempDir()
+	tp, up := filepath.Join(dir, "t.csv"), filepath.Join(dir, "u.csv")
+	if err := os.WriteFile(tp, []byte("1000000,5\n0,1\n7,2\n3,3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(up, []byte("1000000.0,5.0,0.5\n-0.0,2.0,1\n7.5,3.0,2\n7.0,1.0,3\n"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	o := newOracle(t, map[string]string{"t": tp, "u": up})
+	queries := []string{
+		"select count(*) from t join u on t.a1 = u.a1",
+		"select t.a1, u.a3 from t join u on t.a1 = u.a1 order by t.a1, u.a3",
+		"select count(*), sum(u.a3) from u join t on u.a1 = t.a1",
+		"select t.a2, u.a3 from t join u on t.a2 = u.a2 order by t.a2, u.a3",
+	}
+	for _, cfg := range diffConfigs(dir) {
+		t.Run(cfg.name, func(t *testing.T) {
+			db := Open(cfg.opts)
+			defer db.Close()
+			for name, path := range map[string]string{"t": tp, "u": up} {
+				if err := db.Link(name, path); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, q := range queries {
 				checkOracle(t, o, db, q, cfg.name)
 			}
 		})
 	}
+}
+
+// TestPolicySwitchDenseSelect moves one table through the paths that
+// select over columns another policy made dense, each checked against the
+// oracle: partial-v2 records a region, column loads make its columns
+// dense, and partial-v2 answers the covered query again from them; then
+// auto promotes a column on its third touch and scans it dense.
+func TestPolicySwitchDenseSelect(t *testing.T) {
+	dir := t.TempDir()
+	path := filepath.Join(dir, "t.csv")
+	writeRandomTable(t, path, 2000, 4, 1000, 61)
+	o := newOracle(t, map[string]string{"t": path})
+	db := Open(Options{Policy: PartialLoadsV2, Workers: 1})
+	defer db.Close()
+	if err := db.Link("t", path); err != nil {
+		t.Fatal(err)
+	}
+	covered := []string{
+		"select sum(a2), count(*), min(a1) from t where a1 >= 100 and a1 < 400",
+		"select a1, a2 from t where a1 >= 150 and a1 < 160",
+		"select count(*) from t",
+	}
+	for _, q := range covered {
+		checkOracle(t, o, db, q, "partial-v2 first run")
+	}
+
+	db.SetPolicy(ColumnLoads)
+	checkOracle(t, o, db, "select sum(a1), sum(a2) from t", "columns")
+
+	db.SetPolicy(PartialLoadsV2)
+	for _, q := range covered {
+		before := db.Work()
+		checkOracle(t, o, db, q, "partial-v2 over dense columns")
+		work := db.Work()
+		if hits := work.CacheHits - before.CacheHits; hits != 1 {
+			t.Errorf("%s: %d adaptive-store hits, want 1 (the covered path)", q, hits)
+		}
+		if raw := work.RawBytesRead - before.RawBytesRead; raw != 0 {
+			t.Errorf("%s: read %d raw bytes, want 0", q, raw)
+		}
+	}
+
+	db.SetPolicy(Auto)
+	for touch := 1; touch <= 4; touch++ {
+		q := fmt.Sprintf("select sum(a3), count(*) from t where a4 >= %d and a4 < %d", touch*10, touch*10+30)
+		checkOracle(t, o, db, q, fmt.Sprintf("auto touch %d", touch))
+	}
+	st, err := db.TableStats("t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(st.DenseCols) != "[0 1 2 3]" {
+		t.Errorf("dense columns after auto's promotion = %v, want [0 1 2 3]", st.DenseCols)
+	}
+	checkOracle(t, o, db, "select a1, a3, a4 from t where a4 < 20 and a3 > 500", "auto over dense columns")
 }
 
 // TestVectorVsLegacyRandom checks a randomized aggregate workload (the
