@@ -1002,7 +1002,7 @@ func (c *Coordinator) handleQueryStream(w http.ResponseWriter, r *http.Request) 
 		c.cancelled.Add(1)
 		return
 	}
-	for first := true; ; first = false {
+	for {
 		row, ok, rerr := res.iter.Next()
 		if rerr != nil {
 			c.failed.Add(1)
@@ -1013,13 +1013,10 @@ func (c *Coordinator) handleQueryStream(w http.ResponseWriter, r *http.Request) 
 			break
 		}
 		res.stats.rows.Add(1)
-		// The merge has no batch boundaries: after the first row, which
-		// goes out at once, rows reach the client when the pending buffer
-		// fills or the stream's ticker fires.
+		// The stream's write policy batches the merged rows: the first
+		// goes out at once, the rest when the pending buffer fills or the
+		// stream's ticker fires.
 		werr := st.Append(row)
-		if werr == nil && first {
-			werr = st.Flush()
-		}
 		var uve *json.UnsupportedValueError
 		if errors.As(werr, &uve) {
 			c.failed.Add(1)

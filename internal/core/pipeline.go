@@ -11,12 +11,11 @@ import (
 	"nodb/internal/exec"
 	"nodb/internal/loader"
 	"nodb/internal/plan"
-	"nodb/internal/storage"
 )
 
 // This file wires the vectorized operator pipeline (internal/exec's Batch
 // operators) into the engine: plans compile into Scan → Filter → Project →
-// Aggregate/Join → Sort → Limit trees, and the cursor drains the root.
+// Aggregate/Join → Sort → Limit trees, and the cursor pulls the root.
 
 // batchSize returns the configured rows-per-batch (DefaultBatchSize when
 // unset).
@@ -238,43 +237,6 @@ func (e *Engine) streamSource(ctx context.Context, ld *loader.Loader, t *catalog
 	return newBatchStream(ctx, name, func(sctx context.Context, emit func(*exec.Batch) error) error {
 		return ld.ScanBatchesContext(sctx, t, tp.NeedCols, tp.Conj, tp.Ordinal, size, emit)
 	})
-}
-
-// drainPipeline pulls the root to exhaustion, flattening each batch's
-// output-keyed vectors into result rows for the cursor. The rows come
-// from the writer, which carves them from slabs or refills released ones,
-// keeping the drain well under one allocation per row.
-func drainPipeline(ctx context.Context, root exec.Operator, arity int, w *rowWriter) error {
-	cols := make([]*storage.DenseColumn, arity)
-	for {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		b, err := root.Next()
-		if err != nil {
-			return err
-		}
-		if b == nil {
-			return nil
-		}
-		for j := 0; j < arity; j++ {
-			if cols[j] = b.Col(exec.OutKey(j)); cols[j] == nil {
-				return fmt.Errorf("core: output column %d not in batch", j)
-			}
-		}
-		err = w.emitFilled(b.Rows(), arity, func(row []storage.Value, r int) {
-			i := r
-			if b.Sel != nil {
-				i = int(b.Sel[r])
-			}
-			for j, c := range cols {
-				row[j] = c.Value(i)
-			}
-		})
-		if err != nil {
-			return err
-		}
-	}
 }
 
 // describePipeline renders the operator tree a plan would compile to,

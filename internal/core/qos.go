@@ -5,9 +5,11 @@ import (
 	"fmt"
 	"strings"
 
+	"nodb/internal/exec"
 	"nodb/internal/metrics"
 	"nodb/internal/plan"
 	"nodb/internal/qos"
+	"nodb/internal/schema"
 	"nodb/internal/sql"
 	"nodb/internal/storage"
 )
@@ -46,38 +48,38 @@ func (e *Engine) resultKey(stmt *sql.SelectStmt) string {
 }
 
 // cachedRows serves a cached (or singleflight-shared) result through a
-// regular streaming cursor, so callers cannot tell a replay from an
-// execution. Each row is copied out: cursor consumers own the rows they
-// receive, and the cache's copy must stay immutable.
+// regular cursor, so callers cannot tell a replay from an execution: a
+// ViewScan over the result's columns, which the cache owns and nothing
+// writes.
 func (e *Engine) cachedRows(ctx context.Context, res *qos.CachedResult, before metrics.Snapshot, timer metrics.Timer, note string) *Rows {
-	cctx, cancel := newCursorContext(ctx)
-	unhook := context.AfterFunc(e.closeCtx, cancel)
-	r := &Rows{
-		cols:   append([]string(nil), res.Columns...),
-		cancel: cancel,
-		unhook: func() { unhook() },
-		ch:     make(chan [][]storage.Value, 4),
+	r := e.newRows(ctx, append([]string(nil), res.Columns...), before, timer)
+	r.open = func() (exec.Operator, error) {
+		v := exec.NewView()
+		for j, c := range res.Cols {
+			v.AddCol(exec.OutKey(j), c)
+		}
+		return exec.NewViewScan(v, e.batchSize()), nil
 	}
-	go func() {
-		defer close(r.ch)
-		w := &rowWriter{ctx: cctx, ch: r.ch, limit: -1}
-		var err error
-		for _, row := range res.Rows {
-			if err = w.emit(append([]storage.Value(nil), row...)); err != nil {
-				break
-			}
-		}
-		if err == nil {
-			err = w.flush()
-		}
-		r.finalErr = err
-		r.finalStats = QueryStats{
-			Work: e.counters.Snapshot().Sub(before),
-			Wall: timer.Elapsed(),
-			Plan: res.Plan + note,
-		}
-	}()
+	r.end = func(error) string { return res.Plan + note }
 	return r
+}
+
+// finishFlight ends the singleflight r leads. A complete result the sink
+// could hold is published to the cache first, then to the waiting
+// followers (a follower that misses the Finish window still finds the
+// cache entry); otherwise the followers are woken to run for themselves.
+func (e *Engine) finishFlight(qkey string, r *Rows, planText string, err error) {
+	if err != nil || r.closed || r.sink.overflow {
+		e.qflight.Finish(qkey, nil, err)
+		return
+	}
+	res := &qos.CachedResult{
+		Columns: append([]string(nil), r.cols...),
+		Cols:    r.sink.cols,
+		Plan:    planText,
+	}
+	e.qcache.Put(qkey, res)
+	e.qflight.Finish(qkey, res, nil)
 }
 
 // ownPlan attributes the adaptive structures the plan read to the tenant,
@@ -93,27 +95,41 @@ func (e *Engine) ownPlan(p *plan.Plan, tenant string) {
 	}
 }
 
-// resultSink accumulates a private copy of the rows a producer emits, for
-// admission to the result cache. It stops copying — and poisons itself —
-// once the copy exceeds the cache's per-entry bound, so an unexpectedly
-// huge result costs at most the bound in transient memory. Mutated only
-// under the owning rowWriter's lock.
+// resultSink accumulates a private copy of the rows a cursor hands out,
+// for admission to the result cache: each batch's live rows are appended
+// to typed columns. It stops copying — and poisons itself — once the copy
+// exceeds the cache's per-entry bound, so an unexpectedly huge result
+// costs at most the bound in transient memory.
 type resultSink struct {
-	rows     [][]storage.Value
+	cols     []*storage.DenseColumn
 	bytes    int64
 	max      int64
 	overflow bool
 }
 
-func (s *resultSink) add(row []storage.Value) {
+func (s *resultSink) add(vecs []*storage.DenseColumn, sel []int32, n int) {
 	if s == nil || s.overflow {
 		return
 	}
-	s.bytes += qos.RowBytes(row)
-	if s.max > 0 && s.bytes > s.max {
-		s.overflow = true
-		s.rows = nil
-		return
+	if s.cols == nil {
+		s.cols = make([]*storage.DenseColumn, len(vecs))
+		for j, v := range vecs {
+			s.cols[j] = storage.NewDense(v.Typ, n)
+		}
 	}
-	s.rows = append(s.rows, append([]storage.Value(nil), row...))
+	for j, v := range vecs {
+		c := s.cols[j]
+		from := len(c.Strs)
+		c.AppendSelected(v, sel, n)
+		if c.Typ != schema.String {
+			s.bytes += int64(n) * 8
+			continue
+		}
+		for _, str := range c.Strs[from:] {
+			s.bytes += int64(len(str)) + 16
+		}
+	}
+	if s.max > 0 && s.bytes > s.max {
+		s.overflow, s.cols = true, nil
+	}
 }

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"bytes"
 	"context"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"nodb/internal/plan"
 	"nodb/internal/qos"
 	"nodb/internal/schema"
 	"nodb/internal/sql"
@@ -116,5 +120,135 @@ func TestRowsScanDestinations(t *testing.T) {
 		if err := rows.Scan(dest...); err == nil {
 			t.Errorf("Scan(%T...) should fail", dest[len(dest)-1])
 		}
+	}
+}
+
+// TestFlightLeaderClosedBeforeNext: a singleflight leader whose cursor is
+// closed before its first Next still ends its flight, so every follower
+// waiting on it goes on to the right answer instead of hanging, and no
+// structure stays pinned.
+func TestFlightLeaderClosedBeforeNext(t *testing.T) {
+	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads, ResultCacheBytes: 1 << 20})
+	linkTable(t, e, "T", 4000) // a1 is a permutation of 0..3999
+	const q = "select count(*), sum(a1) from T where a1 < 1000"
+
+	leader, err := e.QueryRows(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const followers = 6
+	answers := make(chan string, followers)
+	for i := 0; i < followers; i++ {
+		go func() {
+			res, err := e.Query(q)
+			if err != nil {
+				answers <- err.Error()
+				return
+			}
+			answers <- fmt.Sprint(res.Rows)
+		}()
+	}
+	time.Sleep(20 * time.Millisecond) // let the followers join the flight
+	if err := leader.Close(); err != nil {
+		t.Fatal(err)
+	}
+	const want = "[[1000 499500]]" // closed form: 0 + 1 + ... + 999
+	for i := 0; i < followers; i++ {
+		select {
+		case got := <-answers:
+			if got != want {
+				t.Fatalf("follower answered %s, want %s", got, want)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatal("a follower of a leader closed before Next never answered")
+		}
+	}
+	if pinned := e.MemStats().Pinned; pinned != 0 {
+		t.Fatalf("%d bytes still pinned after every cursor ended", pinned)
+	}
+}
+
+// streamBytes drains a cursor the way /v1/query/stream encodes it, a
+// batch at a time from the typed vectors, and returns the rows' NDJSON
+// and the plan text.
+func streamBytes(t *testing.T, e *Engine, q string) ([]byte, string) {
+	t.Helper()
+	rows, err := e.QueryRows(context.Background(), q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rows.Close()
+	var out []byte
+	for {
+		cols, sel, n := NextBatch(rows)
+		if n == 0 {
+			break
+		}
+		if out, err = storage.AppendJSONCols(out, cols, sel, n); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := rows.Err(); err != nil {
+		t.Fatal(err)
+	}
+	return out, rows.Stats().Plan
+}
+
+// TestCachedReplayMatchesStream: a result-cache hit replays through the
+// same cursor and encodes to exactly the miss's NDJSON — for an empty
+// result, a LIMIT cutting a batch, and mixed int, float and string
+// columns — and a result over the per-entry bound is never cached.
+func TestCachedReplayMatchesStream(t *testing.T) {
+	var csv strings.Builder
+	for i := 0; i < 3000; i++ {
+		fmt.Fprintf(&csv, "%d,%g,name \"%d\" é\n", i, float64(i)*0.37-50, i%17)
+	}
+	path := writeFile(t, t.TempDir(), "m.csv", csv.String())
+	for _, pol := range []plan.Policy{plan.PolicyColumnLoads, plan.PolicyPartialV1} {
+		t.Run(pol.String(), func(t *testing.T) {
+			e := newEngine(t, Options{Policy: pol, ResultCacheBytes: 4 << 20})
+			if err := e.Link("M", path); err != nil {
+				t.Fatal(err)
+			}
+			res, err := e.Query("select a3, a2, a1 from M limit 1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if r := res.Rows[0]; r[0].Typ != schema.String || r[1].Typ != schema.Float64 || r[2].Typ != schema.Int64 {
+				t.Fatalf("column types %v %v %v, want string, float, int", r[0].Typ, r[1].Typ, r[2].Typ)
+			}
+			for _, q := range []string{
+				"select a1, a2, a3 from M where a1 < 0",
+				"select a1, a3 from M where a1 >= 10 limit 1500",
+				"select a3, a2, a1 from M where a1 >= 100",
+			} {
+				miss, missPlan := streamBytes(t, e, q)
+				hit, hitPlan := streamBytes(t, e, q)
+				if strings.Contains(missPlan, "result cache hit") || !strings.Contains(hitPlan, "result cache hit") {
+					t.Fatalf("%s: want a miss then a hit; plans:\n%s\n---\n%s", q, missPlan, hitPlan)
+				}
+				if !bytes.Equal(hit, miss) {
+					t.Fatalf("%s: the hit's NDJSON (%d bytes) differs from the miss's (%d bytes)", q, len(hit), len(miss))
+				}
+				if strings.Contains(q, "limit") && bytes.Count(hit, []byte("\n")) != 1500 {
+					t.Fatalf("%s: %d rows", q, bytes.Count(hit, []byte("\n")))
+				}
+			}
+		})
+	}
+
+	// 2900 rows of three columns are far over a quarter of 64 KiB.
+	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads, ResultCacheBytes: 64 << 10})
+	if err := e.Link("M", path); err != nil {
+		t.Fatal(err)
+	}
+	const big = "select a3, a2, a1 from M where a1 >= 100"
+	first, _ := streamBytes(t, e, big)
+	second, plan := streamBytes(t, e, big)
+	if strings.Contains(plan, "result cache hit") || !bytes.Equal(first, second) {
+		t.Fatalf("an oversized result was replayed, or its answer changed; plan:\n%s", plan)
+	}
+	if st := e.ResultCacheStats(); st.Entries != 0 || st.Inserts != 0 {
+		t.Fatalf("an oversized result was cached: %+v", st)
 	}
 }

@@ -16,22 +16,11 @@ import (
 	"nodb/internal/storage"
 )
 
-// rowBatchSize is how many rows the producer accumulates before handing a
-// batch to the cursor — large enough that channel synchronization is off
-// the per-row path of a fast scan. rowFlushInterval bounds how long a
-// partial batch may sit: a background ticker flushes it, so a highly
-// selective scan over a large file delivers each found row within the
-// interval even when no further rows qualify for a long time.
-const (
-	rowBatchSize     = 256
-	rowFlushInterval = 25 * time.Millisecond
-)
-
-// cursorContext is the context a cursor's producer runs under: cancellable
-// by Close (and by Engine.Close), while delegating Err to the caller's
-// context *dynamically*. The engine's cooperative checkpoints poll Err
-// between chunks, so a parent context that reports cancellation through
-// Err alone (without a Done channel) still stops the scan — plain
+// cursorContext is the context a cursor's operator tree runs under:
+// cancellable by Close (and by Engine.Close), while delegating Err to the
+// caller's context *dynamically*. The engine's cooperative checkpoints
+// poll Err between chunks, so a parent context that reports cancellation
+// through Err alone (without a Done channel) still stops the scan — plain
 // context.WithCancel would hide the parent's Err method.
 type cursorContext struct {
 	parent context.Context
@@ -73,16 +62,14 @@ func (c *cursorContext) Deadline() (deadline time.Time, ok bool) { return c.pare
 
 func (c *cursorContext) Value(key any) any { return c.parent.Value(key) }
 
-// errLimitReached aborts a streaming scan once LIMIT rows were emitted. It
-// is internal: the cursor reports it as clean end-of-rows.
-var errLimitReached = errors.New("core: row limit reached")
-
-// Rows is a streaming query cursor. Rows are produced by a pull-based
-// operator pipeline with early termination: a LIMIT — or closing the
-// cursor — stops a raw-file scan mid-pass (between chunks, via the
-// per-chunk cancellation hooks) instead of letting it finish; plans that
-// sort, group or join materialize first, and closing their cursor cancels
-// whatever scan is still running.
+// Rows is a streaming query cursor over a pull-based operator pipeline.
+// Nothing runs until the first Next: it builds the operator tree and
+// pulls it on the caller's goroutine, one batch per pull. Early
+// termination is built in: a LIMIT — or closing the cursor — stops a
+// raw-file scan mid-pass (between chunks, via the per-chunk cancellation
+// hooks) instead of letting it finish; plans that sort, group or join
+// materialize first, and closing their cursor cancels whatever scan is
+// still running.
 //
 // The iteration protocol matches database/sql: Next advances and reports
 // whether a row is available, Scan copies the current row into Go values,
@@ -90,173 +77,259 @@ var errLimitReached = errors.New("core: row limit reached")
 // cursor (stopping any in-flight scan). A Rows must be closed; Close is
 // idempotent and a fully drained cursor closes cheaply.
 //
+// The cursor holds the root operator's batch and indexes into it; the
+// batch stays valid until the next Next, which may reuse it. Row boxes the
+// current row into a slice that stays valid, and NextBatch hands out the
+// batch's typed vectors themselves.
+//
 // Rows is not safe for concurrent use by multiple goroutines.
 type Rows struct {
 	cols []string
+	ctx  context.Context
 
 	cancel context.CancelFunc
 	unhook func() // releases the engine-close hook
-	ch     chan [][]storage.Value
-	free   chan [][]storage.Value // batches handed back by ReleaseBatch
 
-	// Written by the producer before it closes ch; the channel close is
-	// the synchronization point making them visible to the consumer.
-	finalErr   error
-	finalStats QueryStats
+	// open builds the operator tree on the first Next, which clears it
+	// (a nil root is an empty result); end runs exactly once, at end of
+	// rows or at Close — a Close before the first Next included — and
+	// returns the plan text for Stats.
+	open   func() (exec.Operator, error)
+	end    func(err error) string
+	root   exec.Operator
+	sink   *resultSink // the result-cache tee of a singleflight leader
+	e      *Engine
+	before metrics.Snapshot
+	timer  metrics.Timer
 
-	// Consumer-side state.
-	cur         [][]storage.Value
-	idx         int
-	row         []storage.Value
-	done        bool
-	closed      bool
-	closedEarly bool
-	err         error
-	stats       QueryStats
+	// The current batch: output vectors in select-list order, its
+	// selection vector, live row count, and the current row's live index.
+	vecs   []*storage.DenseColumn
+	sel    []int32
+	n      int
+	idx    int
+	slab   []storage.Value // the batch's rows from slabLo on, boxed by its first Row
+	slabLo int
+	ident  []int32 // 0, 1, 2, ...: the positions of a dense batch
+
+	done   bool
+	closed bool
+	err    error
+	stats  QueryStats
 }
 
 // Columns returns the output column names.
 func (r *Rows) Columns() []string { return append([]string(nil), r.cols...) }
 
-// Next advances to the next row, blocking until one is available or the
-// query ends. It returns false at end-of-rows or on error; consult Err to
-// tell the two apart.
+// Next advances to the next row, pulling the next batch through the
+// operator tree when the current one is used up. It returns false at
+// end-of-rows or on error; consult Err to tell the two apart.
 func (r *Rows) Next() bool {
 	if r.closed || r.done {
 		return false
 	}
-	if r.idx < len(r.cur) {
-		r.row = r.cur[r.idx]
+	if r.idx+1 < r.n {
 		r.idx++
 		return true
 	}
-	batch, ok := <-r.ch
-	if !ok {
-		r.finish()
+	if err := r.pull(); err != nil || r.n == 0 {
+		r.finish(err)
 		return false
 	}
-	r.cur, r.idx = batch, 1
-	r.row = batch[0]
 	return true
 }
 
-// NextBatch advances the cursor past every row up to the end of the
-// producer's current batch and returns them: the remainder of a batch
-// partly consumed by Next, or else the next batch, blocking until one is
-// available. It returns nil where Next would return false (consult Err).
-// The rows are owned by the caller, like Row's, until handed back with
-// ReleaseBatch. It is a function rather than a method so nodb.Rows keeps
-// its database/sql shape; the HTTP servers use it to encode and write a
-// result a batch at a time.
-func NextBatch(r *Rows) [][]storage.Value {
-	if !r.Next() {
+// pull makes the root's next batch current (n = 0 at end of rows),
+// building the operator tree on the first call.
+func (r *Rows) pull() error {
+	r.n, r.idx, r.slab = 0, 0, nil
+	if err := r.ctx.Err(); err != nil {
+		return err
+	}
+	if r.open != nil {
+		open := r.open
+		r.open = nil
+		var err error
+		if r.root, err = open(); err != nil {
+			return err
+		}
+	}
+	if r.root == nil {
 		return nil
 	}
-	batch := r.cur[r.idx-1:]
-	r.idx = len(r.cur)
-	r.row = batch[len(batch)-1]
-	return batch
+	b, err := r.root.Next()
+	if err != nil || b == nil {
+		return err
+	}
+	for j := range r.vecs {
+		if r.vecs[j] = b.Col(exec.OutKey(j)); r.vecs[j] == nil {
+			return fmt.Errorf("core: output column %d not in batch", j)
+		}
+	}
+	r.sel, r.n = b.Sel, b.Rows()
+	r.sink.add(r.vecs, r.sel, r.n)
+	return nil
 }
 
-// ReleaseBatch hands a batch returned by NextBatch back to the cursor's
-// producer, which refills its rows in place instead of allocating new
-// ones; a consumer that encodes each batch and drops it thereby keeps
-// the stream's working set to a few batches. The caller must not touch
-// the batch, its rows or Row afterwards.
-func ReleaseBatch(r *Rows, batch [][]storage.Value) {
-	select {
-	case r.free <- batch:
-	default: // nil free list, or already full
+// NextBatch advances the cursor to the last row of the current batch and
+// returns the rows it passed: the remainder of a batch partly consumed by
+// Next, or else the next batch. cols are the output vectors in select-list
+// order; row k of the result is position sel[k] of every vector, or
+// position k when sel is nil, for k < n. n is 0 where Next would return
+// false (consult Err). The vectors belong to the cursor and are valid
+// until its next Next, NextBatch or Close. It is a function rather than a
+// method so nodb.Rows keeps its database/sql shape; the HTTP server uses
+// it to encode a result a batch at a time.
+func NextBatch(r *Rows) (cols []*storage.DenseColumn, sel []int32, n int) {
+	if !r.Next() {
+		return nil, nil, 0
 	}
+	sel = r.sel
+	if r.idx > 0 {
+		sel = r.rest()
+	}
+	n = r.n - r.idx
+	r.idx = r.n - 1
+	return r.vecs, sel, n
 }
 
-// finish records the producer's final error and stats (visible once the
-// channel is closed) and releases the cursor's contexts.
-func (r *Rows) finish() {
-	r.done = true
-	r.err = r.finalErr
-	r.stats = r.finalStats
-	r.release()
+// rest returns the batch positions of rows idx..n-1 of the current batch.
+func (r *Rows) rest() []int32 {
+	sel := r.sel
+	if sel == nil {
+		for i := len(r.ident); i < r.n; i++ {
+			r.ident = append(r.ident, int32(i))
+		}
+		sel = r.ident[:r.n]
+	}
+	return sel[r.idx:]
 }
 
-func (r *Rows) release() {
-	if r.cancel != nil {
-		r.cancel()
-		r.cancel = nil
+// finish ends the cursor exactly once: it runs the query's end-of-rows
+// work, records the final error and stats, and releases the contexts.
+func (r *Rows) finish(err error) {
+	r.done, r.n, r.err = true, 0, err
+	plan := r.end(err)
+	r.stats = QueryStats{
+		Work: r.e.counters.Snapshot().Sub(r.before),
+		Wall: r.timer.Elapsed(),
+		Plan: plan,
 	}
-	if r.unhook != nil {
-		r.unhook()
-		r.unhook = nil
-	}
+	r.unhook()
+	r.cancel()
 }
 
 // Row returns the current row's values. The slice is owned by the caller
-// and remains valid after further Next calls.
+// and remains valid after further Next calls: the first Row of a batch
+// boxes the batch's remaining rows into one slab, a column at a time.
 func (r *Rows) Row() []storage.Value {
-	return r.row
+	if r.n == 0 {
+		return nil
+	}
+	arity := len(r.vecs)
+	if r.slab == nil {
+		r.box()
+	}
+	k := (r.idx - r.slabLo) * arity
+	return r.slab[k : k+arity : k+arity]
 }
 
-// Scan copies the current row into dest. Supported destinations: *int64,
-// *int, *float64, *string, *bool, *any and *storage.Value. Numeric values
-// widen (int64 → float64); *string accepts any value via its text
-// rendering.
+// box fills a fresh slab with rows idx..n-1 of the current batch, one
+// typed loop per column. The slab is zeroed, so each value needs only its
+// type and its one field.
+func (r *Rows) box() {
+	arity := len(r.vecs)
+	r.slabLo = r.idx
+	r.slab = make([]storage.Value, (r.n-r.idx)*arity)
+	pos := r.rest()
+	for j, c := range r.vecs {
+		vals := r.slab[j:]
+		switch c.Typ {
+		case schema.Int64:
+			for k, i := range pos {
+				v := &vals[k*arity]
+				v.Typ, v.I = schema.Int64, c.Ints[i]
+			}
+		case schema.Float64:
+			for k, i := range pos {
+				v := &vals[k*arity]
+				v.Typ, v.F = schema.Float64, c.Floats[i]
+			}
+		default:
+			for k, i := range pos {
+				v := &vals[k*arity]
+				v.Typ, v.S = c.Typ, c.Strs[i]
+			}
+		}
+	}
+}
+
+// Scan copies the current row into dest, reading each typed vector
+// directly. Supported destinations: *int64, *int, *float64, *string,
+// *bool, *any and *storage.Value. Numeric values widen (int64 → float64);
+// *string accepts any value via its text rendering.
 func (r *Rows) Scan(dest ...any) error {
-	if r.row == nil || r.done || r.closed {
+	if r.n == 0 || r.closed {
 		return errors.New("core: Scan called without a row; call Next first")
 	}
-	if len(dest) != len(r.row) {
-		return fmt.Errorf("core: Scan expected %d destinations, got %d", len(r.row), len(dest))
+	if len(dest) != len(r.vecs) {
+		return fmt.Errorf("core: Scan expected %d destinations, got %d", len(r.vecs), len(dest))
 	}
-	for i, d := range dest {
-		if err := scanValue(r.row[i], d); err != nil {
-			return fmt.Errorf("core: Scan column %d (%s): %w", i, r.cols[i], err)
+	i := r.idx
+	if r.sel != nil {
+		i = int(r.sel[i])
+	}
+	for j, d := range dest {
+		if err := scanValue(r.vecs[j], i, d); err != nil {
+			return fmt.Errorf("core: Scan column %d (%s): %w", j, r.cols[j], err)
 		}
 	}
 	return nil
 }
 
-func scanValue(v storage.Value, dest any) error {
+func scanValue(c *storage.DenseColumn, i int, dest any) error {
 	switch d := dest.(type) {
 	case *int64:
-		if v.Typ != schema.Int64 {
-			return fmt.Errorf("cannot scan %s into *int64", v.Typ)
+		if c.Typ != schema.Int64 {
+			return fmt.Errorf("cannot scan %s into *int64", c.Typ)
 		}
-		*d = v.I
+		*d = c.Ints[i]
 	case *int:
-		if v.Typ != schema.Int64 {
-			return fmt.Errorf("cannot scan %s into *int", v.Typ)
+		if c.Typ != schema.Int64 {
+			return fmt.Errorf("cannot scan %s into *int", c.Typ)
 		}
-		if int64(int(v.I)) != v.I {
-			return fmt.Errorf("value %d overflows *int", v.I)
+		v := c.Ints[i]
+		if int64(int(v)) != v {
+			return fmt.Errorf("value %d overflows *int", v)
 		}
-		*d = int(v.I)
+		*d = int(v)
 	case *float64:
-		switch v.Typ {
+		switch c.Typ {
 		case schema.Int64:
-			*d = float64(v.I)
+			*d = float64(c.Ints[i])
 		case schema.Float64:
-			*d = v.F
+			*d = c.Floats[i]
 		default:
-			return fmt.Errorf("cannot scan %s into *float64", v.Typ)
+			return fmt.Errorf("cannot scan %s into *float64", c.Typ)
 		}
 	case *bool:
-		if v.Typ != schema.Int64 {
-			return fmt.Errorf("cannot scan %s into *bool", v.Typ)
+		if c.Typ != schema.Int64 {
+			return fmt.Errorf("cannot scan %s into *bool", c.Typ)
 		}
-		*d = v.I != 0
+		*d = c.Ints[i] != 0
 	case *string:
-		*d = v.String()
+		*d = c.Value(i).String()
 	case *any:
-		switch v.Typ {
+		switch c.Typ {
 		case schema.Int64:
-			*d = v.I
+			*d = c.Ints[i]
 		case schema.Float64:
-			*d = v.F
+			*d = c.Floats[i]
 		default:
-			*d = v.S
+			*d = c.Strs[i]
 		}
 	case *storage.Value:
-		*d = v
+		*d = c.Value(i)
 	default:
 		return fmt.Errorf("unsupported destination type %T", dest)
 	}
@@ -273,29 +346,19 @@ func (r *Rows) Err() error { return r.err }
 // early termination it covers the work actually done, not a full pass.
 func (r *Rows) Stats() QueryStats { return r.stats }
 
-// Close releases the cursor. Closing mid-iteration cancels the producer,
+// Close releases the cursor. Closing mid-iteration cancels the query,
 // which stops a raw-file scan between chunks; the partial work is still
 // accounted in Stats. Close is idempotent and returns any genuine query
-// error (cancellation caused by Close itself is not reported).
+// error (stopping early is not one).
 func (r *Rows) Close() error {
 	if r.closed {
 		return r.err
 	}
 	r.closed = true
 	if !r.done {
-		r.closedEarly = true
-		if r.cancel != nil {
-			r.cancel()
-		}
-		for range r.ch { // discard; producer exits promptly once cancelled
-		}
-		r.finish()
-		if r.closedEarly && errors.Is(r.err, context.Canceled) {
-			// The cancellation we just caused, not a query failure.
-			r.err = nil
-		}
+		r.cancel() // stop in-flight scans before the tree is closed
+		r.finish(nil)
 	}
-	r.release()
 	return r.err
 }
 
@@ -311,126 +374,6 @@ func (r *Rows) Result() (*Result, error) {
 		return nil, err
 	}
 	return &Result{Columns: r.Columns(), Rows: rows, Stats: r.Stats()}, nil
-}
-
-// rowWriter batches produced rows onto the cursor channel, enforcing LIMIT.
-// The pipeline drain and the background flusher both touch the batch, so
-// access is serialized here.
-type rowWriter struct {
-	ctx   context.Context
-	ch    chan<- [][]storage.Value
-	free  <-chan [][]storage.Value // released batches to refill; may be nil
-	limit int                      // -1 = unlimited
-
-	mu    sync.Mutex
-	count int
-	batch [][]storage.Value
-	slab  []storage.Value // unused tail of the values emitFilled carves rows from
-	sink  *resultSink     // optional tee of emitted rows for the result cache
-}
-
-// emit appends one row, taking ownership of it. It returns errLimitReached
-// once LIMIT rows have been emitted (aborting the producing scan) and the
-// context's error when the cursor was closed or cancelled.
-func (w *rowWriter) emit(row []storage.Value) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.limit >= 0 && w.count >= w.limit {
-		return errLimitReached
-	}
-	w.sink.add(row)
-	w.batch = append(w.batch, row)
-	w.count++
-	if w.limit >= 0 && w.count >= w.limit {
-		if err := w.flushLocked(); err != nil {
-			return err
-		}
-		return errLimitReached
-	}
-	if len(w.batch) >= rowBatchSize {
-		return w.flushLocked()
-	}
-	return nil
-}
-
-// emitFilled appends n rows of arity values, each written in place by
-// fill(row, r) for r in [0, n), under one lock acquisition. The rows are
-// the writer's own: rows of a released batch where one is at hand, else
-// carved from a slab allocated for the rows still to come in this batch.
-func (w *rowWriter) emitFilled(n, arity int, fill func(row []storage.Value, r int)) error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	for r := 0; r < n; r++ {
-		if w.limit >= 0 && w.count >= w.limit {
-			return errLimitReached
-		}
-		row := w.slot(arity, min(n-r, rowBatchSize-len(w.batch)))
-		fill(row, r)
-		w.sink.add(row)
-		w.count++
-		if len(w.batch) >= rowBatchSize {
-			if err := w.flushLocked(); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// slot extends the batch by one row of arity values and returns it. When
-// it must allocate, it allocates for the next rows rows at once.
-func (w *rowWriter) slot(arity, rows int) []storage.Value {
-	if len(w.batch) == 0 {
-		w.batch = w.fresh()
-	}
-	n := len(w.batch)
-	if n < cap(w.batch) {
-		w.batch = w.batch[:n+1]
-		if row := w.batch[n]; cap(row) >= arity { // left by a released batch
-			w.batch[n] = row[:arity]
-			return w.batch[n]
-		}
-	} else {
-		w.batch = append(w.batch, nil)
-	}
-	if len(w.slab) < arity {
-		w.slab = make([]storage.Value, rows*arity)
-	}
-	row := w.slab[:arity:arity]
-	w.slab = w.slab[arity:]
-	w.batch[n] = row
-	return row
-}
-
-// fresh returns a released batch emptied for refilling, or nil when the
-// consumer has handed none back.
-func (w *rowWriter) fresh() [][]storage.Value {
-	select {
-	case b := <-w.free:
-		return b[:0]
-	default:
-		return nil
-	}
-}
-
-func (w *rowWriter) flush() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.flushLocked()
-}
-
-func (w *rowWriter) flushLocked() error {
-	if len(w.batch) == 0 {
-		return nil
-	}
-	batch := w.batch
-	w.batch = nil
-	select {
-	case w.ch <- batch:
-		return nil
-	case <-w.ctx.Done():
-		return w.ctx.Err()
-	}
 }
 
 // QueryRows opens a streaming cursor for one SELECT statement with
@@ -454,7 +397,9 @@ func (e *Engine) QueryRows(ctx context.Context, query string, args ...any) (*Row
 // With a result cache configured, a fully bound statement first consults
 // the cache (keyed on normalized SQL + table signatures; see resultKey)
 // and joins the singleflight group: the first of N identical concurrent
-// queries executes, the rest wait and replay its result.
+// queries executes, the rest wait and replay its result. The leader's
+// query runs as its cursor is drained, so the followers wait until that
+// cursor reaches end of rows or is closed.
 func (e *Engine) QueryRowsStmt(ctx context.Context, stmt *sql.SelectStmt) (*Rows, error) {
 	timer := metrics.StartTimer()
 	before := e.counters.Snapshot()
@@ -470,7 +415,8 @@ func (e *Engine) QueryRowsStmt(ctx context.Context, stmt *sql.SelectStmt) (*Rows
 	}
 
 	// qkey is non-empty exactly when this call leads a singleflight for a
-	// cacheable statement; produce finishes the flight on every path.
+	// cacheable statement; the cursor's end finishes the flight on every
+	// path, a Close before the first Next included.
 	var qkey string
 	if e.qcache != nil {
 		if key := e.resultKey(stmt); key != "" {
@@ -514,97 +460,64 @@ func (e *Engine) QueryRowsStmt(ctx context.Context, stmt *sql.SelectStmt) (*Rows
 		return nil, err
 	}
 
+	r := e.newRows(ctx, p.Output, before, timer)
+	if qkey != "" {
+		r.sink = &resultSink{max: e.qcache.MaxEntryBytes()}
+	}
+	unpin, cleanup := func() {}, func() {}
+	r.open = func() (exec.Operator, error) {
+		// Pin the adaptive structures this plan reads (the plan's Pins per
+		// table, plus each table's positional map and split files) so the
+		// governor cannot evict them while the scan streams over them.
+		// Columns loaded *by* this query register most-recently-used and
+		// are naturally poor victims. Pins drop before budget enforcement.
+		unpin = e.pinPlan(p)
+		if p.Limit == 0 {
+			return nil, nil
+		}
+		root, cl, err := e.buildPipeline(r.ctx, p)
+		cleanup = cl
+		return root, err
+	}
+	r.end = func(err error) string {
+		planText := p.String()
+		if r.root != nil {
+			planText += "vectorized pipeline:\n" + indentTree(exec.ExplainTree(r.root))
+			r.root.Close()
+		}
+		cleanup()
+		unpin()
+		// Attribute the structures this query read (and any it built) to
+		// the calling tenant before enforcement, so the per-tenant pass
+		// charges the bytes to whoever actually caused them.
+		if tenant := qos.TenantFrom(ctx); tenant != "" {
+			e.ownPlan(p, tenant)
+		}
+		e.gov.Enforce()
+		if qkey != "" {
+			e.finishFlight(qkey, r, planText, err)
+		}
+		return planText
+	}
+	return r, nil
+}
+
+// newRows returns a cursor for the given output columns, cancellable by
+// Close and by Engine.Close; the caller sets open and end.
+func (e *Engine) newRows(ctx context.Context, cols []string, before metrics.Snapshot, timer metrics.Timer) *Rows {
 	cctx, cancel := newCursorContext(ctx)
 	// Engine.Close aborts in-flight cursors: closing the engine cancels
 	// closeCtx, which cancels this cursor's context.
 	unhook := context.AfterFunc(e.closeCtx, cancel)
-
-	r := &Rows{
-		cols:   p.Output,
+	return &Rows{
+		cols:   cols,
+		ctx:    cctx,
 		cancel: cancel,
 		unhook: func() { unhook() },
-		ch:     make(chan [][]storage.Value, 4),
-		free:   make(chan [][]storage.Value, 8),
-	}
-	go e.produce(cctx, p, r, before, timer, qkey)
-	return r, nil
-}
-
-// produce runs the query and feeds the cursor. It always closes the
-// channel last, after recording the final error and stats. A non-empty
-// qkey means this execution leads a singleflight: the emitted rows are
-// teed into a private copy that, on success, is admitted to the result
-// cache and handed to the waiting followers.
-func (e *Engine) produce(ctx context.Context, p *plan.Plan, r *Rows, before metrics.Snapshot, timer metrics.Timer, qkey string) {
-	defer close(r.ch)
-	w := &rowWriter{ctx: ctx, ch: r.ch, free: r.free, limit: p.Limit}
-	if qkey != "" {
-		w.sink = &resultSink{max: e.qcache.MaxEntryBytes()}
-	}
-
-	// Pin the adaptive structures this plan reads (the plan's Pins per
-	// table, plus each table's positional map and split files) so the
-	// governor cannot evict them while the scan streams over them. Columns
-	// loaded *by* this query register most-recently-used and are naturally
-	// poor victims. Pins drop before budget enforcement below.
-	unpin := e.pinPlan(p)
-
-	// Background flusher: bounds how long a partial batch sits when the
-	// scan finds rows rarely. It must stop before the channel closes.
-	stopFlush := make(chan struct{})
-	flushDone := make(chan struct{})
-	go func() {
-		defer close(flushDone)
-		tick := time.NewTicker(rowFlushInterval)
-		defer tick.Stop()
-		for {
-			select {
-			case <-tick.C:
-				_ = w.flush() // a cancelled cursor surfaces through execute
-			case <-stopFlush:
-				return
-			}
-		}
-	}()
-
-	note, err := e.execute(ctx, p, w)
-	close(stopFlush)
-	<-flushDone
-	if err == nil {
-		err = w.flush()
-	}
-	if errors.Is(err, errLimitReached) {
-		err = nil // LIMIT satisfied: a clean early stop, not a failure
-	}
-	unpin()
-	// Attribute the structures this query read (and any it built) to the
-	// calling tenant before enforcement, so the per-tenant pass charges
-	// the bytes to whoever actually caused them.
-	if tenant := qos.TenantFrom(ctx); tenant != "" {
-		e.ownPlan(p, tenant)
-	}
-	e.gov.Enforce()
-	r.finalErr = err
-	planText := p.String() + note
-	r.finalStats = QueryStats{
-		Work: e.counters.Snapshot().Sub(before),
-		Wall: timer.Elapsed(),
-		Plan: planText,
-	}
-	if qkey != "" {
-		// Publish to the cache first, then wake the followers: a follower
-		// that misses the Finish window still finds the cache entry.
-		if err == nil && w.sink != nil && !w.sink.overflow {
-			res := &qos.CachedResult{
-				Columns: append([]string(nil), r.cols...),
-				Rows:    w.sink.rows,
-				Plan:    planText,
-			}
-			e.qcache.Put(qkey, res)
-			e.qflight.Finish(qkey, res, nil)
-		} else {
-			e.qflight.Finish(qkey, nil, err)
-		}
+		e:      e,
+		before: before,
+		timer:  timer,
+		vecs:   make([]*storage.DenseColumn, len(cols)),
 	}
 }
 
@@ -624,24 +537,4 @@ func (e *Engine) pinPlan(p *plan.Plan) func() {
 			u()
 		}
 	}
-}
-
-// execute compiles the plan into the vectorized operator pipeline and
-// drains it into the cursor. It returns the executed operator tree, with
-// per-operator batch/row counters, as an EXPLAIN note for the stats plan.
-func (e *Engine) execute(ctx context.Context, p *plan.Plan, w *rowWriter) (string, error) {
-	if p.Limit == 0 {
-		return "", nil
-	}
-	root, cleanup, err := e.buildPipeline(ctx, p)
-	if err != nil {
-		cleanup()
-		return "", err
-	}
-	defer cleanup()
-	defer root.Close()
-
-	err = drainPipeline(ctx, root, len(p.Output), w)
-	note := "vectorized pipeline:\n" + indentTree(exec.ExplainTree(root))
-	return note, err
 }

@@ -71,126 +71,81 @@ func TestRowsIterationMatchesBufferedResult(t *testing.T) {
 
 // TestNextBatchMatchesNext: draining with NextBatch — interleaved with
 // Next, which leaves a batch partly consumed — yields exactly the rows
-// and order Next alone yields, then reports end-of-rows like Next, under
-// every policy and across several producer batches.
+// and order of the buffered Result, then reports end-of-rows like Next,
+// under every policy (streaming partial-v1 and external included) and
+// across several batches, filtered and dense.
 func TestNextBatchMatchesNext(t *testing.T) {
 	for _, pol := range allPolicies {
 		t.Run(pol.String(), func(t *testing.T) {
 			e := newEngine(t, Options{Policy: pol})
 			linkTable(t, e, "T", 3000)
-			const q = "select a1, a2 from T where a1 >= 100 and a1 < 1700"
-
-			res, err := e.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows, err := e.QueryRows(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rows.Close()
-			var got [][]storage.Value
-			batches := 0
-			for step := 0; ; step++ {
-				if step%3 == 2 { // a lone Next splits the batch it lands in
-					if !rows.Next() {
-						break
-					}
-					got = append(got, rows.Row())
-					continue
-				}
-				batch := NextBatch(rows)
-				if batch == nil {
-					break
-				}
-				batches++
-				got = append(got, batch...)
-				var a1, a2 int64
-				if err := rows.Scan(&a1, &a2); err != nil {
+			for _, q := range []string{
+				"select a1, a2 from T where a1 >= 100 and a1 < 2700",
+				"select a2, a1 from T",
+			} {
+				res, err := e.Query(q)
+				if err != nil {
 					t.Fatal(err)
 				}
-				if last := batch[len(batch)-1]; a1 != last[0].I || a2 != last[1].I {
-					t.Fatalf("Scan after NextBatch = (%d,%d), want the batch's last row %v", a1, a2, last)
+				rows, err := e.QueryRows(context.Background(), q)
+				if err != nil {
+					t.Fatal(err)
 				}
-			}
-			if err := rows.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if NextBatch(rows) != nil || rows.Next() {
-				t.Fatal("cursor yields rows after end-of-rows")
-			}
-			if batches < 2 {
-				t.Fatalf("drained in %d batches; the test needs several", batches)
-			}
-			if len(got) != len(res.Rows) || len(got) != 1600 {
-				t.Fatalf("NextBatch yielded %d rows, buffered %d, want 1600", len(got), len(res.Rows))
-			}
-			for i := range got {
-				if got[i][0] != res.Rows[i][0] || got[i][1] != res.Rows[i][1] {
-					t.Fatalf("row %d: NextBatch %v != buffered %v", i, got[i], res.Rows[i])
-				}
-			}
-			if rows.Stats().Plan == "" {
-				t.Error("cursor stats missing plan")
-			}
-		})
-	}
-}
-
-// TestReleaseBatchRecyclesRows: batches handed back through ReleaseBatch
-// are refilled by the producer — later batches reuse their rows — and the
-// values the cursor yields stay exactly those of the buffered path, under
-// every policy.
-func TestReleaseBatchRecyclesRows(t *testing.T) {
-	for _, pol := range allPolicies {
-		t.Run(pol.String(), func(t *testing.T) {
-			e := newEngine(t, Options{Policy: pol})
-			linkTable(t, e, "T", 20000)
-			const q = "select a1, a2, a4 from T where a1 >= 100 and a1 < 15000"
-
-			res, err := e.Query(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rows, err := e.QueryRows(context.Background(), q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer rows.Close()
-			seen := map[*storage.Value]bool{}
-			var got [][]storage.Value
-			reused := 0
-			for batch := NextBatch(rows); batch != nil; batch = NextBatch(rows) {
-				for _, row := range batch {
-					if seen[&row[0]] {
-						reused++
+				var got [][]storage.Value
+				batches := 0
+				for step := 0; ; step++ {
+					if step%3 == 2 { // a lone Next splits the batch it lands in
+						if !rows.Next() {
+							break
+						}
+						got = append(got, rows.Row())
+						continue
 					}
-					seen[&row[0]] = true
-					got = append(got, append([]storage.Value(nil), row...))
+					cols, sel, n := NextBatch(rows)
+					if n == 0 {
+						break
+					}
+					batches++
+					for k := 0; k < n; k++ {
+						i := k
+						if sel != nil {
+							i = int(sel[k])
+						}
+						row := make([]storage.Value, len(cols))
+						for j, c := range cols {
+							row[j] = c.Value(i)
+						}
+						got = append(got, row)
+					}
+					var x, y int64
+					if err := rows.Scan(&x, &y); err != nil {
+						t.Fatal(err)
+					}
+					if last := got[len(got)-1]; x != last[0].I || y != last[1].I {
+						t.Fatalf("Scan after NextBatch = (%d,%d), want the batch's last row %v", x, y, last)
+					}
 				}
-				ReleaseBatch(rows, batch)
-			}
-			if err := rows.Err(); err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(res.Rows) || len(got) != 14900 {
-				t.Fatalf("drained %d rows, buffered %d, want 14900", len(got), len(res.Rows))
-			}
-			// Parallel raw-file scans may interleave chunks: compare as sets
-			// (a1 is unique).
-			want := map[int64][]storage.Value{}
-			for _, row := range res.Rows {
-				want[row[0].I] = row
-			}
-			for _, row := range got {
-				w, ok := want[row[0].I]
-				if !ok || row[1] != w[1] || row[2] != w[2] {
-					t.Fatalf("released drain yields %v; buffered has %v", row, w)
+				if err := rows.Err(); err != nil {
+					t.Fatal(err)
 				}
-				delete(want, row[0].I)
-			}
-			if reused == 0 {
-				t.Fatal("no row of a released batch was ever refilled")
+				if _, _, n := NextBatch(rows); n != 0 || rows.Next() {
+					t.Fatal("cursor yields rows after end-of-rows")
+				}
+				if batches < 2 {
+					t.Fatalf("drained in %d batches; the test needs several", batches)
+				}
+				if len(got) != len(res.Rows) || len(got) < 2600 {
+					t.Fatalf("%s: NextBatch yielded %d rows, buffered %d", q, len(got), len(res.Rows))
+				}
+				for i := range got {
+					if got[i][0] != res.Rows[i][0] || got[i][1] != res.Rows[i][1] {
+						t.Fatalf("row %d: NextBatch %v != buffered %v", i, got[i], res.Rows[i])
+					}
+				}
+				if rows.Stats().Plan == "" {
+					t.Error("cursor stats missing plan")
+				}
+				rows.Close()
 			}
 		})
 	}
@@ -246,7 +201,7 @@ func TestRowsLimitStopsScanEarly(t *testing.T) {
 }
 
 // TestRowsCloseStopsScanMidIteration: closing a cursor after a few rows
-// cancels the producer; the scan stops between chunks.
+// cancels the query; the scan stops between chunks.
 func TestRowsCloseStopsScanMidIteration(t *testing.T) {
 	e := newEngine(t, Options{Policy: plan.PolicyPartialV1, ChunkSize: 4096})
 	path := linkTable(t, e, "big", 40000)

@@ -37,8 +37,8 @@ func OutKey(i int) ColKey { return ColKey{Tab: OutTab, Col: i} }
 // that producer's next Next or Close, which may reuse its shell, column
 // map, selection vector and vectors for the following batch. A consumer
 // never writes through a batch it received, and one that keeps rows past
-// its child's next Next copies them (join builds, group-by keys, sorts and
-// the cursor drain all do).
+// its child's next Next copies them (join builds, group-by keys, sorts,
+// the cursor's Row and the result-cache tee all do).
 type Batch struct {
 	N    int
 	Sel  []int32
@@ -180,36 +180,6 @@ func appendAt(dst, src *storage.DenseColumn, i int) {
 	}
 }
 
-// appendSelected appends the live positions of src (per sel) to dst.
-func appendSelected(dst, src *storage.DenseColumn, n int, sel []int32) {
-	switch src.Typ {
-	case schema.Int64:
-		if sel == nil {
-			dst.Ints = append(dst.Ints, src.Ints[:n]...)
-			return
-		}
-		for _, i := range sel {
-			dst.Ints = append(dst.Ints, src.Ints[i])
-		}
-	case schema.Float64:
-		if sel == nil {
-			dst.Floats = append(dst.Floats, src.Floats[:n]...)
-			return
-		}
-		for _, i := range sel {
-			dst.Floats = append(dst.Floats, src.Floats[i])
-		}
-	default:
-		if sel == nil {
-			dst.Strs = append(dst.Strs, src.Strs[:n]...)
-			return
-		}
-		for _, i := range sel {
-			dst.Strs = append(dst.Strs, src.Strs[i])
-		}
-	}
-}
-
 // DrainView pulls op to exhaustion and compacts every batch into a single
 // View (selection vectors applied). The join build and the adaptive
 // store's covered reads use it.
@@ -230,7 +200,7 @@ func DrainView(op Operator) (*View, error) {
 				dst = storage.NewDense(c.Typ, b.Rows())
 				v.AddCol(k, dst)
 			}
-			appendSelected(dst, c, b.N, b.Sel)
+			dst.AppendSelected(c, b.Sel, b.N)
 		}
 	}
 }

@@ -202,5 +202,5 @@ func (ix *hashIndex[K]) probe(key *storage.DenseColumn, sel, p, b []int32) ([]in
 // gather overwrites dst with src's values at idx (same type).
 func gather(dst, src *storage.DenseColumn, idx []int32) {
 	dst.Ints, dst.Floats, dst.Strs = dst.Ints[:0], dst.Floats[:0], dst.Strs[:0]
-	appendSelected(dst, src, 0, idx)
+	dst.AppendSelected(src, idx, 0)
 }

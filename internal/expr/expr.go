@@ -81,30 +81,6 @@ func (p Pred) Eval(v storage.Value) bool {
 	}
 }
 
-// EvalInt is Eval specialized for int64 columns compared against int64
-// literals; the hot path of selective scans.
-func (p Pred) EvalInt(v int64) bool {
-	if p.Between {
-		return v >= p.Val.I && v <= p.Val2.I
-	}
-	switch p.Op {
-	case Lt:
-		return v < p.Val.I
-	case Le:
-		return v <= p.Val.I
-	case Gt:
-		return v > p.Val.I
-	case Ge:
-		return v >= p.Val.I
-	case Eq:
-		return v == p.Val.I
-	case Ne:
-		return v != p.Val.I
-	default:
-		return false
-	}
-}
-
 func (p Pred) String() string {
 	if p.Between {
 		return fmt.Sprintf("col%d BETWEEN %s AND %s", p.Col, p.Val, p.Val2)

@@ -35,23 +35,6 @@ func TestPredEval(t *testing.T) {
 	}
 }
 
-func TestEvalIntMatchesEval(t *testing.T) {
-	f := func(v, bound int64, op uint8, b2 int64) bool {
-		p := Pred{Op: CmpOp(op % 6), Val: storage.IntValue(bound)}
-		if op%7 == 0 {
-			lo, hi := bound, b2
-			if lo > hi {
-				lo, hi = hi, lo
-			}
-			p = Pred{Between: true, Val: storage.IntValue(lo), Val2: storage.IntValue(hi)}
-		}
-		return p.EvalInt(v) == p.Eval(storage.IntValue(v))
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 2000}); err != nil {
-		t.Error(err)
-	}
-}
-
 func TestConjunctionEvalRow(t *testing.T) {
 	c := Conjunction{Preds: []Pred{
 		{Col: 0, Op: Gt, Val: storage.IntValue(10)},
@@ -199,7 +182,7 @@ func TestQuickIntRangeSound(t *testing.T) {
 			return true
 		}
 		vv := v % 2000
-		want := preds[0].EvalInt(vv) && preds[1].EvalInt(vv)
+		want := preds[0].Eval(storage.IntValue(vv)) && preds[1].Eval(storage.IntValue(vv))
 		return r.Contains(vv) == want
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 3000}); err != nil {

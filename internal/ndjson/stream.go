@@ -3,12 +3,15 @@
 // header line, one JSON array per row, and a trailer line.
 //
 // Rows are appended straight from their typed values onto one pending
-// buffer (storage.AppendJSONRow) and reach the client a batch at a time:
-// the handler calls Flush after each batch it hands over, which costs one
-// Write and one Flush for the whole batch. A background ticker writes out
-// whatever is still pending every FlushInterval, so rows that trickle
-// out of a selective scan, or a merge waiting on slow shards, reach the
-// client promptly even before a batch boundary.
+// buffer — boxed rows with storage.AppendJSONRow, column vectors with
+// storage.AppendJSONCols — under one write policy for both servers: the
+// first rows after the header go out at once, so the client holds an
+// answer as soon as there is one; after that the buffer is written
+// whenever it reaches maxPending (64 KiB), one Write and one Flush each.
+// A background ticker writes whatever is still pending every
+// FlushInterval, so rows that trickle out of a selective scan, or a merge
+// waiting on slow shards, reach the client promptly, and the trailer
+// writes the rest.
 package ndjson
 
 import (
@@ -25,8 +28,8 @@ import (
 // buffer before the background ticker writes them out.
 const FlushInterval = 50 * time.Millisecond
 
-// maxPending caps the pending buffer: Append writes it out once it grows
-// past this, so a long run of rows between Flush calls stays bounded.
+// maxPending is the pending-buffer size at which appended rows are
+// written out.
 const maxPending = 64 << 10
 
 // Stream is one NDJSON response in progress. The ResponseWriter is not
@@ -39,6 +42,7 @@ type Stream struct {
 
 	mu      sync.Mutex
 	pending []byte
+	rowsOut bool  // rows were written: later ones wait for a full buffer
 	err     error // first write error; sticky
 
 	stop chan struct{}
@@ -73,8 +77,8 @@ func (s *Stream) tick() {
 	}
 }
 
-// Close stops the ticker and waits for it. Rows appended but never
-// flushed are dropped.
+// Close stops the ticker and waits for it. Rows still pending are
+// dropped.
 func (s *Stream) Close() {
 	close(s.stop)
 	<-s.done
@@ -97,10 +101,11 @@ func (s *Stream) Line(v any) error {
 }
 
 // Append encodes rows onto the pending buffer, one line each, under one
-// lock acquisition. A row holding a value JSON cannot represent (a NaN or
-// infinite float) stops the batch with a *json.UnsupportedValueError;
-// the rows before it stay pending, so a trailer written next follows
-// them exactly as if they had been written one by one.
+// lock acquisition, and writes the buffer out per the stream's policy. A
+// row holding a value JSON cannot represent (a NaN or infinite float)
+// stops the batch with a *json.UnsupportedValueError; the rows before it
+// stay pending, so a trailer written next follows them exactly as if
+// they had been written one by one.
 func (s *Stream) Append(rows ...[]storage.Value) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -109,20 +114,30 @@ func (s *Stream) Append(rows ...[]storage.Value) error {
 		if s.pending, err = storage.AppendJSONRow(s.pending, row); err != nil {
 			return err
 		}
-		if len(s.pending) >= maxPending {
-			if err := s.writeLocked(); err != nil {
-				return err
-			}
-		}
 	}
-	return s.err
+	return s.appendedLocked()
 }
 
-// Flush writes the pending rows out with one Write and one Flush. It
-// returns the first write error the stream has seen.
-func (s *Stream) Flush() error {
+// AppendCols is Append for n rows of column vectors (see
+// storage.AppendJSONCols), with the same error semantics.
+func (s *Stream) AppendCols(cols []*storage.DenseColumn, sel []int32, n int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	var err error
+	if s.pending, err = storage.AppendJSONCols(s.pending, cols, sel, n); err != nil {
+		return err
+	}
+	return s.appendedLocked()
+}
+
+// appendedLocked applies the write policy after rows were appended: the
+// first rows go out at once, later ones once the buffer is full. It
+// returns the first write error the stream has seen.
+func (s *Stream) appendedLocked() error {
+	if s.rowsOut && len(s.pending) < maxPending {
+		return s.err
+	}
+	s.rowsOut = true
 	return s.writeLocked()
 }
 

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"nodb/internal/schema"
 	"nodb/internal/storage"
 )
 
@@ -72,33 +73,42 @@ func TestStreamFraming(t *testing.T) {
 	if err := s.Append(intRow(1, 2), intRow(3, 4)); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Flush(); err != nil {
+	if err := s.Append(intRow(5, 6)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Line(map[string]int{"stats": 7}); err != nil {
 		t.Fatal(err)
 	}
 	body, writes, flushes := rec.snapshot()
-	if want := "{\"columns\":[\"a<b\",\"c\"]}\n[1,2]\n[3,4]\n{\"stats\":7}\n"; body != want {
+	if want := "{\"columns\":[\"a<b\",\"c\"]}\n[1,2]\n[3,4]\n[5,6]\n{\"stats\":7}\n"; body != want {
 		t.Fatalf("body %q, want %q", body, want)
 	}
+	// The header, the first rows (at once), then the later row with the
+	// trailer: one Write and one Flush each.
 	if writes != 3 || flushes != 3 {
-		t.Fatalf("%d writes, %d flushes; want one of each per line or batch", writes, flushes)
+		t.Fatalf("%d writes, %d flushes; want 3 of each", writes, flushes)
 	}
 }
 
-// TestStreamTickerDrainsPending: rows appended with no Flush reach the
-// client once the ticker fires — the coordinator's merge relies on this.
+// TestStreamTickerDrainsPending: rows appended after the first, short of
+// a full buffer, reach the client once the ticker fires — the
+// coordinator's merge relies on this.
 func TestStreamTickerDrainsPending(t *testing.T) {
 	rec := newRecorder()
 	s := Start(rec)
 	defer s.Close()
+	if err := s.Append(intRow(41)); err != nil {
+		t.Fatal(err)
+	}
+	if body, writes, _ := rec.snapshot(); body != "[41]\n" || writes != 1 {
+		t.Fatalf("first row: body %q after %d writes, want it written at once", body, writes)
+	}
 	if err := s.Append(intRow(42)); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(20 * FlushInterval)
 	for {
-		if body, _, _ := rec.snapshot(); body == "[42]\n" {
+		if body, _, _ := rec.snapshot(); body == "[41]\n[42]\n" {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -128,8 +138,33 @@ func TestStreamUnsupportedValue(t *testing.T) {
 	}
 }
 
-// TestStreamPendingBound: a long run of rows with no Flush is written out
-// as the pending buffer fills, not held until the end.
+// TestStreamAppendColsUnsupportedValue: a NaN in a column batch stops it
+// at that row; the batch's earlier rows stay pending and go out ahead of
+// the trailer.
+func TestStreamAppendColsUnsupportedValue(t *testing.T) {
+	rec := newRecorder()
+	s := Start(rec)
+	defer s.Close()
+	ints := &storage.DenseColumn{Typ: schema.Int64, Ints: []int64{1, 2, 3, 4}}
+	floats := &storage.DenseColumn{Typ: schema.Float64, Floats: []float64{0.5, 1.5, math.NaN(), 2}}
+	cols := []*storage.DenseColumn{ints, floats}
+	if err := s.AppendCols(cols, []int32{0}, 1); err != nil {
+		t.Fatal(err)
+	}
+	err := s.AppendCols(cols, []int32{1, 2, 3}, 3)
+	if err == nil || err.Error() != "json: unsupported value: NaN" {
+		t.Fatalf("AppendCols = %v, want the unsupported-value error", err)
+	}
+	if err := s.Line(map[string]string{"error": err.Error()}); err != nil {
+		t.Fatal(err)
+	}
+	if body, _, _ := rec.snapshot(); body != "[1,0.5]\n[2,1.5]\n{\"error\":\"json: unsupported value: NaN\"}\n" {
+		t.Fatalf("body %q", body)
+	}
+}
+
+// TestStreamPendingBound: a long run of rows is written out as the
+// pending buffer fills, not held until the end.
 func TestStreamPendingBound(t *testing.T) {
 	rec := newRecorder()
 	s := Start(rec)

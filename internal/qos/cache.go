@@ -10,12 +10,13 @@ import (
 )
 
 // CachedResult is one fully materialized query result held by the cache
-// and handed to singleflight followers. The rows are owned by the cache
-// and must not be mutated; consumers copy rows out before handing them to
-// callers.
+// and handed to singleflight followers: one typed vector per output
+// column, in select-list order (none for an empty result). The vectors
+// are owned by the cache and must not be mutated; a replay reads them in
+// place.
 type CachedResult struct {
 	Columns []string
-	Rows    [][]storage.Value
+	Cols    []*storage.DenseColumn
 	// Plan is the executing query's plan rendering, replayed so a cached
 	// answer still explains itself.
 	Plan string
@@ -23,8 +24,8 @@ type CachedResult struct {
 	bytes int64
 }
 
-// SizeBytes estimates the result's heap footprint: the fixed Value struct
-// per cell plus string payloads, headers, and the plan text.
+// SizeBytes estimates the result's heap footprint: the vectors plus
+// string payloads, the column names and the plan text.
 func (r *CachedResult) SizeBytes() int64 {
 	if r.bytes > 0 {
 		return r.bytes
@@ -33,24 +34,10 @@ func (r *CachedResult) SizeBytes() int64 {
 	for _, c := range r.Columns {
 		size += int64(len(c)) + 16
 	}
-	for _, row := range r.Rows {
-		size += RowBytes(row)
+	for _, c := range r.Cols {
+		size += c.MemSize()
 	}
 	r.bytes = size
-	return size
-}
-
-// valueFixedBytes is the in-memory size of one storage.Value struct
-// (type tag + int64 + float64 + string header, with padding).
-const valueFixedBytes = 40
-
-// RowBytes estimates one result row's heap footprint; producers use it to
-// bound the copy they accumulate for the cache.
-func RowBytes(row []storage.Value) int64 {
-	size := int64(24) + int64(len(row))*valueFixedBytes
-	for _, v := range row {
-		size += int64(len(v.S))
-	}
 	return size
 }
 
@@ -115,8 +102,8 @@ func NewCache(maxBytes int64, gov *govern.Governor) *Cache {
 	}
 }
 
-// MaxEntryBytes is the largest result the cache will admit; producers use
-// it to stop accumulating a doomed copy early.
+// MaxEntryBytes is the largest result the cache will admit; a leading
+// cursor uses it to stop accumulating a doomed copy early.
 func (c *Cache) MaxEntryBytes() int64 { return c.maxEntry }
 
 // Get returns the cached result for key, promoting it to most recently

@@ -9,15 +9,16 @@ import (
 	"testing"
 
 	"nodb/internal/govern"
+	"nodb/internal/schema"
 	"nodb/internal/storage"
 )
 
 func intResult(key string, cells int) *CachedResult {
-	rows := make([][]storage.Value, cells)
-	for i := range rows {
-		rows[i] = []storage.Value{storage.IntValue(int64(i))}
+	c := storage.NewDense(schema.Int64, cells)
+	for i := 0; i < cells; i++ {
+		c.Ints = append(c.Ints, int64(i))
 	}
-	return &CachedResult{Columns: []string{"c"}, Rows: rows, Plan: "plan " + key}
+	return &CachedResult{Columns: []string{"c"}, Cols: []*storage.DenseColumn{c}, Plan: "plan " + key}
 }
 
 func TestCacheLRUEviction(t *testing.T) {
@@ -114,7 +115,7 @@ func TestCacheConcurrentPutGet(t *testing.T) {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
 				key := fmt.Sprintf("k%d", i%10)
-				if res, ok := c.Get(key); ok && len(res.Rows) != 4 {
+				if res, ok := c.Get(key); ok && res.Cols[0].Len() != 4 {
 					t.Errorf("corrupt cached result for %s", key)
 				}
 				c.Put(key, intResult("x", 4))

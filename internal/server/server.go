@@ -789,10 +789,12 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request) {
 // handleQueryStream streams a result as NDJSON through the engine's
 // cursor: a header line {"columns": [...]}, one JSON array per row, and a
 // trailer line — {"stats": {...}} on success, {"error": "..."} if the
-// query dies mid-stream. Each batch the cursor hands over is encoded and
-// written with one Write and one Flush, so the client sees data while the
-// raw-file scan is still running; a disconnect cancels the request
-// context, which stops the scan between chunks.
+// query dies mid-stream. Each batch the cursor hands over (core.NextBatch)
+// is encoded straight from its typed vectors onto the stream, which
+// writes the first rows at once and then 64 KiB at a time (package
+// ndjson), so the client sees data while the raw-file scan is still
+// running; a disconnect cancels the request context, which stops the scan
+// between chunks.
 func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 	req, ok := s.readQueryRequest(w, r)
 	if !ok {
@@ -835,21 +837,12 @@ func (s *Server) handleQueryStream(w http.ResponseWriter, r *http.Request) {
 		s.cancelled.Add(1)
 		return
 	}
-	// The first row goes out on its own, so the client holds an answer as
-	// soon as the cursor yields one; after that, whole batches, each handed
-	// back to the cursor for reuse once encoded.
-	var batch [][]storage.Value
-	if rows.Next() {
-		batch = [][]storage.Value{rows.Row()}
-	}
-	for own := false; batch != nil; batch, own = core.NextBatch(rows), true {
-		err := st.Append(batch...)
-		if own {
-			core.ReleaseBatch(rows, batch)
+	for {
+		cols, sel, n := core.NextBatch(rows)
+		if n == 0 {
+			break
 		}
-		if err == nil {
-			err = st.Flush()
-		}
+		err := st.AppendCols(cols, sel, n)
 		var uve *json.UnsupportedValueError
 		if errors.As(err, &uve) {
 			// A value JSON cannot represent (NaN/Inf float). The client is

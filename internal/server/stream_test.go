@@ -8,10 +8,14 @@ import (
 	"net/http/httptest"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	"nodb"
 	"nodb/internal/csvgen"
+	"nodb/internal/exec"
+	"nodb/internal/ndjson"
 )
 
 // queryResponse is a /query body as a client decodes it.
@@ -98,5 +102,74 @@ func TestQueryStreamAllocsPerRow(t *testing.T) {
 	t.Logf("%.4f allocs per row", perRow)
 	if perRow > 0.1 {
 		t.Fatalf("stream allocates %.3f times per row, want <= 0.1", perRow)
+	}
+}
+
+// countingWriter is a ResponseWriter that keeps every Write separately.
+type countingWriter struct {
+	header http.Header
+	mu     sync.Mutex
+	writes [][]byte
+}
+
+func (w *countingWriter) Header() http.Header { return w.header }
+func (w *countingWriter) WriteHeader(int)     {}
+func (w *countingWriter) Flush()              {}
+
+func (w *countingWriter) Write(b []byte) (int, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.writes = append(w.writes, append([]byte(nil), b...))
+	return len(b), nil
+}
+
+// TestQueryStreamWritePolicy pins the stream's write policy: after the
+// header, the first batch goes out at once, on its own; after that the
+// stream writes 64 KiB at a time, so a large result costs about one
+// Write per 64 KiB, plus the header, the first rows and the trailer (and
+// one per ticker firing, should the stream outlast FlushInterval).
+func TestQueryStreamWritePolicy(t *testing.T) {
+	const rows = 12000
+	path := filepath.Join(t.TempDir(), "wide.csv")
+	if err := csvgen.WriteFile(path, csvgen.Spec{Rows: rows, Cols: 4, Seed: 5}); err != nil {
+		t.Fatal(err)
+	}
+	db := nodb.Open(nodb.Options{Policy: nodb.ColumnLoads})
+	t.Cleanup(func() { db.Close() })
+	if err := db.Link("wide", path); err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{DB: db})
+	body, _ := json.Marshal(queryRequest{Query: "select a3, a1, a4, a2 from wide where a2 >= 0"})
+	run := func() (*countingWriter, time.Duration) {
+		w := &countingWriter{header: http.Header{}}
+		start := time.Now()
+		s.handleQueryStream(w, httptest.NewRequest(http.MethodPost, "/v1/query/stream", bytes.NewReader(body)))
+		return w, time.Since(start)
+	}
+	run() // load the columns
+	w, took := run()
+
+	var all []byte
+	for _, b := range w.writes {
+		all = append(all, b...)
+	}
+	if lines := bytes.Count(all, []byte("\n")); lines != rows+2 {
+		t.Fatalf("stream has %d lines, want %d rows plus header and trailer", lines, rows)
+	}
+	if len(w.writes) < 3 || !bytes.HasPrefix(w.writes[0], []byte(`{"columns"`)) {
+		t.Fatalf("%d writes; want the header written on its own first", len(w.writes))
+	}
+	// The cursor hands the pipeline's batches over whole: the first rows
+	// written are exactly the first batch, so they left before the cursor
+	// was asked for the second.
+	if got := bytes.Count(w.writes[1], []byte("\n")); got != exec.DefaultBatchSize || w.writes[1][0] != '[' {
+		t.Fatalf("the first write after the header holds %d lines, want the first batch of %d rows alone", got, exec.DefaultBatchSize)
+	}
+	const chunk = 64 << 10
+	allowed := (len(all)+chunk-1)/chunk + 3 + int(took/ndjson.FlushInterval)
+	t.Logf("%d bytes in %d writes (%v)", len(all), len(w.writes), took)
+	if len(w.writes) > allowed {
+		t.Fatalf("%d bytes took %d writes, want <= %d", len(all), len(w.writes), allowed)
 	}
 }

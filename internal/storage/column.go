@@ -171,6 +171,37 @@ func (c *DenseColumn) Append(v Value) {
 	}
 }
 
+// AppendSelected appends src's values at the positions sel lists, or at
+// positions 0..n-1 when sel is nil (src has c's type).
+func (c *DenseColumn) AppendSelected(src *DenseColumn, sel []int32, n int) {
+	switch src.Typ {
+	case schema.Int64:
+		if sel == nil {
+			c.Ints = append(c.Ints, src.Ints[:n]...)
+			return
+		}
+		for _, i := range sel {
+			c.Ints = append(c.Ints, src.Ints[i])
+		}
+	case schema.Float64:
+		if sel == nil {
+			c.Floats = append(c.Floats, src.Floats[:n]...)
+			return
+		}
+		for _, i := range sel {
+			c.Floats = append(c.Floats, src.Floats[i])
+		}
+	default:
+		if sel == nil {
+			c.Strs = append(c.Strs, src.Strs[:n]...)
+			return
+		}
+		for _, i := range sel {
+			c.Strs = append(c.Strs, src.Strs[i])
+		}
+	}
+}
+
 // Set stores v at position i.
 func (c *DenseColumn) Set(i int, v Value) {
 	switch c.Typ {

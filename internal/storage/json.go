@@ -3,7 +3,9 @@ package storage
 import (
 	"encoding/json"
 	"math"
+	"math/bits"
 	"reflect"
+	"slices"
 	"strconv"
 	"unicode/utf8"
 
@@ -40,6 +42,83 @@ func AppendJSONRows(dst []byte, rows [][]Value) ([]byte, error) {
 		}
 	}
 	return append(dst, ']'), nil
+}
+
+// AppendJSONCols appends n rows of column vectors as NDJSON lines, byte
+// for byte what AppendJSONRow writes for the same rows boxed. Row r is
+// position sel[r] of every column, or position r when sel is nil. Values
+// are read straight from the typed vectors. A NaN or infinite float
+// returns a *json.UnsupportedValueError with dst truncated to the start of
+// the failing row; the rows before it stay appended.
+func AppendJSONCols(dst []byte, cols []*DenseColumn, sel []int32, n int) ([]byte, error) {
+	for r := 0; r < n; r++ {
+		i := r
+		if sel != nil {
+			i = int(sel[r])
+		}
+		mark := len(dst)
+		dst = append(dst, '[')
+		for j, c := range cols {
+			if j > 0 {
+				dst = append(dst, ',')
+			}
+			switch c.Typ {
+			case schema.Int64:
+				dst = appendInt(dst, c.Ints[i])
+			case schema.Float64:
+				var err error
+				if dst, err = appendJSONFloat(dst, c.Floats[i]); err != nil {
+					return dst[:mark], err
+				}
+			default:
+				dst = appendJSONString(dst, c.Strs[i])
+			}
+		}
+		dst = append(dst, ']', '\n')
+	}
+	return dst, nil
+}
+
+// digitPairs holds the two-digit decimals "00" through "99".
+const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839" +
+	"40414243444546474849505152535455565758596061626364656667686970717273747576777879" +
+	"8081828384858687888990919293949596979899"
+
+// pow10 are the powers of ten a uint64 holds.
+var pow10 = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
+	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+
+// appendInt appends v in decimal, as strconv.AppendInt(dst, v, 10) does,
+// but writes the digits straight into dst's spare capacity, two per step
+// from the last, instead of into a scratch buffer that is then copied.
+func appendInt(dst []byte, v int64) []byte {
+	u := uint64(v)
+	if v < 0 {
+		dst = append(dst, '-')
+		u = -u // MinInt64 wraps to its magnitude
+	}
+	// floor(log10(2^len)) is the digit count or one short of it.
+	n := bits.Len64(u) * 1233 >> 12
+	if u >= pow10[n] {
+		n++
+	}
+	n = max(n, 1)
+	dst = slices.Grow(dst, n)
+	end := len(dst) + n
+	b := dst[len(dst):end]
+	for u >= 100 {
+		q := u / 100
+		d := (u - q*100) * 2
+		n -= 2
+		b[n], b[n+1] = digitPairs[d], digitPairs[d+1]
+		u = q
+	}
+	if u >= 10 {
+		b[0], b[1] = digitPairs[u*2], digitPairs[u*2+1]
+	} else {
+		b[0] = byte('0' + u)
+	}
+	return dst[:end]
 }
 
 func appendJSONArray(dst []byte, row []Value) ([]byte, error) {

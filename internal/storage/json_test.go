@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"errors"
 	"math"
+	"math/rand/v2"
+	"strconv"
 	"testing"
 
 	"nodb/internal/schema"
@@ -140,4 +142,139 @@ func BenchmarkAppendJSONRow(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		buf, _ = AppendJSONRow(buf[:0], row)
 	}
+}
+
+// checkJSONCols asserts AppendJSONCols writes exactly what AppendJSONRow
+// writes for the same rows boxed: on an unsupported value, the rows
+// before the failing one, the same error, and nothing of the failing row.
+func checkJSONCols(t *testing.T, cols []*DenseColumn, sel []int32, n int) {
+	t.Helper()
+	prefix := []byte("prefix")
+	want := append([]byte(nil), prefix...)
+	var wantErr error
+	for r := 0; r < n; r++ {
+		i := r
+		if sel != nil {
+			i = int(sel[r])
+		}
+		row := make([]Value, len(cols))
+		for j, c := range cols {
+			row[j] = c.Value(i)
+		}
+		if want, wantErr = AppendJSONRow(want, row); wantErr != nil {
+			break
+		}
+	}
+	got, gotErr := AppendJSONCols(append([]byte(nil), prefix...), cols, sel, n)
+	if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
+		t.Fatalf("error %v, AppendJSONRow says %v", gotErr, wantErr)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("sel %v:\n got %q\nwant %q", sel, got, want)
+	}
+}
+
+// FuzzAppendJSONCols differentially tests the columnar encoder against
+// AppendJSONRow (itself fuzzed against encoding/json) over random typed
+// columns and a random selection vector; shape seeds the layout.
+func FuzzAppendJSONCols(f *testing.F) {
+	ints := []int64{0, 9, -9, 10, -10, 99, -99, 100, -100, math.MinInt64, math.MaxInt64}
+	for p := int64(10); p <= 1e18; p *= 10 {
+		ints = append(ints, p-1, p, p+1, -p+1, -p, -p-1)
+	}
+	floats := []float64{0, math.Copysign(0, -1), 1e-7, 1e-6, 9.999999999999999e-7, 1e20, 1e21, 9.999999999999999e20, -1e21, 0.5, math.NaN(), math.Inf(-1)}
+	strs := []string{"", "plain", "\"\\\b\f\n\r\t\x00\x1f", "\xff\xfe invalid \xc3", "\u2028\u2029", "<>&", "héllo 🙂"}
+	for k, i := range ints {
+		f.Add(i, floats[k%len(floats)], strs[k%len(strs)], uint64(k))
+	}
+	for k, x := range floats {
+		f.Add(int64(k), x, strs[k%len(strs)], uint64(k)*7919)
+	}
+	f.Fuzz(func(t *testing.T, i int64, x float64, s string, shape uint64) {
+		rng := rand.New(rand.NewPCG(shape, 1))
+		n := rng.IntN(7)
+		cols := make([]*DenseColumn, 1+rng.IntN(4))
+		for j := range cols {
+			c := &DenseColumn{Typ: []schema.Type{schema.Int64, schema.Float64, schema.String}[rng.IntN(3)]}
+			for r := 0; r < n; r++ {
+				switch c.Typ {
+				case schema.Int64:
+					c.Ints = append(c.Ints, []int64{i, -i, i / 10, i + 1, rng.Int64() >> rng.IntN(64)}[rng.IntN(5)])
+				case schema.Float64:
+					c.Floats = append(c.Floats, []float64{x, -x, x / 3, rng.NormFloat64() * 1e9}[rng.IntN(4)])
+				default:
+					c.Strs = append(c.Strs, []string{s, s[rng.IntN(len(s)+1):], ""}[rng.IntN(3)])
+				}
+			}
+			cols[j] = c
+		}
+		var sel []int32
+		live := n
+		if rng.IntN(2) == 0 {
+			for r := 0; r < n; r++ {
+				if rng.IntN(2) == 0 {
+					sel = append(sel, int32(r))
+				}
+			}
+			live = len(sel)
+		}
+		checkJSONCols(t, cols, sel, live)
+	})
+}
+
+// TestAppendIntMatchesStrconv checks the in-place integer formatter at
+// every digit-count and bit-length boundary.
+func TestAppendIntMatchesStrconv(t *testing.T) {
+	vals := []int64{0, math.MinInt64, math.MaxInt64}
+	for p := int64(1); p <= 1e18; p *= 10 {
+		vals = append(vals, p-1, p, p+1)
+	}
+	for b := 0; b < 63; b++ {
+		vals = append(vals, 1<<b-1, 1<<b, 1<<b+1)
+	}
+	for _, v := range vals {
+		for _, x := range []int64{v, -v} {
+			if got, want := appendInt([]byte("x"), x), strconv.AppendInt([]byte("x"), x, 10); !bytes.Equal(got, want) {
+				t.Fatalf("appendInt(%d) = %q, want %q", x, got, want)
+			}
+		}
+	}
+}
+
+// TestAppendJSONColsNoAllocs: with a buffer that has room, encoding a
+// batch allocates nothing.
+func TestAppendJSONColsNoAllocs(t *testing.T) {
+	cols := []*DenseColumn{
+		{Typ: schema.Int64, Ints: []int64{-123456789, 7, math.MinInt64}},
+		{Typ: schema.Float64, Floats: []float64{3.25, 1e-9, 0}},
+		{Typ: schema.String, Strs: []string{"needs \"escaping\"\n", "", "x"}},
+	}
+	sel := []int32{0, 2}
+	buf := make([]byte, 0, 512)
+	allocs := testing.AllocsPerRun(100, func() {
+		var err error
+		if buf, err = AppendJSONCols(buf[:0], cols, sel, len(sel)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 0 {
+		t.Fatalf("AppendJSONCols allocated %.1f times per batch, want 0", allocs)
+	}
+}
+
+func BenchmarkAppendJSONCols(b *testing.B) {
+	const n = 1024
+	cols := make([]*DenseColumn, 4)
+	for j := range cols {
+		cols[j] = &DenseColumn{Typ: schema.Int64}
+		for r := 0; r < n; r++ {
+			cols[j].Ints = append(cols[j].Ints, int64(r*7919+j*104729))
+		}
+	}
+	buf := make([]byte, 0, 64<<10)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		buf, _ = AppendJSONCols(buf[:0], cols, nil, n)
+	}
+	b.SetBytes(int64(len(buf)))
 }

@@ -221,9 +221,11 @@ type Value = storage.Value
 type Result = core.Result
 
 // Rows is a streaming query cursor with database/sql-style iteration:
-// Next, Scan, Columns, Stats, Err, Close. A LIMIT — or closing the cursor
+// Next, Scan, Columns, Stats, Err, Close. The query runs on the caller's
+// goroutine, starting at the first Next. A LIMIT — or closing the cursor
 // mid-iteration — stops the underlying raw-file scan between chunks
-// instead of finishing the pass. Every Rows must be closed.
+// instead of finishing the pass. A slice from Row stays valid after later
+// Next calls. Every Rows must be closed.
 type Rows = core.Rows
 
 // Stmt is a prepared statement: parsed and validated once, executed many
@@ -483,8 +485,8 @@ func (db *DB) QueryContext(ctx context.Context, query string, args ...any) (*Res
 // scan mid-pass. Plans that need their whole input first (aggregates,
 // GROUP BY, ORDER BY, joins) and the retaining loaders (PartialLoadsV2,
 // Auto), which merge their scan into the adaptive store,
-// materialize before the first row is delivered; closing such a cursor
-// mid-load still cancels the scan between chunks.
+// materialize inside the first Next; cancelling ctx stops such a load
+// between chunks.
 func (db *DB) QueryRows(ctx context.Context, query string, args ...any) (*Rows, error) {
 	return db.e.QueryRows(ctx, query, args...)
 }
