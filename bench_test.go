@@ -609,8 +609,9 @@ func BenchmarkResultCacheHit(b *testing.B) {
 }
 
 // BenchmarkConcurrentDuplicateQueries measures the cache+singleflight
-// serving path under parallel clients all issuing the same query — the
-// redundant-traffic shape the QoS layer is built for.
+// serving path under parallel clients all issuing the same query, the
+// duplicate-heavy traffic the result cache and singleflight collapse
+// exist for.
 func BenchmarkConcurrentDuplicateQueries(b *testing.B) {
 	path := benchTable(b, 200_000, 4)
 	db := nodb.Open(nodb.Options{Policy: nodb.ColumnLoads, ResultCacheBytes: 32 << 20, DisableRevalidation: true})

@@ -24,19 +24,15 @@ import (
 
 func main() {
 	var (
-		expIDs    = flag.String("exp", "", "comma-separated experiment ids (default: all)")
-		scale     = flag.Float64("scale", 1.0, "row-count scale factor")
-		data      = flag.String("data", "", "directory for generated data files (default: $TMPDIR/nodb-experiments)")
-		wall      = flag.Bool("wall", false, "also print wall-clock tables")
-		list      = flag.Bool("list", false, "list experiments and exit")
-		seed      = flag.Int64("seed", 0, "workload seed (0 = fixed default)")
-		workers   = flag.Int("workers", 0, "tokenizer workers in experiment engines (0 = experiment default)")
-		chunkSize = flag.Int("chunksize", 0, "raw-file read chunk size in experiment engines (0 = default)")
+		expIDs = flag.String("exp", "", "comma-separated experiment ids (default: all)")
+		scale  = flag.Float64("scale", 1.0, "row-count scale factor")
+		data   = flag.String("data", "", "directory for generated data files (default: $TMPDIR/nodb-experiments)")
+		wall   = flag.Bool("wall", false, "also print wall-clock tables")
+		list   = flag.Bool("list", false, "list experiments and exit")
+		seed   = flag.Int64("seed", 0, "workload seed (0 = fixed default)")
 	)
 	flag.Parse()
 	cliutil.Exit(cliutil.CheckFlags(
-		cliutil.NonNegativeInt("nodbbench", "workers", *workers),
-		cliutil.NonNegativeInt("nodbbench", "chunksize", *chunkSize),
 		cliutil.NonNegativeFloat("nodbbench", "scale", *scale),
 	))
 
@@ -47,10 +43,7 @@ func main() {
 		return
 	}
 
-	cfg := experiments.Config{
-		DataDir: *data, Scale: *scale, Seed: *seed,
-		Workers: *workers, ChunkSize: *chunkSize,
-	}
+	cfg := experiments.Config{DataDir: *data, Scale: *scale, Seed: *seed}
 
 	var runners []experiments.Runner
 	if *expIDs == "" {

@@ -35,12 +35,6 @@ type Config struct {
 	Model metrics.CostModel
 	// Seed for workload randomness (query ranges).
 	Seed int64
-	// Workers overrides tokenizer parallelism in the engines experiments
-	// build (0 = each experiment's default).
-	Workers int
-	// ChunkSize overrides the raw-file read chunk size in those engines
-	// (0 = default).
-	ChunkSize int
 }
 
 func (c Config) model() metrics.CostModel {
@@ -257,13 +251,6 @@ func All() []Runner {
 		{"abl-par", "Ablation: tokenizer worker count", AblationWorkers},
 		{"abl-early", "Ablation: early row abandonment on/off", AblationEarlyAbandon},
 		{"abl-budget", "Ablation: memory budget vs workload latency, cost-aware vs LRU eviction", AblationBudget},
-		{"conc", "Concurrent clients: fixed workload wall-clock vs client count over one shared engine", Concurrency},
-		{"warm-restart", "Warm vs cold restart: the adaptive learning curve with and without the snapshot cache", WarmRestart},
-		{"synopsis", "Adaptive scan synopses: selectivity sweep with and without portion skipping", SynopsisSweep},
-		{"cluster-scaling", "Scatter-gather cluster: cold full-scan workload speedup vs shard count", ClusterScaling},
-		{"redundant-traffic", "Result cache + singleflight collapse on a 100%-duplicate workload", RedundantTraffic},
-		{"tenant-isolation", "Per-tenant admission slots: light-tenant p99 under a saturating heavy tenant", TenantIsolation},
-		{"append", "Append-growth: incremental tail re-adaptation vs full relearn on a 90%-prefix-stable file", Append},
 	}
 }
 

@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -343,105 +344,28 @@ func TestReportFormat(t *testing.T) {
 }
 
 func TestAllAndLookup(t *testing.T) {
-	all := All()
-	if len(all) != 18 {
-		t.Fatalf("experiments = %d, want 18", len(all))
+	// The registry is the paper's artifacts and their ablations, in order.
+	want := []string{
+		"fig1a", "fig1b", "joins", "perl", "fig3", "fig4",
+		"abl-pm", "abl-split", "abl-par", "abl-early", "abl-budget",
 	}
-	ids := map[string]bool{}
-	for _, r := range all {
-		if r.Run == nil || r.ID == "" || r.Description == "" {
-			t.Errorf("incomplete runner %+v", r.ID)
+	var got []string
+	for _, r := range All() {
+		if r.Run == nil || r.Description == "" {
+			t.Errorf("incomplete runner %q", r.ID)
 		}
-		if ids[r.ID] {
-			t.Errorf("duplicate id %s", r.ID)
-		}
-		ids[r.ID] = true
+		got = append(got, r.ID)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("experiment ids = %v, want %v", got, want)
 	}
 	if _, ok := Lookup("fig3"); !ok {
 		t.Error("Lookup(fig3) failed")
 	}
-	if _, ok := Lookup("nope"); ok {
-		t.Error("Lookup(nope) should fail")
-	}
-}
-
-// TestWarmRestartCurve pins the PR's acceptance criterion: with a
-// populated cache dir, the first query after reopen lands within 2x of
-// the pre-restart steady state, while a cold restart re-pays the full
-// adaptive learning cost.
-func TestWarmRestartCurve(t *testing.T) {
-	r, err := WarmRestart(smallCfg(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	initial, ok1 := r.SeriesByName("initial")
-	warm, ok2 := r.SeriesByName("warm restart")
-	cold, ok3 := r.SeriesByName("cold restart")
-	if !ok1 || !ok2 || !ok3 {
-		t.Fatal("missing series")
-	}
-	steady := initial.Points[len(initial.Points)-1].ModelSec
-	warmFirst := warm.Points[0].ModelSec
-	coldFirst := cold.Points[0].ModelSec
-	if steady <= 0 {
-		t.Fatal("steady state is zero; the workload no longer scans anything")
-	}
-	if ratio := warmFirst / steady; ratio > 2.0 {
-		t.Errorf("warm first query is %.2fx steady state, want <= 2x", ratio)
-	}
-	if coldFirst <= warmFirst {
-		t.Errorf("cold restart (%.4fs) should cost more than warm (%.4fs)", coldFirst, warmFirst)
-	}
-	// The learning curve itself: query 1 cold must dwarf the steady state.
-	if initial.Points[0].ModelSec < 2*steady {
-		t.Errorf("no learning curve: q1 %.4fs vs steady %.4fs", initial.Points[0].ModelSec, steady)
-	}
-}
-
-// TestSynopsisSweepSpeedup pins the PR's acceptance criterion: after one
-// learning pass, a 1%-selectivity query on the clustered attribute runs
-// at least 3x faster (modeled) than the synopsis-less full re-scan, and
-// the curve tightens monotonically as selectivity drops.
-func TestSynopsisSweepSpeedup(t *testing.T) {
-	r, err := SynopsisSweep(smallCfg(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	syn, ok1 := r.SeriesByName("synopsis skip")
-	full, ok2 := r.SeriesByName("full re-scan")
-	if !ok1 || !ok2 {
-		t.Fatal("missing series")
-	}
-	if len(syn.Points) != len(full.Points) || len(syn.Points) == 0 {
-		t.Fatalf("series shape: %d vs %d points", len(syn.Points), len(full.Points))
-	}
-	// The 1% point is the headline: >= 3x.
-	if syn.Points[0].X != 1 {
-		t.Fatalf("first point at %v%%, want 1%%", syn.Points[0].X)
-	}
-	if syn.Points[0].ModelSec <= 0 {
-		t.Fatal("1% synopsis query modeled zero cost; nothing was measured")
-	}
-	ratio := full.Points[0].ModelSec / syn.Points[0].ModelSec
-	if ratio < 3 {
-		t.Errorf("1%% selectivity speedup = %.2fx, want >= 3x (full %.4fs, synopsis %.4fs)",
-			ratio, full.Points[0].ModelSec, syn.Points[0].ModelSec)
-	}
-	// Skipping must be real: the 1% query pruned portions and read far
-	// fewer raw bytes.
-	if syn.Points[0].Work.PortionsSkipped == 0 {
-		t.Error("1% query skipped no portions")
-	}
-	if syn.Points[0].Work.RawBytesRead*2 >= full.Points[0].Work.RawBytesRead {
-		t.Errorf("1%% query read %d raw bytes vs %d unpruned; want a large reduction",
-			syn.Points[0].Work.RawBytesRead, full.Points[0].Work.RawBytesRead)
-	}
-	// At 100% selectivity nothing can be skipped: both engines pay a full
-	// pass and the synopsis must not be slower than ~the baseline.
-	last := len(syn.Points) - 1
-	if syn.Points[last].Work.RawBytesRead > full.Points[last].Work.RawBytesRead {
-		t.Errorf("100%% query read more bytes with synopsis (%d) than without (%d)",
-			syn.Points[last].Work.RawBytesRead, full.Points[last].Work.RawBytesRead)
+	for _, id := range []string{"nope", "cluster-scaling"} {
+		if _, ok := Lookup(id); ok {
+			t.Errorf("Lookup(%s) should fail", id)
+		}
 	}
 }
 
@@ -475,78 +399,5 @@ func TestFig1aMemoryKnee(t *testing.T) {
 	perRowPrev := db.Points[n-2].ModelSec / db.Points[n-2].X
 	if perRowLast < perRowPrev*1.3 {
 		t.Errorf("expected superlinear knee: per-row %v then %v", perRowPrev, perRowLast)
-	}
-}
-
-func TestClusterScalingShape(t *testing.T) {
-	r, err := ClusterScaling(smallCfg(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, ok := r.SeriesByName("scatter-gather")
-	if !ok {
-		t.Fatal("missing scatter-gather series")
-	}
-	if len(s.Points) != 3 {
-		t.Fatalf("want 3 topology points, got %d", len(s.Points))
-	}
-	for i, p := range s.Points {
-		if p.X != float64(i+1) {
-			t.Errorf("point %d at x=%v, want %d shards", i, p.X, i+1)
-		}
-		if p.Wall <= 0 {
-			t.Errorf("point %d measured zero wall-clock", i)
-		}
-	}
-}
-
-func TestRedundantTrafficShape(t *testing.T) {
-	r, err := RedundantTraffic(smallCfg(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	un, ok := r.SeriesByName("no cache")
-	if !ok {
-		t.Fatal("missing no-cache series")
-	}
-	ca, ok := r.SeriesByName("cache+singleflight")
-	if !ok {
-		t.Fatal("missing cached series")
-	}
-	if len(un.Points) != 1 || len(ca.Points) != 1 {
-		t.Fatalf("want 1 point per series, got %d and %d", len(un.Points), len(ca.Points))
-	}
-	// Even at toy scale, duplicates served from the cache must cost
-	// strictly less modeled work than re-executing all of them.
-	if ca.Points[0].ModelSec >= un.Points[0].ModelSec {
-		t.Errorf("cached workload modeled %v, uncached %v: cache bought nothing",
-			ca.Points[0].ModelSec, un.Points[0].ModelSec)
-	}
-	// The cached run's work snapshot must show real cache traffic.
-	w := ca.Points[0].Work
-	if w.ResultCacheHits == 0 && w.QueriesCollapsed == 0 {
-		t.Errorf("no cache hits and no collapsed queries recorded: hits=%d collapsed=%d",
-			w.ResultCacheHits, w.QueriesCollapsed)
-	}
-}
-
-func TestTenantIsolationShape(t *testing.T) {
-	r, err := TenantIsolation(smallCfg(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"partitioned", "shared pool"} {
-		s, ok := r.SeriesByName(name)
-		if !ok {
-			t.Fatalf("missing %q series", name)
-		}
-		if len(s.Points) != 2 {
-			t.Fatalf("%q: want solo + under-load points, got %d", name, len(s.Points))
-		}
-		for i, p := range s.Points {
-			if p.Wall <= 0 {
-				t.Errorf("%q point %d measured zero wall-clock", name, i)
-			}
-		}
 	}
 }
