@@ -184,7 +184,7 @@ type Region struct {
 // Covers reports whether r fully covers the query region q: every column q
 // needs was materialized, and q's allowed ranges are contained in r's on
 // every column r constrained. (Conservative: containment is tested against
-// single regions, not unions; see DESIGN.md §5.)
+// single regions, not unions.)
 func (r Region) Covers(q Region) bool {
 	for _, c := range q.Cols {
 		if !containsInt(r.Cols, c) {
@@ -602,10 +602,10 @@ func catSig(s snapshot.Sig) Signature {
 
 // posmapSections serializes a positional map's columns.
 func posmapSections(m *posmap.Map) []snapshot.PosMapCol {
-	cols := m.Columns()
-	out := make([]snapshot.PosMapCol, 0, len(cols))
-	for col, pair := range cols {
-		out = append(out, snapshot.PosMapCol{Col: col, Rows: pair[0], Offs: pair[1]})
+	var out []snapshot.PosMapCol
+	for _, col := range m.CoveredCols() {
+		rows, offs := m.Pairs(col)
+		out = append(out, snapshot.PosMapCol{Col: col, Rows: rows, Offs: offs})
 	}
 	return out
 }

@@ -151,15 +151,21 @@ func (t *Table) extendForGrowth(old, cur Signature) error {
 
 	// Dense columns extend copy-on-write: readers of the old arrays are
 	// unaffected, and the extended copy is installed atomically afterwards.
+	// The copy has room for the tail's rows at the old rows' mean length,
+	// plus a quarter, so appending the tail seldom doubles it.
+	spare := 16
+	if old.Size > 0 {
+		spare += int(float64(cur.Size-old.Size) / float64(old.Size) * float64(oldRows) * 1.25)
+	}
 	for i := range dense {
 		d := &dense[i]
 		switch d.typ {
 		case schema.Int64:
-			d.ints = append(make([]int64, 0, len(d.ints)+16), d.ints...)
+			d.ints = append(make([]int64, 0, len(d.ints)+spare), d.ints...)
 		case schema.Float64:
-			d.floats = append(make([]float64, 0, len(d.floats)+16), d.floats...)
+			d.floats = append(make([]float64, 0, len(d.floats)+spare), d.floats...)
 		default:
-			d.strs = append(make([]string, 0, len(d.strs)+16), d.strs...)
+			d.strs = append(make([]string, 0, len(d.strs)+spare), d.strs...)
 		}
 	}
 

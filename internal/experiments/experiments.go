@@ -2,8 +2,8 @@
 // evaluation. Each experiment returns a Report: one series per system
 // curve, one point per x value (input size or query-sequence position),
 // carrying the measured work, the wall-clock time, and the modeled
-// response time under the calibrated cost model (see internal/metrics and
-// DESIGN.md §2 for why both are reported).
+// response time under the calibrated cost model (see internal/metrics, and
+// README "Running the paper experiments" for why both are reported).
 //
 // The experiments run at laptop scale (default ~10^5–10^6 tuples,
 // adjustable via Config.Scale); the paper's hardware-scale behavior is

@@ -75,8 +75,11 @@ func TestColumnLoadWorkersAgree(t *testing.T) {
 				t.Fatalf("col %d: positional maps differ (%d vs %d entries)", c, len(ar), len(br))
 			}
 		}
-		if got := other.tab.PosMap.MemSize(); got != 3*20000*16 {
-			t.Fatalf("posmap bytes = %d, want %d", got, 3*20000*16)
+		// Per column: 20 blocks of 1024 rows, each 4 B per row plus an 8 B
+		// base and an 8 B index slot. Installing cols 1, 2, 4 in order
+		// grows the column slots to a capacity of 8.
+		if got, want := other.tab.PosMap.MemSize(), int64(8*8+3*20*(8+8+4*1024)); got != want {
+			t.Fatalf("posmap bytes = %d, want %d", got, want)
 		}
 		s, o := seq.work, other.work
 		if s.RowsTokenized != 20000 || s.ValuesParsed != 3*20000 ||

@@ -36,6 +36,7 @@ import (
 	"nodb/internal/exec"
 	"nodb/internal/expr"
 	"nodb/internal/metrics"
+	"nodb/internal/posmap"
 	"nodb/internal/scan"
 	"nodb/internal/schema"
 	"nodb/internal/storage"
@@ -395,21 +396,18 @@ func (l *Loader) columnLoadLocked(ctx context.Context, t *catalog.Table, cols []
 	scatter := rows >= 0
 	dense := make([]*storage.DenseColumn, len(missing))
 	sinks := make([]fieldSink, len(missing))
-	var offs [][]int64 // per loaded column, indexed by row id
+	var runs []*posmap.Run // per loaded column, indexed by row id
 	if record {
-		offs = make([][]int64, len(missing))
+		runs = make([]*posmap.Run, len(missing))
 	}
 	for i, c := range missing {
 		if scatter {
 			dense[i] = storage.NewDenseSized(sch.Columns[c].Type, int(rows))
-			if record {
-				offs[i] = make([]int64, rows)
-			}
 		} else {
 			dense[i] = storage.NewDense(sch.Columns[c].Type, 1024)
-			if record {
-				offs[i] = make([]int64, 0, 1024)
-			}
+		}
+		if record {
+			runs[i] = posmap.NewRun(max(rows, 0), ps.sc.Size())
 		}
 		sinks[i] = newSink(dense[i], i, sch.Format)
 	}
@@ -427,7 +425,7 @@ func (l *Loader) columnLoadLocked(ctx context.Context, t *catalog.Table, cols []
 					return fmt.Errorf("loader: row %d col %d: %w", rowID, missing[i], err)
 				}
 				if record {
-					put(&offs[i], int(rowID), f.Offset)
+					runs[i].Set(rowID, f.Offset)
 				}
 			}
 			*parsed += int64(len(fields))
@@ -444,20 +442,19 @@ func (l *Loader) columnLoadLocked(ctx context.Context, t *catalog.Table, cols []
 		return fmt.Errorf("loader: scanned %d rows, the layout counted %d", n, rows)
 	}
 	l.finish(ps, t)
-	l.install(t, missing, dense, offs)
+	l.install(t, missing, dense, runs)
 	return nil
 }
 
 // install publishes a successful pass over cols: each column's dense
-// values and, when offs is non-nil, its field offsets for rows 0..n-1 as
-// one positional-map run.
-func (l *Loader) install(t *catalog.Table, cols []int, dense []*storage.DenseColumn, offs [][]int64) {
+// values and, when runs is non-nil, its field offsets for rows 0..n-1.
+func (l *Loader) install(t *catalog.Table, cols []int, dense []*storage.DenseColumn, runs []*posmap.Run) {
 	var written int64
 	for i, c := range cols {
 		t.SetDense(c, dense[i])
 		written += dense[i].MemSize()
-		if offs != nil {
-			t.PosMap.RecordRun(c, 0, offs[i])
+		if runs != nil {
+			t.PosMap.InstallRun(c, runs[i], int64(dense[i].Len()))
 		}
 	}
 	if l.Counters != nil {

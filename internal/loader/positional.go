@@ -8,6 +8,7 @@ import (
 
 	"nodb/internal/catalog"
 	"nodb/internal/errs"
+	"nodb/internal/posmap"
 	"nodb/internal/scan"
 	"nodb/internal/storage"
 	"nodb/internal/vfs"
@@ -56,16 +57,16 @@ func (l *Loader) tryPositionalColumnLoad(ctx context.Context, t *catalog.Table, 
 	dense := make([]*storage.DenseColumn, len(missing))
 	sinks := make([]fieldSink, len(missing))
 	relCols := make([]int, len(missing))
-	var found [][]int64 // positions learned for the missing columns, by row
+	var found []*posmap.Run // positions learned for the missing columns, by row
 	if l.RecordPositions {
-		found = make([][]int64, len(missing))
+		found = make([]*posmap.Run, len(missing))
 	}
 	for i, c := range missing {
 		dense[i] = storage.NewDenseSized(sch.Columns[c].Type, int(rows))
 		sinks[i] = newSink(dense[i], i, sch.Format)
 		relCols[i] = c - anchor
 		if found != nil {
-			found[i] = make([]int64, rows)
+			found[i] = posmap.NewRun(rows, t.Signature().Size)
 		}
 	}
 
@@ -76,7 +77,7 @@ func (l *Loader) tryPositionalColumnLoad(ctx context.Context, t *catalog.Table, 
 				return fmt.Errorf("loader: row %d col %d: %w", rowID, missing[i], err)
 			}
 			if found != nil {
-				found[i][rowID] = f.Offset
+				found[i].Set(rowID, f.Offset)
 			}
 		}
 		parsed += int64(len(fields))

@@ -10,12 +10,25 @@
 // known, the loader jumps directly to j and tokenizes only j..k, skipping
 // the attributes before j entirely.
 //
-// Positions are installed once per pass, not once per value: a column
-// load collects its offsets into a plain slice while it tokenizes and,
-// once the pass has succeeded, hands each column to RecordRun — one lock,
-// one coverage interval, one accounting update. A failed pass installs
-// nothing. Record remains for loaders that retain scattered qualifying
-// rows; an in-order Record appends without allocating.
+// The map is positional: the row id is the index. An attribute's positions
+// live in blocks of 1024 rows, picked by row id, so Lookup is O(1). A block
+// holds an int64 base offset and 1024 uint32 deltas from it; the sentinel
+// noPos marks a row with no position. A block is allocated whole on its
+// first write, with its base 2 GiB below that offset (never below 0). An
+// offset outside the uint32 window turns the block wide: one absolute
+// int64 per slot, -1 where unrecorded. That escape costs memory, never an
+// answer.
+//
+// A position costs 4 B (8 B in a wide block) plus 16 B per block, for its
+// base and its slot in the block index: 4.02 B per row of a fully covered
+// column, and up to 4 KiB for a scattered Record that is the first in its
+// block. MemSize, and what the Accountant hears, is that allocated
+// footprint, so the budget cuts whole blocks.
+//
+// Writes go in place, in any order; the last writer wins. A column load
+// Sets its positions into a Run while it tokenizes and installs the Run
+// whole once the pass has succeeded. Each column's interval set of
+// recorded rows is the source of truth for Covers, Entries and Pairs.
 //
 // The map is partial by design: it covers only rows and attributes that
 // past queries touched, and it stops growing at a configurable memory
@@ -24,12 +37,20 @@
 package posmap
 
 import (
-	"slices"
-	"sort"
+	"math"
 	"sync"
+	"sync/atomic"
 
 	"nodb/internal/intervals"
 	"nodb/internal/metrics"
+)
+
+const (
+	blockShift = 10
+	blockRows  = 1 << blockShift
+	noPos      = math.MaxUint32  // narrow delta of a row with no position
+	window     = 1 << 31         // a new block's base sits this far below its first offset
+	narrowCost = 8 + 4*blockRows // a narrow block's base and deltas
 )
 
 // Accountant receives the map's byte footprint and usage signals; the
@@ -45,11 +66,42 @@ type Accountant interface {
 // safe for concurrent use; loaders record while queries look positions up.
 type Map struct {
 	mu       sync.RWMutex
-	cols     map[int]*colMap
+	cols     []*colMap // by attribute; nil until a position is recorded
 	maxBytes int64
 	bytes    int64
 	counters *metrics.Counters
 	acct     Accountant
+}
+
+// colMap holds one attribute's positions.
+type colMap struct {
+	blocks []*block // by row >> blockShift; nil where no row was written
+	cov    intervals.Set
+}
+
+// block holds the positions of blockRows consecutive rows: in d, or in
+// wide once an offset fell outside d's window.
+type block struct {
+	base int64
+	d    []uint32 // offset − base, or noPos
+	wide []int64  // absolute offset, or -1
+}
+
+// newBlock returns a block with no position recorded.
+func newBlock(base int64, wide bool) *block {
+	b := &block{base: base}
+	if wide {
+		b.wide = make([]int64, blockRows)
+		for i := range b.wide {
+			b.wide[i] = -1
+		}
+	} else {
+		b.d = make([]uint32, blockRows)
+		for i := range b.d {
+			b.d[i] = noPos
+		}
+	}
+	return b
 }
 
 // SetAccountant attaches the byte-footprint sink (the memory governor's
@@ -63,316 +115,283 @@ func (m *Map) SetAccountant(a Accountant) {
 	}
 }
 
-// colMap holds positions for one attribute as parallel (row, offset)
-// slices sorted by row. Out-of-order arrivals are buffered in pendRows/
-// pendOffs (arrival order) and folded in by one batched merge — a sorted
-// insert per record would memmove the tail each time, turning interleaved
-// recording (a wide scan after a selective one, or parallel portions)
-// quadratic.
-type colMap struct {
-	rows []int64
-	offs []int64
-	cov  intervals.Set // covered row ranges
-
-	pendRows []int64
-	pendOffs []int64
-}
-
-// flushLimit bounds the pending buffer: merging costs O(n + p log p), so
-// letting pending grow with the column keeps the total amortized
-// near-linear.
-func (c *colMap) flushLimit() int {
-	n := len(c.rows) / 4
-	if n < 1024 {
-		n = 1024
-	}
-	return n
-}
-
 // New returns an empty positional map. maxBytes caps the map's memory; 0
 // means a default of 64 MiB. counters may be nil.
 func New(maxBytes int64, counters *metrics.Counters) *Map {
 	if maxBytes <= 0 {
 		maxBytes = 64 << 20
 	}
-	return &Map{cols: make(map[int]*colMap), maxBytes: maxBytes, counters: counters}
+	return &Map{maxBytes: maxBytes, counters: counters}
 }
 
-// Record stores the byte offset of (col, row). Records arriving in
-// ascending row order per column append in O(1); out-of-order records go
-// to a pending buffer folded in by batched merges. Recording is dropped
-// silently once the memory budget is reached (the map is an opportunistic
-// cache, losing an entry is always safe).
+// Record stores the byte offset of (col, row). A record that would grow
+// the map past its memory budget is dropped silently (the map is an
+// opportunistic cache, losing an entry is always safe).
 func (m *Map) Record(col int, row, off int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.bytes >= m.maxBytes {
-		return
-	}
-	c := m.cols[col]
-	if c == nil {
-		c = &colMap{}
-		m.cols[col] = c
-	}
-	n := len(c.rows)
-	if len(c.pendRows) == 0 {
-		if n > 0 && c.rows[n-1] == row {
-			c.offs[n-1] = off
-			return
-		}
-		if n == 0 || row > c.rows[n-1] {
-			c.rows = append(c.rows, row)
-			c.offs = append(c.offs, off)
-			c.cov.Add(intervals.Interval{Lo: row, Hi: row + 1})
-			m.bytes += 16
-			if m.acct != nil {
-				m.acct.AddBytes(16)
-			}
-			return
-		}
-	}
-	m.pendLocked(c, row, off)
+	m.putLocked(col, row, []int64{off})
 }
 
-// pendLocked buffers one out-of-order record and merges the backlog once
-// it crosses the flush limit. Caller holds m.mu.
-func (m *Map) pendLocked(c *colMap, row, off int64) {
-	c.pendRows = append(c.pendRows, row)
-	c.pendOffs = append(c.pendOffs, off)
-	m.bytes += 16
-	if m.acct != nil {
-		m.acct.AddBytes(16)
-	}
-	if len(c.pendRows) >= c.flushLimit() {
-		m.mergeLocked(c)
-	}
-}
-
-// mergeLocked folds the pending buffer into the sorted slices in one
-// pass: O(n + p log p) for p pending entries, with later arrivals winning
-// duplicate rows. Caller holds m.mu.
-func (m *Map) mergeLocked(c *colMap) {
-	p := len(c.pendRows)
-	if p == 0 {
-		return
-	}
-	// Sort pending by row, stably by arrival, so the last arrival for a
-	// row ends up last in its run and wins below.
-	order := make([]int, p)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return c.pendRows[order[a]] < c.pendRows[order[b]] })
-
-	rows := make([]int64, 0, len(c.rows)+p)
-	offs := make([]int64, 0, len(c.rows)+p)
-	i, j := 0, 0
-	push := func(row, off int64) {
-		if n := len(rows); n > 0 && rows[n-1] == row {
-			offs[n-1] = off // newer record for the same row wins
-			return
-		}
-		rows = append(rows, row)
-		offs = append(offs, off)
-	}
-	for i < len(c.rows) || j < p {
-		switch {
-		case j >= p:
-			push(c.rows[i], c.offs[i])
-			i++
-		case i >= len(c.rows) || c.pendRows[order[j]] <= c.rows[i]:
-			r := c.pendRows[order[j]]
-			push(r, c.pendOffs[order[j]])
-			c.cov.Add(intervals.Interval{Lo: r, Hi: r + 1})
-			if r == c.rowsAt(i) {
-				i++ // pending supersedes the existing entry for this row
-			}
-			j++
-		default:
-			push(c.rows[i], c.offs[i])
-			i++
-		}
-	}
-	// Duplicates collapsed; release their accounted bytes.
-	delta := int64(len(rows)-len(c.rows)-p) * 16
-	c.rows, c.offs = rows, offs
-	c.pendRows, c.pendOffs = nil, nil
-	if delta != 0 {
-		m.bytes += delta
-		if m.acct != nil {
-			m.acct.AddBytes(delta)
-		}
-	}
-}
-
-// rowsAt returns c.rows[i], or a sentinel when i is out of range.
-func (c *colMap) rowsAt(i int) int64 {
-	if i < len(c.rows) {
-		return c.rows[i]
-	}
-	return -1 << 62
-}
-
-// flush folds every column's pending backlog in, so readers see the
-// sorted view. Cheap when nothing is pending.
-func (m *Map) flush() {
-	m.mu.RLock()
-	dirty := false
-	for _, c := range m.cols {
-		if len(c.pendRows) > 0 {
-			dirty = true
-			break
-		}
-	}
-	m.mu.RUnlock()
-	if !dirty {
-		return
-	}
-	m.mu.Lock()
-	for _, c := range m.cols {
-		m.mergeLocked(c)
-	}
-	m.mu.Unlock()
-}
-
-// RecordRun stores offsets for rows startRow, startRow+1, ... as one bulk
-// install: one lock acquisition, one accountant update, one coverage
-// interval, and the column's slices grown once. Column loads call it once
-// per loaded column after the pass succeeds. The run is cut where it would
-// cross the memory budget, so MemSize never exceeds it. offs is copied;
-// the caller may reuse it.
+// RecordRun stores offsets for rows startRow, startRow+1, ... under one
+// lock, with one coverage interval and one accounting update. The run is
+// cut at the first block that would cross the memory budget, so MemSize
+// never exceeds it. offs is copied; the caller may reuse it.
 func (m *Map) RecordRun(col int, startRow int64, offs []int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if room := (m.maxBytes - m.bytes) / 16; int64(len(offs)) > room {
-		offs = offs[:max(room, 0)]
+	m.putLocked(col, startRow, offs)
+}
+
+// putLocked writes offs to rows start.. of col and returns how many it
+// wrote before the budget cut the run. Caller holds m.mu for writing.
+func (m *Map) putLocked(col int, start int64, offs []int64) int {
+	// A column or block index slot costs 8 B: past maxBytes/8 none fits.
+	slots := m.maxBytes / 8
+	if col < 0 || start < 0 || len(offs) == 0 || int64(col) >= slots || start>>blockShift >= slots {
+		return 0
 	}
-	if len(offs) == 0 {
-		return
-	}
-	c := m.cols[col]
+	cols, added := grow(m.cols, col+1, col+1)
+	c := cols[col]
 	if c == nil {
 		c = &colMap{}
-		m.cols[col] = c
 	}
-	added := int64(len(offs)) * 16
-	m.bytes += added
-	if m.acct != nil {
-		m.acct.AddBytes(added)
+	last := int((start + int64(len(offs)) - 1) >> blockShift)
+	n := 0
+	for n < len(offs) {
+		row := start + int64(n)
+		bi, s := int(row>>blockShift), int(row&(blockRows-1))
+		seg := offs[n : n+min(blockRows-s, len(offs)-n)]
+		blocks, cost := grow(c.blocks, bi+1, last+1)
+		b := blocks[bi]
+		if b == nil {
+			b, cost = newBlock(max(0, seg[0]-window), false), cost+narrowCost
+		}
+		d, ok := b.put(s, seg, m.maxBytes-m.bytes-added-cost)
+		if !ok {
+			break
+		}
+		blocks[bi], c.blocks = b, blocks
+		added += cost + d
+		n += len(seg)
 	}
-	if n := len(c.rows); len(c.pendRows) == 0 && (n == 0 || startRow > c.rows[n-1]) {
-		c.rows = appendRowIDs(c.rows, startRow, len(offs))
-		c.offs = append(c.offs, offs...)
-		c.cov.Add(intervals.Interval{Lo: startRow, Hi: startRow + int64(len(offs))})
+	if n > 0 {
+		m.cols, cols[col] = cols, c
+		c.cov.Add(intervals.Interval{Lo: start, Hi: start + int64(n)})
+		m.charge(added)
+	}
+	return n
+}
+
+// charge adds n allocated bytes to the map's footprint.
+func (m *Map) charge(n int64) {
+	m.bytes += n
+	if m.acct != nil && n != 0 {
+		m.acct.AddBytes(n)
+	}
+}
+
+// grow returns s with a length of at least n, and the bytes that took: past
+// its capacity, s moves to an array of max(want, 2*cap) slots of 8 B.
+func grow[T any](s []*T, n, want int) ([]*T, int64) {
+	if n <= cap(s) {
+		return s[:max(n, len(s))], 0
+	}
+	t := make([]*T, n, max(want, 2*cap(s)))
+	copy(t, s)
+	return t, 8 * int64(cap(t)-cap(s))
+}
+
+// put writes seg to slots s.. of b and returns the bytes it allocated. A
+// narrow block takes a write only while room holds its wide escape: it
+// changes nothing and returns false otherwise.
+func (b *block) put(s int, seg []int64, room int64) (int64, bool) {
+	if b.wide != nil {
+		copy(b.wide[s:], seg)
+		return 0, true
+	}
+	if 4*blockRows > room {
+		return 0, false
+	}
+	if b.narrow(s, seg) {
+		return 0, true
+	}
+	// Slots s.. hold garbage now; seg overwrites them below.
+	w := newBlock(0, true).wide
+	for i, d := range b.d {
+		if d != noPos {
+			w[i] = b.base + int64(d)
+		}
+	}
+	copy(w[s:], seg)
+	b.wide, b.d = w, nil
+	return 4 * blockRows, true
+}
+
+// narrow writes seg's deltas from b.base to slots s.. and reports whether
+// every one fit.
+func (b *block) narrow(s int, seg []int64) bool {
+	d := b.d[s : s+len(seg)]
+	var bad uint64
+	for i, off := range seg {
+		x := uint64(off - b.base)
+		d[i] = uint32(x)
+		bad |= (x+1)>>32 | x>>63 // x >= noPos, or off < base
+	}
+	return bad == 0
+}
+
+// A Run is one column's positions for rows 0..n-1 while a pass records
+// them: narrow blocks with base 0, or wide ones for a file of 4 GiB or
+// more. Workers setting disjoint rows of a run sized up front need no
+// lock; past its size Set grows the run, which only a lone writer may do.
+type Run struct {
+	c        colMap
+	wide     bool
+	overflow atomic.Bool // a narrow run was handed an offset past 4 GiB
+}
+
+// NewRun returns a run sized for n rows of a file of size bytes.
+func NewRun(n, size int64) *Run {
+	r := &Run{wide: size >= noPos}
+	r.c.blocks = make([]*block, (n+blockRows-1)>>blockShift)
+	for i := range r.c.blocks {
+		r.c.blocks[i] = newBlock(0, r.wide)
+	}
+	return r
+}
+
+// Set records off as the position of row.
+func (r *Run) Set(row, off int64) {
+	for row>>blockShift >= int64(len(r.c.blocks)) {
+		r.c.blocks = append(r.c.blocks, newBlock(0, r.wide))
+	}
+	b, s := r.c.blocks[row>>blockShift], row&(blockRows-1)
+	switch {
+	case r.wide:
+		b.wide[s] = off
+	case uint64(off) < noPos:
+		b.d[s] = uint32(off)
+	default:
+		r.overflow.Store(true)
+	}
+}
+
+// InstallRun publishes rows 0..n-1 of r, every one of them Set, as col's
+// positions; r is spent. A narrow run is adopted whole when col has no
+// positions and the run fits the budget. Otherwise its positions are
+// recorded like RecordRun's, and a run that overflowed installs nothing.
+func (m *Map) InstallRun(col int, r *Run, n int64) {
+	if n <= 0 || r.overflow.Load() {
 		return
 	}
-	// The run overlaps or precedes recorded rows: buffer it whole and fold
-	// it in with a single merge (which releases the bytes of duplicates).
-	c.pendRows = appendRowIDs(c.pendRows, startRow, len(offs))
-	c.pendOffs = append(c.pendOffs, offs...)
-	m.mergeLocked(c)
-}
-
-// appendRowIDs appends the n consecutive row ids from start to rows,
-// growing it once.
-func appendRowIDs(rows []int64, start int64, n int) []int64 {
-	rows = slices.Grow(rows, n)
-	for i := range n {
-		rows = append(rows, start+int64(i))
+	c := &r.c
+	nb := int((n + blockRows - 1) >> blockShift)
+	c.blocks = append(make([]*block, 0, nb), c.blocks[:nb]...)
+	c.cov.Add(intervals.Interval{Lo: 0, Hi: n})
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if !r.wide && col >= 0 && int64(col) < m.maxBytes/8 && m.colLocked(col) == nil {
+		cols, cost := grow(m.cols, col+1, col+1)
+		if cost += 8*int64(nb) + narrowCost*int64(nb); m.bytes+cost <= m.maxBytes {
+			m.cols = cols
+			m.cols[col] = c
+			m.charge(cost)
+			return
+		}
 	}
-	return rows
+	_, offs := c.pairs()
+	m.putLocked(col, 0, offs)
 }
 
-// LoadColumn bulk-installs a column's positions from a snapshot: rows
-// must be ascending and unique, offs parallel to it. A column that
-// already has entries is left alone (live recording since the snapshot
-// was written supersedes it), and the memory budget is honored the same
-// way Record honors it. The slices are adopted, not copied.
+// LoadColumn installs a column's positions from a snapshot: rows ascending
+// and unique, offs parallel and non-negative, or the column is ignored. A
+// column that has entries is left alone (live recording supersedes the
+// snapshot). Each run of consecutive rows goes in as one RecordRun.
 func (m *Map) LoadColumn(col int, rows, offs []int64) {
 	if len(rows) == 0 || len(rows) != len(offs) {
 		return
 	}
+	for i, r := range rows {
+		if r < 0 || offs[i] < 0 || i > 0 && r <= rows[i-1] {
+			return
+		}
+	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.cols[col] != nil || m.bytes >= m.maxBytes {
+	if m.colLocked(col) != nil {
 		return
 	}
-	c := &colMap{rows: rows, offs: offs}
-	// Coverage is exactly the recorded rows; rebuild it run by run.
-	runStart := rows[0]
-	prev := rows[0]
-	for _, r := range rows[1:] {
-		if r != prev+1 {
-			c.cov.Add(intervals.Interval{Lo: runStart, Hi: prev + 1})
-			runStart = r
+	start := 0
+	for i := 1; i <= len(rows); i++ {
+		if i < len(rows) && rows[i] == rows[i-1]+1 {
+			continue
 		}
-		prev = r
-	}
-	c.cov.Add(intervals.Interval{Lo: runStart, Hi: prev + 1})
-	m.cols[col] = c
-	added := int64(len(rows)) * 16
-	m.bytes += added
-	if m.acct != nil {
-		m.acct.AddBytes(added)
+		if m.putLocked(col, rows[start], offs[start:i]) < i-start {
+			return // the budget is spent
+		}
+		start = i
 	}
 }
 
-// Columns returns every column's recorded (rows, offsets) pairs, for
-// serialization. The slices are copies.
-func (m *Map) Columns() map[int][2][]int64 {
-	m.flush()
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	out := make(map[int][2][]int64, len(m.cols))
-	for col, c := range m.cols {
-		out[col] = [2][]int64{
-			append([]int64(nil), c.rows...),
-			append([]int64(nil), c.offs...),
+// colLocked returns col's positions, or nil when none are recorded.
+func (m *Map) colLocked(col int) *colMap {
+	if uint(col) >= uint(len(m.cols)) {
+		return nil
+	}
+	return m.cols[col]
+}
+
+// pairs decodes c's recorded positions in row order.
+func (c *colMap) pairs() (rows, offs []int64) {
+	rows, offs = make([]int64, c.cov.Total()), make([]int64, c.cov.Total())
+	i := 0
+	for _, iv := range c.cov.All() {
+		for r := iv.Lo; r < iv.Hi; {
+			b, s := c.blocks[r>>blockShift], int(r&(blockRows-1))
+			e := s + int(min(int64(blockRows-s), iv.Hi-r))
+			o, rs := offs[i:i+e-s], rows[i:i+e-s]
+			if b.wide != nil {
+				copy(o, b.wide[s:e])
+			} else {
+				for j, d := range b.d[s:e] {
+					o[j] = b.base + int64(d)
+				}
+			}
+			for j := range rs {
+				rs[j] = r + int64(j)
+			}
+			i, r = i+len(rs), r+int64(len(rs))
 		}
 	}
-	return out
+	return rows, offs
 }
 
 // Lookup returns the byte offset of (col, row) if known.
 func (m *Map) Lookup(col int, row int64) (int64, bool) {
-	m.flush()
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	c := m.cols[col]
-	if c == nil {
-		m.miss()
+	off := int64(-1)
+	if c := m.colLocked(col); c != nil && row >= 0 && row>>blockShift < int64(len(c.blocks)) {
+		if b, s := c.blocks[row>>blockShift], row&(blockRows-1); b != nil && b.wide != nil {
+			off = b.wide[s]
+		} else if b != nil && b.d[s] != noPos {
+			off = b.base + int64(b.d[s])
+		}
+	}
+	if off < 0 {
+		if m.counters != nil {
+			m.counters.AddPosMapMiss(1)
+		}
 		return 0, false
 	}
-	i := sort.Search(len(c.rows), func(i int) bool { return c.rows[i] >= row })
-	if i < len(c.rows) && c.rows[i] == row {
-		m.hit()
-		return c.offs[i], true
+	if m.counters != nil {
+		m.counters.AddPosMapHit(1)
 	}
-	m.miss()
-	return 0, false
-}
-
-// BestAnchor returns, among the columns ≤ target whose position for row is
-// known, the largest such column and its offset. A loader tokenizes from
-// the anchor forward, paying only (target - anchor) attribute
-// tokenizations instead of (target - 0).
-func (m *Map) BestAnchor(target int, row int64) (col int, off int64, ok bool) {
-	m.flush()
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	for c := target; c >= 0; c-- {
-		cm := m.cols[c]
-		if cm == nil {
-			continue
-		}
-		i := sort.Search(len(cm.rows), func(i int) bool { return cm.rows[i] >= row })
-		if i < len(cm.rows) && cm.rows[i] == row {
-			m.hit()
-			return c, cm.offs[i], true
-		}
+	if m.acct != nil {
+		m.acct.Touch()
 	}
-	m.miss()
-	return 0, 0, false
+	return off, true
 }
 
 // CoveredCols returns the attribute indices with at least one recorded
@@ -380,66 +399,55 @@ func (m *Map) BestAnchor(target int, row int64) (col int, off int64, ok bool) {
 func (m *Map) CoveredCols() []int {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	out := make([]int, 0, len(m.cols))
-	for c := range m.cols {
-		out = append(out, c)
+	var out []int
+	for col, c := range m.cols {
+		if c != nil {
+			out = append(out, col)
+		}
 	}
-	sort.Ints(out)
 	return out
 }
 
 // Covers reports whether every row of [lo, hi) has a recorded position for
 // col.
 func (m *Map) Covers(col int, lo, hi int64) bool {
-	m.flush()
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	c := m.cols[col]
-	if c == nil {
-		return false
-	}
-	return c.cov.Covers(intervals.Interval{Lo: lo, Hi: hi})
+	c := m.colLocked(col)
+	return c != nil && c.cov.Covers(intervals.Interval{Lo: lo, Hi: hi})
 }
 
-// Pairs returns copies of the (rows, offsets) slices for col, sorted by
-// row. Loaders iterate them to drive sequential positional access.
+// Pairs returns the recorded (rows, offsets) of col, sorted by row, in
+// fresh slices. Loaders iterate them to drive sequential positional
+// access.
 func (m *Map) Pairs(col int) (rows, offs []int64) {
-	m.flush()
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	c := m.cols[col]
+	c := m.colLocked(col)
 	if c == nil {
 		return nil, nil
 	}
-	rows = append([]int64(nil), c.rows...)
-	offs = append([]int64(nil), c.offs...)
-	return rows, offs
+	return c.pairs()
 }
 
 // Entries returns the total number of recorded positions.
 func (m *Map) Entries() int {
-	m.flush()
 	m.mu.RLock()
 	defer m.mu.RUnlock()
-	n := 0
+	var n int64
 	for _, c := range m.cols {
-		n += len(c.rows)
+		if c != nil {
+			n += c.cov.Total()
+		}
 	}
-	return n
+	return int(n)
 }
 
-// MemSize returns the approximate heap bytes held by the map.
+// MemSize returns the bytes the map has allocated for positions.
 func (m *Map) MemSize() int64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
 	return m.bytes
-}
-
-// Full reports whether the memory budget is exhausted (recording stopped).
-func (m *Map) Full() bool {
-	m.mu.RLock()
-	defer m.mu.RUnlock()
-	return m.bytes >= m.maxBytes
 }
 
 // Drop discards all recorded positions (used when the raw file changed, or
@@ -447,24 +455,9 @@ func (m *Map) Full() bool {
 func (m *Map) Drop() {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.cols = make(map[int]*colMap)
+	m.cols = nil
 	m.bytes = 0
 	if m.acct != nil {
 		m.acct.SetBytes(0)
-	}
-}
-
-func (m *Map) hit() {
-	if m.counters != nil {
-		m.counters.AddPosMapHit(1)
-	}
-	if m.acct != nil {
-		m.acct.Touch()
-	}
-}
-
-func (m *Map) miss() {
-	if m.counters != nil {
-		m.counters.AddPosMapMiss(1)
 	}
 }

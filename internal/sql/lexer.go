@@ -1,8 +1,9 @@
 // Package sql implements the declarative query interface: a lexer,
 // abstract syntax tree and recursive-descent parser for the SQL subset the
-// engine supports (see DESIGN.md §6). The paper's position is that the
-// declarative interface itself is a major benefit over scripting tools
-// (§2.2 "Declarative SQL Interface"); this package is that interface.
+// engine supports (README "Quickstart (library)" lists it). The paper's
+// position is that the declarative interface itself is a major benefit
+// over scripting tools (§2.2 "Declarative SQL Interface"); this package is
+// that interface.
 package sql
 
 import (

@@ -41,7 +41,7 @@ import (
 // Policy selects the adaptive loading strategy.
 type Policy int
 
-// Loading policies. See DESIGN.md for the mapping to the paper's curves.
+// Loading policies. README "Loading policies" lists what each one does.
 const (
 	// ColumnLoads (the default) loads whole missing columns on demand.
 	ColumnLoads Policy = iota
