@@ -8,6 +8,7 @@ package nodb
 // the engine recovers to clean answers without a restart.
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -15,9 +16,11 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"syscall"
 	"testing"
+	"time"
 
 	"nodb/internal/vfs"
 )
@@ -406,5 +409,81 @@ func TestChaosGovernorBaselineAfterFailedQueries(t *testing.T) {
 	}
 	if got := chaosRow(res); got != "400" {
 		t.Fatalf("recovery count = %s, want 400", got)
+	}
+}
+
+// TestChaosPositionalLoadFaults: a positional column load that a read
+// fault or a cancelled context stops mid-pass loads nothing, leaks no
+// governor pin and returns a typed error; once the fault clears the same
+// query answers like a clean engine.
+func TestChaosPositionalLoadFaults(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.csv")
+	writeRandomTable(t, path, 20000, 6, 1000, 5)
+	const warm, q = "select sum(a1) from t where a2 > 10", "select sum(a3), count(*) from t where a4 > 500"
+	ref := Open(Options{})
+	defer ref.Close()
+	if err := ref.Link("t", path); err != nil {
+		t.Fatal(err)
+	}
+	want, err := ref.Query(q)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name  string
+		rule  vfs.Rule
+		ctx   func() (context.Context, context.CancelFunc)
+		typed func(error) bool
+	}{
+		{"EIO", vfs.Rule{Op: vfs.OpRead, PathContains: "t.csv", Err: syscall.EIO, AfterBytes: st.Size() / 2, Times: -1},
+			func() (context.Context, context.CancelFunc) { return context.WithCancel(context.Background()) }, chaosTyped},
+		// Slow reads and a short deadline: the deadline lands mid-pass.
+		{"cancelled", vfs.Rule{Op: vfs.OpRead, PathContains: "t.csv", Delay: 20 * time.Millisecond, Times: -1},
+			func() (context.Context, context.CancelFunc) {
+				return context.WithTimeout(context.Background(), 50*time.Millisecond)
+			},
+			func(err error) bool { return errors.Is(err, context.DeadlineExceeded) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ffs := vfs.NewFaultFS(nil)
+			db := openFS(Options{Policy: ColumnLoads, Workers: 2, ChunkSize: 16 << 10, MemoryBudget: 64 << 20}, ffs)
+			defer db.Close()
+			if err := db.Link("t", path); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := db.Query(warm); err != nil {
+				t.Fatal(err)
+			}
+			ffs.AddRule(tc.rule)
+			ctx, cancel := tc.ctx()
+			_, err := db.QueryContext(ctx, q)
+			cancel()
+			if err == nil || !tc.typed(err) {
+				t.Fatalf("query error = %v, want a typed failure", err)
+			}
+			if p := db.MemStats().Pinned; p != 0 {
+				t.Errorf("governor leak: pinned=%d", p)
+			}
+			if st, err := db.TableStats("t"); err != nil || !slices.Equal(st.DenseCols, []int{0, 1}) {
+				t.Errorf("dense columns after a failed load: %v (%v), want [0 1]", st.DenseCols, err)
+			}
+			ffs.Clear()
+			before := db.Work()
+			res, err := db.Query(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := chaosRow(res); got != chaosRow(want) {
+				t.Fatalf("after recovery: got %s, want %s", got, chaosRow(want))
+			}
+			if w := db.Work().Sub(before); w.PosMapHits == 0 {
+				t.Error("the recovery load was not positional")
+			}
+		})
 	}
 }

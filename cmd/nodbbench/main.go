@@ -7,8 +7,8 @@
 // With no -exp it runs every experiment. Each experiment prints a table
 // with one row per x value (input size or query position) and one column
 // per system curve, in modeled seconds under the calibrated cost model
-// (add -wall for measured wall-clock tables too). See EXPERIMENTS.md for
-// the paper-vs-measured record.
+// (add -wall for measured wall-clock tables too). See README "Running the
+// paper experiments".
 package main
 
 import (

@@ -7,8 +7,7 @@
 //
 // The experiments run at laptop scale (default ~10^5–10^6 tuples,
 // adjustable via Config.Scale); the paper's hardware-scale behavior is
-// recovered through the cost model, and EXPERIMENTS.md records the
-// paper-vs-measured comparison for every artifact.
+// recovered through the cost model.
 package experiments
 
 import (

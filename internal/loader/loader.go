@@ -116,18 +116,23 @@ type portionedScan struct {
 
 // openPortioned opens t's raw file for one pass over cols, wired to the
 // table's synopsis: a learned layout replaces the boundary-discovery
-// pre-pass (and Portioned makes a first pass build one worth
-// remembering); with the synopsis disabled this degrades to a plain
-// scanner with inert hooks. Layout read and adoption both go through the
-// collector, whose generation pin discards them if the synopsis is
-// dropped (file edited) mid-pass.
-func (l *Loader) openPortioned(ctx context.Context, t *catalog.Table, cols []int) (*portionedScan, error) {
+// pre-pass, and when learn is set Portioned makes a first pass build one
+// worth remembering. A pass that may not learn (a positional load) and
+// finds no learned layout keeps the single-portion stream that reads the
+// file exactly once, and feeds no synopsis. With the synopsis disabled
+// this degrades to a plain scanner with inert hooks. Layout read and
+// adoption both go through the collector, whose generation pin discards
+// them if the synopsis is dropped (file edited) mid-pass.
+func (l *Loader) openPortioned(ctx context.Context, t *catalog.Table, cols []int, learn bool) (*portionedScan, error) {
 	syn := l.synFor(t)
 	collector := synopsis.NewCollector(syn, cols, colTypes(t.Schema(), cols))
 	opts := l.scanOpts(ctx, t)
 	if syn != nil {
 		opts.Layout = collector.Layout()
-		opts.Portioned = true
+		opts.Portioned = learn
+	}
+	if !learn && opts.Layout == nil {
+		opts.Workers, collector = 1, nil
 	}
 	sc, err := scan.Open(t.Path(), opts)
 	if err != nil {
@@ -146,45 +151,56 @@ func (l *Loader) openPortioned(ctx context.Context, t *catalog.Table, cols []int
 	}, nil
 }
 
-// portionTally is one portion's count of values parsed, padded to a cache
-// line so portions on different workers never write the same line.
+// portionTally is one portion's count of values parsed and attributes
+// tokenized by the loader's own handlers, padded to a cache line so
+// portions on different workers never write the same line.
 type portionTally struct {
-	parsed int64
-	_      [56]byte
+	parsed, attrs int64
+	_             [48]byte
 }
 
-// run makes one pass over cols through per-portion hooks: handler and
-// abandon closures around the collector (mkAbandon may be nil), bound
-// commits on portion end, and — when the synopsis can refute conj —
-// portion skipping. Pass an empty conjunction for loads that must visit
-// every row. mkHandler may also return an end hook, called on the
-// portion's goroutine after its last row and before its bounds commit; an
-// error from it fails the pass. Each handler counts the values it parses
-// into its portion's own tally (parsed); the pass adds their sum to
-// counters once, on every return path, so ValuesParsed stays exact
-// without a shared atomic per row.
-func (ps *portionedScan) run(cols []int, conj expr.Conjunction, counters *metrics.Counters, mkHandler func(pc *synopsis.PortionAcc, parsed *int64) (scan.RowHandler, func() error), mkAbandon func(*synopsis.PortionAcc) scan.AbandonFunc) error {
+// portionHooks are one portion's callbacks in a pass: rows and abandon
+// for a column pass, lines for a line-level one, and end (optional),
+// called on the portion's goroutine after its last row and before its
+// bounds commit; an error from end fails the pass.
+type portionHooks struct {
+	rows    scan.RowHandler
+	abandon scan.AbandonFunc
+	lines   scan.LineHandler
+	end     func() error
+}
+
+// run makes one pass through per-portion hooks: begin builds each
+// portion's hooks around its synopsis accumulator and its own tally,
+// bounds commit on portion end, and — when the synopsis can refute conj —
+// portions are skipped. Pass an empty conjunction for loads that must
+// visit every row. With cols nil the pass is line-level (ScanLines);
+// otherwise it tokenizes cols. The pass adds the tallies' sums to
+// counters once, on every return path, so the counts stay exact without
+// a shared atomic per row.
+func (ps *portionedScan) run(cols []int, conj expr.Conjunction, counters *metrics.Counters, begin func(p scan.PortionInfo, pc *synopsis.PortionAcc, tally *portionTally) portionHooks) error {
 	tallies := make([]portionTally, len(ps.ports))
 	ends := make([]func() error, len(ps.ports))
 	if counters != nil {
 		defer func() {
-			var n int64
+			var parsed, attrs int64
 			for i := range tallies {
-				n += tallies[i].parsed
+				parsed += tallies[i].parsed
+				attrs += tallies[i].attrs
 			}
-			counters.AddValuesParsed(n)
+			counters.AddValuesParsed(parsed)
+			counters.AddAttrsTokenized(attrs)
 		}()
+	}
+	start := func(p scan.PortionInfo) portionHooks {
+		h := begin(p, ps.collector.Begin(p), &tallies[p.Index])
+		ends[p.Index] = h.end
+		return h
 	}
 	pf := scan.PortionFuncs{
 		Begin: func(p scan.PortionInfo) (scan.RowHandler, scan.AbandonFunc) {
-			pc := ps.collector.Begin(p)
-			var ab scan.AbandonFunc
-			if mkAbandon != nil {
-				ab = mkAbandon(pc)
-			}
-			h, end := mkHandler(pc, &tallies[p.Index].parsed)
-			ends[p.Index] = end
-			return h, ab
+			h := start(p)
+			return h.rows, h.abandon
 		},
 		End: func(p scan.PortionInfo, n int64) error {
 			if end := ends[p.Index]; end != nil {
@@ -198,6 +214,10 @@ func (ps *portionedScan) run(cols []int, conj expr.Conjunction, counters *metric
 	}
 	if pr := ps.syn.Pruner(conj); pr != nil {
 		pf.Skip = pr.Skip
+	}
+	if cols == nil {
+		pf.Lines = func(p scan.PortionInfo) scan.LineHandler { return start(p).lines }
+		return ps.sc.ScanLines(pf)
 	}
 	return ps.sc.ScanColumnsPortioned(cols, pf)
 }
@@ -378,71 +398,95 @@ func (l *Loader) columnLoadLocked(ctx context.Context, t *catalog.Table, cols []
 		return nil
 	}
 
-	ps, err := l.openPortioned(ctx, t, missing)
+	ps, err := l.openPortioned(ctx, t, missing, true)
 	if err != nil {
 		return err
 	}
-
-	sch := t.Schema()
-	record := l.RecordPositions && t.PosMap != nil
-	// A counted layout (every multi-portion one, so every parallel pass)
-	// sizes the columns up front and rows scatter into them by row id; row
-	// ids are disjoint across portions, so the slots need no lock. Only a
-	// single uncounted portion — a sequential stream with no counting
-	// pre-pass, reading the file exactly once — appends instead: each row
-	// lands one past the end (put). The handler's bound check keeps a
-	// miscounted layout from appending to a scattered column.
-	rows := countedRows(ps.ports)
-	scatter := rows >= 0
-	dense := make([]*storage.DenseColumn, len(missing))
-	sinks := make([]fieldSink, len(missing))
-	var runs []*posmap.Run // per loaded column, indexed by row id
-	if record {
-		runs = make([]*posmap.Run, len(missing))
-	}
-	for i, c := range missing {
-		if scatter {
-			dense[i] = storage.NewDenseSized(sch.Columns[c].Type, int(rows))
-		} else {
-			dense[i] = storage.NewDense(sch.Columns[c].Type, 1024)
-		}
-		if record {
-			runs[i] = posmap.NewRun(max(rows, 0), ps.sc.Size())
-		}
-		sinks[i] = newSink(dense[i], i, sch.Format)
-	}
+	cl := newColumnLoad(t, missing, countedRows(ps.ports), ps.sc.Size(), l.RecordPositions)
 
 	// A full column load observes every row, so each portion it completes
 	// gains exact bounds for every loaded column — synopsis collection as
 	// a free byproduct of work the load does anyway.
-	mkHandler := func(pc *synopsis.PortionAcc, parsed *int64) (scan.RowHandler, func() error) {
-		return func(rowID int64, fields []scan.FieldRef) error {
-			if scatter && rowID >= rows {
-				return fmt.Errorf("loader: row %d beyond the %d rows the layout counted", rowID, rows)
-			}
-			for i, f := range fields {
-				if err := sinks[i](f.Bytes, int(rowID), pc); err != nil {
-					return fmt.Errorf("loader: row %d col %d: %w", rowID, missing[i], err)
-				}
-				if record {
-					runs[i].Set(rowID, f.Offset)
-				}
-			}
-			*parsed += int64(len(fields))
-			return nil
-		}, nil
+	begin := func(_ scan.PortionInfo, pc *synopsis.PortionAcc, tally *portionTally) portionHooks {
+		return portionHooks{rows: cl.handler(pc, tally)}
 	}
 	// Loads must visit every row (dense columns are complete), so no
 	// conjunction is offered for pruning.
-	if err := ps.run(missing, expr.Conjunction{}, l.Counters, mkHandler, nil); err != nil {
+	if err := ps.run(missing, expr.Conjunction{}, l.Counters, begin); err != nil {
 		return err
 	}
-	if n := ps.sc.RowsScanned(); scatter && n != rows {
-		// Every slot must have been written exactly once.
-		return fmt.Errorf("loader: scanned %d rows, the layout counted %d", n, rows)
+	return cl.commit(l, t, ps)
+}
+
+// columnLoad is one pass' worth of loaded columns: dense values and, when
+// positions are recorded, their offsets, each indexed by row id.
+type columnLoad struct {
+	cols  []int
+	rows  int64 // the rows the pass expects, or -1 when unknown
+	dense []*storage.DenseColumn
+	sinks []fieldSink
+	runs  []*posmap.Run // nil unless the pass records positions
+}
+
+// newColumnLoad prepares the columns a pass over a file of size bytes
+// loads, and their offsets when record is set. Known rows (a counted
+// layout: every multi-portion one, so every parallel pass) size the
+// columns up front and rows scatter into them by row id; row ids are
+// disjoint across portions, so the slots need no lock. Unknown rows (-1:
+// a single uncounted portion, a sequential stream with no counting
+// pre-pass that reads the file exactly once) append instead, each row
+// landing one past the end (put). The handler's bound check keeps a
+// miscounted layout from appending to a scattered column.
+func newColumnLoad(t *catalog.Table, cols []int, rows, size int64, record bool) *columnLoad {
+	sch := t.Schema()
+	cl := &columnLoad{cols: cols, rows: rows, dense: make([]*storage.DenseColumn, len(cols)), sinks: make([]fieldSink, len(cols))}
+	record = record && t.PosMap != nil
+	if record {
+		cl.runs = make([]*posmap.Run, len(cols))
+	}
+	for i, c := range cols {
+		if rows >= 0 {
+			cl.dense[i] = storage.NewDenseSized(sch.Columns[c].Type, int(rows))
+		} else {
+			cl.dense[i] = storage.NewDense(sch.Columns[c].Type, 1024)
+		}
+		if record {
+			cl.runs[i] = posmap.NewRun(max(rows, 0), size)
+		}
+		cl.sinks[i] = newSink(cl.dense[i], i, sch.Format)
+	}
+	return cl
+}
+
+// handler returns one portion's row handler: it parses the row's fields
+// into their columns, folding the values into the portion's bounds, and
+// records their offsets.
+func (cl *columnLoad) handler(pc *synopsis.PortionAcc, tally *portionTally) scan.RowHandler {
+	return func(rowID int64, fields []scan.FieldRef) error {
+		if cl.rows >= 0 && rowID >= cl.rows {
+			return fmt.Errorf("loader: row %d beyond the %d rows the layout counted", rowID, cl.rows)
+		}
+		for i, f := range fields {
+			if err := cl.sinks[i](f.Bytes, int(rowID), pc); err != nil {
+				return fmt.Errorf("loader: row %d col %d: %w", rowID, cl.cols[i], err)
+			}
+			if cl.runs != nil {
+				cl.runs[i].Set(rowID, f.Offset)
+			}
+		}
+		tally.parsed += int64(len(fields))
+		return nil
+	}
+}
+
+// commit checks that a completed pass wrote every slot exactly once, then
+// records the pass and publishes its columns.
+func (cl *columnLoad) commit(l *Loader, t *catalog.Table, ps *portionedScan) error {
+	if n := ps.sc.RowsScanned(); cl.rows >= 0 && n != cl.rows {
+		return fmt.Errorf("loader: scanned %d rows, the layout counted %d", n, cl.rows)
 	}
 	l.finish(ps, t)
-	l.install(t, missing, dense, runs)
+	l.install(t, cl.cols, cl.dense, cl.runs)
 	return nil
 }
 

@@ -69,7 +69,7 @@ func (l *Loader) PartialScanContext(ctx context.Context, t *catalog.Table, needC
 		predsAt[i] = conj.OnColumn(c)
 	}
 
-	ps, err := l.openPortioned(ctx, t, loadCols)
+	ps, err := l.openPortioned(ctx, t, loadCols, true)
 	if err != nil {
 		return nil, err
 	}
@@ -112,7 +112,7 @@ func (l *Loader) PartialScanContext(ctx context.Context, t *catalog.Table, needC
 	}
 
 	lateFilter := l.DisableEarlyAbandon && !conj.Empty()
-	mkHandler := func(pc *synopsis.PortionAcc, parsed *int64) (scan.RowHandler, func() error) {
+	mkHandler := func(pc *synopsis.PortionAcc, tally *portionTally) (scan.RowHandler, func() error) {
 		return func(rowID int64, fields []scan.FieldRef) error {
 			vals := make([]storage.Value, len(loadCols))
 			for i, f := range fields {
@@ -125,7 +125,7 @@ func (l *Loader) PartialScanContext(ctx context.Context, t *catalog.Table, needC
 					pc.Observe(i, v)
 				}
 			}
-			*parsed += int64(len(fields))
+			tally.parsed += int64(len(fields))
 			if record {
 				for i, f := range fields {
 					t.PosMap.Record(loadCols[i], rowID, f.Offset)
@@ -153,11 +153,15 @@ func (l *Loader) PartialScanContext(ctx context.Context, t *catalog.Table, needC
 	// exclude the conjunction are skipped — a skipped portion provably
 	// holds no qualifying row, so results are identical to an unpruned
 	// pass.
-	ab := mkAbandon
-	if !useAbandon {
-		ab = nil
+	begin := func(_ scan.PortionInfo, pc *synopsis.PortionAcc, tally *portionTally) portionHooks {
+		var h portionHooks
+		h.rows, h.end = mkHandler(pc, tally)
+		if useAbandon {
+			h.abandon = mkAbandon(pc)
+		}
+		return h
 	}
-	if err := ps.run(loadCols, conj, l.Counters, mkHandler, ab); err != nil {
+	if err := ps.run(loadCols, conj, l.Counters, begin); err != nil {
 		return nil, err
 	}
 	l.finish(ps, t)

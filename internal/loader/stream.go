@@ -58,7 +58,7 @@ func (l *Loader) ScanBatchesContext(ctx context.Context, t *catalog.Table, outCo
 		predsAt[i] = conj.OnColumn(c)
 	}
 
-	ps, err := l.openPortioned(ctx, t, loadCols)
+	ps, err := l.openPortioned(ctx, t, loadCols, true)
 	if err != nil {
 		return err
 	}
@@ -88,7 +88,7 @@ func (l *Loader) ScanBatchesContext(ctx context.Context, t *catalog.Table, outCo
 		}
 	}
 
-	mkHandler := func(pc *synopsis.PortionAcc, parsed *int64) (scan.RowHandler, func() error) {
+	mkHandler := func(pc *synopsis.PortionAcc, tally *portionTally) (scan.RowHandler, func() error) {
 		var cols []*storage.DenseColumn // the portion's current batch; nil until a row qualifies
 		n := 0
 		flush := func() error {
@@ -124,7 +124,7 @@ func (l *Loader) ScanBatchesContext(ctx context.Context, t *catalog.Table, outCo
 					t.PosMap.Record(loadCols[i], rowID, f.Offset)
 				}
 			}
-			*parsed += int64(len(fields))
+			tally.parsed += int64(len(fields))
 			if n++; n >= batchSize {
 				return flush()
 			}
@@ -133,11 +133,15 @@ func (l *Loader) ScanBatchesContext(ctx context.Context, t *catalog.Table, outCo
 		return handler, flush
 	}
 
-	ab := mkAbandon
-	if !useAbandon {
-		ab = nil
+	begin := func(_ scan.PortionInfo, pc *synopsis.PortionAcc, tally *portionTally) portionHooks {
+		var h portionHooks
+		h.rows, h.end = mkHandler(pc, tally)
+		if useAbandon {
+			h.abandon = mkAbandon(pc)
+		}
+		return h
 	}
-	if err := ps.run(loadCols, conj, l.Counters, mkHandler, ab); err != nil {
+	if err := ps.run(loadCols, conj, l.Counters, begin); err != nil {
 		return err
 	}
 	l.finish(ps, t)

@@ -30,6 +30,13 @@
 // whole once the pass has succeeded. Each column's interval set of
 // recorded rows is the source of truth for Covers, Entries and Pairs.
 //
+// Loads read the map a portion at a time: Offsets fills a batch of one
+// attribute's positions under one read lock, so a positional load runs
+// in parallel over the synopsis' learned portion layout, reads the file
+// once and commits synopsis bounds like any other load; a map dropped
+// mid-pass fails the pass at its next batch, and the load falls back to a
+// plain scan.
+//
 // The map is partial by design: it covers only rows and attributes that
 // past queries touched, and it stops growing at a configurable memory
 // budget (unbounded maps would defeat the "minimum possible investment"
@@ -347,24 +354,50 @@ func (c *colMap) pairs() (rows, offs []int64) {
 	rows, offs = make([]int64, c.cov.Total()), make([]int64, c.cov.Total())
 	i := 0
 	for _, iv := range c.cov.All() {
-		for r := iv.Lo; r < iv.Hi; {
-			b, s := c.blocks[r>>blockShift], int(r&(blockRows-1))
-			e := s + int(min(int64(blockRows-s), iv.Hi-r))
-			o, rs := offs[i:i+e-s], rows[i:i+e-s]
-			if b.wide != nil {
-				copy(o, b.wide[s:e])
-			} else {
-				for j, d := range b.d[s:e] {
-					o[j] = b.base + int64(d)
-				}
-			}
-			for j := range rs {
-				rs[j] = r + int64(j)
-			}
-			i, r = i+len(rs), r+int64(len(rs))
+		n := int(iv.Len())
+		c.decode(iv.Lo, offs[i:i+n])
+		for j := range n {
+			rows[i+j] = iv.Lo + int64(j)
 		}
+		i += n
 	}
 	return rows, offs
+}
+
+// decode writes the positions of rows r, r+1, ... to dst; every one of
+// them must be recorded.
+func (c *colMap) decode(r int64, dst []int64) {
+	for len(dst) > 0 {
+		b, s := c.blocks[r>>blockShift], int(r&(blockRows-1))
+		n := min(blockRows-s, len(dst))
+		if b.wide != nil {
+			copy(dst[:n], b.wide[s:s+n])
+		} else {
+			for j, d := range b.d[s : s+n] {
+				dst[j] = b.base + int64(d)
+			}
+		}
+		dst, r = dst[n:], r+int64(n)
+	}
+}
+
+// Offsets fills dst with col's positions of rows firstRow,
+// firstRow+1, ..., under one read lock, and reports whether every one of
+// those rows has a position; on false dst is unspecified. Positional
+// loads fetch their anchors through it a batch at a time, so a map
+// dropped mid-pass fails the pass at its next batch.
+func (m *Map) Offsets(col int, firstRow int64, dst []int64) bool {
+	m.mu.RLock()
+	defer m.mu.RUnlock()
+	c := m.colLocked(col)
+	if c == nil || firstRow < 0 || !c.cov.Covers(intervals.Interval{Lo: firstRow, Hi: firstRow + int64(len(dst))}) {
+		return false
+	}
+	c.decode(firstRow, dst)
+	if m.acct != nil {
+		m.acct.Touch()
+	}
+	return true
 }
 
 // Lookup returns the byte offset of (col, row) if known.
@@ -418,8 +451,7 @@ func (m *Map) Covers(col int, lo, hi int64) bool {
 }
 
 // Pairs returns the recorded (rows, offsets) of col, sorted by row, in
-// fresh slices. Loaders iterate them to drive sequential positional
-// access.
+// fresh slices (snapshots serialize them).
 func (m *Map) Pairs(col int) (rows, offs []int64) {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

@@ -330,3 +330,67 @@ func TestLayoutReuseSkipsPrePass(t *testing.T) {
 		}
 	}
 }
+
+// TestScanLinesMatchesColumns: ScanLines hands every row to its portion's
+// line handler exactly once, whole — CR stripped, header skipped, the
+// final unterminated row included — at the file offset and row id a
+// column scan reports, and counts the rows and bytes a column scan does.
+func TestScanLinesMatchesColumns(t *testing.T) {
+	var sb strings.Builder
+	sb.WriteString("x,y\n")
+	for i := 0; i < 5000; i++ {
+		fmt.Fprintf(&sb, "%d,%d\r\n", i, i*3)
+	}
+	sb.WriteString("5000,15000")
+	path := writeFile(t, sb.String())
+	for _, workers := range []int{1, 4} {
+		opts := Options{Workers: workers, ChunkSize: 4096, SkipHeader: true, Portioned: true}
+		var cc, lc metrics.Counters
+		want := make([]string, 5001)
+		opts.Counters = &cc
+		sc, err := Open(path, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := sc.ScanColumns(nil, func(row int64, f []FieldRef) error {
+			want[row] = fmt.Sprintf("%d:%s,%s", f[0].Offset, f[0].Bytes, f[1].Bytes)
+			return nil
+		}, nil); err != nil {
+			t.Fatal(err)
+		}
+		got := make([]string, 5001)
+		var ends atomic.Int64
+		opts.Counters = &lc
+		sl, err := Open(path, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = sl.ScanLines(PortionFuncs{
+			Lines: func(p PortionInfo) LineHandler {
+				return func(row, off int64, line []byte) error {
+					if row < p.FirstRow || row >= p.FirstRow+p.Rows || got[row] != "" {
+						return fmt.Errorf("row %d outside portion %+v or seen twice", row, p)
+					}
+					got[row] = fmt.Sprintf("%d:%s", off, line)
+					return nil
+				}
+			},
+			End: func(p PortionInfo, rows int64) error {
+				ends.Add(rows)
+				return nil
+			},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("workers %d row %d: line %q, want %q", workers, i, got[i], want[i])
+			}
+		}
+		c, l := cc.Snapshot(), lc.Snapshot()
+		if ends.Load() != 5001 || l.RowsTokenized != c.RowsTokenized || l.RawBytesRead != c.RawBytesRead || l.AttrsTokenized != 0 {
+			t.Fatalf("workers %d: %d rows ended; lines %v, columns %v", workers, ends.Load(), l, c)
+		}
+	}
+}

@@ -211,10 +211,16 @@ type PortionInfo struct {
 	Rows     int64 // data rows in the portion, or -1 when uncounted
 }
 
-// PortionFuncs are the per-portion callbacks of ScanColumnsPortioned. All
-// fields are optional. With Workers > 1 they are invoked concurrently from
-// the worker goroutines, but each portion's Begin/rows/End sequence runs on
-// a single goroutine.
+// LineHandler receives one row whole, for callers that locate its
+// attributes themselves: the row's global id, the file offset of its first
+// byte, and its bytes without the newline (or a trailing CR). The line
+// aliases the scan buffer and is valid only for the call.
+type LineHandler func(rowID, lineOff int64, line []byte) error
+
+// PortionFuncs are the per-portion callbacks of ScanColumnsPortioned and
+// ScanLines. All fields are optional. With Workers > 1 they are invoked
+// concurrently from the worker goroutines, but each portion's
+// Begin/rows/End sequence runs on a single goroutine.
 type PortionFuncs struct {
 	// Skip is consulted once per portion, before any of its bytes are
 	// read; returning true prunes the portion outright. It is only
@@ -226,6 +232,10 @@ type PortionFuncs struct {
 	// letting callers accumulate per-portion state (synopsis bounds)
 	// without locks.
 	Begin func(p PortionInfo) (RowHandler, AbandonFunc)
+	// Lines replaces Begin in ScanLines, which requires it: it returns one
+	// portion's line handler, which receives the portion's rows
+	// untokenized.
+	Lines func(p PortionInfo) LineHandler
 	// End observes a portion completing cleanly, with the number of rows
 	// it tokenized. It is not called for skipped or failed portions.
 	End func(p PortionInfo, rows int64) error
@@ -631,9 +641,21 @@ func (s *Scanner) ScanColumnsTail(cols []int, handler RowTailHandler, abandon Ab
 
 // ScanColumnsPortioned is ScanColumns with per-portion scheduling hooks:
 // Skip prunes whole portions before a byte of them is read (synopsis zone
-// maps), Begin supplies per-portion handler state, End commits it.
+// maps), Begin supplies per-portion handler state, End commits it. Lines
+// is ignored.
 func (s *Scanner) ScanColumnsPortioned(cols []int, pf PortionFuncs) error {
+	pf.Lines = nil
 	return s.scan(cols, nil, nil, nil, pf)
+}
+
+// ScanLines is ScanColumnsPortioned one level down: each portion's rows
+// reach the handler pf.Lines returns as whole lines, located but not
+// tokenized. The pass keeps everything else of a column scan — learned
+// layouts, parallel portions, per-worker buffers, cancellation, shrink
+// detection, and the RawBytesRead and RowsTokenized counts; attributes
+// the handlers tokenize are theirs to count.
+func (s *Scanner) ScanLines(pf PortionFuncs) error {
+	return s.scan(nil, nil, nil, nil, pf)
 }
 
 // info exports one portion's metadata.
@@ -646,10 +668,19 @@ func (s *Scanner) info(i int) PortionInfo {
 // through the calling worker's buffer.
 func (s *Scanner) runPortion(i int, cols []int, handler RowHandler, tailH RowTailHandler, abandon AbandonFunc, pf PortionFuncs, buf *[]byte) error {
 	pi := s.info(i)
-	if pf.Begin != nil {
-		handler, abandon = pf.Begin(pi)
+	var tok rowTokenizer
+	if pf.Lines != nil {
+		tok = lineTokenizer(pf.Lines(pi))
+	} else {
+		if pf.Begin != nil {
+			handler, abandon = pf.Begin(pi)
+		}
+		var err error
+		if tok, err = s.opts.newRowTokenizer(cols); err != nil {
+			return err
+		}
 	}
-	n, err := s.scanPortion(s.portions[i], cols, handler, tailH, abandon, buf)
+	n, err := s.scanPortion(s.portions[i], tok, handler, tailH, abandon, buf)
 	if err != nil {
 		return err
 	}
@@ -770,11 +801,11 @@ func (w *tally) flush(c *metrics.Counters) {
 	c.AddRowsAbandoned(w.abandoned)
 }
 
-// scanPortion streams one portion and tokenizes its rows, returning how
-// many it tokenized. It reads through the worker's buffer *bufp,
-// allocating it on first use; a buffer outgrown by a long row is replaced
-// by a larger one, which the worker keeps.
-func (s *Scanner) scanPortion(p portion, cols []int, handler RowHandler, tailH RowTailHandler, abandon AbandonFunc, bufp *[]byte) (int64, error) {
+// scanPortion streams one portion and tokenizes its rows with tok,
+// returning how many it tokenized. It reads through the worker's buffer
+// *bufp, allocating it on first use; a buffer outgrown by a long row is
+// replaced by a larger one, which the worker keeps.
+func (s *Scanner) scanPortion(p portion, tok rowTokenizer, handler RowHandler, tailH RowTailHandler, abandon AbandonFunc, bufp *[]byte) (int64, error) {
 	f, err := s.opts.fs().Open(s.path)
 	if err != nil {
 		return 0, errs.Wrap(errs.ErrRawIO, "scan open", s.path, err)
@@ -795,11 +826,6 @@ func (s *Scanner) scanPortion(p portion, cols []int, handler RowHandler, tailH R
 	carry := 0 // bytes of an incomplete row carried from the previous chunk
 	pos := p.off
 	rowID := p.firstRow
-
-	tok, err := s.opts.newRowTokenizer(cols)
-	if err != nil {
-		return 0, err
-	}
 
 	for pos < p.end || carry > 0 {
 		if err := s.opts.canceled(); err != nil {
@@ -909,6 +935,13 @@ func (o Options) newRowTokenizer(cols []int) (rowTokenizer, error) {
 		}
 		return NewWalker(o.delim(), cols), nil
 	}
+}
+
+// lineTokenizer hands each row to a LineHandler whole (ScanLines).
+type lineTokenizer LineHandler
+
+func (h lineTokenizer) row(line []byte, lineOff, rowID int64, _ RowHandler, _ RowTailHandler, _ AbandonFunc, _ *tally) error {
+	return h(rowID, lineOff, line)
 }
 
 // Walker locates a fixed set of attributes in delimiter-separated lines.

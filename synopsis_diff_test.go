@@ -13,6 +13,8 @@ import (
 	"sort"
 	"strings"
 	"testing"
+
+	"nodb/internal/csvgen"
 )
 
 // writeClusteredTable writes rows with a sorted int column (a1, the
@@ -269,5 +271,76 @@ func TestSynopsisSurvivesRestart(t *testing.T) {
 	}
 	if ts2.SynopsisPortions != ts.SynopsisPortions || ts2.SynopsisBounds == 0 {
 		t.Fatalf("restored synopsis shape %d/%d, want %d portions with bounds", ts2.SynopsisPortions, ts2.SynopsisBounds, ts.SynopsisPortions)
+	}
+}
+
+// TestPositionalLoadFeedsSynopsis: a positional column load commits
+// per-portion bounds for the columns it loads, like a plain load, so a
+// later selective scan on a clustered column it loaded skips portions —
+// with answers byte-identical to an engine that prunes nothing.
+func TestPositionalLoadFeedsSynopsis(t *testing.T) {
+	const rows = 50_000
+	path := filepath.Join(t.TempDir(), "t.csv")
+	spec := csvgen.Spec{Rows: rows, Cols: 6, Seed: 3, ColSpecs: []csvgen.ColSpec{{}, {}, {}, {Kind: csvgen.SequentialInts}}}
+	if err := csvgen.WriteFile(path, spec); err != nil {
+		t.Fatal(err)
+	}
+	queries := []string{
+		"select sum(a1) from t where a2 < 25000", // loads a1, a2 and records their positions
+		"select sum(a3) from t where a4 >= 0",    // positional load of a3, a4 from a2's positions
+		"select sum(a5), count(*) from t where a4 between 20000 and 20500",
+	}
+	run := func(opts Options) []string {
+		opts.Policy, opts.ChunkSize = ColumnLoads, 64<<10
+		db := Open(opts)
+		defer db.Close()
+		if err := db.Link("t", path); err != nil {
+			t.Fatal(err)
+		}
+		var keys []string
+		for i, q := range queries {
+			if i == 2 {
+				// A scan that can prune: a selective predicate on a4.
+				db.SetPolicy(PartialLoadsV1)
+			}
+			st, err := db.TableStats("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			before := db.Work()
+			res, err := db.Query(q)
+			if err != nil {
+				t.Fatalf("%q: %v", q, err)
+			}
+			keys = append(keys, resultKey(t, res))
+			if opts.DisableSynopsis {
+				continue
+			}
+			w := db.Work().Sub(before)
+			after, err := db.TableStats("t")
+			if err != nil {
+				t.Fatal(err)
+			}
+			switch i {
+			case 1:
+				if w.PosMapHits != rows {
+					t.Fatalf("%q: %d posmap hits, want %d: the load was not positional", q, w.PosMapHits, rows)
+				}
+				if got, want := after.SynopsisBounds-st.SynopsisBounds, 2*after.SynopsisPortions; got != want {
+					t.Errorf("%q: synopsis bounds grew by %d, want %d (portions x loaded columns)", q, got, want)
+				}
+			case 2:
+				if w.PortionsSkipped == 0 {
+					t.Errorf("%q: skipped no portion", q)
+				}
+			}
+		}
+		return keys
+	}
+	pruned, unpruned := run(Options{}), run(Options{DisableSynopsis: true})
+	for i, q := range queries {
+		if pruned[i] != unpruned[i] {
+			t.Errorf("%q: pruned answer differs:\n%s\nwant\n%s", q, pruned[i], unpruned[i])
+		}
 	}
 }
