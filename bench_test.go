@@ -141,7 +141,7 @@ func BenchmarkFirstQueryColumnLoads(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db := nodb.Open(nodb.Options{Policy: nodb.ColumnLoads, DisableRevalidation: true})
-		if err := db.Link("t", path); err != nil {
+		if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := db.Query("select sum(a1), avg(a2) from t where a1 > 10000 and a1 < 30000"); err != nil {
@@ -156,7 +156,7 @@ func BenchmarkHotQuery(b *testing.B) {
 	path := benchTable(b, 200_000, 4)
 	db := nodb.Open(nodb.Options{Policy: nodb.ColumnLoads, DisableRevalidation: true})
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := db.Query("select sum(a1), avg(a2) from t where a1 > 0"); err != nil {
@@ -177,7 +177,7 @@ func BenchmarkHotQueryUnderBudget(b *testing.B) {
 	path := benchTable(b, 200_000, 4)
 	db := nodb.Open(nodb.Options{Policy: nodb.ColumnLoads, MemoryBudget: 1 << 30, DisableRevalidation: true})
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := db.Query("select sum(a1), avg(a2) from t where a1 > 0"); err != nil {
@@ -198,7 +198,7 @@ func BenchmarkEvictReloadCycle(b *testing.B) {
 	path := benchTable(b, 50_000, 4)
 	db := nodb.Open(nodb.Options{Policy: nodb.ColumnLoads, MemoryBudget: 600_000, DisableRevalidation: true})
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -223,7 +223,7 @@ func BenchmarkPartialV2CacheHit(b *testing.B) {
 	path := benchTable(b, 200_000, 4)
 	db := nodb.Open(nodb.Options{Policy: nodb.PartialLoadsV2, DisableRevalidation: true})
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 		b.Fatal(err)
 	}
 	q := "select sum(a1), avg(a2) from t where a1 > 10000 and a1 < 30000"
@@ -243,7 +243,7 @@ func BenchmarkSQLParse(b *testing.B) {
 	db := nodb.Open(nodb.Options{})
 	defer db.Close()
 	path := benchTable(b, 100, 4)
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -262,7 +262,7 @@ func BenchmarkConcurrentClients(b *testing.B) {
 	db := nodb.Open(nodb.Options{Policy: nodb.PartialLoadsV2})
 	defer db.Close()
 	path := benchTable(b, 50000, 4)
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 		b.Fatal(err)
 	}
 	q := "select sum(a1), count(*) from t where a1 > 10000 and a1 < 30000"
@@ -288,7 +288,7 @@ func BenchmarkConcurrentClientsColdLoads(b *testing.B) {
 	db := nodb.Open(nodb.Options{Policy: nodb.PartialLoadsV1})
 	defer db.Close()
 	path := benchTable(b, 50000, 4)
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 		b.Fatal(err)
 	}
 	b.ResetTimer()
@@ -320,7 +320,7 @@ func restartBench(b *testing.B, warm bool) {
 
 	// Teach one DB and snapshot its state.
 	seed := nodb.Open(nodb.Options{Policy: nodb.ColumnLoads, CacheDir: cache})
-	if err := seed.Link("t", path); err != nil {
+	if err := seed.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := seed.Query(q); err != nil {
@@ -337,7 +337,7 @@ func restartBench(b *testing.B, warm bool) {
 			opts.CacheDir = cache
 		}
 		db := nodb.Open(opts)
-		if err := db.Link("t", path); err != nil {
+		if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 			b.Fatal(err)
 		}
 		res, err := db.Query(q)
@@ -408,7 +408,7 @@ func selectiveColdScan(b *testing.B, disableSynopsis bool) {
 	}
 	db := nodb.Open(nodb.Options{Policy: nodb.PartialLoadsV1, DisableSynopsis: disableSynopsis, Workers: workers, ChunkSize: 256 << 10, DisableRevalidation: true})
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 		b.Fatal(err)
 	}
 	// The one prior pass: a wide query over the same columns.
@@ -448,7 +448,7 @@ func BenchmarkBatchPipeline(b *testing.B) {
 	path := benchTable(b, rows, 4)
 	db := nodb.Open(nodb.Options{Policy: nodb.ColumnLoads, Workers: 1, DisableRevalidation: true})
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 		b.Fatal(err)
 	}
 	q := fmt.Sprintf("select sum(a1), min(a2), count(*) from t where a2 < %d", rows)
@@ -522,7 +522,7 @@ func BenchmarkNDJSONColdScan(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		db := nodb.Open(nodb.Options{Policy: nodb.ColumnLoads, DisableRevalidation: true})
-		if err := db.Link("t", path); err != nil {
+		if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := db.Query("select sum(a1), count(*) from t where a3 > 1000"); err != nil {
@@ -547,7 +547,7 @@ func BenchmarkNDJSONLazyVsEager(b *testing.B) {
 	scanOnce := func(query string) (time.Duration, int64) {
 		db := nodb.Open(nodb.Options{Policy: nodb.PartialLoadsV1, Workers: 1, DisableRevalidation: true})
 		defer db.Close()
-		if err := db.Link("t", path); err != nil {
+		if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 			b.Fatal(err)
 		}
 		start := time.Now()
@@ -590,7 +590,7 @@ func BenchmarkResultCacheHit(b *testing.B) {
 	path := benchTable(b, 200_000, 4)
 	db := nodb.Open(nodb.Options{Policy: nodb.ColumnLoads, ResultCacheBytes: 32 << 20, DisableRevalidation: true})
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 		b.Fatal(err)
 	}
 	if _, err := db.Query("select sum(a1), avg(a2) from t where a1 > 10000 and a1 < 30000"); err != nil {
@@ -616,7 +616,7 @@ func BenchmarkConcurrentDuplicateQueries(b *testing.B) {
 	path := benchTable(b, 200_000, 4)
 	db := nodb.Open(nodb.Options{Policy: nodb.ColumnLoads, ResultCacheBytes: 32 << 20, DisableRevalidation: true})
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 		b.Fatal(err)
 	}
 	ctx := context.Background()

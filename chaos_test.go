@@ -123,7 +123,7 @@ func TestChaosDifferential(t *testing.T) {
 		queries := make([]string, 25)
 		oracle := make(map[string]string, len(queries))
 		ref := Open(Options{Policy: FullLoad})
-		if err := ref.Link("t", path); err != nil {
+		if err := ref.Attach("t", TableSpec{Path: path}); err != nil {
 			t.Fatal(err)
 		}
 		for i := range queries {
@@ -140,7 +140,7 @@ func TestChaosDifferential(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed*1000 + int64(len(cfg.name))))
 			ffs := vfs.NewFaultFS(nil)
 			db := openFS(cfg.opts(dir), ffs)
-			if err := db.Link("t", path); err != nil {
+			if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 				t.Fatalf("%s/seed %d: link: %v", cfg.name, seed, err)
 			}
 
@@ -214,7 +214,7 @@ func TestChaosFileShrunkMidScan(t *testing.T) {
 	// in the per-query signature probe (which would re-detect instead).
 	db := openFS(Options{Policy: FullLoad, Workers: 1, DisableRevalidation: true}, ffs)
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	// Every read past the midpoint reports EOF: the file "shrank" after
@@ -245,7 +245,7 @@ func TestChaosSnapshotDegradedMode(t *testing.T) {
 	ffs := vfs.NewFaultFS(nil)
 	db := openFS(Options{Policy: ColumnLoads, CacheDir: cache}, ffs)
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Query("select sum(a1) from t"); err != nil {
@@ -294,7 +294,7 @@ func TestChaosCrashRestartTorture(t *testing.T) {
 	oracle := map[string]string{}
 	{
 		ref := Open(Options{Policy: FullLoad})
-		if err := ref.Link("t", path); err != nil {
+		if err := ref.Attach("t", TableSpec{Path: path}); err != nil {
 			t.Fatal(err)
 		}
 		for _, q := range queries {
@@ -311,7 +311,7 @@ func TestChaosCrashRestartTorture(t *testing.T) {
 	// every snapshot file, forever).
 	ffs := vfs.NewFaultFS(nil)
 	db := openFS(Options{Policy: ColumnLoads, CacheDir: cache}, ffs)
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range queries {
@@ -326,7 +326,7 @@ func TestChaosCrashRestartTorture(t *testing.T) {
 	// Session 2: restart on a clean filesystem. Whatever the torn saves
 	// left behind must be rejected, not trusted.
 	db2 := Open(Options{Policy: ColumnLoads, CacheDir: cache})
-	if err := db2.Link("t", path); err != nil {
+	if err := db2.Attach("t", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range queries {
@@ -364,7 +364,7 @@ func TestChaosCrashRestartTorture(t *testing.T) {
 	// Session 3: restart over the corrupted snapshots.
 	db3 := Open(Options{Policy: ColumnLoads, CacheDir: cache})
 	defer db3.Close()
-	if err := db3.Link("t", path); err != nil {
+	if err := db3.Attach("t", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	for _, q := range queries {
@@ -389,7 +389,7 @@ func TestChaosGovernorBaselineAfterFailedQueries(t *testing.T) {
 	ffs := vfs.NewFaultFS(nil)
 	db := openFS(Options{Policy: PartialLoadsV2, MemoryBudget: 128 << 10}, ffs)
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	ffs.AddRule(vfs.Rule{Op: vfs.OpRead, Err: syscall.EIO, AfterBytes: 1024, Times: -1})
@@ -422,7 +422,7 @@ func TestChaosPositionalLoadFaults(t *testing.T) {
 	const warm, q = "select sum(a1) from t where a2 > 10", "select sum(a3), count(*) from t where a4 > 500"
 	ref := Open(Options{})
 	defer ref.Close()
-	if err := ref.Link("t", path); err != nil {
+	if err := ref.Attach("t", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := ref.Query(q)
@@ -453,7 +453,7 @@ func TestChaosPositionalLoadFaults(t *testing.T) {
 			ffs := vfs.NewFaultFS(nil)
 			db := openFS(Options{Policy: ColumnLoads, Workers: 2, ChunkSize: 16 << 10, MemoryBudget: 64 << 20}, ffs)
 			defer db.Close()
-			if err := db.Link("t", path); err != nil {
+			if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := db.Query(warm); err != nil {

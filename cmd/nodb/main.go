@@ -1,10 +1,10 @@
-// Command nodb is the interactive shell: link raw CSV files and fire SQL
+// Command nodb is the interactive shell: attach raw CSV files and fire SQL
 // at them with zero loading steps — the paper's "here are my data files,
 // here are my queries" experience.
 //
 // Usage:
 //
-//	nodb [-policy columns|full|partial-v1|partial-v2|splitfiles|external]
+//	nodb [-policy columns|full|partial-v1|partial-v2|splitfiles|external|auto]
 //	     [-mem bytes] [-evict cost|lru] [-splitdir dir]
 //	     [-cachedir dir] [-workers n] [-chunksize bytes] [-batchsize rows]
 //	     [name=path.csv ...]
@@ -14,11 +14,11 @@
 // exit and restored lazily when a later session points at the same files —
 // the shell starts warm instead of re-learning.
 //
-// Files given as name=path arguments are linked at startup. Commands:
+// Files given as name=path arguments are attached at startup. Commands:
 //
-//	\link <name> <path>   link a raw file as a table
-//	\unlink <name>        forget a table
-//	\tables               list linked tables
+//	\attach <name> <path> attach a raw file as a table
+//	\detach <name>        forget a table
+//	\tables               list attached tables
 //	\schema <name>        show a table's detected schema
 //	\policy [name]        show or switch the loading policy
 //	\explain <sql>        show the physical plan with its load operators
@@ -89,16 +89,16 @@ func main() {
 			fmt.Fprintf(os.Stderr, "nodb: argument %q is not name=path\n", arg)
 			os.Exit(2)
 		}
-		if err := db.Link(name, path); err != nil {
+		if err := db.Attach(name, nodb.TableSpec{Path: path}); err != nil {
 			fmt.Fprintf(os.Stderr, "nodb: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("linked %s -> %s\n", name, path)
+		fmt.Printf("attached %s -> %s\n", name, path)
 	}
 
 	in := bufio.NewScanner(os.Stdin)
 	in.Buffer(make([]byte, 1<<20), 1<<20)
-	fmt.Println("nodb shell — \\link a CSV and start querying (\\quit to exit)")
+	fmt.Println("nodb shell — \\attach a CSV and start querying (\\quit to exit)")
 	for {
 		fmt.Print("nodb> ")
 		if !in.Scan() {
@@ -133,23 +133,23 @@ func command(db *nodb.DB, line string) bool {
 	switch fields[0] {
 	case "\\quit", "\\q":
 		return true
-	case "\\link":
+	case "\\attach":
 		if len(fields) != 3 {
-			fmt.Println("usage: \\link <name> <path>")
+			fmt.Println("usage: \\attach <name> <path>")
 			return false
 		}
-		if err := db.Link(fields[1], fields[2]); err != nil {
+		if err := db.Attach(fields[1], nodb.TableSpec{Path: fields[2]}); err != nil {
 			fmt.Printf("error: %v\n", err)
 			return false
 		}
 		sch, _ := db.Schema(fields[1])
-		fmt.Printf("linked %s %s\n", fields[1], sch)
-	case "\\unlink":
+		fmt.Printf("attached %s %s\n", fields[1], sch)
+	case "\\detach":
 		if len(fields) != 2 {
-			fmt.Println("usage: \\unlink <name>")
+			fmt.Println("usage: \\detach <name>")
 			return false
 		}
-		if err := db.Unlink(fields[1]); err != nil {
+		if err := db.Detach(fields[1]); err != nil {
 			fmt.Printf("error: %v\n", err)
 		}
 	case "\\tables":

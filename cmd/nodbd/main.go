@@ -1,4 +1,4 @@
-// Command nodbd is the NoDB query server: it links raw CSV files into one
+// Command nodbd is the NoDB query server: it attaches raw CSV files to one
 // shared engine and serves SQL over HTTP/JSON to many concurrent clients.
 //
 // Usage:
@@ -52,11 +52,11 @@
 // Example:
 //
 //	nodbd -addr :8080 -policy partial-v2 events=events.csv
-//	curl -s localhost:8080/query -d '{"query": "select count(*) from events"}'
+//	curl -s localhost:8080/v1/query -d '{"query": "select count(*) from events"}'
 //
 //	# Stream a large result as NDJSON: rows arrive while the scan runs,
 //	# and hanging up stops the scan mid-file.
-//	curl -sN localhost:8080/query/stream -d '{"query": "select a1, a2 from events where a1 > 10"}'
+//	curl -sN localhost:8080/v1/query/stream -d '{"query": "select a1, a2 from events where a1 > 10"}'
 //
 // The server enforces admission control (-max-inflight; excess requests
 // get 429), applies a per-query timeout (-timeout, overridable per request
@@ -227,7 +227,7 @@ func main() {
 		Tenants:          registry,
 	})
 	defer srv.Close()
-	// Every table is linked: flip the readiness probe so coordinators
+	// Every table is attached: flip the readiness probe so coordinators
 	// start routing queries here.
 	srv.MarkReady()
 
@@ -314,7 +314,7 @@ func runCoordinator(opts coordinatorOpts) {
 		os.Exit(2)
 	}
 	if len(flag.Args()) > 0 {
-		fmt.Fprintln(os.Stderr, "nodbd: coordinator mode takes no name=path arguments; link files on the shards")
+		fmt.Fprintln(os.Stderr, "nodbd: coordinator mode takes no name=path arguments; attach files on the shards")
 		os.Exit(2)
 	}
 

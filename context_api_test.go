@@ -22,7 +22,7 @@ func TestQueryContextAPI(t *testing.T) {
 	}
 	db := Open(Options{})
 	defer db.Close()
-	if err := db.Link("r", path); err != nil {
+	if err := db.Attach("r", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -67,7 +67,7 @@ func TestQueryContextParallelAPI(t *testing.T) {
 	}
 	db := Open(Options{Policy: PartialLoadsV2})
 	defer db.Close()
-	if err := db.Link("p", path); err != nil {
+	if err := db.Attach("p", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 

@@ -26,7 +26,7 @@ func TestPublicCursorLimitAndClose(t *testing.T) {
 
 	db := Open(Options{Policy: PartialLoadsV1, ChunkSize: 4096})
 	defer db.Close()
-	if err := db.Link("big", path); err != nil {
+	if err := db.Attach("big", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -80,7 +80,7 @@ func TestPublicCloseSemantics(t *testing.T) {
 		t.Fatal(err)
 	}
 	db := Open(Options{})
-	if err := db.Link("T", path); err != nil {
+	if err := db.Attach("T", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := db.Query("select sum(a1) from T"); err != nil {
@@ -97,6 +97,15 @@ func TestPublicCloseSemantics(t *testing.T) {
 	}
 	if _, err := db.Prepare("select a1 from T"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Prepare after Close = %v, want ErrClosed", err)
+	}
+	if err := db.Attach("U", TableSpec{Path: path}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Attach after Close = %v, want ErrClosed", err)
+	}
+	if err := db.Detach("T"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Detach after Close = %v, want ErrClosed", err)
+	}
+	if _, err := db.Refresh("T"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Refresh after Close = %v, want ErrClosed", err)
 	}
 	if db.MemSize() != 0 {
 		t.Fatalf("MemSize after Close = %d, want 0", db.MemSize())

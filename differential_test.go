@@ -118,7 +118,7 @@ func TestDifferentialPolicies(t *testing.T) {
 	results := make([][]string, len(configs))
 	for ci, cfg := range configs {
 		db := Open(cfg.opts)
-		if err := db.Link("t", path); err != nil {
+		if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 			t.Fatal(err)
 		}
 		for qi, q := range queries {
@@ -172,7 +172,7 @@ func TestDifferentialSeeds(t *testing.T) {
 			v2 := Open(Options{Policy: PartialLoadsV2})
 			auto := Open(Options{Policy: Auto})
 			for _, db := range []*DB{ref, v2, auto} {
-				if err := db.Link("t", path); err != nil {
+				if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -216,8 +216,8 @@ func TestDifferentialJoins(t *testing.T) {
 	var want []string
 	for ci, cfg := range diffConfigs(dir) {
 		db := Open(cfg.opts)
-		db.Link("l", lp)
-		db.Link("r", rp)
+		db.Attach("l", TableSpec{Path: lp})
+		db.Attach("r", TableSpec{Path: rp})
 		for qi, q := range queries {
 			res, err := db.Query(q)
 			if err != nil {

@@ -9,7 +9,7 @@
 //
 // The DSN is a URL query string. Keys:
 //
-//	link=NAME=PATH        link a raw file as table NAME (repeatable)
+//	link=NAME=PATH        attach a raw file as table NAME (repeatable)
 //	policy=NAME           loading policy (columns, full, partial-v1,
 //	                      partial-v2, splitfiles, external, auto)
 //	splitdir=DIR          split-file directory (required for splitfiles)
@@ -81,7 +81,7 @@ func (d *Driver) Open(dsn string) (sqldriver.Conn, error) {
 	return conn, nil
 }
 
-// OpenConnector parses the DSN, opens the shared engine and links the
+// OpenConnector parses the DSN, opens the shared engine and attaches the
 // tables. DSN errors — including an apikey that matches no declared
 // tenant — surface here, at sql.Open time.
 func (d *Driver) OpenConnector(dsn string) (sqldriver.Connector, error) {
@@ -106,7 +106,7 @@ func (d *Driver) OpenConnector(dsn string) (sqldriver.Connector, error) {
 		return nil, fmt.Errorf("nodb driver: %w", err)
 	}
 	for _, l := range cfg.Links {
-		if err := db.Link(l.Name, l.Path); err != nil {
+		if err := db.Attach(l.Name, nodb.TableSpec{Path: l.Path}); err != nil {
 			_ = db.Close()
 			return nil, err
 		}
@@ -114,27 +114,19 @@ func (d *Driver) OpenConnector(dsn string) (sqldriver.Connector, error) {
 	return &Connector{drv: d, dsn: dsn, db: db, tenant: tenant, apikey: cfg.APIKey}, nil
 }
 
-// Link is one table registration from a DSN.
+// Link is one link=NAME=PATH table from a DSN.
 type Link struct {
 	Name, Path string
 }
 
-// Config is everything a DSN encodes: engine options, table links, and
-// the connection's tenant identity.
+// Config is everything a DSN encodes: engine options, the tables to
+// attach, and the connection's tenant identity.
 type Config struct {
 	Options nodb.Options
 	Links   []Link
 	// APIKey is the connection's tenant credential; queries run as the
 	// tenant owning it.
 	APIKey string
-}
-
-// ParseDSN decodes a DSN into engine options and table links. It is
-// ParseDSNConfig without the connection identity, kept for callers that
-// only build engines.
-func ParseDSN(dsn string) (nodb.Options, []Link, error) {
-	cfg, err := ParseDSNConfig(dsn)
-	return cfg.Options, cfg.Links, err
 }
 
 // ParseDSNConfig decodes a DSN.

@@ -36,7 +36,7 @@ func ExampleDB_QueryRows() {
 
 	db := Open(Options{})
 	defer db.Close()
-	if err := db.Link("sales", path); err != nil {
+	if err := db.Attach("sales", TableSpec{Path: path}); err != nil {
 		fmt.Println(err)
 		return
 	}
@@ -79,7 +79,7 @@ func ExampleStmt() {
 
 	db := Open(Options{})
 	defer db.Close()
-	if err := db.Link("sales", path); err != nil {
+	if err := db.Attach("sales", TableSpec{Path: path}); err != nil {
 		fmt.Println(err)
 		return
 	}

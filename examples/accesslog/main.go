@@ -1,7 +1,7 @@
 // Accesslog: querying newline-delimited JSON in situ. Structured logs are
 // the NDJSON files everyone has lying around — one JSON object per line,
 // straight from a web server or a log shipper — and loading them into a
-// database is exactly the setup step NoDB removes. Link the file, query
+// database is exactly the setup step NoDB removes. Attach the file, query
 // it; the engine tokenizes only the queried fields' byte ranges and delays
 // JSON value parsing to the fields a query actually touches.
 package main
@@ -31,7 +31,7 @@ func main() {
 	// even delimited, let alone parsed.
 	db := nodb.Open(nodb.Options{Policy: nodb.PartialLoadsV2})
 	defer db.Close()
-	if err := db.Link("access", logPath); err != nil {
+	if err := db.Attach("access", nodb.TableSpec{Path: logPath}); err != nil {
 		log.Fatal(err)
 	}
 

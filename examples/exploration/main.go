@@ -30,7 +30,7 @@ func main() {
 
 	db := nodb.Open(nodb.Options{Policy: nodb.PartialLoadsV2})
 	defer db.Close()
-	if err := db.Link("events", path); err != nil {
+	if err := db.Attach("events", nodb.TableSpec{Path: path}); err != nil {
 		log.Fatal(err)
 	}
 

@@ -45,7 +45,7 @@ func main() {
 
 	for _, pol := range policies {
 		db := nodb.Open(nodb.Options{Policy: pol, SplitDir: filepath.Join(dir, "splits-"+pol.String())})
-		if err := db.Link("t", path); err != nil {
+		if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("%-12s", pol)

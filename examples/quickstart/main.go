@@ -34,7 +34,7 @@ func main() {
 	// Point the engine at it and query. That's the whole setup.
 	db := nodb.Open(nodb.Options{})
 	defer db.Close()
-	if err := db.Link("m", path); err != nil {
+	if err := db.Attach("m", nodb.TableSpec{Path: path}); err != nil {
 		log.Fatal(err)
 	}
 

@@ -28,10 +28,10 @@ func main() {
 
 	db := nodb.Open(nodb.Options{Policy: nodb.ColumnLoads})
 	defer db.Close()
-	if err := db.Link("sales", salesPath); err != nil {
+	if err := db.Attach("sales", nodb.TableSpec{Path: salesPath}); err != nil {
 		log.Fatal(err)
 	}
-	if err := db.Link("products", productsPath); err != nil {
+	if err := db.Attach("products", nodb.TableSpec{Path: productsPath}); err != nil {
 		log.Fatal(err)
 	}
 

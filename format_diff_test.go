@@ -89,10 +89,10 @@ func runFormatDiff(t *testing.T, csvOpts, jsonOpts Options, csvPath, jsonPath st
 	csvDB, jsonDB := Open(csvOpts), Open(jsonOpts)
 	defer csvDB.Close()
 	defer jsonDB.Close()
-	if err := csvDB.Link("t", csvPath); err != nil {
+	if err := csvDB.Attach("t", TableSpec{Path: csvPath}); err != nil {
 		t.Fatal(err)
 	}
-	if err := jsonDB.Link("t", jsonPath); err != nil {
+	if err := jsonDB.Attach("t", TableSpec{Path: jsonPath}); err != nil {
 		t.Fatal(err)
 	}
 	for qi, q := range queries {
@@ -207,7 +207,7 @@ func TestFormatDifferentialVectorModes(t *testing.T) {
 		t.Run(f.name, func(t *testing.T) {
 			db := Open(Options{Policy: PartialLoadsV2, Workers: 1, BatchSize: 32})
 			defer db.Close()
-			if err := db.Link("t", f.path); err != nil {
+			if err := db.Attach("t", TableSpec{Path: f.path}); err != nil {
 				t.Fatal(err)
 			}
 			for qi, q := range queries {

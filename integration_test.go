@@ -38,9 +38,9 @@ func TestThreeWayJoin(t *testing.T) {
 	}
 	db := Open(Options{})
 	defer db.Close()
-	db.Link("orders", write("o.csv", orders.String()))
-	db.Link("customers", write("c.csv", custs.String()))
-	db.Link("items", write("i.csv", items.String()))
+	db.Attach("orders", TableSpec{Path: write("o.csv", orders.String())})
+	db.Attach("customers", TableSpec{Path: write("c.csv", custs.String())})
+	db.Attach("items", TableSpec{Path: write("i.csv", items.String())})
 
 	res, err := db.Query(`
 		select count(*), sum(i.a2)
@@ -94,7 +94,7 @@ func TestTableStatsLifecycle(t *testing.T) {
 
 	db := Open(Options{Policy: PartialLoadsV2})
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -152,7 +152,7 @@ func TestExplorationTrace(t *testing.T) {
 
 	db := Open(Options{Policy: PartialLoadsV2})
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -196,12 +196,12 @@ func TestRelinkDifferentFile(t *testing.T) {
 	os.WriteFile(p1, []byte("1\n2\n"), 0o644)
 	os.WriteFile(p2, []byte("10\n20\n30\n"), 0o644)
 
-	db.Link("t", p1)
+	db.Attach("t", TableSpec{Path: p1})
 	r1, _ := db.Query("select count(*) from t")
 	if r1.Rows[0][0].I != 2 {
 		t.Fatal("first file")
 	}
-	db.Link("t", p2) // relink same name
+	db.Attach("t", TableSpec{Path: p2}) // relink same name
 	r2, err := db.Query("select count(*) from t")
 	if err != nil || r2.Rows[0][0].I != 3 {
 		t.Errorf("relink: %v, %v", r2, err)
@@ -216,7 +216,7 @@ func TestAppendOnlyFileGrowth(t *testing.T) {
 	os.WriteFile(path, []byte("1\n2\n3\n"), 0o644)
 	db := Open(Options{Policy: ColumnLoads})
 	defer db.Close()
-	db.Link("log", path)
+	db.Attach("log", TableSpec{Path: path})
 	r, _ := db.Query("select count(*) from log")
 	if r.Rows[0][0].I != 3 {
 		t.Fatal("initial count")
@@ -251,7 +251,7 @@ func TestManyColumnsWideTable(t *testing.T) {
 
 	db := Open(Options{Policy: ColumnLoads})
 	defer db.Close()
-	db.Link("w", path)
+	db.Attach("w", TableSpec{Path: path})
 	res, err := db.Query("select sum(a60), max(a64) from w where a60 < 300")
 	if err != nil {
 		t.Fatal(err)

@@ -48,7 +48,7 @@ func startNode(t *testing.T, path string) *httptest.Server {
 	dir := t.TempDir()
 	db := nodb.Open(nodb.Options{Policy: nodb.PartialLoadsV2, SplitDir: filepath.Join(dir, "splits")})
 	t.Cleanup(func() { db.Close() })
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	srv := server.New(server.Config{DB: db})
@@ -107,7 +107,7 @@ type streamResult struct {
 func stream(t *testing.T, base, query string) streamResult {
 	t.Helper()
 	body, _ := json.Marshal(map[string]string{"query": query})
-	resp, err := http.Post(base+"/query/stream", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(base+"/v1/query/stream", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -221,7 +221,7 @@ func TestDifferentialBufferedQuery(t *testing.T) {
 	}
 	post := func(base, q string) queryOut {
 		body, _ := json.Marshal(map[string]string{"query": q})
-		resp, err := http.Post(base+"/query", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(base+"/v1/query", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -294,8 +294,8 @@ func TestSynopsisPruningSkipsShards(t *testing.T) {
 	}
 }
 
-// fakeShard is a scriptable shard: it serves /readyz and /cluster/synopsis
-// like a real node, and streams canned rows on /query/stream with
+// fakeShard is a scriptable shard: it serves /readyz and /v1/cluster/synopsis
+// like a real node, and streams canned rows on /v1/query/stream with
 // programmable failures — fail the first N opens with 500, or truncate
 // the stream (no trailer) after K rows for the first M attempts.
 type fakeShard struct {
@@ -310,15 +310,14 @@ type fakeShard struct {
 }
 
 func (f *fakeShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	// Real shards serve both /v1 and legacy paths; accept either.
-	switch strings.TrimPrefix(r.URL.Path, "/v1") {
+	switch r.URL.Path {
 	case "/readyz", "/healthz":
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintln(w, `{"status":"ok"}`)
-	case "/cluster/synopsis":
+	case "/v1/cluster/synopsis":
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintln(w, `{"tables":{}}`)
-	case "/query/stream":
+	case "/v1/query/stream":
 		f.attempts.Add(1)
 		f.lastKey.Store(r.Header.Get("X-API-Key"))
 		if f.failOpens.Add(-1) >= 0 {
@@ -471,7 +470,7 @@ func TestAllShardsDeadFails(t *testing.T) {
 		Retries:      -1,
 	})
 	body, _ := json.Marshal(map[string]string{"query": "select a1 from t"})
-	resp, err := http.Post(coord.URL+"/query", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(coord.URL+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -492,7 +491,7 @@ func TestCoordinatorRejectsJoinsAndParams(t *testing.T) {
 		"select a1, count(*) from t",
 	} {
 		body, _ := json.Marshal(map[string]string{"query": q})
-		resp, err := http.Post(coord.URL+"/query", "application/json", bytes.NewReader(body))
+		resp, err := http.Post(coord.URL+"/v1/query", "application/json", bytes.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -515,7 +514,7 @@ func TestReadyzGatesAdmission(t *testing.T) {
 	}
 	db := nodb.Open(nodb.Options{SplitDir: filepath.Join(dir, "splits")})
 	t.Cleanup(func() { db.Close() })
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	srv := server.New(server.Config{DB: db})
@@ -588,7 +587,7 @@ func TestConcurrentScatter(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			body, _ := json.Marshal(map[string]string{"query": "select a1, a2 from t"})
 			req, _ := http.NewRequestWithContext(ctx, http.MethodPost,
-				coord.URL+"/query/stream", bytes.NewReader(body))
+				coord.URL+"/v1/query/stream", bytes.NewReader(body))
 			resp, err := http.DefaultClient.Do(req)
 			if err != nil {
 				cancel()
@@ -659,7 +658,7 @@ func TestCoordinatorTenantAuth(t *testing.T) {
 		return resp
 	}
 
-	for _, path := range []string{"/v1/query", "/v1/query/stream", "/v1/explain", "/query"} {
+	for _, path := range []string{"/v1/query", "/v1/query/stream", "/v1/explain"} {
 		for _, key := range []string{"", "wrong"} {
 			resp := post(path, key)
 			if resp.StatusCode != http.StatusUnauthorized {
@@ -680,7 +679,12 @@ func TestCoordinatorTenantAuth(t *testing.T) {
 		}
 	}
 
-	resp := post("/v1/query", "secret")
+	resp := post("/query", "secret")
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("unversioned /query: status %d, want 404", resp.StatusCode)
+	}
+	resp = post("/v1/query", "secret")
 	if resp.StatusCode != http.StatusOK {
 		b, _ := io.ReadAll(resp.Body)
 		t.Fatalf("keyed query: status %d: %s", resp.StatusCode, b)
@@ -731,14 +735,14 @@ type hangShard struct {
 }
 
 func (h *hangShard) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	switch strings.TrimPrefix(r.URL.Path, "/v1") {
+	switch r.URL.Path {
 	case "/readyz", "/healthz":
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintln(w, `{"status":"ok"}`)
-	case "/cluster/synopsis":
+	case "/v1/cluster/synopsis":
 		w.Header().Set("Content-Type", "application/json")
 		fmt.Fprintln(w, `{"tables":{}}`)
-	case "/query/stream":
+	case "/v1/query/stream":
 		h.queries.Add(1)
 		// Drain the body so the server arms close-detection and cancels
 		// the request context when the coordinator gives up.

@@ -138,9 +138,10 @@ type coordTenant struct {
 
 // Coordinator fans queries out to shard nodbd instances and merges their
 // partial streams into one result. It serves the same HTTP surface as a
-// single-node server (/query, /query/stream, /explain, /tables, /schema,
-// /stats, /healthz, /readyz), so clients cannot tell a coordinator from a
-// node — except for the extra "cluster" block in stats trailers.
+// single-node server (/v1/query, /v1/query/stream, /v1/explain,
+// /v1/tables, /v1/schema, /v1/stats, /healthz, /readyz), so clients
+// cannot tell a coordinator from a node — except for the extra "cluster"
+// block in stats trailers.
 type Coordinator struct {
 	cfg     CoordinatorConfig
 	shards  []*ShardClient
@@ -222,8 +223,8 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	c.route("/tables", c.handleTables)
 	c.route("/schema", c.handleSchema)
 	c.route("/stats", c.handleStats)
-	c.mux.Handle("/healthz", wrapHandler(c.handleHealthz, ""))
-	c.mux.Handle("/readyz", wrapHandler(c.handleReadyz, ""))
+	c.mux.Handle("/healthz", wrapHandler(c.handleHealthz))
+	c.mux.Handle("/readyz", wrapHandler(c.handleReadyz))
 	if cfg.HealthInterval > 0 {
 		c.healthStop = make(chan struct{})
 		c.healthDone = make(chan struct{})
@@ -232,27 +233,21 @@ func NewCoordinator(cfg CoordinatorConfig) (*Coordinator, error) {
 	return c, nil
 }
 
-// route mounts a handler at its canonical /v1 path and the deprecated
-// legacy path, mirroring the single-node server so clients cannot tell a
-// coordinator from a node.
+// route mounts a handler at its /v1 path, mirroring the single-node
+// server so clients cannot tell a coordinator from a node.
 func (c *Coordinator) route(path string, h http.HandlerFunc) {
-	c.mux.Handle("/v1"+path, wrapHandler(h, ""))
-	c.mux.Handle(path, wrapHandler(h, "/v1"+path))
+	c.mux.Handle("/v1"+path, wrapHandler(h))
 }
 
 // wrapHandler applies the shared response contract: an X-Request-Id on
-// every response and Deprecation/Link headers on legacy aliases.
-func wrapHandler(h http.HandlerFunc, successor string) http.Handler {
+// every response.
+func wrapHandler(h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-Id")
 		if id == "" {
 			id = newRequestID()
 		}
 		w.Header().Set("X-Request-Id", id)
-		if successor != "" {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		}
 		h(w, r)
 	})
 }

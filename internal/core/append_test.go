@@ -367,10 +367,10 @@ func TestAttachRefreshDetachLifecycle(t *testing.T) {
 	}
 
 	// The deprecated wrappers stay functional.
-	if err := e.Link("L", path); err != nil {
+	if err := e.Attach("L", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Unlink("L"); err != nil {
+	if err := e.Detach("L"); err != nil {
 		t.Fatal(err)
 	}
 }

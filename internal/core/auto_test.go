@@ -17,7 +17,7 @@ func TestAutoPolicyPromotesHotColumns(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := newEngine(t, Options{Policy: plan.PolicyAuto})
-	if err := e.Link("G", path); err != nil {
+	if err := e.Attach("G", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -66,7 +66,7 @@ func TestAutoPolicyPromotesOnSparseGrowth(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := newEngine(t, Options{Policy: plan.PolicyAuto})
-	if err := e.Link("G", path); err != nil {
+	if err := e.Attach("G", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	// One very unselective query fills >25% of the column's rows; the
@@ -95,8 +95,8 @@ func TestAutoPolicyCorrectness(t *testing.T) {
 	}
 	ref := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
 	auto := newEngine(t, Options{Policy: plan.PolicyAuto})
-	ref.Link("G", path)
-	auto.Link("G", path)
+	ref.Attach("G", TableSpec{Path: path})
+	auto.Attach("G", TableSpec{Path: path})
 	for i := 0; i < 8; i++ {
 		lo := i * 300
 		q := fmt.Sprintf("select sum(a1), avg(a2), count(*) from G where a1 > %d and a1 < %d", lo, lo+900)
@@ -129,7 +129,7 @@ func TestAggregatePlanIsVectorized(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
-	e.Link("G", path)
+	e.Attach("G", TableSpec{Path: path})
 	res, err := e.Query("select sum(a1), count(*) from G where a1 < 500")
 	if err != nil {
 		t.Fatal(err)

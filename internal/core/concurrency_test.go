@@ -25,7 +25,7 @@ func TestConcurrentQueriesSameTable(t *testing.T) {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
 			e := newEngine(t, Options{Policy: pol})
-			if err := e.Link("G", path); err != nil {
+			if err := e.Attach("G", TableSpec{Path: path}); err != nil {
 				t.Fatal(err)
 			}
 			// Columns hold permutations of 0..rows-1, so sum over the
@@ -71,7 +71,7 @@ func TestConcurrentQueriesDistinctTables(t *testing.T) {
 		if err := csvgen.WriteFile(path, csvgen.Spec{Rows: 1000, Cols: 2, Seed: int64(50 + i)}); err != nil {
 			t.Fatal(err)
 		}
-		if err := e.Link(fmt.Sprintf("t%d", i), path); err != nil {
+		if err := e.Attach(fmt.Sprintf("t%d", i), TableSpec{Path: path}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -50,7 +50,7 @@ func TestQueryContextPreCancelled(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
-	if err := e.Link("T", path); err != nil {
+	if err := e.Attach("T", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	before := e.Counters().Snapshot()
@@ -82,7 +82,7 @@ func TestQueryContextCancelAbortsScanEarly(t *testing.T) {
 		t.Run(pol.String(), func(t *testing.T) {
 			// Small chunks give the scan many cancellation checkpoints.
 			e := newEngine(t, Options{Policy: pol, ChunkSize: 4096})
-			if err := e.Link("B", path); err != nil {
+			if err := e.Attach("B", TableSpec{Path: path}); err != nil {
 				t.Fatal(err)
 			}
 			before := e.Counters().Snapshot()
@@ -126,7 +126,7 @@ func TestQueryContextDeadlineExceeded(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
-	if err := e.Link("T", path); err != nil {
+	if err := e.Attach("T", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithDeadline(context.Background(), time.Unix(0, 0))
@@ -155,10 +155,10 @@ func TestConcurrentQueryContextMixedPolicies(t *testing.T) {
 	}
 
 	e := newEngine(t, Options{Policy: plan.PolicyAuto})
-	if err := e.Link("BIG", bigPath); err != nil {
+	if err := e.Attach("BIG", TableSpec{Path: bigPath}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Link("SMALL", smallPath); err != nil {
+	if err := e.Attach("SMALL", TableSpec{Path: smallPath}); err != nil {
 		t.Fatal(err)
 	}
 	bigSum := int64(bigRows) * int64(bigRows-1) / 2

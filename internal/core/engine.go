@@ -128,8 +128,8 @@ type Engine struct {
 }
 
 // NewEngine creates an engine with the given options. An unknown
-// EvictionPolicy falls back to the default (cost-aware); ParseDSN and the
-// command-line front ends validate the name earlier.
+// EvictionPolicy falls back to the default (cost-aware); the driver's
+// ParseDSNConfig and the command-line front ends validate the name earlier.
 func NewEngine(opts Options) *Engine {
 	e := &Engine{opts: opts, stmts: newStmtCache(stmtCacheSize), followed: map[string]bool{}}
 	e.closeCtx, e.closeCancel = context.WithCancel(context.Background())
@@ -188,14 +188,14 @@ func (e *Engine) checkOpen() error {
 	return nil
 }
 
-// Close shuts the engine down: subsequent queries, preparations and links
-// return ErrClosed, in-flight cursors are cancelled (their scans stop
-// between chunks), and the catalog's derived state is released. Without a
-// CacheDir nothing needs flushing — loaded state is in-memory and split
-// files are disposable. With one, every table's auxiliary structures are
-// snapshotted first and split files are left on disk, so the next process
-// restarts warm instead of re-paying the adaptive learning curve. Close
-// is idempotent.
+// Close shuts the engine down: subsequent queries, preparations, attaches
+// and detaches return ErrClosed, in-flight cursors are cancelled (their
+// scans stop between chunks), and the catalog's derived state is
+// released. Without a CacheDir nothing needs flushing — loaded state is
+// in-memory and split files are disposable. With one, every table's
+// auxiliary structures are snapshotted first and split files are left on
+// disk, so the next process restarts warm instead of re-paying the
+// adaptive learning curve. Close is idempotent.
 func (e *Engine) Close() error {
 	if e.closed.Swap(true) {
 		return nil
@@ -301,6 +301,9 @@ func (e *Engine) Attach(name string, spec TableSpec) error {
 
 // Detach removes a table, its derived state, and its follow mark.
 func (e *Engine) Detach(name string) error {
+	if err := e.checkOpen(); err != nil {
+		return err
+	}
 	e.followMu.Lock()
 	delete(e.followed, strings.ToLower(name))
 	e.followMu.Unlock()
@@ -371,20 +374,7 @@ func (e *Engine) Refresh(name string) (RefreshResult, error) {
 	}, nil
 }
 
-// Link registers a raw file under a table name with full auto-detection.
-//
-// Deprecated: Link is Attach(name, TableSpec{Path: path}); new code should
-// use Attach, which can also force the format and request tail-following.
-func (e *Engine) Link(name, path string) error {
-	return e.Attach(name, TableSpec{Path: path})
-}
-
-// Unlink removes a table and its derived state.
-//
-// Deprecated: Unlink is the old name of Detach.
-func (e *Engine) Unlink(name string) error { return e.Detach(name) }
-
-// Tables returns the linked table names.
+// Tables returns the attached table names.
 func (e *Engine) Tables() []string { return e.cat.Tables() }
 
 // QueryStats describes what one query cost.

@@ -45,7 +45,7 @@ func TestQueryAggregatesAllPolicies(t *testing.T) {
 	for _, pol := range allPolicies {
 		t.Run(pol.String(), func(t *testing.T) {
 			e := newEngine(t, Options{Policy: pol})
-			if err := e.Link("R", path); err != nil {
+			if err := e.Attach("R", TableSpec{Path: path}); err != nil {
 				t.Fatal(err)
 			}
 			res, err := e.Query("select sum(a1), min(a4), max(a3), avg(a2) from R where a1 > 15 and a1 < 45 and a2 > 150 and a2 < 450")
@@ -93,7 +93,7 @@ func TestQuerySequenceConsistencyAcrossPolicies(t *testing.T) {
 	var want [][]string
 	for pi, pol := range allPolicies {
 		e := newEngine(t, Options{Policy: pol})
-		if err := e.Link("G", path); err != nil {
+		if err := e.Attach("G", TableSpec{Path: path}); err != nil {
 			t.Fatal(err)
 		}
 		for qi, q := range queries {
@@ -132,8 +132,8 @@ func TestJoinQueryAllPolicies(t *testing.T) {
 	for _, pol := range allPolicies {
 		t.Run(pol.String(), func(t *testing.T) {
 			e := newEngine(t, Options{Policy: pol})
-			e.Link("R", rp)
-			e.Link("S", sp)
+			e.Attach("R", TableSpec{Path: rp})
+			e.Attach("S", TableSpec{Path: sp})
 			res, err := e.Query("select count(*), sum(r.a2), sum(s.a2) from R r join S s on r.a1 = s.a1 where r.a1 >= 10 and r.a1 < 20")
 			if err != nil {
 				t.Fatal(err)
@@ -156,7 +156,7 @@ func TestGroupByOrderByLimit(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", "1,10\n2,20\n1,30\n2,40\n3,50\n")
 	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
-	e.Link("T", path)
+	e.Attach("T", TableSpec{Path: path})
 	res, err := e.Query("select count(*), a1, sum(a2) from T group by a1 order by a1 desc limit 2")
 	if err != nil {
 		t.Fatal(err)
@@ -177,7 +177,7 @@ func TestPlainProjection(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", "1,10\n2,20\n3,30\n")
 	e := newEngine(t, Options{Policy: plan.PolicyPartialV2})
-	e.Link("T", path)
+	e.Attach("T", TableSpec{Path: path})
 	res, err := e.Query("select a2, a1 from T where a1 >= 2")
 	if err != nil {
 		t.Fatal(err)
@@ -197,7 +197,7 @@ func TestSelectStar(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", "1,2\n3,4\n")
 	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
-	e.Link("T", path)
+	e.Attach("T", TableSpec{Path: path})
 	res, err := e.Query("select * from T")
 	if err != nil {
 		t.Fatal(err)
@@ -211,7 +211,7 @@ func TestFileEditInvalidates(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", "1\n2\n3\n")
 	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
-	e.Link("T", path)
+	e.Attach("T", TableSpec{Path: path})
 	res, _ := e.Query("select sum(a1) from T")
 	if res.Rows[0][0].I != 6 {
 		t.Fatalf("initial sum = %v", res.Rows[0][0])
@@ -237,7 +237,7 @@ func TestMemoryBudgetEviction(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads, MemoryBudget: 1000})
-	e.Link("G", path)
+	e.Attach("G", TableSpec{Path: path})
 	res, err := e.Query("select sum(a1) from G where a1 < 100")
 	if err != nil {
 		t.Fatal(err)
@@ -258,7 +258,7 @@ func TestQueryStatsAndCounters(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", basicCSV)
 	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
-	e.Link("T", path)
+	e.Attach("T", TableSpec{Path: path})
 	res, err := e.Query("select sum(a1) from T")
 	if err != nil {
 		t.Fatal(err)
@@ -282,7 +282,7 @@ func TestExternalPolicyNeverCaches(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", basicCSV)
 	e := newEngine(t, Options{Policy: plan.PolicyExternal})
-	e.Link("T", path)
+	e.Attach("T", TableSpec{Path: path})
 	e.Query("select sum(a1) from T")
 	r2, _ := e.Query("select sum(a1) from T")
 	if r2.Stats.Work.RawBytesRead == 0 {
@@ -294,7 +294,7 @@ func TestColumnLoadsLoadOnlyNeeded(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", basicCSV)
 	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
-	e.Link("T", path)
+	e.Attach("T", TableSpec{Path: path})
 	e.Query("select sum(a1) from T")
 	tab, _ := e.Catalog().Get("T")
 	if tab.Dense(0) == nil {
@@ -309,7 +309,7 @@ func TestExplain(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", basicCSV)
 	e := newEngine(t, Options{Policy: plan.PolicyPartialV2})
-	e.Link("T", path)
+	e.Attach("T", TableSpec{Path: path})
 	s, err := e.Explain("select sum(a1) from T where a1 > 5")
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +323,7 @@ func TestSetPolicyMidSession(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", basicCSV)
 	e := newEngine(t, Options{Policy: plan.PolicyPartialV1})
-	e.Link("T", path)
+	e.Attach("T", TableSpec{Path: path})
 	r1, _ := e.Query("select sum(a1) from T")
 	e.SetPolicy(plan.PolicyColumnLoads)
 	r2, err := e.Query("select sum(a1) from T")
@@ -342,7 +342,7 @@ func TestQueryErrors(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", basicCSV)
 	e := newEngine(t, Options{})
-	e.Link("T", path)
+	e.Attach("T", TableSpec{Path: path})
 	for _, q := range []string{
 		"select sum(a1) from Missing",
 		"select nope from T",
@@ -358,11 +358,11 @@ func TestUnlinkAndTables(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", basicCSV)
 	e := newEngine(t, Options{})
-	e.Link("T", path)
+	e.Attach("T", TableSpec{Path: path})
 	if tables := e.Tables(); len(tables) != 1 || tables[0] != "T" {
 		t.Errorf("Tables = %v", tables)
 	}
-	if err := e.Unlink("T"); err != nil {
+	if err := e.Detach("T"); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e.Query("select * from T"); err == nil {
@@ -374,7 +374,7 @@ func TestResultString(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", "1,2\n")
 	e := newEngine(t, Options{})
-	e.Link("T", path)
+	e.Attach("T", TableSpec{Path: path})
 	res, _ := e.Query("select a1, a2 from T")
 	s := res.String()
 	if !strings.Contains(s, "a1") || !strings.Contains(s, "1") {
@@ -386,7 +386,7 @@ func TestHeaderedFileQueryByName(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", "price,qty\n10,2\n20,3\n")
 	e := newEngine(t, Options{Policy: plan.PolicyPartialV2})
-	e.Link("Sales", path)
+	e.Attach("Sales", TableSpec{Path: path})
 	res, err := e.Query("select sum(price), sum(qty) from Sales where price > 5")
 	if err != nil {
 		t.Fatal(err)
@@ -400,7 +400,7 @@ func TestFloatAndStringColumns(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", "a,1.5,x\nb,2.5,y\nc,3.5,x\n")
 	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
-	e.Link("T", path)
+	e.Attach("T", TableSpec{Path: path})
 	res, err := e.Query("select count(*), sum(a2) from T where a3 = 'x'")
 	if err != nil {
 		t.Fatal(err)
@@ -422,8 +422,8 @@ func TestMergeJoinEquivalence(t *testing.T) {
 	rp := writeFile(t, dir, "r.csv", r.String())
 	sp := writeFile(t, dir, "s.csv", s.String())
 	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
-	e.Link("R", rp)
-	e.Link("S", sp)
+	e.Attach("R", TableSpec{Path: rp})
+	e.Attach("S", TableSpec{Path: sp})
 	res, err := e.Query("select count(*) from R r join S s on r.a1 = s.a1")
 	if err != nil {
 		t.Fatal(err)
@@ -437,7 +437,7 @@ func TestSchemaTypesExposed(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", "1,2.5,abc\n")
 	e := newEngine(t, Options{})
-	e.Link("T", path)
+	e.Attach("T", TableSpec{Path: path})
 	sch, err := e.TableSchema("T")
 	if err != nil {
 		t.Fatal(err)

@@ -29,14 +29,14 @@ func TestBudgetWorkloadCorrectness(t *testing.T) {
 	const budget = 400_000
 	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads, MemoryBudget: budget})
 	defer e.Close()
-	if err := e.Link("W", path); err != nil {
+	if err := e.Attach("W", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Reference sums from an unbudgeted engine.
 	ref := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
 	defer ref.Close()
-	if err := ref.Link("W", path); err != nil {
+	if err := ref.Attach("W", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	want := make([]int64, cols)
@@ -90,7 +90,7 @@ func TestBudgetRetainedPartialLoads(t *testing.T) {
 	const budget = 300_000
 	e := newEngine(t, Options{Policy: plan.PolicyPartialV2, MemoryBudget: budget})
 	defer e.Close()
-	if err := e.Link("P", path); err != nil {
+	if err := e.Attach("P", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	// Wide predicates retain most of each touched column.
@@ -134,10 +134,10 @@ func TestEvictionDuringConcurrentCursor(t *testing.T) {
 	const budget = 260_000
 	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads, MemoryBudget: budget})
 	defer e.Close()
-	if err := e.Link("A", apath); err != nil {
+	if err := e.Attach("A", TableSpec{Path: apath}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Link("B", bpath); err != nil {
+	if err := e.Attach("B", TableSpec{Path: bpath}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -225,7 +225,7 @@ func TestExplainShowsPins(t *testing.T) {
 	path := writeFile(t, dir, "t.csv", basicCSV)
 	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
 	defer e.Close()
-	if err := e.Link("T", path); err != nil {
+	if err := e.Attach("T", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	p, err := e.Explain("select sum(a1) from T where a2 > 100")

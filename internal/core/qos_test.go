@@ -71,7 +71,7 @@ func TestRowsScanDestinations(t *testing.T) {
 		t.Fatal(err)
 	}
 	e := newEngine(t, Options{})
-	if err := e.Link("S", path); err != nil {
+	if err := e.Attach("S", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	rows, err := e.QueryRows(context.Background(), "select a1, a2, a3 from S limit 1")
@@ -207,7 +207,7 @@ func TestCachedReplayMatchesStream(t *testing.T) {
 	for _, pol := range []plan.Policy{plan.PolicyColumnLoads, plan.PolicyPartialV1} {
 		t.Run(pol.String(), func(t *testing.T) {
 			e := newEngine(t, Options{Policy: pol, ResultCacheBytes: 4 << 20})
-			if err := e.Link("M", path); err != nil {
+			if err := e.Attach("M", TableSpec{Path: path}); err != nil {
 				t.Fatal(err)
 			}
 			res, err := e.Query("select a3, a2, a1 from M limit 1")
@@ -239,7 +239,7 @@ func TestCachedReplayMatchesStream(t *testing.T) {
 
 	// 2900 rows of three columns are far over a quarter of 64 KiB.
 	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads, ResultCacheBytes: 64 << 10})
-	if err := e.Link("M", path); err != nil {
+	if err := e.Attach("M", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	const big = "select a3, a2, a1 from M where a1 >= 100"

@@ -20,7 +20,7 @@ func linkTable(t *testing.T, e *Engine, name string, rows int) string {
 	if err := csvgen.WriteFile(path, csvgen.Spec{Rows: rows, Cols: 4, Seed: 99}); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Link(name, path); err != nil {
+	if err := e.Attach(name, TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	return path
@@ -306,7 +306,7 @@ func TestPreparedStatementInjectionSafe(t *testing.T) {
 	if err := csvgen.WriteFile(path, spec); err != nil {
 		t.Fatal(err)
 	}
-	if err := e.Link("S", path); err != nil {
+	if err := e.Attach("S", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	stmt, err := e.Prepare("select count(*) from S where a2 = ?")
@@ -383,8 +383,14 @@ func TestEngineClose(t *testing.T) {
 	if _, err := e.Explain("select a1 from T"); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Explain after Close = %v, want ErrClosed", err)
 	}
-	if err := e.Link("U", "/nonexistent.csv"); !errors.Is(err, ErrClosed) {
-		t.Fatalf("Link after Close = %v, want ErrClosed", err)
+	if err := e.Attach("U", TableSpec{Path: "/nonexistent.csv"}); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Attach after Close = %v, want ErrClosed", err)
+	}
+	if err := e.Detach("T"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Detach after Close = %v, want ErrClosed", err)
+	}
+	if _, err := e.Refresh("T"); !errors.Is(err, ErrClosed) {
+		t.Fatalf("Refresh after Close = %v, want ErrClosed", err)
 	}
 	if err := e.Ping(); !errors.Is(err, ErrClosed) {
 		t.Fatalf("Ping after Close = %v, want ErrClosed", err)

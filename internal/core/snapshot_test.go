@@ -41,7 +41,7 @@ func TestWarmRestartRoundTrip(t *testing.T) {
 	path := writeFile(t, dir, "r.csv", basicCSV)
 
 	e1 := newEngine(t, Options{Policy: plan.PolicyColumnLoads, CacheDir: cache})
-	if err := e1.Link("R", path); err != nil {
+	if err := e1.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := e1.Query(warmQuery)
@@ -57,7 +57,7 @@ func TestWarmRestartRoundTrip(t *testing.T) {
 
 	e2 := newEngine(t, Options{Policy: plan.PolicyColumnLoads, CacheDir: cache})
 	defer e2.Close()
-	if err := e2.Link("R", path); err != nil {
+	if err := e2.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := e2.Query(warmQuery)
@@ -89,7 +89,7 @@ func TestWarmRestartPartialV2(t *testing.T) {
 	q := "select sum(a2) from R where a1 > 15 and a1 < 45"
 
 	e1 := newEngine(t, Options{Policy: plan.PolicyPartialV2, CacheDir: cache})
-	if err := e1.Link("R", path); err != nil {
+	if err := e1.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := e1.Query(q)
@@ -106,7 +106,7 @@ func TestWarmRestartPartialV2(t *testing.T) {
 
 	e2 := newEngine(t, Options{Policy: plan.PolicyPartialV2, CacheDir: cache})
 	defer e2.Close()
-	if err := e2.Link("R", path); err != nil {
+	if err := e2.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := e2.Query(q)
@@ -130,7 +130,7 @@ func TestWarmRestartSplitFiles(t *testing.T) {
 	path := writeFile(t, dir, "r.csv", basicCSV)
 
 	e1 := NewEngine(Options{Policy: plan.PolicySplitFiles, SplitDir: splits, CacheDir: cache})
-	if err := e1.Link("R", path); err != nil {
+	if err := e1.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := e1.Query(warmQuery)
@@ -147,7 +147,7 @@ func TestWarmRestartSplitFiles(t *testing.T) {
 
 	e2 := NewEngine(Options{Policy: plan.PolicySplitFiles, SplitDir: splits, CacheDir: cache})
 	defer e2.Close()
-	if err := e2.Link("R", path); err != nil {
+	if err := e2.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := e2.Query(warmQuery)
@@ -176,7 +176,7 @@ func TestCorruptSnapshotFallsBackCold(t *testing.T) {
 	path := writeFile(t, dir, "r.csv", basicCSV)
 
 	e1 := newEngine(t, Options{Policy: plan.PolicyColumnLoads, CacheDir: cache})
-	if err := e1.Link("R", path); err != nil {
+	if err := e1.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := e1.Query(warmQuery)
@@ -195,7 +195,7 @@ func TestCorruptSnapshotFallsBackCold(t *testing.T) {
 		t.Run(mode, func(t *testing.T) {
 			// Re-damage from a clean copy each time: rewrite the snapshot.
 			e := newEngine(t, Options{Policy: plan.PolicyColumnLoads, CacheDir: cache})
-			if err := e.Link("R", path); err != nil {
+			if err := e.Attach("R", TableSpec{Path: path}); err != nil {
 				t.Fatal(err)
 			}
 			if _, err := e.Query(warmQuery); err != nil {
@@ -229,7 +229,7 @@ func TestCorruptSnapshotFallsBackCold(t *testing.T) {
 
 			e2 := newEngine(t, Options{Policy: plan.PolicyColumnLoads, CacheDir: cache})
 			defer e2.Close()
-			if err := e2.Link("R", path); err != nil {
+			if err := e2.Attach("R", TableSpec{Path: path}); err != nil {
 				t.Fatal(err)
 			}
 			got, err := e2.Query(warmQuery)
@@ -262,7 +262,7 @@ func TestStaleSnapshotInvalidatedOnEdit(t *testing.T) {
 	path := writeFile(t, dir, "r.csv", basicCSV)
 
 	e1 := newEngine(t, Options{Policy: plan.PolicyColumnLoads, CacheDir: cache})
-	if err := e1.Link("R", path); err != nil {
+	if err := e1.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := e1.Query("select sum(a1) from R"); err != nil {
@@ -279,7 +279,7 @@ func TestStaleSnapshotInvalidatedOnEdit(t *testing.T) {
 
 	e2 := newEngine(t, Options{Policy: plan.PolicyColumnLoads, CacheDir: cache})
 	defer e2.Close()
-	if err := e2.Link("R", path); err != nil {
+	if err := e2.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := e2.Query("select sum(a1) from R")
@@ -312,7 +312,7 @@ func TestEvictionSpillsAndReadmits(t *testing.T) {
 		DisableRevalidation: true,
 	})
 	defer e.Close()
-	if err := e.Link("R", path); err != nil {
+	if err := e.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	// Cycle every attribute so the governor must keep evicting.
@@ -349,7 +349,7 @@ func TestExplainShowsSnapshotCounters(t *testing.T) {
 	path := writeFile(t, dir, "r.csv", basicCSV)
 	e := newEngine(t, Options{CacheDir: filepath.Join(dir, "cache")})
 	defer e.Close()
-	if err := e.Link("R", path); err != nil {
+	if err := e.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	out, err := e.Explain("select sum(a1) from R")
@@ -362,7 +362,7 @@ func TestExplainShowsSnapshotCounters(t *testing.T) {
 	// Without a cache dir the line must be absent.
 	e2 := newEngine(t, Options{})
 	defer e2.Close()
-	if err := e2.Link("R", path); err != nil {
+	if err := e2.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	out2, err := e2.Explain("select sum(a1) from R")
@@ -382,7 +382,7 @@ func TestSaveSnapshotsPeriodic(t *testing.T) {
 	path := writeFile(t, dir, "r.csv", basicCSV)
 
 	e1 := newEngine(t, Options{CacheDir: cache})
-	if err := e1.Link("R", path); err != nil {
+	if err := e1.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := e1.Query(warmQuery)
@@ -400,7 +400,7 @@ func TestSaveSnapshotsPeriodic(t *testing.T) {
 
 	e2 := newEngine(t, Options{CacheDir: cache})
 	defer e2.Close()
-	if err := e2.Link("R", path); err != nil {
+	if err := e2.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := e2.Query(warmQuery)
@@ -432,7 +432,7 @@ func TestConcurrentQueriesUnderSpill(t *testing.T) {
 		DisableRevalidation: true,
 	})
 	defer e.Close()
-	if err := e.Link("R", path); err != nil {
+	if err := e.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	// Ground truth per column, computed single-threaded first.

@@ -17,7 +17,7 @@ func TestBudgetSplitFilesPolicy(t *testing.T) {
 	}
 	e := newEngine(t, Options{Policy: plan.PolicySplitFiles, MemoryBudget: 400_000})
 	defer e.Close()
-	if err := e.Link("S", path); err != nil {
+	if err := e.Attach("S", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	for pass := 0; pass < 3; pass++ {

@@ -98,7 +98,7 @@ func budgetRun(c Config, path string, budget int64, evict string, model metrics.
 		DisableRevalidation: true,
 	})
 	defer eng.Close()
-	if err := eng.Link("R", path); err != nil {
+	if err := eng.Attach("R", core.TableSpec{Path: path}); err != nil {
 		return 0, 0, err
 	}
 

@@ -168,7 +168,7 @@ func Fig1b(c Config) (*Report, error) {
 				return nil, err
 			}
 			defer cleanup()
-			if err := eng.Link("R", path); err != nil {
+			if err := eng.Attach("R", core.TableSpec{Path: path}); err != nil {
 				return nil, err
 			}
 			warm, _ := q1Stmt(rng, rows)

@@ -5,6 +5,7 @@ import (
 	"math/rand"
 
 	"nodb/internal/baseline"
+	"nodb/internal/core"
 	"nodb/internal/exec"
 	"nodb/internal/expr"
 	"nodb/internal/metrics"
@@ -83,7 +84,7 @@ func engineSeries(c Config, model metrics.CostModel, name string, pol plan.Polic
 		return Series{}, err
 	}
 	defer cleanup()
-	if err := eng.Link("R", path); err != nil {
+	if err := eng.Attach("R", core.TableSpec{Path: path}); err != nil {
 		return Series{}, err
 	}
 	s := Series{Name: name}
@@ -310,10 +311,10 @@ func Joins(c Config) (*Report, error) {
 			return nil, err
 		}
 		defer cleanup()
-		if err := eng.Link("L", lp); err != nil {
+		if err := eng.Attach("L", core.TableSpec{Path: lp}); err != nil {
 			return nil, err
 		}
-		if err := eng.Link("Rt", rp); err != nil {
+		if err := eng.Attach("Rt", core.TableSpec{Path: rp}); err != nil {
 			return nil, err
 		}
 		q := "select sum(l.a2), sum(r.a2), count(*) from L l join Rt r on l.a1 = r.a1"

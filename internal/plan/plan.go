@@ -22,14 +22,14 @@ import (
 // curves of the paper's figures.
 type Policy int
 
-// Loading policies.
+// Loading policies. The zero value is PolicyColumnLoads, the default.
 const (
-	// PolicyFullLoad loads the complete table on first touch (the
-	// "MonetDB" behavior in Figures 3 and 4).
-	PolicyFullLoad Policy = iota
 	// PolicyColumnLoads loads whole missing columns on demand ("Column
 	// Loads").
-	PolicyColumnLoads
+	PolicyColumnLoads Policy = iota
+	// PolicyFullLoad loads the complete table on first touch (the
+	// "MonetDB" behavior in Figures 3 and 4).
+	PolicyFullLoad
 	// PolicyPartialV1 pushes selections into loading and retains nothing
 	// ("Partial Loads" of Figure 3).
 	PolicyPartialV1

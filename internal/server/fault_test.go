@@ -35,7 +35,7 @@ func TestPanicRecovery(t *testing.T) {
 
 	h := s.wrap(func(w http.ResponseWriter, r *http.Request) {
 		panic("boom: handler bug")
-	}, "")
+	})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/panic", nil))
 
@@ -72,7 +72,7 @@ func TestPanicMidResponse(t *testing.T) {
 	h := s.wrap(func(w http.ResponseWriter, r *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		panic("boom after headers")
-	}, "")
+	})
 	rec := httptest.NewRecorder()
 	h.ServeHTTP(rec, httptest.NewRequest("GET", "/panic", nil))
 

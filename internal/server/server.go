@@ -11,8 +11,7 @@
 // its context cancelled, which stops the engine's raw-file scan between
 // chunks via the QueryContext path.
 //
-// Endpoints (v1; the same paths without the /v1 prefix still work as
-// deprecated aliases and answer with a Deprecation header):
+// Endpoints (every path but the probes is under /v1):
 //
 //	POST /v1/query         {"query": "...", "timeout_ms": 0}  -> columns, rows, stats
 //	GET  /v1/query?q=...                                      -> same
@@ -26,6 +25,7 @@
 //	                                                             rows are folded in incrementally
 //	GET  /v1/schema?table=name                                -> detected schema
 //	GET  /v1/stats                                            -> engine + server counters
+//	GET  /v1/cluster/synopsis                                 -> scan synopses for coordinator pruning
 //	GET  /healthz, /readyz                                    -> probes (unversioned)
 //
 // Every response echoes the request's X-Request-Id header (generating one
@@ -36,10 +36,11 @@
 // (unknown keys are rejected with 401 or mapped to the default tenant,
 // per the registry's policy).
 //
-// /query buffers the whole result; /query/stream writes one NDJSON line
-// per row through the engine's streaming cursor, flushing incrementally —
-// the first rows arrive while the raw-file scan is still running, and a
-// client that disconnects mid-stream stops the scan between chunks.
+// /v1/query buffers the whole result; /v1/query/stream writes one NDJSON
+// line per row through the engine's streaming cursor, flushing
+// incrementally — the first rows arrive while the raw-file scan is still
+// running, and a client that disconnects mid-stream stops the scan
+// between chunks.
 package server
 
 import (
@@ -215,16 +216,14 @@ func New(cfg Config) *Server {
 	s.route("/query/stream", s.handleQueryStream)
 	s.route("/explain", s.handleExplain)
 	s.route("/tables", s.handleTables)
-	// Lifecycle endpoints are v1-only (introduced with the versioned API;
-	// there is no legacy path to alias).
-	s.mux.Handle("PUT /v1/tables/{name}", s.wrap(s.handleTableAttach, ""))
-	s.mux.Handle("DELETE /v1/tables/{name}", s.wrap(s.handleTableDetach, ""))
-	s.mux.Handle("POST /v1/tables/{name}/refresh", s.wrap(s.handleTableRefresh, ""))
+	s.mux.Handle("PUT /v1/tables/{name}", s.wrap(s.handleTableAttach))
+	s.mux.Handle("DELETE /v1/tables/{name}", s.wrap(s.handleTableDetach))
+	s.mux.Handle("POST /v1/tables/{name}/refresh", s.wrap(s.handleTableRefresh))
 	s.route("/schema", s.handleSchema)
 	s.route("/stats", s.handleStats)
 	s.route("/cluster/synopsis", s.handleClusterSynopsis)
-	s.mux.Handle("/healthz", s.wrap(s.handleHealthz, ""))
-	s.mux.Handle("/readyz", s.wrap(s.handleReadyz, ""))
+	s.mux.Handle("/healthz", s.wrap(s.handleHealthz))
+	s.mux.Handle("/readyz", s.wrap(s.handleReadyz))
 	if cfg.SnapshotInterval > 0 {
 		s.flushStop = make(chan struct{})
 		s.flushDone = make(chan struct{})
@@ -238,31 +237,23 @@ func New(cfg Config) *Server {
 	return s
 }
 
-// route mounts a handler at its canonical /v1 path and at the legacy
-// unprefixed path. Both serve byte-identical bodies; the legacy alias
-// additionally answers with a Deprecation header and a Link to its
-// successor so clients can migrate mechanically.
+// route mounts a handler at its /v1 path.
 func (s *Server) route(path string, h http.HandlerFunc) {
-	s.mux.Handle("/v1"+path, s.wrap(h, ""))
-	s.mux.Handle(path, s.wrap(h, "/v1"+path))
+	s.mux.Handle("/v1"+path, s.wrap(h))
 }
 
 // wrap applies the cross-cutting response contract: every response
-// carries an X-Request-Id (echoed from the request, or generated),
-// deprecated aliases advertise their successor, and a panicking handler
-// is converted into a 500 with the v1 error envelope instead of killing
-// the connection (and, without http.Server's recovery, the daemon).
-func (s *Server) wrap(h http.HandlerFunc, successor string) http.Handler {
+// carries an X-Request-Id (echoed from the request, or generated), and a
+// panicking handler is converted into a 500 with the v1 error envelope
+// instead of killing the connection (and, without http.Server's
+// recovery, the daemon).
+func (s *Server) wrap(h http.HandlerFunc) http.Handler {
 	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		id := r.Header.Get("X-Request-Id")
 		if id == "" {
 			id = newRequestID()
 		}
 		w.Header().Set("X-Request-Id", id)
-		if successor != "" {
-			w.Header().Set("Deprecation", "true")
-			w.Header().Set("Link", fmt.Sprintf("<%s>; rel=\"successor-version\"", successor))
-		}
 		sw := &statusWriter{ResponseWriter: w}
 		defer func() {
 			if rec := recover(); rec != nil {

@@ -31,7 +31,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	}
 	db := nodb.Open(nodb.Options{Policy: nodb.PartialLoadsV2, SplitDir: filepath.Join(dir, "splits")})
 	t.Cleanup(func() { db.Close() })
-	if err := db.Link("events", path); err != nil {
+	if err := db.Attach("events", nodb.TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	cfg.DB = db
@@ -44,7 +44,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 func postQuery(t *testing.T, url, query string) (*http.Response, queryResponse) {
 	t.Helper()
 	body, _ := json.Marshal(queryRequest{Query: query})
-	resp, err := http.Post(url+"/query", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -82,7 +82,7 @@ func TestServerQueryEndpoint(t *testing.T) {
 	}
 
 	// GET form.
-	resp2, err := http.Get(ts.URL + "/query?q=" + "select+count(*)+from+events")
+	resp2, err := http.Get(ts.URL + "/v1/query?q=" + "select+count(*)+from+events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -96,7 +96,7 @@ func TestServerMetadataEndpoints(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	var tables map[string][]tableInfoJSON
-	getJSON(t, ts.URL+"/tables", &tables)
+	getJSON(t, ts.URL+"/v1/tables", &tables)
 	if len(tables["tables"]) != 1 || tables["tables"][0].Name != "events" {
 		t.Fatalf("tables = %v", tables)
 	}
@@ -105,7 +105,7 @@ func TestServerMetadataEndpoints(t *testing.T) {
 	}
 
 	var sch schemaJSON
-	getJSON(t, ts.URL+"/schema?table=events", &sch)
+	getJSON(t, ts.URL+"/v1/schema?table=events", &sch)
 	if len(sch.Columns) != 4 {
 		t.Fatalf("schema columns = %v", sch.Columns)
 	}
@@ -114,13 +114,13 @@ func TestServerMetadataEndpoints(t *testing.T) {
 	}
 
 	var expl map[string]string
-	getJSON(t, ts.URL+"/explain?q=select+sum(a1)+from+events", &expl)
+	getJSON(t, ts.URL+"/v1/explain?q=select+sum(a1)+from+events", &expl)
 	if expl["plan"] == "" {
 		t.Fatal("empty plan")
 	}
 
 	var stats statsResponse
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats.Server.MaxInFlight != 64 {
 		t.Fatalf("max_in_flight = %d, want default 64", stats.Server.MaxInFlight)
 	}
@@ -162,21 +162,27 @@ func TestServerBadRequests(t *testing.T) {
 		want int
 	}{
 		{"missing query", func() (*http.Response, error) {
-			return http.Post(ts.URL+"/query", "application/json", bytes.NewReader([]byte(`{}`)))
+			return http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte(`{}`)))
 		}, http.StatusBadRequest},
 		{"bad json", func() (*http.Response, error) {
-			return http.Post(ts.URL+"/query", "application/json", bytes.NewReader([]byte(`{`)))
+			return http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte(`{`)))
 		}, http.StatusBadRequest},
 		{"bad sql", func() (*http.Response, error) {
-			return http.Post(ts.URL+"/query", "application/json", bytes.NewReader([]byte(`{"query":"select from nothing"}`)))
+			return http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader([]byte(`{"query":"select from nothing"}`)))
 		}, http.StatusBadRequest},
 		{"unknown table schema", func() (*http.Response, error) {
-			return http.Get(ts.URL + "/schema?table=nope")
+			return http.Get(ts.URL + "/v1/schema?table=nope")
 		}, http.StatusNotFound},
 		{"bad method", func() (*http.Response, error) {
-			req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/query", nil)
+			req, _ := http.NewRequest(http.MethodDelete, ts.URL+"/v1/query", nil)
 			return http.DefaultClient.Do(req)
 		}, http.StatusMethodNotAllowed},
+		{"unversioned query", func() (*http.Response, error) {
+			return http.Post(ts.URL+"/query", "application/json", bytes.NewReader([]byte(`{"query":"select count(*) from events"}`)))
+		}, http.StatusNotFound},
+		{"unversioned stats", func() (*http.Response, error) {
+			return http.Get(ts.URL + "/stats")
+		}, http.StatusNotFound},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -201,7 +207,7 @@ func TestServerBodyTooLarge(t *testing.T) {
 	if len(body) <= 64 {
 		t.Fatalf("test body only %d bytes", len(body))
 	}
-	resp, err := http.Post(ts.URL+"/query", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -289,7 +295,7 @@ func TestServerConcurrentClients(t *testing.T) {
 						return
 					}
 				case 2:
-					resp, err := http.Get(ts.URL + "/stats")
+					resp, err := http.Get(ts.URL + "/v1/stats")
 					if err != nil || resp.StatusCode != http.StatusOK {
 						errs <- fmt.Errorf("client %d: stats failed: %v", cl, err)
 						return
@@ -297,7 +303,7 @@ func TestServerConcurrentClients(t *testing.T) {
 					io.Copy(io.Discard, resp.Body)
 					resp.Body.Close()
 				case 3:
-					resp, err := http.Get(ts.URL + "/tables")
+					resp, err := http.Get(ts.URL + "/v1/tables")
 					if err != nil || resp.StatusCode != http.StatusOK {
 						errs <- fmt.Errorf("client %d: tables failed: %v", cl, err)
 						return
@@ -325,7 +331,7 @@ func TestServerConcurrentClients(t *testing.T) {
 // goroutines (t.Fatal must not be called off the test goroutine).
 func postQueryE(url, query string) (*http.Response, queryResponse) {
 	body, _ := json.Marshal(queryRequest{Query: query})
-	resp, err := http.Post(url+"/query", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(url+"/v1/query", "application/json", bytes.NewReader(body))
 	if err != nil {
 		return nil, queryResponse{}
 	}
@@ -347,7 +353,7 @@ func TestServerQueryStream(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 
 	body, _ := json.Marshal(queryRequest{Query: "select a1 from events where a1 < 10 order by a1"})
-	resp, err := http.Post(ts.URL+"/query/stream", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/query/stream", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -421,7 +427,7 @@ func TestServerQueryStream(t *testing.T) {
 func TestServerQueryStreamErrors(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
 	body, _ := json.Marshal(queryRequest{Query: "select bogus from nowhere"})
-	resp, err := http.Post(ts.URL+"/query/stream", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/query/stream", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -444,7 +450,7 @@ func TestServerQueryStreamDisconnect(t *testing.T) {
 	}
 	db := nodb.Open(nodb.Options{Policy: nodb.PartialLoadsV1, ChunkSize: 4096})
 	t.Cleanup(func() { db.Close() })
-	if err := db.Link("big", path); err != nil {
+	if err := db.Attach("big", nodb.TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	srv := New(Config{DB: db})
@@ -464,7 +470,7 @@ func TestServerQueryStreamDisconnect(t *testing.T) {
 	base := db.Work().RawBytesRead
 
 	body, _ := json.Marshal(queryRequest{Query: "select a1 from big where a1 >= 0"})
-	resp, err := http.Post(ts.URL+"/query/stream", "application/json", bytes.NewReader(body))
+	resp, err := http.Post(ts.URL+"/v1/query/stream", "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -505,7 +511,7 @@ func TestStatsMemoryFields(t *testing.T) {
 		t.Fatalf("query status = %d", resp.StatusCode)
 	}
 	var stats statsResponse
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats.Memory.Used <= 0 {
 		t.Errorf("memory.used = %d, want > 0 after a retained load", stats.Memory.Used)
 	}

@@ -24,7 +24,7 @@ func TestSnapshotFlusherAndStats(t *testing.T) {
 	}
 	db := nodb.Open(nodb.Options{Policy: nodb.ColumnLoads, CacheDir: cache})
 	t.Cleanup(func() { db.Close() })
-	if err := db.Link("events", path); err != nil {
+	if err := db.Attach("events", nodb.TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	s := New(Config{DB: db, SnapshotInterval: 20 * time.Millisecond})
@@ -49,7 +49,7 @@ func TestSnapshotFlusherAndStats(t *testing.T) {
 	}
 
 	var stats statsResponse
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if !stats.Snapshot.Enabled {
 		t.Fatalf("stats.snapshot.enabled = false: %+v", stats.Snapshot)
 	}
@@ -69,7 +69,7 @@ func TestSnapshotFlusherAndStats(t *testing.T) {
 	}
 
 	var after statsResponse
-	getJSON(t, ts.URL+"/stats", &after)
+	getJSON(t, ts.URL+"/v1/stats", &after)
 	if after.Server.SnapshotSaves == 0 && stats.Server.SnapshotSaves == 0 {
 		t.Errorf("server flush counter never moved: %+v", after.Server)
 	}
@@ -80,7 +80,7 @@ func TestSnapshotFlusherAndStats(t *testing.T) {
 func TestStatsSnapshotDisabled(t *testing.T) {
 	_, ts := newTestServer(t, Config{SnapshotInterval: 10 * time.Millisecond})
 	var stats statsResponse
-	getJSON(t, ts.URL+"/stats", &stats)
+	getJSON(t, ts.URL+"/v1/stats", &stats)
 	if stats.Snapshot.Enabled {
 		t.Errorf("snapshot reported enabled without a cache dir: %+v", stats.Snapshot)
 	}

@@ -83,7 +83,7 @@ func TestQueryStreamAllocsPerRow(t *testing.T) {
 	}
 	db := nodb.Open(nodb.Options{Policy: nodb.ColumnLoads})
 	t.Cleanup(func() { db.Close() })
-	if err := db.Link("wide", path); err != nil {
+	if err := db.Attach("wide", nodb.TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	s := New(Config{DB: db})
@@ -136,7 +136,7 @@ func TestQueryStreamWritePolicy(t *testing.T) {
 	}
 	db := nodb.Open(nodb.Options{Policy: nodb.ColumnLoads})
 	t.Cleanup(func() { db.Close() })
-	if err := db.Link("wide", path); err != nil {
+	if err := db.Attach("wide", nodb.TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	s := New(Config{DB: db})

@@ -1,9 +1,7 @@
 package server
 
 import (
-	"bytes"
 	"encoding/json"
-	"fmt"
 	"io"
 	"net/http"
 	"strings"
@@ -12,108 +10,6 @@ import (
 
 	"nodb/internal/qos"
 )
-
-// TestV1LegacyDifferential pins the satellite contract: every /v1 route
-// serves a byte-identical body to its legacy alias; the alias differs
-// only in its Deprecation headers.
-func TestV1LegacyDifferential(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
-
-	fetch := func(method, path, body string) (*http.Response, []byte) {
-		t.Helper()
-		var req *http.Request
-		var err error
-		if method == http.MethodPost {
-			req, err = http.NewRequest(method, ts.URL+path, strings.NewReader(body))
-			req.Header.Set("Content-Type", "application/json")
-		} else {
-			req, err = http.NewRequest(method, ts.URL+path, nil)
-		}
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp, err := http.DefaultClient.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		b, err := io.ReadAll(resp.Body)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return resp, b
-	}
-
-	cases := []struct {
-		method, path, body string
-	}{
-		{http.MethodPost, "/query", `{"query":"select sum(a1), count(*) from events where a1 >= 0"}`},
-		{http.MethodPost, "/query/stream", `{"query":"select a1 from events where a1 < 5"}`},
-		{http.MethodPost, "/explain", `{"query":"select count(*) from events"}`},
-		{http.MethodGet, "/tables", ""},
-		{http.MethodGet, "/schema?table=events", ""},
-		{http.MethodPost, "/query", `{"query":"select broken from"}`}, // error envelope too
-	}
-	for _, tc := range cases {
-		legacyResp, legacy := fetch(tc.method, tc.path, tc.body)
-		v1Resp, v1 := fetch(tc.method, "/v1"+tc.path, tc.body)
-		if legacyResp.StatusCode != v1Resp.StatusCode {
-			t.Errorf("%s %s: status legacy=%d v1=%d", tc.method, tc.path, legacyResp.StatusCode, v1Resp.StatusCode)
-		}
-		// /query responses embed wall-clock stats that differ run to run;
-		// strip the volatile stats object before comparing bytes.
-		lb, vb := stripVolatile(t, legacy), stripVolatile(t, v1)
-		if !bytes.Equal(lb, vb) {
-			t.Errorf("%s %s: body mismatch\nlegacy: %s\nv1:     %s", tc.method, tc.path, lb, vb)
-		}
-		if legacyResp.Header.Get("Deprecation") != "true" {
-			t.Errorf("%s %s: legacy alias missing Deprecation header", tc.method, tc.path)
-		}
-		wantLink := fmt.Sprintf("</v1%s>; rel=\"successor-version\"", strings.SplitN(tc.path, "?", 2)[0])
-		if got := legacyResp.Header.Get("Link"); got != wantLink {
-			t.Errorf("%s %s: Link = %q, want %q", tc.method, tc.path, got, wantLink)
-		}
-		if v1Resp.Header.Get("Deprecation") != "" {
-			t.Errorf("%s %s: /v1 route must not be deprecated", tc.method, tc.path)
-		}
-	}
-}
-
-// stripVolatile zeroes per-request timing and live-memory fields inside
-// JSON or NDJSON bodies so byte comparison pins everything else.
-// mem_bytes in /tables entries is live accounting that background cursor
-// teardown can shift between two otherwise-identical requests.
-func stripVolatile(t *testing.T, body []byte) []byte {
-	t.Helper()
-	var out [][]byte
-	for _, line := range bytes.Split(bytes.TrimRight(body, "\n"), []byte("\n")) {
-		var m map[string]json.RawMessage
-		if json.Unmarshal(line, &m) != nil {
-			out = append(out, line)
-			continue
-		}
-		if _, ok := m["stats"]; ok {
-			delete(m, "stats")
-		}
-		if raw, ok := m["tables"]; ok {
-			var infos []map[string]json.RawMessage
-			if json.Unmarshal(raw, &infos) == nil {
-				for _, info := range infos {
-					delete(info, "mem_bytes")
-				}
-				if norm, err := json.Marshal(infos); err == nil {
-					m["tables"] = norm
-				}
-			}
-		}
-		norm, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		out = append(out, norm)
-	}
-	return bytes.Join(out, []byte("\n"))
-}
 
 func TestRequestIDEchoAndGenerate(t *testing.T) {
 	_, ts := newTestServer(t, Config{})

@@ -178,8 +178,8 @@ func possibleNumeric(p expr.Pred, b ColBounds) bool {
 // possibleString evaluates a predicate against prefix bounds. MinS is
 // always a valid lower bound on every value (a prefix never exceeds the
 // string it prefixes). The upper side depends on MaxExact: an exact MaxS
-// is the true maximum; a truncated one only bounds values below its
-// prefix successor.
+// is the true maximum; a truncated one only bounds values below
+// prefixSuccessor(MaxS).
 func possibleString(p expr.Pred, b ColBounds) bool {
 	if p.Val.Typ != schema.String || (p.Between && p.Val2.Typ != schema.String) {
 		return true

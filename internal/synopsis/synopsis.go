@@ -50,8 +50,8 @@ type Accountant interface {
 // ColBounds are one column's value bounds within one portion. For string
 // columns MinS is always a prefix of the true minimum (hence a valid lower
 // bound); MaxS is a prefix of the true maximum and only an upper bound
-// when MaxExact is true — otherwise the true maximum lies below the
-// prefix's successor.
+// when MaxExact is true — otherwise the true maximum lies below
+// prefixSuccessor(MaxS).
 type ColBounds struct {
 	Col                int
 	Typ                schema.Type

@@ -159,7 +159,7 @@ func TestStringPrefixPruning(t *testing.T) {
 		{"between-disjoint", "bbb", "ddd", expr.Pred{Between: true, Val: storage.StringValue("x"), Val2: storage.StringValue("z")}, true},
 		{"between-overlap", "bbb", "ddd", expr.Pred{Between: true, Val: storage.StringValue("c"), Val2: storage.StringValue("z")}, false},
 		// Truncated max: values share the stored prefix but extend past
-		// it, so only predicates beyond the prefix successor may skip.
+		// it, so only predicates at or past prefixSuccessor may skip.
 		{"trunc-eq-just-above-prefix", "aaa", long('m'), expr.Pred{Op: expr.Eq, Val: storage.StringValue(long('m') + "zzz")}, false},
 		{"trunc-eq-far-above", "aaa", long('m'), expr.Pred{Op: expr.Eq, Val: storage.StringValue("zzz")}, true},
 	}

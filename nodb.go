@@ -7,7 +7,7 @@
 //
 //	db := nodb.Open(nodb.Options{})
 //	defer db.Close()
-//	if err := db.Link("events", "events.csv"); err != nil { ... }
+//	if err := db.Attach("events", nodb.TableSpec{Path: "events.csv"}); err != nil { ... }
 //	res, err := db.Query("select sum(a1), avg(a2) from events where a1 > 10 and a1 < 1000")
 //
 // There is no load step. The engine brings data in adaptively, driven by
@@ -39,82 +39,37 @@ import (
 )
 
 // Policy selects the adaptive loading strategy.
-type Policy int
+type Policy = plan.Policy
 
 // Loading policies. README "Loading policies" lists what each one does.
 const (
-	// ColumnLoads (the default) loads whole missing columns on demand.
-	ColumnLoads Policy = iota
+	// ColumnLoads (the default, the zero Policy) loads whole missing
+	// columns on demand.
+	ColumnLoads = plan.PolicyColumnLoads
 	// FullLoad loads the complete table on first touch — classic DBMS
 	// behavior, kept as a comparator.
-	FullLoad
+	FullLoad = plan.PolicyFullLoad
 	// PartialLoadsV1 pushes WHERE clauses into loading and retains
 	// nothing between queries.
-	PartialLoadsV1
+	PartialLoadsV1 = plan.PolicyPartialV1
 	// PartialLoadsV2 retains qualifying values; repeated or narrower
 	// queries are answered without touching the file.
-	PartialLoadsV2
+	PartialLoadsV2 = plan.PolicyPartialV2
 	// SplitFiles loads columns through per-column split files created as
 	// a side effect of earlier scans ("file cracking").
-	SplitFiles
+	SplitFiles = plan.PolicySplitFiles
 	// External re-reads and re-parses the file for every query, caching
 	// nothing (MySQL-CSV-engine-style external tables).
-	External
+	External = plan.PolicyExternal
 	// Auto self-tunes per column: cold columns are partially loaded with
 	// retention, and columns the workload keeps touching are promoted to
 	// full column loads (the paper's §5.5 robustness direction).
-	Auto
+	Auto = plan.PolicyAuto
 )
-
-func (p Policy) internal() plan.Policy {
-	switch p {
-	case FullLoad:
-		return plan.PolicyFullLoad
-	case PartialLoadsV1:
-		return plan.PolicyPartialV1
-	case PartialLoadsV2:
-		return plan.PolicyPartialV2
-	case SplitFiles:
-		return plan.PolicySplitFiles
-	case External:
-		return plan.PolicyExternal
-	case Auto:
-		return plan.PolicyAuto
-	default:
-		return plan.PolicyColumnLoads
-	}
-}
-
-func fromInternal(p plan.Policy) Policy {
-	switch p {
-	case plan.PolicyFullLoad:
-		return FullLoad
-	case plan.PolicyPartialV1:
-		return PartialLoadsV1
-	case plan.PolicyPartialV2:
-		return PartialLoadsV2
-	case plan.PolicySplitFiles:
-		return SplitFiles
-	case plan.PolicyExternal:
-		return External
-	case plan.PolicyAuto:
-		return Auto
-	default:
-		return ColumnLoads
-	}
-}
-
-func (p Policy) String() string { return p.internal().String() }
 
 // ParsePolicy converts a policy name ("columns", "full", "partial-v1",
 // "partial-v2", "splitfiles", "external", "auto") to a Policy.
-func ParsePolicy(s string) (Policy, error) {
-	ip, err := plan.ParsePolicy(s)
-	if err != nil {
-		return 0, err
-	}
-	return fromInternal(ip), nil
-}
+func ParsePolicy(s string) (Policy, error) { return plan.ParsePolicy(s) }
 
 // ParseEvictionPolicy validates an eviction policy name ("cost", "lru";
 // "" selects the default) and returns its canonical form for
@@ -232,7 +187,8 @@ type Rows = core.Rows
 // times with `?` placeholder arguments. Safe for concurrent use.
 type Stmt = core.Stmt
 
-// ErrClosed is returned by queries, preparations and links after Close.
+// ErrClosed is returned by queries, preparations, attaches and detaches
+// after Close.
 var ErrClosed = core.ErrClosed
 
 // Typed failure categories, re-exported from the engine's error
@@ -276,14 +232,14 @@ const (
 	String  = schema.String
 )
 
-// DB is a NoDB instance: a set of linked raw files plus whatever the
+// DB is a NoDB instance: a set of attached raw files plus whatever the
 // engine has adaptively loaded from them so far.
 type DB struct {
 	e *core.Engine
 }
 
 // Open creates a DB. It never touches the filesystem until a file is
-// linked — there is nothing to initialize.
+// attached — there is nothing to initialize.
 //
 // Open cannot fail, so it applies lenient defaults to invalid fields: an
 // unrecognized EvictionPolicy silently falls back to "cost", and invalid
@@ -346,7 +302,7 @@ func OpenErr(opts Options) (*DB, error) {
 
 func coreOptions(opts Options) core.Options {
 	return core.Options{
-		Policy:               opts.Policy.internal(),
+		Policy:               opts.Policy,
 		SplitDir:             opts.SplitDir,
 		MemoryBudget:         opts.MemoryBudget,
 		EvictionPolicy:       opts.EvictionPolicy,
@@ -362,13 +318,13 @@ func coreOptions(opts Options) core.Options {
 	}
 }
 
-// Close releases the DB: subsequent queries, preparations and links
-// return ErrClosed, in-flight cursors are cancelled (their raw-file scans
-// stop between chunks), and all adaptively loaded state is dropped. With
-// a CacheDir configured, every table's auxiliary structures are
-// snapshotted to disk first, so reopening with the same CacheDir starts
-// warm; the returned error reports a failed snapshot write (the close
-// itself always completes). Close is idempotent.
+// Close releases the DB: subsequent queries, preparations, attaches and
+// detaches return ErrClosed, in-flight cursors are cancelled (their
+// raw-file scans stop between chunks), and all adaptively loaded state is
+// dropped. With a CacheDir configured, every table's auxiliary structures
+// are snapshotted to disk first, so reopening with the same CacheDir
+// starts warm; the returned error reports a failed snapshot write (the
+// close itself always completes). Close is idempotent.
 func (db *DB) Close() error { return db.e.Close() }
 
 // Snapshot serializes every table's auxiliary structures to the CacheDir
@@ -443,22 +399,10 @@ func (db *DB) Refresh(name string) (RefreshResult, error) { return db.e.Refresh(
 // Follow, sorted.
 func (db *DB) Followed() []string { return db.e.Followed() }
 
-// Link registers the flat file at path as a queryable table. The schema
-// (delimiter, header, column names and types) is detected automatically.
-//
-// Deprecated: Link is Attach(name, TableSpec{Path: path}); new code should
-// use Attach, which can also force the format and request tail-following.
-func (db *DB) Link(name, path string) error { return db.e.Link(name, path) }
-
-// Unlink removes a table and drops everything derived from its file.
-//
-// Deprecated: Unlink is the old name of Detach.
-func (db *DB) Unlink(name string) error { return db.e.Unlink(name) }
-
-// Tables returns the linked table names.
+// Tables returns the attached table names.
 func (db *DB) Tables() []string { return db.e.Tables() }
 
-// Schema returns the detected schema of a linked table.
+// Schema returns the detected schema of an attached table.
 func (db *DB) Schema(name string) (*schema.Schema, error) { return db.e.TableSchema(name) }
 
 // Query executes one SELECT statement, fully buffered. Supported SQL:
@@ -508,11 +452,11 @@ func (db *DB) ExplainContext(ctx context.Context, query string) (string, error) 
 }
 
 // Policy returns the current loading policy.
-func (db *DB) Policy() Policy { return fromInternal(db.e.Policy()) }
+func (db *DB) Policy() Policy { return db.e.Policy() }
 
 // SetPolicy switches the loading policy for subsequent queries; loaded
 // state remains usable.
-func (db *DB) SetPolicy(p Policy) { db.e.SetPolicy(p.internal()) }
+func (db *DB) SetPolicy(p Policy) { db.e.SetPolicy(p) }
 
 // Work returns the cumulative work counters (raw bytes read, values
 // parsed, cache hits, ...) since Open.
@@ -542,7 +486,7 @@ type ResultCacheStats = qos.CacheStats
 // ResultCacheStats reports the result cache's accounting.
 func (db *DB) ResultCacheStats() ResultCacheStats { return db.e.ResultCacheStats() }
 
-// TableStats describes the adaptive-store state of one linked table:
+// TableStats describes the adaptive-store state of one attached table:
 // which columns are fully or partially loaded, covered regions, positional
 // map entries, and split-file footprint.
 type TableStats = core.TableStats

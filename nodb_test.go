@@ -14,7 +14,7 @@ func linkFile(t *testing.T, db *DB, name, content string) {
 	if err := os.WriteFile(p, []byte(content), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := db.Link(name, p); err != nil {
+	if err := db.Attach(name, TableSpec{Path: p}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -75,7 +75,7 @@ func TestSchemaAndTables(t *testing.T) {
 	if tabs := db.Tables(); len(tabs) != 1 || tabs[0] != "t" {
 		t.Errorf("tables = %v", tabs)
 	}
-	if err := db.Unlink("t"); err != nil {
+	if err := db.Detach("t"); err != nil {
 		t.Fatal(err)
 	}
 	if len(db.Tables()) != 0 {

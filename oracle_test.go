@@ -480,7 +480,7 @@ func TestOracleHandComputed(t *testing.T) {
 	db := Open(Options{Workers: 1})
 	defer db.Close()
 	for _, name := range []string{"t", "u"} {
-		if err := db.Link(name, filepath.Join(dir, name+".csv")); err != nil {
+		if err := db.Attach(name, TableSpec{Path: filepath.Join(dir, name+".csv")}); err != nil {
 			t.Fatal(err)
 		}
 	}

@@ -50,7 +50,7 @@ func TestDifferentialResultCache(t *testing.T) {
 	results := make([][]string, len(configs))
 	for ci, cfg := range configs {
 		db := Open(cfg.opts)
-		if err := db.Link("t", path); err != nil {
+		if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 			t.Fatal(err)
 		}
 		for qi, q := range queries {
@@ -91,7 +91,7 @@ func TestResultCacheInvalidationOnEdit(t *testing.T) {
 	}
 	db := Open(Options{ResultCacheBytes: 1 << 20})
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -143,7 +143,7 @@ func TestResultCacheBoundArgsAndOversized(t *testing.T) {
 	}
 	db := Open(Options{ResultCacheBytes: 8 << 10})
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 
@@ -192,7 +192,7 @@ func TestSingleflightFollowerCancellation(t *testing.T) {
 
 	db := Open(Options{Policy: PartialLoadsV1, ResultCacheBytes: 16 << 20, Workers: 1})
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 

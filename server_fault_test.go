@@ -35,7 +35,7 @@ func TestServerHealthzDegraded(t *testing.T) {
 	ffs := vfs.NewFaultFS(nil)
 	db := nodb.OpenFSForTest(nodb.Options{Policy: nodb.ColumnLoads, CacheDir: filepath.Join(dir, "cache")}, ffs)
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 

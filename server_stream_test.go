@@ -41,7 +41,7 @@ func TestServerStreamTrickleFirstRow(t *testing.T) {
 	// 4 KiB chunk here) ends, instead of holding it for a whole batch.
 	db := nodb.OpenFSForTest(nodb.Options{Policy: nodb.PartialLoadsV1, ChunkSize: 4096, Workers: 1}, ffs)
 	defer db.Close()
-	if err := db.Link("big", path); err != nil {
+	if err := db.Attach("big", nodb.TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	// Learn the portion layout first, so the streamed pass below is a

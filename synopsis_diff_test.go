@@ -105,10 +105,10 @@ func TestSynopsisPrunedMatchesUnpruned(t *testing.T) {
 			defer a.Close()
 			b := Open(noSyn)
 			defer b.Close()
-			if err := a.Link("t", path); err != nil {
+			if err := a.Attach("t", TableSpec{Path: path}); err != nil {
 				t.Fatal(err)
 			}
-			if err := b.Link("t", path); err != nil {
+			if err := b.Attach("t", TableSpec{Path: path}); err != nil {
 				t.Fatal(err)
 			}
 
@@ -163,7 +163,7 @@ func TestSynopsisStaleInvalidation(t *testing.T) {
 	b := Open(Options{Policy: PartialLoadsV1, ChunkSize: 4 << 10, DisableSynopsis: true})
 	defer b.Close()
 	for _, db := range []*DB{a, b} {
-		if err := db.Link("t", path); err != nil {
+		if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -231,7 +231,7 @@ func TestSynopsisSurvivesRestart(t *testing.T) {
 
 	opts := Options{Policy: PartialLoadsV1, ChunkSize: 4 << 10, CacheDir: cache}
 	db := Open(opts)
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	want, err := db.Query("select sum(a2) from t where a1 >= 6000 and a1 < 6100")
@@ -251,7 +251,7 @@ func TestSynopsisSurvivesRestart(t *testing.T) {
 
 	db2 := Open(opts)
 	defer db2.Close()
-	if err := db2.Link("t", path); err != nil {
+	if err := db2.Attach("t", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	got, err := db2.Query("select sum(a2) from t where a1 >= 6000 and a1 < 6100")
@@ -294,7 +294,7 @@ func TestPositionalLoadFeedsSynopsis(t *testing.T) {
 		opts.Policy, opts.ChunkSize = ColumnLoads, 64<<10
 		db := Open(opts)
 		defer db.Close()
-		if err := db.Link("t", path); err != nil {
+		if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 			t.Fatal(err)
 		}
 		var keys []string

@@ -100,7 +100,7 @@ func TestMixedTypeDifferential(t *testing.T) {
 					opts.SplitDir = filepath.Join(dir, fmt.Sprintf("sf-%s-%d", cfg.name, batch))
 				}
 				db := Open(opts)
-				if err := db.Link("m", path); err != nil {
+				if err := db.Attach("m", TableSpec{Path: path}); err != nil {
 					t.Fatal(err)
 				}
 				for _, q := range mixedQueries() {
@@ -138,7 +138,7 @@ func TestMaxInt64Predicates(t *testing.T) {
 		t.Run(cfg.name, func(t *testing.T) {
 			db := Open(cfg.opts)
 			defer db.Close()
-			if err := db.Link("t", path); err != nil {
+			if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 				t.Fatal(err)
 			}
 			for _, q := range queries {

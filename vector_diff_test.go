@@ -91,7 +91,7 @@ func TestVectorVsLegacyPolicies(t *testing.T) {
 					opts.SplitDir = filepath.Join(dir, fmt.Sprintf("sf-%s-%d", cfg.name, batch))
 				}
 				db := Open(opts)
-				if err := db.Link("t", path); err != nil {
+				if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 					t.Fatal(err)
 				}
 				for _, q := range vectorDiffQueries() {
@@ -128,10 +128,10 @@ func TestVectorVsLegacyJoins(t *testing.T) {
 			opts.Workers = 1
 			db := Open(opts)
 			defer db.Close()
-			if err := db.Link("l", lp); err != nil {
+			if err := db.Attach("l", TableSpec{Path: lp}); err != nil {
 				t.Fatal(err)
 			}
-			if err := db.Link("r", rp); err != nil {
+			if err := db.Attach("r", TableSpec{Path: rp}); err != nil {
 				t.Fatal(err)
 			}
 			// Twice over: auto promotes on the third touch of a column.
@@ -168,7 +168,7 @@ func TestJoinNumericKeys(t *testing.T) {
 			db := Open(cfg.opts)
 			defer db.Close()
 			for name, path := range map[string]string{"t": tp, "u": up} {
-				if err := db.Link(name, path); err != nil {
+				if err := db.Attach(name, TableSpec{Path: path}); err != nil {
 					t.Fatal(err)
 				}
 			}
@@ -191,7 +191,7 @@ func TestPolicySwitchDenseSelect(t *testing.T) {
 	o := newOracle(t, map[string]string{"t": path})
 	db := Open(Options{Policy: PartialLoadsV2, Workers: 1})
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	covered := []string{
@@ -246,7 +246,7 @@ func TestVectorVsLegacyRandom(t *testing.T) {
 
 	db := Open(Options{Policy: PartialLoadsV2, Workers: 1})
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(2718))
@@ -266,7 +266,7 @@ func TestVectorCancellation(t *testing.T) {
 	t.Run("vector", func(t *testing.T) {
 		db := Open(Options{Policy: PartialLoadsV1, Workers: 1, BatchSize: 16})
 		defer db.Close()
-		if err := db.Link("t", path); err != nil {
+		if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 			t.Fatal(err)
 		}
 
@@ -309,7 +309,7 @@ func TestVectorLimitStopsScan(t *testing.T) {
 
 	db := Open(Options{Policy: External, Workers: 1, ChunkSize: 64 << 10, BatchSize: 64})
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 	res, err := db.Query("select a1 from t limit 5")
@@ -333,7 +333,7 @@ func TestVectorExplainTree(t *testing.T) {
 
 	db := Open(Options{Policy: ColumnLoads, Workers: 1})
 	defer db.Close()
-	if err := db.Link("t", path); err != nil {
+	if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 
