@@ -6,12 +6,18 @@
 // The paper's update policy (§5.4, "one easy solution") is implemented
 // verbatim: derived state is auxiliary data "we are not afraid to lose";
 // when the raw file changes, everything derived from it is dropped and
-// rebuilt on demand. Life-time management (§5.1.3) is delegated to the
-// memory governor (internal/govern) when one is configured: every dense
-// column, sparse column, positional map and split-file set registers its
-// byte footprint and rebuild-cost estimate, and the governor evicts at
-// structure granularity — "the only cost is that of having to reload this
-// data part if it is needed again in the future." A governor-less catalog
+// rebuilt on demand. The exception is an append: when a re-check
+// certifies prefix-stable growth (GrownFrom), the catalog keeps what it
+// learned and installs what a tail pass — the loader's, wired in through
+// Options.TailPass — learned by scanning just the appended bytes. The
+// catalog certifies and installs; it never tokenizes the raw file itself.
+//
+// Life-time management (§5.1.3) is delegated to the memory governor
+// (internal/govern) when one is configured: every dense column, sparse
+// column, positional map and split-file set registers its byte footprint
+// and rebuild-cost estimate, and the governor evicts at structure
+// granularity — "the only cost is that of having to reload this data part
+// if it is needed again in the future." A governor-less catalog
 // (ablations, baselines) simply grows unbounded.
 //
 // With a snapshot store configured (internal/snapshot), the catalog also
@@ -268,6 +274,7 @@ type Table struct {
 	released bool // releaseGoverned ran (table replaced/unlinked): no re-registration
 
 	counters *metrics.Counters
+	tailPass TailPass // folds appended rows in; nil: growth invalidates
 
 	// Disk cache tier (nil when no cache dir is configured). snapMu
 	// serializes snapshot I/O (restore, save) and is always acquired
@@ -852,10 +859,10 @@ func (t *Table) initSnapLocked() {
 		}
 		// A smaller stored signature may describe a prefix-stable ancestor
 		// of the current file — the table grew by appends after the save.
-		// Accept it: the restore drains it eagerly and the tail extension
-		// re-adapts only the appended portion, keeping a warm restart warm
-		// across growth.
-		if stored.Size <= 0 || stored.Size >= sig.Size {
+		// Accept it when a tail pass can extend it: the restore drains it
+		// eagerly and the tail extension re-adapts only the appended
+		// portion, keeping a warm restart warm across growth.
+		if t.tailPass == nil || stored.Size <= 0 || stored.Size >= sig.Size {
 			return false
 		}
 		ok, err := GrownFromFS(t.fs, t.path, catSig(stored))
@@ -865,6 +872,15 @@ func (t *Table) initSnapLocked() {
 		t.restoreGrownLocked(r)
 		return
 	}
+	t.restoreSectionsLocked(r)
+}
+
+// restoreSectionsLocked adopts r (nil when there is no valid snapshot) as
+// the restore source and installs its small sections — row count, the
+// dense-section index, sparse columns, coverage regions, synopsis and
+// split manifest — then notes the spill files a previous process's
+// evictions left. Caller holds snapMu.
+func (t *Table) restoreSectionsLocked(r *snapshot.Reader) {
 	t.snapReader = r
 	if r != nil {
 		if rows := r.Rows(); rows > 0 && t.NumRows() <= 0 {
@@ -909,7 +925,6 @@ func (t *Table) initSnapLocked() {
 			}
 		}
 	}
-	// Spill files written by a previous process's evictions.
 	t.mu.Lock()
 	if t.snap.HasSpill(t.snapKey, "posmap") {
 		t.spillPM = true
@@ -935,60 +950,13 @@ func (t *Table) restoreGrownLocked(r *snapshot.Reader) {
 		t.snap.Remove(t.snapKey)
 		return
 	}
-	t.snapReader = r
-	if rows := r.Rows(); rows > 0 && t.NumRows() <= 0 {
-		t.SetNumRows(rows)
-	}
-	t.mu.Lock()
-	t.snapDenseBytes = make(map[int]int64)
-	for _, c := range r.DenseCols() {
-		t.snapDenseBytes[c] = r.DenseBytes(c)
-	}
-	if t.gov != nil && !t.released {
-		t.refreshCostsLocked()
-	}
-	t.mu.Unlock()
-
+	t.restoreSectionsLocked(r)
 	all := make([]int, len(t.schema.Columns))
 	for i := range all {
 		all[i] = i
 	}
 	t.restoreDenseLocked(all)
-	sparse, err := r.Sparse()
-	if err != nil {
-		t.snap.CountCorrupt(t.snapKey, err)
-	}
-	for _, sc := range sparse {
-		t.installRestoredSparse(sc)
-	}
-	regs, err := r.Regions()
-	if err != nil {
-		t.snap.CountCorrupt(t.snapKey, err)
-	}
-	for _, reg := range regs {
-		t.AddRegion(regionFromSnapshot(reg))
-	}
-	if sy, err := r.Synopsis(); err != nil {
-		t.snap.CountCorrupt(t.snapKey, err)
-	} else if len(sy) > 0 {
-		t.Syn.Import(synopsisFromSnapshot(sy), t.schema)
-	}
-	if t.Splits != nil {
-		if m, err := r.SplitsManifest(); err != nil {
-			t.snap.CountCorrupt(t.snapKey, err)
-		} else if m != nil {
-			t.Splits.Adopt(manifestFromSnapshot(m))
-		}
-	}
 	t.restorePosMapLocked()
-	t.mu.Lock()
-	if t.snap.HasSpill(t.snapKey, "posmap") {
-		t.spillPM = true
-	}
-	if t.snap.HasSpill(t.snapKey, "splits") {
-		t.spillSplits = true
-	}
-	t.mu.Unlock()
 	t.unspillAs(old) // spill files are keyed by the old prefix's signature
 	t.pendingExtend = &old
 }
@@ -1000,18 +968,25 @@ func (t *Table) dropSnapStateLocked() {
 	if t.snap == nil {
 		return
 	}
+	t.mu.Lock()
+	t.resetRestoreLocked()
+	t.mu.Unlock()
+	t.snap.Remove(t.snapKey)
+}
+
+// resetRestoreLocked forgets the snapshot tier's restore state: the open
+// reader, the restorable dense sections, the restored-posmap and
+// last-save marks, and the spill flags. Caller holds snapMu and mu.
+func (t *Table) resetRestoreLocked() {
 	if t.snapReader != nil {
 		t.snapReader.Close()
 		t.snapReader = nil
 	}
-	t.snap.Remove(t.snapKey)
 	t.posMapRestored = false
-	t.lastSaveFP = ""
-	t.mu.Lock()
+	t.lastSaveFP = "" // state changed: the next flush must rewrite
 	t.snapDenseBytes = nil
 	t.spillPM, t.spillSplits = false, false
 	t.snapPending.Store(false)
-	t.mu.Unlock()
 }
 
 // restoreDenseLocked re-admits any of cols that are missing in memory but
@@ -1656,10 +1631,12 @@ func (t *Table) releaseGoverned() {
 
 // Revalidate re-checks the raw file's signature. A prefix-stable growth
 // (appended rows; the old content, ending in a newline, is untouched)
-// extends the derived state incrementally over the tail. Any other change
-// drops everything — including the disk cache tier's files, which are
-// keyed by the old signature and would only self-invalidate later — and
-// re-detects the schema. Returns true when either happened.
+// extends the derived state incrementally over the tail when the catalog
+// has a tail pass, and falls back to invalidation when the pass fails.
+// Any other change drops everything — including the disk cache tier's
+// files, which are keyed by the old signature and would only
+// self-invalidate later — and re-detects the schema. Returns true when
+// either happened.
 func (t *Table) Revalidate() (bool, error) {
 	sig, err := SignFileFS(t.fs, t.path)
 	if err != nil {
@@ -1682,7 +1659,7 @@ func (t *Table) Revalidate() (bool, error) {
 	if sig == old {
 		return false, nil // raced with another Revalidate
 	}
-	if sig.Size > old.Size {
+	if sig.Size > old.Size && t.tailPass != nil {
 		if ok, gerr := GrownFromFS(t.fs, t.path, old); gerr == nil && ok {
 			// The prefix (and therefore the header and schema) is intact:
 			// extend positional map, synopsis, coverage regions, dense
@@ -1709,17 +1686,9 @@ func (t *Table) Revalidate() (bool, error) {
 	t.schema = sch
 	t.dropDerivedLocked()
 	if t.snap != nil {
-		if t.snapReader != nil {
-			t.snapReader.Close()
-			t.snapReader = nil
-		}
+		t.resetRestoreLocked()
 		t.snap.Remove(t.snapKey)
 		t.snapInit = false
-		t.posMapRestored = false
-		t.snapDenseBytes = nil
-		t.lastSaveFP = ""
-		t.spillPM, t.spillSplits = false, false
-		t.snapPending.Store(false)
 	}
 	if len(sch.Columns) != oldCols {
 		t.cols = make([]ColState, len(sch.Columns))
@@ -1754,9 +1723,13 @@ type Options struct {
 	// Counters receives work accounting; may be nil.
 	Counters *metrics.Counters
 	// FS is the filesystem raw files are read through (schema
-	// detection, signatures, revalidation, tail extension); nil means
-	// the real disk.
+	// detection, signatures, revalidation); nil means the real disk.
 	FS vfs.FS
+	// TailPass, when non-nil, folds the rows a prefix-stable growth
+	// appended into a table's learned structures (the engine wires in the
+	// loader's pass). Without one, growth invalidates like any other
+	// change.
+	TailPass TailPass
 }
 
 // Catalog is the set of linked tables. Safe for concurrent use.
@@ -1803,6 +1776,7 @@ func (c *Catalog) LinkOpts(name, path string, dopts schema.DetectOptions) (*Tabl
 		rows:     -1,
 		cols:     make([]ColState, len(sch.Columns)),
 		counters: c.opts.Counters,
+		tailPass: c.opts.TailPass,
 		gov:      c.opts.Governor,
 		PosMap:   posmap.New(c.opts.PosMapBudget, c.opts.Counters),
 		Syn:      synopsis.New(),

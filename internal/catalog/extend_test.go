@@ -2,7 +2,6 @@ package catalog
 
 import (
 	"os"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -77,64 +76,32 @@ func TestGrownFrom(t *testing.T) {
 	}
 }
 
-// TestRevalidateGrowthExtendsState pins the tentpole at the catalog
-// layer: appending rows extends the loaded state over the tail instead of
-// dropping it.
-func TestRevalidateGrowthExtendsState(t *testing.T) {
+// TestRevalidateGrowthWithoutTailPass: a catalog with no tail pass
+// treats a prefix-stable growth like any other change and drops the
+// learned state. (With the loader's pass wired in, growth extends it: see
+// the loader's TestRevalidateGrowthExtendsState.)
+func TestRevalidateGrowthWithoutTailPass(t *testing.T) {
 	dir := t.TempDir()
 	path := writeCSV(t, dir, "r.csv", "1,2\n3,4\n")
-	c := New(Options{})
-	tab, err := c.Link("R", path)
+	tab, err := New(Options{}).Link("R", path)
 	if err != nil {
 		t.Fatal(err)
 	}
-
 	d := storage.NewDense(schema.Int64, 2)
 	d.Ints = append(d.Ints, 1, 3)
 	tab.SetDense(0, d)
 	tab.SetNumRows(2)
-	tab.PosMap.Record(0, 0, 0)
-	tab.PosMap.Record(0, 1, 4)
-	baseEntries := tab.PosMap.Entries()
 
-	appendFile(t, path, "5,6\n7,8\n")
+	appendFile(t, path, "5,6\n")
 	changed, err := tab.Revalidate()
 	if err != nil || !changed {
 		t.Fatalf("growth revalidate: changed=%v err=%v", changed, err)
 	}
-
-	if got := tab.NumRows(); got != 4 {
-		t.Errorf("rows after growth = %d, want 4", got)
+	if tab.Dense(0) != nil || tab.NumRows() != -1 {
+		t.Error("learned state survived growth without a tail pass")
 	}
-	ext := tab.Dense(0)
-	if ext == nil {
-		t.Fatal("dense column dropped by growth")
-	}
-	if len(ext.Ints) != 4 || ext.Ints[2] != 5 || ext.Ints[3] != 7 {
-		t.Errorf("dense after growth = %v, want [1 3 5 7]", ext.Ints)
-	}
-	if tab.Dense(1) != nil {
-		t.Error("unloaded column materialized by growth")
-	}
-	if got := tab.PosMap.Entries(); got <= baseEntries {
-		t.Errorf("posmap entries = %d, want > %d (appended rows recorded)", got, baseEntries)
-	}
-	// The tail's positions land as one run starting at the old row count.
-	if rows, offs := tab.PosMap.Pairs(0); !slices.Equal(rows, []int64{0, 1, 2, 3}) || !slices.Equal(offs, []int64{0, 4, 8, 12}) {
-		t.Errorf("col 0 positions after growth = %v @ %v, want rows 0..3 @ 0,4,8,12", rows, offs)
-	}
-	if !tab.PosMap.Covers(0, 0, 4) {
-		t.Error("col 0 coverage should span the grown table")
-	}
-	ing := tab.Ingest()
-	if ing.AppendedRows != 2 || ing.Refreshes != 1 || ing.AppendedBytes != 8 {
-		t.Errorf("ingest stats = %+v, want 2 rows / 8 bytes / 1 refresh", ing)
-	}
-
-	// The recorded signature must now describe the grown file, so an
-	// immediate re-check is a no-op.
-	if changed, err := tab.Revalidate(); err != nil || changed {
-		t.Errorf("second revalidate after growth: changed=%v err=%v", changed, err)
+	if ing := tab.Ingest(); ing.Refreshes != 0 || ing.AppendedRows != 0 {
+		t.Errorf("ingest stats = %+v, want no extension", ing)
 	}
 }
 

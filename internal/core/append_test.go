@@ -11,9 +11,13 @@ import (
 	"math/rand"
 	"os"
 	"strings"
+	"sync"
+	"sync/atomic"
+	"syscall"
 	"testing"
 
 	"nodb/internal/plan"
+	"nodb/internal/vfs"
 )
 
 // writeGrowableTable writes rows of cols int64 attributes in [0, maxVal)
@@ -110,17 +114,23 @@ func TestAppendGrowthDifferential(t *testing.T) {
 	const rows, prefixRows, cols = 3000, 2700, 4
 	const maxVal, seed = 1000, 42
 	cases := []struct {
-		format string
-		policy plan.Policy
+		format   string
+		policy   plan.Policy
+		noPosMap bool // run with DisablePositionalMap
 	}{
-		{"csv", plan.PolicyColumnLoads},
-		{"csv", plan.PolicyPartialV2},
-		{"csv", plan.PolicySplitFiles},
-		{"ndjson", plan.PolicyColumnLoads},
-		{"ndjson", plan.PolicyPartialV2},
+		{"csv", plan.PolicyColumnLoads, false},
+		{"csv", plan.PolicyPartialV2, false},
+		{"csv", plan.PolicySplitFiles, false},
+		{"ndjson", plan.PolicyColumnLoads, false},
+		{"ndjson", plan.PolicyPartialV2, false},
+		{"csv", plan.PolicyColumnLoads, true},
 	}
 	for _, tc := range cases {
-		t.Run(tc.format+"/"+tc.policy.String(), func(t *testing.T) {
+		name := tc.format + "/" + tc.policy.String()
+		if tc.noPosMap {
+			name += "/noPosMap"
+		}
+		t.Run(name, func(t *testing.T) {
 			dir := t.TempDir()
 			work := dir + "/grow." + tc.format
 			data, cut := writeGrowableTable(t, work, tc.format, rows, prefixRows, cols, maxVal, seed)
@@ -129,7 +139,7 @@ func TestAppendGrowthDifferential(t *testing.T) {
 			}
 			queries := appendQueries(maxVal)
 
-			e := newEngine(t, Options{Policy: tc.policy, DisableRevalidation: true})
+			e := newEngine(t, Options{Policy: tc.policy, DisableRevalidation: true, DisablePositionalMap: tc.noPosMap})
 			defer e.Close()
 			if err := e.Attach("T", TableSpec{Path: work, Format: tc.format}); err != nil {
 				t.Fatal(err)
@@ -168,6 +178,16 @@ func TestAppendGrowthDifferential(t *testing.T) {
 			if got := refreshWork.RawBytesRead; got > tailBytes+8192 {
 				t.Errorf("refresh read %d raw bytes, want ~tail (%d)", got, tailBytes)
 			}
+			// The queries load a1..a3 whole: the tail pass tokenizes and
+			// parses those three columns of every appended row, once, and
+			// counts them like any other load.
+			if tc.policy == plan.PolicyColumnLoads {
+				const tailRows = rows - prefixRows
+				if refreshWork.RowsTokenized != tailRows || refreshWork.AttrsTokenized != 3*tailRows || refreshWork.ValuesParsed != 3*tailRows {
+					t.Errorf("refresh work: %d rows tokenized, %d attrs tokenized, %d values parsed; want %d, %d, %d",
+						refreshWork.RowsTokenized, refreshWork.AttrsTokenized, refreshWork.ValuesParsed, tailRows, 3*tailRows, 3*tailRows)
+				}
+			}
 
 			postStats, err := e.TableStats("T")
 			if err != nil {
@@ -183,6 +203,10 @@ func TestAppendGrowthDifferential(t *testing.T) {
 			if preStats.SynopsisPortions > 0 && postStats.SynopsisPortions != preStats.SynopsisPortions+1 {
 				t.Errorf("synopsis portions %d -> %d, want one appended tail portion",
 					preStats.SynopsisPortions, postStats.SynopsisPortions)
+			}
+			if tc.noPosMap && (preStats.PosMapEntries != 0 || postStats.PosMapEntries != 0) {
+				t.Errorf("posmap entries %d -> %d with the positional map disabled, want 0 -> 0",
+					preStats.PosMapEntries, postStats.PosMapEntries)
 			}
 			if postStats.Signature.Size != int64(len(data)) {
 				t.Errorf("signature size = %d, want %d", postStats.Signature.Size, len(data))
@@ -211,6 +235,110 @@ func TestAppendGrowthDifferential(t *testing.T) {
 				}
 				if res.Stats.Work.RawBytesRead != 0 {
 					t.Errorf("post-growth dense aggregate read %d raw bytes, want 0", res.Stats.Work.RawBytesRead)
+				}
+			}
+		})
+	}
+}
+
+// tailFaultFS arms a one-shot FaultFS EIO on the raw file, after bytes
+// more bytes of it are read, just before the first multi-byte read of it
+// at or past offset at (0: disarmed). With at the start of an appended
+// tail shorter than the signature's 4 KiB probes, only the tail pass
+// makes such a read: the signature and growth checks read below the old
+// size or one byte.
+type tailFaultFS struct {
+	*vfs.FaultFS
+	name  string
+	bytes int64
+	at    atomic.Int64
+	once  sync.Once
+}
+
+func (f *tailFaultFS) Open(name string) (vfs.File, error) {
+	file, err := f.FaultFS.Open(name)
+	if err != nil || !strings.Contains(name, f.name) {
+		return file, err
+	}
+	return &tailFaultFile{File: file, fs: f}, nil
+}
+
+type tailFaultFile struct {
+	vfs.File
+	fs *tailFaultFS
+}
+
+func (ff *tailFaultFile) ReadAt(p []byte, off int64) (int, error) {
+	if at := ff.fs.at.Load(); at > 0 && off >= at && len(p) > 1 {
+		ff.fs.once.Do(func() {
+			ff.fs.AddRule(vfs.Rule{Op: vfs.OpRead, PathContains: ff.fs.name, Err: syscall.EIO, AfterBytes: ff.fs.bytes})
+		})
+	}
+	return ff.File.ReadAt(p, off)
+}
+
+// TestAppendTailPassFaultFallsBack: an I/O error in the middle of the tail
+// pass installs nothing and falls back to full invalidation — Refresh
+// reports a change that did not grow the table, no structure stays
+// pinned, and the next queries answer like a cold engine.
+func TestAppendTailPassFaultFallsBack(t *testing.T) {
+	const rows, prefixRows, cols = 1000, 900, 4
+	const maxVal = 1000
+	for _, policy := range []plan.Policy{plan.PolicyColumnLoads, plan.PolicyPartialV2, plan.PolicySplitFiles} {
+		t.Run(policy.String(), func(t *testing.T) {
+			dir := t.TempDir()
+			work := dir + "/grow.csv"
+			data, cut := writeGrowableTable(t, work, "csv", rows, prefixRows, cols, maxVal, 17)
+			if err := os.WriteFile(work, []byte(data[:cut]), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			tailBytes := int64(len(data) - cut)
+			if tailBytes >= 4096 {
+				t.Fatalf("tail of %d bytes reaches the signature probes", tailBytes)
+			}
+			queries := appendQueries(maxVal)
+
+			fs := &tailFaultFS{FaultFS: vfs.NewFaultFS(nil), name: "grow.csv", bytes: tailBytes / 2}
+			e := newEngine(t, Options{Policy: policy, DisableRevalidation: true, FS: fs})
+			defer e.Close()
+			if err := e.Attach("T", TableSpec{Path: work}); err != nil {
+				t.Fatal(err)
+			}
+			resultStrings(t, e, queries)
+			resultStrings(t, e, queries)
+
+			appendTail(t, work, data[cut:])
+			fs.at.Store(int64(cut))
+			before := e.Counters().Snapshot()
+			ref, err := e.Refresh("T")
+			if err != nil {
+				t.Fatalf("refresh: %v", err)
+			}
+			w := e.Counters().Snapshot().Sub(before)
+			if got := fs.Injected.Load(); got != 1 {
+				t.Fatalf("%d faults injected, want 1", got)
+			}
+			// The pass read half the tail, then failed.
+			if w.RawBytesRead <= 0 || w.RawBytesRead >= tailBytes {
+				t.Errorf("refresh read %d raw bytes, want some of the %d-byte tail", w.RawBytesRead, tailBytes)
+			}
+			if !ref.Changed || ref.Grown || ref.Rows != -1 {
+				t.Errorf("refresh = %+v, want changed, not grown, rows -1", ref)
+			}
+			if pinned := e.Governor().Stats().Pinned; pinned != 0 {
+				t.Errorf("%d bytes still pinned after a failed tail pass", pinned)
+			}
+
+			warm := resultStrings(t, e, queries)
+			cold := newEngine(t, Options{Policy: policy})
+			defer cold.Close()
+			if err := cold.Attach("T", TableSpec{Path: work}); err != nil {
+				t.Fatal(err)
+			}
+			want := resultStrings(t, cold, queries)
+			for i := range queries {
+				if warm[i] != want[i] {
+					t.Errorf("query %q: answer after the failed pass %q != cold answer %q", queries[i], warm[i], want[i])
 				}
 			}
 		})

@@ -157,14 +157,6 @@ func NewEngine(opts Options) *Engine {
 		e.snap = snapshot.NewStore(opts.CacheDir, &e.counters)
 		e.snap.FS = opts.FS
 	}
-	e.cat = catalog.New(catalog.Options{
-		SplitDir:     opts.SplitDir,
-		PosMapBudget: opts.PosMapBudget,
-		Governor:     e.gov,
-		Snapshots:    e.snap,
-		Counters:     &e.counters,
-		FS:           opts.FS,
-	})
 	e.ld = &loader.Loader{
 		Counters:        &e.counters,
 		Workers:         opts.Workers,
@@ -174,6 +166,15 @@ func NewEngine(opts Options) *Engine {
 		UseSynopsis:     !opts.DisableSynopsis,
 		FS:              opts.FS,
 	}
+	e.cat = catalog.New(catalog.Options{
+		SplitDir:     opts.SplitDir,
+		PosMapBudget: opts.PosMapBudget,
+		Governor:     e.gov,
+		Snapshots:    e.snap,
+		Counters:     &e.counters,
+		FS:           opts.FS,
+		TailPass:     e.ld.ExtendTail,
+	})
 	// The external baseline never learns anything — no positional map and
 	// no synopsis; it re-pays the full scan every query by design.
 	e.extLd = &loader.Loader{Counters: &e.counters, Workers: opts.Workers, ChunkSize: opts.ChunkSize, FS: opts.FS}

@@ -14,17 +14,24 @@
 //     lets future queries reuse them (Partial Loads V2).
 //   - SplitColumnLoadContext — ColumnLoadContext through the split-file
 //     registry, creating per-column files as a side effect (Split Files).
+//   - ExtendTail — the catalog's tail pass (catalog.TailPass): after rows
+//     are appended to the raw file, a column load over just the appended
+//     bytes, whose values, positions, synopsis portion and re-qualified
+//     region rows the catalog installs (§4.1.5: the engine learns every
+//     time it touches the file, appends included).
 //
-// Every operator takes a context: a cancelled ctx stops its scan between
-// chunks. All operators feed the positional map as a free side effect of
-// tokenization, and exploit it to skip tokenization of leading attributes
-// on later loads. The column-granular loads (ColumnLoadContext, its positional
-// variant, and the catalog's tail extension) collect a pass' offsets into
-// one row-indexed slice per column — scattered lock-free by row id on a
-// parallel pass, appended on a sequential one — and install each column
-// with a single PosMap.RecordRun once the pass has succeeded, next to its
-// dense values; a failed pass installs neither. Work counters are tallied
-// per portion and flushed once per portion or pass, never per value.
+// Every query-driven operator takes a context: a cancelled ctx stops its
+// scan between chunks. All operators feed the positional map as a free
+// side effect of tokenization, and exploit it to skip tokenization of
+// leading attributes on later loads. The column-granular loads
+// (ColumnLoadContext, its positional variant, and the tail pass) set a
+// pass' offsets into one row-indexed posmap.Run per column — lock-free by
+// row id, on a parallel pass or a sequential one — and publish them only
+// once the pass has succeeded, next to its dense values: a column load
+// installs each Run with PosMap.InstallRun, and the catalog records the
+// tail's offsets with PosMap.RecordRun at the old row count. A failed
+// pass installs neither. Work counters are tallied per portion and
+// flushed once per portion or pass, never per value.
 package loader
 
 import (
@@ -247,48 +254,36 @@ func (l *Loader) scanOpts(ctx context.Context, t *catalog.Table) scan.Options {
 	}
 }
 
-// parseField converts one raw field to a typed value. NDJSON fields are
-// raw JSON tokens (delayed parsing leaves them untouched until here):
-// strings unquote, numbers parse from their textual form, and composite
-// values keep their raw JSON text.
-func parseField(b []byte, typ schema.Type, format scan.Format) (storage.Value, error) {
+// parsers are one format's raw-field parsers, by column type. NDJSON
+// fields are raw JSON tokens (delayed parsing leaves them untouched until
+// here): strings unquote, numbers parse from their textual form, and
+// composite values keep their raw JSON text.
+type parsers struct {
+	ints   func([]byte) (int64, error)
+	floats func([]byte) (float64, error)
+	strs   func([]byte) (string, error)
+}
+
+func parsersFor(format scan.Format) parsers {
 	if format == scan.FormatNDJSON {
-		switch typ {
-		case schema.Int64:
-			v, err := scan.ParseJSONInt64(b)
-			if err != nil {
-				return storage.Value{}, err
-			}
-			return storage.IntValue(v), nil
-		case schema.Float64:
-			v, err := scan.ParseJSONFloat64(b)
-			if err != nil {
-				return storage.Value{}, err
-			}
-			return storage.FloatValue(v), nil
-		default:
-			s, err := scan.ParseJSONString(b)
-			if err != nil {
-				return storage.Value{}, err
-			}
-			return storage.StringValue(s), nil
-		}
+		return parsers{scan.ParseJSONInt64, scan.ParseJSONFloat64, scan.ParseJSONString}
 	}
+	return parsers{scan.ParseInt64, scan.ParseFloat64, func(b []byte) (string, error) { return string(b), nil }}
+}
+
+// parseField converts one raw field to a typed value.
+func parseField(b []byte, typ schema.Type, format scan.Format) (storage.Value, error) {
+	p := parsersFor(format)
 	switch typ {
 	case schema.Int64:
-		v, err := scan.ParseInt64(b)
-		if err != nil {
-			return storage.Value{}, err
-		}
-		return storage.IntValue(v), nil
+		v, err := p.ints(b)
+		return storage.IntValue(v), err
 	case schema.Float64:
-		v, err := scan.ParseFloat64(b)
-		if err != nil {
-			return storage.Value{}, err
-		}
-		return storage.FloatValue(v), nil
+		v, err := p.floats(b)
+		return storage.FloatValue(v), err
 	default:
-		return storage.StringValue(string(b)), nil
+		v, err := p.strs(b)
+		return storage.StringValue(v), err
 	}
 }
 
@@ -302,15 +297,11 @@ type fieldSink func(b []byte, row int, pc *synopsis.PortionAcc) error
 // position idx of the pass' columns. A row one past the end of d appends:
 // a single uncounted portion streams its rows in order.
 func newSink(d *storage.DenseColumn, idx int, format scan.Format) fieldSink {
-	isJSON := format == scan.FormatNDJSON
+	p := parsersFor(format)
 	switch d.Typ {
 	case schema.Int64:
-		parse := scan.ParseInt64
-		if isJSON {
-			parse = scan.ParseJSONInt64
-		}
 		return func(b []byte, row int, pc *synopsis.PortionAcc) error {
-			v, err := parse(b)
+			v, err := p.ints(b)
 			if err != nil {
 				return err
 			}
@@ -319,12 +310,8 @@ func newSink(d *storage.DenseColumn, idx int, format scan.Format) fieldSink {
 			return nil
 		}
 	case schema.Float64:
-		parse := scan.ParseFloat64
-		if isJSON {
-			parse = scan.ParseJSONFloat64
-		}
 		return func(b []byte, row int, pc *synopsis.PortionAcc) error {
-			v, err := parse(b)
+			v, err := p.floats(b)
 			if err != nil {
 				return err
 			}
@@ -333,12 +320,8 @@ func newSink(d *storage.DenseColumn, idx int, format scan.Format) fieldSink {
 			return nil
 		}
 	default:
-		parse := func(b []byte) (string, error) { return string(b), nil }
-		if isJSON {
-			parse = scan.ParseJSONString
-		}
 		return func(b []byte, row int, pc *synopsis.PortionAcc) error {
-			v, err := parse(b)
+			v, err := p.strs(b)
 			if err != nil {
 				return err
 			}

@@ -47,6 +47,56 @@ func (b *rowBatch) sort() {
 	b.rows, b.vals = rows, vals
 }
 
+// pushdown is a partial scan's predicate push-down into tokenization:
+// the conjunction's predicates and the parse of a field, both by
+// position in the scan's columns.
+type pushdown struct {
+	sch   *schema.Schema
+	cols  []int
+	preds [][]expr.Pred
+}
+
+// newPushdown checks that cols are columns of sch and indexes the
+// conjunction's predicates by position in cols.
+func newPushdown(sch *schema.Schema, cols []int, conj expr.Conjunction) (*pushdown, error) {
+	pd := &pushdown{sch: sch, cols: cols, preds: make([][]expr.Pred, len(cols))}
+	for i, c := range cols {
+		if c < 0 || c >= sch.NumCols() {
+			return nil, fmt.Errorf("loader: column %d out of range", c)
+		}
+		pd.preds[i] = conj.OnColumn(c)
+	}
+	return pd, nil
+}
+
+// parse converts field i of a row.
+func (pd *pushdown) parse(i int, b []byte) (storage.Value, error) {
+	return parseField(b, pd.sch.Columns[pd.cols[i]].Type, pd.sch.Format)
+}
+
+// abandon returns one portion's abandon hook: it parses a predicate
+// column's field, observes the value into pc, and abandons the row on
+// the first predicate the value fails — or when it does not parse, which
+// no predicate accepts.
+func (pd *pushdown) abandon(pc *synopsis.PortionAcc) scan.AbandonFunc {
+	return func(idx int, f scan.FieldRef) bool {
+		if len(pd.preds[idx]) == 0 {
+			return false
+		}
+		v, err := pd.parse(idx, f.Bytes)
+		if err != nil {
+			return true
+		}
+		pc.Observe(idx, v)
+		for _, p := range pd.preds[idx] {
+			if !p.Eval(v) {
+				return true
+			}
+		}
+		return false
+	}
+}
+
 // PartialScanContext is the Partial Loads operator: it pushes the
 // conjunction into tokenization (abandoning a row the moment a predicate
 // fails), parses and materializes only needCols of qualifying rows, and
@@ -57,16 +107,9 @@ func (b *rowBatch) sort() {
 func (l *Loader) PartialScanContext(ctx context.Context, t *catalog.Table, needCols []int, conj expr.Conjunction, tab int) (*exec.View, error) {
 	loadCols := neededWithPreds(needCols, conj)
 	sch := t.Schema()
-	for _, c := range loadCols {
-		if c < 0 || c >= sch.NumCols() {
-			return nil, fmt.Errorf("loader: column %d out of range", c)
-		}
-	}
-
-	// Predicates indexed by position in loadCols for the abandon hook.
-	predsAt := make([][]expr.Pred, len(loadCols))
-	for i, c := range loadCols {
-		predsAt[i] = conj.OnColumn(c)
+	pd, err := newPushdown(sch, loadCols, conj)
+	if err != nil {
+		return nil, err
 	}
 
 	ps, err := l.openPortioned(ctx, t, loadCols, true)
@@ -84,44 +127,25 @@ func (l *Loader) PartialScanContext(ctx context.Context, t *catalog.Table, needC
 	// observes the remaining columns of surviving rows (earning bounds
 	// only on passes where every row survives). Without early abandon,
 	// every row reaches the handler and it observes everything.
-	useAbandon := !l.DisableEarlyAbandon && !conj.Empty()
-
+	//
 	// The abandon hook parses predicate columns to evaluate them; the
 	// handler re-parses. The duplicate parse touches only the (few)
 	// predicate columns of the (few) qualifying rows and keeps the hook
 	// stateless, which matters because portions run on separate
 	// goroutines.
-	mkAbandon := func(pc *synopsis.PortionAcc) scan.AbandonFunc {
-		return func(idx int, f scan.FieldRef) bool {
-			if len(predsAt[idx]) == 0 {
-				return false
-			}
-			// Parse once, remember for the handler.
-			v, err := parseField(f.Bytes, sch.Columns[loadCols[idx]].Type, sch.Format)
-			if err != nil {
-				return true // unparseable under predicate: treat as non-qualifying
-			}
-			pc.Observe(idx, v)
-			for _, p := range predsAt[idx] {
-				if !p.Eval(v) {
-					return true
-				}
-			}
-			return false
-		}
-	}
+	useAbandon := !l.DisableEarlyAbandon && !conj.Empty()
 
 	lateFilter := l.DisableEarlyAbandon && !conj.Empty()
 	mkHandler := func(pc *synopsis.PortionAcc, tally *portionTally) (scan.RowHandler, func() error) {
 		return func(rowID int64, fields []scan.FieldRef) error {
 			vals := make([]storage.Value, len(loadCols))
 			for i, f := range fields {
-				v, err := parseField(f.Bytes, sch.Columns[loadCols[i]].Type, sch.Format)
+				v, err := pd.parse(i, f.Bytes)
 				if err != nil {
 					return fmt.Errorf("loader: row %d col %d: %w", rowID, loadCols[i], err)
 				}
 				vals[i] = v
-				if !useAbandon || len(predsAt[i]) == 0 {
+				if !useAbandon || len(pd.preds[i]) == 0 {
 					pc.Observe(i, v)
 				}
 			}
@@ -157,7 +181,7 @@ func (l *Loader) PartialScanContext(ctx context.Context, t *catalog.Table, needC
 		var h portionHooks
 		h.rows, h.end = mkHandler(pc, tally)
 		if useAbandon {
-			h.abandon = mkAbandon(pc)
+			h.abandon = pd.abandon(pc)
 		}
 		return h
 	}

@@ -36,10 +36,9 @@ func (l *Loader) ScanBatchesContext(ctx context.Context, t *catalog.Table, outCo
 	}
 	loadCols := neededWithPreds(outCols, conj)
 	sch := t.Schema()
-	for _, c := range loadCols {
-		if c < 0 || c >= sch.NumCols() {
-			return fmt.Errorf("loader: column %d out of range", c)
-		}
+	pd, err := newPushdown(sch, loadCols, conj)
+	if err != nil {
+		return err
 	}
 	// outAt[i] is the batch column scanned column i fills, or -1 for a
 	// column read only to evaluate a predicate.
@@ -53,10 +52,6 @@ func (l *Loader) ScanBatchesContext(ctx context.Context, t *catalog.Table, outCo
 			}
 		}
 	}
-	predsAt := make([][]expr.Pred, len(loadCols))
-	for i, c := range loadCols {
-		predsAt[i] = conj.OnColumn(c)
-	}
 
 	ps, err := l.openPortioned(ctx, t, loadCols, true)
 	if err != nil {
@@ -69,24 +64,6 @@ func (l *Loader) ScanBatchesContext(ctx context.Context, t *catalog.Table, outCo
 	// hook would emit non-qualifying rows. The ablation measures the
 	// buffered path.
 	useAbandon := !conj.Empty()
-	mkAbandon := func(pc *synopsis.PortionAcc) scan.AbandonFunc {
-		return func(idx int, f scan.FieldRef) bool {
-			if len(predsAt[idx]) == 0 {
-				return false
-			}
-			v, err := parseField(f.Bytes, sch.Columns[loadCols[idx]].Type, sch.Format)
-			if err != nil {
-				return true // unparseable under predicate: treat as non-qualifying
-			}
-			pc.Observe(idx, v)
-			for _, p := range predsAt[idx] {
-				if !p.Eval(v) {
-					return true
-				}
-			}
-			return false
-		}
-	}
 
 	mkHandler := func(pc *synopsis.PortionAcc, tally *portionTally) (scan.RowHandler, func() error) {
 		var cols []*storage.DenseColumn // the portion's current batch; nil until a row qualifies
@@ -110,11 +87,11 @@ func (l *Loader) ScanBatchesContext(ctx context.Context, t *catalog.Table, outCo
 				}
 			}
 			for i, f := range fields {
-				v, err := parseField(f.Bytes, sch.Columns[loadCols[i]].Type, sch.Format)
+				v, err := pd.parse(i, f.Bytes)
 				if err != nil {
 					return fmt.Errorf("loader: row %d col %d: %w", rowID, loadCols[i], err)
 				}
-				if !useAbandon || len(predsAt[i]) == 0 {
+				if !useAbandon || len(pd.preds[i]) == 0 {
 					pc.Observe(i, v)
 				}
 				if j := outAt[i]; j >= 0 {
@@ -137,7 +114,7 @@ func (l *Loader) ScanBatchesContext(ctx context.Context, t *catalog.Table, outCo
 		var h portionHooks
 		h.rows, h.end = mkHandler(pc, tally)
 		if useAbandon {
-			h.abandon = mkAbandon(pc)
+			h.abandon = pd.abandon(pc)
 		}
 		return h
 	}

@@ -284,6 +284,17 @@ func (r *Run) Set(row, off int64) {
 	}
 }
 
+// Offsets returns the positions of rows 0..n-1 of r, every one of them
+// Set, or nil when a narrow run was handed an offset past 4 GiB.
+func (r *Run) Offsets(n int64) []int64 {
+	if r.overflow.Load() {
+		return nil
+	}
+	offs := make([]int64, n)
+	r.c.decode(0, offs)
+	return offs
+}
+
 // InstallRun publishes rows 0..n-1 of r, every one of them Set, as col's
 // positions; r is spent. A narrow run is adopted whole when col has no
 // positions and the run fits the budget. Otherwise its positions are
