@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"os"
+	"time"
 
 	"nodb/internal/core"
 	"nodb/internal/metrics"
@@ -34,7 +35,7 @@ func AblationBudget(c Config) (*Report, error) {
 
 	// Measure the unbudgeted working set once: the denominator for the
 	// budget fractions.
-	fullBytes, _, err := budgetRun(c, path, 0, "cost", model)
+	fullBytes, _, _, err := budgetRun(c, path, 0, "cost", model)
 	if err != nil {
 		return nil, err
 	}
@@ -58,12 +59,12 @@ func AblationBudget(c Config) (*Report, error) {
 			if f.frac > 0 {
 				budget = int64(float64(fullBytes) * f.frac)
 			}
-			_, sec, err := budgetRun(c, path, budget, evict, model)
+			_, sec, wall, err := budgetRun(c, path, budget, evict, model)
 			if err != nil {
 				return nil, err
 			}
 			s.Points = append(s.Points, Point{
-				X: float64(fi), Label: f.label, ModelSec: sec,
+				X: float64(fi), Label: f.label, ModelSec: sec, Wall: wall,
 			})
 		}
 		series = append(series, s)
@@ -82,12 +83,12 @@ func AblationBudget(c Config) (*Report, error) {
 }
 
 // budgetRun executes three passes over every attribute under one budget
-// and eviction policy, returning the peak governed bytes and the total
-// modeled seconds.
-func budgetRun(c Config, path string, budget int64, evict string, model metrics.CostModel) (peakBytes int64, totalSec float64, err error) {
+// and eviction policy, returning the peak governed bytes, the total
+// modeled seconds and the summed wall-clock time of its queries.
+func budgetRun(c Config, path string, budget int64, evict string, model metrics.CostModel) (peakBytes int64, totalSec float64, wall time.Duration, err error) {
 	splitDir, err := os.MkdirTemp("", "nodb-splits-*")
 	if err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 	defer os.RemoveAll(splitDir)
 	eng := core.NewEngine(core.Options{
@@ -99,7 +100,7 @@ func budgetRun(c Config, path string, budget int64, evict string, model metrics.
 	})
 	defer eng.Close()
 	if err := eng.Attach("R", core.TableSpec{Path: path}); err != nil {
-		return 0, 0, err
+		return 0, 0, 0, err
 	}
 
 	const cols = 8
@@ -107,17 +108,18 @@ func budgetRun(c Config, path string, budget int64, evict string, model metrics.
 		for a := 1; a <= cols; a++ {
 			res, err := eng.Query(fmt.Sprintf("select sum(a%d) from R", a))
 			if err != nil {
-				return 0, 0, fmt.Errorf("budget=%d evict=%s a%d: %w", budget, evict, a, err)
+				return 0, 0, 0, fmt.Errorf("budget=%d evict=%s a%d: %w", budget, evict, a, err)
 			}
 			totalSec += model.Seconds(res.Stats.Work)
+			wall += res.Stats.Wall
 			if used := eng.Governor().Used(); used > peakBytes {
 				peakBytes = used
 			}
 			if budget > 0 && eng.Governor().Used() > budget {
-				return 0, 0, fmt.Errorf("budget=%d evict=%s: governed bytes %d exceed budget after query",
+				return 0, 0, 0, fmt.Errorf("budget=%d evict=%s: governed bytes %d exceed budget after query",
 					budget, evict, eng.Governor().Used())
 			}
 		}
 	}
-	return peakBytes, totalSec, nil
+	return peakBytes, totalSec, wall, nil
 }

@@ -319,6 +319,11 @@ func TestAblationBudget(t *testing.T) {
 		if len(s.Points) != 5 {
 			t.Fatalf("%s: %d points, want 5", name, len(s.Points))
 		}
+		for _, p := range s.Points {
+			if p.Wall <= 0 {
+				t.Errorf("%s %s: wall %v, want the queries' measured time", name, p.Label, p.Wall)
+			}
+		}
 		// The tightest budget must pay at least as much as no budget: a
 		// workload bigger than the budget keeps re-loading.
 		if s.Points[len(s.Points)-1].ModelSec < s.Points[0].ModelSec {

@@ -1,8 +1,8 @@
 // Package storage implements the in-memory columnar store that the
 // adaptive loading operators feed. It provides dense columns (fully loaded
 // attributes), sparse columns (partially loaded attributes, the paper's
-// "only part of the data is loaded at any given time"), bitmaps and typed
-// values.
+// "only part of the data is loaded at any given time"), typed values and
+// their JSON encoding.
 package storage
 
 import (
@@ -392,9 +392,6 @@ func (s *SparseColumn) insertVal(i int, v Value) {
 		s.strs[i] = v.S
 	}
 }
-
-// IntAt returns the int64 value at ordinal i (column must be Int64).
-func (s *SparseColumn) IntAt(i int) int64 { return s.ints[i] }
 
 // FloatAt returns the float64 value at ordinal i (column must be Float64).
 func (s *SparseColumn) FloatAt(i int) float64 { return s.floats[i] }

@@ -1,6 +1,7 @@
 package storage
 
 import (
+	"encoding/binary"
 	"encoding/json"
 	"math"
 	"math/bits"
@@ -46,79 +47,141 @@ func AppendJSONRows(dst []byte, rows [][]Value) ([]byte, error) {
 
 // AppendJSONCols appends n rows of column vectors as NDJSON lines, byte
 // for byte what AppendJSONRow writes for the same rows boxed. Row r is
-// position sel[r] of every column, or position r when sel is nil. Values
-// are read straight from the typed vectors. A NaN or infinite float
-// returns a *json.UnsupportedValueError with dst truncated to the start of
-// the failing row; the rows before it stay appended.
+// position sel[r] of every column, or position r when sel is nil. Each
+// column's kind and typed vector are resolved once per batch, and values
+// are read straight from the vectors.
+//
+// Reservation: before each row, dst's spare capacity is grown to the
+// row's bound counting no float or string: 3 bytes for "[", "]" and the
+// newline, 1 per column for its separator and maxIntLen per int column.
+// The row is then written by index into that room. A float or string
+// appends itself, and the bound is reserved again after it.
+//
+// A NaN or infinite float returns a *json.UnsupportedValueError with dst
+// truncated to the start of the failing row; the rows before it stay
+// appended.
 func AppendJSONCols(dst []byte, cols []*DenseColumn, sel []int32, n int) ([]byte, error) {
+	var buf [16]DenseColumn // the columns' headers, copied once per batch
+	vecs := buf[:0]
+	bound := 3 + len(cols)
+	for _, c := range cols {
+		vecs = append(vecs, *c)
+		if c.Typ == schema.Int64 {
+			bound += maxIntLen
+		}
+	}
+	back := min(len(vecs), 1) // the last value's ',' becomes the ']'
 	for r := 0; r < n; r++ {
 		i := r
 		if sel != nil {
 			i = int(sel[r])
 		}
 		mark := len(dst)
-		dst = append(dst, '[')
-		for j, c := range cols {
-			if j > 0 {
-				dst = append(dst, ',')
-			}
-			switch c.Typ {
+		b := slices.Grow(dst, bound)
+		b = b[:cap(b)]
+		b[mark] = '['
+		p := mark + 1
+		for j := range vecs {
+			v := &vecs[j]
+			switch v.Typ {
 			case schema.Int64:
-				dst = appendInt(dst, c.Ints[i])
-			case schema.Float64:
-				var err error
-				if dst, err = appendJSONFloat(dst, c.Floats[i]); err != nil {
-					return dst[:mark], err
+				// Inlined by hand: a call per int costs more than its digits.
+				x := v.Ints[i]
+				u := uint64(x)
+				if x < 0 {
+					b[p] = '-'
+					p++
+					u = -u // MinInt64 wraps to its magnitude
 				}
+				if u < 1e8 {
+					p = putLeading(b, p, digits8(u))
+				} else {
+					p = putLong(b, p, u)
+				}
+			case schema.Float64:
+				d, err := appendJSONFloat(b[:p], v.Floats[i])
+				if err != nil {
+					return b[:mark], err
+				}
+				b, p = reserve(d, bound)
 			default:
-				dst = appendJSONString(dst, c.Strs[i])
+				b, p = reserve(appendJSONString(b[:p], v.Strs[i]), bound)
 			}
+			b[p] = ','
+			p++
 		}
-		dst = append(dst, ']', '\n')
+		p -= back
+		b[p], b[p+1] = ']', '\n'
+		dst = b[:p+2]
 	}
 	return dst, nil
 }
 
-// digitPairs holds the two-digit decimals "00" through "99".
-const digitPairs = "00010203040506070809101112131415161718192021222324252627282930313233343536373839" +
-	"40414243444546474849505152535455565758596061626364656667686970717273747576777879" +
-	"8081828384858687888990919293949596979899"
+// reserve grows d by n bytes of spare capacity and returns its whole
+// capacity with the write position at its old end.
+func reserve(d []byte, n int) ([]byte, int) {
+	p := len(d)
+	d = slices.Grow(d, n)
+	return d[:cap(d)], p
+}
 
-// pow10 are the powers of ten a uint64 holds.
-var pow10 = [20]uint64{1, 1e1, 1e2, 1e3, 1e4, 1e5, 1e6, 1e7, 1e8, 1e9,
-	1e10, 1e11, 1e12, 1e13, 1e14, 1e15, 1e16, 1e17, 1e18, 1e19}
+const (
+	// maxIntLen is the longest decimal int64, a sign and 19 digits. An
+	// int's digit stores stay inside it: a sign and a whole 8-byte word
+	// for one shorter than eight digits.
+	maxIntLen = 20
+	// asciiZeros turns eight digit values into their ASCII digits.
+	asciiZeros = 0x3030303030303030
+)
 
-// appendInt appends v in decimal, as strconv.AppendInt(dst, v, 10) does,
-// but writes the digits straight into dst's spare capacity, two per step
-// from the last, instead of into a scratch buffer that is then copied.
-func appendInt(dst []byte, v int64) []byte {
-	u := uint64(v)
-	if v < 0 {
-		dst = append(dst, '-')
-		u = -u // MinInt64 wraps to its magnitude
+// digits8 returns the eight decimal digits of x < 1e8 as one word, one
+// digit value (0-9) per byte, most significant digit in the lowest byte.
+// It neither branches nor divides: x splits by 10 000 into two 32-bit
+// lanes, each lane by 100 into two 16-bit lanes and each of those by 10
+// into two bytes, every quotient a multiply and a shift that is exact
+// below the lane's bound (x*10486>>20 = x/100 for x < 10 000, x*103>>10
+// = x/10 for x < 100).
+func digits8(x uint64) uint64 {
+	hi := x * 109951163 >> 40 // x / 10 000 for x < 1e8
+	v := hi | (x-hi*10000)<<32
+	q := v * 10486 >> 20 & 0x7f_0000007f
+	v = q | (v-q*100)<<16
+	q = v * 103 >> 10 & 0xf_000f_000f_000f
+	return q | (v-q*10)<<8
+}
+
+// putLeading stores the digits of w (a digits8 word) from its first
+// non-zero one, and at least one digit, at b[p:] and returns the position
+// after them. The leading zeros are w's zero low bytes, so
+// TrailingZeros64 counts them; the bit set in the last digit's byte keeps
+// the value zero at one digit. The store is a whole word, so b needs 8
+// bytes from p.
+func putLeading(b []byte, p int, w uint64) int {
+	lz := uint(bits.TrailingZeros64(w|1<<56)) & 56 // in bits, a multiple of 8
+	binary.LittleEndian.PutUint64(b[p:p+8:p+8], (w|asciiZeros)>>lz)
+	return p + 8 - int(lz>>3)
+}
+
+// putGroup stores all eight digits of w at b[p:].
+func putGroup(b []byte, p int, w uint64) int {
+	binary.LittleEndian.PutUint64(b[p:p+8:p+8], w|asciiZeros)
+	return p + 8
+}
+
+// putLong writes a magnitude u >= 1e8 at b[p:] as 8-digit groups: the
+// leading group without its leading zeros, the others in full.
+func putLong(b []byte, p int, u uint64) int {
+	if u < 1e16 {
+		hi := u / 1e8
+		p = putLeading(b, p, digits8(hi))
+		return putGroup(b, p, digits8(u-hi*1e8))
 	}
-	// floor(log10(2^len)) is the digit count or one short of it.
-	n := bits.Len64(u) * 1233 >> 12
-	if u >= pow10[n] {
-		n++
-	}
-	n = max(n, 1)
-	dst = slices.Grow(dst, n)
-	end := len(dst) + n
-	b := dst[len(dst):end]
-	for u >= 100 {
-		q := u / 100
-		d := (u - q*100) * 2
-		n -= 2
-		b[n], b[n+1] = digitPairs[d], digitPairs[d+1]
-		u = q
-	}
-	if u >= 10 {
-		b[0], b[1] = digitPairs[u*2], digitPairs[u*2+1]
-	} else {
-		b[0] = byte('0' + u)
-	}
-	return dst[:end]
+	top := u / 1e16
+	rest := u - top*1e16
+	mid := rest / 1e8
+	p = putLeading(b, p, digits8(top))
+	p = putGroup(b, p, digits8(mid))
+	return putGroup(b, p, digits8(rest-mid*1e8))
 }
 
 func appendJSONArray(dst []byte, row []Value) ([]byte, error) {

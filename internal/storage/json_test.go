@@ -147,10 +147,13 @@ func BenchmarkAppendJSONRow(b *testing.B) {
 // checkJSONCols asserts AppendJSONCols writes exactly what AppendJSONRow
 // writes for the same rows boxed: on an unsupported value, the rows
 // before the failing one, the same error, and nothing of the failing row.
-func checkJSONCols(t *testing.T, cols []*DenseColumn, sel []int32, n int) {
+// room picks dst's spare capacity past its prefix: none (0), exactly the
+// expected output (1), or that minus its last row (2).
+func checkJSONCols(t *testing.T, cols []*DenseColumn, sel []int32, n, room int) {
 	t.Helper()
 	prefix := []byte("prefix")
 	want := append([]byte(nil), prefix...)
+	lastRow := 0
 	var wantErr error
 	for r := 0; r < n; r++ {
 		i := r
@@ -161,11 +164,15 @@ func checkJSONCols(t *testing.T, cols []*DenseColumn, sel []int32, n int) {
 		for j, c := range cols {
 			row[j] = c.Value(i)
 		}
+		before := len(want)
 		if want, wantErr = AppendJSONRow(want, row); wantErr != nil {
 			break
 		}
+		lastRow = len(want) - before
 	}
-	got, gotErr := AppendJSONCols(append([]byte(nil), prefix...), cols, sel, n)
+	spare := []int{0, len(want) - len(prefix), len(want) - len(prefix) - lastRow}[room]
+	dst := append(make([]byte, 0, len(prefix)+spare), prefix...)
+	got, gotErr := AppendJSONCols(dst, cols, sel, n)
 	if (wantErr == nil) != (gotErr == nil) || (wantErr != nil && wantErr.Error() != gotErr.Error()) {
 		t.Fatalf("error %v, AppendJSONRow says %v", gotErr, wantErr)
 	}
@@ -176,7 +183,13 @@ func checkJSONCols(t *testing.T, cols []*DenseColumn, sel []int32, n int) {
 
 // FuzzAppendJSONCols differentially tests the columnar encoder against
 // AppendJSONRow (itself fuzzed against encoding/json) over random typed
-// columns and a random selection vector; shape seeds the layout.
+// columns and a random selection vector. shape picks the layout: dst's
+// spare capacity (none, exactly the output or one row short of it), the
+// columns' kinds (mixed, or all int, all float or all string), whether the
+// batch is large (up to 2 000 rows; otherwise up to 6), and seeds the
+// rest. The seeds' shapes 0, 1, 2, ... cover every combination, so the
+// encoder's per-row reservations and the growth between them are
+// reached on the way to the exact output.
 func FuzzAppendJSONCols(f *testing.F) {
 	ints := []int64{0, 9, -9, 10, -10, 99, -99, 100, -100, math.MinInt64, math.MaxInt64}
 	for p := int64(10); p <= 1e18; p *= 10 {
@@ -190,12 +203,22 @@ func FuzzAppendJSONCols(f *testing.F) {
 	for k, x := range floats {
 		f.Add(int64(k), x, strs[k%len(strs)], uint64(k)*7919)
 	}
+	kinds := []schema.Type{schema.Int64, schema.Float64, schema.String}
 	f.Fuzz(func(t *testing.T, i int64, x float64, s string, shape uint64) {
+		room := int(shape % 3)
+		kind := int(shape/3%4) - 1 // -1: mixed kinds
 		rng := rand.New(rand.NewPCG(shape, 1))
 		n := rng.IntN(7)
+		if shape/12%4 == 0 {
+			n = rng.IntN(2001)
+		}
 		cols := make([]*DenseColumn, 1+rng.IntN(4))
 		for j := range cols {
-			c := &DenseColumn{Typ: []schema.Type{schema.Int64, schema.Float64, schema.String}[rng.IntN(3)]}
+			k := kind
+			if k < 0 {
+				k = rng.IntN(3)
+			}
+			c := &DenseColumn{Typ: kinds[k]}
 			for r := 0; r < n; r++ {
 				switch c.Typ {
 				case schema.Int64:
@@ -218,26 +241,53 @@ func FuzzAppendJSONCols(f *testing.F) {
 			}
 			live = len(sel)
 		}
-		checkJSONCols(t, cols, sel, live)
+		checkJSONCols(t, cols, sel, live, room)
 	})
 }
 
-// TestAppendIntMatchesStrconv checks the in-place integer formatter at
-// every digit-count and bit-length boundary.
-func TestAppendIntMatchesStrconv(t *testing.T) {
-	vals := []int64{0, math.MinInt64, math.MaxInt64}
+// TestAppendJSONColsIntsMatchStrconv checks the 8-digits-at-a-time int
+// formatter against strconv at every digit-count and bit-length boundary
+// (both signs), at the seams between its 8-digit groups, and at every
+// value up to 10^7, through one-column batches of up to 1024 rows.
+func TestAppendJSONColsIntsMatchStrconv(t *testing.T) {
+	vals := []int64{0, math.MinInt64, math.MaxInt64, math.MinInt64 + 1, math.MaxInt64 - 1}
 	for p := int64(1); p <= 1e18; p *= 10 {
 		vals = append(vals, p-1, p, p+1)
 	}
 	for b := 0; b < 63; b++ {
 		vals = append(vals, 1<<b-1, 1<<b, 1<<b+1)
 	}
-	for _, v := range vals {
-		for _, x := range []int64{v, -v} {
-			if got, want := appendInt([]byte("x"), x), strconv.AppendInt([]byte("x"), x, 10); !bytes.Equal(got, want) {
-				t.Fatalf("appendInt(%d) = %q, want %q", x, got, want)
-			}
+	for _, seam := range []int64{1e8, 1e16} {
+		vals = append(vals, seam-2, seam*2-1, seam*2, seam*9+1, seam*10-seam/10)
+	}
+	for _, v := range vals[:len(vals):len(vals)] {
+		vals = append(vals, -v)
+	}
+	var got, want []byte
+	check := func(ints []int64) {
+		want = want[:0]
+		for _, v := range ints {
+			want = append(strconv.AppendInt(append(want, '['), v, 10), ']', '\n')
 		}
+		col := &DenseColumn{Typ: schema.Int64, Ints: ints}
+		got, _ = AppendJSONCols(got[:0], []*DenseColumn{col}, nil, len(ints))
+		if !bytes.Equal(got, want) {
+			for _, v := range ints {
+				row, _ := AppendJSONCols(nil, []*DenseColumn{{Typ: schema.Int64, Ints: []int64{v}}}, nil, 1)
+				if w := "[" + strconv.FormatInt(v, 10) + "]\n"; string(row) != w {
+					t.Fatalf("%d encodes as %q, want %q", v, row, w)
+				}
+			}
+			t.Fatalf("batch of %d ints differs from strconv, no single value does", len(ints))
+		}
+	}
+	check(vals)
+	batch := make([]int64, 1024)
+	for lo := int64(0); lo <= 1e7; lo += int64(len(batch)) {
+		for k := range batch {
+			batch[k] = lo + int64(k)
+		}
+		check(batch[:min(len(batch), int(1e7-lo+1))])
 	}
 }
 
@@ -262,19 +312,59 @@ func TestAppendJSONColsNoAllocs(t *testing.T) {
 	}
 }
 
+// BenchmarkAppendJSONCols encodes one 1024-row batch per op, reporting
+// ns/row over the rows written: dense is four int columns with every row
+// live; stream-export is the stream-export workload's shape, four int
+// columns of 0..299 999 with a third of the rows selected; mixed is an
+// int, a float, a string and an int column with every row live.
 func BenchmarkAppendJSONCols(b *testing.B) {
 	const n = 1024
-	cols := make([]*DenseColumn, 4)
-	for j := range cols {
-		cols[j] = &DenseColumn{Typ: schema.Int64}
-		for r := 0; r < n; r++ {
-			cols[j].Ints = append(cols[j].Ints, int64(r*7919+j*104729))
+	rng := rand.New(rand.NewPCG(1, 2))
+	intCols := func(gen func(r, j int) int64) []*DenseColumn {
+		cols := make([]*DenseColumn, 4)
+		for j := range cols {
+			cols[j] = &DenseColumn{Typ: schema.Int64}
+			for r := 0; r < n; r++ {
+				cols[j].Ints = append(cols[j].Ints, gen(r, j))
+			}
+		}
+		return cols
+	}
+	var third []int32
+	for r := 0; r < n; r++ {
+		if rng.IntN(3) == 0 {
+			third = append(third, int32(r))
 		}
 	}
-	buf := make([]byte, 0, 64<<10)
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf, _ = AppendJSONCols(buf[:0], cols, nil, n)
+	mixed := []*DenseColumn{{Typ: schema.Int64}, {Typ: schema.Float64}, {Typ: schema.String}, {Typ: schema.Int64}}
+	for r := 0; r < n; r++ {
+		mixed[0].Ints = append(mixed[0].Ints, rng.Int64N(300_000))
+		mixed[1].Floats = append(mixed[1].Floats, rng.Float64()*1e4)
+		mixed[2].Strs = append(mixed[2].Strs, "row-"+strconv.Itoa(r))
+		mixed[3].Ints = append(mixed[3].Ints, rng.Int64()>>rng.IntN(64)-1<<20)
 	}
-	b.SetBytes(int64(len(buf)))
+	shapes := []struct {
+		name string
+		cols []*DenseColumn
+		sel  []int32
+	}{
+		{"dense", intCols(func(r, j int) int64 { return int64(r*7919 + j*104729) }), nil},
+		{"stream-export", intCols(func(int, int) int64 { return rng.Int64N(300_000) }), third},
+		{"mixed", mixed, nil},
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			rows := n
+			if sh.sel != nil {
+				rows = len(sh.sel)
+			}
+			buf := make([]byte, 0, 64<<10)
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				buf, _ = AppendJSONCols(buf[:0], sh.cols, sh.sel, rows)
+			}
+			b.SetBytes(int64(len(buf)))
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*rows), "ns/row")
+		})
+	}
 }

@@ -8,64 +8,6 @@ import (
 	"nodb/internal/schema"
 )
 
-func TestBitmapBasics(t *testing.T) {
-	b := NewBitmap(130)
-	if b.Len() != 130 || b.Count() != 0 {
-		t.Fatal("fresh bitmap should be empty")
-	}
-	b.Set(0)
-	b.Set(64)
-	b.Set(129)
-	if !b.Get(0) || !b.Get(64) || !b.Get(129) || b.Get(1) {
-		t.Error("Set/Get broken")
-	}
-	if b.Count() != 3 {
-		t.Errorf("Count = %d, want 3", b.Count())
-	}
-	b.Clear(64)
-	if b.Get(64) || b.Count() != 2 {
-		t.Error("Clear broken")
-	}
-	b.Reset()
-	if b.Count() != 0 {
-		t.Error("Reset broken")
-	}
-}
-
-func TestBitmapAndOr(t *testing.T) {
-	a, b := NewBitmap(100), NewBitmap(100)
-	for i := 0; i < 100; i += 2 {
-		a.Set(i)
-	}
-	for i := 0; i < 100; i += 3 {
-		b.Set(i)
-	}
-	u := NewBitmap(100)
-	for i := 0; i < 100; i++ {
-		if a.Get(i) || b.Get(i) {
-			u.Set(i)
-		}
-	}
-	ab := NewBitmap(100)
-	for i := 0; i < 100; i++ {
-		if a.Get(i) && b.Get(i) {
-			ab.Set(i)
-		}
-	}
-	a2 := NewBitmap(100)
-	for i := 0; i < 100; i += 2 {
-		a2.Set(i)
-	}
-	a2.And(b)
-	if a2.Count() != ab.Count() {
-		t.Errorf("And count = %d, want %d", a2.Count(), ab.Count())
-	}
-	a.Or(b)
-	if a.Count() != u.Count() {
-		t.Errorf("Or count = %d, want %d", a.Count(), u.Count())
-	}
-}
-
 func TestValueCompare(t *testing.T) {
 	cases := []struct {
 		a, b Value
