@@ -2,13 +2,12 @@
 //
 // Usage:
 //
-//	nodbbench [-exp id[,id...]] [-scale f] [-data dir] [-wall] [-list]
+//	nodbbench [-exp id[,id...]] [-scale f] [-data dir] [-seed n] [-list]
 //
 // With no -exp it runs every experiment. Each experiment prints a table
 // with one row per x value (input size or query position) and one column
-// per system curve, in modeled seconds under the calibrated cost model
-// (add -wall for measured wall-clock tables too). See README "Running the
-// paper experiments".
+// per system curve, in measured wall-clock time with the page cache warm.
+// See README "Running the paper experiments".
 package main
 
 import (
@@ -27,7 +26,6 @@ func main() {
 		expIDs = flag.String("exp", "", "comma-separated experiment ids (default: all)")
 		scale  = flag.Float64("scale", 1.0, "row-count scale factor")
 		data   = flag.String("data", "", "directory for generated data files (default: $TMPDIR/nodb-experiments)")
-		wall   = flag.Bool("wall", false, "also print wall-clock tables")
 		list   = flag.Bool("list", false, "list experiments and exit")
 		seed   = flag.Int64("seed", 0, "workload seed (0 = fixed default)")
 	)
@@ -67,9 +65,6 @@ func main() {
 			os.Exit(1)
 		}
 		fmt.Print(rep.Format())
-		if *wall {
-			fmt.Print(rep.FormatWall())
-		}
 		fmt.Printf("(%s ran in %v)\n\n", r.ID, time.Since(start).Round(time.Millisecond))
 	}
 }

@@ -30,12 +30,6 @@ func HashJoinScript(left, right Table, leftKey, rightKey int, leftCols, rightCol
 	if err != nil {
 		return nil, err
 	}
-	if counters != nil {
-		// Awk associative-array insert per build row and lookup per probe
-		// row — the interpreter overhead that makes the scripted hash
-		// join the slowest variant in the paper's §2.2 experiment.
-		counters.AddScriptOps(int64(lv.Len()) + int64(rv.Len()))
-	}
 	// The join builds on its right input, so the left file goes there.
 	return exec.DrainView(exec.NewHashJoinOp(exec.NewViewScan(rv, 0), exec.NewViewScan(lv, 0),
 		exec.ColKey{Tab: 1, Col: rightKey}, exec.ColKey{Tab: 0, Col: leftKey}, 0))

@@ -295,8 +295,9 @@ type Table struct {
 	snapPending atomic.Bool
 
 	// snapDenseBytes maps column → on-disk payload size of its restorable
-	// dense section; the cost model prices re-admission with it. Guarded
-	// by mu. spillPM/spillSplits flag spill files written by eviction.
+	// dense section; denseRebuildCostLocked prices re-admission with it.
+	// Guarded by mu. spillPM/spillSplits flag spill files written by
+	// eviction.
 	snapDenseBytes map[int]int64
 	spillPM        bool
 	spillSplits    bool
@@ -347,12 +348,24 @@ func (t *Table) SetNumRows(n int64) {
 	}
 }
 
-// fullPassSecLocked estimates the modeled seconds of one full tokenizing
-// pass over the raw file — the unit every rebuild-cost estimate is built
-// from. Row count falls back to a bytes-per-row guess before the first
-// scan discovers it.
+// The rates the catalog's rebuild-cost estimates are built from. The
+// governor ranks eviction victims by bytes per estimated second, so only
+// their ratios matter: a full tokenizing pass against a snapshot read
+// against a spill write.
+const (
+	rawReadBps       = 120e6 // sequential raw-file read, bytes/s
+	tokenizeRowSec   = 25e-9 // find one row boundary
+	tokenizeAttrSec  = 12e-9 // locate one attribute within a row
+	parseValueSec    = 20e-9 // convert one field to a typed value
+	snapshotReadBps  = 180e6 // snapshot/spill file read, bytes/s
+	snapshotWriteBps = 90e6  // snapshot/spill file write, bytes/s
+)
+
+// fullPassSecLocked estimates the seconds of one full tokenizing pass
+// over the raw file — the unit every rebuild-cost estimate is built from.
+// Row count falls back to a bytes-per-row guess before the first scan
+// discovers it.
 func (t *Table) fullPassSecLocked() float64 {
-	m := metrics.DefaultCostModel()
 	rows := t.rows
 	if rows <= 0 {
 		rows = t.sig.Size / 32
@@ -361,8 +374,8 @@ func (t *Table) fullPassSecLocked() float64 {
 		}
 	}
 	ncols := float64(len(t.schema.Columns))
-	return float64(t.sig.Size)/m.RawReadBps +
-		float64(rows)*(m.TokenizeRowSec+ncols*m.TokenizeAttrSec+m.ParseValueSec)
+	return float64(t.sig.Size)/rawReadBps +
+		float64(rows)*(tokenizeRowSec+ncols*tokenizeAttrSec+parseValueSec)
 }
 
 // denseRebuildCostLocked estimates re-loading one evicted dense column: a
@@ -373,8 +386,7 @@ func (t *Table) fullPassSecLocked() float64 {
 // valid copy of the column on disk.
 func (t *Table) denseRebuildCostLocked(col int) float64 {
 	if b, ok := t.snapDenseBytes[col]; ok && b > 0 {
-		m := metrics.DefaultCostModel()
-		return float64(b) / m.SnapshotReadBps
+		return float64(b) / snapshotReadBps
 	}
 	full := t.fullPassSecLocked()
 	if t.PosMap != nil && t.rows > 0 && t.PosMap.Covers(col, 0, t.rows) {
@@ -386,8 +398,7 @@ func (t *Table) denseRebuildCostLocked(col int) float64 {
 // spillRoundTripSec prices evicting a structure through the disk cache
 // tier: one sequential write now plus one sequential read at re-admission.
 func spillRoundTripSec(bytes int64) float64 {
-	m := metrics.DefaultCostModel()
-	return float64(bytes)/m.SnapshotWriteBps + float64(bytes)/m.SnapshotReadBps
+	return float64(bytes)/snapshotWriteBps + float64(bytes)/snapshotReadBps
 }
 
 // refreshCostsLocked re-estimates every registered structure's rebuild

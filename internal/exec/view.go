@@ -79,8 +79,7 @@ type DenseSource struct {
 	NumRows int64
 	Columns map[int]*storage.DenseColumn
 	// Counters, when non-nil, receives internal-read accounting for the
-	// bytes selections touch (the cost model uses it to price cold runs
-	// over the engine's binary store).
+	// bytes selections touch (reported in the query's work counters).
 	Counters *metrics.Counters
 }
 

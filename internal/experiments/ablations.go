@@ -23,8 +23,6 @@ func AblationPositionalMap(c Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := fig34Model(c)
-
 	run := func(use bool) (Point, error) {
 		var counters metrics.Counters
 		cat := catalog.New(catalog.Options{Counters: &counters})
@@ -43,10 +41,7 @@ func AblationPositionalMap(c Config) (*Report, error) {
 			return Point{}, err
 		}
 		work := counters.Snapshot()
-		return Point{
-			X: 1, Label: "load a9 after a6",
-			ModelSec: model.Seconds(work), Wall: timer.Elapsed(), Work: work,
-		}, nil
+		return Point{X: 1, Label: "load a9 after a6", Wall: timer.Elapsed(), Work: work}, nil
 	}
 	on, err := run(true)
 	if err != nil {
@@ -78,7 +73,6 @@ func AblationSplitFiles(c Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := fig34Model(c)
 	sequence := [][]int{{10, 11}, {6, 7}, {2, 3}, {0, 1}}
 
 	run := func(split bool) (Series, error) {
@@ -112,8 +106,7 @@ func AblationSplitFiles(c Config) (*Report, error) {
 			}
 			work := counters.Snapshot().Sub(before)
 			s.Points = append(s.Points, Point{
-				X: float64(i + 1), Label: fmt.Sprintf("load %v", colset),
-				ModelSec: model.Seconds(work), Wall: timer.Elapsed(), Work: work,
+				X: float64(i + 1), Label: fmt.Sprintf("load %v", colset), Wall: timer.Elapsed(), Work: work,
 			})
 		}
 		return s, nil
@@ -167,15 +160,13 @@ func AblationWorkers(c Config) (*Report, error) {
 		if err := ld.FullLoadContext(context.Background(), tab); err != nil {
 			return nil, err
 		}
-		elapsed := timer.Elapsed()
 		wall.Points = append(wall.Points, Point{
-			X: float64(w), Label: fmt.Sprintf("%d workers", w),
-			ModelSec: elapsed.Seconds(), Wall: elapsed, Work: counters.Snapshot(),
+			X: float64(w), Label: fmt.Sprintf("%d workers", w), Wall: timer.Elapsed(), Work: counters.Snapshot(),
 		})
 	}
 	return &Report{
 		ID:     "abl-par",
-		Title:  fmt.Sprintf("Tokenizer worker count, full load (%s x 8 attrs; measured wall-clock)", sizeLabel(rows)),
+		Title:  fmt.Sprintf("Tokenizer worker count, full load (%s x 8 attrs)", sizeLabel(rows)),
 		XAxis:  "workers",
 		Series: []Series{wall},
 		Notes:  []string{"Wall-clock parity is expected on a single-core machine; the parallel path's correctness is covered by tests."},
@@ -191,7 +182,6 @@ func AblationEarlyAbandon(c Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := c.model()
 	conj := expr.Conjunction{Preds: []expr.Pred{
 		{Col: 0, Op: expr.Lt, Val: storage.IntValue(int64(rows) / 100)},
 	}}
@@ -211,8 +201,7 @@ func AblationEarlyAbandon(c Config) (*Report, error) {
 		}
 		work := counters.Snapshot()
 		return Series{Name: name, Points: []Point{{
-			X: 1, Label: "1% selective scan",
-			ModelSec: model.Seconds(work), Wall: timer.Elapsed(), Work: work,
+			X: 1, Label: "1% selective scan", Wall: timer.Elapsed(), Work: work,
 		}}}, nil
 	}
 	withAbandon, err := run("early abandon", false)

@@ -3,10 +3,8 @@ package experiments
 import (
 	"fmt"
 	"os"
-	"time"
 
 	"nodb/internal/core"
-	"nodb/internal/metrics"
 	"nodb/internal/plan"
 )
 
@@ -17,7 +15,7 @@ import (
 // re-loading the workload pays. One series per eviction policy (the
 // cost-aware default and the plain-LRU baseline), one point per budget as
 // a fraction of the full working set — the x axis of a budget-vs-latency
-// curve, the y axis the workload's total modeled seconds.
+// curve, the y axis the workload's summed wall-clock time.
 //
 // Why cost-aware can win: the budget covers columns *and* the positional
 // map. LRU happily evicts the map (it is just another cold structure),
@@ -31,11 +29,9 @@ func AblationBudget(c Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	model := fig34Model(c)
-
 	// Measure the unbudgeted working set once: the denominator for the
 	// budget fractions.
-	fullBytes, _, _, err := budgetRun(c, path, 0, "cost", model)
+	fullBytes, _, err := budgetRun(path, 0, "cost")
 	if err != nil {
 		return nil, err
 	}
@@ -59,13 +55,12 @@ func AblationBudget(c Config) (*Report, error) {
 			if f.frac > 0 {
 				budget = int64(float64(fullBytes) * f.frac)
 			}
-			_, sec, wall, err := budgetRun(c, path, budget, evict, model)
+			_, p, err := budgetRun(path, budget, evict)
 			if err != nil {
 				return nil, err
 			}
-			s.Points = append(s.Points, Point{
-				X: float64(fi), Label: f.label, ModelSec: sec, Wall: wall,
-			})
+			p.X, p.Label = float64(fi), f.label
+			s.Points = append(s.Points, p)
 		}
 		series = append(series, s)
 	}
@@ -76,19 +71,19 @@ func AblationBudget(c Config) (*Report, error) {
 		Series: series,
 		Notes: []string{
 			fmt.Sprintf("working set (unlimited budget) = %d bytes of adaptive state", fullBytes),
-			"y = total modeled seconds for the whole workload; smaller budgets re-load more",
+			"y = summed wall-clock time of the workload's queries; smaller budgets re-load more",
 			"cost-aware eviction protects the positional map; LRU treats it like any cold structure",
 		},
 	}, nil
 }
 
 // budgetRun executes three passes over every attribute under one budget
-// and eviction policy, returning the peak governed bytes, the total
-// modeled seconds and the summed wall-clock time of its queries.
-func budgetRun(c Config, path string, budget int64, evict string, model metrics.CostModel) (peakBytes int64, totalSec float64, wall time.Duration, err error) {
+// and eviction policy, returning the peak governed bytes and a point with
+// the summed wall-clock time and work of its queries.
+func budgetRun(path string, budget int64, evict string) (peakBytes int64, total Point, err error) {
 	splitDir, err := os.MkdirTemp("", "nodb-splits-*")
 	if err != nil {
-		return 0, 0, 0, err
+		return 0, Point{}, err
 	}
 	defer os.RemoveAll(splitDir)
 	eng := core.NewEngine(core.Options{
@@ -100,7 +95,7 @@ func budgetRun(c Config, path string, budget int64, evict string, model metrics.
 	})
 	defer eng.Close()
 	if err := eng.Attach("R", core.TableSpec{Path: path}); err != nil {
-		return 0, 0, 0, err
+		return 0, Point{}, err
 	}
 
 	const cols = 8
@@ -108,18 +103,18 @@ func budgetRun(c Config, path string, budget int64, evict string, model metrics.
 		for a := 1; a <= cols; a++ {
 			res, err := eng.Query(fmt.Sprintf("select sum(a%d) from R", a))
 			if err != nil {
-				return 0, 0, 0, fmt.Errorf("budget=%d evict=%s a%d: %w", budget, evict, a, err)
+				return 0, Point{}, fmt.Errorf("budget=%d evict=%s a%d: %w", budget, evict, a, err)
 			}
-			totalSec += model.Seconds(res.Stats.Work)
-			wall += res.Stats.Wall
+			total.Wall += res.Stats.Wall
+			total.Work = total.Work.Add(res.Stats.Work)
 			if used := eng.Governor().Used(); used > peakBytes {
 				peakBytes = used
 			}
 			if budget > 0 && eng.Governor().Used() > budget {
-				return 0, 0, 0, fmt.Errorf("budget=%d evict=%s: governed bytes %d exceed budget after query",
+				return 0, Point{}, fmt.Errorf("budget=%d evict=%s: governed bytes %d exceed budget after query",
 					budget, evict, eng.Governor().Used())
 			}
 		}
 	}
-	return peakBytes, totalSec, wall, nil
+	return peakBytes, total, nil
 }

@@ -1,13 +1,12 @@
 // Package experiments regenerates every figure and table of the paper's
 // evaluation. Each experiment returns a Report: one series per system
 // curve, one point per x value (input size or query-sequence position),
-// carrying the measured work, the wall-clock time, and the modeled
-// response time under the calibrated cost model (see internal/metrics, and
-// README "Running the paper experiments" for why both are reported).
+// carrying the measured wall-clock time and the work counters behind it
+// (see README "Running the paper experiments").
 //
 // The experiments run at laptop scale (default ~10^5–10^6 tuples,
-// adjustable via Config.Scale); the paper's hardware-scale behavior is
-// recovered through the cost model.
+// adjustable via Config.Scale). Tests assert each figure's shape on the
+// deterministic work counters; the tables print wall-clock time.
 package experiments
 
 import (
@@ -30,17 +29,8 @@ type Config struct {
 	// Scale multiplies the default row counts (1.0 = defaults; the
 	// defaults keep the full suite under a few minutes on one core).
 	Scale float64
-	// Model is the cost model; zero value means the calibrated default.
-	Model metrics.CostModel
 	// Seed for workload randomness (query ranges).
 	Seed int64
-}
-
-func (c Config) model() metrics.CostModel {
-	if c.Model == (metrics.CostModel{}) {
-		return metrics.DefaultCostModel()
-	}
-	return c.Model
 }
 
 func (c Config) scale(n int) int {
@@ -90,8 +80,6 @@ type Point struct {
 	X float64
 	// Label annotates the point (e.g. "1M tuples" or "Q7").
 	Label string
-	// ModelSec is the modeled response time in seconds.
-	ModelSec float64
 	// Wall is the measured wall-clock time.
 	Wall time.Duration
 	// Work is the counter delta for the point.
@@ -114,7 +102,7 @@ type Report struct {
 }
 
 // Format renders the report as an aligned table: one row per x value, one
-// column per series, modeled seconds (the paper's y axis).
+// column per series, measured wall-clock time (the paper's y axis).
 func (r *Report) Format() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "== %s: %s ==\n", r.ID, r.Title)
@@ -166,7 +154,7 @@ func (r *Report) Format() string {
 		fmt.Fprintf(&sb, "%-*s", w+2, x.label)
 		for i, s := range r.Series {
 			if p, ok := lookup(s, x.x); ok {
-				fmt.Fprintf(&sb, "  %*s", colw[i], fmtSec(p.ModelSec))
+				fmt.Fprintf(&sb, "  %*s", colw[i], fmtSec(p.Wall.Seconds()))
 			} else {
 				fmt.Fprintf(&sb, "  %*s", colw[i], "-")
 			}
@@ -177,22 +165,6 @@ func (r *Report) Format() string {
 		fmt.Fprintf(&sb, "note: %s\n", n)
 	}
 	return sb.String()
-}
-
-// FormatWall renders the same table with measured wall-clock seconds.
-func (r *Report) FormatWall() string {
-	clone := *r
-	clone.Series = make([]Series, len(r.Series))
-	for i, s := range r.Series {
-		cs := Series{Name: s.Name, Points: make([]Point, len(s.Points))}
-		for j, p := range s.Points {
-			p.ModelSec = p.Wall.Seconds()
-			cs.Points[j] = p
-		}
-		clone.Series[i] = cs
-	}
-	clone.Title = r.Title + " (wall-clock)"
-	return clone.Format()
 }
 
 func fmtSec(s float64) string {
@@ -220,11 +192,11 @@ func (r *Report) SeriesByName(name string) (Series, bool) {
 	return Series{}, false
 }
 
-// Total returns the sum of a series' modeled seconds.
-func (s Series) Total() float64 {
-	var t float64
+// Total returns the sum of a series' wall-clock times.
+func (s Series) Total() time.Duration {
+	var t time.Duration
 	for _, p := range s.Points {
-		t += p.ModelSec
+		t += p.Wall
 	}
 	return t
 }

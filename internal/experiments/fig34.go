@@ -3,6 +3,7 @@ package experiments
 import (
 	"fmt"
 	"math/rand"
+	"os"
 
 	"nodb/internal/baseline"
 	"nodb/internal/core"
@@ -65,25 +66,20 @@ func fig3Workload(c Config, rows int) []struct {
 	return out
 }
 
-// fig34Model prices figure 3/4 runs: the working set fits in memory so
-// reads from the binary store are hot, but loading still persists columns
-// to disk (MonetDB materializes BATs), and raw/split files stay on disk.
-func fig34Model(c Config) metrics.CostModel {
-	m := c.model()
-	m.Hot = true
-	m.HotRaw = false
-	m.ColdWrites = true
-	return m
-}
-
 // engineSeries runs the query sequence against a fresh engine under the
-// given policy, recording one point per query priced under model.
-func engineSeries(c Config, model metrics.CostModel, name string, pol plan.Policy, path string, queries []string) (Series, error) {
-	eng, cleanup, err := newEngine(c, pol)
+// given policy, recording one point per query.
+func engineSeries(name string, pol plan.Policy, path string, queries []string) (Series, error) {
+	splitDir, err := os.MkdirTemp("", "nodb-splits-*")
 	if err != nil {
 		return Series{}, err
 	}
-	defer cleanup()
+	defer os.RemoveAll(splitDir)
+	eng := core.NewEngine(core.Options{
+		Policy:              pol,
+		SplitDir:            splitDir,
+		DisableRevalidation: true,
+	})
+	defer eng.Close()
 	if err := eng.Attach("R", core.TableSpec{Path: path}); err != nil {
 		return Series{}, err
 	}
@@ -94,8 +90,7 @@ func engineSeries(c Config, model metrics.CostModel, name string, pol plan.Polic
 			return Series{}, fmt.Errorf("%s q%d: %w", name, qi+1, err)
 		}
 		s.Points = append(s.Points, Point{
-			X: float64(qi + 1), Label: fmt.Sprintf("Q%d", qi+1),
-			ModelSec: model.Seconds(res.Stats.Work), Wall: res.Stats.Wall, Work: res.Stats.Work,
+			X: float64(qi + 1), Label: fmt.Sprintf("Q%d", qi+1), Wall: res.Stats.Wall, Work: res.Stats.Work,
 		})
 	}
 	return s, nil
@@ -115,18 +110,15 @@ func Fig3(c Config) (*Report, error) {
 		queries[i] = w.query
 	}
 
-	// Figure 3's table fits in memory (the paper's "for the smaller sizes
-	// everything fits quite comfortably in memory" regime).
-	model := fig34Model(c)
-	monetdb, err := engineSeries(c, model, "MonetDB", plan.PolicyFullLoad, path, queries)
+	monetdb, err := engineSeries("MonetDB", plan.PolicyFullLoad, path, queries)
 	if err != nil {
 		return nil, err
 	}
-	colLoads, err := engineSeries(c, model, "Column Loads", plan.PolicyColumnLoads, path, queries)
+	colLoads, err := engineSeries("Column Loads", plan.PolicyColumnLoads, path, queries)
 	if err != nil {
 		return nil, err
 	}
-	partialV1, err := engineSeries(c, model, "Partial Loads V1", plan.PolicyPartialV1, path, queries)
+	partialV1, err := engineSeries("Partial Loads V1", plan.PolicyPartialV1, path, queries)
 	if err != nil {
 		return nil, err
 	}
@@ -146,8 +138,7 @@ func Fig3(c Config) (*Report, error) {
 		}
 		work := counters.Snapshot()
 		mysql.Points = append(mysql.Points, Point{
-			X: float64(qi + 1), Label: fmt.Sprintf("Q%d", qi+1),
-			ModelSec: model.Seconds(work), Wall: timer.Elapsed(), Work: work,
+			X: float64(qi + 1), Label: fmt.Sprintf("Q%d", qi+1), Wall: timer.Elapsed(), Work: work,
 		})
 	}
 
@@ -184,25 +175,19 @@ func Fig4(c Config) (*Report, error) {
 		queries = append(queries, q, q) // each query runs twice
 	}
 
-	// Figure 4 is the paper's 10^9-tuple regime: loading all 12 columns
-	// exceeds RAM. The model gives the machine room for about 4 columns;
-	// full loading spills, adaptive loading does not.
-	model := fig34Model(c)
-	model.MemoryLimitBytes = int64(rows) * 8 * 4
-
-	monetdb, err := engineSeries(c, model, "MonetDB", plan.PolicyFullLoad, path, queries)
+	monetdb, err := engineSeries("MonetDB", plan.PolicyFullLoad, path, queries)
 	if err != nil {
 		return nil, err
 	}
-	colLoads, err := engineSeries(c, model, "Column Loads", plan.PolicyColumnLoads, path, queries)
+	colLoads, err := engineSeries("Column Loads", plan.PolicyColumnLoads, path, queries)
 	if err != nil {
 		return nil, err
 	}
-	partialV2, err := engineSeries(c, model, "Partial Loads V2", plan.PolicyPartialV2, path, queries)
+	partialV2, err := engineSeries("Partial Loads V2", plan.PolicyPartialV2, path, queries)
 	if err != nil {
 		return nil, err
 	}
-	splits, err := engineSeries(c, model, "Split Files", plan.PolicySplitFiles, path, queries)
+	splits, err := engineSeries("Split Files", plan.PolicySplitFiles, path, queries)
 	if err != nil {
 		return nil, err
 	}
@@ -210,19 +195,18 @@ func Fig4(c Config) (*Report, error) {
 	notes := []string{
 		"Each distinct query runs twice (odd = first run, even = rerun); Q1 uses the LAST two attributes.",
 		"Expected shape (paper): MonetDB's Q1 dwarfs everything; Split Files' Q1 is several times cheaper and its later misses are cheaper than Partial V2 and Column Loads because it reads only per-column files.",
+		"The paper's table outgrows RAM (10^9 tuples); this one fits, so no load spills.",
 	}
 	// Quantify the split-file advantage on later misses (paper: ~5x vs
 	// Column Loads, ~2x vs Partial V2 at Q3+).
-	if len(splits.Points) >= 5 {
-		cl := colLoads.Points[4].ModelSec // Q5: a fresh pair, post-split
-		sf := splits.Points[4].ModelSec
-		pv := partialV2.Points[4].ModelSec
-		if sf > 0 {
-			notes = append(notes, fmt.Sprintf(
-				"Q5 (fresh attribute pair): Column Loads / Split Files = %.1fx, Partial V2 / Split Files = %.1fx",
-				cl/sf, pv/sf))
-		}
-	}
+	cl := colLoads.Points[4] // Q5: a fresh pair, post-split
+	sf := splits.Points[4]
+	pv := partialV2.Points[4]
+	fileBytes := func(p Point) int64 { return p.Work.RawBytesRead + p.Work.SplitBytesRead }
+	notes = append(notes, fmt.Sprintf(
+		"Q5 (fresh attribute pair): Column Loads / Split Files = %.1fx wall, %.1fx file bytes; Partial V2 / Split Files = %.1fx wall, %.1fx file bytes",
+		cl.Wall.Seconds()/sf.Wall.Seconds(), float64(fileBytes(cl))/float64(fileBytes(sf)),
+		pv.Wall.Seconds()/sf.Wall.Seconds(), float64(fileBytes(pv))/float64(fileBytes(sf))))
 	return &Report{
 		ID:     "fig4",
 		Title:  fmt.Sprintf("Adaptive loading with file reorganization (%s x 12 attrs)", sizeLabel(rows)),
@@ -245,10 +229,6 @@ func Joins(c Config) (*Report, error) {
 	if err != nil {
 		return nil, err
 	}
-	cold := c.model()
-	hot := cold
-	hot.Hot = true
-
 	var out []Series
 	x := float64(rows)
 	label := sizeLabel(rows)
@@ -273,7 +253,7 @@ func Joins(c Config) (*Report, error) {
 		}
 		work := counters.Snapshot()
 		out = append(out, Series{Name: "Awk hash join", Points: []Point{{
-			X: x, Label: label, ModelSec: cold.Seconds(work), Wall: timer.Elapsed(), Work: work,
+			X: x, Label: label, Wall: timer.Elapsed(), Work: work,
 		}}})
 	}
 
@@ -298,39 +278,21 @@ func Joins(c Config) (*Report, error) {
 		}
 		work := counters.Snapshot()
 		out = append(out, Series{Name: "sort+merge join", Points: []Point{{
-			X: x, Label: label, ModelSec: cold.Seconds(work), Wall: timer.Elapsed(), Work: work,
+			X: x, Label: label, Wall: timer.Elapsed(), Work: work,
 		}}})
 	}
 
 	// DB: data already loaded (loading excluded, as in the paper's DB
-	// numbers); cold prices the binary store at disk speed, hot at memory
-	// speed.
+	// numbers); cold restores it from disk, hot finds it in memory.
 	{
-		eng, cleanup, err := newEngine(c, plan.PolicyColumnLoads)
-		if err != nil {
-			return nil, err
-		}
-		defer cleanup()
-		if err := eng.Attach("L", core.TableSpec{Path: lp}); err != nil {
-			return nil, err
-		}
-		if err := eng.Attach("Rt", core.TableSpec{Path: rp}); err != nil {
-			return nil, err
-		}
 		q := "select sum(l.a2), sum(r.a2), count(*) from L l join Rt r on l.a1 = r.a1"
-		if _, err := eng.Query(q); err != nil { // load pass, not measured
-			return nil, err
-		}
-		res, err := eng.Query(q)
+		cold, hot, err := coldHotDB(map[string]string{"L": lp, "Rt": rp}, q, q, q)
 		if err != nil {
 			return nil, err
 		}
-		out = append(out, Series{Name: "Cold DB", Points: []Point{{
-			X: x, Label: label, ModelSec: cold.Seconds(res.Stats.Work), Wall: res.Stats.Wall, Work: res.Stats.Work,
-		}}})
-		out = append(out, Series{Name: "Hot DB", Points: []Point{{
-			X: x, Label: label, ModelSec: hot.Seconds(res.Stats.Work), Wall: res.Stats.Wall, Work: res.Stats.Work,
-		}}})
+		cold.X, cold.Label, hot.X, hot.Label = x, label, x, label
+		out = append(out, Series{Name: "Cold DB", Points: []Point{cold}})
+		out = append(out, Series{Name: "Hot DB", Points: []Point{hot}})
 	}
 
 	return &Report{

@@ -136,8 +136,9 @@ func (h *Handle) AddBytes(delta int64) {
 	h.mu.Unlock()
 }
 
-// SetCost records the estimated cost (modeled seconds) of rebuilding the
-// structure from the raw file if it were evicted.
+// SetCost records the estimated cost in seconds of rebuilding the
+// structure if it were evicted, as the catalog estimates it from the
+// table's size and shape.
 func (h *Handle) SetCost(sec float64) {
 	if h == nil {
 		return
@@ -145,7 +146,7 @@ func (h *Handle) SetCost(sec float64) {
 	h.cost.Store(math.Float64bits(sec))
 }
 
-// Cost returns the estimated rebuild cost in modeled seconds.
+// Cost returns the catalog's estimated rebuild cost in seconds.
 func (h *Handle) Cost() float64 { return math.Float64frombits(h.cost.Load()) }
 
 // SetOwner attributes the structure to a tenant. Shared structures follow
@@ -229,7 +230,7 @@ type Candidate struct {
 	Kind    Kind
 	Label   string
 	Bytes   int64
-	CostSec float64 // estimated rebuild cost, modeled seconds
+	CostSec float64 // the catalog's estimated rebuild cost, seconds
 	LastUse int64   // governor clock tick of last touch
 }
 

@@ -32,7 +32,8 @@ func (CostAware) Less(a, b Candidate) bool {
 	return a.LastUse < b.LastUse
 }
 
-// score is bytes reclaimed per modeled second of rebuild work. A zero or
+// score is bytes reclaimed per second of rebuild work, as the catalog
+// estimates it. A zero or
 // unknown cost means the structure is free to rebuild: maximal score.
 func score(c Candidate) float64 {
 	if c.CostSec <= 0 {

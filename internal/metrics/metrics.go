@@ -1,14 +1,11 @@
-// Package metrics provides the counters and the I/O cost model used by the
-// NoDB engine and the benchmark harness.
+// Package metrics provides the work counters the NoDB engine and the
+// experiments report.
 //
-// The paper's experiments report response times on a 2008-era machine with
-// two 7200rpm SATA disks in RAID-0 and tables of up to 10^9 tuples. This
-// reproduction runs at laptop scale, so alongside wall-clock time every
-// component reports *what it did* — raw-file bytes read, internal (binary)
-// bytes read and written, tuples tokenized and parsed — and a CostModel
-// converts those counters into modeled seconds. The model keeps the cold
-// versus hot versus loading cost relationships of the paper intact even when
-// the working set fits in the OS page cache.
+// Alongside wall-clock time every component reports *what it did*: raw-file
+// bytes read, internal (binary) bytes read and written, tuples tokenized and
+// parsed, structures evicted or restored. The counters are deterministic
+// for a given input and configuration, so tests assert on them where a
+// wall-clock figure would be noise.
 package metrics
 
 import (
@@ -33,7 +30,6 @@ type Counters struct {
 	posMapMisses       atomic.Int64
 	cacheHits          atomic.Int64 // queries (or column requests) fully served from the adaptive store
 	cacheMisses        atomic.Int64
-	scriptOps          atomic.Int64 // interpreted script operations (baselines only)
 	evictions          atomic.Int64 // adaptive structures evicted by the memory governor
 	evictedBytes       atomic.Int64 // bytes reclaimed by those evictions
 	snapBytesRead      atomic.Int64 // bytes read from snapshot/spill files (disk cache tier)
@@ -55,12 +51,6 @@ type Counters struct {
 	tailExtensions     atomic.Int64 // prefix-stable file growths folded in incrementally
 	tailRowsAppended   atomic.Int64 // rows ingested by those incremental extensions
 }
-
-// AddScriptOps records interpreted per-record operations of an external
-// script (Awk/Perl). The paper's scripting baselines are dominated by
-// interpreter overhead, not I/O — roughly a microsecond per record — and
-// this counter carries that cost into the model.
-func (c *Counters) AddScriptOps(n int64) { c.scriptOps.Add(n) }
 
 // AddRawBytesRead records bytes read from a raw flat file.
 func (c *Counters) AddRawBytesRead(n int64) { c.rawBytesRead.Add(n) }
@@ -186,7 +176,6 @@ type Snapshot struct {
 	PosMapMisses         int64
 	CacheHits            int64
 	CacheMisses          int64
-	ScriptOps            int64
 	Evictions            int64
 	EvictedBytes         int64
 	SnapshotBytesRead    int64
@@ -225,7 +214,6 @@ func (c *Counters) Snapshot() Snapshot {
 		PosMapMisses:         c.posMapMisses.Load(),
 		CacheHits:            c.cacheHits.Load(),
 		CacheMisses:          c.cacheMisses.Load(),
-		ScriptOps:            c.scriptOps.Load(),
 		Evictions:            c.evictions.Load(),
 		EvictedBytes:         c.evictedBytes.Load(),
 		SnapshotBytesRead:    c.snapBytesRead.Load(),
@@ -264,7 +252,6 @@ func (c *Counters) Reset() {
 	c.posMapMisses.Store(0)
 	c.cacheHits.Store(0)
 	c.cacheMisses.Store(0)
-	c.scriptOps.Store(0)
 	c.evictions.Store(0)
 	c.evictedBytes.Store(0)
 	c.snapBytesRead.Store(0)
@@ -304,7 +291,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		PosMapMisses:         s.PosMapMisses - prev.PosMapMisses,
 		CacheHits:            s.CacheHits - prev.CacheHits,
 		CacheMisses:          s.CacheMisses - prev.CacheMisses,
-		ScriptOps:            s.ScriptOps - prev.ScriptOps,
 		Evictions:            s.Evictions - prev.Evictions,
 		EvictedBytes:         s.EvictedBytes - prev.EvictedBytes,
 		SnapshotBytesRead:    s.SnapshotBytesRead - prev.SnapshotBytesRead,
@@ -346,142 +332,6 @@ func (s Snapshot) String() string {
 		s.PortionsSkipped, s.SynopsisHits,
 		s.ShardsPruned, s.ShardRetries, s.PartialResults, s.ShardBytesMerged,
 		s.ResultCacheHits, s.ResultCacheMisses, s.QueriesCollapsed)
-}
-
-// CostModel converts a work Snapshot into modeled seconds. Throughputs are
-// bytes per second; per-item costs are seconds per item. The defaults are
-// calibrated to the paper's hardware class (2008 SATA RAID-0, one core of a
-// 2.4GHz Core2 Quad) so that the reproduced series land in the same regime
-// as the published figures.
-type CostModel struct {
-	// RawReadBps is sequential read throughput from raw flat files when
-	// cold. The paper's RAID-0 of two 7200rpm disks sustains roughly
-	// 100–200 MB/s; we use a conservative value.
-	RawReadBps float64
-	// InternalReadBps is read throughput from the engine's binary store
-	// when cold (no parsing needed, larger sequential blocks).
-	InternalReadBps float64
-	// InternalWriteBps is write throughput to the binary store.
-	InternalWriteBps float64
-	// TokenizeRowSec is CPU cost to find a row boundary.
-	TokenizeRowSec float64
-	// TokenizeAttrSec is CPU cost to locate one attribute within a row.
-	TokenizeAttrSec float64
-	// ParseValueSec is CPU cost to convert one field to a typed value.
-	ParseValueSec float64
-	// ScriptOpSec is the per-record overhead of an interpreted script
-	// (Awk/Perl). The paper's Awk runs land around 1–2 µs per row on its
-	// hardware; this term is what makes scripts an order of magnitude
-	// slower than the DBMS once data is loaded (Figure 1b).
-	ScriptOpSec float64
-	// Hot indicates data is memory resident: byte costs for *internal*
-	// storage are waived (raw files still cost RawReadBps on first touch,
-	// but callers model hot raw scans by also setting HotRaw).
-	Hot bool
-	// HotRaw indicates the raw file itself is in the OS cache; raw reads
-	// then cost MemReadBps instead of RawReadBps.
-	HotRaw bool
-	// MemReadBps is memory bandwidth used for hot reads.
-	MemReadBps float64
-	// SnapshotReadBps is read throughput from snapshot/spill files: one
-	// pre-sized sequential file read end-to-end with no per-column seeks,
-	// so it lands modestly above InternalReadBps. Snapshot files live on
-	// disk and are read once per restore, so this rate always applies —
-	// Hot does not waive it (same treatment as split files).
-	SnapshotReadBps float64
-	// SnapshotWriteBps is write throughput to snapshot/spill files (one
-	// buffered sequential stream; disk-bound like InternalWriteBps).
-	SnapshotWriteBps float64
-	// ColdWrites charges internal-store writes at disk bandwidth even
-	// when Hot (the engine persists loaded columns to its binary store;
-	// reads may still be served from memory).
-	ColdWrites bool
-	// MemoryLimitBytes models the machine's RAM for loading: internal
-	// bytes written beyond this limit within one measurement spill to
-	// disk at SwapPenalty times the write cost. This is the paper's §2.1
-	// observation that loading becomes expensive exactly when "the system
-	// reaches the memory limits and needs to write the table back to
-	// disk". Zero disables the limit.
-	MemoryLimitBytes int64
-	// SwapPenalty multiplies the disk write cost of spilled bytes
-	// (default 6 when a memory limit is set).
-	SwapPenalty float64
-}
-
-// DefaultCostModel returns the model calibrated to the paper's hardware
-// class. Cold by default.
-func DefaultCostModel() CostModel {
-	return CostModel{
-		RawReadBps:       120e6, // ~120 MB/s sequential RAID-0
-		InternalReadBps:  150e6,
-		InternalWriteBps: 90e6,
-		TokenizeRowSec:   25e-9,
-		TokenizeAttrSec:  12e-9,
-		ParseValueSec:    20e-9,
-		ScriptOpSec:      1e-6,
-		MemReadBps:       3e9,
-		SnapshotReadBps:  180e6,
-		SnapshotWriteBps: 90e6,
-	}
-}
-
-// Seconds returns the modeled elapsed seconds for the work in s.
-func (m CostModel) Seconds(s Snapshot) float64 {
-	rawBps := m.RawReadBps
-	if m.HotRaw {
-		rawBps = m.MemReadBps
-	}
-	intR, intW := m.InternalReadBps, m.InternalWriteBps
-	if m.Hot {
-		intR, intW = m.MemReadBps, m.MemReadBps
-	}
-	if m.ColdWrites {
-		intW = m.InternalWriteBps
-	}
-	// Internal writes within the memory limit go at intW (memory when
-	// hot); the excess spills to disk with the swap penalty.
-	written := float64(s.InternalBytesWritten)
-	writeCost := written / intW
-	if m.MemoryLimitBytes > 0 && s.InternalBytesWritten > m.MemoryLimitBytes {
-		pen := m.SwapPenalty
-		if pen <= 0 {
-			pen = 6
-		}
-		within := float64(m.MemoryLimitBytes)
-		excess := written - within
-		writeCost = within/intW + excess*pen/m.InternalWriteBps
-	}
-
-	// Snapshot files, like split files, live on disk regardless of the
-	// Hot flags; models built as literals may leave the snapshot rates
-	// zero, in which case they inherit the internal-store rates.
-	snapR, snapW := m.SnapshotReadBps, m.SnapshotWriteBps
-	if snapR <= 0 {
-		snapR = m.InternalReadBps
-	}
-	if snapW <= 0 {
-		snapW = m.InternalWriteBps
-	}
-
-	// Split files live on disk regardless of whether the column store is
-	// memory resident, so their writes always pay disk bandwidth.
-	t := float64(s.RawBytesRead)/rawBps +
-		float64(s.SplitBytesRead)/rawBps +
-		float64(s.InternalBytesRead)/intR +
-		writeCost +
-		float64(s.SplitBytesWritten)/m.InternalWriteBps +
-		float64(s.SnapshotBytesRead)/snapR +
-		float64(s.SnapshotBytesWritten)/snapW +
-		float64(s.RowsTokenized)*m.TokenizeRowSec +
-		float64(s.AttrsTokenized)*m.TokenizeAttrSec +
-		float64(s.ValuesParsed)*m.ParseValueSec +
-		float64(s.ScriptOps)*m.ScriptOpSec
-	return t
-}
-
-// Duration is Seconds rendered as a time.Duration for display.
-func (m CostModel) Duration(s Snapshot) time.Duration {
-	return time.Duration(m.Seconds(s) * float64(time.Second))
 }
 
 // Timer measures wall-clock intervals; a convenience for the bench harness.

@@ -78,51 +78,6 @@ func TestConcurrentCounters(t *testing.T) {
 	}
 }
 
-func TestCostModelColdVsHot(t *testing.T) {
-	m := DefaultCostModel()
-	s := Snapshot{RawBytesRead: 120_000_000} // 1 second at 120 MB/s
-	cold := m.Seconds(s)
-	if cold < 0.9 || cold > 1.1 {
-		t.Errorf("cold raw read = %v s, want ~1", cold)
-	}
-	m.HotRaw = true
-	hot := m.Seconds(s)
-	if hot >= cold/10 {
-		t.Errorf("hot raw read %v should be far below cold %v", hot, cold)
-	}
-}
-
-func TestCostModelInternalHot(t *testing.T) {
-	m := DefaultCostModel()
-	s := Snapshot{InternalBytesRead: 150_000_000}
-	cold := m.Seconds(s)
-	m.Hot = true
-	hot := m.Seconds(s)
-	if hot >= cold {
-		t.Errorf("hot internal %v !< cold %v", hot, cold)
-	}
-}
-
-func TestCostModelCPUTerms(t *testing.T) {
-	m := DefaultCostModel()
-	s := Snapshot{RowsTokenized: 1e9}
-	if sec := m.Seconds(s); sec < 1 { // 1e9 * 25ns = 25s
-		t.Errorf("tokenization cost missing: %v", sec)
-	}
-	if m.Duration(s) <= 0 {
-		t.Error("Duration should be positive")
-	}
-}
-
-func TestCostModelSplitBytesChargedAsRaw(t *testing.T) {
-	m := DefaultCostModel()
-	a := m.Seconds(Snapshot{RawBytesRead: 1e8})
-	b := m.Seconds(Snapshot{SplitBytesRead: 1e8})
-	if a != b {
-		t.Errorf("split reads should cost like raw reads: %v vs %v", a, b)
-	}
-}
-
 func TestSnapshotString(t *testing.T) {
 	s := Snapshot{RawBytesRead: 5, CacheHits: 2}
 	str := s.String()
@@ -135,32 +90,5 @@ func TestTimer(t *testing.T) {
 	tm := StartTimer()
 	if tm.Elapsed() < 0 {
 		t.Error("Elapsed should be non-negative")
-	}
-}
-
-func TestCostModelMemoryLimitSwap(t *testing.T) {
-	m := DefaultCostModel()
-	m.Hot = true
-	s := Snapshot{InternalBytesWritten: 100 << 20}
-	free := m.Seconds(s)
-	m.MemoryLimitBytes = 50 << 20
-	spill := m.Seconds(s)
-	if spill <= free {
-		t.Errorf("spilling writes should cost more: %v vs %v", spill, free)
-	}
-	// Under the limit nothing changes.
-	small := Snapshot{InternalBytesWritten: 10 << 20}
-	m2 := m
-	m2.MemoryLimitBytes = 0
-	if m.Seconds(small) != m2.Seconds(small) {
-		t.Error("limit must not affect writes under it")
-	}
-}
-
-func TestCostModelScriptOps(t *testing.T) {
-	m := DefaultCostModel()
-	s := Snapshot{ScriptOps: 1_000_000}
-	if sec := m.Seconds(s); sec < 0.5 { // 1e6 * 1µs = 1s
-		t.Errorf("script ops cost missing: %v", sec)
 	}
 }
