@@ -1054,7 +1054,9 @@ func (t *Table) installRestoredDense(col int, d snapshot.DenseCol) {
 		t.forgetDenseSection(col, fmt.Errorf("%w: dense col %d type mismatch", snapshot.ErrCorrupt, col))
 		return
 	}
-	dense := &storage.DenseColumn{Typ: d.Typ, Ints: d.Ints, Floats: d.Floats, Strs: d.Strs}
+	// Snapshots hold int columns at 8 bytes; the restored column takes the
+	// width rule's width, as a load would.
+	dense := (&storage.DenseColumn{Typ: d.Typ, Ints: d.Ints, Floats: d.Floats, Strs: d.Strs}).Narrow()
 	n := int64(dense.Len())
 	rows := t.NumRows()
 	if n == 0 || (rows > 0 && n != rows) {
@@ -1230,7 +1232,11 @@ func (t *Table) SaveSnapshot() error {
 	}
 	for c := range t.cols {
 		if d := t.cols[c].Dense; d != nil {
-			tbl.Dense = append(tbl.Dense, snapshot.DenseCol{Col: c, Typ: d.Typ, Ints: d.Ints, Floats: d.Floats, Strs: d.Strs})
+			dc := snapshot.DenseCol{Col: c, Typ: d.Typ, Floats: d.Floats, Strs: d.Strs}
+			if d.Typ == schema.Int64 {
+				dc.Ints = d.Int64s()
+			}
+			tbl.Dense = append(tbl.Dense, dc)
 		}
 		if sp := t.cols[c].Sparse; sp != nil && sp.Len() > 0 {
 			sc := snapshot.SparseCol{Col: c, Typ: sp.Typ}

@@ -57,7 +57,7 @@ func TestSaveAndPrepareRoundTrip(t *testing.T) {
 		t.Errorf("rows = %d, want 3", tab2.NumRows())
 	}
 	got := tab2.Dense(0)
-	if got == nil || got.Len() != 3 || got.Ints[2] != 3 {
+	if got == nil || got.Len() != 3 || got.Int(2) != 3 {
 		t.Fatalf("dense column not restored: %+v", got)
 	}
 	// The positional map restores only when a load is still needed —

@@ -246,9 +246,15 @@ func (r *Rows) box() {
 		vals := r.slab[j:]
 		switch c.Typ {
 		case schema.Int64:
-			for k, i := range pos {
-				v := &vals[k*arity]
-				v.Typ, v.I = schema.Int64, c.Ints[i]
+			switch c.Width() {
+			case 1:
+				boxInts(vals, c.I8, pos, arity)
+			case 2:
+				boxInts(vals, c.I16, pos, arity)
+			case 4:
+				boxInts(vals, c.I32, pos, arity)
+			default:
+				boxInts(vals, c.Ints, pos, arity)
 			}
 		case schema.Float64:
 			for k, i := range pos {
@@ -261,6 +267,15 @@ func (r *Rows) box() {
 				v.Typ, v.S = c.Typ, c.Strs[i]
 			}
 		}
+	}
+}
+
+// boxInts boxes the values of an int vector at positions pos into every
+// arity-th slot of vals.
+func boxInts[T storage.Int](vals []storage.Value, v []T, pos []int32, arity int) {
+	for k, i := range pos {
+		b := &vals[k*arity]
+		b.Typ, b.I = schema.Int64, int64(v[i])
 	}
 }
 
@@ -293,12 +308,12 @@ func scanValue(c *storage.DenseColumn, i int, dest any) error {
 		if c.Typ != schema.Int64 {
 			return fmt.Errorf("cannot scan %s into *int64", c.Typ)
 		}
-		*d = c.Ints[i]
+		*d = c.Int(i)
 	case *int:
 		if c.Typ != schema.Int64 {
 			return fmt.Errorf("cannot scan %s into *int", c.Typ)
 		}
-		v := c.Ints[i]
+		v := c.Int(i)
 		if int64(int(v)) != v {
 			return fmt.Errorf("value %d overflows *int", v)
 		}
@@ -306,7 +321,7 @@ func scanValue(c *storage.DenseColumn, i int, dest any) error {
 	case *float64:
 		switch c.Typ {
 		case schema.Int64:
-			*d = float64(c.Ints[i])
+			*d = float64(c.Int(i))
 		case schema.Float64:
 			*d = c.Floats[i]
 		default:
@@ -316,13 +331,13 @@ func scanValue(c *storage.DenseColumn, i int, dest any) error {
 		if c.Typ != schema.Int64 {
 			return fmt.Errorf("cannot scan %s into *bool", c.Typ)
 		}
-		*d = c.Ints[i] != 0
+		*d = c.Int(i) != 0
 	case *string:
 		*d = c.Value(i).String()
 	case *any:
 		switch c.Typ {
 		case schema.Int64:
-			*d = c.Ints[i]
+			*d = c.Int(i)
 		case schema.Float64:
 			*d = c.Floats[i]
 		default:

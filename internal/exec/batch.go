@@ -143,14 +143,7 @@ func (w *windows) next() *Batch {
 	lo := w.pos
 	w.pos = min(lo+w.size, w.n)
 	for j, c := range w.srcs {
-		switch win := &w.wins[j]; c.Typ {
-		case schema.Int64:
-			win.Ints = c.Ints[lo:w.pos]
-		case schema.Float64:
-			win.Floats = c.Floats[lo:w.pos]
-		default:
-			win.Strs = c.Strs[lo:w.pos]
-		}
+		w.wins[j] = c.Slice(lo, w.pos)
 	}
 	w.b.N, w.b.Sel = w.pos-lo, nil
 	return &w.b
@@ -168,11 +161,12 @@ func liveRows(b *Batch, ident *[]int32) []int32 {
 	return (*ident)[:b.N]
 }
 
-// appendAt appends src's value at position i to dst (same type).
+// appendAt appends src's value at position i to dst (same type; an int
+// dst is 8 bytes wide).
 func appendAt(dst, src *storage.DenseColumn, i int) {
 	switch src.Typ {
 	case schema.Int64:
-		dst.Ints = append(dst.Ints, src.Ints[i])
+		dst.Ints = append(dst.Ints, src.Int(i))
 	case schema.Float64:
 		dst.Floats = append(dst.Floats, src.Floats[i])
 	default:

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"cmp"
 	"fmt"
 
 	"nodb/internal/schema"
@@ -88,22 +89,22 @@ func (a *AggOp) accumulate(b *Batch) error {
 
 // accumulateColumn folds the live rows of col into st in row order (float
 // sums accumulate in input order, so the result does not depend on the
-// batch size).
+// batch size). Int columns of every width sum in int64.
 func accumulateColumn(st *aggState, col *storage.DenseColumn, n int, sel []int32, rows int64) {
 	st.count += rows
 	switch st.spec.Kind {
 	case sql.AggSum, sql.AggAvg:
 		switch col.Typ {
 		case schema.Int64:
-			v := col.Ints
-			if sel == nil {
-				for _, x := range v[:n] {
-					st.sumI += x
-				}
-			} else {
-				for _, i := range sel {
-					st.sumI += v[i]
-				}
+			switch col.Width() {
+			case 1:
+				st.sumI += sumInts(col.I8, n, sel)
+			case 2:
+				st.sumI += sumInts(col.I16, n, sel)
+			case 4:
+				st.sumI += sumInts(col.I32, n, sel)
+			default:
+				st.sumI += sumInts(col.Ints, n, sel)
 			}
 		case schema.Float64:
 			v := col.Floats
@@ -137,75 +138,68 @@ func accumulateColumn(st *aggState, col *storage.DenseColumn, n int, sel []int32
 	}
 }
 
+// sumInts returns the int64 sum of the live rows of v.
+func sumInts[T storage.Int](v []T, n int, sel []int32) int64 {
+	var s int64
+	if sel == nil {
+		for _, x := range v[:n] {
+			s += int64(x)
+		}
+		return s
+	}
+	for _, i := range sel {
+		s += int64(v[i])
+	}
+	return s
+}
+
 // columnExtreme returns the batch-local min (or max) of the live rows,
 // keeping the first occurrence on ties, as a row-at-a-time fold would.
 func columnExtreme(col *storage.DenseColumn, n int, sel []int32, wantMin bool) (storage.Value, bool) {
 	switch col.Typ {
 	case schema.Int64:
-		v := col.Ints
-		var best int64
-		first := true
-		scan := func(x int64) {
-			if first || (wantMin && x < best) || (!wantMin && x > best) {
-				best, first = x, false
-			}
+		switch col.Width() {
+		case 1:
+			return intExtreme(col.I8, n, sel, wantMin)
+		case 2:
+			return intExtreme(col.I16, n, sel, wantMin)
+		case 4:
+			return intExtreme(col.I32, n, sel, wantMin)
 		}
-		if sel == nil {
-			for _, x := range v[:n] {
-				scan(x)
-			}
-		} else {
-			for _, i := range sel {
-				scan(v[i])
-			}
-		}
-		if first {
-			return storage.Value{}, false
-		}
-		return storage.IntValue(best), true
+		return intExtreme(col.Ints, n, sel, wantMin)
 	case schema.Float64:
-		v := col.Floats
-		var best float64
-		first := true
-		scan := func(x float64) {
-			if first || (wantMin && x < best) || (!wantMin && x > best) {
-				best, first = x, false
-			}
-		}
-		if sel == nil {
-			for _, x := range v[:n] {
-				scan(x)
-			}
-		} else {
-			for _, i := range sel {
-				scan(v[i])
-			}
-		}
-		if first {
-			return storage.Value{}, false
-		}
-		return storage.FloatValue(best), true
+		x, ok := extreme(col.Floats, n, sel, wantMin)
+		return storage.FloatValue(x), ok
 	default:
-		v := col.Strs
-		var best string
-		first := true
-		scan := func(x string) {
-			if first || (wantMin && x < best) || (!wantMin && x > best) {
-				best, first = x, false
-			}
-		}
-		if sel == nil {
-			for _, x := range v[:n] {
-				scan(x)
-			}
-		} else {
-			for _, i := range sel {
-				scan(v[i])
-			}
-		}
-		if first {
-			return storage.Value{}, false
-		}
-		return storage.StringValue(best), true
+		x, ok := extreme(col.Strs, n, sel, wantMin)
+		return storage.StringValue(x), ok
 	}
+}
+
+func intExtreme[T storage.Int](v []T, n int, sel []int32, wantMin bool) (storage.Value, bool) {
+	x, ok := extreme(v, n, sel, wantMin)
+	return storage.IntValue(int64(x)), ok
+}
+
+// extreme returns the min (or max) of the live rows of v and whether there
+// was one. Only a strictly lower (or higher) value replaces the best, so a
+// NaN never does, as in a row-at-a-time fold.
+func extreme[T cmp.Ordered](v []T, n int, sel []int32, wantMin bool) (T, bool) {
+	var best T
+	first := true
+	scan := func(x T) {
+		if first || (wantMin && x < best) || (!wantMin && x > best) {
+			best, first = x, false
+		}
+	}
+	if sel == nil {
+		for _, x := range v[:n] {
+			scan(x)
+		}
+	} else {
+		for _, i := range sel {
+			scan(v[i])
+		}
+	}
+	return best, !first
 }

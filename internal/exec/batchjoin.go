@@ -118,7 +118,7 @@ func (j *HashJoinOp) open(b *Batch, kc *storage.DenseColumn) error {
 	}
 	switch lt, rt := kc.Typ, bc.Typ; {
 	case lt == schema.Int64 && rt == schema.Int64:
-		j.index = newHashIndex(bc, func(c *storage.DenseColumn, i int32) int64 { return c.Ints[i] })
+		j.index = newHashIndex(bc, func(c *storage.DenseColumn, i int32) int64 { return c.Int(int(i)) })
 	case lt == schema.String && rt == schema.String:
 		j.index = newHashIndex(bc, func(c *storage.DenseColumn, i int32) string { return c.Strs[i] })
 	case lt == schema.String || rt == schema.String:
@@ -142,7 +142,7 @@ func (j *HashJoinOp) open(b *Batch, kc *storage.DenseColumn) error {
 func floatKey(c *storage.DenseColumn, i int32) uint64 {
 	var f float64
 	if c.Typ == schema.Int64 {
-		f = float64(c.Ints[i])
+		f = float64(c.Int(int(i)))
 	} else {
 		f = c.Floats[i]
 	}
@@ -199,7 +199,8 @@ func (ix *hashIndex[K]) probe(key *storage.DenseColumn, sel, p, b []int32) ([]in
 	return p, b
 }
 
-// gather overwrites dst with src's values at idx (same type).
+// gather overwrites dst with src's values at idx (same type; an int dst
+// is 8 bytes wide).
 func gather(dst, src *storage.DenseColumn, idx []int32) {
 	dst.Ints, dst.Floats, dst.Strs = dst.Ints[:0], dst.Floats[:0], dst.Strs[:0]
 	dst.AppendSelected(src, idx, 0)

@@ -15,7 +15,8 @@ import (
 // per group in first-appearance order, shaped by slots (proj[Idx] must be
 // one of the group keys, as the planner guarantees).
 //
-// It hashes each batch's typed key vectors: a single int64 key probes a
+// It hashes each batch's typed key vectors: a single int key stored at one
+// byte indexes a flat 256-entry table, a wider one probes a
 // map[int64]int32; any other key shape is encoded into one reused byte
 // buffer and probes a map[string]int32, so only a new group allocates.
 // Aggregates accumulate into flat per-group typed states with aggState's
@@ -30,7 +31,8 @@ type GroupByOp struct {
 	proj  []ColKey
 	size  int
 
-	intIdx  map[int64]int32 // single int64 key
+	intIdx  map[int64]int32 // single int key
+	small   *[256]int32     // single int key of width 1: gid+1 by uint8(key), 0 = no group yet
 	byteIdx map[string]int32
 	kbuf    []byte
 	kcols   []*storage.DenseColumn // the current batch's key and aggregate vectors
@@ -86,14 +88,19 @@ func (g *GroupByOp) consume(b *Batch) error {
 	}
 	gids := g.gids[:len(sel)]
 	if g.intIdx != nil {
-		v := g.kcols[0].Ints
-		for r, i := range sel {
-			gid, ok := g.intIdx[v[i]]
-			if !ok {
-				gid = g.newGroup(i)
-				g.intIdx[v[i]] = gid
+		switch k := g.kcols[0]; k.Width() {
+		case 1:
+			if len(g.intIdx) == 0 {
+				g.groupSmall(k.I8, sel, gids)
+			} else {
+				groupInts(g, k.I8, sel, gids)
 			}
-			gids[r] = gid
+		case 2:
+			groupInts(g, k.I16, sel, gids)
+		case 4:
+			groupInts(g, k.I32, sel, gids)
+		default:
+			groupInts(g, k.Ints, sel, gids)
 		}
 	} else {
 		for r, i := range sel {
@@ -110,6 +117,44 @@ func (g *GroupByOp) consume(b *Batch) error {
 		g.aggs[a].add(g.acols[a], sel, gids)
 	}
 	return nil
+}
+
+// groupSmall assigns the rows sel of a one-byte key vector v to their
+// groups through the flat table. Once a wider batch has moved the groups
+// into the map, one-byte batches probe the map too.
+func (g *GroupByOp) groupSmall(v []int8, sel, gids []int32) {
+	if g.small == nil {
+		g.small = new([256]int32)
+	}
+	for r, i := range sel {
+		slot := &g.small[uint8(v[i])]
+		if *slot == 0 {
+			*slot = g.newGroup(i) + 1
+		}
+		gids[r] = *slot - 1
+	}
+}
+
+// groupInts assigns the rows sel of an int key vector v to their groups
+// through the map. Groups the flat table opened (a narrower earlier batch)
+// move into the map first.
+func groupInts[T storage.Int](g *GroupByOp, v []T, sel, gids []int32) {
+	if g.small != nil {
+		for k, slot := range g.small {
+			if slot != 0 {
+				g.intIdx[int64(int8(k))] = slot - 1
+			}
+		}
+		g.small = nil
+	}
+	for r, i := range sel {
+		gid, ok := g.intIdx[int64(v[i])]
+		if !ok {
+			gid = g.newGroup(i)
+			g.intIdx[int64(v[i])] = gid
+		}
+		gids[r] = gid
+	}
 }
 
 // resolve looks up b's key and aggregate vectors; the first batch also
@@ -174,7 +219,7 @@ func appendKey(buf []byte, cols []*storage.DenseColumn, i int32) []byte {
 	for _, c := range cols {
 		switch c.Typ {
 		case schema.Int64:
-			buf = binary.LittleEndian.AppendUint64(buf, uint64(c.Ints[i]))
+			buf = binary.LittleEndian.AppendUint64(buf, uint64(c.Int(int(i))))
 		case schema.Float64:
 			f := c.Floats[i]
 			if math.IsNaN(f) {
@@ -252,9 +297,15 @@ func (st *groupAgg) add(col *storage.DenseColumn, sel, gids []int32) {
 	case sql.AggSum, sql.AggAvg:
 		switch st.typ {
 		case schema.Int64:
-			v := col.Ints
-			for r, i := range sel {
-				st.sumI[gids[r]] += v[i]
+			switch col.Width() {
+			case 1:
+				sumGroups(st.sumI, col.I8, sel, gids)
+			case 2:
+				sumGroups(st.sumI, col.I16, sel, gids)
+			case 4:
+				sumGroups(st.sumI, col.I32, sel, gids)
+			default:
+				sumGroups(st.sumI, col.Ints, sel, gids)
 			}
 		case schema.Float64:
 			v := col.Floats
@@ -267,12 +318,28 @@ func (st *groupAgg) add(col *storage.DenseColumn, sel, gids []int32) {
 		lower := st.spec.Kind == sql.AggMin
 		switch st.typ {
 		case schema.Int64:
-			foldExtreme(st.ext.Ints, col.Ints, sel, gids, lower)
+			switch col.Width() {
+			case 1:
+				foldIntExtreme(st.ext.Ints, col.I8, sel, gids, lower)
+			case 2:
+				foldIntExtreme(st.ext.Ints, col.I16, sel, gids, lower)
+			case 4:
+				foldIntExtreme(st.ext.Ints, col.I32, sel, gids, lower)
+			default:
+				foldIntExtreme(st.ext.Ints, col.Ints, sel, gids, lower)
+			}
 		case schema.Float64:
 			foldExtreme(st.ext.Floats, col.Floats, sel, gids, lower)
 		default:
 			foldExtreme(st.ext.Strs, col.Strs, sel, gids, lower)
 		}
+	}
+}
+
+// sumGroups adds the rows sel of v to their groups' int64 sums.
+func sumGroups[T storage.Int](sum []int64, v []T, sel, gids []int32) {
+	for r, i := range sel {
+		sum[gids[r]] += int64(v[i])
 	}
 }
 
@@ -289,6 +356,24 @@ func foldExtreme[T cmp.Ordered](ext, v []T, sel, gids []int32, lower bool) {
 	}
 	for r, i := range sel {
 		if x := v[i]; x > ext[gids[r]] {
+			ext[gids[r]] = x
+		}
+	}
+}
+
+// foldIntExtreme is foldExtreme for an int vector of any width into int64
+// extremes.
+func foldIntExtreme[T storage.Int](ext []int64, v []T, sel, gids []int32, lower bool) {
+	if lower {
+		for r, i := range sel {
+			if x := int64(v[i]); x < ext[gids[r]] {
+				ext[gids[r]] = x
+			}
+		}
+		return
+	}
+	for r, i := range sel {
+		if x := int64(v[i]); x > ext[gids[r]] {
 			ext[gids[r]] = x
 		}
 	}

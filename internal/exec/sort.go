@@ -56,7 +56,7 @@ func (s *rowStore) setRow(at, i int) {
 	for j, c := range s.in {
 		switch dst := s.cols[j]; c.Typ {
 		case schema.Int64:
-			dst.Ints[at] = c.Ints[i]
+			dst.Ints[at] = c.Int(i)
 		case schema.Float64:
 			dst.Floats[at] = c.Floats[i]
 		default:

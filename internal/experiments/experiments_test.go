@@ -230,23 +230,26 @@ func TestFig4Shape(t *testing.T) {
 	if sf.Points[0].Work.ValuesParsed >= monet.Points[0].Work.ValuesParsed {
 		t.Errorf("Split Files Q1 parsed %d values, MonetDB Q1 %d", sf.Points[0].Work.ValuesParsed, monet.Points[0].Work.ValuesParsed)
 	}
-	fileBytes := func(p Point) int64 { return p.Work.RawBytesRead + p.Work.SplitBytesRead }
 	// Reruns (even queries) read no file for every adaptive strategy.
 	for _, s := range []Series{col, v2, sf} {
 		for i := 1; i < len(s.Points); i += 2 {
-			if b := fileBytes(s.Points[i]); b != 0 {
-				t.Errorf("%s Q%d rerun read %d file bytes", s.Name, i+1, b)
+			if w := s.Points[i].Work; w.RawBytesRead != 0 || w.SplitBytesRead != 0 {
+				t.Errorf("%s Q%d rerun read %d raw and %d split-file bytes", s.Name, i+1, w.RawBytesRead, w.SplitBytesRead)
 			}
 		}
 	}
-	// Later misses: Split Files reads less than Column Loads and Partial
-	// V2, which re-read the raw file. Q5 is the third distinct query.
+	// Later misses: Split Files reads its split files only, and fewer
+	// bytes of them than Column Loads and Partial V2 re-read of the raw
+	// file. Q5 is the third distinct query.
 	q5 := 4
-	if fileBytes(sf.Points[q5]) >= fileBytes(col.Points[q5]) {
-		t.Errorf("Split Files Q5 read %d file bytes, Column Loads %d", fileBytes(sf.Points[q5]), fileBytes(col.Points[q5]))
+	split := sf.Points[q5].Work
+	if split.RawBytesRead != 0 || split.SplitBytesRead == 0 {
+		t.Errorf("Split Files Q5 read %d raw and %d split-file bytes, want 0 and > 0", split.RawBytesRead, split.SplitBytesRead)
 	}
-	if fileBytes(sf.Points[q5]) >= fileBytes(v2.Points[q5]) {
-		t.Errorf("Split Files Q5 read %d file bytes, Partial V2 %d", fileBytes(sf.Points[q5]), fileBytes(v2.Points[q5]))
+	for _, s := range []Series{col, v2} {
+		if raw := s.Points[q5].Work.RawBytesRead; split.SplitBytesRead >= raw {
+			t.Errorf("Split Files Q5 read %d split-file bytes, %s %d raw", split.SplitBytesRead, s.Name, raw)
+		}
 	}
 }
 
@@ -270,11 +273,16 @@ func TestAblationSplitFiles(t *testing.T) {
 	}
 	plain, _ := r.SeriesByName("column loads")
 	split, _ := r.SeriesByName("split files")
-	// After the first step, split loads must read fewer file bytes.
+	// After the first step, split loads read split files only, and fewer
+	// bytes of them than plain loads read of the raw file.
 	var plainBytes, splitBytes int64
 	for i := 1; i < len(plain.Points); i++ {
 		plainBytes += plain.Points[i].Work.RawBytesRead
-		splitBytes += split.Points[i].Work.RawBytesRead + split.Points[i].Work.SplitBytesRead
+		w := split.Points[i].Work
+		if w.RawBytesRead != 0 || w.SplitBytesRead == 0 {
+			t.Errorf("split step %d read %d raw and %d split-file bytes, want 0 and > 0", i+1, w.RawBytesRead, w.SplitBytesRead)
+		}
+		splitBytes += w.SplitBytesRead
 	}
 	if splitBytes >= plainBytes {
 		t.Errorf("split files should read less: split=%d plain=%d", splitBytes, plainBytes)

@@ -177,7 +177,7 @@ func Fig1b(c Config) (*Report, error) {
 			if err != nil {
 				return nil, err
 			}
-			cr := cracking.New(src.Columns[0].Ints)
+			cr := cracking.New(src.Columns[0].Int64s())
 			for i := 0; i < 6; i++ {
 				_, conj := q1Stmt(rng, rows)
 				if _, err := indexQ1(cr, src, conj, nil); err != nil {
@@ -282,7 +282,7 @@ func indexQ1(cr *cracking.Cracker, src exec.DenseSource, conj expr.Conjunction, 
 	for c, base := range src.Columns {
 		col := storage.NewDense(base.Typ, len(rows))
 		for _, row := range rows {
-			col.Ints = append(col.Ints, base.Ints[row])
+			col.Ints = append(col.Ints, base.Int(int(row)))
 		}
 		v.AddCol(exec.ColKey{Tab: 0, Col: c}, col)
 	}

@@ -206,7 +206,9 @@ func Fig4(c Config) (*Report, error) {
 	notes = append(notes, fmt.Sprintf(
 		"Q5 (fresh attribute pair): Column Loads / Split Files = %.1fx wall, %.1fx file bytes; Partial V2 / Split Files = %.1fx wall, %.1fx file bytes",
 		cl.Wall.Seconds()/sf.Wall.Seconds(), float64(fileBytes(cl))/float64(fileBytes(sf)),
-		pv.Wall.Seconds()/sf.Wall.Seconds(), float64(fileBytes(pv))/float64(fileBytes(sf))))
+		pv.Wall.Seconds()/sf.Wall.Seconds(), float64(fileBytes(pv))/float64(fileBytes(sf))),
+		fmt.Sprintf("Q5 file bytes: Column Loads %d raw, Partial V2 %d raw, Split Files %d raw + %d from split files",
+			cl.Work.RawBytesRead, pv.Work.RawBytesRead, sf.Work.RawBytesRead, sf.Work.SplitBytesRead))
 	return &Report{
 		ID:     "fig4",
 		Title:  fmt.Sprintf("Adaptive loading with file reorganization (%s x 12 attrs)", sizeLabel(rows)),

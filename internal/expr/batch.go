@@ -13,7 +13,10 @@ import (
 // batch) that are still alive; filtering shrinks it and never copies or
 // moves values. All integer-literal predicates on an int64 column fold
 // into one closed interval, tested with one unsigned compare per row; every
-// other predicate keeps its own typed loop. The loops are branch-free: each
+// other predicate keeps its own typed loop. The int loops are generic over
+// the column's physical width and compare in int64, so a literal outside
+// the width's range compares as it would against int64 values. The loops
+// are branch-free: each
 // writes every candidate position and advances its output cursor by the
 // comparison's 0/1 result, so their speed does not depend on selectivity.
 
@@ -121,7 +124,16 @@ func (f *Filter) Apply(get func(col int) *storage.DenseColumn, n int, sel, out [
 // dense runs the step over every row of a batch of len(out) rows.
 func (s *step) dense(col *storage.DenseColumn, out []int32) int {
 	if s.ranged {
-		return selectRangeDense(col.Ints[:len(out)], s.lo, s.hi, out)
+		n := len(out)
+		switch col.Width() {
+		case 1:
+			return selectRangeDense(col.I8[:n], s.lo, s.hi, out)
+		case 2:
+			return selectRangeDense(col.I16[:n], s.lo, s.hi, out)
+		case 4:
+			return selectRangeDense(col.I32[:n], s.lo, s.hi, out)
+		}
+		return selectRangeDense(col.Ints[:n], s.lo, s.hi, out)
 	}
 	for i := range out {
 		out[i] = int32(i)
@@ -132,6 +144,14 @@ func (s *step) dense(col *storage.DenseColumn, out []int32) int {
 // apply runs the step over the positions sel.
 func (s *step) apply(col *storage.DenseColumn, sel, out []int32) int {
 	if s.ranged {
+		switch col.Width() {
+		case 1:
+			return selectRange(col.I8, s.lo, s.hi, sel, out)
+		case 2:
+			return selectRange(col.I16, s.lo, s.hi, sel, out)
+		case 4:
+			return selectRange(col.I32, s.lo, s.hi, sel, out)
+		}
 		return selectRange(col.Ints, s.lo, s.hi, sel, out)
 	}
 	return s.pred.selectColumn(col, sel, out)
@@ -157,7 +177,15 @@ func (p Pred) selectColumn(col *storage.DenseColumn, sel, out []int32) int {
 	switch col.Typ {
 	case schema.Int64:
 		if !p.Between && p.Val.Typ == schema.Int64 {
-			return selectCmp(col.Ints, p.Op, p.Val.I, sel, out)
+			switch col.Width() {
+			case 1:
+				return selectInts(p, col.I8, sel, out)
+			case 2:
+				return selectInts(p, col.I16, sel, out)
+			case 4:
+				return selectInts(p, col.I32, sel, out)
+			}
+			return selectInts(p, col.Ints, sel, out)
 		}
 	case schema.Float64:
 		if p.Between {
@@ -184,6 +212,19 @@ func (p Pred) selectColumn(col *storage.DenseColumn, sel, out []int32) int {
 	return k
 }
 
+// selectInts is selectCmp over an int column stored at width T. A literal
+// outside T's range compares the same way against every value, as it does
+// against 0: the positions all survive or none does.
+func selectInts[T storage.Int](p Pred, v []T, sel, out []int32) int {
+	if x := T(p.Val.I); int64(x) == p.Val.I {
+		return selectCmp(v, p.Op, x, sel, out)
+	}
+	if !p.Eval(storage.IntValue(0)) {
+		return 0
+	}
+	return copy(out, sel)
+}
+
 // b2i is 1 for true and 0 for false. The compiler lowers it to a flag
 // move, so the loops below advance their cursor without a branch.
 func b2i(b bool) int {
@@ -196,21 +237,21 @@ func b2i(b bool) int {
 
 // selectRange keeps the positions whose value lies in [lo, hi] with one
 // unsigned compare: v-lo wraps past hi-lo exactly when v is outside.
-func selectRange(v []int64, lo, hi int64, sel, out []int32) int {
+func selectRange[T storage.Int](v []T, lo, hi int64, sel, out []int32) int {
 	span, k := uint64(hi-lo), 0
 	for _, i := range sel {
 		out[k] = i
-		k += b2i(uint64(v[i]-lo) <= span)
+		k += b2i(uint64(int64(v[i])-lo) <= span)
 	}
 	return k
 }
 
 // selectRangeDense is selectRange over every position of v.
-func selectRangeDense(v []int64, lo, hi int64, out []int32) int {
+func selectRangeDense[T storage.Int](v []T, lo, hi int64, out []int32) int {
 	span, k := uint64(hi-lo), 0
 	for i, x := range v {
 		out[k] = int32(i)
-		k += b2i(uint64(x-lo) <= span)
+		k += b2i(uint64(int64(x)-lo) <= span)
 	}
 	return k
 }

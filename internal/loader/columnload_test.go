@@ -66,7 +66,7 @@ func TestColumnLoadWorkersAgree(t *testing.T) {
 	for _, other := range []result{par, stream} {
 		for _, c := range cols {
 			a, b := seq.tab.Dense(c), other.tab.Dense(c)
-			if a == nil || b == nil || !slices.Equal(a.Ints, b.Ints) || len(a.Ints) != 20000 {
+			if a == nil || b == nil || !slices.Equal(a.Int64s(), b.Int64s()) || a.Len() != 20000 {
 				t.Fatalf("col %d: dense columns differ", c)
 			}
 			ar, ao := seq.tab.PosMap.Pairs(c)

@@ -38,6 +38,7 @@ import (
 	"context"
 	"fmt"
 	"sort"
+	"sync"
 
 	"nodb/internal/catalog"
 	"nodb/internal/exec"
@@ -290,25 +291,26 @@ func parseField(b []byte, typ schema.Type, format scan.Format) (storage.Value, e
 // fieldSink parses one raw field of a loaded column straight into the
 // column's typed slice at row and folds the value into the portion's
 // bounds (pc may be nil); no storage.Value is built. Column loads pick one
-// per column per pass, by format and type.
+// per column per portion, by format, type and int width.
 type fieldSink func(b []byte, row int, pc *synopsis.PortionAcc) error
 
 // newSink returns the sink storing into d, whose values are observed as
 // position idx of the pass' columns. A row one past the end of d appends:
-// a single uncounted portion streams its rows in order.
-func newSink(d *storage.DenseColumn, idx int, format scan.Format) fieldSink {
+// a single uncounted portion streams its rows in order. An int that d's
+// width cannot hold goes to sp instead (intSink).
+func newSink(d *storage.DenseColumn, idx int, format scan.Format, sp *spill) fieldSink {
 	p := parsersFor(format)
 	switch d.Typ {
 	case schema.Int64:
-		return func(b []byte, row int, pc *synopsis.PortionAcc) error {
-			v, err := p.ints(b)
-			if err != nil {
-				return err
-			}
-			put(&d.Ints, row, v)
-			pc.ObserveInt(idx, v)
-			return nil
+		switch d.Width() {
+		case 1:
+			return intSink(&d.I8, p.ints, idx, sp)
+		case 2:
+			return intSink(&d.I16, p.ints, idx, sp)
+		case 4:
+			return intSink(&d.I32, p.ints, idx, sp)
 		}
+		return intSink(&d.Ints, p.ints, idx, sp)
 	case schema.Float64:
 		return func(b []byte, row int, pc *synopsis.PortionAcc) error {
 			v, err := p.floats(b)
@@ -330,6 +332,45 @@ func newSink(d *storage.DenseColumn, idx int, format scan.Format) fieldSink {
 			return nil
 		}
 	}
+}
+
+// intSink parses ints into a column stored at width T. The first value
+// of a portion that T cannot hold starts the portion's spill: that value
+// and the rest of the portion's go to sp as int64s, and the pass' end
+// widens the column to hold them (columnLoad.settle).
+func intSink[T storage.Int](vals *[]T, parse func([]byte) (int64, error), idx int, sp *spill) fieldSink {
+	return func(b []byte, row int, pc *synopsis.PortionAcc) error {
+		v, err := parse(b)
+		if err != nil {
+			return err
+		}
+		pc.ObserveInt(idx, v)
+		if x := T(v); int64(x) == v && sp.vals == nil {
+			put(vals, row, x)
+			return nil
+		}
+		sp.add(row, v)
+		return nil
+	}
+}
+
+// spill is one portion's values of one int column from the first its
+// column's width could not hold on: rows from, from+1, ... as int64s.
+type spill struct {
+	cl   *columnLoad
+	col  int // position in cl.cols
+	from int
+	vals []int64
+}
+
+func (sp *spill) add(row int, v int64) {
+	if sp.vals == nil {
+		sp.from = row
+		sp.cl.mu.Lock()
+		sp.cl.spills[sp.col] = append(sp.cl.spills[sp.col], sp)
+		sp.cl.mu.Unlock()
+	}
+	sp.vals = append(sp.vals, v)
 }
 
 // put stores v at (*s)[row], appending when row is the next index.
@@ -402,13 +443,18 @@ func (l *Loader) columnLoadLocked(ctx context.Context, t *catalog.Table, cols []
 }
 
 // columnLoad is one pass' worth of loaded columns: dense values and, when
-// positions are recorded, their offsets, each indexed by row id.
+// positions are recorded, their offsets, each indexed by row id. An Int64
+// column is parsed at the width that holds the schema's sampled range;
+// the portions whose values stray past it spill, and settle widens the
+// column once the pass is over.
 type columnLoad struct {
-	cols  []int
-	rows  int64 // the rows the pass expects, or -1 when unknown
-	dense []*storage.DenseColumn
-	sinks []fieldSink
-	runs  []*posmap.Run // nil unless the pass records positions
+	cols   []int
+	rows   int64 // the rows the pass expects, or -1 when unknown
+	format scan.Format
+	dense  []*storage.DenseColumn
+	runs   []*posmap.Run // nil unless the pass records positions
+	mu     sync.Mutex    // guards spills
+	spills [][]*spill    // by column, the portions that spilled
 }
 
 // newColumnLoad prepares the columns a pass over a file of size bytes
@@ -422,35 +468,48 @@ type columnLoad struct {
 // miscounted layout from appending to a scattered column.
 func newColumnLoad(t *catalog.Table, cols []int, rows, size int64, record bool) *columnLoad {
 	sch := t.Schema()
-	cl := &columnLoad{cols: cols, rows: rows, dense: make([]*storage.DenseColumn, len(cols)), sinks: make([]fieldSink, len(cols))}
+	cl := &columnLoad{cols: cols, rows: rows, format: sch.Format, dense: make([]*storage.DenseColumn, len(cols)), spills: make([][]*spill, len(cols))}
 	record = record && t.PosMap != nil
 	if record {
 		cl.runs = make([]*posmap.Run, len(cols))
 	}
 	for i, c := range cols {
-		if rows >= 0 {
-			cl.dense[i] = storage.NewDenseSized(sch.Columns[c].Type, int(rows))
-		} else {
-			cl.dense[i] = storage.NewDense(sch.Columns[c].Type, 1024)
-		}
+		cl.dense[i] = newLoadColumn(sch.Columns[c], rows)
 		if record {
 			cl.runs[i] = posmap.NewRun(max(rows, 0), size)
 		}
-		cl.sinks[i] = newSink(cl.dense[i], i, sch.Format)
 	}
 	return cl
+}
+
+// newLoadColumn returns the column a load parses col into: rows zero
+// values to scatter into, or an empty column to append to when rows is
+// -1. An Int64 column is stored at the width that holds the schema's
+// sampled range; appends widen it as values demand (AppendInt).
+func newLoadColumn(col schema.Column, rows int64) *storage.DenseColumn {
+	switch {
+	case col.Type == schema.Int64:
+		return storage.NewDenseInts(storage.WidthFor(col.Lo, col.Hi), int(max(rows, 0)))
+	case rows >= 0:
+		return storage.NewDenseSized(col.Type, int(rows))
+	}
+	return storage.NewDense(col.Type, 1024)
 }
 
 // handler returns one portion's row handler: it parses the row's fields
 // into their columns, folding the values into the portion's bounds, and
 // records their offsets.
 func (cl *columnLoad) handler(pc *synopsis.PortionAcc, tally *portionTally) scan.RowHandler {
+	sinks := make([]fieldSink, len(cl.cols))
+	for i, d := range cl.dense {
+		sinks[i] = newSink(d, i, cl.format, &spill{cl: cl, col: i})
+	}
 	return func(rowID int64, fields []scan.FieldRef) error {
 		if cl.rows >= 0 && rowID >= cl.rows {
 			return fmt.Errorf("loader: row %d beyond the %d rows the layout counted", rowID, cl.rows)
 		}
 		for i, f := range fields {
-			if err := cl.sinks[i](f.Bytes, int(rowID), pc); err != nil {
+			if err := sinks[i](f.Bytes, int(rowID), pc); err != nil {
 				return fmt.Errorf("loader: row %d col %d: %w", rowID, cl.cols[i], err)
 			}
 			if cl.runs != nil {
@@ -462,12 +521,39 @@ func (cl *columnLoad) handler(pc *synopsis.PortionAcc, tally *portionTally) scan
 	}
 }
 
+// settle completes a pass of rows rows: each int column that spilled is
+// copied at the width that also holds its spilled values, which are
+// written in over their rows, and one that grew by appending is copied
+// to its exact length. A column that did not spill is otherwise final as
+// parsed: every value fit the width of the sampled range, so that width
+// is the narrowest for the column's [min, max].
+func (cl *columnLoad) settle(rows int64) {
+	for i, sps := range cl.spills {
+		d := cl.dense[i]
+		if d.Typ != schema.Int64 || len(sps) == 0 && d.MemSize() == rows*int64(d.Width()) {
+			continue
+		}
+		w := d.Width()
+		for _, sp := range sps {
+			w = max(w, storage.WidthFor((&storage.DenseColumn{Typ: schema.Int64, Ints: sp.vals}).IntRange()))
+		}
+		x := storage.NewDenseInts(w, int(rows))
+		x.PutInts(0, d)
+		for _, sp := range sps {
+			x.PutInts(sp.from, &storage.DenseColumn{Typ: schema.Int64, Ints: sp.vals})
+		}
+		cl.dense[i] = x
+	}
+}
+
 // commit checks that a completed pass wrote every slot exactly once, then
 // records the pass and publishes its columns.
 func (cl *columnLoad) commit(l *Loader, t *catalog.Table, ps *portionedScan) error {
-	if n := ps.sc.RowsScanned(); cl.rows >= 0 && n != cl.rows {
+	n := ps.sc.RowsScanned()
+	if cl.rows >= 0 && n != cl.rows {
 		return fmt.Errorf("loader: scanned %d rows, the layout counted %d", n, cl.rows)
 	}
+	cl.settle(n)
 	l.finish(ps, t)
 	l.install(t, cl.cols, cl.dense, cl.runs)
 	return nil

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -73,11 +74,11 @@ func TestColumnLoad(t *testing.T) {
 	if d0 == nil || d2 == nil {
 		t.Fatal("columns not loaded")
 	}
-	if d0.Ints[0] != 10 || d0.Ints[3] != 40 {
-		t.Errorf("col 0 = %v", d0.Ints)
+	if d0.Int(0) != 10 || d0.Int(3) != 40 {
+		t.Errorf("col 0 = %v", d0.Int64s())
 	}
-	if d2.Ints[1] != 2000 {
-		t.Errorf("col 2 = %v", d2.Ints)
+	if d2.Int(1) != 2000 {
+		t.Errorf("col 2 = %v", d2.Int64s())
 	}
 	if tab.Dense(1) != nil || tab.Dense(3) != nil {
 		t.Error("unrequested columns should not load")
@@ -146,7 +147,7 @@ func TestDenseSourceFor(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if src.NumRows != 4 || src.Columns[1].Ints[2] != 300 {
+	if src.NumRows != 4 || src.Columns[1].Int(2) != 300 {
 		t.Errorf("source = %+v", src)
 	}
 }
@@ -177,8 +178,8 @@ func TestPartialScan(t *testing.T) {
 		t.Errorf("rows = %v", v.Rows)
 	}
 	col0 := v.Col(exec.ColKey{Tab: 0, Col: 0})
-	if col0.Ints[0] != 20 || col0.Ints[1] != 30 {
-		t.Errorf("col0 = %v", col0.Ints)
+	if col0.Int(0) != 20 || col0.Int(1) != 30 {
+		t.Errorf("col0 = %v", col0.Int64s())
 	}
 	// V1 semantics: nothing retained.
 	if tab.Sparse(0, false) != nil || tab.Dense(0) != nil {
@@ -199,7 +200,7 @@ func TestPartialScanProjectionBeyondPredicates(t *testing.T) {
 		t.Fatal(err)
 	}
 	col3 := v.Col(exec.ColKey{Tab: 0, Col: 3})
-	if col3 == nil || col3.Len() != 2 || col3.Ints[0] != 6 || col3.Ints[1] != 7 {
+	if col3 == nil || col3.Len() != 2 || col3.Int(0) != 6 || col3.Int(1) != 7 {
 		t.Errorf("col3 = %+v", col3)
 	}
 	// Predicate columns ride along in the view.
@@ -337,7 +338,7 @@ func TestSplitColumnLoad(t *testing.T) {
 	if err := l.SplitColumnLoadContext(context.Background(), tab, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
-	if tab.Dense(0) == nil || tab.Dense(0).Ints[2] != 30 {
+	if tab.Dense(0) == nil || tab.Dense(0).Int(2) != 30 {
 		t.Error("split load col 0 wrong")
 	}
 	if !tab.Splits.HasSidecar(0) || !tab.Splits.HasSidecar(1) {
@@ -354,7 +355,7 @@ func TestSplitColumnLoad(t *testing.T) {
 	if delta.RawBytesRead >= rawSize {
 		t.Errorf("residual load read %d bytes, raw file is %d", delta.RawBytesRead, rawSize)
 	}
-	if tab.Dense(3) == nil || tab.Dense(3).Ints[1] != 6 {
+	if tab.Dense(3) == nil || tab.Dense(3).Int(1) != 6 {
 		t.Errorf("col 3 = %+v", tab.Dense(3))
 	}
 	// Column 3's split registered a sidecar for 2 and 3 (residual had 2,3).
@@ -368,11 +369,41 @@ func TestSplitColumnLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	delta = c.Snapshot().Sub(before)
-	if tab.Dense(2) == nil || tab.Dense(2).Ints[3] != 4000 {
+	if tab.Dense(2) == nil || tab.Dense(2).Int(3) != 4000 {
 		t.Errorf("col 2 = %+v", tab.Dense(2))
 	}
 	if delta.AttrsTokenized > 4 { // one attr per row
 		t.Errorf("sidecar load tokenized %d attrs, want 4", delta.AttrsTokenized)
+	}
+}
+
+// TestSidecarReloadChargesSplitBytes: a column reloaded from its sidecar
+// reads the split file only, and the bytes count as split-file bytes, not
+// raw ones.
+func TestSidecarReloadChargesSplitBytes(t *testing.T) {
+	tab, c := testTable(t, smallCSV, catalog.Options{})
+	l := &Loader{Counters: c}
+	if err := l.SplitColumnLoadContext(context.Background(), tab, []int{0, 1}); err != nil {
+		t.Fatal(err)
+	}
+	if w := c.Snapshot(); w.RawBytesRead == 0 || w.SplitBytesRead != 0 {
+		t.Fatalf("first split load read %d raw and %d split-file bytes, want > 0 and 0", w.RawBytesRead, w.SplitBytesRead)
+	}
+	want := tab.Dense(0).Int64s()
+	tab.SetDense(0, nil) // no governor: the column is simply gone
+	before := c.Snapshot()
+	if err := l.SplitColumnLoadContext(context.Background(), tab, []int{0}); err != nil {
+		t.Fatal(err)
+	}
+	d := c.Snapshot().Sub(before)
+	if d.RawBytesRead != 0 || d.SplitBytesRead == 0 {
+		t.Errorf("sidecar reload read %d raw and %d split-file bytes, want 0 and > 0", d.RawBytesRead, d.SplitBytesRead)
+	}
+	if d.RowsTokenized != 4 {
+		t.Errorf("sidecar reload tokenized %d rows, want 4", d.RowsTokenized)
+	}
+	if got := tab.Dense(0); got == nil || !slices.Equal(got.Int64s(), want) {
+		t.Errorf("reloaded col 0 = %v, want %v", got, want)
 	}
 }
 
@@ -396,9 +427,9 @@ func TestSplitColumnLoadMatchesColumnLoad(t *testing.T) {
 		if da == nil || db == nil {
 			t.Fatalf("col %d not loaded", col)
 		}
-		for i := range da.Ints {
-			if da.Ints[i] != db.Ints[i] {
-				t.Fatalf("col %d row %d: plain=%d split=%d", col, i, da.Ints[i], db.Ints[i])
+		for i := range da.Int64s() {
+			if da.Int(i) != db.Int(i) {
+				t.Fatalf("col %d row %d: plain=%d split=%d", col, i, da.Int(i), db.Int(i))
 			}
 		}
 	}
@@ -448,9 +479,9 @@ func TestPositionalColumnLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b := tab.Dense(8), tab2.Dense(8)
-	for i := range a.Ints {
-		if a.Ints[i] != b.Ints[i] {
-			t.Fatalf("row %d: positional=%d plain=%d", i, a.Ints[i], b.Ints[i])
+	for i := range a.Int64s() {
+		if a.Int(i) != b.Int(i) {
+			t.Fatalf("row %d: positional=%d plain=%d", i, a.Int(i), b.Int(i))
 		}
 	}
 }
@@ -481,8 +512,8 @@ func TestLoaderHeaderFile(t *testing.T) {
 	if tab.NumRows() != 2 {
 		t.Errorf("rows = %d (header must not count)", tab.NumRows())
 	}
-	if tab.Dense(0).Ints[0] != 1 {
-		t.Errorf("col x = %v", tab.Dense(0).Ints)
+	if tab.Dense(0).Int(0) != 1 {
+		t.Errorf("col x = %v", tab.Dense(0).Int64s())
 	}
 	if tab.Schema().ColIndex("y") != 1 {
 		t.Error("named column lookup")

@@ -87,7 +87,7 @@ func TestPositionalLoadNDJSONReadsOnce(t *testing.T) {
 			t.Errorf("%+v: work %v, want %d posmap hits, %d rows, %d attrs and values", cfg, w, 3*rows, rows, 3*rows)
 		}
 		for _, col := range cols {
-			if a, b := tab.Dense(col), twin.Dense(col); a == nil || !slices.Equal(a.Ints, b.Ints) {
+			if a, b := tab.Dense(col), twin.Dense(col); a == nil || !slices.Equal(a.Int64s(), b.Int64s()) {
 				t.Fatalf("%+v: col %d differs from the CSV twin", cfg, col)
 			}
 		}
@@ -190,7 +190,7 @@ func TestPositionalLoadFailuresInstallNothing(t *testing.T) {
 				t.Errorf("AttrsTokenized = %d, want >= %d: the plain scan did not run", w.AttrsTokenized, want)
 			}
 			for _, col := range cols {
-				if a, b := tab.Dense(col), twin.Dense(col); a == nil || !slices.Equal(a.Ints, b.Ints) {
+				if a, b := tab.Dense(col), twin.Dense(col); a == nil || !slices.Equal(a.Int64s(), b.Int64s()) {
 					t.Fatalf("col %d differs from a plain load", col)
 				}
 			}

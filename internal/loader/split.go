@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"nodb/internal/catalog"
+	"nodb/internal/metrics"
 	"nodb/internal/scan"
 	"nodb/internal/splitfile"
 	"nodb/internal/storage"
@@ -76,6 +77,13 @@ func (l *Loader) SplitColumnLoadContext(ctx context.Context, t *catalog.Table, c
 // effect.
 func (l *Loader) loadGroup(ctx context.Context, t *catalog.Table, src splitfile.Source, locals, origs []int) error {
 	sch := t.Schema()
+	counters := l.Counters
+	if !src.Raw && counters != nil {
+		// The scanner charges every byte it reads as raw; a split file's
+		// go to SplitBytesRead instead.
+		counters = &metrics.Counters{}
+		defer chargeSplit(l.Counters, counters)
+	}
 	opts := scan.Options{
 		Delimiter: sch.Delimiter,
 		// Splitting requires rows in file order; keep one worker. Sidecar
@@ -84,7 +92,7 @@ func (l *Loader) loadGroup(ctx context.Context, t *catalog.Table, src splitfile.
 		Workers:    1,
 		ChunkSize:  l.ChunkSize,
 		SkipHeader: src.Raw && sch.HasHeader,
-		Counters:   l.Counters,
+		Counters:   counters,
 		Context:    ctx,
 		FS:         l.FS,
 	}
@@ -97,7 +105,7 @@ func (l *Loader) loadGroup(ctx context.Context, t *catalog.Table, src splitfile.
 	// the row count falls out of the scan itself.
 	dense := make([]*storage.DenseColumn, len(origs))
 	for i, c := range origs {
-		dense[i] = storage.NewDense(sch.Columns[c].Type, 1024)
+		dense[i] = newLoadColumn(sch.Columns[c], -1)
 	}
 	// parseAt[i] is the index in origs to parse for tokenized local column
 	// i, or -1 when the column is tokenized only for splitting.
@@ -177,6 +185,16 @@ func (l *Loader) loadGroup(ctx context.Context, t *catalog.Table, src splitfile.
 	}
 	l.install(t, origs, dense, nil)
 	return nil
+}
+
+// chargeSplit adds the work of a split-file scan, counted in scanned, to
+// c: the bytes it read as SplitBytesRead, its tokenizing as it is.
+func chargeSplit(c, scanned *metrics.Counters) {
+	s := scanned.Snapshot()
+	c.AddSplitBytesRead(s.RawBytesRead)
+	c.AddRowsTokenized(s.RowsTokenized)
+	c.AddAttrsTokenized(s.AttrsTokenized)
+	c.AddRowsAbandoned(s.RowsAbandoned)
 }
 
 // checkSplitRows validates that a split source agrees with the table's row

@@ -76,6 +76,7 @@ func (l *Loader) ExtendTail(t *catalog.Table, g catalog.Growth) (*catalog.TailUp
 	if n <= 0 {
 		return nil, fmt.Errorf("loader: appended tail of %s tokenized no rows", t.Path())
 	}
+	cl.settle(n)
 
 	tail := make(map[int]*storage.DenseColumn, len(cols))
 	u := &catalog.TailUpdate{Rows: n, Dense: map[int]*storage.DenseColumn{}, Offsets: map[int][]int64{}}
@@ -86,12 +87,10 @@ func (l *Loader) ExtendTail(t *catalog.Table, g catalog.Growth) (*catalog.TailUp
 		}
 	}
 	// Dense columns extend copy-on-write, sized exactly: readers of the
-	// old arrays are unaffected, and the catalog swaps the copies in.
+	// old arrays are unaffected, and the catalog swaps the copies in. An
+	// int column's copy takes the wider of its width and the tail's.
 	for c, d := range g.Dense {
-		x := storage.NewDense(d.Typ, d.Len()+int(n))
-		x.AppendSelected(d, nil, d.Len())
-		x.AppendSelected(tail[c], nil, int(n))
-		u.Dense[c] = x
+		u.Dense[c] = d.Extend(tail[c])
 	}
 	if acc != nil {
 		u.Portion = &synopsis.PortionState{
@@ -166,7 +165,7 @@ func requalify(r catalog.Region, tail map[int]*storage.DenseColumn, first, n int
 rows:
 	for i := range int(n) {
 		for c, iv := range r.Ranges {
-			if !iv.Contains(tail[c].Ints[i]) {
+			if !iv.Contains(tail[c].Int(i)) {
 				continue rows
 			}
 		}

@@ -67,8 +67,8 @@ func TestRevalidateGrowthExtendsState(t *testing.T) {
 	if ext == nil {
 		t.Fatal("dense column dropped by growth")
 	}
-	if len(ext.Ints) != 4 || ext.Ints[2] != 5 || ext.Ints[3] != 7 {
-		t.Errorf("dense after growth = %v, want [1 3 5 7]", ext.Ints)
+	if ext.Len() != 4 || ext.Int(2) != 5 || ext.Int(3) != 7 {
+		t.Errorf("dense after growth = %v, want [1 3 5 7]", ext.Int64s())
 	}
 	if tab.Dense(1) != nil {
 		t.Error("unloaded column materialized by growth")
@@ -198,7 +198,7 @@ func TestExtendTailMatchesColdLoad(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, col := range []int{0, 1, 3} {
-		if got, want := tab.Dense(col), cold.Dense(col); got == nil || !slices.Equal(got.Ints, want.Ints) {
+		if got, want := tab.Dense(col), cold.Dense(col); got == nil || !slices.Equal(got.Int64s(), want.Int64s()) {
 			t.Errorf("col %d differs from a cold load of the grown file", col)
 		}
 	}
@@ -238,7 +238,7 @@ func TestExtendTailMatchesColdLoad(t *testing.T) {
 	}
 	for _, col := range []int{0, 2} {
 		k := exec.ColKey{Col: col}
-		if !slices.Equal(got.Col(k).Ints, want.Col(k).Ints) {
+		if !slices.Equal(got.Col(k).Int64s(), want.Col(k).Int64s()) {
 			t.Errorf("col %d: grown region values differ from a cold scan", col)
 		}
 	}

@@ -53,6 +53,30 @@ func widen(a, b Type) Type {
 type Column struct {
 	Name string
 	Type Type
+	// Lo and Hi bound the values of an Int64 column in the detection
+	// sample (0 for other types). Loads parse the column at the narrowest
+	// width that holds them, and widen when the file strays outside.
+	Lo, Hi int64
+}
+
+// intRange folds the integer fields of one sampled column.
+type intRange struct {
+	lo, hi int64
+	n      int
+}
+
+func (r *intRange) add(b []byte) {
+	v, err := scan.ParseInt64(b)
+	if err != nil {
+		return
+	}
+	if r.n == 0 || v < r.lo {
+		r.lo = v
+	}
+	if r.n == 0 || v > r.hi {
+		r.hi = v
+	}
+	r.n++
 }
 
 // Schema describes a flat file's structure.
@@ -183,12 +207,17 @@ func DetectBytes(sample []byte, opts DetectOptions) (*Schema, error) {
 
 	// Infer types over data rows, tentatively treating row 0 as data.
 	sawData := false
+	ranges := make([]intRange, ncols)
 	rowType := func(fields [][]byte, acc []Type) bool {
 		if len(fields) != ncols {
 			return false
 		}
 		for i, fb := range fields {
-			acc[i] = widen(acc[i], fieldType(fb))
+			t := fieldType(fb)
+			acc[i] = widen(acc[i], t)
+			if t == Int64 {
+				ranges[i].add(fb)
+			}
 		}
 		return true
 	}
@@ -240,12 +269,15 @@ func DetectBytes(sample []byte, opts DetectOptions) (*Schema, error) {
 		if !sawData {
 			all = make([]Type, ncols)
 		}
-		for i, fb := range first {
-			all[i] = widen(all[i], fieldType(fb))
-		}
+		rowType(first, all)
 		cols = make([]Column, ncols)
 		for i := range cols {
 			cols[i] = Column{Name: fmt.Sprintf("a%d", i+1), Type: all[i]}
+		}
+	}
+	for i := range cols {
+		if cols[i].Type == Int64 {
+			cols[i].Lo, cols[i].Hi = ranges[i].lo, ranges[i].hi
 		}
 	}
 	return &Schema{Delimiter: delim, HasHeader: hasHeader, Columns: cols}, nil
@@ -257,6 +289,7 @@ func DetectBytes(sample []byte, opts DetectOptions) (*Schema, error) {
 // else — strings, literals, nested composites — is String).
 func detectNDJSON(lines [][]byte) (*Schema, error) {
 	var cols []Column
+	var ranges []intRange
 	index := map[string]int{}
 	for _, l := range lines {
 		if len(l) == 0 {
@@ -264,12 +297,18 @@ func detectNDJSON(lines [][]byte) (*Schema, error) {
 		}
 		err := scan.WalkJSONObject(l, func(key string, value []byte) bool {
 			t := jsonFieldType(value)
-			if i, ok := index[key]; ok {
+			i, ok := index[key]
+			if ok {
 				cols[i].Type = widen(cols[i].Type, t)
-				return true
+			} else {
+				i = len(cols)
+				index[key] = i
+				cols = append(cols, Column{Name: key, Type: t})
+				ranges = append(ranges, intRange{})
 			}
-			index[key] = len(cols)
-			cols = append(cols, Column{Name: key, Type: t})
+			if t == Int64 {
+				ranges[i].add(value)
+			}
 			return true
 		})
 		if err != nil {
@@ -278,6 +317,11 @@ func detectNDJSON(lines [][]byte) (*Schema, error) {
 	}
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("schema: no keys in NDJSON sample")
+	}
+	for i := range cols {
+		if cols[i].Type == Int64 {
+			cols[i].Lo, cols[i].Hi = ranges[i].lo, ranges[i].hi
+		}
 	}
 	return &Schema{Format: scan.FormatNDJSON, Columns: cols}, nil
 }

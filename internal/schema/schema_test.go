@@ -199,7 +199,7 @@ func TestDetectNDJSON(t *testing.T) {
 		t.Fatalf("Format = %v, want ndjson", s.Format)
 	}
 	want := []Column{
-		{Name: "id", Type: Int64},
+		{Name: "id", Type: Int64, Lo: 1, Hi: 2},
 		{Name: "score", Type: Float64},
 		{Name: "name", Type: String},
 		{Name: "extra", Type: String},

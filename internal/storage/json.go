@@ -48,8 +48,8 @@ func AppendJSONRows(dst []byte, rows [][]Value) ([]byte, error) {
 // AppendJSONCols appends n rows of column vectors as NDJSON lines, byte
 // for byte what AppendJSONRow writes for the same rows boxed. Row r is
 // position sel[r] of every column, or position r when sel is nil. Each
-// column's kind and typed vector are resolved once per batch, and values
-// are read straight from the vectors.
+// column's kind, int width and typed vector are resolved once per batch,
+// and values are read straight from the vectors.
 //
 // Reservation: before each row, dst's spare capacity is grown to the
 // row's bound counting no float or string: 3 bytes for "[", "]" and the
@@ -62,13 +62,17 @@ func AppendJSONRows(dst []byte, rows [][]Value) ([]byte, error) {
 // appended.
 func AppendJSONCols(dst []byte, cols []*DenseColumn, sel []int32, n int) ([]byte, error) {
 	var buf [16]DenseColumn // the columns' headers, copied once per batch
-	vecs := buf[:0]
+	var kbuf [16]int        // each column's int width, 0 for a float or string
+	vecs, kinds := buf[:0], kbuf[:0]
 	bound := 3 + len(cols)
 	for _, c := range cols {
 		vecs = append(vecs, *c)
+		k := 0
 		if c.Typ == schema.Int64 {
+			k = c.Width()
 			bound += maxIntLen
 		}
+		kinds = append(kinds, k)
 	}
 	back := min(len(vecs), 1) // the last value's ',' becomes the ']'
 	for r := 0; r < n; r++ {
@@ -83,10 +87,20 @@ func AppendJSONCols(dst []byte, cols []*DenseColumn, sel []int32, n int) ([]byte
 		p := mark + 1
 		for j := range vecs {
 			v := &vecs[j]
+			var x int64
+			switch kinds[j] {
+			case 1:
+				x = int64(v.I8[i])
+			case 2:
+				x = int64(v.I16[i])
+			case 4:
+				x = int64(v.I32[i])
+			case 8:
+				x = v.Ints[i]
+			}
 			switch v.Typ {
 			case schema.Int64:
 				// Inlined by hand: a call per int costs more than its digits.
-				x := v.Ints[i]
 				u := uint64(x)
 				if x < 0 {
 					b[p] = '-'

@@ -186,10 +186,11 @@ func checkJSONCols(t *testing.T, cols []*DenseColumn, sel []int32, n, room int) 
 // columns and a random selection vector. shape picks the layout: dst's
 // spare capacity (none, exactly the output or one row short of it), the
 // columns' kinds (mixed, or all int, all float or all string), whether the
-// batch is large (up to 2 000 rows; otherwise up to 6), and seeds the
-// rest. The seeds' shapes 0, 1, 2, ... cover every combination, so the
-// encoder's per-row reservations and the growth between them are
-// reached on the way to the exact output.
+// batch is large (up to 2 000 rows; otherwise up to 6), the int columns'
+// width (8, 1, 2 or 4 bytes; their values are cut to fit it), and seeds
+// the rest. The seeds' shapes cover every combination, so the encoder's
+// per-row reservations and the growth between them are reached on the
+// way to the exact output at every width.
 func FuzzAppendJSONCols(f *testing.F) {
 	ints := []int64{0, 9, -9, 10, -10, 99, -99, 100, -100, math.MinInt64, math.MaxInt64}
 	for p := int64(10); p <= 1e18; p *= 10 {
@@ -203,6 +204,11 @@ func FuzzAppendJSONCols(f *testing.F) {
 	for k, x := range floats {
 		f.Add(int64(k), x, strs[k%len(strs)], uint64(k)*7919)
 	}
+	for w := uint64(0); w < 4; w++ {
+		for _, i := range []int64{math.MinInt64, -129, -128, 127, 128, 32767, -32769, 1 << 31} {
+			f.Add(i, 0.5, "s", w*48+3) // all int, large
+		}
+	}
 	kinds := []schema.Type{schema.Int64, schema.Float64, schema.String}
 	f.Fuzz(func(t *testing.T, i int64, x float64, s string, shape uint64) {
 		room := int(shape % 3)
@@ -212,6 +218,7 @@ func FuzzAppendJSONCols(f *testing.F) {
 		if shape/12%4 == 0 {
 			n = rng.IntN(2001)
 		}
+		width := []int{8, 1, 2, 4}[shape/48%4]
 		cols := make([]*DenseColumn, 1+rng.IntN(4))
 		for j := range cols {
 			k := kind
@@ -222,12 +229,16 @@ func FuzzAppendJSONCols(f *testing.F) {
 			for r := 0; r < n; r++ {
 				switch c.Typ {
 				case schema.Int64:
-					c.Ints = append(c.Ints, []int64{i, -i, i / 10, i + 1, rng.Int64() >> rng.IntN(64)}[rng.IntN(5)])
+					v := []int64{i, -i, i / 10, i + 1, rng.Int64() >> rng.IntN(64)}[rng.IntN(5)]
+					c.Ints = append(c.Ints, v<<(64-8*width)>>(64-8*width))
 				case schema.Float64:
 					c.Floats = append(c.Floats, []float64{x, -x, x / 3, rng.NormFloat64() * 1e9}[rng.IntN(4)])
 				default:
 					c.Strs = append(c.Strs, []string{s, s[rng.IntN(len(s)+1):], ""}[rng.IntN(3)])
 				}
+			}
+			if c.Typ == schema.Int64 {
+				c = c.AsWidth(width)
 			}
 			cols[j] = c
 		}

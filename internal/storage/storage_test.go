@@ -177,8 +177,8 @@ func TestSparseToDense(t *testing.T) {
 	}
 	want := []int64{0, 11, 0, 33, 0}
 	for i, w := range want {
-		if d.Ints[i] != w {
-			t.Errorf("dense[%d] = %d, want %d", i, d.Ints[i], w)
+		if d.Int(i) != w {
+			t.Errorf("dense[%d] = %d, want %d", i, d.Int(i), w)
 		}
 	}
 }
