@@ -263,3 +263,50 @@ func TestColumnLoadLayoutMismatchErrors(t *testing.T) {
 		}
 	}
 }
+
+// TestColumnLoadWidensPastSample: a column whose values outgrow the
+// schema sample's range after it — a row-id sequence — spills in the
+// portions that stray and ends at the width of its whole [min, max]; a
+// column the sample covers stays at the sample's width. Every way of
+// running the pass (appending, scattering, positional) agrees on values,
+// widths and MemSize.
+func TestColumnLoadWidensPastSample(t *testing.T) {
+	var sb strings.Builder
+	const rows = 40000
+	for i := 0; i < rows; i++ {
+		fmt.Fprintf(&sb, "%d,%d,%d\n", i%100, i, -i*100_000)
+	}
+	path := filepath.Join(t.TempDir(), "seq.csv")
+	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	wantWidth := []int{1, 4, 8}
+	for _, l := range []*Loader{{Workers: 1}, {Workers: 4, ChunkSize: 4096}, {Workers: 4, ChunkSize: 4096, RecordPositions: true, UsePositions: true, UseSynopsis: true}} {
+		tab, c := linkFresh(t, path, catalog.Options{})
+		l.Counters = c
+		if l.UsePositions {
+			// Load a1 and a2 first: a2's positions anchor the positional
+			// load of a3.
+			if err := l.ColumnLoadContext(context.Background(), tab, []int{0, 1}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := l.ColumnLoadContext(context.Background(), tab, []int{0, 1, 2}); err != nil {
+			t.Fatal(err)
+		}
+		if l.UsePositions && c.Snapshot().PosMapHits == 0 {
+			t.Error("the second load did not use positions")
+		}
+		for col, w := range wantWidth {
+			d := tab.Dense(col)
+			if d.Width() != w || d.Len() != rows || d.MemSize() != int64(rows*w) {
+				t.Fatalf("workers %d col %d: width %d, %d rows, MemSize %d; want %d, %d, %d", l.Workers, col, d.Width(), d.Len(), d.MemSize(), w, rows, rows*w)
+			}
+			for i := 0; i < rows; i += 997 {
+				if got, want := d.Int(i), []int64{int64(i % 100), int64(i), int64(-i * 100_000)}[col]; got != want {
+					t.Fatalf("workers %d col %d row %d = %d, want %d", l.Workers, col, i, got, want)
+				}
+			}
+		}
+	}
+}

@@ -346,7 +346,12 @@ func intSink[T storage.Int](vals *[]T, parse func([]byte) (int64, error), idx in
 		}
 		pc.ObserveInt(idx, v)
 		if x := T(v); int64(x) == v && sp.vals == nil {
-			put(vals, row, x)
+			// put, by hand: a generic call from generic code is not inlined.
+			if row < len(*vals) {
+				(*vals)[row] = x
+			} else {
+				*vals = append(*vals, x)
+			}
 			return nil
 		}
 		sp.add(row, v)

@@ -273,7 +273,7 @@ func (c *DenseColumn) Slice(lo, hi int) DenseColumn {
 func (c *DenseColumn) Append(v Value) {
 	switch c.Typ {
 	case schema.Int64:
-		c.AppendInt(v.I)
+		c.appendInt(v.I)
 	case schema.Float64:
 		c.Floats = append(c.Floats, v.AsFloat())
 	default:
@@ -281,9 +281,9 @@ func (c *DenseColumn) Append(v Value) {
 	}
 }
 
-// AppendInt appends v to an Int64 column, first widening the column when
+// appendInt appends v to an Int64 column, first widening the column when
 // v does not fit its width.
-func (c *DenseColumn) AppendInt(v int64) {
+func (c *DenseColumn) appendInt(v int64) {
 	ok := true
 	switch c.Width() {
 	case 1:
@@ -296,8 +296,8 @@ func (c *DenseColumn) AppendInt(v int64) {
 		c.Ints = append(c.Ints, v)
 	}
 	if !ok {
-		*c = *c.AsWidth(WidthFor(v, v))
-		c.AppendInt(v)
+		*c = *c.asWidth(WidthFor(v, v))
+		c.appendInt(v)
 	}
 }
 
@@ -316,7 +316,7 @@ func (c *DenseColumn) AppendSelected(src *DenseColumn, sel []int32, n int) {
 	switch src.Typ {
 	case schema.Int64:
 		if c.Width() < src.Width() {
-			*c = *c.AsWidth(src.Width())
+			*c = *c.asWidth(src.Width())
 		}
 		c.appendInts(src, sel, n)
 	case schema.Float64:
@@ -378,9 +378,9 @@ func appendSel[T any](dst, src []T, sel []int32, n int) []T {
 	return dst
 }
 
-// AsWidth returns a copy of the Int64 column c stored at width w, which
+// asWidth returns a copy of the Int64 column c stored at width w, which
 // must hold every value of c.
-func (c *DenseColumn) AsWidth(w int) *DenseColumn {
+func (c *DenseColumn) asWidth(w int) *DenseColumn {
 	d := NewDenseInts(w, c.Len())
 	d.PutInts(0, c)
 	return d
@@ -418,7 +418,7 @@ func (c *DenseColumn) Narrow() *DenseColumn {
 		return c
 	}
 	if w := WidthFor(c.IntRange()); w != c.Width() {
-		return c.AsWidth(w)
+		return c.asWidth(w)
 	}
 	return c
 }
@@ -429,7 +429,7 @@ func (c *DenseColumn) Int64s() []int64 {
 	if c.Width() == 8 {
 		return c.Ints
 	}
-	return c.AsWidth(8).Ints
+	return c.asWidth(8).Ints
 }
 
 // PutInts overwrites positions at, at+1, ... of the Int64 column c with the
@@ -467,7 +467,7 @@ func (c *DenseColumn) Set(i int, v Value) {
 	switch c.Typ {
 	case schema.Int64:
 		if w := WidthFor(v.I, v.I); w > c.Width() {
-			*c = *c.AsWidth(w)
+			*c = *c.asWidth(w)
 		}
 		c.PutInts(i, &DenseColumn{Typ: schema.Int64, Ints: []int64{v.I}})
 	case schema.Float64:
@@ -692,8 +692,14 @@ func (s *SparseColumn) MemSize() int64 {
 // covered. An Int64 column comes out at the width rule's width.
 func (s *SparseColumn) ToDense(n int) *DenseColumn {
 	d := NewDenseSized(s.Typ, n)
+	if s.Typ == schema.Int64 {
+		for i, r := range s.rows {
+			d.Ints[r] = s.ints[i]
+		}
+		return d.Narrow()
+	}
 	for i, r := range s.rows {
 		d.Set(int(r), s.at(i))
 	}
-	return d.Narrow()
+	return d
 }

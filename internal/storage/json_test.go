@@ -238,7 +238,7 @@ func FuzzAppendJSONCols(f *testing.F) {
 				}
 			}
 			if c.Typ == schema.Int64 {
-				c = c.AsWidth(width)
+				c = c.asWidth(width)
 			}
 			cols[j] = c
 		}

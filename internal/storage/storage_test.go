@@ -1,7 +1,9 @@
 package storage
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -280,5 +282,65 @@ func TestSparseAddRunMerge(t *testing.T) {
 		if want := ref[row]; v.I != want {
 			t.Fatalf("row %d = %d, want %d", row, v.I, want)
 		}
+	}
+}
+
+// TestWidthRule: WidthFor picks the narrowest width at every boundary;
+// appends, Extend and Narrow keep an int column at the width its values
+// need, and MemSize counts that width.
+func TestWidthRule(t *testing.T) {
+	cases := []struct {
+		lo, hi int64
+		want   int
+	}{
+		{0, 0, 1}, {math.MinInt8, math.MaxInt8, 1},
+		{math.MinInt8 - 1, 0, 2}, {0, math.MaxInt8 + 1, 2}, {math.MinInt16, math.MaxInt16, 2},
+		{math.MinInt16 - 1, 0, 4}, {0, math.MaxInt16 + 1, 4}, {math.MinInt32, math.MaxInt32, 4},
+		{math.MinInt32 - 1, 0, 8}, {0, math.MaxInt32 + 1, 8}, {math.MinInt64, math.MaxInt64, 8},
+	}
+	for _, c := range cases {
+		if got := WidthFor(c.lo, c.hi); got != c.want {
+			t.Errorf("WidthFor(%d, %d) = %d, want %d", c.lo, c.hi, got, c.want)
+		}
+	}
+
+	c := NewDenseInts(1, 0)
+	var want []int64
+	for _, v := range []int64{-128, 127, 128, -32769, math.MaxInt64, 5} {
+		c.Append(IntValue(v))
+		want = append(want, v)
+		if got := c.Width(); got != WidthFor(slices.Min(want), slices.Max(want)) {
+			t.Fatalf("after appending %d: width %d", v, got)
+		}
+	}
+	if !slices.Equal(c.Int64s(), want) {
+		t.Fatalf("values %v, want %v", c.Int64s(), want)
+	}
+	if n := c.Narrow(); n != c {
+		t.Error("Narrow copied a column already at its width")
+	}
+
+	old := (&DenseColumn{Typ: schema.Int64, Ints: []int64{1, -2, 3}}).Narrow()
+	if old.Width() != 1 || old.MemSize() != 3 {
+		t.Fatalf("narrowed width %d, MemSize %d; want 1, 3", old.Width(), old.MemSize())
+	}
+	tail := (&DenseColumn{Typ: schema.Int64, Ints: []int64{70000}}).Narrow()
+	x := old.Extend(tail)
+	if x.Width() != 4 || x.MemSize() != 16 || !slices.Equal(x.Int64s(), []int64{1, -2, 3, 70000}) {
+		t.Fatalf("extended: width %d, MemSize %d, values %v", x.Width(), x.MemSize(), x.Int64s())
+	}
+	if y := x.Extend(old); y.Width() != 4 || y.Int(4) != 1 || y.Int(5) != -2 {
+		t.Fatalf("a narrower tail: width %d, values %v", y.Width(), y.Int64s())
+	}
+
+	wide := NewDense(schema.Int64, 0)
+	wide.AppendSelected(x, []int32{3, 1}, 0)
+	if wide.Width() != 8 || !slices.Equal(wide.Ints, []int64{70000, -2}) {
+		t.Fatalf("gathered into int64: %v", wide.Int64s())
+	}
+	narrow := NewDenseInts(1, 0)
+	narrow.AppendSelected(x, nil, 4)
+	if narrow.Width() != 4 || !slices.Equal(narrow.Int64s(), x.Int64s()) {
+		t.Fatalf("appended into a narrower column: width %d, %v", narrow.Width(), narrow.Int64s())
 	}
 }
