@@ -338,6 +338,11 @@ func newSink(d *storage.DenseColumn, idx int, format scan.Format, sp *spill) fie
 // of a portion that T cannot hold starts the portion's spill: that value
 // and the rest of the portion's go to sp as int64s, and the pass' end
 // widens the column to hold them (columnLoad.settle).
+//
+// Not inlined: the closure copy an inlined call makes keeps ObserveInt as
+// a call on the per-value path.
+//
+//go:noinline
 func intSink[T storage.Int](vals *[]T, parse func([]byte) (int64, error), idx int, sp *spill) fieldSink {
 	return func(b []byte, row int, pc *synopsis.PortionAcc) error {
 		v, err := parse(b)
@@ -490,7 +495,7 @@ func newColumnLoad(t *catalog.Table, cols []int, rows, size int64, record bool) 
 // newLoadColumn returns the column a load parses col into: rows zero
 // values to scatter into, or an empty column to append to when rows is
 // -1. An Int64 column is stored at the width that holds the schema's
-// sampled range; appends widen it as values demand (AppendInt).
+// sampled range; appends widen it as values demand (Append).
 func newLoadColumn(col schema.Column, rows int64) *storage.DenseColumn {
 	switch {
 	case col.Type == schema.Int64:
