@@ -16,9 +16,9 @@ import (
 // other predicate keeps its own typed loop. The int loops are generic over
 // the column's physical width and compare in int64, so a literal outside
 // the width's range compares as it would against int64 values. The loops
-// are branch-free: each
-// writes every candidate position and advances its output cursor by the
-// comparison's 0/1 result, so their speed does not depend on selectivity.
+// are branch-free: each writes every candidate position and advances its
+// output cursor by the comparison's 0/1 result, so their speed does not
+// depend on selectivity.
 
 // Filter is a Conjunction compiled for one set of column types. The zero
 // Filter keeps every row.
