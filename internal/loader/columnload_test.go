@@ -265,7 +265,8 @@ func TestColumnLoadLayoutMismatchErrors(t *testing.T) {
 }
 
 // TestColumnLoadWidensPastSample: a column whose values outgrow the
-// schema sample's range after it — a row-id sequence — spills in the
+// schema sample's range after it — a row-id sequence, or one wide only in
+// its middle third, so parsed rows sit between the spills — spills in the
 // portions that stray and ends at the width of its whole [min, max]; a
 // column the sample covers stays at the sample's width. Every way of
 // running the pass (appending, scattering, positional) agrees on values,
@@ -273,14 +274,20 @@ func TestColumnLoadLayoutMismatchErrors(t *testing.T) {
 func TestColumnLoadWidensPastSample(t *testing.T) {
 	var sb strings.Builder
 	const rows = 40000
+	mid := func(i int) int64 { // small, wide in the middle third, small again
+		if i >= rows/3 && i < 2*rows/3 {
+			return int64(i) << 20
+		}
+		return int64(i % 7)
+	}
 	for i := 0; i < rows; i++ {
-		fmt.Fprintf(&sb, "%d,%d,%d\n", i%100, i, -i*100_000)
+		fmt.Fprintf(&sb, "%d,%d,%d,%d\n", i%100, i, -i*100_000, mid(i))
 	}
 	path := filepath.Join(t.TempDir(), "seq.csv")
 	if err := os.WriteFile(path, []byte(sb.String()), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	wantWidth := []int{1, 4, 8}
+	wantWidth := []int{1, 4, 8, 8}
 	for _, l := range []*Loader{{Workers: 1}, {Workers: 4, ChunkSize: 4096}, {Workers: 4, ChunkSize: 4096, RecordPositions: true, UsePositions: true, UseSynopsis: true}} {
 		tab, c := linkFresh(t, path, catalog.Options{})
 		l.Counters = c
@@ -291,7 +298,7 @@ func TestColumnLoadWidensPastSample(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		if err := l.ColumnLoadContext(context.Background(), tab, []int{0, 1, 2}); err != nil {
+		if err := l.ColumnLoadContext(context.Background(), tab, []int{0, 1, 2, 3}); err != nil {
 			t.Fatal(err)
 		}
 		if l.UsePositions && c.Snapshot().PosMapHits == 0 {
@@ -302,8 +309,8 @@ func TestColumnLoadWidensPastSample(t *testing.T) {
 			if d.Width() != w || d.Len() != rows || d.MemSize() != int64(rows*w) {
 				t.Fatalf("workers %d col %d: width %d, %d rows, MemSize %d; want %d, %d, %d", l.Workers, col, d.Width(), d.Len(), d.MemSize(), w, rows, rows*w)
 			}
-			for i := 0; i < rows; i += 997 {
-				if got, want := d.Int(i), []int64{int64(i % 100), int64(i), int64(-i * 100_000)}[col]; got != want {
+			for i := 0; i < rows; i += 97 {
+				if got, want := d.Int(i), []int64{int64(i % 100), int64(i), int64(-i * 100_000), mid(i)}[col]; got != want {
 					t.Fatalf("workers %d col %d row %d = %d, want %d", l.Workers, col, i, got, want)
 				}
 			}

@@ -37,6 +37,8 @@ package loader
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 	"sync"
 
@@ -350,16 +352,21 @@ func intSink[T storage.Int](vals *[]T, parse func([]byte) (int64, error), idx in
 			return err
 		}
 		pc.ObserveInt(idx, v)
-		if x := T(v); int64(x) == v && sp.vals == nil {
-			// put, by hand: a generic call from generic code is not inlined.
-			if row < len(*vals) {
-				(*vals)[row] = x
-			} else {
-				*vals = append(*vals, x)
+		if sp.vals == nil {
+			if x := T(v); int64(x) == v {
+				// put, by hand: a generic call from generic code is not
+				// inlined.
+				if row < len(*vals) {
+					(*vals)[row] = x
+				} else {
+					*vals = append(*vals, x)
+				}
+				return nil
 			}
-			return nil
+			sp.start(row)
 		}
-		sp.add(row, v)
+		sp.vals = append(sp.vals, v)
+		sp.lo, sp.hi = min(sp.lo, v), max(sp.hi, v)
 		return nil
 	}
 }
@@ -367,20 +374,23 @@ func intSink[T storage.Int](vals *[]T, parse func([]byte) (int64, error), idx in
 // spill is one portion's values of one int column from the first its
 // column's width could not hold on: rows from, from+1, ... as int64s.
 type spill struct {
-	cl   *columnLoad
-	col  int // position in cl.cols
-	from int
-	vals []int64
+	cl     *columnLoad
+	col    int   // position in cl.cols
+	end    int64 // the row after the portion's last, or -1 when uncounted
+	from   int
+	vals   []int64
+	lo, hi int64 // the least and greatest of vals
 }
 
-func (sp *spill) add(row int, v int64) {
-	if sp.vals == nil {
-		sp.from = row
-		sp.cl.mu.Lock()
-		sp.cl.spills[sp.col] = append(sp.cl.spills[sp.col], sp)
-		sp.cl.mu.Unlock()
-	}
-	sp.vals = append(sp.vals, v)
+// start opens the spill at row, sized for the rest of a counted portion
+// (an ascending column spills every row after the first that outgrows the
+// sample), and registers it with the pass.
+func (sp *spill) start(row int) {
+	sp.from, sp.lo, sp.hi = row, math.MaxInt64, math.MinInt64
+	sp.vals = make([]int64, 0, max(sp.end-int64(row), 1))
+	sp.cl.mu.Lock()
+	sp.cl.spills[sp.col] = append(sp.cl.spills[sp.col], sp)
+	sp.cl.mu.Unlock()
 }
 
 // put stores v at (*s)[row], appending when row is the next index.
@@ -441,8 +451,8 @@ func (l *Loader) columnLoadLocked(ctx context.Context, t *catalog.Table, cols []
 	// A full column load observes every row, so each portion it completes
 	// gains exact bounds for every loaded column — synopsis collection as
 	// a free byproduct of work the load does anyway.
-	begin := func(_ scan.PortionInfo, pc *synopsis.PortionAcc, tally *portionTally) portionHooks {
-		return portionHooks{rows: cl.handler(pc, tally)}
+	begin := func(p scan.PortionInfo, pc *synopsis.PortionAcc, tally *portionTally) portionHooks {
+		return portionHooks{rows: cl.handler(p, pc, tally)}
 	}
 	// Loads must visit every row (dense columns are complete), so no
 	// conjunction is offered for pruning.
@@ -506,13 +516,17 @@ func newLoadColumn(col schema.Column, rows int64) *storage.DenseColumn {
 	return storage.NewDense(col.Type, 1024)
 }
 
-// handler returns one portion's row handler: it parses the row's fields
+// handler returns portion p's row handler: it parses the row's fields
 // into their columns, folding the values into the portion's bounds, and
 // records their offsets.
-func (cl *columnLoad) handler(pc *synopsis.PortionAcc, tally *portionTally) scan.RowHandler {
+func (cl *columnLoad) handler(p scan.PortionInfo, pc *synopsis.PortionAcc, tally *portionTally) scan.RowHandler {
+	end := int64(-1)
+	if p.Rows >= 0 {
+		end = p.FirstRow + p.Rows
+	}
 	sinks := make([]fieldSink, len(cl.cols))
 	for i, d := range cl.dense {
-		sinks[i] = newSink(d, i, cl.format, &spill{cl: cl, col: i})
+		sinks[i] = newSink(d, i, cl.format, &spill{cl: cl, col: i, end: end})
 	}
 	return func(rowID int64, fields []scan.FieldRef) error {
 		if cl.rows >= 0 && rowID >= cl.rows {
@@ -532,11 +546,11 @@ func (cl *columnLoad) handler(pc *synopsis.PortionAcc, tally *portionTally) scan
 }
 
 // settle completes a pass of rows rows: each int column that spilled is
-// copied at the width that also holds its spilled values, which are
-// written in over their rows, and one that grew by appending is copied
-// to its exact length. A column that did not spill is otherwise final as
-// parsed: every value fit the width of the sampled range, so that width
-// is the narrowest for the column's [min, max].
+// copied at the width that also holds its spilled values — the parsed
+// rows between the spills, then the spills — and one that grew by
+// appending is copied to its exact length. A column that did not spill is
+// otherwise final as parsed: every value fit the width of the sampled
+// range, so that width is the narrowest for the column's [min, max].
 func (cl *columnLoad) settle(rows int64) {
 	for i, sps := range cl.spills {
 		d := cl.dense[i]
@@ -545,12 +559,18 @@ func (cl *columnLoad) settle(rows int64) {
 		}
 		w := d.Width()
 		for _, sp := range sps {
-			w = max(w, storage.WidthFor((&storage.DenseColumn{Typ: schema.Int64, Ints: sp.vals}).IntRange()))
+			w = max(w, storage.WidthFor(sp.lo, sp.hi))
 		}
+		slices.SortFunc(sps, func(a, b *spill) int { return a.from - b.from })
 		x := storage.NewDenseInts(w, int(rows))
-		x.PutInts(0, d)
-		for _, sp := range sps {
+		at := 0 // the first row not yet copied
+		for _, sp := range append(sps, &spill{from: d.Len()}) {
+			if sp.from > at {
+				part := d.Slice(at, sp.from)
+				x.PutInts(at, &part)
+			}
 			x.PutInts(sp.from, &storage.DenseColumn{Typ: schema.Int64, Ints: sp.vals})
+			at = sp.from + len(sp.vals)
 		}
 		cl.dense[i] = x
 	}

@@ -71,8 +71,8 @@ func (l *Loader) tryPositionalColumnLoad(ctx context.Context, t *catalog.Table, 
 	}
 	// NDJSON positions are the anchors themselves, already in the map.
 	cl := newColumnLoad(t, missing, rows, ps.sc.Size(), l.RecordPositions && !json)
-	begin := func(_ scan.PortionInfo, pc *synopsis.PortionAcc, tally *portionTally) portionHooks {
-		ab, store := newAnchorBatch(pm, anchors, rows), cl.handler(pc, tally)
+	begin := func(p scan.PortionInfo, pc *synopsis.PortionAcc, tally *portionTally) portionHooks {
+		ab, store := newAnchorBatch(pm, anchors, rows), cl.handler(p, pc, tally)
 		if json {
 			fields := make([]scan.FieldRef, len(missing))
 			return portionHooks{lines: func(rowID, lineOff int64, line []byte) error {

@@ -51,8 +51,8 @@ func (l *Loader) ExtendTail(t *catalog.Table, g catalog.Growth) (*catalog.TailUp
 	if l.synFor(t).Layout() != nil {
 		acc = synopsis.NewPortionAcc(scan.PortionInfo{Off: g.Off, End: g.End, FirstRow: g.Rows}, cols, colTypes(sch, cols))
 	}
-	begin := func(_ scan.PortionInfo, _ *synopsis.PortionAcc, tally *portionTally) portionHooks {
-		store := cl.handler(acc, tally)
+	begin := func(p scan.PortionInfo, _ *synopsis.PortionAcc, tally *portionTally) portionHooks {
+		store := cl.handler(p, acc, tally)
 		if ext == nil {
 			return portionHooks{rows: store}
 		}
