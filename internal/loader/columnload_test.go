@@ -75,10 +75,10 @@ func TestColumnLoadWorkersAgree(t *testing.T) {
 				t.Fatalf("col %d: positional maps differ (%d vs %d entries)", c, len(ar), len(br))
 			}
 		}
-		// Per column: 20 blocks of 1024 rows, each 4 B per row plus an 8 B
-		// base and an 8 B index slot. Installing cols 1, 2, 4 in order
-		// grows the column slots to a capacity of 8.
-		if got, want := other.tab.PosMap.MemSize(), int64(8*8+3*20*(8+8+4*1024)); got != want {
+		// Per column: 20 sealed blocks, 19 of 1024 rows and the last of
+		// 544, each 2 B per row plus a 16 B base and stride and an 8 B
+		// index slot. Cols 1, 2, 4 use 5 column slots.
+		if got, want := other.tab.PosMap.MemSize(), int64(5*8+3*(20*(16+8)+2*20000)); got != want {
 			t.Fatalf("posmap bytes = %d, want %d", got, want)
 		}
 		s, o := seq.work, other.work

@@ -25,8 +25,9 @@
 // side effect of tokenization, and exploit it to skip tokenization of
 // leading attributes on later loads. The column-granular loads
 // (ColumnLoadContext, its positional variant, and the tail pass) set a
-// pass' offsets into one row-indexed posmap.Run per column — lock-free by
-// row id, on a parallel pass or a sequential one — and publish them only
+// pass' offsets into one row-indexed posmap.Run per column, through one
+// RunWriter per portion that seals each block the portion fills — no
+// lock, on a parallel pass or a sequential one — and publish them only
 // once the pass has succeeded, next to its dense values: a column load
 // installs each Run with PosMap.InstallRun, and the catalog records the
 // tail's offsets with PosMap.RecordRun at the old row count. A failed
@@ -446,17 +447,14 @@ func (l *Loader) columnLoadLocked(ctx context.Context, t *catalog.Table, cols []
 	if err != nil {
 		return err
 	}
-	cl := newColumnLoad(t, missing, countedRows(ps.ports), ps.sc.Size(), l.RecordPositions)
+	cl := newColumnLoad(t, missing, countedRows(ps.ports), l.RecordPositions)
 
 	// A full column load observes every row, so each portion it completes
 	// gains exact bounds for every loaded column — synopsis collection as
-	// a free byproduct of work the load does anyway.
-	begin := func(p scan.PortionInfo, pc *synopsis.PortionAcc, tally *portionTally) portionHooks {
-		return portionHooks{rows: cl.handler(p, pc, tally)}
-	}
-	// Loads must visit every row (dense columns are complete), so no
-	// conjunction is offered for pruning.
-	if err := ps.run(missing, expr.Conjunction{}, l.Counters, begin); err != nil {
+	// a free byproduct of work the load does anyway. Loads must visit
+	// every row (dense columns are complete), so no conjunction is offered
+	// for pruning.
+	if err := ps.run(missing, expr.Conjunction{}, l.Counters, cl.portion); err != nil {
 		return err
 	}
 	return cl.commit(l, t, ps)
@@ -477,16 +475,16 @@ type columnLoad struct {
 	spills [][]*spill    // by column, the portions that spilled
 }
 
-// newColumnLoad prepares the columns a pass over a file of size bytes
-// loads, and their offsets when record is set. Known rows (a counted
-// layout: every multi-portion one, so every parallel pass) size the
-// columns up front and rows scatter into them by row id; row ids are
-// disjoint across portions, so the slots need no lock. Unknown rows (-1:
-// a single uncounted portion, a sequential stream with no counting
-// pre-pass that reads the file exactly once) append instead, each row
-// landing one past the end (put). The handler's bound check keeps a
-// miscounted layout from appending to a scattered column.
-func newColumnLoad(t *catalog.Table, cols []int, rows, size int64, record bool) *columnLoad {
+// newColumnLoad prepares the columns a pass loads, and their offsets when
+// record is set. Known rows (a counted layout: every multi-portion one,
+// so every parallel pass) size the columns up front and rows scatter into
+// them by row id; row ids are disjoint across portions, so the slots need
+// no lock. Unknown rows (-1: a single uncounted portion, a sequential
+// stream with no counting pre-pass that reads the file exactly once)
+// append instead, each row landing one past the end (put). The handler's
+// bound check keeps a miscounted layout from appending to a scattered
+// column.
+func newColumnLoad(t *catalog.Table, cols []int, rows int64, record bool) *columnLoad {
 	sch := t.Schema()
 	cl := &columnLoad{cols: cols, rows: rows, format: sch.Format, dense: make([]*storage.DenseColumn, len(cols)), spills: make([][]*spill, len(cols))}
 	record = record && t.PosMap != nil
@@ -496,7 +494,7 @@ func newColumnLoad(t *catalog.Table, cols []int, rows, size int64, record bool) 
 	for i, c := range cols {
 		cl.dense[i] = newLoadColumn(sch.Columns[c], rows)
 		if record {
-			cl.runs[i] = posmap.NewRun(max(rows, 0), size)
+			cl.runs[i] = posmap.NewRun(max(rows, 0))
 		}
 	}
 	return cl
@@ -516,10 +514,11 @@ func newLoadColumn(col schema.Column, rows int64) *storage.DenseColumn {
 	return storage.NewDense(col.Type, 1024)
 }
 
-// handler returns portion p's row handler: it parses the row's fields
-// into their columns, folding the values into the portion's bounds, and
-// records their offsets.
-func (cl *columnLoad) handler(p scan.PortionInfo, pc *synopsis.PortionAcc, tally *portionTally) scan.RowHandler {
+// portion returns portion p's hooks: its row handler parses the row's
+// fields into their columns, folding the values into the portion's
+// bounds, and sets their offsets through the portion's run writers, which
+// its end hook flushes.
+func (cl *columnLoad) portion(p scan.PortionInfo, pc *synopsis.PortionAcc, tally *portionTally) portionHooks {
 	end := int64(-1)
 	if p.Rows >= 0 {
 		end = p.FirstRow + p.Rows
@@ -528,7 +527,21 @@ func (cl *columnLoad) handler(p scan.PortionInfo, pc *synopsis.PortionAcc, tally
 	for i, d := range cl.dense {
 		sinks[i] = newSink(d, i, cl.format, &spill{cl: cl, col: i, end: end})
 	}
-	return func(rowID int64, fields []scan.FieldRef) error {
+	var h portionHooks
+	var ws []*posmap.RunWriter
+	if cl.runs != nil {
+		ws = make([]*posmap.RunWriter, len(cl.runs))
+		for i, r := range cl.runs {
+			ws[i] = r.Writer()
+		}
+		h.end = func() error {
+			for _, w := range ws {
+				w.Flush()
+			}
+			return nil
+		}
+	}
+	h.rows = func(rowID int64, fields []scan.FieldRef) error {
 		if cl.rows >= 0 && rowID >= cl.rows {
 			return fmt.Errorf("loader: row %d beyond the %d rows the layout counted", rowID, cl.rows)
 		}
@@ -536,24 +549,32 @@ func (cl *columnLoad) handler(p scan.PortionInfo, pc *synopsis.PortionAcc, tally
 			if err := sinks[i](f.Bytes, int(rowID), pc); err != nil {
 				return fmt.Errorf("loader: row %d col %d: %w", rowID, cl.cols[i], err)
 			}
-			if cl.runs != nil {
-				cl.runs[i].Set(rowID, f.Offset)
+			if ws != nil {
+				ws[i].Set(rowID, f.Offset)
 			}
 		}
 		tally.parsed += int64(len(fields))
 		return nil
 	}
+	return h
 }
 
 // settle completes a pass of rows rows: each int column that spilled is
 // copied at the width that also holds its spilled values — the parsed
-// rows between the spills, then the spills — and one that grew by
-// appending is copied to its exact length. A column that did not spill is
-// otherwise final as parsed: every value fit the width of the sampled
-// range, so that width is the narrowest for the column's [min, max].
+// rows between the spills, then the spills — and a column of any type
+// that grew by appending is copied to its exact length. A column that did
+// not spill is otherwise final as parsed: every value fit the width of
+// the sampled range, so that width is the narrowest for the column's
+// [min, max].
 func (cl *columnLoad) settle(rows int64) {
 	for i, sps := range cl.spills {
 		d := cl.dense[i]
+		switch d.Typ {
+		case schema.Float64:
+			d.Floats = trim(d.Floats)
+		case schema.String:
+			d.Strs = trim(d.Strs)
+		}
 		if d.Typ != schema.Int64 || len(sps) == 0 && d.MemSize() == rows*int64(d.Width()) {
 			continue
 		}
@@ -574,6 +595,14 @@ func (cl *columnLoad) settle(rows int64) {
 		}
 		cl.dense[i] = x
 	}
+}
+
+// trim returns s in an array of exactly its length.
+func trim[T any](s []T) []T {
+	if len(s) == cap(s) {
+		return s
+	}
+	return append(make([]T, 0, len(s)), s...)
 }
 
 // commit checks that a completed pass wrote every slot exactly once, then

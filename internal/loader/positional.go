@@ -70,9 +70,10 @@ func (l *Loader) tryPositionalColumnLoad(ctx context.Context, t *catalog.Table, 
 		return false
 	}
 	// NDJSON positions are the anchors themselves, already in the map.
-	cl := newColumnLoad(t, missing, rows, ps.sc.Size(), l.RecordPositions && !json)
+	cl := newColumnLoad(t, missing, rows, l.RecordPositions && !json)
 	begin := func(p scan.PortionInfo, pc *synopsis.PortionAcc, tally *portionTally) portionHooks {
-		ab, store := newAnchorBatch(pm, anchors, rows), cl.handler(p, pc, tally)
+		ab, h := newAnchorBatch(pm, anchors, rows), cl.portion(p, pc, tally)
+		store := h.rows
 		if json {
 			fields := make([]scan.FieldRef, len(missing))
 			return portionHooks{lines: func(rowID, lineOff int64, line []byte) error {
@@ -94,7 +95,7 @@ func (l *Loader) tryPositionalColumnLoad(ctx context.Context, t *catalog.Table, 
 				}
 				tally.attrs += int64(len(fields))
 				return store(rowID, fields)
-			}}
+			}, end: h.end}
 		}
 		w := scan.NewWalker(sch.Delimiter, rel)
 		return portionHooks{lines: func(rowID, lineOff int64, line []byte) error {
@@ -113,7 +114,7 @@ func (l *Loader) tryPositionalColumnLoad(ctx context.Context, t *catalog.Table, 
 				return err
 			}
 			return store(rowID, fields)
-		}}
+		}, end: h.end}
 	}
 	if ps.run(nil, expr.Conjunction{}, l.Counters, begin) != nil || cl.commit(l, t, ps) != nil {
 		return false // fall back to the plain scan

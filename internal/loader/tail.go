@@ -46,24 +46,25 @@ func (l *Loader) ExtendTail(t *catalog.Table, g catalog.Growth) (*catalog.TailUp
 	}
 	sch := t.Schema()
 	cols := l.tailCols(t, g, ext != nil)
-	cl := newColumnLoad(t, cols, -1, sc.Size(), l.RecordPositions)
+	cl := newColumnLoad(t, cols, -1, l.RecordPositions)
 	var acc *synopsis.PortionAcc
 	if l.synFor(t).Layout() != nil {
 		acc = synopsis.NewPortionAcc(scan.PortionInfo{Off: g.Off, End: g.End, FirstRow: g.Rows}, cols, colTypes(sch, cols))
 	}
 	begin := func(p scan.PortionInfo, _ *synopsis.PortionAcc, tally *portionTally) portionHooks {
-		store := cl.handler(p, acc, tally)
+		h := cl.portion(p, acc, tally)
 		if ext == nil {
-			return portionHooks{rows: store}
+			return h
 		}
-		raw := make([][]byte, len(cols))
-		return portionHooks{rows: func(rowID int64, fields []scan.FieldRef) error {
+		raw, store := make([][]byte, len(cols)), h.rows
+		h.rows = func(rowID int64, fields []scan.FieldRef) error {
 			for i, f := range fields {
 				raw[i] = f.Bytes
 			}
 			ext.AppendRow(raw) // a failed append fails Close
 			return store(rowID, fields)
-		}}
+		}
+		return h
 	}
 	err = ps.run(cols, expr.Conjunction{}, l.Counters, begin)
 	if ext != nil && ext.Close() != nil {

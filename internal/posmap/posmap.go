@@ -12,21 +12,40 @@
 //
 // The map is positional: the row id is the index. An attribute's positions
 // live in blocks of 1024 rows, picked by row id, so Lookup is O(1). A block
-// holds an int64 base offset and 1024 uint32 deltas from it; the sentinel
-// noPos marks a row with no position. A block is allocated whole on its
-// first write, with its base 2 GiB below that offset (never below 0). An
-// offset outside the uint32 window turns the block wide: one absolute
-// int64 per slot, -1 where unrecorded. That escape costs memory, never an
-// answer.
+// takes one of three forms:
 //
-// A position costs 4 B (8 B in a wide block) plus 16 B per block, for its
-// base and its slot in the block index: 4.02 B per row of a fully covered
-// column, and up to 4 KiB for a scattered Record that is the first in its
-// block. MemSize, and what the Accountant hears, is that allocated
-// footprint, so the budget cuts whole blocks.
+//   - sealed: its recorded rows are one run from its first row (every
+//     block a column load fills, and a column's last block). It holds a
+//     base, a stride and one int16 residual per row, off = base +
+//     slot·stride + res[slot]: frame-of-reference against the line through
+//     the block's first and last offsets (Goldstein et al., ICDE 1998).
+//   - narrow: an int64 base 2 GiB below its first write (never below 0)
+//     and 1024 uint32 deltas from it; the sentinel noPos marks a row with
+//     no position.
+//   - wide: one absolute int64 per slot, -1 where unrecorded, once an
+//     offset fell outside the narrow window.
+//
+// A block becomes sealed when its rows are complete: a column load seals
+// each block in the worker that fills it, and a RecordRun or LoadColumn
+// seals each block it leaves covered by one run from its first row. A
+// block whose residuals do not fit int16 stays narrow or wide: a row of
+// tens of KB pulls its neighbours that far off the line. Single Records
+// never seal. A write into a sealed block lands in place when its
+// residuals fit; any other unseals the block back to narrow (or wide).
+// Every escape costs memory, never an answer.
+//
+// A position costs 2 B in a sealed block, 4 B in a narrow one and 8 B in a
+// wide one. A block adds its head (a sealed block's base and stride, 16 B;
+// another's base, 8 B) and an 8 B slot in the column's block index: 2.02 B
+// per row of a sealed column, 4.02 B of a narrow one, and up to 4 KiB for
+// a scattered Record that is the first in its block. MemSize, and what the
+// Accountant hears, is that footprint, with the block and column indexes
+// counted by the slots in use, so it is a function of what the map holds:
+// a cold load, a Refresh tail and a warm restart that hold the same
+// positions hold the same bytes. The budget cuts whole blocks.
 //
 // Writes go in place, in any order; the last writer wins. A column load
-// Sets its positions into a Run while it tokenizes and installs the Run
+// sets its positions through a Run while it tokenizes and installs the Run
 // whole once the pass has succeeded. Each column's interval set of
 // recorded rows is the source of truth for Covers, Entries and Pairs.
 //
@@ -44,9 +63,10 @@
 package posmap
 
 import (
+	"cmp"
 	"math"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"nodb/internal/intervals"
 	"nodb/internal/metrics"
@@ -56,8 +76,9 @@ const (
 	blockShift = 10
 	blockRows  = 1 << blockShift
 	noPos      = math.MaxUint32  // narrow delta of a row with no position
-	window     = 1 << 31         // a new block's base sits this far below its first offset
+	window     = 1 << 31         // a narrow block's base sits this far below its first offset
 	narrowCost = 8 + 4*blockRows // a narrow block's base and deltas
+	sealedHead = 16              // a sealed block's base and stride
 )
 
 // Accountant receives the map's byte footprint and usage signals; the
@@ -86,29 +107,106 @@ type colMap struct {
 	cov    intervals.Set
 }
 
-// block holds the positions of blockRows consecutive rows: in d, or in
-// wide once an offset fell outside d's window.
+// block holds the positions of blockRows consecutive rows: sealed in res,
+// narrow in d, or wide.
 type block struct {
-	base int64
-	d    []uint32 // offset − base, or noPos
-	wide []int64  // absolute offset, or -1
+	base   int64
+	stride int64    // sealed: the line's bytes per row
+	res    []int16  // sealed: offset − (base + slot·stride) of slots 0..len-1
+	d      []uint32 // narrow: offset − base, or noPos
+	wide   []int64  // wide: absolute offset, or -1
 }
 
-// newBlock returns a block with no position recorded.
-func newBlock(base int64, wide bool) *block {
-	b := &block{base: base}
-	if wide {
-		b.wide = make([]int64, blockRows)
-		for i := range b.wide {
-			b.wide[i] = -1
-		}
-	} else {
-		b.d = make([]uint32, blockRows)
-		for i := range b.d {
-			b.d[i] = noPos
-		}
+// newBlock returns a narrow block with no position recorded.
+func newBlock(base int64) *block {
+	b := &block{base: base, d: make([]uint32, blockRows)}
+	for i := range b.d {
+		b.d[i] = noPos
 	}
 	return b
+}
+
+// newSealed returns offs, the positions of slots 0.., as a sealed block
+// on the line through the first and last offset, or nil when a residual
+// from that line does not fit int16.
+func newSealed(offs []int64) *block {
+	k := int64(len(offs))
+	b := &block{base: offs[0], res: make([]int16, k)}
+	if k > 1 {
+		b.stride = (offs[k-1] - offs[0]) / (k - 1)
+	}
+	res, x := b.res[:len(offs)], b.base
+	for i, off := range offs {
+		r := off - x
+		if r != int64(int16(r)) {
+			return nil
+		}
+		res[i] = int16(r)
+		x += b.stride
+	}
+	return b
+}
+
+// fill returns a block holding offs at slots 0..: sealed when the
+// residuals fit, unsealed otherwise.
+func fill(offs []int64) *block {
+	if b := newSealed(offs); b != nil {
+		return b
+	}
+	return unsealed(offs)
+}
+
+// unsealed returns a narrow block holding offs at slots 0.., or a wide one
+// when an offset falls outside its window.
+func unsealed(offs []int64) *block {
+	b := newBlock(max(0, offs[0]-window))
+	b.put(0, offs, math.MaxInt64)
+	return b
+}
+
+// cost returns the bytes b holds.
+func (b *block) cost() int64 {
+	switch {
+	case b.res != nil:
+		return sealedHead + 2*int64(len(b.res))
+	case b.wide != nil:
+		return narrowCost + 4*blockRows
+	}
+	return narrowCost
+}
+
+// at returns the position of slot s, or -1 when it has none.
+func (b *block) at(s int) int64 {
+	switch {
+	case b.res != nil:
+		if s < len(b.res) {
+			return b.base + int64(s)*b.stride + int64(b.res[s])
+		}
+	case b.wide != nil:
+		return b.wide[s]
+	case b.d[s] != noPos:
+		return b.base + int64(b.d[s])
+	}
+	return -1
+}
+
+// decode writes the positions of slots s.. to dst; every one of them must
+// be recorded.
+func (b *block) decode(s int, dst []int64) {
+	switch {
+	case b.res != nil:
+		x := b.base + int64(s)*b.stride
+		for j, r := range b.res[s : s+len(dst)] {
+			dst[j] = x + int64(r)
+			x += b.stride
+		}
+	case b.wide != nil:
+		copy(dst, b.wide[s:])
+	default:
+		for j, d := range b.d[s : s+len(dst)] {
+			dst[j] = b.base + int64(d)
+		}
+	}
 }
 
 // SetAccountant attaches the byte-footprint sink (the memory governor's
@@ -133,26 +231,30 @@ func New(maxBytes int64, counters *metrics.Counters) *Map {
 
 // Record stores the byte offset of (col, row). A record that would grow
 // the map past its memory budget is dropped silently (the map is an
-// opportunistic cache, losing an entry is always safe).
+// opportunistic cache, losing an entry is always safe). A Record never
+// seals its block.
 func (m *Map) Record(col int, row, off int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.putLocked(col, row, []int64{off})
+	m.putLocked(col, row, []int64{off}, false)
 }
 
 // RecordRun stores offsets for rows startRow, startRow+1, ... under one
-// lock, with one coverage interval and one accounting update. The run is
-// cut at the first block that would cross the memory budget, so MemSize
-// never exceeds it. offs is copied; the caller may reuse it.
+// lock, with one accounting update, and seals every block it leaves
+// covered by one run from its first row. The run is cut at the first
+// block that would cross the memory budget, so MemSize never exceeds it.
+// offs is copied; the caller may reuse it.
 func (m *Map) RecordRun(col int, startRow int64, offs []int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.putLocked(col, startRow, offs)
+	m.putLocked(col, startRow, offs, true)
 }
 
 // putLocked writes offs to rows start.. of col and returns how many it
-// wrote before the budget cut the run. Caller holds m.mu for writing.
-func (m *Map) putLocked(col int, start int64, offs []int64) int {
+// wrote before the budget cut the run; with seal set it seals each block
+// the write leaves covered by one run from its first row. Caller holds
+// m.mu for writing.
+func (m *Map) putLocked(col int, start int64, offs []int64, seal bool) int {
 	// A column or block index slot costs 8 B: past maxBytes/8 none fits.
 	slots := m.maxBytes / 8
 	if col < 0 || start < 0 || len(offs) == 0 || int64(col) >= slots || start>>blockShift >= slots {
@@ -170,24 +272,53 @@ func (m *Map) putLocked(col int, start int64, offs []int64) int {
 		bi, s := int(row>>blockShift), int(row&(blockRows-1))
 		seg := offs[n : n+min(blockRows-s, len(offs)-n)]
 		blocks, cost := grow(c.blocks, bi+1, last+1)
-		b := blocks[bi]
-		if b == nil {
-			b, cost = newBlock(max(0, seg[0]-window), false), cost+narrowCost
+		b, fresh := blocks[bi], blocks[bi] == nil
+		if fresh && seal && s == 0 {
+			b = newSealed(seg) // seg is all the block holds
 		}
-		d, ok := b.put(s, seg, m.maxBytes-m.bytes-added-cost)
+		if b == nil {
+			b = newBlock(max(0, seg[0]-window))
+		}
+		if fresh {
+			cost += b.cost()
+		}
+		room := m.maxBytes - m.bytes - added - cost
+		d, ok := int64(0), room >= 0
+		if !fresh || b.res == nil { // a fresh sealed block holds seg already
+			d, ok = b.put(s, seg, room)
+		}
 		if !ok {
 			break
 		}
 		blocks[bi], c.blocks = b, blocks
 		added += cost + d
+		c.cov.Add(intervals.Interval{Lo: row, Hi: row + int64(len(seg))})
+		if seal && b.res == nil {
+			if k := c.prefix(bi); k > 0 {
+				added += b.seal(k)
+			}
+		}
 		n += len(seg)
 	}
 	if n > 0 {
 		m.cols, cols[col] = cols, c
-		c.cov.Add(intervals.Interval{Lo: start, Hi: start + int64(n)})
 		m.charge(added)
 	}
 	return n
+}
+
+// prefix returns k when block bi's recorded rows are exactly its first k,
+// or 0.
+func (c *colMap) prefix(bi int) int {
+	lo := int64(bi) << blockShift
+	gaps := c.cov.Missing(intervals.Interval{Lo: lo, Hi: lo + blockRows})
+	switch {
+	case len(gaps) == 0:
+		return blockRows
+	case len(gaps) == 1 && gaps[0].Lo > lo && gaps[0].Hi == lo+blockRows:
+		return int(gaps[0].Lo - lo)
+	}
+	return 0
 }
 
 // charge adds n allocated bytes to the map's footprint.
@@ -198,41 +329,108 @@ func (m *Map) charge(n int64) {
 	}
 }
 
-// grow returns s with a length of at least n, and the bytes that took: past
-// its capacity, s moves to an array of max(want, 2*cap) slots of 8 B.
+// grow returns s with a length of at least n, and the bytes of the slots
+// that took, 8 B each; past its capacity s moves to an array of
+// max(want, 2*cap) slots.
 func grow[T any](s []*T, n, want int) ([]*T, int64) {
+	if n <= len(s) {
+		return s, 0
+	}
+	cost := 8 * int64(n-len(s))
 	if n <= cap(s) {
-		return s[:max(n, len(s))], 0
+		return s[:n], cost
 	}
 	t := make([]*T, n, max(want, 2*cap(s)))
 	copy(t, s)
-	return t, 8 * int64(cap(t)-cap(s))
+	return t, cost
 }
 
-// put writes seg to slots s.. of b and returns the bytes it allocated. A
-// narrow block takes a write only while room holds its wide escape: it
-// changes nothing and returns false otherwise.
+// put writes seg to slots s.. of b and returns the bytes it added. A
+// sealed block takes a write in place when the write's slots are recorded
+// and its residuals fit; any other write unseals the block first. A
+// narrow block takes a write only while room holds its wide escape. A
+// write without the room it needs changes nothing and returns false.
 func (b *block) put(s int, seg []int64, room int64) (int64, bool) {
+	var d int64
+	if b.res != nil {
+		if b.rewrite(s, seg) {
+			return 0, room >= 0
+		}
+		if narrowCost+4*blockRows-b.cost() > room {
+			return 0, false
+		}
+		d = b.unseal()
+		room -= d
+	}
 	if b.wide != nil {
 		copy(b.wide[s:], seg)
-		return 0, true
+		return d, true
 	}
 	if 4*blockRows > room {
 		return 0, false
 	}
 	if b.narrow(s, seg) {
-		return 0, true
+		return d, true
 	}
 	// Slots s.. hold garbage now; seg overwrites them below.
-	w := newBlock(0, true).wide
-	for i, d := range b.d {
-		if d != noPos {
-			w[i] = b.base + int64(d)
+	w := make([]int64, blockRows)
+	for i, x := range b.d {
+		w[i] = -1
+		if x != noPos {
+			w[i] = b.base + int64(x)
 		}
 	}
 	copy(w[s:], seg)
 	b.wide, b.d = w, nil
-	return 4 * blockRows, true
+	return d + 4*blockRows, true
+}
+
+// rewrite stores seg at slots s.. of sealed b and reports whether it
+// could: every slot recorded, every residual inside int16. It changes
+// nothing when it cannot.
+func (b *block) rewrite(s int, seg []int64) bool {
+	if s+len(seg) > len(b.res) {
+		return false
+	}
+	x := b.base + int64(s)*b.stride
+	for _, off := range seg {
+		if r := off - x; r != int64(int16(r)) {
+			return false
+		}
+		x += b.stride
+	}
+	x = b.base + int64(s)*b.stride
+	for i, off := range seg {
+		b.res[s+i] = int16(off - x)
+		x += b.stride
+	}
+	return true
+}
+
+// unseal turns sealed b into the narrow (or wide) block of the same
+// positions and returns the bytes that added.
+func (b *block) unseal() int64 {
+	var buf [blockRows]int64
+	offs := buf[:len(b.res)]
+	b.decode(0, offs)
+	old := b.cost()
+	*b = *unsealed(offs)
+	return b.cost() - old
+}
+
+// seal re-encodes unsealed b, whose recorded slots are its first k, as a
+// sealed block when the residuals fit, and returns the bytes that saved
+// (as a negative change).
+func (b *block) seal(k int) int64 {
+	var buf [blockRows]int64
+	b.decode(0, buf[:k])
+	sb := newSealed(buf[:k])
+	if sb == nil {
+		return 0
+	}
+	d := sb.cost() - b.cost()
+	*b = *sb
+	return d
 }
 
 // narrow writes seg's deltas from b.base to slots s.. and reports whether
@@ -249,69 +447,131 @@ func (b *block) narrow(s int, seg []int64) bool {
 }
 
 // A Run is one column's positions for rows 0..n-1 while a pass records
-// them: narrow blocks with base 0, or wide ones for a file of 4 GiB or
-// more. Workers setting disjoint rows of a run sized up front need no
-// lock; past its size Set grows the run, which only a lone writer may do.
+// them. Each portion of the pass sets its rows, in order, through its own
+// RunWriter, which buffers a block's rows and seals the block once it has
+// all of them, so workers on disjoint portions need no lock. A block
+// split between two portions, or a column's last block, reaches the run in
+// parts, and the run seals it when it is installed.
 type Run struct {
-	c        colMap
-	wide     bool
-	overflow atomic.Bool // a narrow run was handed an offset past 4 GiB
+	blocks []*block   // by row >> blockShift; sized up front, or grown by a lone writer
+	mu     sync.Mutex // guards parts
+	parts  []runPart  // the rows of blocks no one writer filled
 }
 
-// NewRun returns a run sized for n rows of a file of size bytes.
-func NewRun(n, size int64) *Run {
-	r := &Run{wide: size >= noPos}
-	r.c.blocks = make([]*block, (n+blockRows-1)>>blockShift)
-	for i := range r.c.blocks {
-		r.c.blocks[i] = newBlock(0, r.wide)
-	}
-	return r
+// runPart is the positions of rows row, row+1, ... of one block.
+type runPart struct {
+	row  int64
+	offs []int64
 }
 
-// Set records off as the position of row.
-func (r *Run) Set(row, off int64) {
-	for row>>blockShift >= int64(len(r.c.blocks)) {
-		r.c.blocks = append(r.c.blocks, newBlock(0, r.wide))
+// NewRun returns a run sized for n rows. Past them a writer grows the
+// run, which only a lone writer may do.
+func NewRun(n int64) *Run {
+	return &Run{blocks: make([]*block, (n+blockRows-1)>>blockShift)}
+}
+
+// RunWriter buffers the positions of one portion of a Run's rows.
+type RunWriter struct {
+	r      *Run
+	bi     int64 // the block buf holds rows of
+	lo, hi int   // buf's filled slots
+	buf    [blockRows]int64
+}
+
+// Writer returns a writer for one portion of r's rows.
+func (r *Run) Writer() *RunWriter {
+	return &RunWriter{r: r, bi: -1}
+}
+
+// Set records off as the position of row. A writer's rows ascend without
+// a gap.
+func (w *RunWriter) Set(row, off int64) {
+	s := int(row & (blockRows - 1))
+	if row>>blockShift != w.bi {
+		w.Flush()
+		w.bi, w.lo = row>>blockShift, s
 	}
-	b, s := r.c.blocks[row>>blockShift], row&(blockRows-1)
-	switch {
-	case r.wide:
-		b.wide[s] = off
-	case uint64(off) < noPos:
-		b.d[s] = uint32(off)
-	default:
-		r.overflow.Store(true)
+	w.buf[s] = off
+	w.hi = s + 1
+}
+
+// Flush hands the buffered rows to the run: a whole block sealed, or a
+// part of one. Call it after the portion's last Set.
+func (w *RunWriter) Flush() {
+	if w.hi <= w.lo {
+		return
 	}
+	r, offs := w.r, w.buf[w.lo:w.hi]
+	if len(offs) == blockRows {
+		for w.bi >= int64(len(r.blocks)) {
+			r.blocks = append(r.blocks, nil)
+		}
+		r.blocks[w.bi] = fill(offs)
+	} else {
+		r.mu.Lock()
+		r.parts = append(r.parts, runPart{row: w.bi<<blockShift + int64(w.lo), offs: slices.Clone(offs)})
+		r.mu.Unlock()
+	}
+	w.lo = w.hi
+}
+
+// finish returns r's blocks for rows 0..n-1, the parts sealed into theirs,
+// or nil when one of those blocks has no rows set. r is spent.
+func (r *Run) finish(n int64) []*block {
+	blocks := make([]*block, (n+blockRows-1)>>blockShift)
+	copy(blocks, r.blocks)
+	slices.SortFunc(r.parts, func(a, b runPart) int { return cmp.Compare(a.row, b.row) })
+	var buf [blockRows]int64
+	for i := 0; i < len(r.parts); {
+		bi := r.parts[i].row >> blockShift
+		for ; i < len(r.parts) && r.parts[i].row>>blockShift == bi; i++ {
+			copy(buf[r.parts[i].row&(blockRows-1):], r.parts[i].offs)
+		}
+		if bi < int64(len(blocks)) {
+			blocks[bi] = fill(buf[:min(blockRows, n-bi<<blockShift)])
+		}
+	}
+	if slices.Contains(blocks, nil) {
+		return nil
+	}
+	return blocks
 }
 
 // Offsets returns the positions of rows 0..n-1 of r, every one of them
-// Set, or nil when a narrow run was handed an offset past 4 GiB.
+// Set and flushed; r is spent.
 func (r *Run) Offsets(n int64) []int64 {
-	if r.overflow.Load() {
+	blocks := r.finish(n)
+	if blocks == nil {
 		return nil
 	}
+	c := colMap{blocks: blocks}
 	offs := make([]int64, n)
-	r.c.decode(0, offs)
+	c.decode(0, offs)
 	return offs
 }
 
-// InstallRun publishes rows 0..n-1 of r, every one of them Set, as col's
-// positions; r is spent. A narrow run is adopted whole when col has no
-// positions and the run fits the budget. Otherwise its positions are
-// recorded like RecordRun's, and a run that overflowed installs nothing.
+// InstallRun publishes rows 0..n-1 of r, every one of them Set and
+// flushed, as col's positions; r is spent. The run is adopted whole when
+// col has no positions and the run fits the budget. Otherwise its
+// positions are recorded like RecordRun's.
 func (m *Map) InstallRun(col int, r *Run, n int64) {
-	if n <= 0 || r.overflow.Load() {
+	if n <= 0 {
 		return
 	}
-	c := &r.c
-	nb := int((n + blockRows - 1) >> blockShift)
-	c.blocks = append(make([]*block, 0, nb), c.blocks[:nb]...)
+	c := &colMap{blocks: r.finish(n)}
+	if c.blocks == nil {
+		return
+	}
 	c.cov.Add(intervals.Interval{Lo: 0, Hi: n})
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !r.wide && col >= 0 && int64(col) < m.maxBytes/8 && m.colLocked(col) == nil {
+	if col >= 0 && int64(col) < m.maxBytes/8 && m.colLocked(col) == nil {
 		cols, cost := grow(m.cols, col+1, col+1)
-		if cost += 8*int64(nb) + narrowCost*int64(nb); m.bytes+cost <= m.maxBytes {
+		cost += 8 * int64(len(c.blocks))
+		for _, b := range c.blocks {
+			cost += b.cost()
+		}
+		if m.bytes+cost <= m.maxBytes {
 			m.cols = cols
 			m.cols[col] = c
 			m.charge(cost)
@@ -319,7 +579,7 @@ func (m *Map) InstallRun(col int, r *Run, n int64) {
 		}
 	}
 	_, offs := c.pairs()
-	m.putLocked(col, 0, offs)
+	m.putLocked(col, 0, offs, true)
 }
 
 // LoadColumn installs a column's positions from a snapshot: rows ascending
@@ -345,7 +605,7 @@ func (m *Map) LoadColumn(col int, rows, offs []int64) {
 		if i < len(rows) && rows[i] == rows[i-1]+1 {
 			continue
 		}
-		if m.putLocked(col, rows[start], offs[start:i]) < i-start {
+		if m.putLocked(col, rows[start], offs[start:i], true) < i-start {
 			return // the budget is spent
 		}
 		start = i
@@ -379,15 +639,9 @@ func (c *colMap) pairs() (rows, offs []int64) {
 // them must be recorded.
 func (c *colMap) decode(r int64, dst []int64) {
 	for len(dst) > 0 {
-		b, s := c.blocks[r>>blockShift], int(r&(blockRows-1))
+		s := int(r & (blockRows - 1))
 		n := min(blockRows-s, len(dst))
-		if b.wide != nil {
-			copy(dst[:n], b.wide[s:s+n])
-		} else {
-			for j, d := range b.d[s : s+n] {
-				dst[j] = b.base + int64(d)
-			}
-		}
+		c.blocks[r>>blockShift].decode(s, dst[:n])
 		dst, r = dst[n:], r+int64(n)
 	}
 }
@@ -417,10 +671,8 @@ func (m *Map) Lookup(col int, row int64) (int64, bool) {
 	defer m.mu.RUnlock()
 	off := int64(-1)
 	if c := m.colLocked(col); c != nil && row >= 0 && row>>blockShift < int64(len(c.blocks)) {
-		if b, s := c.blocks[row>>blockShift], row&(blockRows-1); b != nil && b.wide != nil {
-			off = b.wide[s]
-		} else if b != nil && b.d[s] != noPos {
-			off = b.base + int64(b.d[s])
+		if b := c.blocks[row>>blockShift]; b != nil {
+			off = b.at(int(row & (blockRows - 1)))
 		}
 	}
 	if off < 0 {
@@ -486,7 +738,7 @@ func (m *Map) Entries() int {
 	return int(n)
 }
 
-// MemSize returns the bytes the map has allocated for positions.
+// MemSize returns the bytes the map holds for positions.
 func (m *Map) MemSize() int64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()

@@ -113,27 +113,29 @@ func TestRecordRunMatchesRecord(t *testing.T) {
 			t.Fatalf("Covers(%d,%d) disagrees", r[0], r[1])
 		}
 	}
-	// Rows 200..5199 fill blocks 0..5, and both maps hold 5 column slots
-	// (for col 4). The run sizes the block index to 6 slots; per-entry
-	// Records grow it by doubling to 8.
-	if got, want := bulk.MemSize(), int64(5*8+6*8+6*narrowCost); got != want {
+	// Rows 200..5199 fill blocks 0..5, and both maps use 5 column slots
+	// (for col 4) and 6 index slots. The run seals the blocks it covers
+	// from their first row: 1..4 whole and 5's first 80 rows; per-entry
+	// Records seal nothing.
+	if got, want := bulk.MemSize(), int64(5*8+6*8+narrowCost)+4*sealedCost(blockRows)+sealedCost(80); got != want {
 		t.Fatalf("bulk MemSize = %d, want %d", got, want)
 	}
-	if got, want := single.MemSize(), int64(5*8+8*8+6*narrowCost); got != want {
+	if got, want := single.MemSize(), int64(5*8+6*8+6*narrowCost); got != want {
 		t.Fatalf("single MemSize = %d, want %d", got, want)
 	}
 }
 
-// TestRecordRunBudgetCut: a run is cut at the first block that would leave
-// the budget without room for a wide escape (4 KiB), and later growth adds
-// nothing; writes into blocks already allocated still land.
+// TestRecordRunBudgetCut: a run is cut at the first block that does not
+// fit the budget, and later growth adds nothing; writes into blocks
+// already allocated still land.
 func TestRecordRunBudgetCut(t *testing.T) {
-	// Column 0: one column slot, two index slots, two blocks.
-	col0 := int64(8 + 2*8 + 2*narrowCost)
-	// Column 1 (3000 rows): a second column slot, three index slots and
-	// two blocks fit; the tail block does not.
-	full := col0 + 8 + 3*8 + 2*narrowCost
-	budget := full + 4*blockRows
+	// Column 0: one column slot, two index slots, two sealed blocks.
+	col0 := 8 + 2*8 + 2*sealedCost(blockRows)
+	// Column 1 (3000 rows): a second column slot, two index slots and two
+	// sealed blocks fit; the tail block (952 rows) does not, and neither
+	// does a third column of one row.
+	full := col0 + 8 + 2*8 + 2*sealedCost(blockRows)
+	budget := full + 8 + 8 + sealedCost(1) - 1
 	m := New(budget, nil)
 	m.RecordRun(0, 0, seqOffs(2*blockRows, 0))
 	if got := m.MemSize(); got != col0 {
@@ -160,6 +162,9 @@ func TestRecordRunBudgetCut(t *testing.T) {
 	}
 }
 
+// sealedCost is the bytes of a sealed block of k rows.
+func sealedCost(k int) int64 { return sealedHead + 2*int64(k) }
+
 // seqOffs returns n ascending offsets from base, 37 bytes apart.
 func seqOffs(n int, base int64) []int64 {
 	offs := make([]int64, n)
@@ -185,8 +190,9 @@ func TestRecordRunOverlapMerges(t *testing.T) {
 	if len(rows) != 100 || offs[0] != 1000 || offs[50] != 1050 {
 		t.Fatalf("merged pairs wrong: %d rows, offs[0]=%d offs[50]=%d", len(rows), offs[0], offs[50])
 	}
-	// One column slot, one index slot, one block.
-	if m.MemSize() != 8+8+narrowCost || !m.Covers(0, 0, 100) {
+	// One column slot, one index slot, one block, sealed by the run that
+	// left its first 100 rows covered.
+	if m.MemSize() != 8+8+sealedCost(100) || !m.Covers(0, 0, 100) {
 		t.Fatalf("MemSize = %d, covers=%v", m.MemSize(), m.Covers(0, 0, 100))
 	}
 }
@@ -382,9 +388,9 @@ func TestRecordInterleavedBulk(t *testing.T) {
 			t.Fatalf("row %d offset %d, want %d", r, offs[i], ref[r])
 		}
 	}
-	// 118 blocks, a block index grown by doubling to 128 slots, and one
-	// column slot.
-	if got, want := m.MemSize(), int64(8+128*8+118*narrowCost); got != want {
+	// 118 narrow blocks (Records seal nothing), 118 index slots in use,
+	// and one column slot.
+	if got, want := m.MemSize(), int64(8+118*8+118*narrowCost); got != want {
 		t.Fatalf("MemSize = %d, want %d", got, want)
 	}
 }
@@ -425,8 +431,9 @@ func TestRecordOutOfOrderVisibleToReaders(t *testing.T) {
 
 // TestInstallRun: a Run installs the same positions, coverage and bytes as
 // RecordRun of the same offsets, whether it was sized up front or grown
-// row by row; it merges into a column that has entries, falls back to
-// RecordRun for a wide file, and installs nothing after an overflow.
+// by a lone writer, and for offsets past 4 GiB; it merges into a column
+// that has entries, keeps an offset far off its block's line in an
+// unsealed block, and is cut at the budget like RecordRun.
 func TestInstallRun(t *testing.T) {
 	const n = 3000
 	narrow, far := seqOffs(n, 7), make([]int64, n)
@@ -438,28 +445,17 @@ func TestInstallRun(t *testing.T) {
 		m.RecordRun(0, 0, offs)
 		return m
 	}
-	run := func(size int64, sized bool, offs []int64) *Run {
-		r := NewRun(0, size)
-		if sized {
-			r = NewRun(n, size)
-		}
-		for i, off := range offs {
-			r.Set(int64(i), off)
-		}
-		return r
-	}
 	for _, tc := range []struct {
 		name  string
-		size  int64
 		sized bool
 		offs  []int64
 	}{
-		{"sized", 1 << 20, true, narrow},
-		{"grown", 1 << 20, false, narrow},
-		{"wide file", 1 << 40, true, far},
+		{"sized", true, narrow},
+		{"grown", false, narrow},
+		{"past 4 GiB", true, far},
 	} {
 		m, want := New(0, nil), ref(tc.offs)
-		m.InstallRun(0, run(tc.size, tc.sized, tc.offs), n)
+		m.InstallRun(0, runOf(tc.sized, tc.offs), n)
 		gr, gw := m.Pairs(0)
 		wr, ww := want.Pairs(0)
 		if !slices.Equal(gr, wr) || !slices.Equal(gw, ww) || !m.Covers(0, 0, n) || m.Covers(0, 0, n+1) {
@@ -468,54 +464,115 @@ func TestInstallRun(t *testing.T) {
 		if m.MemSize() != want.MemSize() {
 			t.Fatalf("%s: MemSize = %d, RecordRun's = %d", tc.name, m.MemSize(), want.MemSize())
 		}
+		if got, want := m.MemSize(), 8+3*8+2*sealedCost(blockRows)+sealedCost(n-2*blockRows); got != want {
+			t.Fatalf("%s: MemSize = %d, want %d: every block sealed", tc.name, got, want)
+		}
 	}
 
 	m := New(0, nil)
 	m.Record(0, 10, 5)
 	m.Record(0, n+5, 9)
-	m.InstallRun(0, run(1<<20, true, narrow), n)
+	m.InstallRun(0, runOf(true, narrow), n)
 	if off, _ := m.Lookup(0, 10); off != narrow[10] || m.Entries() != n+1 {
 		t.Fatalf("merge: Lookup(10) = %d, Entries = %d; want %d, %d", off, m.Entries(), narrow[10], n+1)
 	}
 
 	m = New(0, nil)
-	r := run(100, true, narrow)
-	r.Set(5, 1<<33) // the file was not shorter than 4 GiB after all
-	m.InstallRun(0, r, n)
-	if m.Entries() != 0 || m.MemSize() != 0 {
-		t.Fatalf("an overflowed run installed %d entries, %d bytes", m.Entries(), m.MemSize())
+	odd := slices.Clone(narrow)
+	odd[5] = 1 << 33 // 8 GiB off block 0's line
+	m.InstallRun(0, runOf(true, odd), n)
+	if off, ok := m.Lookup(0, 5); !ok || off != 1<<33 {
+		t.Fatalf("Lookup(5) = %d,%v, want %d", off, ok, int64(1)<<33)
+	}
+	if got, want := m.MemSize(), 8+3*8+narrowCost+4*blockRows+sealedCost(blockRows)+sealedCost(n-2*blockRows); got != want {
+		t.Fatalf("MemSize = %d, want %d: block 0 wide, the others sealed", got, want)
 	}
 
-	budget := int64(8 + 3*8 + narrowCost + 4*blockRows)
+	budget := 8 + 8 + sealedCost(blockRows) + 100
 	m = New(budget, nil)
-	m.InstallRun(0, run(1<<20, true, narrow), n)
+	m.InstallRun(0, runOf(true, narrow), n)
 	if rows, _ := m.Pairs(0); len(rows) != blockRows || m.MemSize() > budget {
 		t.Fatalf("over budget: %d rows, %d bytes; want the first block", len(rows), m.MemSize())
 	}
 }
 
-// TestRunConcurrentSet: workers setting disjoint rows of a sized run need
-// no lock.
-func TestRunConcurrentSet(t *testing.T) {
-	const n, workers = 20_000, 4
-	r := NewRun(n, 1<<20)
-	var wg sync.WaitGroup
-	for w := range workers {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for row := int64(w); row < n; row += workers {
-				r.Set(row, row*3)
-			}
-		}()
+// runOf returns a run of offs written by one writer, sized up front or
+// grown.
+func runOf(sized bool, offs []int64) *Run {
+	r := NewRun(0)
+	if sized {
+		r = NewRun(int64(len(offs)))
 	}
-	wg.Wait()
-	m := New(0, nil)
-	m.InstallRun(1, r, n)
-	for _, row := range []int64{0, 1, 2, 3, 1023, 1024, n - 1} {
-		if off, ok := m.Lookup(1, row); !ok || off != row*3 {
+	w := r.Writer()
+	for i, off := range offs {
+		w.Set(int64(i), off)
+	}
+	w.Flush()
+	return r
+}
+
+// TestRunConcurrentSet: workers writing disjoint portions of a sized
+// run need no lock; the blocks split at the portions' seams are sealed
+// on install, so the run holds the bytes of RecordRun's, and Offsets
+// decodes the same positions.
+func TestRunConcurrentSet(t *testing.T) {
+	const n = 20_000
+	seams := []int64{0, 700, 5000, 9216, 15_001, n}
+	write := func() *Run {
+		r := NewRun(n)
+		var wg sync.WaitGroup
+		for p := range len(seams) - 1 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				w := r.Writer()
+				for row := seams[p]; row < seams[p+1]; row++ {
+					w.Set(row, row*37+3)
+				}
+				w.Flush()
+			}()
+		}
+		wg.Wait()
+		return r
+	}
+	m, want := New(0, nil), New(0, nil)
+	m.InstallRun(1, write(), n)
+	want.RecordRun(1, 0, seqOffs(n, 3))
+	for _, row := range []int64{0, 1, 699, 700, 1023, 1024, 5000, 9215, 9216, 15_000, n - 1} {
+		if off, ok := m.Lookup(1, row); !ok || off != row*37+3 {
 			t.Fatalf("Lookup(%d) = %d,%v", row, off, ok)
 		}
+	}
+	if m.MemSize() != want.MemSize() {
+		t.Fatalf("MemSize = %d, RecordRun's = %d", m.MemSize(), want.MemSize())
+	}
+	if offs := write().Offsets(n); !slices.Equal(offs, seqOffs(n, 3)) {
+		t.Fatal("Offsets of the run differ from the positions set")
+	}
+}
+
+// TestLoadColumn: a snapshot's pairs restore the positions and the bytes
+// of the map they came from, sealed where it was sealed; a column that has
+// entries, and pairs out of order or negative, are left alone.
+func TestLoadColumn(t *testing.T) {
+	src := New(0, nil)
+	src.RecordRun(0, 0, seqOffs(3000, 5))
+	src.Record(0, 4000, 9) // alone in its block, narrow
+	rows, offs := src.Pairs(0)
+	m := New(0, nil)
+	m.LoadColumn(0, rows, offs)
+	gr, gw := m.Pairs(0)
+	if !slices.Equal(gr, rows) || !slices.Equal(gw, offs) || m.MemSize() != src.MemSize() {
+		t.Fatalf("restored %d pairs in %d bytes, want %d in %d", len(gr), m.MemSize(), len(rows), src.MemSize())
+	}
+	if got, want := m.MemSize(), 8+4*8+2*sealedCost(blockRows)+sealedCost(3000-2*blockRows)+narrowCost; got != want {
+		t.Fatalf("MemSize = %d, want %d", got, want)
+	}
+	m.LoadColumn(0, []int64{7000}, []int64{1})
+	m.LoadColumn(1, []int64{5, 3}, []int64{1, 2})
+	m.LoadColumn(2, []int64{5}, []int64{-1})
+	if _, ok := m.Lookup(0, 7000); ok || !slices.Equal(m.CoveredCols(), []int{0}) {
+		t.Fatalf("LoadColumn installed into a recorded column or from bad pairs: %v", m.CoveredCols())
 	}
 }
 
@@ -540,8 +597,8 @@ func TestMemSizeMatchesHeap(t *testing.T) {
 	if d := got - heap; d > heap/10 || -d > heap/10 {
 		t.Fatalf("MemSize = %d, live heap grew by %d: off by more than 10 %%", got, heap)
 	}
-	if got >= 5*n {
-		t.Fatalf("MemSize = %d for %d entries: want about 4 B each", got, n)
+	if got >= 3*n {
+		t.Fatalf("MemSize = %d for %d entries: want about 2 B each", got, n)
 	}
 }
 
