@@ -210,7 +210,7 @@ func blockBytes(m *Map) int64 {
 				continue
 			}
 			n += b.cost()
-			if b.res != nil && c.prefix(bi) != len(b.res) {
+			if b.res != nil && c.prefix(bi, int64(bi)<<blockShift+1) != len(b.res) {
 				return -1
 			}
 		}

@@ -294,7 +294,7 @@ func (m *Map) putLocked(col int, start int64, offs []int64, seal bool) int {
 		added += cost + d
 		c.cov.Add(intervals.Interval{Lo: row, Hi: row + int64(len(seg))})
 		if seal && b.res == nil {
-			if k := c.prefix(bi); k > 0 {
+			if k := c.prefix(bi, row+int64(len(seg))); k > 0 {
 				added += b.seal(k)
 			}
 		}
@@ -308,9 +308,14 @@ func (m *Map) putLocked(col int, start int64, offs []int64, seal bool) int {
 }
 
 // prefix returns k when block bi's recorded rows are exactly its first k,
-// or 0.
-func (c *colMap) prefix(bi int) int {
+// or 0. Row hi-1, in the block, is recorded: unless every row before it
+// is, the block's rows are no such run, which a scattered write learns
+// without listing the block's gaps.
+func (c *colMap) prefix(bi int, hi int64) int {
 	lo := int64(bi) << blockShift
+	if !c.cov.Covers(intervals.Interval{Lo: lo, Hi: hi}) {
+		return 0
+	}
 	gaps := c.cov.Missing(intervals.Interval{Lo: lo, Hi: lo + blockRows})
 	switch {
 	case len(gaps) == 0:

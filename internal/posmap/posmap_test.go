@@ -576,6 +576,24 @@ func TestLoadColumn(t *testing.T) {
 	}
 }
 
+// TestLoadColumnScatteredCost: restoring a scattered column, two rows in
+// every three, costs about one allocation per run. A sealing check that
+// listed each touched block's gaps took tens per run, growing with the
+// runs already in the block.
+func TestLoadColumnScatteredCost(t *testing.T) {
+	var rows, offs []int64
+	for r := int64(0); r < 30_000; r += 3 {
+		rows, offs = append(rows, r, r+1), append(offs, r*40, r*40+40)
+	}
+	runs := float64(len(rows) / 2)
+	allocs := testing.AllocsPerRun(3, func() {
+		New(0, nil).LoadColumn(0, rows, offs)
+	})
+	if allocs > 1.5*runs {
+		t.Fatalf("LoadColumn of %.0f runs allocated %.0f times, want about one per run", runs, allocs)
+	}
+}
+
 // TestMemSizeMatchesHeap: MemSize is the heap the map really holds. One
 // million entries are installed the way column loads install them, and
 // MemSize must be within 10 % of the live-heap growth.
