@@ -181,7 +181,7 @@ func TestRevalidateDropsState(t *testing.T) {
 	d.Ints = append(d.Ints, 1, 3)
 	tab.SetDense(0, d)
 	tab.SetNumRows(2)
-	tab.PosMap.Record(0, 0, 0)
+	tab.PosMap.RecordRun(0, 0, []int64{0})
 
 	// Unchanged file: no invalidation.
 	inv, err := tab.Revalidate()

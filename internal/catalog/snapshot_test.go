@@ -37,8 +37,7 @@ func TestSaveAndPrepareRoundTrip(t *testing.T) {
 		d.Append(storage.IntValue(v))
 	}
 	tab1.SetDense(0, d)
-	tab1.PosMap.Record(1, 0, 2)
-	tab1.PosMap.Record(1, 1, 7)
+	tab1.PosMap.RecordRows(1, []int64{0, 1}, []int64{2, 7})
 	if err := tab1.SaveSnapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +80,7 @@ func TestPreparePosMapLazy(t *testing.T) {
 	d.Append(storage.IntValue(1))
 	d.Append(storage.IntValue(2))
 	tab1.SetDense(0, d)
-	tab1.PosMap.Record(0, 0, 0)
+	tab1.PosMap.RecordRun(0, 0, []int64{0})
 	if err := tab1.SaveSnapshot(); err != nil {
 		t.Fatal(err)
 	}
@@ -113,9 +112,7 @@ func TestEvictionSpillKeepsGovernedBytesDown(t *testing.T) {
 		t.Fatal(err)
 	}
 	tab.SetNumRows(3)
-	for i := int64(0); i < 3; i++ {
-		tab.PosMap.Record(0, i, i*10)
-	}
+	tab.PosMap.RecordRows(0, []int64{0, 1, 2}, []int64{0, 10, 20})
 	before := gov.Used()
 	if before == 0 {
 		t.Fatal("posmap not governed")
@@ -141,10 +138,11 @@ func TestEvictionSpillKeepsGovernedBytesDown(t *testing.T) {
 	if off, ok := tab.PosMap.Lookup(0, 2); !ok || off != 20 {
 		t.Errorf("restored posmap wrong: off=%d ok=%v", off, ok)
 	}
-	// Re-admission seals the block the three rows cover from its first
-	// row: a column slot, an index slot, a 16 B base and stride and three
-	// 2 B residuals, where the Records held a 4 KiB narrow block.
-	if want := int64(8 + 8 + 16 + 2*3); gov.Used() != want || want >= before {
+	// Re-admission registers exactly the bytes the spill took away: the
+	// block the three rows cover from its first row is sealed both times,
+	// a column slot, an index slot, a 16 B base and stride and three 2 B
+	// residuals.
+	if want := int64(8 + 8 + 16 + 2*3); gov.Used() != want || want != before {
 		t.Errorf("re-admitted bytes %d, want %d (%d before the spill)", gov.Used(), want, before)
 	}
 }
@@ -160,7 +158,7 @@ func TestRevalidateRemovesSnapshotFiles(t *testing.T) {
 	c := New(Options{Snapshots: store})
 	tab, _ := c.Link("R", path)
 	tab.SetNumRows(2)
-	tab.PosMap.Record(0, 0, 0)
+	tab.PosMap.RecordRun(0, 0, []int64{0})
 	if err := tab.SaveSnapshot(); err != nil {
 		t.Fatal(err)
 	}

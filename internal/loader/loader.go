@@ -7,8 +7,8 @@
 //   - ColumnLoadContext — load whole missing columns, triggered by the
 //     query that needs them (the Column Loads curve).
 //   - PartialScanContext — push the WHERE clause into loading, materialize
-//     only qualifying values, keep nothing (Partial Loads V1);
-//     ScanBatchesContext is its streaming form.
+//     only qualifying values, keep nothing (Partial Loads V1), as a View
+//     in row order; ScanBatchesContext is the same pass emitting batches.
 //   - PartialLoadV2Context — like PartialScanContext but qualifying values
 //     are retained in sparse columns and a covered-region table of contents
 //     lets future queries reuse them (Partial Loads V2).
@@ -21,9 +21,9 @@
 //     time it touches the file, appends included).
 //
 // Every query-driven operator takes a context: a cancelled ctx stops its
-// scan between chunks. All operators feed the positional map as a free
-// side effect of tokenization, and exploit it to skip tokenization of
-// leading attributes on later loads. The column-granular loads
+// scan between chunks. Every operator but the split-file load feeds the
+// positional map as a free side effect of tokenization, and column loads
+// exploit it to skip tokenization of leading attributes. The column loads
 // (ColumnLoadContext, its positional variant, and the tail pass) set a
 // pass' offsets into one row-indexed posmap.Run per column, through one
 // RunWriter per portion that seals each block the portion fills — no
@@ -31,8 +31,10 @@
 // once the pass has succeeded, next to its dense values: a column load
 // installs each Run with PosMap.InstallRun, and the catalog records the
 // tail's offsets with PosMap.RecordRun at the old row count. A failed
-// pass installs neither. Work counters are tallied per portion and
-// flushed once per portion or pass, never per value.
+// pass installs neither. A partial pass records a portion's offsets with
+// one PosMap.RecordRows per column when the portion ends. Work counters
+// are tallied per portion and flushed once per portion or pass, never per
+// value.
 package loader
 
 import (

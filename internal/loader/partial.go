@@ -3,8 +3,8 @@ package loader
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sort"
-	"sync"
 
 	"nodb/internal/catalog"
 	"nodb/internal/exec"
@@ -15,37 +15,6 @@ import (
 	"nodb/internal/storage"
 	"nodb/internal/synopsis"
 )
-
-// rowBatch accumulates qualifying rows from a (possibly parallel) partial
-// scan, then emits them in row order.
-type rowBatch struct {
-	mu   sync.Mutex
-	rows []int64
-	vals [][]storage.Value // aligned with rows; one value per loaded column
-}
-
-func (b *rowBatch) add(row int64, vals []storage.Value) {
-	b.mu.Lock()
-	b.rows = append(b.rows, row)
-	b.vals = append(b.vals, vals)
-	b.mu.Unlock()
-}
-
-// sorted returns the permutation that orders rows ascending.
-func (b *rowBatch) sort() {
-	perm := make([]int, len(b.rows))
-	for i := range perm {
-		perm[i] = i
-	}
-	sort.Slice(perm, func(i, j int) bool { return b.rows[perm[i]] < b.rows[perm[j]] })
-	rows := make([]int64, len(b.rows))
-	vals := make([][]storage.Value, len(b.vals))
-	for i, p := range perm {
-		rows[i] = b.rows[p]
-		vals[i] = b.vals[p]
-	}
-	b.rows, b.vals = rows, vals
-}
 
 // pushdown is a partial scan's predicate push-down into tokenization:
 // the conjunction's predicates and the parse of a field, both by
@@ -97,113 +66,240 @@ func (pd *pushdown) abandon(pc *synopsis.PortionAcc) scan.AbandonFunc {
 	}
 }
 
-// PartialScanContext is the Partial Loads operator: it pushes the
-// conjunction into tokenization (abandoning a row the moment a predicate
-// fails), parses and materializes only needCols of qualifying rows, and
-// returns them as a View. Nothing is stored in the adaptive store — this
-// is V1's "throw the data away immediately after every query" behavior; V2
-// layers retention on top. A cancelled ctx aborts tokenization between
-// chunks and the partial result is discarded.
-func (l *Loader) PartialScanContext(ctx context.Context, t *catalog.Table, needCols []int, conj expr.Conjunction, tab int) (*exec.View, error) {
-	loadCols := neededWithPreds(needCols, conj)
-	sch := t.Schema()
-	pd, err := newPushdown(sch, loadCols, conj)
+// partialPass is one Partial Loads pass (Figure 3's V1) over cols, the
+// requested columns and the conjunction's, ascending: the conjunction is
+// pushed into tokenization, and each portion parses its qualifying rows
+// into vectors of its own. Its two drains are PartialScanContext, which
+// keeps each portion's vectors and concatenates them into a View, and
+// ScanBatchesContext, which emits them as batches.
+type partialPass struct {
+	l    *Loader
+	t    *catalog.Table
+	cols []int
+	conj expr.Conjunction
+	pd   *pushdown
+	ps   *portionedScan
+}
+
+// openPartial checks needCols and opens a partial pass over them and the
+// conjunction's columns.
+func (l *Loader) openPartial(ctx context.Context, t *catalog.Table, needCols []int, conj expr.Conjunction) (*partialPass, error) {
+	cols := neededWithPreds(needCols, conj)
+	pd, err := newPushdown(t.Schema(), cols, conj)
 	if err != nil {
 		return nil, err
 	}
-
-	ps, err := l.openPortioned(ctx, t, loadCols, true)
+	ps, err := l.openPortioned(ctx, t, cols, true)
 	if err != nil {
 		return nil, err
 	}
+	return &partialPass{l: l, t: t, cols: cols, conj: conj, pd: pd, ps: ps}, nil
+}
 
-	batch := &rowBatch{}
+// posBatch bounds the positions a partial pass buffers per portion.
+const posBatch = 64 << 10
+
+// run makes the pass. Each portion appends its qualifying rows' ids and
+// the values of keepCols (a subset of pp.cols) to vectors of its own, and
+// hands them to emit when batchSize rows have qualified (never, for 0)
+// and, if any are left, when the portion ends. Rows ascend within a batch,
+// and batches within a portion. emit is called from the portion's
+// goroutine and owns what it is handed; an error from it fails the pass.
+//
+// Synopsis observation rides on parses that happen anyway, once per
+// tokenized row and column: with early abandon active, the abandon hook
+// observes the predicate columns it parses for evaluation (the first
+// predicate column is seen for every row, so it always earns
+// full-portion bounds) and the handler re-parses and observes the other
+// columns of surviving rows. With DisableEarlyAbandon, every row reaches
+// the handler, which observes everything and filters afterwards.
+// Positions of the rows that reach the handler are recorded when their
+// portion ends, with one RecordRows per column, or every posBatch rows.
+func (pp *partialPass) run(keepCols []int, batchSize int, emit func(p scan.PortionInfo, rows []int64, vecs []*storage.DenseColumn) error) error {
+	l, t, pd := pp.l, pp.t, pp.pd
+	keep := make([]int, len(keepCols)) // positions in pp.cols
+	for j, c := range keepCols {
+		keep[j] = slices.Index(pp.cols, c)
+	}
+	useAbandon := !l.DisableEarlyAbandon && !pp.conj.Empty()
+	lateFilter := l.DisableEarlyAbandon && !pp.conj.Empty()
 	record := l.RecordPositions && t.PosMap != nil
-
-	// Synopsis observation rides on parses that happen anyway: with early
-	// abandon active, the abandon hook observes the predicate columns it
-	// parses for evaluation (the first predicate column is seen for every
-	// row, so it always earns full-portion bounds) and the handler
-	// observes the remaining columns of surviving rows (earning bounds
-	// only on passes where every row survives). Without early abandon,
-	// every row reaches the handler and it observes everything.
-	//
-	// The abandon hook parses predicate columns to evaluate them; the
-	// handler re-parses. The duplicate parse touches only the (few)
-	// predicate columns of the (few) qualifying rows and keeps the hook
-	// stateless, which matters because portions run on separate
-	// goroutines.
-	useAbandon := !l.DisableEarlyAbandon && !conj.Empty()
-
-	lateFilter := l.DisableEarlyAbandon && !conj.Empty()
-	mkHandler := func(pc *synopsis.PortionAcc, tally *portionTally) (scan.RowHandler, func() error) {
-		return func(rowID int64, fields []scan.FieldRef) error {
-			vals := make([]storage.Value, len(loadCols))
+	types := colTypes(t.Schema(), pp.cols)
+	size := batchSize
+	if size == 0 {
+		size = exec.DefaultBatchSize
+	}
+	begin := func(p scan.PortionInfo, pc *synopsis.PortionAcc, tally *portionTally) portionHooks {
+		var rows, posRows []int64
+		var vecs []*storage.DenseColumn // the current batch's; nil until a row qualifies
+		offs := make([][]int64, len(pp.cols))
+		if record {
+			posRows = make([]int64, 0, size)
+			for i := range offs {
+				offs[i] = make([]int64, 0, size)
+			}
+		}
+		vals := make([]storage.Value, len(pp.cols))
+		get := func(col int) storage.Value { return vals[slices.Index(pp.cols, col)] }
+		recordPositions := func() {
+			for i, c := range pp.cols {
+				t.PosMap.RecordRows(c, posRows, offs[i])
+				offs[i] = offs[i][:0]
+			}
+			posRows = posRows[:0]
+		}
+		flush := func() error {
+			if len(rows) == 0 {
+				return nil
+			}
+			r, v := rows, vecs
+			rows, vecs = nil, nil
+			return emit(p, r, v)
+		}
+		var h portionHooks
+		if useAbandon {
+			h.abandon = pd.abandon(pc)
+		}
+		h.rows = func(rowID int64, fields []scan.FieldRef) error {
 			for i, f := range fields {
 				v, err := pd.parse(i, f.Bytes)
 				if err != nil {
-					return fmt.Errorf("loader: row %d col %d: %w", rowID, loadCols[i], err)
+					return fmt.Errorf("loader: row %d col %d: %w", rowID, pp.cols[i], err)
 				}
-				vals[i] = v
 				if !useAbandon || len(pd.preds[i]) == 0 {
 					pc.Observe(i, v)
+				}
+				vals[i] = v
+				if record {
+					offs[i] = append(offs[i], f.Offset)
 				}
 			}
 			tally.parsed += int64(len(fields))
 			if record {
-				for i, f := range fields {
-					t.PosMap.Record(loadCols[i], rowID, f.Offset)
+				if posRows = append(posRows, rowID); len(posRows) == posBatch {
+					recordPositions()
 				}
 			}
-			if lateFilter {
-				ok := conj.EvalRow(func(col int) storage.Value {
-					for i, c := range loadCols {
-						if c == col {
-							return vals[i]
-						}
-					}
-					return storage.Value{}
-				})
-				if !ok {
-					return nil
+			if lateFilter && !pp.conj.EvalRow(get) {
+				return nil
+			}
+			if vecs == nil {
+				rows = make([]int64, 0, size)
+				vecs = make([]*storage.DenseColumn, len(keep))
+				for j, i := range keep {
+					vecs[j] = storage.NewDense(types[i], size)
 				}
 			}
-			batch.add(rowID, vals)
+			for j, i := range keep {
+				vecs[j].Append(vals[i])
+			}
+			rows = append(rows, rowID)
+			if len(rows) == batchSize {
+				return flush()
+			}
 			return nil
-		}, nil
-	}
-
-	// Portion pruning rides on funcs: portions whose recorded bounds
-	// exclude the conjunction are skipped — a skipped portion provably
-	// holds no qualifying row, so results are identical to an unpruned
-	// pass.
-	begin := func(_ scan.PortionInfo, pc *synopsis.PortionAcc, tally *portionTally) portionHooks {
-		var h portionHooks
-		h.rows, h.end = mkHandler(pc, tally)
-		if useAbandon {
-			h.abandon = pd.abandon(pc)
+		}
+		h.end = func() error {
+			err := flush()
+			if record {
+				recordPositions()
+			}
+			return err
 		}
 		return h
 	}
-	if err := ps.run(loadCols, conj, l.Counters, begin); err != nil {
-		return nil, err
+	// Portion pruning rides on the pass: portions whose recorded bounds
+	// exclude the conjunction are skipped — a skipped portion provably
+	// holds no qualifying row, so results are identical to an unpruned
+	// pass.
+	if err := pp.ps.run(pp.cols, pp.conj, l.Counters, begin); err != nil {
+		return err
 	}
-	l.finish(ps, t)
-	batch.sort()
-	return viewFromBatch(batch, loadCols, sch, tab), nil
+	l.finish(pp.ps, t)
+	return nil
 }
 
-func viewFromBatch(b *rowBatch, loadCols []int, sch *schema.Schema, tab int) *exec.View {
+// PartialScanContext is the Partial Loads operator: it pushes the
+// conjunction into tokenization (abandoning a row the moment a predicate
+// fails), parses and materializes only needCols (and the predicate
+// columns) of qualifying rows, and returns them as a View in row order.
+// Nothing is stored in the adaptive store — this is V1's "throw the data
+// away immediately after every query" behavior; V2 layers retention on
+// top. A cancelled ctx aborts tokenization between chunks and the partial
+// result is discarded.
+func (l *Loader) PartialScanContext(ctx context.Context, t *catalog.Table, needCols []int, conj expr.Conjunction, tab int) (*exec.View, error) {
+	pp, err := l.openPartial(ctx, t, needCols, conj)
+	if err != nil {
+		return nil, err
+	}
+	// Each portion's rows land at its index. Portions are contiguous and
+	// in file order, so index order is row order.
+	type part struct {
+		rows []int64
+		vecs []*storage.DenseColumn
+	}
+	parts := make([]part, len(pp.ps.ports))
+	err = pp.run(pp.cols, 0, func(p scan.PortionInfo, rows []int64, vecs []*storage.DenseColumn) error {
+		parts[p.Index] = part{rows, vecs}
+		return nil
+	})
+	if err != nil {
+		return nil, err
+	}
+	n := 0
+	for _, pt := range parts {
+		n += len(pt.rows)
+	}
 	v := exec.NewView()
-	v.Rows = b.rows
-	for i, c := range loadCols {
-		col := storage.NewDense(sch.Columns[c].Type, len(b.rows))
-		for _, vals := range b.vals {
-			col.Append(vals[i])
+	v.Rows = make([]int64, 0, n)
+	for _, pt := range parts {
+		v.Rows = append(v.Rows, pt.rows...)
+	}
+	for i, c := range pp.cols {
+		col := storage.NewDense(t.Schema().Columns[c].Type, n)
+		for _, pt := range parts {
+			if len(pt.rows) > 0 {
+				col.AppendSelected(pt.vecs[i], nil, len(pt.rows))
+			}
 		}
 		v.AddCol(exec.ColKey{Tab: tab, Col: c}, col)
 	}
-	return v
+	return v, nil
+}
+
+// ScanBatchesContext is the streaming form of PartialScanContext: the same
+// pass, emitting each portion's qualifying rows' outCols values (distinct
+// columns) as column-oriented batches of batchSize rows, keyed under table
+// ordinal tab, instead of buffering the whole pass into a View. Emitted
+// batches are post-filter and dense (no selection vector); nothing is
+// retained in the adaptive store.
+//
+// A batch is emitted when full, and a non-empty partial one when its
+// portion ends, so a selective scan over a slow file hands over a row
+// found early one portion later rather than at the end of the pass. With
+// Workers > 1, emit is called from several worker goroutines at once and
+// must be safe for that, and batches arrive out of file order. An emit
+// error aborts the scan — after at most one more chunk of raw-file reads
+// — and is returned as-is: that is the cursor's LIMIT/Close
+// early-termination hook.
+//
+// The table's row count is recorded only when the scan runs to completion;
+// an aborted pass has not seen every row.
+func (l *Loader) ScanBatchesContext(ctx context.Context, t *catalog.Table, outCols []int, conj expr.Conjunction, tab, batchSize int, emit func(*exec.Batch) error) error {
+	if batchSize <= 0 {
+		batchSize = exec.DefaultBatchSize
+	}
+	pp, err := l.openPartial(ctx, t, outCols, conj)
+	if err != nil {
+		return err
+	}
+	return pp.run(outCols, batchSize, func(_ scan.PortionInfo, rows []int64, vecs []*storage.DenseColumn) error {
+		b := &exec.Batch{N: len(rows), Cols: make(map[exec.ColKey]*storage.DenseColumn, len(outCols))}
+		for j, c := range outCols {
+			b.Cols[exec.ColKey{Tab: tab, Col: c}] = vecs[j]
+		}
+		return emit(b)
+	})
 }
 
 // queryRegion builds the region describing this query: per-predicate-column

@@ -50,8 +50,7 @@ func TestRevalidateGrowthExtendsState(t *testing.T) {
 	d.Ints = append(d.Ints, 1, 3)
 	tab.SetDense(0, d)
 	tab.SetNumRows(2)
-	tab.PosMap.Record(0, 0, 0)
-	tab.PosMap.Record(0, 1, 4)
+	tab.PosMap.RecordRows(0, []int64{0, 1}, []int64{0, 4})
 	baseEntries := tab.PosMap.Entries()
 
 	appendFile(t, path, "5,6\n7,8\n")

@@ -5,6 +5,8 @@ import (
 	"maps"
 	"slices"
 	"testing"
+
+	"nodb/internal/intervals"
 )
 
 // fuzzRows bounds the rows a fuzzed step writes: five blocks, the last
@@ -59,7 +61,7 @@ func (in *fuzzInput) offsets(start int64, n int, salt int64) []int64 {
 	return offs
 }
 
-// FuzzPosMap runs a random sequence of Record, RecordRun, InstallRun (its
+// FuzzPosMap runs a random sequence of RecordRows, RecordRun, InstallRun (its
 // run written by writers split at random seams), LoadColumn and Drop, and
 // after every step compares Lookup, Offsets, Pairs, Covers and Entries
 // with a map[int64]int64 per column, and MemSize with both the
@@ -83,11 +85,27 @@ func FuzzPosMap(f *testing.F) {
 				model[col] = map[int64]int64{}
 			}
 			switch op {
-			case 0, 1: // Record, a few rows one by one
-				start, n := int64(in.n(fuzzRows)), 1+in.byte()%8
-				for i, off := range in.offsets(start, n, salt) {
-					m.Record(col, start+int64(i), off)
-					model[col][start+int64(i)] = off
+			case 0, 1: // RecordRows of ascending rows, mostly scattered
+				start, k := int64(in.n(fuzzRows)), 1+in.byte()%32
+				rows := []int64{start}
+				for len(rows) < k {
+					next := rows[len(rows)-1] + 1
+					if in.byte()%3 != 0 {
+						next += int64(in.n(300))
+					}
+					if next >= fuzzRows {
+						break
+					}
+					rows = append(rows, next)
+				}
+				span := in.offsets(start, int(rows[len(rows)-1]-start)+1, salt)
+				offs := make([]int64, len(rows))
+				for i, row := range rows {
+					offs[i] = span[row-start]
+				}
+				m.RecordRows(col, rows, offs)
+				for i, row := range rows {
+					model[col][row] = offs[i]
 				}
 			case 2, 3: // RecordRun
 				start := int64(in.n(fuzzRows))
@@ -210,7 +228,12 @@ func blockBytes(m *Map) int64 {
 				continue
 			}
 			n += b.cost()
-			if b.res != nil && c.prefix(bi, int64(bi)<<blockShift+1) != len(b.res) {
+			if b.res == nil {
+				continue
+			}
+			lo := int64(bi) << blockShift
+			run, rest := intervals.Interval{Lo: lo, Hi: lo + int64(len(b.res))}, intervals.Interval{Lo: lo + int64(len(b.res)), Hi: lo + blockRows}
+			if gaps := c.cov.Missing(rest); !c.cov.Covers(run) || !rest.Empty() && !slices.Equal(gaps, []intervals.Interval{rest}) {
 				return -1
 			}
 		}

@@ -26,28 +26,31 @@
 //     offset fell outside the narrow window.
 //
 // A block becomes sealed when its rows are complete: a column load seals
-// each block in the worker that fills it, and a RecordRun or LoadColumn
-// seals each block it leaves covered by one run from its first row. A
+// each block in the worker that fills it, and every other write
+// (RecordRun, RecordRows, LoadColumn) seals each block it leaves covered
+// by one run from its first row; scattered rows leave theirs narrow. A
 // block whose residuals do not fit int16 stays narrow or wide: a row of
-// tens of KB pulls its neighbours that far off the line. Single Records
-// never seal. A write into a sealed block lands in place when its
-// residuals fit; any other unseals the block back to narrow (or wide).
-// Every escape costs memory, never an answer.
+// tens of KB pulls its neighbours that far off the line. A write into a
+// sealed block lands in place when its residuals fit; any other unseals
+// the block back to narrow (or wide). Every escape costs memory, never an
+// answer.
 //
 // A position costs 2 B in a sealed block, 4 B in a narrow one and 8 B in a
 // wide one. A block adds its head (a sealed block's base and stride, 16 B;
 // another's base, 8 B) and an 8 B slot in the column's block index: 2.02 B
 // per row of a sealed column, 4.02 B of a narrow one, and up to 4 KiB for
-// a scattered Record that is the first in its block. MemSize, and what the
-// Accountant hears, is that footprint, with the block and column indexes
-// counted by the slots in use, so it is a function of what the map holds:
-// a cold load, a Refresh tail and a warm restart that hold the same
-// positions hold the same bytes. The budget cuts whole blocks.
+// a scattered row that is the first recorded in its block. MemSize, and
+// what the Accountant hears, is that footprint, with the block and column
+// indexes counted by the slots in use, so it is a function of what the
+// map holds: a cold load, a Refresh tail and a warm restart that hold the
+// same positions hold the same bytes. The budget cuts whole blocks.
 //
-// Writes go in place, in any order; the last writer wins. A column load
-// sets its positions through a Run while it tokenizes and installs the Run
-// whole once the pass has succeeded. Each column's interval set of
-// recorded rows is the source of truth for Covers, Entries and Pairs.
+// Writes go in place, in any order; the last writer wins. Positions are
+// file offsets, never negative. A column load sets its positions through
+// a Run while it tokenizes and installs the Run whole once the pass has
+// succeeded; a partial pass records each portion's rows with one
+// RecordRows per column when the portion ends. Each column's interval set
+// of recorded rows is the source of truth for Covers, Entries and Pairs.
 //
 // Loads read the map a portion at a time: Offsets fills a batch of one
 // attribute's positions under one read lock, so a positional load runs
@@ -229,32 +232,47 @@ func New(maxBytes int64, counters *metrics.Counters) *Map {
 	return &Map{maxBytes: maxBytes, counters: counters}
 }
 
-// Record stores the byte offset of (col, row). A record that would grow
-// the map past its memory budget is dropped silently (the map is an
-// opportunistic cache, losing an entry is always safe). A Record never
-// seals its block.
-func (m *Map) Record(col int, row, off int64) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.putLocked(col, row, []int64{off}, false)
-}
-
 // RecordRun stores offsets for rows startRow, startRow+1, ... under one
-// lock, with one accounting update, and seals every block it leaves
-// covered by one run from its first row. The run is cut at the first
-// block that would cross the memory budget, so MemSize never exceeds it.
-// offs is copied; the caller may reuse it.
+// lock, and seals every block it leaves covered by one run from its first
+// row. The run is cut at the first block that would cross the memory
+// budget, so MemSize never exceeds it (the map is an opportunistic cache:
+// losing an entry is always safe). offs is copied; the caller may reuse
+// it.
 func (m *Map) RecordRun(col int, startRow int64, offs []int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	m.putLocked(col, startRow, offs, true)
+	m.putLocked(col, startRow, offs)
+}
+
+// RecordRows stores offs[i] as the position of rows[i] of col under one
+// lock; rows ascend. Each run of consecutive rows goes in as one
+// RecordRun does, so a block the rows fill from its first slot seals. The
+// first run the budget cuts ends the call.
+func (m *Map) RecordRows(col int, rows, offs []int64) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.putRowsLocked(col, rows, offs)
+}
+
+// putRowsLocked is RecordRows' body. Caller holds m.mu for writing.
+func (m *Map) putRowsLocked(col int, rows, offs []int64) {
+	start := 0
+	for i := 1; i <= len(rows); i++ {
+		if i < len(rows) && rows[i] == rows[i-1]+1 {
+			continue
+		}
+		if m.putLocked(col, rows[start], offs[start:i]) < i-start {
+			return // the budget is spent
+		}
+		start = i
+	}
 }
 
 // putLocked writes offs to rows start.. of col and returns how many it
-// wrote before the budget cut the run; with seal set it seals each block
-// the write leaves covered by one run from its first row. Caller holds
-// m.mu for writing.
-func (m *Map) putLocked(col int, start int64, offs []int64, seal bool) int {
+// wrote before the budget cut the run; it seals each block the write
+// leaves covered by one run from its first row. Caller holds m.mu for
+// writing.
+func (m *Map) putLocked(col int, start int64, offs []int64) int {
 	// A column or block index slot costs 8 B: past maxBytes/8 none fits.
 	slots := m.maxBytes / 8
 	if col < 0 || start < 0 || len(offs) == 0 || int64(col) >= slots || start>>blockShift >= slots {
@@ -273,7 +291,7 @@ func (m *Map) putLocked(col int, start int64, offs []int64, seal bool) int {
 		seg := offs[n : n+min(blockRows-s, len(offs)-n)]
 		blocks, cost := grow(c.blocks, bi+1, last+1)
 		b, fresh := blocks[bi], blocks[bi] == nil
-		if fresh && seal && s == 0 {
+		if fresh && s == 0 {
 			b = newSealed(seg) // seg is all the block holds
 		}
 		if b == nil {
@@ -293,7 +311,7 @@ func (m *Map) putLocked(col int, start int64, offs []int64, seal bool) int {
 		blocks[bi], c.blocks = b, blocks
 		added += cost + d
 		c.cov.Add(intervals.Interval{Lo: row, Hi: row + int64(len(seg))})
-		if seal && b.res == nil {
+		if b.res == nil {
 			if k := c.prefix(bi, row+int64(len(seg))); k > 0 {
 				added += b.seal(k)
 			}
@@ -310,20 +328,24 @@ func (m *Map) putLocked(col int, start int64, offs []int64, seal bool) int {
 // prefix returns k when block bi's recorded rows are exactly its first k,
 // or 0. Row hi-1, in the block, is recorded: unless every row before it
 // is, the block's rows are no such run, which a scattered write learns
-// without listing the block's gaps.
+// from the coverage alone. Otherwise the block's slots past hi-1 tell
+// where the run ends and that no row follows it, without listing the
+// block's gaps.
 func (c *colMap) prefix(bi int, hi int64) int {
 	lo := int64(bi) << blockShift
 	if !c.cov.Covers(intervals.Interval{Lo: lo, Hi: hi}) {
 		return 0
 	}
-	gaps := c.cov.Missing(intervals.Interval{Lo: lo, Hi: lo + blockRows})
-	switch {
-	case len(gaps) == 0:
-		return blockRows
-	case len(gaps) == 1 && gaps[0].Lo > lo && gaps[0].Hi == lo+blockRows:
-		return int(gaps[0].Lo - lo)
+	b, k := c.blocks[bi], int(hi-lo)
+	for k < blockRows && b.at(k) >= 0 {
+		k++
 	}
-	return 0
+	for s := k; s < blockRows; s++ {
+		if b.at(s) >= 0 {
+			return 0
+		}
+	}
+	return k
 }
 
 // charge adds n allocated bytes to the map's footprint.
@@ -584,13 +606,13 @@ func (m *Map) InstallRun(col int, r *Run, n int64) {
 		}
 	}
 	_, offs := c.pairs()
-	m.putLocked(col, 0, offs, true)
+	m.putLocked(col, 0, offs)
 }
 
 // LoadColumn installs a column's positions from a snapshot: rows ascending
 // and unique, offs parallel and non-negative, or the column is ignored. A
 // column that has entries is left alone (live recording supersedes the
-// snapshot). Each run of consecutive rows goes in as one RecordRun.
+// snapshot). The rows go in as RecordRows puts them.
 func (m *Map) LoadColumn(col int, rows, offs []int64) {
 	if len(rows) == 0 || len(rows) != len(offs) {
 		return
@@ -602,18 +624,8 @@ func (m *Map) LoadColumn(col int, rows, offs []int64) {
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.colLocked(col) != nil {
-		return
-	}
-	start := 0
-	for i := 1; i <= len(rows); i++ {
-		if i < len(rows) && rows[i] == rows[i-1]+1 {
-			continue
-		}
-		if m.putLocked(col, rows[start], offs[start:i], true) < i-start {
-			return // the budget is spent
-		}
-		start = i
+	if m.colLocked(col) == nil {
+		m.putRowsLocked(col, rows, offs)
 	}
 }
 

@@ -14,8 +14,7 @@ import (
 
 func TestRecordLookup(t *testing.T) {
 	m := New(0, nil)
-	m.Record(2, 10, 123)
-	m.Record(2, 11, 456)
+	m.RecordRows(2, []int64{10, 11}, []int64{123, 456})
 	if off, ok := m.Lookup(2, 10); !ok || off != 123 {
 		t.Errorf("Lookup = %d, %v", off, ok)
 	}
@@ -29,8 +28,8 @@ func TestRecordLookup(t *testing.T) {
 
 func TestRecordOverwrite(t *testing.T) {
 	m := New(0, nil)
-	m.Record(0, 5, 100)
-	m.Record(0, 5, 200)
+	m.RecordRun(0, 5, []int64{100})
+	m.RecordRun(0, 5, []int64{200})
 	if off, _ := m.Lookup(0, 5); off != 200 {
 		t.Errorf("overwrite failed: %d", off)
 	}
@@ -41,9 +40,9 @@ func TestRecordOverwrite(t *testing.T) {
 
 func TestRecordOutOfOrder(t *testing.T) {
 	m := New(0, nil)
-	m.Record(1, 30, 300)
-	m.Record(1, 10, 100)
-	m.Record(1, 20, 200)
+	m.RecordRun(1, 30, []int64{300})
+	m.RecordRun(1, 10, []int64{100})
+	m.RecordRun(1, 20, []int64{200})
 	rows, offs := m.Pairs(1)
 	if len(rows) != 3 || rows[0] != 10 || rows[1] != 20 || rows[2] != 30 {
 		t.Fatalf("rows = %v", rows)
@@ -88,22 +87,28 @@ func TestRecordRunOutOfOrderFallback(t *testing.T) {
 }
 
 // TestRecordRunMatchesRecord: a bulk install into an empty column leaves
-// the same map as recording the entries one by one.
+// the same map as recording the entries one by one, and as one
+// RecordRows of the same rows.
 func TestRecordRunMatchesRecord(t *testing.T) {
 	offs := make([]int64, 5000)
 	for i := range offs {
 		offs[i] = int64(i)*37 + 3
 	}
-	bulk, single := New(0, nil), New(0, nil)
+	bulk, single, rowsMap := New(0, nil), New(0, nil), New(0, nil)
 	bulk.RecordRun(4, 200, offs)
+	rows := make([]int64, len(offs))
 	for i, off := range offs {
-		single.Record(4, 200+int64(i), off)
+		single.RecordRun(4, 200+int64(i), []int64{off})
+		rows[i] = 200 + int64(i)
 	}
+	rowsMap.RecordRows(4, rows, offs)
 	offs[0] = -1 // the run was copied, not adopted
 	br, bo := bulk.Pairs(4)
-	sr, so := single.Pairs(4)
-	if !slices.Equal(br, sr) || !slices.Equal(bo, so) {
-		t.Fatal("RecordRun and per-entry Record disagree on Pairs")
+	for _, other := range []*Map{single, rowsMap} {
+		sr, so := other.Pairs(4)
+		if !slices.Equal(br, sr) || !slices.Equal(bo, so) {
+			t.Fatal("RecordRun, per-entry RecordRun and RecordRows disagree on Pairs")
+		}
 	}
 	if bo[0] != 3 {
 		t.Fatalf("first offset = %d: RecordRun must copy its input", bo[0])
@@ -113,15 +118,15 @@ func TestRecordRunMatchesRecord(t *testing.T) {
 			t.Fatalf("Covers(%d,%d) disagrees", r[0], r[1])
 		}
 	}
-	// Rows 200..5199 fill blocks 0..5, and both maps use 5 column slots
-	// (for col 4) and 6 index slots. The run seals the blocks it covers
-	// from their first row: 1..4 whole and 5's first 80 rows; per-entry
-	// Records seal nothing.
-	if got, want := bulk.MemSize(), int64(5*8+6*8+narrowCost)+4*sealedCost(blockRows)+sealedCost(80); got != want {
-		t.Fatalf("bulk MemSize = %d, want %d", got, want)
-	}
-	if got, want := single.MemSize(), int64(5*8+6*8+6*narrowCost); got != want {
-		t.Fatalf("single MemSize = %d, want %d", got, want)
+	// Rows 200..5199 fill blocks 0..5, and every map uses 5 column slots
+	// (for col 4) and 6 index slots. Each seals the blocks it covers from
+	// their first row, 1..4 whole and 5's first 80 rows, whether one write
+	// or many left them covered.
+	want := int64(5*8+6*8+narrowCost) + 4*sealedCost(blockRows) + sealedCost(80)
+	for name, m := range map[string]*Map{"bulk": bulk, "single": single, "rows": rowsMap} {
+		if got := m.MemSize(); got != want {
+			t.Fatalf("%s MemSize = %d, want %d", name, got, want)
+		}
 	}
 }
 
@@ -178,9 +183,11 @@ func seqOffs(n int, base int64) []int64 {
 // overwrites them (newest wins) and allocates nothing more.
 func TestRecordRunOverlapMerges(t *testing.T) {
 	m := New(0, nil)
+	var rows []int64
 	for r := int64(0); r < 100; r += 10 {
-		m.Record(0, r, r)
+		rows = append(rows, r)
 	}
+	m.RecordRows(0, rows, rows)
 	run := make([]int64, 100)
 	for i := range run {
 		run[i] = int64(i) + 1000
@@ -197,38 +204,42 @@ func TestRecordRunOverlapMerges(t *testing.T) {
 	}
 }
 
-// TestRecordInOrderAllocFree: the sparse loaders record value by value;
-// an in-order append must not allocate beyond amortized slice growth.
+// TestRecordInOrderAllocFree: an in-order append into a block that
+// exists, one row per call, widens the column's coverage in place and
+// allocates nothing. Row 0 stays unrecorded, so the block stays narrow.
 func TestRecordInOrderAllocFree(t *testing.T) {
 	m := New(1<<30, nil)
-	row := int64(0)
-	m.Record(0, row, 0)
-	allocs := testing.AllocsPerRun(10000, func() {
+	row := int64(1)
+	rows, offs := []int64{row}, []int64{8}
+	m.RecordRows(0, rows, offs)
+	allocs := testing.AllocsPerRun(blockRows-10, func() {
 		row++
-		m.Record(0, row, row*8)
+		rows[0], offs[0] = row, row*8
+		m.RecordRows(0, rows, offs)
 	})
 	if allocs != 0 {
-		t.Fatalf("in-order Record allocates %.1f times per call, want 0", allocs)
+		t.Fatalf("in-order RecordRows allocates %.1f times per call, want 0", allocs)
 	}
 }
 
-// TestBudget: the budget caps allocations, not entries. Row 1's Record
+// TestBudget: the budget caps allocations, not entries. Row 1's write
 // takes a column slot, an index slot and a block, and leaves exactly the
-// room of a wide escape. Row 2000 needs a new block and is dropped; row 0
-// lands in the block already allocated.
+// room of a wide escape. Row 2000 needs a new block and is dropped; row 3
+// lands in the block already allocated (rows 1 and 3 are no run from the
+// block's first row, so the block stays narrow).
 func TestBudget(t *testing.T) {
 	const used = 8 + 8 + narrowCost
 	m := New(used+4*blockRows, nil)
-	m.Record(0, 1, 10)
+	m.RecordRun(0, 1, []int64{10})
 	if m.MemSize() != used {
 		t.Fatalf("MemSize = %d, want %d", m.MemSize(), used)
 	}
-	m.Record(0, 2000, 20)
+	m.RecordRun(0, 2000, []int64{20})
 	if _, ok := m.Lookup(0, 2000); ok {
 		t.Error("record past budget should be dropped")
 	}
-	m.Record(0, 0, 5)
-	if off, ok := m.Lookup(0, 0); !ok || off != 5 {
+	m.RecordRun(0, 3, []int64{5})
+	if off, ok := m.Lookup(0, 3); !ok || off != 5 {
 		t.Errorf("record into an allocated slot = %d, %v", off, ok)
 	}
 	if m.Entries() != 2 || m.MemSize() != used {
@@ -238,7 +249,7 @@ func TestBudget(t *testing.T) {
 
 func TestDrop(t *testing.T) {
 	m := New(0, nil)
-	m.Record(1, 1, 1)
+	m.RecordRun(1, 1, []int64{1})
 	m.Drop()
 	if m.Entries() != 0 || m.MemSize() != 0 {
 		t.Error("Drop should clear everything")
@@ -250,8 +261,8 @@ func TestDrop(t *testing.T) {
 
 func TestCoveredCols(t *testing.T) {
 	m := New(0, nil)
-	m.Record(5, 0, 1)
-	m.Record(2, 0, 1)
+	m.RecordRun(5, 0, []int64{1})
+	m.RecordRun(2, 0, []int64{1})
 	got := m.CoveredCols()
 	if len(got) != 2 || got[0] != 2 || got[1] != 5 {
 		t.Errorf("CoveredCols = %v", got)
@@ -261,7 +272,7 @@ func TestCoveredCols(t *testing.T) {
 func TestCounters(t *testing.T) {
 	var c metrics.Counters
 	m := New(0, &c)
-	m.Record(0, 1, 1)
+	m.RecordRun(0, 1, []int64{1})
 	m.Lookup(0, 1)
 	m.Lookup(0, 2)
 	s := c.Snapshot()
@@ -279,7 +290,7 @@ func TestConcurrentAccess(t *testing.T) {
 			defer wg.Done()
 			base := int64(w * 1000)
 			for i := int64(0); i < 500; i++ {
-				m.Record(w, base+i, base+i*8)
+				m.RecordRun(w, base+i, []int64{base + i*8})
 				m.Lookup(w, base+i)
 			}
 		}(w)
@@ -292,7 +303,7 @@ func TestConcurrentAccess(t *testing.T) {
 
 func TestPairsCopies(t *testing.T) {
 	m := New(0, nil)
-	m.Record(0, 1, 11)
+	m.RecordRun(0, 1, []int64{11})
 	rows, _ := m.Pairs(0)
 	rows[0] = 999 // mutate the copy
 	if off, ok := m.Lookup(0, 1); !ok || off != 11 {
@@ -304,10 +315,19 @@ func TestPairsCopies(t *testing.T) {
 	}
 }
 
+// BenchmarkRecordAscending records a selective pass' positions: one
+// RecordRows per 1 000-row portion, every tenth row, as a partial pass
+// does when a portion ends.
 func BenchmarkRecordAscending(b *testing.B) {
+	rows, offs := make([]int64, 100), make([]int64, 100)
 	m := New(1<<30, nil)
+	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		m.Record(0, int64(i), int64(i*8))
+		for j := range rows {
+			rows[j] = int64(i)*1000 + int64(j)*10
+			offs[j] = rows[j] * 8
+		}
+		m.RecordRows(0, rows, offs)
 	}
 }
 
@@ -337,9 +357,7 @@ func BenchmarkPairsColumn(b *testing.B) {
 
 func BenchmarkLookup(b *testing.B) {
 	m := New(1<<30, nil)
-	for i := int64(0); i < 1e6; i++ {
-		m.Record(0, i, i*8)
-	}
+	m.RecordRun(0, 0, seqOffs(1e6, 0))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Lookup(0, int64(i)%1e6)
@@ -347,20 +365,26 @@ func BenchmarkLookup(b *testing.B) {
 }
 
 // TestRecordInterleavedBulk: a selective pass records scattered rows, a
-// wide pass then records every row (the sequence that once triggered an
-// O(n) memmove per record). Lookups, coverage and serialization must
-// match a reference map.
+// wide pass then records every row, a 1 000-row portion at a time (the
+// sequence that once triggered an O(n) memmove per record). Lookups,
+// coverage and serialization must match a reference map.
 func TestRecordInterleavedBulk(t *testing.T) {
 	m := New(64<<20, nil)
 	ref := map[int64]int64{}
 	const n = 120_000
+	var rows, offs []int64
 	for r := int64(0); r < n; r += 3 { // selective pass, in order
-		m.Record(0, r, r*10)
+		rows, offs = append(rows, r), append(offs, r*10)
 		ref[r] = r * 10
 	}
-	for r := int64(0); r < n; r++ { // wide pass, in order from row 0
-		m.Record(0, r, r*10+1)
-		ref[r] = r*10 + 1
+	m.RecordRows(0, rows, offs)
+	for lo := int64(0); lo < n; lo += 1000 { // wide pass, in order from row 0
+		rows, offs = rows[:0], offs[:0]
+		for r := lo; r < lo+1000; r++ {
+			rows, offs = append(rows, r), append(offs, r*10+1)
+			ref[r] = r*10 + 1
+		}
+		m.RecordRows(0, rows, offs)
 	}
 	if got := m.Entries(); got != n {
 		t.Fatalf("Entries = %d, want %d", got, n)
@@ -374,7 +398,7 @@ func TestRecordInterleavedBulk(t *testing.T) {
 	if !m.Covers(0, 0, n) {
 		t.Fatal("full range should be covered after the wide pass")
 	}
-	rows, offs := m.Pairs(0)
+	rows, offs = m.Pairs(0)
 	if int64(len(rows)) != n {
 		t.Fatalf("Pairs len = %d, want %d", len(rows), n)
 	}
@@ -388,9 +412,9 @@ func TestRecordInterleavedBulk(t *testing.T) {
 			t.Fatalf("row %d offset %d, want %d", r, offs[i], ref[r])
 		}
 	}
-	// 118 narrow blocks (Records seal nothing), 118 index slots in use,
-	// and one column slot.
-	if got, want := m.MemSize(), int64(8+118*8+118*narrowCost); got != want {
+	// One column slot, 118 index slots in use and 118 blocks, each sealed
+	// once the wide pass covered it: 117 whole and the last's 192 rows.
+	if got, want := m.MemSize(), int64(8+118*8)+117*sealedCost(blockRows)+sealedCost(n-117*blockRows); got != want {
 		t.Fatalf("MemSize = %d, want %d", got, want)
 	}
 }
@@ -399,9 +423,9 @@ func TestRecordInterleavedBulk(t *testing.T) {
 // through every reader at once.
 func TestRecordOutOfOrderVisibleToReaders(t *testing.T) {
 	m := New(0, nil)
-	m.Record(2, 100, 1000)
-	m.Record(2, 5, 50)
-	m.Record(2, 40, 400)
+	m.RecordRun(2, 100, []int64{1000})
+	m.RecordRun(2, 5, []int64{50})
+	m.RecordRun(2, 40, []int64{400})
 	if off, ok := m.Lookup(2, 5); !ok || off != 50 {
 		t.Fatalf("Lookup(5) = %d,%v", off, ok)
 	}
@@ -415,8 +439,7 @@ func TestRecordOutOfOrderVisibleToReaders(t *testing.T) {
 		t.Fatalf("Pairs rows = %v, want them in order", rows)
 	}
 	// Overwrites: newest wins and allocates nothing.
-	m.Record(2, 100, 1001)
-	m.Record(2, 5, 51)
+	m.RecordRows(2, []int64{5, 100}, []int64{51, 1001})
 	if off, _ := m.Lookup(2, 100); off != 1001 {
 		t.Fatalf("overwrite lost: %d", off)
 	}
@@ -470,8 +493,7 @@ func TestInstallRun(t *testing.T) {
 	}
 
 	m := New(0, nil)
-	m.Record(0, 10, 5)
-	m.Record(0, n+5, 9)
+	m.RecordRows(0, []int64{10, n + 5}, []int64{5, 9})
 	m.InstallRun(0, runOf(true, narrow), n)
 	if off, _ := m.Lookup(0, 10); off != narrow[10] || m.Entries() != n+1 {
 		t.Fatalf("merge: Lookup(10) = %d, Entries = %d; want %d, %d", off, m.Entries(), narrow[10], n+1)
@@ -557,7 +579,7 @@ func TestRunConcurrentSet(t *testing.T) {
 func TestLoadColumn(t *testing.T) {
 	src := New(0, nil)
 	src.RecordRun(0, 0, seqOffs(3000, 5))
-	src.Record(0, 4000, 9) // alone in its block, narrow
+	src.RecordRun(0, 4000, []int64{9}) // alone in its block, narrow
 	rows, offs := src.Pairs(0)
 	m := New(0, nil)
 	m.LoadColumn(0, rows, offs)
@@ -636,8 +658,7 @@ func TestWideEscapeEdges(t *testing.T) {
 		{base - 1, true},
 	} {
 		m := New(0, nil)
-		m.Record(0, 0, first)
-		m.Record(0, 5, c.off)
+		m.RecordRows(0, []int64{0, 5}, []int64{first, c.off})
 		if off, ok := m.Lookup(0, 5); !ok || off != c.off {
 			t.Fatalf("offset %d: Lookup = %d,%v", c.off, off, ok)
 		}
@@ -660,7 +681,7 @@ func TestWideEscapeEdges(t *testing.T) {
 }
 
 // modelStep is one write of offs at rows start..: a RecordRun, or, when
-// single is set, one Record per entry.
+// single is set, one single-row RecordRows per entry.
 type modelStep struct {
 	col    int
 	start  int64
@@ -779,8 +800,8 @@ func TestModel(t *testing.T) {
 				if st.single {
 					for i, off := range st.offs {
 						row := st.start + int64(i)
-						m.Record(st.col, row, off)
-						// Under a budget a Record may be dropped.
+						m.RecordRows(st.col, []int64{row}, []int64{off})
+						// Under a budget a write may be dropped.
 						if got, ok := m.Lookup(st.col, row); tc.budget == 0 || ok && got == off {
 							model[st.col][row] = off
 						}

@@ -123,9 +123,11 @@ func posmapTable() *Table {
 	m.RecordRun(0, 0, offs)
 	m.RecordRun(1, 1010, offs[:20])
 	m.RecordRun(1, 1030, offs[20:])
+	var rows, far []int64
 	for r := int64(0); r < 40; r += 7 {
-		m.Record(2, r, r<<33)
+		rows, far = append(rows, r), append(far, r<<33)
 	}
+	m.RecordRows(2, rows, far)
 	t := &Table{Rows: 1050}
 	for _, col := range m.CoveredCols() {
 		rows, offs := m.Pairs(col)
