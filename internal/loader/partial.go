@@ -66,45 +66,27 @@ func (pd *pushdown) abandon(pc *synopsis.PortionAcc) scan.AbandonFunc {
 	}
 }
 
-// partialPass is one Partial Loads pass (Figure 3's V1) over cols, the
-// requested columns and the conjunction's, ascending: the conjunction is
-// pushed into tokenization, and each portion parses its qualifying rows
-// into vectors of its own. Its two drains are PartialScanContext, which
-// keeps each portion's vectors and concatenates them into a View, and
-// ScanBatchesContext, which emits them as batches.
-type partialPass struct {
-	l    *Loader
-	t    *catalog.Table
-	cols []int
-	conj expr.Conjunction
-	pd   *pushdown
-	ps   *portionedScan
-}
-
-// openPartial checks needCols and opens a partial pass over them and the
-// conjunction's columns.
-func (l *Loader) openPartial(ctx context.Context, t *catalog.Table, needCols []int, conj expr.Conjunction) (*partialPass, error) {
-	cols := neededWithPreds(needCols, conj)
-	pd, err := newPushdown(t.Schema(), cols, conj)
-	if err != nil {
-		return nil, err
-	}
-	ps, err := l.openPortioned(ctx, t, cols, true)
-	if err != nil {
-		return nil, err
-	}
-	return &partialPass{l: l, t: t, cols: cols, conj: conj, pd: pd, ps: ps}, nil
+// portionRows is one portion's qualifying rows: their ids and the
+// values of the kept columns.
+type portionRows struct {
+	rows []int64
+	vecs []*storage.DenseColumn
 }
 
 // posBatch bounds the positions a partial pass buffers per portion.
 const posBatch = 64 << 10
 
-// run makes the pass. Each portion appends its qualifying rows' ids and
-// the values of keepCols (a subset of pp.cols) to vectors of its own, and
-// hands them to emit when batchSize rows have qualified (never, for 0)
-// and, if any are left, when the portion ends. Rows ascend within a batch,
-// and batches within a portion. emit is called from the portion's
-// goroutine and owns what it is handed; an error from it fails the pass.
+// partialPass makes one Partial Loads pass (Figure 3's V1) over needCols
+// and the conjunction's columns, ascending, and returns those columns:
+// the conjunction is pushed into tokenization, and each portion parses
+// its qualifying rows into vectors of its own. It has two drains. With emit
+// nil, each portion's rows and the values of every pass column are kept
+// at the portion's index and returned; portions are contiguous and in
+// file order, so index order is row order. Otherwise each portion hands
+// the values of needCols to emit when batchSize rows have qualified and,
+// if any are left, when the portion ends; emit is called from the
+// portion's goroutine, owns what it is handed, and fails the pass with
+// its error. Rows ascend within a batch, and batches within a portion.
 //
 // Synopsis observation rides on parses that happen anyway, once per
 // tokenized row and column: with early abandon active, the abandon hook
@@ -114,35 +96,46 @@ const posBatch = 64 << 10
 // columns of surviving rows. With DisableEarlyAbandon, every row reaches
 // the handler, which observes everything and filters afterwards.
 // Positions of the rows that reach the handler are recorded when their
-// portion ends, with one RecordRows per column, or every posBatch rows.
-func (pp *partialPass) run(keepCols []int, batchSize int, emit func(p scan.PortionInfo, rows []int64, vecs []*storage.DenseColumn) error) error {
-	l, t, pd := pp.l, pp.t, pp.pd
-	keep := make([]int, len(keepCols)) // positions in pp.cols
+// portion ends or emit fails, with one RecordRows per column, or every
+// posBatch rows.
+func (l *Loader) partialPass(ctx context.Context, t *catalog.Table, needCols []int, conj expr.Conjunction, batchSize int, emit func(rows []int64, vecs []*storage.DenseColumn) error) ([]int, []portionRows, error) {
+	cols := neededWithPreds(needCols, conj)
+	pd, err := newPushdown(t.Schema(), cols, conj)
+	if err != nil {
+		return nil, nil, err
+	}
+	ps, err := l.openPortioned(ctx, t, cols, true)
+	if err != nil {
+		return nil, nil, err
+	}
+	var kept []portionRows
+	keepCols, size := needCols, batchSize
+	if emit == nil {
+		kept = make([]portionRows, len(ps.ports))
+		keepCols, size = cols, exec.DefaultBatchSize
+	}
+	keep := make([]int, len(keepCols)) // positions in cols
 	for j, c := range keepCols {
-		keep[j] = slices.Index(pp.cols, c)
+		keep[j] = slices.Index(cols, c)
 	}
-	useAbandon := !l.DisableEarlyAbandon && !pp.conj.Empty()
-	lateFilter := l.DisableEarlyAbandon && !pp.conj.Empty()
+	useAbandon := !l.DisableEarlyAbandon && !conj.Empty()
+	lateFilter := l.DisableEarlyAbandon && !conj.Empty()
 	record := l.RecordPositions && t.PosMap != nil
-	types := colTypes(t.Schema(), pp.cols)
-	size := batchSize
-	if size == 0 {
-		size = exec.DefaultBatchSize
-	}
+	types := colTypes(t.Schema(), cols)
 	begin := func(p scan.PortionInfo, pc *synopsis.PortionAcc, tally *portionTally) portionHooks {
 		var rows, posRows []int64
 		var vecs []*storage.DenseColumn // the current batch's; nil until a row qualifies
-		offs := make([][]int64, len(pp.cols))
+		offs := make([][]int64, len(cols))
 		if record {
 			posRows = make([]int64, 0, size)
 			for i := range offs {
 				offs[i] = make([]int64, 0, size)
 			}
 		}
-		vals := make([]storage.Value, len(pp.cols))
-		get := func(col int) storage.Value { return vals[slices.Index(pp.cols, col)] }
+		vals := make([]storage.Value, len(cols))
+		get := func(col int) storage.Value { return vals[slices.Index(cols, col)] }
 		recordPositions := func() {
-			for i, c := range pp.cols {
+			for i, c := range cols {
 				t.PosMap.RecordRows(c, posRows, offs[i])
 				offs[i] = offs[i][:0]
 			}
@@ -154,7 +147,15 @@ func (pp *partialPass) run(keepCols []int, batchSize int, emit func(p scan.Porti
 			}
 			r, v := rows, vecs
 			rows, vecs = nil, nil
-			return emit(p, r, v)
+			if emit == nil {
+				kept[p.Index] = portionRows{r, v}
+				return nil
+			}
+			err := emit(r, v)
+			if err != nil && record {
+				recordPositions() // the portion stops here
+			}
+			return err
 		}
 		var h portionHooks
 		if useAbandon {
@@ -164,7 +165,7 @@ func (pp *partialPass) run(keepCols []int, batchSize int, emit func(p scan.Porti
 			for i, f := range fields {
 				v, err := pd.parse(i, f.Bytes)
 				if err != nil {
-					return fmt.Errorf("loader: row %d col %d: %w", rowID, pp.cols[i], err)
+					return fmt.Errorf("loader: row %d col %d: %w", rowID, cols[i], err)
 				}
 				if !useAbandon || len(pd.preds[i]) == 0 {
 					pc.Observe(i, v)
@@ -180,7 +181,7 @@ func (pp *partialPass) run(keepCols []int, batchSize int, emit func(p scan.Porti
 					recordPositions()
 				}
 			}
-			if lateFilter && !pp.conj.EvalRow(get) {
+			if lateFilter && !conj.EvalRow(get) {
 				return nil
 			}
 			if vecs == nil {
@@ -212,11 +213,11 @@ func (pp *partialPass) run(keepCols []int, batchSize int, emit func(p scan.Porti
 	// exclude the conjunction are skipped — a skipped portion provably
 	// holds no qualifying row, so results are identical to an unpruned
 	// pass.
-	if err := pp.ps.run(pp.cols, pp.conj, l.Counters, begin); err != nil {
-		return err
+	if err := ps.run(cols, conj, l.Counters, begin); err != nil {
+		return nil, nil, err
 	}
-	l.finish(pp.ps, t)
-	return nil
+	l.finish(ps, t)
+	return cols, kept, nil
 }
 
 // PartialScanContext is the Partial Loads operator: it pushes the
@@ -228,21 +229,7 @@ func (pp *partialPass) run(keepCols []int, batchSize int, emit func(p scan.Porti
 // top. A cancelled ctx aborts tokenization between chunks and the partial
 // result is discarded.
 func (l *Loader) PartialScanContext(ctx context.Context, t *catalog.Table, needCols []int, conj expr.Conjunction, tab int) (*exec.View, error) {
-	pp, err := l.openPartial(ctx, t, needCols, conj)
-	if err != nil {
-		return nil, err
-	}
-	// Each portion's rows land at its index. Portions are contiguous and
-	// in file order, so index order is row order.
-	type part struct {
-		rows []int64
-		vecs []*storage.DenseColumn
-	}
-	parts := make([]part, len(pp.ps.ports))
-	err = pp.run(pp.cols, 0, func(p scan.PortionInfo, rows []int64, vecs []*storage.DenseColumn) error {
-		parts[p.Index] = part{rows, vecs}
-		return nil
-	})
+	cols, parts, err := l.partialPass(ctx, t, needCols, conj, 0, nil)
 	if err != nil {
 		return nil, err
 	}
@@ -255,7 +242,7 @@ func (l *Loader) PartialScanContext(ctx context.Context, t *catalog.Table, needC
 	for _, pt := range parts {
 		v.Rows = append(v.Rows, pt.rows...)
 	}
-	for i, c := range pp.cols {
+	for i, c := range cols {
 		col := storage.NewDense(t.Schema().Columns[c].Type, n)
 		for _, pt := range parts {
 			if len(pt.rows) > 0 {
@@ -289,17 +276,14 @@ func (l *Loader) ScanBatchesContext(ctx context.Context, t *catalog.Table, outCo
 	if batchSize <= 0 {
 		batchSize = exec.DefaultBatchSize
 	}
-	pp, err := l.openPartial(ctx, t, outCols, conj)
-	if err != nil {
-		return err
-	}
-	return pp.run(outCols, batchSize, func(_ scan.PortionInfo, rows []int64, vecs []*storage.DenseColumn) error {
+	_, _, err := l.partialPass(ctx, t, outCols, conj, batchSize, func(rows []int64, vecs []*storage.DenseColumn) error {
 		b := &exec.Batch{N: len(rows), Cols: make(map[exec.ColKey]*storage.DenseColumn, len(outCols))}
 		for j, c := range outCols {
 			b.Cols[exec.ColKey{Tab: tab, Col: c}] = vecs[j]
 		}
 		return emit(b)
 	})
+	return err
 }
 
 // queryRegion builds the region describing this query: per-predicate-column

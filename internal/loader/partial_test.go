@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"cmp"
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"slices"
@@ -196,7 +197,8 @@ func TestPartialScanAllocsPerRow(t *testing.T) {
 // TestPartialPassPositions: a partial pass records the positions of the
 // rows it keeps. With no predicate that is every row, each field at the
 // file's offset, sealed into the bytes a column load's map takes; a
-// selective pass records exactly the qualifying rows.
+// selective pass records exactly the qualifying rows, and a stream
+// stopped early the rows it handed over.
 func TestPartialPassPositions(t *testing.T) {
 	const rows = 70_000 // one sequential portion records its positions in two batches
 	path := writeGen(t, csvgen.Spec{Rows: rows, Cols: 5, Seed: 43})
@@ -248,6 +250,15 @@ func TestPartialPassPositions(t *testing.T) {
 				if !slices.Equal(gotRows, wantRows) || !slices.Equal(gotOffs, wantOffs) {
 					t.Fatalf("a%d: the map holds %d positions, want the %d qualifying rows'", col+1, len(gotRows), len(wantRows))
 				}
+			}
+
+			// A stream its consumer stops at the first batch keeps the
+			// positions of the rows that batch was parsed from.
+			tab, c = linkFresh(t, path, catalog.Options{})
+			stop := errors.New("stop")
+			err := loader(c).ScanBatchesContext(context.Background(), tab, []int{2}, expr.Conjunction{}, 0, 100, func(*exec.Batch) error { return stop })
+			if err != stop || tab.PosMap.Entries() < 100 || workers == 1 && !tab.PosMap.Covers(2, 0, 100) {
+				t.Fatalf("stopped stream: err %v, %d positions kept, want the first batch's 100", err, tab.PosMap.Entries())
 			}
 		})
 	}

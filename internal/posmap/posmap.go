@@ -31,8 +31,9 @@
 // by one run from its first row; scattered rows leave theirs narrow. A
 // block whose residuals do not fit int16 stays narrow or wide: a row of
 // tens of KB pulls its neighbours that far off the line. A write into a
-// sealed block lands in place when its residuals fit; any other unseals
-// the block back to narrow (or wide). Every escape costs memory, never an
+// sealed block, or one extending its run, lands in place when its
+// residuals fit the block's line; any other unseals the block back to
+// narrow (or wide). Every escape costs memory, never an
 // answer.
 //
 // A position costs 2 B in a sealed block, 4 B in a narrow one and 8 B in a
@@ -238,6 +239,13 @@ func New(maxBytes int64, counters *metrics.Counters) *Map {
 // budget, so MemSize never exceeds it (the map is an opportunistic cache:
 // losing an entry is always safe). offs is copied; the caller may reuse
 // it.
+//
+// A write that extends a sealed block's run appends to it in place while
+// its residuals fit the block's line; one that does not unseals the block
+// to a narrow one (a 4 KiB allocation) and seals it again on a refitted
+// line, reading all 1024 of its slots. A block sealed from one row has a
+// flat line, so callers should hand over their rows as runs, a portion at
+// a time, not row by row.
 func (m *Map) RecordRun(col int, startRow int64, offs []int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -246,8 +254,9 @@ func (m *Map) RecordRun(col int, startRow int64, offs []int64) {
 
 // RecordRows stores offs[i] as the position of rows[i] of col under one
 // lock; rows ascend. Each run of consecutive rows goes in as one
-// RecordRun does, so a block the rows fill from its first slot seals. The
-// first run the budget cuts ends the call.
+// RecordRun does, at RecordRun's cost, so a block the rows fill from its
+// first slot seals. A run the budget cuts loses its rows past the cut;
+// later runs still land where they fit, in blocks already allocated.
 func (m *Map) RecordRows(col int, rows, offs []int64) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
@@ -261,9 +270,7 @@ func (m *Map) putRowsLocked(col int, rows, offs []int64) {
 		if i < len(rows) && rows[i] == rows[i-1]+1 {
 			continue
 		}
-		if m.putLocked(col, rows[start], offs[start:i]) < i-start {
-			return // the budget is spent
-		}
+		m.putLocked(col, rows[start], offs[start:i])
 		start = i
 	}
 }
@@ -380,8 +387,8 @@ func grow[T any](s []*T, n, want int) ([]*T, int64) {
 func (b *block) put(s int, seg []int64, room int64) (int64, bool) {
 	var d int64
 	if b.res != nil {
-		if b.rewrite(s, seg) {
-			return 0, room >= 0
+		if d, ok := b.rewrite(s, seg, room); ok {
+			return d, true
 		}
 		if narrowCost+4*blockRows-b.cost() > room {
 			return 0, false
@@ -412,26 +419,29 @@ func (b *block) put(s int, seg []int64, room int64) (int64, bool) {
 	return d + 4*blockRows, true
 }
 
-// rewrite stores seg at slots s.. of sealed b and reports whether it
-// could: every slot recorded, every residual inside int16. It changes
-// nothing when it cannot.
-func (b *block) rewrite(s int, seg []int64) bool {
-	if s+len(seg) > len(b.res) {
-		return false
+// rewrite stores seg at slots s.. of sealed b, on its line, and returns
+// the bytes that added. It can when the slots overwrite or extend b's run
+// (s at most one past its last row), every residual fits int16, and room
+// holds the new residuals; it changes nothing when it cannot.
+func (b *block) rewrite(s int, seg []int64, room int64) (int64, bool) {
+	grow := max(0, s+len(seg)-len(b.res))
+	if s > len(b.res) || 2*int64(grow) > room {
+		return 0, false
 	}
 	x := b.base + int64(s)*b.stride
 	for _, off := range seg {
 		if r := off - x; r != int64(int16(r)) {
-			return false
+			return 0, false
 		}
 		x += b.stride
 	}
+	b.res = append(b.res, make([]int16, grow)...)
 	x = b.base + int64(s)*b.stride
 	for i, off := range seg {
 		b.res[s+i] = int16(off - x)
 		x += b.stride
 	}
-	return true
+	return 2 * int64(grow), true
 }
 
 // unseal turns sealed b into the narrow (or wide) block of the same

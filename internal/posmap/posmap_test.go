@@ -245,6 +245,15 @@ func TestBudget(t *testing.T) {
 	if m.Entries() != 2 || m.MemSize() != used {
 		t.Errorf("Entries = %d, MemSize = %d, want 2, %d", m.Entries(), m.MemSize(), used)
 	}
+	// A run the budget cuts does not end a RecordRows: row 7, after the
+	// dropped row 2001, still lands in the block already allocated.
+	m.RecordRows(0, []int64{5, 2001, 7}, []int64{50, 60, 70})
+	if off, ok := m.Lookup(0, 7); !ok || off != 70 {
+		t.Errorf("row after a cut run = %d, %v", off, ok)
+	}
+	if _, ok := m.Lookup(0, 2001); ok || m.Entries() != 4 || m.MemSize() != used {
+		t.Errorf("Entries = %d, MemSize = %d, want 4, %d", m.Entries(), m.MemSize(), used)
+	}
 }
 
 func TestDrop(t *testing.T) {
@@ -328,6 +337,22 @@ func BenchmarkRecordAscending(b *testing.B) {
 			offs[j] = rows[j] * 8
 		}
 		m.RecordRows(0, rows, offs)
+	}
+}
+
+// BenchmarkRecordRowByRow records a column's positions one row per
+// RecordRun, in row order: each row after a block's first extends the
+// sealed block in place, but the flat line a block's first row seals on
+// holds only so many rows, so each block unseals and reseals once. It
+// pins what a caller pays for not batching its rows into runs.
+func BenchmarkRecordRowByRow(b *testing.B) {
+	offs := seqOffs(4*blockRows, 0)
+	b.ReportAllocs()
+	for b.Loop() {
+		m := New(0, nil)
+		for r, off := range offs {
+			m.RecordRun(0, int64(r), []int64{off})
+		}
 	}
 }
 
