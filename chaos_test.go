@@ -47,7 +47,7 @@ func chaosRow(res *Result) string {
 
 // chaosRule draws one random fault rule. Read-side faults (open, stat,
 // read) apply everywhere; write-side faults are drawn only for
-// configurations that write derived files (split files, snapshots), and
+// configurations that write derived files (snapshots, spills), and
 // inject ENOSPC — the write failure the engine promises to absorb.
 func chaosRule(rng *rand.Rand, writes bool, fileSize int64) vfs.Rule {
 	readErrs := []error{syscall.EIO, io.ErrUnexpectedEOF, fs.ErrPermission}
@@ -99,8 +99,10 @@ func TestChaosDifferential(t *testing.T) {
 		{"columns", func(string) Options { return Options{Policy: ColumnLoads} }, false, false},
 		{"partial-v2", func(string) Options { return Options{Policy: PartialLoadsV2} }, false, false},
 		{"auto", func(string) Options { return Options{Policy: Auto} }, false, false},
-		{"splitfiles", func(dir string) Options {
-			return Options{Policy: SplitFiles, SplitDir: filepath.Join(dir, "sf")}
+		// A tight LRU budget evicts the positional map on the query path,
+		// which spills it to the cache dir; no explicit saves.
+		{"partial-v2+spill", func(dir string) Options {
+			return Options{Policy: PartialLoadsV2, CacheDir: filepath.Join(dir, "spill"), MemoryBudget: 8 << 10, EvictionPolicy: "lru"}
 		}, true, false},
 		{"columns+cache", func(dir string) Options {
 			return Options{Policy: ColumnLoads, CacheDir: filepath.Join(dir, "cache"), MemoryBudget: 256 << 10}

@@ -4,13 +4,13 @@
 //
 // Usage:
 //
-//	nodb [-policy columns|full|partial-v1|partial-v2|splitfiles|external|auto]
-//	     [-mem bytes] [-evict cost|lru] [-splitdir dir]
+//	nodb [-policy columns|full|partial-v1|partial-v2|external|auto]
+//	     [-mem bytes] [-evict cost|lru]
 //	     [-cachedir dir] [-workers n] [-chunksize bytes] [-batchsize rows]
 //	     [name=path.csv ...]
 //
 // With -cachedir, everything the session teaches the engine (positional
-// maps, cached columns, coverage, split manifests) is snapshotted there on
+// maps, cached columns, coverage, synopses) is snapshotted there on
 // exit and restored lazily when a later session points at the same files —
 // the shell starts warm instead of re-learning.
 //
@@ -44,7 +44,6 @@ func main() {
 		policyName = flag.String("policy", "columns", "loading policy")
 		mem        = flag.Int64("mem", 0, "memory budget in bytes (0 = unlimited)")
 		evict      = flag.String("evict", "cost", "eviction policy under -mem: cost or lru")
-		splitDir   = flag.String("splitdir", "", "directory for split files (default: $TMPDIR/nodb-splits)")
 		cacheDir   = flag.String("cachedir", "", "persistent auxiliary-structure cache directory (empty = no disk tier)")
 		workers    = flag.Int("workers", 0, "tokenizer workers (0 = one per CPU; 1 = sequential)")
 		chunkSize  = flag.Int("chunksize", 0, "raw-file read chunk size in bytes (0 = default)")
@@ -63,15 +62,10 @@ func main() {
 		fmt.Fprintf(os.Stderr, "nodb: %v\n", err)
 		os.Exit(2)
 	}
-	sd := *splitDir
-	if sd == "" {
-		sd = os.TempDir() + "/nodb-splits"
-	}
 	db, err := nodb.OpenErr(nodb.Options{
 		Policy:         pol,
 		MemoryBudget:   *mem,
 		EvictionPolicy: *evict,
-		SplitDir:       sd,
 		CacheDir:       *cacheDir,
 		Workers:        *workers,
 		ChunkSize:      *chunkSize,
@@ -190,8 +184,6 @@ func command(db *nodb.DB, line string) bool {
 	case "\\stats":
 		w := db.Work()
 		fmt.Printf("raw read:        %s\n", fmtBytes(w.RawBytesRead))
-		fmt.Printf("split read:      %s\n", fmtBytes(w.SplitBytesRead))
-		fmt.Printf("split written:   %s\n", fmtBytes(w.SplitBytesWritten))
 		fmt.Printf("rows tokenized:  %d\n", w.RowsTokenized)
 		fmt.Printf("values parsed:   %d\n", w.ValuesParsed)
 		fmt.Printf("rows abandoned:  %d\n", w.RowsAbandoned)

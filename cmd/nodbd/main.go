@@ -3,8 +3,8 @@
 //
 // Usage:
 //
-//	nodbd [-addr :8080] [-policy columns|full|partial-v1|partial-v2|splitfiles|external|auto]
-//	      [-mem bytes] [-result-cache bytes] [-splitdir dir]
+//	nodbd [-addr :8080] [-policy columns|full|partial-v1|partial-v2|external|auto]
+//	      [-mem bytes] [-result-cache bytes]
 //	      [-workers n] [-chunksize bytes] [-cachedir dir] [-snapshot-interval d]
 //	      [-follow d] [-tenants spec] [-tenant-unknown reject|default] [-pprof addr]
 //	      [-max-inflight n] [-timeout d] [-max-timeout d] [-grace d]
@@ -35,8 +35,8 @@
 // With -follow, nodbd polls every followed table's raw file at the given
 // interval (plain stat calls — no notification dependency) and folds
 // appended rows into the learned structures incrementally: the positional
-// map, cached columns, coverage regions, scan synopsis and split files
-// all extend over just the new tail, so a growing log keeps its warmed-up
+// map, cached columns, coverage regions and scan synopsis all extend
+// over just the new tail, so a growing log keeps its warmed-up
 // query latency. Tables named on the command line are followed when
 // -follow is set; tables attached later via PUT /v1/tables/{name} choose
 // per table with "follow": true. Edits that are not pure appends are
@@ -101,7 +101,6 @@ func main() {
 		resultCache  = flag.Int64("result-cache", 0, "result cache budget in bytes (0 = disabled)")
 		tenantSpec   = flag.String("tenants", "", `tenant spec "name:key[:weight],..." or "@file"; empty = single-tenant`)
 		tenantPolicy = flag.String("tenant-unknown", "default", "unknown API keys: reject (401) or default (serve as default tenant)")
-		splitDir     = flag.String("splitdir", "", "directory for split files (default: $TMPDIR/nodb-splits)")
 		cacheDir     = flag.String("cachedir", "", "persistent auxiliary-structure cache directory (empty = no disk tier)")
 		snapInterval = flag.Duration("snapshot-interval", 5*time.Minute, "how often to flush snapshots to -cachedir (0 = only on shutdown)")
 		follow       = flag.Duration("follow", 0, "tail-follow poll interval: re-stat followed tables this often and ingest appended rows incrementally (0 = disabled)")
@@ -179,17 +178,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "nodbd: %v\n", err)
 		os.Exit(2)
 	}
-	sd := *splitDir
-	if sd == "" {
-		sd = os.TempDir() + "/nodb-splits"
-	}
 	db, err := nodb.OpenErr(nodb.Options{
 		Policy:           pol,
 		MemoryBudget:     *mem,
 		EvictionPolicy:   *evict,
 		ResultCacheBytes: *resultCache,
 		Tenants:          tenants,
-		SplitDir:         sd,
 		CacheDir:         *cacheDir,
 		Workers:          *workers,
 		ChunkSize:        *chunkSize,

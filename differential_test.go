@@ -21,17 +21,14 @@ type diffConfig struct {
 	opts Options
 }
 
-func diffConfigs(splitRoot string) []diffConfig {
-	return []diffConfig{
-		{"full", Options{Policy: FullLoad}},
-		{"columns", Options{Policy: ColumnLoads}},
-		{"partial-v1", Options{Policy: PartialLoadsV1}},
-		{"partial-v2", Options{Policy: PartialLoadsV2}},
-		{"splitfiles", Options{Policy: SplitFiles, SplitDir: filepath.Join(splitRoot, "sf")}},
-		{"external", Options{Policy: External}},
-		{"auto", Options{Policy: Auto}},
-		{"budget-64k", Options{Policy: ColumnLoads, MemoryBudget: 64 << 10}},
-	}
+var diffConfigs = []diffConfig{
+	{"full", Options{Policy: FullLoad}},
+	{"columns", Options{Policy: ColumnLoads}},
+	{"partial-v1", Options{Policy: PartialLoadsV1}},
+	{"partial-v2", Options{Policy: PartialLoadsV2}},
+	{"external", Options{Policy: External}},
+	{"auto", Options{Policy: Auto}},
+	{"budget-64k", Options{Policy: ColumnLoads, MemoryBudget: 64 << 10}},
 }
 
 // writeRandomTable writes rows x cols integers in [0, maxVal).
@@ -114,7 +111,7 @@ func TestDifferentialPolicies(t *testing.T) {
 		queries[i] = randomQuery(rng, cols, maxVal)
 	}
 
-	configs := diffConfigs(dir)
+	configs := diffConfigs
 	results := make([][]string, len(configs))
 	for ci, cfg := range configs {
 		db := Open(cfg.opts)
@@ -214,7 +211,7 @@ func TestDifferentialJoins(t *testing.T) {
 	}
 	o := newOracle(t, map[string]string{"l": lp, "r": rp})
 	var want []string
-	for ci, cfg := range diffConfigs(dir) {
+	for ci, cfg := range diffConfigs {
 		db := Open(cfg.opts)
 		db.Attach("l", TableSpec{Path: lp})
 		db.Attach("r", TableSpec{Path: rp})

@@ -11,8 +11,7 @@
 //
 //	link=NAME=PATH        attach a raw file as table NAME (repeatable)
 //	policy=NAME           loading policy (columns, full, partial-v1,
-//	                      partial-v2, splitfiles, external, auto)
-//	splitdir=DIR          split-file directory (required for splitfiles)
+//	                      partial-v2, external, auto)
 //	mem=BYTES             memory budget for adaptive state (0 = unlimited)
 //	evict=NAME            eviction policy under mem: cost (default) or lru
 //	cachedir=DIR          persistent auxiliary-structure cache: snapshots
@@ -152,8 +151,6 @@ func ParseDSNConfig(dsn string) (Config, error) {
 					return cfg, fmt.Errorf("nodb driver: %w", err)
 				}
 				opts.Policy = p
-			case "splitdir":
-				opts.SplitDir = v
 			case "cachedir":
 				opts.CacheDir = v
 			case "mem":

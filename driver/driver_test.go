@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"net/url"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 
@@ -243,6 +244,15 @@ func TestDSNErrors(t *testing.T) {
 		if err == nil {
 			t.Errorf("DSN %q: want error", dsn)
 		}
+	}
+}
+
+// TestDSNSplitDirRemoved: split files are no longer an engine policy, so
+// the old splitdir key is an unknown key like any other.
+func TestDSNSplitDirRemoved(t *testing.T) {
+	_, err := ParseDSNConfig("splitdir=/tmp/sf")
+	if err == nil || !strings.Contains(err.Error(), `unknown DSN key "splitdir"`) {
+		t.Fatalf("splitdir DSN: err = %v, want the unknown-key error", err)
 	}
 }
 

@@ -1,8 +1,9 @@
 // Policies: run the same shifting workload under every loading policy and
 // watch where the bytes go — a miniature of the paper's Figures 3 and 4.
 // Full loading pays everything up front; column loads pay per touched
-// column; partial loads pay per qualifying value; split files stop
-// re-reading the raw file; external tables never stop.
+// column; partial loads pay per qualifying value; external tables never
+// stop. (Figure 4's split-file series is not an engine policy; nodbbench
+// -exp fig4 runs it.)
 package main
 
 import (
@@ -34,7 +35,7 @@ func main() {
 
 	policies := []nodb.Policy{
 		nodb.FullLoad, nodb.ColumnLoads, nodb.PartialLoadsV1,
-		nodb.PartialLoadsV2, nodb.SplitFiles, nodb.External,
+		nodb.PartialLoadsV2, nodb.External,
 	}
 
 	fmt.Printf("%-12s", "policy")
@@ -44,7 +45,7 @@ func main() {
 	fmt.Printf("  %12s\n", "store KiB")
 
 	for _, pol := range policies {
-		db := nodb.Open(nodb.Options{Policy: pol, SplitDir: filepath.Join(dir, "splits-"+pol.String())})
+		db := nodb.Open(nodb.Options{Policy: pol})
 		if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 			log.Fatal(err)
 		}
@@ -55,7 +56,7 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			fmt.Printf("  %12.0f", float64(res.Stats.Work.RawBytesRead+res.Stats.Work.SplitBytesRead)/1024)
+			fmt.Printf("  %12.0f", float64(res.Stats.Work.RawBytesRead)/1024)
 			last = res
 		}
 		fmt.Printf("  %12.0f\n", float64(db.MemSize())/1024)

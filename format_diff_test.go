@@ -124,17 +124,12 @@ func TestFormatDifferentialPolicies(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	queries := formatDiffQueries(rng, cols, maxVal)
 
-	for _, cfg := range diffConfigs(dir) {
+	for _, cfg := range diffConfigs {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			csvOpts, jsonOpts := cfg.opts, cfg.opts
 			csvOpts.Workers = 1
 			jsonOpts.Workers = 1
-			if jsonOpts.SplitDir != "" {
-				// Split registries are per-engine; NDJSON degrades the
-				// policy to column loads but still must answer identically.
-				jsonOpts.SplitDir = filepath.Join(dir, "sf-json")
-			}
 			runFormatDiff(t, csvOpts, jsonOpts, csvPath, jsonPath, queries)
 		})
 	}

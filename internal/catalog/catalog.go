@@ -1,7 +1,7 @@
 // Package catalog tracks the raw files linked into the engine and all
 // state derived from them: which columns are loaded (fully or partially),
-// which value regions the adaptive store covers, positional maps, split
-// files, and the file signatures used to detect edits.
+// which value regions the adaptive store covers, positional maps, scan
+// synopses, and the file signatures used to detect edits.
 //
 // The paper's update policy (§5.4, "one easy solution") is implemented
 // verbatim: derived state is auxiliary data "we are not afraid to lose";
@@ -14,7 +14,7 @@
 //
 // Life-time management (§5.1.3) is delegated to the memory governor
 // (internal/govern) when one is configured: every dense column, sparse
-// column, positional map and split-file set registers its byte footprint
+// column, positional map and synopsis registers its byte footprint
 // and rebuild-cost estimate, and the governor evicts at structure
 // granularity — "the only cost is that of having to reload this data part
 // if it is needed again in the future." A governor-less catalog
@@ -24,16 +24,14 @@
 // manages the disk tier: each table serializes its auxiliary structures
 // on SaveSnapshot, restores them lazily via Prepare on the first query
 // that wants them, and the governor's evictions spill the expensive
-// structures (positional maps, split files) to disk instead of
-// discarding them outright — reload cost becomes a deserialize.
+// positional map to disk instead of discarding it outright — reload cost
+// becomes a deserialize.
 package catalog
 
 import (
 	"fmt"
 	"hash/crc32"
 	"io"
-	"os"
-	"path/filepath"
 	"sort"
 	"strings"
 	"sync"
@@ -47,7 +45,6 @@ import (
 	"nodb/internal/scan"
 	"nodb/internal/schema"
 	"nodb/internal/snapshot"
-	"nodb/internal/splitfile"
 	"nodb/internal/storage"
 	"nodb/internal/synopsis"
 	"nodb/internal/vfs"
@@ -254,22 +251,19 @@ type Table struct {
 	regions []Region
 	touches map[int]int // per-column query touch counts (auto policy)
 
-	// PosMap is the positional map for the raw file; Splits the split-file
-	// registry; Syn the per-portion scan synopsis (zone maps + learned
-	// portion layout). All survive column eviction but not file
-	// invalidation.
+	// PosMap is the positional map for the raw file; Syn the per-portion
+	// scan synopsis (zone maps + learned portion layout). Both survive
+	// column eviction but not file invalidation.
 	PosMap *posmap.Map
-	Splits *splitfile.Registry
 	Syn    *synopsis.Synopsis
 
 	// Memory-governor accounting: one handle per registered adaptive
-	// structure. denseH/sparseH are aligned with cols; posmapH, splitsH
-	// and synH are persistent (their structures survive eviction, emptied).
+	// structure. denseH/sparseH are aligned with cols; posmapH and synH
+	// are persistent (their structures survive eviction, emptied).
 	gov      *govern.Governor
 	denseH   []*govern.Handle
 	sparseH  []*govern.Handle
 	posmapH  *govern.Handle
-	splitsH  *govern.Handle
 	synH     *govern.Handle
 	released bool // releaseGoverned ran (table replaced/unlinked): no re-registration
 
@@ -296,11 +290,10 @@ type Table struct {
 
 	// snapDenseBytes maps column → on-disk payload size of its restorable
 	// dense section; denseRebuildCostLocked prices re-admission with it.
-	// Guarded by mu. spillPM/spillSplits flag spill files written by
-	// eviction.
+	// Guarded by mu. spillPM flags the positional map's spill file,
+	// written by eviction.
 	snapDenseBytes map[int]int64
 	spillPM        bool
-	spillSplits    bool
 }
 
 // LockLoads serializes a loading operation against the table; pair with
@@ -427,16 +420,6 @@ func (t *Table) refreshCostsLocked() {
 			t.posmapH.SetCost(4 * full)
 		}
 	}
-	if t.splitsH != nil {
-		if t.snap != nil {
-			// Spilling split files is a handful of renames.
-			t.splitsH.SetCost(0.002 * float64(1+len(t.Splits.Paths())))
-		} else {
-			// Rebuilding split files is one pass plus writing the data
-			// back out.
-			t.splitsH.SetCost(2 * full)
-		}
-	}
 	if t.synH != nil {
 		// The synopsis rebuilds itself as a free byproduct of the next
 		// tokenizing pass; it is priced far below everything else so the
@@ -526,18 +509,17 @@ func (t *Table) evictSparse(col int, h *govern.Handle) bool {
 	return true
 }
 
-// evictPosMap and evictSplits drop the persistent containers' contents
-// (the containers themselves survive, empty, and keep accounting). Both
-// run entirely under t.mu: releasing it between the pin check and the
-// drop would let a just-pinned query lose its split files from under it.
-// Table.Pin takes t.mu too, so pin-then-read is ordered against this.
+// evictPosMap drops the positional map's contents (the container
+// survives, empty, and keeps accounting). The pin check and the drop run
+// under t.mu; Table.Pin takes t.mu too, so pin-then-read is ordered
+// against this.
 //
 // With a snapshot store configured, eviction spills instead of
 // discarding: the positional map is serialized to a spill file (it took
 // many query passes to learn; re-admitting it is a deserialize, not a
-// re-learn) and split files are moved into the cache directory. The next
-// query that would profit re-admits them via Prepare. A failed spill
-// degrades to the plain drop — losing auxiliary state is always safe.
+// re-learn). The next query that would profit re-admits it via Prepare.
+// A failed spill degrades to the plain drop — losing auxiliary state is
+// always safe.
 func (t *Table) evictPosMap(h *govern.Handle) bool {
 	t.mu.Lock()
 	if t.posmapH != h || h.Pinned() {
@@ -581,33 +563,6 @@ func (t *Table) evictSynopsis(h *govern.Handle) bool {
 	return true
 }
 
-func (t *Table) evictSplits(h *govern.Handle) bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.splitsH != h || h.Pinned() {
-		return false
-	}
-	if t.snap != nil {
-		m, moved, err := t.Splits.SpillTo(t.snap.SplitSpillDir(t.snapKey))
-		if err == nil && moved > 0 {
-			tbl := &snapshot.Table{Rows: t.rows, Splits: manifestToSnapshot(m)}
-			if err := t.snap.SaveSpill(t.snapKey, "splits", snapSig(t.sig), tbl); err == nil {
-				t.spillSplits = true
-				t.snapPending.Store(true)
-				return true
-			}
-			// The files moved but the manifest didn't stick: they are
-			// unreachable, so reclaim the space (plain-evict semantics).
-			os.RemoveAll(t.snap.SplitSpillDir(t.snapKey))
-			return true
-		}
-		// Nothing registered, or the move failed part-way (SpillTo already
-		// degraded those files to deletion); fall through to the drop.
-	}
-	t.Splits.Drop()
-	return true
-}
-
 // snapSig and catSig convert between the catalog's file signature and the
 // snapshot format's.
 func snapSig(s Signature) snapshot.Sig {
@@ -626,16 +581,6 @@ func posmapSections(m *posmap.Map) []snapshot.PosMapCol {
 		out = append(out, snapshot.PosMapCol{Col: col, Rows: rows, Offs: offs})
 	}
 	return out
-}
-
-// manifestToSnapshot and manifestFromSnapshot convert between the
-// split-file registry's manifest and its serialized form.
-func manifestToSnapshot(m splitfile.Manifest) *snapshot.Splits {
-	s := &snapshot.Splits{Seq: m.Seq, Sidecars: m.Sidecars}
-	for _, r := range m.Rests {
-		s.Rests = append(s.Rests, snapshot.RestFile{Path: r.Path, Cols: r.Cols})
-	}
-	return s
 }
 
 // synopsisToSnapshot and synopsisFromSnapshot convert between the scan
@@ -670,17 +615,6 @@ func synopsisFromSnapshot(ps []snapshot.SynPortion) []synopsis.PortionState {
 		out = append(out, st)
 	}
 	return out
-}
-
-func manifestFromSnapshot(s *snapshot.Splits) splitfile.Manifest {
-	m := splitfile.Manifest{Seq: s.Seq, Sidecars: s.Sidecars}
-	if m.Sidecars == nil {
-		m.Sidecars = map[int]string{}
-	}
-	for _, r := range s.Rests {
-		m.Rests = append(m.Rests, splitfile.ManifestRest{Path: r.Path, Cols: r.Cols})
-	}
-	return m
 }
 
 // MergeSparse folds qualifying (row, value) pairs of one scanned column
@@ -733,7 +667,7 @@ func (t *Table) StoreBacked(cols []int) bool {
 }
 
 // Pin marks the adaptive structures a query is about to read — the listed
-// columns' dense/sparse state plus the positional map and split files — as
+// columns' dense/sparse state plus the positional map and synopsis — as
 // in-use, so the governor does not evict them mid-scan. The returned
 // function releases the pins; it must be called exactly once.
 func (t *Table) Pin(cols []int) (unpin func()) {
@@ -755,7 +689,6 @@ func (t *Table) Pin(cols []int) (unpin func()) {
 		}
 	}
 	add(t.posmapH)
-	add(t.splitsH)
 	add(t.synH)
 	t.mu.RUnlock()
 	var once sync.Once
@@ -769,8 +702,8 @@ func (t *Table) Pin(cols []int) (unpin func()) {
 }
 
 // Own attributes the adaptive structures a query read — the listed
-// columns' dense/sparse state plus the table-wide positional map, split
-// files and synopsis — to a tenant, for the governor's per-tenant budget
+// columns' dense/sparse state plus the table-wide positional map and
+// synopsis — to a tenant, for the governor's per-tenant budget
 // partitioning. Last user wins, matching the LRU clock's view of recency.
 func (t *Table) Own(cols []int, tenant string) {
 	if t.gov == nil || tenant == "" {
@@ -789,7 +722,6 @@ func (t *Table) Own(cols []int, tenant string) {
 		}
 	}
 	set(t.posmapH)
-	set(t.splitsH)
 	set(t.synH)
 	t.mu.RUnlock()
 }
@@ -797,13 +729,13 @@ func (t *Table) Own(cols []int, tenant string) {
 // Prepare gives the disk cache tier a chance to warm the table before a
 // query runs: on the first call it opens the table's snapshot (written by
 // a previous process) and restores the small structures — row count,
-// sparse columns, coverage regions, split-file manifest; on every call it
-// restores any of the listed columns that have a valid dense section on
-// disk, and, when a raw-file load is still unavoidable, re-admits the
-// positional map and split files (from the snapshot or from spill files
-// written by eviction). Everything is best-effort: a stale, truncated or
-// corrupt snapshot degrades to a cold start for the affected structures,
-// never to a query error. Cheap when there is nothing to do.
+// sparse columns, coverage regions, synopsis; on every call it restores
+// any of the listed columns that have a valid dense section on disk, and,
+// when a raw-file load is still unavoidable, re-admits the positional map
+// (from the snapshot or from the spill file written by eviction).
+// Everything is best-effort: a stale, truncated or corrupt snapshot
+// degrades to a cold start for the affected structures, never to a query
+// error. Cheap when there is nothing to do.
 func (t *Table) Prepare(cols []int) {
 	if t.snap == nil || !t.snapPending.Load() {
 		return
@@ -888,9 +820,9 @@ func (t *Table) initSnapLocked() {
 
 // restoreSectionsLocked adopts r (nil when there is no valid snapshot) as
 // the restore source and installs its small sections — row count, the
-// dense-section index, sparse columns, coverage regions, synopsis and
-// split manifest — then notes the spill files a previous process's
-// evictions left. Caller holds snapMu.
+// dense-section index, sparse columns, coverage regions and synopsis —
+// then notes the spill file a previous process's evictions left. Caller
+// holds snapMu.
 func (t *Table) restoreSectionsLocked(r *snapshot.Reader) {
 	t.snapReader = r
 	if r != nil {
@@ -928,20 +860,10 @@ func (t *Table) restoreSectionsLocked(r *snapshot.Reader) {
 			// or stale-shaped data degrades to a cold (re-learned) synopsis.
 			t.Syn.Import(synopsisFromSnapshot(sy), t.schema)
 		}
-		if t.Splits != nil {
-			if m, err := r.SplitsManifest(); err != nil {
-				t.snap.CountCorrupt(t.snapKey, err)
-			} else if m != nil {
-				t.Splits.Adopt(manifestFromSnapshot(m))
-			}
-		}
 	}
 	t.mu.Lock()
 	if t.snap.HasSpill(t.snapKey, "posmap") {
 		t.spillPM = true
-	}
-	if t.snap.HasSpill(t.snapKey, "splits") {
-		t.spillSplits = true
 	}
 	t.mu.Unlock()
 }
@@ -987,7 +909,7 @@ func (t *Table) dropSnapStateLocked() {
 
 // resetRestoreLocked forgets the snapshot tier's restore state: the open
 // reader, the restorable dense sections, the restored-posmap and
-// last-save marks, and the spill flags. Caller holds snapMu and mu.
+// last-save marks, and the spill flag. Caller holds snapMu and mu.
 func (t *Table) resetRestoreLocked() {
 	if t.snapReader != nil {
 		t.snapReader.Close()
@@ -996,7 +918,7 @@ func (t *Table) resetRestoreLocked() {
 	t.posMapRestored = false
 	t.lastSaveFP = "" // state changed: the next flush must rewrite
 	t.snapDenseBytes = nil
-	t.spillPM, t.spillSplits = false, false
+	t.spillPM = false
 	t.snapPending.Store(false)
 }
 
@@ -1153,8 +1075,8 @@ func (t *Table) restorePosMapLocked() {
 	t.mu.Unlock()
 }
 
-// unspillLocked re-admits structures spilled by eviction. Caller holds
-// snapMu.
+// unspillLocked re-admits the positional map spilled by eviction. Caller
+// holds snapMu.
 func (t *Table) unspillLocked() {
 	t.mu.RLock()
 	sig := t.sig
@@ -1162,38 +1084,27 @@ func (t *Table) unspillLocked() {
 	t.unspillAs(sig)
 }
 
-// unspillAs re-admits spilled structures whose files were written under
-// sig — the current signature normally, the old prefix's during a grown
-// restore. Caller holds snapMu.
+// unspillAs re-admits the spilled positional map whose file was written
+// under sig — the current signature normally, the old prefix's during a
+// grown restore. Caller holds snapMu.
 func (t *Table) unspillAs(sig Signature) {
-	t.mu.RLock()
-	pm, sf := t.spillPM, t.spillSplits
-	t.mu.RUnlock()
-	if pm {
-		t.mu.Lock()
-		t.spillPM = false
-		t.mu.Unlock()
-		if tbl := t.snap.LoadSpill(t.snapKey, "posmap", snapSig(sig)); tbl != nil {
-			for _, pc := range tbl.PosMap {
-				t.PosMap.LoadColumn(pc.Col, pc.Rows, pc.Offs)
-			}
+	t.mu.Lock()
+	pm := t.spillPM
+	t.spillPM = false
+	t.mu.Unlock()
+	if !pm {
+		return
+	}
+	if tbl := t.snap.LoadSpill(t.snapKey, "posmap", snapSig(sig)); tbl != nil {
+		for _, pc := range tbl.PosMap {
+			t.PosMap.LoadColumn(pc.Col, pc.Rows, pc.Offs)
 		}
 	}
-	if sf && t.Splits != nil {
-		t.mu.Lock()
-		t.spillSplits = false
-		t.mu.Unlock()
-		if tbl := t.snap.LoadSpill(t.snapKey, "splits", snapSig(sig)); tbl != nil && tbl.Splits != nil {
-			t.Splits.Adopt(manifestFromSnapshot(tbl.Splits))
-		}
+	t.mu.Lock()
+	if t.gov != nil && !t.released {
+		t.refreshCostsLocked()
 	}
-	if pm || sf {
-		t.mu.Lock()
-		if t.gov != nil && !t.released {
-			t.refreshCostsLocked()
-		}
-		t.mu.Unlock()
-	}
+	t.mu.Unlock()
 }
 
 // updatePendingLocked recomputes the Prepare fast-path flag. The reader
@@ -1209,7 +1120,7 @@ func (t *Table) updatePendingLocked() {
 		t.snapReader = nil
 	}
 	t.mu.Lock()
-	t.snapPending.Store(t.snapReader != nil || t.spillPM || t.spillSplits)
+	t.snapPending.Store(t.snapReader != nil || t.spillPM)
 	t.mu.Unlock()
 }
 
@@ -1264,11 +1175,6 @@ func (t *Table) SaveSnapshot() error {
 		}
 		tbl.Regions = append(tbl.Regions, reg)
 	}
-	if t.Splits != nil {
-		if m := t.Splits.Manifest(); len(m.Sidecars) > 0 || len(m.Rests) > 0 {
-			tbl.Splits = manifestToSnapshot(m)
-		}
-	}
 	tbl.Synopsis = synopsisToSnapshot(t.Syn.Export())
 	sig, key := t.sig, t.snapKey
 
@@ -1279,9 +1185,6 @@ func (t *Table) SaveSnapshot() error {
 	// counts plus byte totals identify the state well enough; a missed
 	// nuance only costs one redundant save, never a lost one.
 	fp := fmt.Sprintf("r%d pm%d d%v s%d rg%d sy%d", t.rows, t.PosMap.MemSize(), denseColsOf(t.cols), sparseBytesOf(t.cols), len(t.regions), t.Syn.MemSize())
-	if tbl.Splits != nil {
-		fp += fmt.Sprintf(" sp%d/%d/%d", tbl.Splits.Seq, len(tbl.Splits.Sidecars), len(tbl.Splits.Rests))
-	}
 	t.mu.RUnlock()
 	if fp == t.lastSaveFP {
 		return nil
@@ -1317,7 +1220,7 @@ func (t *Table) SaveSnapshot() error {
 	}
 
 	if tbl.Rows <= 0 && len(tbl.PosMap) == 0 && len(tbl.Dense) == 0 &&
-		len(tbl.Sparse) == 0 && len(tbl.Regions) == 0 && tbl.Splits == nil &&
+		len(tbl.Sparse) == 0 && len(tbl.Regions) == 0 &&
 		len(tbl.Synopsis) == 0 {
 		return nil // nothing learned; don't clobber whatever is on disk
 	}
@@ -1583,7 +1486,7 @@ func (t *Table) MemSize() int64 {
 }
 
 // DropDerived discards all derived state: columns, regions,
-// positional map and split files. The table remains linked.
+// positional map and synopsis. The table remains linked.
 func (t *Table) DropDerived() {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -1608,16 +1511,13 @@ func (t *Table) dropDerivedLocked() {
 	if t.PosMap != nil {
 		t.PosMap.Drop() // zeroes its governor handle via the accountant
 	}
-	if t.Splits != nil {
-		t.Splits.Drop()
-	}
 	if t.Syn != nil {
 		t.Syn.Drop()
 	}
 }
 
 // releaseGoverned unregisters every governor handle, including the
-// persistent positional-map and split-file ones. Used when the table
+// persistent positional-map and synopsis ones. Used when the table
 // itself goes away (unlink, engine close).
 func (t *Table) releaseGoverned() {
 	t.mu.Lock()
@@ -1632,14 +1532,10 @@ func (t *Table) releaseGoverned() {
 		t.sparseH[i] = nil
 	}
 	t.posmapH.Release()
-	t.splitsH.Release()
 	t.synH.Release()
-	t.posmapH, t.splitsH, t.synH = nil, nil, nil
+	t.posmapH, t.synH = nil, nil
 	if t.PosMap != nil {
 		t.PosMap.SetAccountant(nil)
-	}
-	if t.Splits != nil {
-		t.Splits.SetAccountant(nil)
 	}
 	if t.Syn != nil {
 		t.Syn.SetAccountant(nil)
@@ -1680,7 +1576,7 @@ func (t *Table) Revalidate() (bool, error) {
 		if ok, gerr := GrownFromFS(t.fs, t.path, old); gerr == nil && ok {
 			// The prefix (and therefore the header and schema) is intact:
 			// extend positional map, synopsis, coverage regions, dense
-			// columns and split files over the appended tail instead of
+			// columns over the appended tail instead of
 			// relearning the whole file. Failure falls through to the
 			// full invalidation below, which discards every structure the
 			// aborted extension may have partially touched.
@@ -1722,14 +1618,11 @@ func (t *Table) Revalidate() (bool, error) {
 
 // Options configures a Catalog.
 type Options struct {
-	// SplitDir is where split files are written; empty disables split-file
-	// creation (Lookup always returns the raw file).
-	SplitDir string
 	// PosMapBudget caps each table's positional map (0 = default).
 	PosMapBudget int64
 	// Governor, when non-nil, receives a registration for every adaptive
-	// structure (dense columns, sparse columns, positional maps, split
-	// files) so a global byte budget can be enforced with structure-level
+	// structure (dense columns, sparse columns, positional maps,
+	// synopses) so a global byte budget can be enforced with structure-level
 	// cost-aware eviction.
 	Governor *govern.Governor
 	// Snapshots, when non-nil, is the disk cache tier: tables serialize
@@ -1798,14 +1691,6 @@ func (c *Catalog) LinkOpts(name, path string, dopts schema.DetectOptions) (*Tabl
 		PosMap:   posmap.New(c.opts.PosMapBudget, c.opts.Counters),
 		Syn:      synopsis.New(),
 	}
-	// Vertical split files re-serialize rows as delimiter-separated column
-	// groups — a CSV-only layout. NDJSON tables skip the registry and rely
-	// on positional maps + the adaptive store instead.
-	if c.opts.SplitDir != "" && sch.Format == scan.FormatCSV {
-		dir := filepath.Join(c.opts.SplitDir, sanitizeName(name))
-		t.Splits = splitfile.NewRegistry(dir, path, len(sch.Columns), sch.Delimiter, c.opts.Counters)
-		t.Splits.FS = c.opts.FS
-	}
 	if c.opts.Snapshots != nil {
 		t.snap = c.opts.Snapshots
 		t.snapKey = snapshot.Key(name, path)
@@ -1841,12 +1726,6 @@ func (t *Table) initGovernedLocked() {
 	pmH = t.gov.Register(govern.KindPosMap, t.name+".posmap", func() bool { return t.evictPosMap(pmH) })
 	t.posmapH = pmH
 	t.PosMap.SetAccountant(t.posmapH)
-	if t.Splits != nil {
-		var spH *govern.Handle
-		spH = t.gov.Register(govern.KindSplit, t.name+".splits", func() bool { return t.evictSplits(spH) })
-		t.splitsH = spH
-		t.Splits.SetAccountant(t.splitsH)
-	}
 	var syH *govern.Handle
 	syH = t.gov.Register(govern.KindSynopsis, t.name+".synopsis", func() bool { return t.evictSynopsis(syH) })
 	t.synH = syH
@@ -1925,19 +1804,6 @@ func (c *Catalog) SaveSnapshots() error {
 	return firstErr
 }
 
-// DetachSplits forgets every table's split files without deleting them.
-// Engine close calls it after SaveSnapshots so the files the freshly
-// written manifests point at survive for the next process to adopt.
-func (c *Catalog) DetachSplits() {
-	c.mu.RLock()
-	defer c.mu.RUnlock()
-	for _, t := range c.tables {
-		if t.Splits != nil {
-			t.Splits.Detach()
-		}
-	}
-}
-
 // MemSize returns the total bytes of loaded state.
 func (c *Catalog) MemSize() int64 {
 	c.mu.RLock()
@@ -1950,17 +1816,3 @@ func (c *Catalog) MemSize() int64 {
 }
 
 func lower(s string) string { return strings.ToLower(s) }
-
-func sanitizeName(name string) string {
-	out := make([]byte, 0, len(name))
-	for i := 0; i < len(name); i++ {
-		ch := name[i]
-		switch {
-		case ch >= 'a' && ch <= 'z', ch >= 'A' && ch <= 'Z', ch >= '0' && ch <= '9', ch == '-', ch == '_':
-			out = append(out, ch)
-		default:
-			out = append(out, '_')
-		}
-	}
-	return string(out)
-}

@@ -365,18 +365,3 @@ func TestSignFile(t *testing.T) {
 		t.Error("missing file should error")
 	}
 }
-
-func TestSplitRegistryCreatedWithSplitDir(t *testing.T) {
-	dir := t.TempDir()
-	p := writeCSV(t, dir, "r.csv", "1,2\n")
-	c := New(Options{SplitDir: filepath.Join(dir, "splits")})
-	tab, _ := c.Link("R", p)
-	if tab.Splits == nil {
-		t.Error("SplitDir set but no registry")
-	}
-	c2 := New(Options{})
-	tab2, _ := c2.Link("R", p)
-	if tab2.Splits != nil {
-		t.Error("registry created without SplitDir")
-	}
-}

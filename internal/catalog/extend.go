@@ -65,8 +65,7 @@ func (t *Table) growLocked(old, cur Signature) error {
 
 // A TailPass scans the rows a prefix-stable growth appended to t's raw
 // file and returns what they add to the table's learned structures,
-// installing nothing itself; it may append to registered split files, and
-// drops the registry when that fails. The catalog calls it with snapMu and
+// installing nothing itself. The catalog calls it with snapMu and
 // loadMu held and every column pinned, so it must not take the load lock.
 // The engine wires in the loader's pass (Options.TailPass).
 type TailPass func(t *Table, g Growth) (*TailUpdate, error)
@@ -116,12 +115,10 @@ type RegionTail struct {
 // synopsis one tail portion. Prefix-scoped state — everything learned
 // before the append — is reused verbatim; that is the point.
 //
-// On error the caller must fall back to full invalidation, which also
-// discards anything a failed pass touched (half-appended split files);
-// nothing is installed before the pass succeeds. Caller holds snapMu;
-// loadMu is taken here and held for the whole pass, so loads, merges and
-// region bookkeeping cannot interleave. Only a table with a tail pass
-// gets here.
+// On error the caller must fall back to full invalidation; nothing is
+// installed before the pass succeeds. Caller holds snapMu; loadMu is
+// taken here and held for the whole pass, so loads, merges and region
+// bookkeeping cannot interleave. Only a table with a tail pass gets here.
 func (t *Table) extendForGrowth(old, cur Signature) error {
 	t.loadMu.Lock()
 	defer t.loadMu.Unlock()
@@ -165,12 +162,7 @@ func (t *Table) extendForGrowth(old, cur Signature) error {
 	t.mu.RUnlock()
 
 	if g.Rows < 0 {
-		var splitsLive bool
-		if t.Splits != nil {
-			m := t.Splits.Manifest()
-			splitsLive = len(m.Sidecars) > 0 || len(m.Rests) > 0
-		}
-		if len(g.Dense) > 0 || anySparse || len(g.Regions) > 0 || splitsLive {
+		if len(g.Dense) > 0 || anySparse || len(g.Regions) > 0 {
 			return fmt.Errorf("catalog: row-indexed state without a discovered row count")
 		}
 		// Nothing row-indexed was learned. The positional map's entries

@@ -45,8 +45,7 @@ func testSpec(rows int) csvgen.Spec {
 // startNode links path as table "t" on a fresh DB and serves it.
 func startNode(t *testing.T, path string) *httptest.Server {
 	t.Helper()
-	dir := t.TempDir()
-	db := nodb.Open(nodb.Options{Policy: nodb.PartialLoadsV2, SplitDir: filepath.Join(dir, "splits")})
+	db := nodb.Open(nodb.Options{Policy: nodb.PartialLoadsV2})
 	t.Cleanup(func() { db.Close() })
 	if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
@@ -512,7 +511,7 @@ func TestReadyzGatesAdmission(t *testing.T) {
 	if err := csvgen.WriteFile(path, testSpec(50)); err != nil {
 		t.Fatal(err)
 	}
-	db := nodb.Open(nodb.Options{SplitDir: filepath.Join(dir, "splits")})
+	db := nodb.Open(nodb.Options{})
 	t.Cleanup(func() { db.Close() })
 	if err := db.Attach("t", nodb.TableSpec{Path: path}); err != nil {
 		t.Fatal(err)

@@ -120,7 +120,6 @@ func TestAppendGrowthDifferential(t *testing.T) {
 	}{
 		{"csv", plan.PolicyColumnLoads, false},
 		{"csv", plan.PolicyPartialV2, false},
-		{"csv", plan.PolicySplitFiles, false},
 		{"ndjson", plan.PolicyColumnLoads, false},
 		{"ndjson", plan.PolicyPartialV2, false},
 		{"csv", plan.PolicyColumnLoads, true},
@@ -139,7 +138,7 @@ func TestAppendGrowthDifferential(t *testing.T) {
 			}
 			queries := appendQueries(maxVal)
 
-			e := newEngine(t, Options{Policy: tc.policy, DisableRevalidation: true, DisablePositionalMap: tc.noPosMap})
+			e := NewEngine(Options{Policy: tc.policy, DisableRevalidation: true, DisablePositionalMap: tc.noPosMap})
 			defer e.Close()
 			if err := e.Attach("T", TableSpec{Path: work, Format: tc.format}); err != nil {
 				t.Fatal(err)
@@ -214,7 +213,7 @@ func TestAppendGrowthDifferential(t *testing.T) {
 
 			warm := resultStrings(t, e, queries)
 
-			cold := newEngine(t, Options{Policy: tc.policy})
+			cold := NewEngine(Options{Policy: tc.policy})
 			defer cold.Close()
 			if err := cold.Attach("T", TableSpec{Path: work, Format: tc.format}); err != nil {
 				t.Fatal(err)
@@ -284,7 +283,7 @@ func (ff *tailFaultFile) ReadAt(p []byte, off int64) (int, error) {
 func TestAppendTailPassFaultFallsBack(t *testing.T) {
 	const rows, prefixRows, cols = 1000, 900, 4
 	const maxVal = 1000
-	for _, policy := range []plan.Policy{plan.PolicyColumnLoads, plan.PolicyPartialV2, plan.PolicySplitFiles} {
+	for _, policy := range []plan.Policy{plan.PolicyColumnLoads, plan.PolicyPartialV2} {
 		t.Run(policy.String(), func(t *testing.T) {
 			dir := t.TempDir()
 			work := dir + "/grow.csv"
@@ -299,7 +298,7 @@ func TestAppendTailPassFaultFallsBack(t *testing.T) {
 			queries := appendQueries(maxVal)
 
 			fs := &tailFaultFS{FaultFS: vfs.NewFaultFS(nil), name: "grow.csv", bytes: tailBytes / 2}
-			e := newEngine(t, Options{Policy: policy, DisableRevalidation: true, FS: fs})
+			e := NewEngine(Options{Policy: policy, DisableRevalidation: true, FS: fs})
 			defer e.Close()
 			if err := e.Attach("T", TableSpec{Path: work}); err != nil {
 				t.Fatal(err)
@@ -330,7 +329,7 @@ func TestAppendTailPassFaultFallsBack(t *testing.T) {
 			}
 
 			warm := resultStrings(t, e, queries)
-			cold := newEngine(t, Options{Policy: policy})
+			cold := NewEngine(Options{Policy: policy})
 			defer cold.Close()
 			if err := cold.Attach("T", TableSpec{Path: work}); err != nil {
 				t.Fatal(err)
@@ -357,7 +356,7 @@ func TestAppendPickedUpByQuery(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
+	e := NewEngine(Options{Policy: plan.PolicyColumnLoads})
 	defer e.Close()
 	if err := e.Attach("T", TableSpec{Path: work}); err != nil {
 		t.Fatal(err)
@@ -401,7 +400,7 @@ func TestAppendAcrossSnapshotRestart(t *testing.T) {
 	}
 	queries := appendQueries(1000)
 
-	e1 := newEngine(t, Options{Policy: plan.PolicyColumnLoads, CacheDir: cacheDir, DisableRevalidation: true})
+	e1 := NewEngine(Options{Policy: plan.PolicyColumnLoads, CacheDir: cacheDir, DisableRevalidation: true})
 	if err := e1.Attach("T", TableSpec{Path: work}); err != nil {
 		t.Fatal(err)
 	}
@@ -413,7 +412,7 @@ func TestAppendAcrossSnapshotRestart(t *testing.T) {
 	appendTail(t, work, data[cut:])
 	tailBytes := int64(len(data) - cut)
 
-	e2 := newEngine(t, Options{Policy: plan.PolicyColumnLoads, CacheDir: cacheDir})
+	e2 := NewEngine(Options{Policy: plan.PolicyColumnLoads, CacheDir: cacheDir})
 	defer e2.Close()
 	if err := e2.Attach("T", TableSpec{Path: work}); err != nil {
 		t.Fatal(err)
@@ -428,7 +427,7 @@ func TestAppendAcrossSnapshotRestart(t *testing.T) {
 			work2.RawBytesRead, tailBytes, len(data))
 	}
 
-	cold := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
+	cold := NewEngine(Options{Policy: plan.PolicyColumnLoads})
 	defer cold.Close()
 	if err := cold.Attach("T", TableSpec{Path: work}); err != nil {
 		t.Fatal(err)
@@ -444,7 +443,7 @@ func TestAppendAcrossSnapshotRestart(t *testing.T) {
 func TestAttachRefreshDetachLifecycle(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "r.csv", basicCSV)
-	e := newEngine(t, Options{DisableRevalidation: true})
+	e := NewEngine(Options{DisableRevalidation: true})
 	defer e.Close()
 
 	if err := e.Attach("", TableSpec{Path: path}); err == nil {

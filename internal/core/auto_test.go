@@ -16,7 +16,7 @@ func TestAutoPolicyPromotesHotColumns(t *testing.T) {
 	if err := csvgen.WriteFile(path, csvgen.Spec{Rows: 5000, Cols: 4, Seed: 31}); err != nil {
 		t.Fatal(err)
 	}
-	e := newEngine(t, Options{Policy: plan.PolicyAuto})
+	e := NewEngine(Options{Policy: plan.PolicyAuto})
 	if err := e.Attach("G", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +65,7 @@ func TestAutoPolicyPromotesOnSparseGrowth(t *testing.T) {
 	if err := csvgen.WriteFile(path, csvgen.Spec{Rows: 4000, Cols: 2, Seed: 32}); err != nil {
 		t.Fatal(err)
 	}
-	e := newEngine(t, Options{Policy: plan.PolicyAuto})
+	e := NewEngine(Options{Policy: plan.PolicyAuto})
 	if err := e.Attach("G", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
@@ -93,8 +93,8 @@ func TestAutoPolicyCorrectness(t *testing.T) {
 	if err := csvgen.WriteFile(path, csvgen.Spec{Rows: 3000, Cols: 4, Seed: 33}); err != nil {
 		t.Fatal(err)
 	}
-	ref := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
-	auto := newEngine(t, Options{Policy: plan.PolicyAuto})
+	ref := NewEngine(Options{Policy: plan.PolicyColumnLoads})
+	auto := NewEngine(Options{Policy: plan.PolicyAuto})
 	ref.Attach("G", TableSpec{Path: path})
 	auto.Attach("G", TableSpec{Path: path})
 	for i := 0; i < 8; i++ {
@@ -128,7 +128,7 @@ func TestAggregatePlanIsVectorized(t *testing.T) {
 	if err := csvgen.WriteFile(path, csvgen.Spec{Rows: 1000, Cols: 2, Seed: 61}); err != nil {
 		t.Fatal(err)
 	}
-	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
+	e := NewEngine(Options{Policy: plan.PolicyColumnLoads})
 	e.Attach("G", TableSpec{Path: path})
 	res, err := e.Query("select sum(a1), count(*) from G where a1 < 500")
 	if err != nil {

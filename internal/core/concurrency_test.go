@@ -24,7 +24,7 @@ func TestConcurrentQueriesSameTable(t *testing.T) {
 	for _, pol := range []plan.Policy{plan.PolicyColumnLoads, plan.PolicyPartialV2, plan.PolicyAuto} {
 		pol := pol
 		t.Run(pol.String(), func(t *testing.T) {
-			e := newEngine(t, Options{Policy: pol})
+			e := NewEngine(Options{Policy: pol})
 			if err := e.Attach("G", TableSpec{Path: path}); err != nil {
 				t.Fatal(err)
 			}
@@ -64,7 +64,7 @@ func TestConcurrentQueriesSameTable(t *testing.T) {
 // tables sharing one engine (and its counters).
 func TestConcurrentQueriesDistinctTables(t *testing.T) {
 	dir := t.TempDir()
-	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
+	e := NewEngine(Options{Policy: plan.PolicyColumnLoads})
 	const n = 4
 	for i := 0; i < n; i++ {
 		path := filepath.Join(dir, fmt.Sprintf("t%d.csv", i))

@@ -49,7 +49,7 @@ func TestQueryContextPreCancelled(t *testing.T) {
 	if err := csvgen.WriteFile(path, csvgen.Spec{Rows: 1000, Cols: 4, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
-	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
+	e := NewEngine(Options{Policy: plan.PolicyColumnLoads})
 	if err := e.Attach("T", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestQueryContextCancelAbortsScanEarly(t *testing.T) {
 	for _, pol := range []plan.Policy{plan.PolicyColumnLoads, plan.PolicyPartialV2} {
 		t.Run(pol.String(), func(t *testing.T) {
 			// Small chunks give the scan many cancellation checkpoints.
-			e := newEngine(t, Options{Policy: pol, ChunkSize: 4096})
+			e := NewEngine(Options{Policy: pol, ChunkSize: 4096})
 			if err := e.Attach("B", TableSpec{Path: path}); err != nil {
 				t.Fatal(err)
 			}
@@ -125,7 +125,7 @@ func TestQueryContextDeadlineExceeded(t *testing.T) {
 	if err := csvgen.WriteFile(path, csvgen.Spec{Rows: 1000, Cols: 4, Seed: 7}); err != nil {
 		t.Fatal(err)
 	}
-	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
+	e := NewEngine(Options{Policy: plan.PolicyColumnLoads})
 	if err := e.Attach("T", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestConcurrentQueryContextMixedPolicies(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := newEngine(t, Options{Policy: plan.PolicyAuto})
+	e := NewEngine(Options{Policy: plan.PolicyAuto})
 	if err := e.Attach("BIG", TableSpec{Path: bigPath}); err != nil {
 		t.Fatal(err)
 	}

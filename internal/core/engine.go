@@ -40,12 +40,9 @@ import (
 type Options struct {
 	// Policy selects the adaptive loading strategy (default ColumnLoads).
 	Policy plan.Policy
-	// SplitDir is where split files are written; required for
-	// PolicySplitFiles.
-	SplitDir string
 	// MemoryBudget caps the bytes of adaptive state (0 = unlimited):
-	// cached columns, retained partial loads, positional maps and split
-	// files all count against it, and the memory governor evicts
+	// cached columns, retained partial loads, positional maps and
+	// synopses all count against it, and the memory governor evicts
 	// structures — never mid-scan; in-use structures are pinned — until
 	// the total fits again.
 	MemoryBudget int64
@@ -56,8 +53,8 @@ type Options struct {
 	// PosMapBudget caps each table's positional map bytes (0 = default).
 	PosMapBudget int64
 	// CacheDir enables the persistent auxiliary-structure cache: adaptive
-	// structures (positional maps, cached columns, sparse coverage, split
-	// manifests) are snapshotted there on Close (and by SaveSnapshots),
+	// structures (positional maps, cached columns, sparse coverage,
+	// synopses) are snapshotted there on Close (and by SaveSnapshots),
 	// restored lazily on the first query that wants them after a restart,
 	// and spilled there by eviction instead of being discarded. Empty
 	// disables the disk tier. Snapshot files are keyed by the raw file's
@@ -94,7 +91,7 @@ type Options struct {
 	// governor (weights; see qos.Tenant). Empty disables tenancy.
 	Tenants []qos.Tenant
 	// FS is the filesystem every disk access goes through — raw-file
-	// scans, schema detection, snapshots, spills and split files. Nil
+	// scans, schema detection, snapshots and spills. Nil
 	// means the real disk; tests inject a fault-scheduling FS here.
 	FS vfs.FS
 }
@@ -167,7 +164,6 @@ func NewEngine(opts Options) *Engine {
 		FS:              opts.FS,
 	}
 	e.cat = catalog.New(catalog.Options{
-		SplitDir:     opts.SplitDir,
 		PosMapBudget: opts.PosMapBudget,
 		Governor:     e.gov,
 		Snapshots:    e.snap,
@@ -193,9 +189,8 @@ func (e *Engine) checkOpen() error {
 // and detaches return ErrClosed, in-flight cursors are cancelled (their
 // scans stop between chunks), and the catalog's derived state is
 // released. Without a CacheDir nothing needs flushing — loaded state is
-// in-memory and split files are disposable. With one, every table's
-// auxiliary structures are snapshotted first and split files are left on
-// disk, so the next process restarts warm instead of re-paying the
+// in-memory. With one, every table's auxiliary structures are snapshotted
+// first, so the next process restarts warm instead of re-paying the
 // adaptive learning curve. Close is idempotent.
 func (e *Engine) Close() error {
 	if e.closed.Swap(true) {
@@ -205,7 +200,6 @@ func (e *Engine) Close() error {
 	var err error
 	if e.snap != nil {
 		err = e.cat.SaveSnapshots()
-		e.cat.DetachSplits()
 	}
 	e.cat.DropAll()
 	return err
@@ -644,8 +638,6 @@ func (e *Engine) runLoad(ctx context.Context, t *catalog.Table, tp *plan.TablePl
 		return e.ld.FullLoadContext(ctx, t)
 	case plan.LoadColumns:
 		return e.ld.ColumnLoadContext(ctx, t, tp.NeedCols)
-	case plan.LoadSplit:
-		return e.ld.SplitColumnLoadContext(ctx, t, tp.NeedCols)
 	default:
 		return fmt.Errorf("core: load op %v is not column-granularity", tp.LoadOp)
 	}
@@ -706,8 +698,6 @@ type TableStats struct {
 	// zone-map bounds held.
 	SynopsisPortions int
 	SynopsisBounds   int
-	// SplitBytes is the on-disk size of this table's split files.
-	SplitBytes int64
 	// MemBytes is the in-memory size of all loaded state.
 	MemBytes int64
 	// Signature identifies the raw file version the state describes.
@@ -743,9 +733,6 @@ func (e *Engine) TableStats(name string) (TableStats, error) {
 		st.PosMapEntries = t.PosMap.Entries()
 	}
 	st.SynopsisPortions, st.SynopsisBounds = t.Syn.Stats()
-	if t.Splits != nil {
-		st.SplitBytes = t.Splits.DiskSize()
-	}
 	return st, nil
 }
 

@@ -22,19 +22,11 @@ func writeFile(t *testing.T, dir, name, content string) string {
 	return p
 }
 
-func newEngine(t *testing.T, opts Options) *Engine {
-	t.Helper()
-	if opts.SplitDir == "" {
-		opts.SplitDir = filepath.Join(t.TempDir(), "splits")
-	}
-	return NewEngine(opts)
-}
-
 // allPolicies are every loading strategy; results must be identical under
 // all of them.
 var allPolicies = []plan.Policy{
 	plan.PolicyFullLoad, plan.PolicyColumnLoads, plan.PolicyPartialV1,
-	plan.PolicyPartialV2, plan.PolicySplitFiles, plan.PolicyExternal,
+	plan.PolicyPartialV2, plan.PolicyExternal,
 }
 
 const basicCSV = "10,100,1000,5\n20,200,2000,6\n30,300,3000,7\n40,400,4000,8\n"
@@ -44,7 +36,7 @@ func TestQueryAggregatesAllPolicies(t *testing.T) {
 	path := writeFile(t, dir, "r.csv", basicCSV)
 	for _, pol := range allPolicies {
 		t.Run(pol.String(), func(t *testing.T) {
-			e := newEngine(t, Options{Policy: pol})
+			e := NewEngine(Options{Policy: pol})
 			if err := e.Attach("R", TableSpec{Path: path}); err != nil {
 				t.Fatal(err)
 			}
@@ -92,7 +84,7 @@ func TestQuerySequenceConsistencyAcrossPolicies(t *testing.T) {
 	}
 	var want [][]string
 	for pi, pol := range allPolicies {
-		e := newEngine(t, Options{Policy: pol})
+		e := NewEngine(Options{Policy: pol})
 		if err := e.Attach("G", TableSpec{Path: path}); err != nil {
 			t.Fatal(err)
 		}
@@ -131,7 +123,7 @@ func TestJoinQueryAllPolicies(t *testing.T) {
 	sp := writeFile(t, dir, "s.csv", s.String())
 	for _, pol := range allPolicies {
 		t.Run(pol.String(), func(t *testing.T) {
-			e := newEngine(t, Options{Policy: pol})
+			e := NewEngine(Options{Policy: pol})
 			e.Attach("R", TableSpec{Path: rp})
 			e.Attach("S", TableSpec{Path: sp})
 			res, err := e.Query("select count(*), sum(r.a2), sum(s.a2) from R r join S s on r.a1 = s.a1 where r.a1 >= 10 and r.a1 < 20")
@@ -155,7 +147,7 @@ func TestJoinQueryAllPolicies(t *testing.T) {
 func TestGroupByOrderByLimit(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", "1,10\n2,20\n1,30\n2,40\n3,50\n")
-	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
+	e := NewEngine(Options{Policy: plan.PolicyColumnLoads})
 	e.Attach("T", TableSpec{Path: path})
 	res, err := e.Query("select count(*), a1, sum(a2) from T group by a1 order by a1 desc limit 2")
 	if err != nil {
@@ -176,7 +168,7 @@ func TestGroupByOrderByLimit(t *testing.T) {
 func TestPlainProjection(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", "1,10\n2,20\n3,30\n")
-	e := newEngine(t, Options{Policy: plan.PolicyPartialV2})
+	e := NewEngine(Options{Policy: plan.PolicyPartialV2})
 	e.Attach("T", TableSpec{Path: path})
 	res, err := e.Query("select a2, a1 from T where a1 >= 2")
 	if err != nil {
@@ -196,7 +188,7 @@ func TestPlainProjection(t *testing.T) {
 func TestSelectStar(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", "1,2\n3,4\n")
-	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
+	e := NewEngine(Options{Policy: plan.PolicyColumnLoads})
 	e.Attach("T", TableSpec{Path: path})
 	res, err := e.Query("select * from T")
 	if err != nil {
@@ -210,7 +202,7 @@ func TestSelectStar(t *testing.T) {
 func TestFileEditInvalidates(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", "1\n2\n3\n")
-	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
+	e := NewEngine(Options{Policy: plan.PolicyColumnLoads})
 	e.Attach("T", TableSpec{Path: path})
 	res, _ := e.Query("select sum(a1) from T")
 	if res.Rows[0][0].I != 6 {
@@ -236,7 +228,7 @@ func TestMemoryBudgetEviction(t *testing.T) {
 	if err := csvgen.WriteFile(path, csvgen.Spec{Rows: 10000, Cols: 4, Seed: 2}); err != nil {
 		t.Fatal(err)
 	}
-	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads, MemoryBudget: 1000})
+	e := NewEngine(Options{Policy: plan.PolicyColumnLoads, MemoryBudget: 1000})
 	e.Attach("G", TableSpec{Path: path})
 	res, err := e.Query("select sum(a1) from G where a1 < 100")
 	if err != nil {
@@ -257,7 +249,7 @@ func TestMemoryBudgetEviction(t *testing.T) {
 func TestQueryStatsAndCounters(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", basicCSV)
-	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
+	e := NewEngine(Options{Policy: plan.PolicyColumnLoads})
 	e.Attach("T", TableSpec{Path: path})
 	res, err := e.Query("select sum(a1) from T")
 	if err != nil {
@@ -281,7 +273,7 @@ func TestQueryStatsAndCounters(t *testing.T) {
 func TestExternalPolicyNeverCaches(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", basicCSV)
-	e := newEngine(t, Options{Policy: plan.PolicyExternal})
+	e := NewEngine(Options{Policy: plan.PolicyExternal})
 	e.Attach("T", TableSpec{Path: path})
 	e.Query("select sum(a1) from T")
 	r2, _ := e.Query("select sum(a1) from T")
@@ -293,7 +285,7 @@ func TestExternalPolicyNeverCaches(t *testing.T) {
 func TestColumnLoadsLoadOnlyNeeded(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", basicCSV)
-	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
+	e := NewEngine(Options{Policy: plan.PolicyColumnLoads})
 	e.Attach("T", TableSpec{Path: path})
 	e.Query("select sum(a1) from T")
 	tab, _ := e.Catalog().Get("T")
@@ -308,7 +300,7 @@ func TestColumnLoadsLoadOnlyNeeded(t *testing.T) {
 func TestExplain(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", basicCSV)
-	e := newEngine(t, Options{Policy: plan.PolicyPartialV2})
+	e := NewEngine(Options{Policy: plan.PolicyPartialV2})
 	e.Attach("T", TableSpec{Path: path})
 	s, err := e.Explain("select sum(a1) from T where a1 > 5")
 	if err != nil {
@@ -322,7 +314,7 @@ func TestExplain(t *testing.T) {
 func TestSetPolicyMidSession(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", basicCSV)
-	e := newEngine(t, Options{Policy: plan.PolicyPartialV1})
+	e := NewEngine(Options{Policy: plan.PolicyPartialV1})
 	e.Attach("T", TableSpec{Path: path})
 	r1, _ := e.Query("select sum(a1) from T")
 	e.SetPolicy(plan.PolicyColumnLoads)
@@ -341,7 +333,7 @@ func TestSetPolicyMidSession(t *testing.T) {
 func TestQueryErrors(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", basicCSV)
-	e := newEngine(t, Options{})
+	e := NewEngine(Options{})
 	e.Attach("T", TableSpec{Path: path})
 	for _, q := range []string{
 		"select sum(a1) from Missing",
@@ -357,7 +349,7 @@ func TestQueryErrors(t *testing.T) {
 func TestUnlinkAndTables(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", basicCSV)
-	e := newEngine(t, Options{})
+	e := NewEngine(Options{})
 	e.Attach("T", TableSpec{Path: path})
 	if tables := e.Tables(); len(tables) != 1 || tables[0] != "T" {
 		t.Errorf("Tables = %v", tables)
@@ -373,7 +365,7 @@ func TestUnlinkAndTables(t *testing.T) {
 func TestResultString(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", "1,2\n")
-	e := newEngine(t, Options{})
+	e := NewEngine(Options{})
 	e.Attach("T", TableSpec{Path: path})
 	res, _ := e.Query("select a1, a2 from T")
 	s := res.String()
@@ -385,7 +377,7 @@ func TestResultString(t *testing.T) {
 func TestHeaderedFileQueryByName(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", "price,qty\n10,2\n20,3\n")
-	e := newEngine(t, Options{Policy: plan.PolicyPartialV2})
+	e := NewEngine(Options{Policy: plan.PolicyPartialV2})
 	e.Attach("Sales", TableSpec{Path: path})
 	res, err := e.Query("select sum(price), sum(qty) from Sales where price > 5")
 	if err != nil {
@@ -399,7 +391,7 @@ func TestHeaderedFileQueryByName(t *testing.T) {
 func TestFloatAndStringColumns(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", "a,1.5,x\nb,2.5,y\nc,3.5,x\n")
-	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
+	e := NewEngine(Options{Policy: plan.PolicyColumnLoads})
 	e.Attach("T", TableSpec{Path: path})
 	res, err := e.Query("select count(*), sum(a2) from T where a3 = 'x'")
 	if err != nil {
@@ -421,7 +413,7 @@ func TestMergeJoinEquivalence(t *testing.T) {
 	}
 	rp := writeFile(t, dir, "r.csv", r.String())
 	sp := writeFile(t, dir, "s.csv", s.String())
-	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
+	e := NewEngine(Options{Policy: plan.PolicyColumnLoads})
 	e.Attach("R", TableSpec{Path: rp})
 	e.Attach("S", TableSpec{Path: sp})
 	res, err := e.Query("select count(*) from R r join S s on r.a1 = s.a1")
@@ -436,7 +428,7 @@ func TestMergeJoinEquivalence(t *testing.T) {
 func TestSchemaTypesExposed(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", "1,2.5,abc\n")
-	e := newEngine(t, Options{})
+	e := NewEngine(Options{})
 	e.Attach("T", TableSpec{Path: path})
 	sch, err := e.TableSchema("T")
 	if err != nil {

@@ -27,14 +27,14 @@ func TestBudgetWorkloadCorrectness(t *testing.T) {
 	// One dense int64 column is rows*8 = 160 KB; budget fits ~2.5 columns
 	// (plus the positional map), far less than the 6-column working set.
 	const budget = 400_000
-	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads, MemoryBudget: budget})
+	e := NewEngine(Options{Policy: plan.PolicyColumnLoads, MemoryBudget: budget})
 	defer e.Close()
 	if err := e.Attach("W", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
 
 	// Reference sums from an unbudgeted engine.
-	ref := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
+	ref := NewEngine(Options{Policy: plan.PolicyColumnLoads})
 	defer ref.Close()
 	if err := ref.Attach("W", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestBudgetRetainedPartialLoads(t *testing.T) {
 		t.Fatal(err)
 	}
 	const budget = 300_000
-	e := newEngine(t, Options{Policy: plan.PolicyPartialV2, MemoryBudget: budget})
+	e := NewEngine(Options{Policy: plan.PolicyPartialV2, MemoryBudget: budget})
 	defer e.Close()
 	if err := e.Attach("P", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
@@ -132,7 +132,7 @@ func TestEvictionDuringConcurrentCursor(t *testing.T) {
 	// Budget holds A's two columns plus roughly one of B's: every B query
 	// forces evictions while A streams.
 	const budget = 260_000
-	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads, MemoryBudget: budget})
+	e := NewEngine(Options{Policy: plan.PolicyColumnLoads, MemoryBudget: budget})
 	defer e.Close()
 	if err := e.Attach("A", TableSpec{Path: apath}); err != nil {
 		t.Fatal(err)
@@ -223,7 +223,7 @@ func TestEvictionDuringConcurrentCursor(t *testing.T) {
 func TestExplainShowsPins(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "t.csv", basicCSV)
-	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
+	e := NewEngine(Options{Policy: plan.PolicyColumnLoads})
 	defer e.Close()
 	if err := e.Attach("T", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)

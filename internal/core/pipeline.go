@@ -185,7 +185,7 @@ func (e *Engine) tableSource(ctx context.Context, tp *plan.TablePlan, size int, 
 	}
 
 	switch tp.LoadOp {
-	case plan.LoadNone, plan.LoadFull, plan.LoadColumns, plan.LoadSplit:
+	case plan.LoadNone, plan.LoadFull, plan.LoadColumns:
 		if err := e.runLoad(ctx, t, tp); err != nil {
 			return nil, nil, err
 		}
@@ -248,7 +248,7 @@ func describePipeline(p *plan.Plan, batchSize int) string {
 
 	src := func(tp *plan.TablePlan) string {
 		switch tp.LoadOp {
-		case plan.LoadNone, plan.LoadFull, plan.LoadColumns, plan.LoadSplit:
+		case plan.LoadNone, plan.LoadFull, plan.LoadColumns:
 			s := fmt.Sprintf("DenseScan(t%d cols=%v)", tp.Ordinal, tp.Pins)
 			if !tp.Conj.Empty() {
 				s = fmt.Sprintf("Filter(t%d %d preds)\n  %s", tp.Ordinal, len(tp.Conj.Preds), s)

@@ -22,7 +22,7 @@ import (
 // hit" plan note — and the cache, Explain and the tenant attribution all
 // see it.
 func TestResultCacheReplaysThroughCursor(t *testing.T) {
-	e := newEngine(t, Options{ResultCacheBytes: 1 << 20, Tenants: []qos.Tenant{{Name: "a", Weight: 1}}})
+	e := NewEngine(Options{ResultCacheBytes: 1 << 20, Tenants: []qos.Tenant{{Name: "a", Weight: 1}}})
 	linkTable(t, e, "G", 2000)
 	ctx := qos.WithTenant(context.Background(), "a")
 	const q = "select a1, a2 from G where a1 < 40 order by a1"
@@ -70,7 +70,7 @@ func TestRowsScanDestinations(t *testing.T) {
 	if err := os.WriteFile(path, []byte("7,2.5,x\n8,3.5,y\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	e := newEngine(t, Options{})
+	e := NewEngine(Options{})
 	if err := e.Attach("S", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +128,7 @@ func TestRowsScanDestinations(t *testing.T) {
 // waiting on it goes on to the right answer instead of hanging, and no
 // structure stays pinned.
 func TestFlightLeaderClosedBeforeNext(t *testing.T) {
-	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads, ResultCacheBytes: 1 << 20})
+	e := NewEngine(Options{Policy: plan.PolicyColumnLoads, ResultCacheBytes: 1 << 20})
 	linkTable(t, e, "T", 4000) // a1 is a permutation of 0..3999
 	const q = "select count(*), sum(a1) from T where a1 < 1000"
 
@@ -206,7 +206,7 @@ func TestCachedReplayMatchesStream(t *testing.T) {
 	path := writeFile(t, t.TempDir(), "m.csv", csv.String())
 	for _, pol := range []plan.Policy{plan.PolicyColumnLoads, plan.PolicyPartialV1} {
 		t.Run(pol.String(), func(t *testing.T) {
-			e := newEngine(t, Options{Policy: pol, ResultCacheBytes: 4 << 20})
+			e := NewEngine(Options{Policy: pol, ResultCacheBytes: 4 << 20})
 			if err := e.Attach("M", TableSpec{Path: path}); err != nil {
 				t.Fatal(err)
 			}
@@ -238,7 +238,7 @@ func TestCachedReplayMatchesStream(t *testing.T) {
 	}
 
 	// 2900 rows of three columns are far over a quarter of 64 KiB.
-	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads, ResultCacheBytes: 64 << 10})
+	e := NewEngine(Options{Policy: plan.PolicyColumnLoads, ResultCacheBytes: 64 << 10})
 	if err := e.Attach("M", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}

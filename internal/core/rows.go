@@ -482,7 +482,7 @@ func (e *Engine) QueryRowsStmt(ctx context.Context, stmt *sql.SelectStmt) (*Rows
 	unpin, cleanup := func() {}, func() {}
 	r.open = func() (exec.Operator, error) {
 		// Pin the adaptive structures this plan reads (the plan's Pins per
-		// table, plus each table's positional map and split files) so the
+		// table, plus each table's positional map and synopsis) so the
 		// governor cannot evict them while the scan streams over them.
 		// Columns loaded *by* this query register most-recently-used and
 		// are naturally poor victims. Pins drop before budget enforcement.

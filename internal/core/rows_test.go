@@ -31,7 +31,7 @@ func linkTable(t *testing.T, e *Engine, name string, rows int) string {
 func TestRowsIterationMatchesBufferedResult(t *testing.T) {
 	for _, pol := range allPolicies {
 		t.Run(pol.String(), func(t *testing.T) {
-			e := newEngine(t, Options{Policy: pol})
+			e := NewEngine(Options{Policy: pol})
 			linkTable(t, e, "T", 500)
 			const q = "select a1, a3 from T where a1 >= 100 and a1 < 120 order by a1"
 
@@ -77,7 +77,7 @@ func TestRowsIterationMatchesBufferedResult(t *testing.T) {
 func TestNextBatchMatchesNext(t *testing.T) {
 	for _, pol := range allPolicies {
 		t.Run(pol.String(), func(t *testing.T) {
-			e := newEngine(t, Options{Policy: pol})
+			e := NewEngine(Options{Policy: pol})
 			linkTable(t, e, "T", 3000)
 			for _, q := range []string{
 				"select a1, a2 from T where a1 >= 100 and a1 < 2700",
@@ -164,7 +164,7 @@ func TestNextBatchMatchesNext(t *testing.T) {
 func TestRowsLimitStopsScanEarly(t *testing.T) {
 	for _, pol := range []plan.Policy{plan.PolicyPartialV1, plan.PolicyExternal} {
 		t.Run(pol.String(), func(t *testing.T) {
-			e := newEngine(t, Options{Policy: pol, ChunkSize: 4096})
+			e := NewEngine(Options{Policy: pol, ChunkSize: 4096})
 			path := linkTable(t, e, "big", 40000)
 			st, err := os.Stat(path)
 			if err != nil {
@@ -203,7 +203,7 @@ func TestRowsLimitStopsScanEarly(t *testing.T) {
 // TestRowsCloseStopsScanMidIteration: closing a cursor after a few rows
 // cancels the query; the scan stops between chunks.
 func TestRowsCloseStopsScanMidIteration(t *testing.T) {
-	e := newEngine(t, Options{Policy: plan.PolicyPartialV1, ChunkSize: 4096})
+	e := NewEngine(Options{Policy: plan.PolicyPartialV1, ChunkSize: 4096})
 	path := linkTable(t, e, "big", 40000)
 	st, err := os.Stat(path)
 	if err != nil {
@@ -239,7 +239,7 @@ func TestRowsCloseStopsScanMidIteration(t *testing.T) {
 
 // TestRowsLimitZero yields no rows but no error.
 func TestRowsLimitZero(t *testing.T) {
-	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
+	e := NewEngine(Options{Policy: plan.PolicyColumnLoads})
 	linkTable(t, e, "T", 100)
 	rows, err := e.QueryRows(context.Background(), "select a1 from T limit 0")
 	if err != nil {
@@ -257,7 +257,7 @@ func TestRowsLimitZero(t *testing.T) {
 // TestPreparedStatements: placeholders bind as typed values and execute
 // repeatedly; arity and validity are checked.
 func TestPreparedStatements(t *testing.T) {
-	e := newEngine(t, Options{Policy: plan.PolicyPartialV2})
+	e := NewEngine(Options{Policy: plan.PolicyPartialV2})
 	linkTable(t, e, "T", 1000)
 
 	stmt, err := e.Prepare("select sum(a1), count(*) from T where a1 >= ? and a1 < ?")
@@ -297,7 +297,7 @@ func TestPreparedStatements(t *testing.T) {
 // TestPreparedStatementInjectionSafe: an argument is always a value, never
 // SQL text — a malicious string matches literally (and matches nothing).
 func TestPreparedStatementInjectionSafe(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := NewEngine(Options{})
 	path := filepath.Join(t.TempDir(), "s.csv")
 	spec := csvgen.Spec{
 		Rows: 50, Cols: 2, Seed: 3,
@@ -325,7 +325,7 @@ func TestPreparedStatementInjectionSafe(t *testing.T) {
 // TestPlanCache: repeated preparations and ad-hoc queries of one statement
 // parse once; differently-spelled equivalents share the entry.
 func TestPlanCache(t *testing.T) {
-	e := newEngine(t, Options{})
+	e := NewEngine(Options{})
 	linkTable(t, e, "T", 50)
 
 	q := "select a1 from T where a1 < ?"
@@ -355,7 +355,7 @@ func TestPlanCache(t *testing.T) {
 // TestEngineClose: Close is idempotent, fails new work with ErrClosed,
 // releases loaded state, and aborts in-flight cursors.
 func TestEngineClose(t *testing.T) {
-	e := newEngine(t, Options{Policy: plan.PolicyColumnLoads})
+	e := NewEngine(Options{Policy: plan.PolicyColumnLoads})
 	linkTable(t, e, "T", 1000)
 	if _, err := e.Query("select sum(a1) from T"); err != nil {
 		t.Fatal(err)
@@ -400,7 +400,7 @@ func TestEngineClose(t *testing.T) {
 // TestEngineCloseAbortsInFlightCursor: Close cancels a cursor mid-stream;
 // the consumer sees an error end, not a hang.
 func TestEngineCloseAbortsInFlightCursor(t *testing.T) {
-	e := newEngine(t, Options{Policy: plan.PolicyPartialV1, ChunkSize: 4096})
+	e := NewEngine(Options{Policy: plan.PolicyPartialV1, ChunkSize: 4096})
 	linkTable(t, e, "big", 40000)
 
 	rows, err := e.QueryRows(context.Background(), "select a1 from big where a1 >= 0")
@@ -430,7 +430,7 @@ func TestEngineCloseAbortsInFlightCursor(t *testing.T) {
 // TestConcurrentCursorsAndPreparedStatements drives the new surface the
 // way the server does — many goroutines, one engine — for the -race job.
 func TestConcurrentCursorsAndPreparedStatements(t *testing.T) {
-	e := newEngine(t, Options{Policy: plan.PolicyPartialV2})
+	e := NewEngine(Options{Policy: plan.PolicyPartialV2})
 	linkTable(t, e, "T", 4000)
 
 	stmt, err := e.Prepare("select a1 from T where a1 >= ? and a1 < ?")

@@ -40,7 +40,7 @@ func TestWarmRestartRoundTrip(t *testing.T) {
 	cache := filepath.Join(dir, "cache")
 	path := writeFile(t, dir, "r.csv", basicCSV)
 
-	e1 := newEngine(t, Options{Policy: plan.PolicyColumnLoads, CacheDir: cache})
+	e1 := NewEngine(Options{Policy: plan.PolicyColumnLoads, CacheDir: cache})
 	if err := e1.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestWarmRestartRoundTrip(t *testing.T) {
 		t.Fatal("close left no snapshot files")
 	}
 
-	e2 := newEngine(t, Options{Policy: plan.PolicyColumnLoads, CacheDir: cache})
+	e2 := NewEngine(Options{Policy: plan.PolicyColumnLoads, CacheDir: cache})
 	defer e2.Close()
 	if err := e2.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
@@ -88,7 +88,7 @@ func TestWarmRestartPartialV2(t *testing.T) {
 	path := writeFile(t, dir, "r.csv", basicCSV)
 	q := "select sum(a2) from R where a1 > 15 and a1 < 45"
 
-	e1 := newEngine(t, Options{Policy: plan.PolicyPartialV2, CacheDir: cache})
+	e1 := NewEngine(Options{Policy: plan.PolicyPartialV2, CacheDir: cache})
 	if err := e1.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +104,7 @@ func TestWarmRestartPartialV2(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2 := newEngine(t, Options{Policy: plan.PolicyPartialV2, CacheDir: cache})
+	e2 := NewEngine(Options{Policy: plan.PolicyPartialV2, CacheDir: cache})
 	defer e2.Close()
 	if err := e2.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
@@ -121,51 +121,6 @@ func TestWarmRestartPartialV2(t *testing.T) {
 	}
 }
 
-// TestWarmRestartSplitFiles: split files must survive a close (detach, not
-// delete) and be adopted by the next process via the snapshot manifest.
-func TestWarmRestartSplitFiles(t *testing.T) {
-	dir := t.TempDir()
-	cache := filepath.Join(dir, "cache")
-	splits := filepath.Join(dir, "splits")
-	path := writeFile(t, dir, "r.csv", basicCSV)
-
-	e1 := NewEngine(Options{Policy: plan.PolicySplitFiles, SplitDir: splits, CacheDir: cache})
-	if err := e1.Attach("R", TableSpec{Path: path}); err != nil {
-		t.Fatal(err)
-	}
-	want, err := e1.Query(warmQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st1, err := e1.TableStats("R")
-	if err != nil || st1.SplitBytes == 0 {
-		t.Fatalf("no split files created: %+v err=%v", st1, err)
-	}
-	if err := e1.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	e2 := NewEngine(Options{Policy: plan.PolicySplitFiles, SplitDir: splits, CacheDir: cache})
-	defer e2.Close()
-	if err := e2.Attach("R", TableSpec{Path: path}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := e2.Query(warmQuery)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Rows[0][0].I != want.Rows[0][0].I {
-		t.Fatalf("result changed across restart: %v vs %v", got.Rows[0], want.Rows[0])
-	}
-	st2, err := e2.TableStats("R")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st2.SplitBytes == 0 {
-		t.Error("split files were not adopted after restart")
-	}
-}
-
 // TestCorruptSnapshotFallsBackCold is the crash-safety contract: a
 // snapshot damaged mid-section (torn write, bit rot, truncation) must
 // yield a logged, counted invalidation and a cold start — never a query
@@ -175,7 +130,7 @@ func TestCorruptSnapshotFallsBackCold(t *testing.T) {
 	cache := filepath.Join(dir, "cache")
 	path := writeFile(t, dir, "r.csv", basicCSV)
 
-	e1 := newEngine(t, Options{Policy: plan.PolicyColumnLoads, CacheDir: cache})
+	e1 := NewEngine(Options{Policy: plan.PolicyColumnLoads, CacheDir: cache})
 	if err := e1.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +149,7 @@ func TestCorruptSnapshotFallsBackCold(t *testing.T) {
 	for i, mode := range []string{"corrupt", "truncate"} {
 		t.Run(mode, func(t *testing.T) {
 			// Re-damage from a clean copy each time: rewrite the snapshot.
-			e := newEngine(t, Options{Policy: plan.PolicyColumnLoads, CacheDir: cache})
+			e := NewEngine(Options{Policy: plan.PolicyColumnLoads, CacheDir: cache})
 			if err := e.Attach("R", TableSpec{Path: path}); err != nil {
 				t.Fatal(err)
 			}
@@ -227,7 +182,7 @@ func TestCorruptSnapshotFallsBackCold(t *testing.T) {
 			log.SetOutput(&logBuf)
 			defer log.SetOutput(os.Stderr)
 
-			e2 := newEngine(t, Options{Policy: plan.PolicyColumnLoads, CacheDir: cache})
+			e2 := NewEngine(Options{Policy: plan.PolicyColumnLoads, CacheDir: cache})
 			defer e2.Close()
 			if err := e2.Attach("R", TableSpec{Path: path}); err != nil {
 				t.Fatal(err)
@@ -261,7 +216,7 @@ func TestStaleSnapshotInvalidatedOnEdit(t *testing.T) {
 	cache := filepath.Join(dir, "cache")
 	path := writeFile(t, dir, "r.csv", basicCSV)
 
-	e1 := newEngine(t, Options{Policy: plan.PolicyColumnLoads, CacheDir: cache})
+	e1 := NewEngine(Options{Policy: plan.PolicyColumnLoads, CacheDir: cache})
 	if err := e1.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
@@ -277,7 +232,7 @@ func TestStaleSnapshotInvalidatedOnEdit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e2 := newEngine(t, Options{Policy: plan.PolicyColumnLoads, CacheDir: cache})
+	e2 := NewEngine(Options{Policy: plan.PolicyColumnLoads, CacheDir: cache})
 	defer e2.Close()
 	if err := e2.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
@@ -305,7 +260,7 @@ func TestEvictionSpillsAndReadmits(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	e := newEngine(t, Options{
+	e := NewEngine(Options{
 		Policy:              plan.PolicyColumnLoads,
 		CacheDir:            cache,
 		MemoryBudget:        100 << 10, // far below the 8-column working set
@@ -347,7 +302,7 @@ func TestEvictionSpillsAndReadmits(t *testing.T) {
 func TestExplainShowsSnapshotCounters(t *testing.T) {
 	dir := t.TempDir()
 	path := writeFile(t, dir, "r.csv", basicCSV)
-	e := newEngine(t, Options{CacheDir: filepath.Join(dir, "cache")})
+	e := NewEngine(Options{CacheDir: filepath.Join(dir, "cache")})
 	defer e.Close()
 	if err := e.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
@@ -360,7 +315,7 @@ func TestExplainShowsSnapshotCounters(t *testing.T) {
 		t.Fatalf("Explain output lacks snapshot counters:\n%s", out)
 	}
 	// Without a cache dir the line must be absent.
-	e2 := newEngine(t, Options{})
+	e2 := NewEngine(Options{})
 	defer e2.Close()
 	if err := e2.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
@@ -381,7 +336,7 @@ func TestSaveSnapshotsPeriodic(t *testing.T) {
 	cache := filepath.Join(dir, "cache")
 	path := writeFile(t, dir, "r.csv", basicCSV)
 
-	e1 := newEngine(t, Options{CacheDir: cache})
+	e1 := NewEngine(Options{CacheDir: cache})
 	if err := e1.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
 	}
@@ -398,7 +353,7 @@ func TestSaveSnapshotsPeriodic(t *testing.T) {
 	// Simulate a crash: no Close-time snapshot.
 	e1.cat.DropAll()
 
-	e2 := newEngine(t, Options{CacheDir: cache})
+	e2 := NewEngine(Options{CacheDir: cache})
 	defer e2.Close()
 	if err := e2.Attach("R", TableSpec{Path: path}); err != nil {
 		t.Fatal(err)
@@ -425,7 +380,7 @@ func TestConcurrentQueriesUnderSpill(t *testing.T) {
 	if err := csvgen.EnsureFile(path, csvgen.Spec{Rows: 2000, Cols: 6, Seed: 9}); err != nil {
 		t.Fatal(err)
 	}
-	e := newEngine(t, Options{
+	e := NewEngine(Options{
 		Policy:              plan.PolicyColumnLoads,
 		CacheDir:            cache,
 		MemoryBudget:        64 << 10,

@@ -9,6 +9,7 @@ import (
 	"nodb/internal/expr"
 	"nodb/internal/loader"
 	"nodb/internal/metrics"
+	"nodb/internal/splitfile"
 	"nodb/internal/storage"
 )
 
@@ -82,11 +83,12 @@ func AblationSplitFiles(c Config) (*Report, error) {
 			return Series{}, err
 		}
 		defer os.RemoveAll(splitDir)
-		cat := catalog.New(catalog.Options{Counters: &counters, SplitDir: splitDir})
+		cat := catalog.New(catalog.Options{Counters: &counters})
 		tab, err := cat.Link("R", path)
 		if err != nil {
 			return Series{}, err
 		}
+		reg := splitfile.NewRegistry(splitDir, path, cols, &counters)
 		ld := &loader.Loader{Counters: &counters}
 		name := "column loads"
 		if split {
@@ -97,7 +99,7 @@ func AblationSplitFiles(c Config) (*Report, error) {
 			before := counters.Snapshot()
 			timer := metrics.StartTimer()
 			if split {
-				err = ld.SplitColumnLoadContext(context.Background(), tab, colset)
+				err = ld.SplitColumnLoadContext(context.Background(), tab, reg, colset)
 			} else {
 				err = ld.ColumnLoadContext(context.Background(), tab, colset)
 			}

@@ -2,7 +2,6 @@ package experiments
 
 import (
 	"fmt"
-	"os"
 
 	"nodb/internal/core"
 	"nodb/internal/plan"
@@ -81,14 +80,8 @@ func AblationBudget(c Config) (*Report, error) {
 // and eviction policy, returning the peak governed bytes and a point with
 // the summed wall-clock time and work of its queries.
 func budgetRun(path string, budget int64, evict string) (peakBytes int64, total Point, err error) {
-	splitDir, err := os.MkdirTemp("", "nodb-splits-*")
-	if err != nil {
-		return 0, Point{}, err
-	}
-	defer os.RemoveAll(splitDir)
 	eng := core.NewEngine(core.Options{
 		Policy:              plan.PolicyColumnLoads,
-		SplitDir:            splitDir,
 		MemoryBudget:        budget,
 		EvictionPolicy:      evict,
 		DisableRevalidation: true,

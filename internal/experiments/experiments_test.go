@@ -230,6 +230,10 @@ func TestFig4Shape(t *testing.T) {
 	if sf.Points[0].Work.ValuesParsed >= monet.Points[0].Work.ValuesParsed {
 		t.Errorf("Split Files Q1 parsed %d values, MonetDB Q1 %d", sf.Points[0].Work.ValuesParsed, monet.Points[0].Work.ValuesParsed)
 	}
+	// Its Q1 point includes the split-file load that cracks the raw file.
+	if w := sf.Points[0].Work.SplitBytesWritten; w <= 0 {
+		t.Errorf("Split Files Q1 wrote %d split-file bytes, want > 0", w)
+	}
 	// Reruns (even queries) read no file for every adaptive strategy.
 	for _, s := range []Series{col, v2, sf} {
 		for i := 1; i < len(s.Points); i += 2 {

@@ -1,7 +1,7 @@
 // Package govern implements the engine's memory governor: a global
 // byte-accounting registry that every adaptive structure — fully loaded
-// columns, retained partial-load (sparse) columns, positional maps, split
-// files — registers with, plus the eviction machinery that keeps their
+// columns, retained partial-load (sparse) columns, positional maps,
+// synopses, cached results — registers with, plus the eviction machinery that keeps their
 // total footprint under a configurable budget.
 //
 // The paper (§5.1.3) frames adaptive in-situ querying as viable only with
@@ -48,9 +48,6 @@ const (
 	KindSparse
 	// KindPosMap is the positional map of one raw file.
 	KindPosMap
-	// KindSplit is the split-file set of one raw file (on-disk bytes; the
-	// budget governs the engine's total adaptive footprint, not only heap).
-	KindSplit
 	// KindSynopsis is the per-portion scan synopsis (zone maps) of one raw
 	// file. It is rebuilt as a free byproduct of the next tokenizing pass,
 	// so it is the cheapest structure to lose and an early eviction victim.
@@ -70,8 +67,6 @@ func (k Kind) String() string {
 		return "sparse"
 	case KindPosMap:
 		return "posmap"
-	case KindSplit:
-		return "split"
 	case KindSynopsis:
 		return "synopsis"
 	case KindResult:

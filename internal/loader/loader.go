@@ -12,8 +12,10 @@
 //   - PartialLoadV2Context — like PartialScanContext but qualifying values
 //     are retained in sparse columns and a covered-region table of contents
 //     lets future queries reuse them (Partial Loads V2).
-//   - SplitColumnLoadContext — ColumnLoadContext through the split-file
-//     registry, creating per-column files as a side effect (Split Files).
+//   - SplitColumnLoadContext — ColumnLoadContext through a split-file
+//     registry the caller owns, creating per-column files as a side
+//     effect. The engine never calls it; Figure 4's Split Files series and
+//     the split-file ablation do.
 //   - ExtendTail — the catalog's tail pass (catalog.TailPass): after rows
 //     are appended to the raw file, a column load over just the appended
 //     bytes, whose values, positions, synopsis portion and re-qualified

@@ -14,6 +14,7 @@ import (
 	"nodb/internal/exec"
 	"nodb/internal/expr"
 	"nodb/internal/metrics"
+	"nodb/internal/splitfile"
 	"nodb/internal/storage"
 )
 
@@ -27,9 +28,6 @@ func testTable(t *testing.T, content string, opts catalog.Options) (*catalog.Tab
 	}
 	var c metrics.Counters
 	opts.Counters = &c
-	if opts.SplitDir == "" {
-		opts.SplitDir = filepath.Join(dir, "splits")
-	}
 	cat := catalog.New(opts)
 	tab, err := cat.Link("T", path)
 	if err != nil {
@@ -48,15 +46,19 @@ func genTable(t *testing.T, spec csvgen.Spec, opts catalog.Options) (*catalog.Ta
 	}
 	var c metrics.Counters
 	opts.Counters = &c
-	if opts.SplitDir == "" {
-		opts.SplitDir = filepath.Join(dir, "splits")
-	}
 	cat := catalog.New(opts)
 	tab, err := cat.Link("G", path)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return tab, &c
+}
+
+// splitRegistry returns a split-file registry for tab in a fresh
+// directory, charging c.
+func splitRegistry(t *testing.T, tab *catalog.Table, c *metrics.Counters) *splitfile.Registry {
+	t.Helper()
+	return splitfile.NewRegistry(filepath.Join(t.TempDir(), "splits"), tab.Path(), tab.Schema().NumCols(), c)
 }
 
 const smallCSV = "10,100,1000,5\n20,200,2000,6\n30,300,3000,7\n40,400,4000,8\n"
@@ -333,22 +335,23 @@ func TestPartialLoadV2MatchesPartialScan(t *testing.T) {
 
 func TestSplitColumnLoad(t *testing.T) {
 	tab, c := testTable(t, smallCSV, catalog.Options{})
+	reg := splitRegistry(t, tab, c)
 	l := &Loader{Counters: c}
 	// First load: columns 0 and 1 → sidecars for 0,1; residual with 2,3.
-	if err := l.SplitColumnLoadContext(context.Background(), tab, []int{0, 1}); err != nil {
+	if err := l.SplitColumnLoadContext(context.Background(), tab, reg, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if tab.Dense(0) == nil || tab.Dense(0).Int(2) != 30 {
 		t.Error("split load col 0 wrong")
 	}
-	if !tab.Splits.HasSidecar(0) || !tab.Splits.HasSidecar(1) {
+	if !reg.HasSidecar(0) || !reg.HasSidecar(1) {
 		t.Error("sidecars not registered")
 	}
 
 	// Second load: column 3 must come from the residual file, not raw.
 	rawSize := int64(len(smallCSV))
 	before := c.Snapshot()
-	if err := l.SplitColumnLoadContext(context.Background(), tab, []int{3}); err != nil {
+	if err := l.SplitColumnLoadContext(context.Background(), tab, reg, []int{3}); err != nil {
 		t.Fatal(err)
 	}
 	delta := c.Snapshot().Sub(before)
@@ -359,13 +362,13 @@ func TestSplitColumnLoad(t *testing.T) {
 		t.Errorf("col 3 = %+v", tab.Dense(3))
 	}
 	// Column 3's split registered a sidecar for 2 and 3 (residual had 2,3).
-	if !tab.Splits.HasSidecar(2) || !tab.Splits.HasSidecar(3) {
+	if !reg.HasSidecar(2) || !reg.HasSidecar(3) {
 		t.Error("second split should create sidecars for residual columns")
 	}
 
 	// Third: column 2 now loads from its tiny sidecar.
 	before = c.Snapshot()
-	if err := l.SplitColumnLoadContext(context.Background(), tab, []int{2}); err != nil {
+	if err := l.SplitColumnLoadContext(context.Background(), tab, reg, []int{2}); err != nil {
 		t.Fatal(err)
 	}
 	delta = c.Snapshot().Sub(before)
@@ -382,8 +385,9 @@ func TestSplitColumnLoad(t *testing.T) {
 // raw ones.
 func TestSidecarReloadChargesSplitBytes(t *testing.T) {
 	tab, c := testTable(t, smallCSV, catalog.Options{})
+	reg := splitRegistry(t, tab, c)
 	l := &Loader{Counters: c}
-	if err := l.SplitColumnLoadContext(context.Background(), tab, []int{0, 1}); err != nil {
+	if err := l.SplitColumnLoadContext(context.Background(), tab, reg, []int{0, 1}); err != nil {
 		t.Fatal(err)
 	}
 	if w := c.Snapshot(); w.RawBytesRead == 0 || w.SplitBytesRead != 0 {
@@ -392,7 +396,7 @@ func TestSidecarReloadChargesSplitBytes(t *testing.T) {
 	want := tab.Dense(0).Int64s()
 	tab.SetDense(0, nil) // no governor: the column is simply gone
 	before := c.Snapshot()
-	if err := l.SplitColumnLoadContext(context.Background(), tab, []int{0}); err != nil {
+	if err := l.SplitColumnLoadContext(context.Background(), tab, reg, []int{0}); err != nil {
 		t.Fatal(err)
 	}
 	d := c.Snapshot().Sub(before)
@@ -412,13 +416,14 @@ func TestSplitColumnLoadMatchesColumnLoad(t *testing.T) {
 	tabA, ca := genTable(t, spec, catalog.Options{})
 	tabB, cb := genTable(t, spec, catalog.Options{})
 	la := &Loader{Counters: ca}
+	reg := splitRegistry(t, tabB, cb)
 	lb := &Loader{Counters: cb}
 	// Load in awkward order: last column first (worst case per paper §4.2).
 	for _, cols := range [][]int{{5}, {2, 3}, {0}, {1, 4}} {
 		if err := la.ColumnLoadContext(context.Background(), tabA, cols); err != nil {
 			t.Fatal(err)
 		}
-		if err := lb.SplitColumnLoadContext(context.Background(), tabB, cols); err != nil {
+		if err := lb.SplitColumnLoadContext(context.Background(), tabB, reg, cols); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -588,18 +593,6 @@ func TestViewFromStoreMultiRegionPartialColumns(t *testing.T) {
 	}
 	if v.Len() != 1 || v.Value(exec.ColKey{Tab: 0, Col: 1}, 0).I != 20 {
 		t.Errorf("multi-region view wrong: len=%d", v.Len())
-	}
-}
-
-func TestSplitLoadRequiresRegistry(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "x.csv")
-	os.WriteFile(path, []byte("1,2\n"), 0o644)
-	cat := catalog.New(catalog.Options{}) // no SplitDir
-	tab, _ := cat.Link("X", path)
-	l := &Loader{}
-	if err := l.SplitColumnLoadContext(context.Background(), tab, []int{0}); err == nil {
-		t.Error("split load without registry should error")
 	}
 }
 

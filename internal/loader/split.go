@@ -13,18 +13,16 @@ import (
 )
 
 // SplitColumnLoadContext loads the given columns like ColumnLoadContext,
-// but reads through the split-file registry and *cracks the file* as a
-// side effect: every attribute the load tokenizes is written out as its
+// but reads through reg, t's split-file registry, and *cracks the file*
+// as a side effect: every attribute the load tokenizes is written out as its
 // own sidecar file, and the un-tokenized tail of each row goes to a
 // residual file (paper §4.2). Later loads of already-split attributes read
 // only their sidecar; loads of un-split attributes read only the residual
 // file, which keeps shrinking as splits recurse. Cancellation is checked
 // between source groups and inside each scan; a partially written split
-// file is closed and not registered.
-func (l *Loader) SplitColumnLoadContext(ctx context.Context, t *catalog.Table, cols []int) error {
-	if t.Splits == nil {
-		return fmt.Errorf("loader: table %s has no split registry (set SplitDir)", t.Name())
-	}
+// file is closed and not registered. The engine never calls it: Figure 4
+// and the split-file ablation own their registries.
+func (l *Loader) SplitColumnLoadContext(ctx context.Context, t *catalog.Table, reg *splitfile.Registry, cols []int) error {
 	t.LockLoads()
 	defer t.UnlockLoads()
 	missing := t.MissingDense(cols)
@@ -49,7 +47,7 @@ func (l *Loader) SplitColumnLoadContext(ctx context.Context, t *catalog.Table, c
 	groups := map[string]*group{}
 	var order []string
 	for _, c := range missing {
-		src := t.Splits.Lookup(c)
+		src := reg.Lookup(c)
 		g := groups[src.Path]
 		if g == nil {
 			g = &group{src: src}
@@ -65,7 +63,7 @@ func (l *Loader) SplitColumnLoadContext(ctx context.Context, t *catalog.Table, c
 		if err := ctx.Err(); err != nil {
 			return fmt.Errorf("loader: %w", err)
 		}
-		if err := l.loadGroup(ctx, t, g.src, g.locals, g.origs); err != nil {
+		if err := l.loadGroup(ctx, t, reg, g.src, g.locals, g.origs); err != nil {
 			return err
 		}
 	}
@@ -75,7 +73,7 @@ func (l *Loader) SplitColumnLoadContext(ctx context.Context, t *catalog.Table, c
 // loadGroup loads origs (attribute ids) from one source file whose local
 // column indices are locals. Multi-column sources are split as a side
 // effect.
-func (l *Loader) loadGroup(ctx context.Context, t *catalog.Table, src splitfile.Source, locals, origs []int) error {
+func (l *Loader) loadGroup(ctx context.Context, t *catalog.Table, reg *splitfile.Registry, src splitfile.Source, locals, origs []int) error {
 	sch := t.Schema()
 	counters := l.Counters
 	if !src.Raw && counters != nil {
@@ -118,11 +116,11 @@ func (l *Loader) loadGroup(ctx context.Context, t *catalog.Table, src splitfile.
 
 	if len(src.Cols) == 1 {
 		// Single-column sidecar: a plain scan, no splitting needed.
-		return l.loadSidecar(t, sc, src, origs[0], dense[0])
+		return l.loadSidecar(t, reg, sc, src, origs[0], dense[0])
 	}
 
 	plan := splitfile.PlanSplit(src, locals)
-	w, err := t.Splits.NewWriter(plan)
+	w, err := reg.NewWriter(plan)
 	if err != nil {
 		return err
 	}
@@ -176,7 +174,7 @@ func (l *Loader) loadGroup(ctx context.Context, t *catalog.Table, src splitfile.
 	if err := l.checkSplitRows(t, src, sc.RowsScanned()); err != nil {
 		w.Abort()
 		if !src.Raw {
-			t.Splits.Drop() // the existing split set is misaligned too
+			reg.Drop() // the existing split set is misaligned too
 		}
 		return err
 	}
@@ -208,7 +206,7 @@ func (l *Loader) checkSplitRows(t *catalog.Table, src splitfile.Source, rows int
 }
 
 // loadSidecar loads one attribute from its single-column split file.
-func (l *Loader) loadSidecar(t *catalog.Table, sc *scan.Scanner, src splitfile.Source, orig int, dense *storage.DenseColumn) error {
+func (l *Loader) loadSidecar(t *catalog.Table, reg *splitfile.Registry, sc *scan.Scanner, src splitfile.Source, orig int, dense *storage.DenseColumn) error {
 	sch := t.Schema()
 	err := sc.ScanColumns([]int{0}, func(rowID int64, fields []scan.FieldRef) error {
 		v, err := parseField(fields[0].Bytes, sch.Columns[orig].Type, sch.Format)
@@ -228,7 +226,7 @@ func (l *Loader) loadSidecar(t *catalog.Table, sc *scan.Scanner, src splitfile.S
 	if err := l.checkSplitRows(t, src, sc.RowsScanned()); err != nil {
 		// The registered sidecar is row-misaligned with the table; a
 		// truncated or stale split set self-heals by rebuilding from raw.
-		t.Splits.Drop()
+		reg.Drop()
 		return err
 	}
 	l.install(t, []int{orig}, []*storage.DenseColumn{dense}, nil)

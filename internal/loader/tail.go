@@ -8,7 +8,6 @@ import (
 	"nodb/internal/expr"
 	"nodb/internal/scan"
 	"nodb/internal/schema"
-	"nodb/internal/splitfile"
 	"nodb/internal/storage"
 	"nodb/internal/synopsis"
 )
@@ -17,8 +16,7 @@ import (
 // sequential pass over the bytes a prefix-stable growth appended, on a
 // column load's machinery. Its typed sinks parse the tail's values, its
 // tallies count them, RecordPositions gates the tail positions and
-// UseSynopsis the tail's synopsis portion; registered split files gain
-// the tail rows as they stream. The pass installs nothing: it returns the
+// UseSynopsis the tail's synopsis portion. The pass installs nothing: it returns the
 // update for the catalog to install, and on an error the catalog drops
 // the table's learned state instead. The caller holds the table's load
 // lock.
@@ -36,41 +34,17 @@ func (l *Loader) ExtendTail(t *catalog.Table, g catalog.Growth) (*catalog.TailUp
 	}
 	ps := &portionedScan{sc: sc, ports: ports}
 
-	// Split files re-serialize whole rows; a failure there only loses the
-	// split files, not the extension.
-	var ext *splitfile.Extender
-	if t.Splits != nil {
-		if ext, err = t.Splits.NewExtender(); err != nil {
-			t.Splits.Drop()
-		}
-	}
 	sch := t.Schema()
-	cols := l.tailCols(t, g, ext != nil)
+	cols := l.tailCols(t, g)
 	cl := newColumnLoad(t, cols, -1, l.RecordPositions)
 	var acc *synopsis.PortionAcc
 	if l.synFor(t).Layout() != nil {
 		acc = synopsis.NewPortionAcc(scan.PortionInfo{Off: g.Off, End: g.End, FirstRow: g.Rows}, cols, colTypes(sch, cols))
 	}
 	begin := func(p scan.PortionInfo, _ *synopsis.PortionAcc, tally *portionTally) portionHooks {
-		h := cl.portion(p, acc, tally)
-		if ext == nil {
-			return h
-		}
-		raw, store := make([][]byte, len(cols)), h.rows
-		h.rows = func(rowID int64, fields []scan.FieldRef) error {
-			for i, f := range fields {
-				raw[i] = f.Bytes
-			}
-			ext.AppendRow(raw) // a failed append fails Close
-			return store(rowID, fields)
-		}
-		return h
+		return cl.portion(p, acc, tally)
 	}
-	err = ps.run(cols, expr.Conjunction{}, l.Counters, begin)
-	if ext != nil && ext.Close() != nil {
-		t.Splits.Drop()
-	}
-	if err != nil {
+	if err := ps.run(cols, expr.Conjunction{}, l.Counters, begin); err != nil {
 		return nil, err
 	}
 	n := sc.RowsScanned()
@@ -107,9 +81,8 @@ func (l *Loader) ExtendTail(t *catalog.Table, g catalog.Growth) (*catalog.TailUp
 
 // tailCols returns the columns a tail pass tokenizes, ascending: what the
 // learned structures hold — dense columns, coverage regions, recorded
-// positions, synopsis bounds — or every column when split files, which
-// re-serialize whole rows, are extended.
-func (l *Loader) tailCols(t *catalog.Table, g catalog.Growth, all bool) []int {
+// positions, synopsis bounds.
+func (l *Loader) tailCols(t *catalog.Table, g catalog.Growth) []int {
 	need := make([]bool, t.Schema().NumCols())
 	add := func(c int) {
 		if c >= 0 && c < len(need) {
@@ -139,7 +112,7 @@ func (l *Loader) tailCols(t *catalog.Table, g catalog.Growth, all bool) []int {
 	}
 	cols := []int{} // not nil: a nil list makes a line-level pass
 	for c, ok := range need {
-		if ok || all {
+		if ok {
 			cols = append(cols, c)
 		}
 	}

@@ -126,8 +126,8 @@ func TestExtendTailRowsOnly(t *testing.T) {
 }
 
 // TestExtendTailMatchesColdLoad: every structure a tail pass extends —
-// dense columns, positions, the synopsis, a coverage region and split
-// files — answers over the grown file like a cold load of it, and the
+// dense columns, positions, the synopsis and a coverage region —
+// answers over the grown file like a cold load of it, and the
 // pass parses each tail value it tokenizes exactly once.
 func TestExtendTailMatchesColdLoad(t *testing.T) {
 	const rows, prefixRows = 6000, 5400
@@ -151,7 +151,7 @@ func TestExtendTailMatchesColdLoad(t *testing.T) {
 
 	var c metrics.Counters
 	l := &Loader{Counters: &c, Workers: 2, ChunkSize: 16 << 10, RecordPositions: true, UsePositions: true, UseSynopsis: true}
-	tab, err := catalog.New(catalog.Options{Counters: &c, SplitDir: filepath.Join(dir, "splits"), TailPass: l.ExtendTail}).Link("G", path)
+	tab, err := catalog.New(catalog.Options{Counters: &c, TailPass: l.ExtendTail}).Link("G", path)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -166,7 +166,7 @@ func TestExtendTailMatchesColdLoad(t *testing.T) {
 	if _, err := l.PartialLoadV2Context(ctx, tab, []int{2}, conj, 0); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.SplitColumnLoadContext(ctx, tab, []int{3}); err != nil {
+	if err := l.ColumnLoadContext(ctx, tab, []int{3}); err != nil {
 		t.Fatal(err)
 	}
 	portions := len(tab.Syn.Export())
@@ -183,7 +183,7 @@ func TestExtendTailMatchesColdLoad(t *testing.T) {
 	if ing := tab.Ingest(); ing.Refreshes != 1 || ing.AppendedRows != rows-prefixRows {
 		t.Fatalf("ingest stats = %+v, want %d rows in 1 refresh", ing, rows-prefixRows)
 	}
-	// Split files re-serialize whole rows, so every column is tokenized.
+	// Dense columns 0, 1 and 3 and the region over 2 need every column.
 	if want := int64(4 * (rows - prefixRows)); w.AttrsTokenized != want || w.ValuesParsed != want {
 		t.Errorf("tail pass tokenized %d attrs and parsed %d values, want %d each", w.AttrsTokenized, w.ValuesParsed, want)
 	}
@@ -208,15 +208,6 @@ func TestExtendTailMatchesColdLoad(t *testing.T) {
 	}
 	if got := len(tab.Syn.Export()); got != portions+1 {
 		t.Errorf("synopsis portions %d -> %d, want one tail portion", portions, got)
-	}
-	side, ok := tab.Splits.Manifest().Sidecars[3]
-	if !ok {
-		t.Fatal("col 3 sidecar dropped by growth")
-	}
-	if b, err := os.ReadFile(side); err != nil {
-		t.Fatal(err)
-	} else if n := bytes.Count(b, []byte("\n")); n != rows {
-		t.Errorf("col 3 sidecar has %d rows, want %d", n, rows)
 	}
 
 	// The grown region serves the query from the store, like a cold scan.

@@ -13,7 +13,6 @@ import (
 
 	"nodb/internal/exec"
 	"nodb/internal/expr"
-	"nodb/internal/scan"
 	"nodb/internal/schema"
 	"nodb/internal/sql"
 )
@@ -36,9 +35,6 @@ const (
 	// PolicyPartialV2 retains qualifying values between queries ("Partial
 	// Loads V2" of Figure 4).
 	PolicyPartialV2
-	// PolicySplitFiles loads columns through split files, cracking the
-	// raw file as a side effect ("Split Files" of Figure 4).
-	PolicySplitFiles
 	// PolicyExternal re-parses the raw file for every query and caches
 	// nothing at all (the "MySQL CSV engine" baseline).
 	PolicyExternal
@@ -60,8 +56,6 @@ func (p Policy) String() string {
 		return "partial-v1"
 	case PolicyPartialV2:
 		return "partial-v2"
-	case PolicySplitFiles:
-		return "splitfiles"
 	case PolicyExternal:
 		return "external"
 	case PolicyAuto:
@@ -82,8 +76,6 @@ func ParsePolicy(s string) (Policy, error) {
 		return PolicyPartialV1, nil
 	case "partial-v2", "partialv2", "v2":
 		return PolicyPartialV2, nil
-	case "splitfiles", "split":
-		return PolicySplitFiles, nil
 	case "external", "csv":
 		return PolicyExternal, nil
 	case "auto":
@@ -108,8 +100,6 @@ const (
 	LoadPartialEphemeral
 	// LoadPartialRetained — selective load into the adaptive store.
 	LoadPartialRetained
-	// LoadSplit — column load through the split-file registry.
-	LoadSplit
 	// LoadExternal — selective read with no storage and no adaptive
 	// store consultation at all.
 	LoadExternal
@@ -130,8 +120,6 @@ func (op LoadOp) String() string {
 		return "partial-load-v1"
 	case LoadPartialRetained:
 		return "partial-load-v2"
-	case LoadSplit:
-		return "split-load"
 	case LoadExternal:
 		return "external-scan"
 	case LoadAuto:
@@ -163,7 +151,7 @@ type TablePlan struct {
 	Conj     expr.Conjunction
 	LoadOp   LoadOp
 	// Pins lists the columns whose adaptive structures (dense or sparse
-	// state, plus the table's positional map and split files) execution
+	// state, plus the table's positional map and synopsis) execution
 	// pins against governor eviction while the query runs: the needed
 	// columns united with the predicate columns.
 	Pins []int
@@ -373,17 +361,6 @@ func rewriteLoadOp(policy Policy, cat CatalogInfo, t *TablePlan) LoadOp {
 		return LoadPartialEphemeral
 	case PolicyPartialV2:
 		return LoadPartialRetained
-	case PolicySplitFiles:
-		if cat.DenseAll(t.Name, t.NeedCols) {
-			return LoadNone
-		}
-		if t.Schema.Format != scan.FormatCSV {
-			// Split files re-serialize rows as delimiter-separated column
-			// groups — a CSV-only layout. Other formats degrade to plain
-			// column loads.
-			return LoadColumns
-		}
-		return LoadSplit
 	case PolicyExternal:
 		return LoadExternal
 	case PolicyAuto:

@@ -100,7 +100,6 @@ func TestRewriteLoadOps(t *testing.T) {
 		{PolicyColumnLoads, LoadColumns},
 		{PolicyPartialV1, LoadPartialEphemeral},
 		{PolicyPartialV2, LoadPartialRetained},
-		{PolicySplitFiles, LoadSplit},
 		{PolicyExternal, LoadExternal},
 	}
 	for _, c := range cases {
@@ -266,14 +265,16 @@ func TestBetweenBinding(t *testing.T) {
 }
 
 func TestPolicyStringRoundTrip(t *testing.T) {
-	for _, pol := range []Policy{PolicyFullLoad, PolicyColumnLoads, PolicyPartialV1, PolicyPartialV2, PolicySplitFiles, PolicyExternal, PolicyAuto} {
+	for _, pol := range []Policy{PolicyFullLoad, PolicyColumnLoads, PolicyPartialV1, PolicyPartialV2, PolicyExternal, PolicyAuto} {
 		got, err := ParsePolicy(pol.String())
 		if err != nil || got != pol {
 			t.Errorf("round trip %v: %v, %v", pol, got, err)
 		}
 	}
-	if _, err := ParsePolicy("bogus"); err == nil {
-		t.Error("bogus policy should fail")
+	for _, name := range []string{"bogus", "splitfiles", "split"} {
+		if _, err := ParsePolicy(name); err == nil {
+			t.Errorf("policy %q should fail", name)
+		}
 	}
 }
 
@@ -289,7 +290,7 @@ func TestLoadOpString(t *testing.T) {
 	for op, want := range map[LoadOp]string{
 		LoadNone: "none", LoadFull: "full-load", LoadColumns: "column-load",
 		LoadPartialEphemeral: "partial-load-v1", LoadPartialRetained: "partial-load-v2",
-		LoadSplit: "split-load", LoadExternal: "external-scan",
+		LoadExternal: "external-scan",
 	} {
 		if op.String() != want {
 			t.Errorf("LoadOp %d = %q, want %q", op, op.String(), want)

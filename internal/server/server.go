@@ -907,7 +907,6 @@ type tableInfoJSON struct {
 	PosMapEntries    int              `json:"posmap_entries"`
 	SynopsisPortions int              `json:"synopsis_portions"`
 	SynopsisBounds   int              `json:"synopsis_bounds"`
-	SplitBytes       int64            `json:"split_bytes"`
 	MemBytes         int64            `json:"mem_bytes"`
 	Ingest           nodb.IngestStats `json:"ingest"`
 }
@@ -935,7 +934,6 @@ func (s *Server) tableInfo(name string, followed map[string]bool) (tableInfoJSON
 		PosMapEntries:    st.PosMapEntries,
 		SynopsisPortions: st.SynopsisPortions,
 		SynopsisBounds:   st.SynopsisBounds,
-		SplitBytes:       st.SplitBytes,
 		MemBytes:         st.MemBytes,
 		Ingest:           st.Ingest,
 	}, nil

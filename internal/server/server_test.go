@@ -29,7 +29,7 @@ func newTestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	if err := csvgen.WriteFile(path, csvgen.Spec{Rows: testRows, Cols: 4, Seed: 19}); err != nil {
 		t.Fatal(err)
 	}
-	db := nodb.Open(nodb.Options{Policy: nodb.PartialLoadsV2, SplitDir: filepath.Join(dir, "splits")})
+	db := nodb.Open(nodb.Options{Policy: nodb.PartialLoadsV2})
 	t.Cleanup(func() { db.Close() })
 	if err := db.Attach("events", nodb.TableSpec{Path: path}); err != nil {
 		t.Fatal(err)

@@ -33,6 +33,7 @@ func FuzzSnapshotReader(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(append([]byte(nil), buf.Bytes()...))
+	f.Add(legacySplitsSnapshot(f))                    // an older build's kind-6 section
 	f.Add(append([]byte(nil), real[:len(real)/2]...)) // truncated mid-section
 	f.Add(append([]byte(nil), real[:16]...))          // truncated header
 	f.Add([]byte{})
@@ -79,7 +80,6 @@ func FuzzSnapshotReader(f *testing.F) {
 		_, _ = r.Sparse()
 		_, _ = r.Regions()
 		_, _ = r.Synopsis()
-		_, _ = r.SplitsManifest()
 	})
 }
 
@@ -107,7 +107,6 @@ func fuzzTable(rows int) *Table {
 	t.PosMap = append(t.PosMap, PosMapCol{Col: 0, Rows: rowIDs, Offs: offs})
 	t.Sparse = append(t.Sparse, SparseCol{Col: 3, Typ: schema.Int64, Rows: []int64{1, 5, 9}, Ints: []int64{10, 50, 90}})
 	t.Regions = append(t.Regions, Region{Cols: []int{3}, RangeCols: []int{3}, Los: []int64{0}, His: []int64{100}})
-	t.Splits = &Splits{Seq: 2, Sidecars: map[int]string{0: "/tmp/x.c0.col"}}
 	return t
 }
 

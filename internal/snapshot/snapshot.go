@@ -1,8 +1,8 @@
 // Package snapshot implements the disk tier of the adaptive store: a
 // versioned, checksummed on-disk cache of the auxiliary structures the
 // engine learns from queries — positional maps, cached (dense) columns,
-// retained partial loads with their coverage regions, and split-file
-// manifests.
+// retained partial loads with their coverage regions, and scan
+// synopses.
 //
 // The paper treats all of this state as "auxiliary data we are not afraid
 // to lose", and the engine honors that: everything here is disposable and
@@ -64,8 +64,8 @@ const (
 	kindDense    = 3 // fully loaded column, one section per attribute
 	kindSparse   = 4 // retained partial-load column, one section per attribute
 	kindRegions  = 5 // covered regions of the adaptive store
-	kindSplits   = 6 // split-file manifest (paths only; data stays in place)
 	kindSynopsis = 7 // per-portion scan synopsis (layout + zone maps)
+	// Kind 6 is reserved: older builds wrote a split-file manifest there, which readers skip.
 )
 
 // ErrStale reports a snapshot written for a different version of the raw
@@ -132,22 +132,6 @@ type Region struct {
 	His       []int64
 }
 
-// RestFile is one residual split file: a contiguous suffix of the
-// original attributes.
-type RestFile struct {
-	Path string
-	Cols []int
-}
-
-// Splits is a split-file manifest: where each attribute's sidecar and the
-// residual files live on disk. Only paths are recorded — the split data
-// itself already lives in files.
-type Splits struct {
-	Seq      int
-	Sidecars map[int]string
-	Rests    []RestFile
-}
-
 // SynCol is one column's serialized zone-map bounds within one portion.
 type SynCol struct {
 	Col                int
@@ -174,7 +158,6 @@ type Table struct {
 	Dense    []DenseCol
 	Sparse   []SparseCol
 	Regions  []Region
-	Splits   *Splits
 	Synopsis []SynPortion
 }
 
@@ -204,36 +187,41 @@ func (w *sectionWriter) str(s string) {
 	w.buf = append(w.buf, s...)
 }
 
+// writeSection writes one section frame — kind, column, payload length,
+// payload, CRC — and returns the bytes written.
+func writeSection(w io.Writer, kind uint8, col int, payload []byte) (int64, error) {
+	frame := make([]byte, 0, 13)
+	frame = append(frame, kind)
+	frame = binary.LittleEndian.AppendUint32(frame, uint32(int32(col)))
+	frame = binary.LittleEndian.AppendUint64(frame, uint64(len(payload)))
+	var n int64
+	for _, b := range [][]byte{frame, payload, binary.LittleEndian.AppendUint32(nil, crc32.ChecksumIEEE(payload))} {
+		m, err := w.Write(b)
+		n += int64(m)
+		if err != nil {
+			return n, err
+		}
+	}
+	return n, nil
+}
+
 // Encode writes sig and t as a snapshot stream. It returns the total
 // bytes written.
 func Encode(w io.Writer, sig Sig, t *Table) (int64, error) {
 	var n int64
-	write := func(b []byte) error {
-		m, err := w.Write(b)
-		n += int64(m)
-		return err
-	}
 	hdr := make([]byte, 0, len(magic)+2)
 	hdr = append(hdr, magic...)
 	hdr = binary.LittleEndian.AppendUint16(hdr, version)
-	if err := write(hdr); err != nil {
+	m, err := w.Write(hdr)
+	n += int64(m)
+	if err != nil {
 		return n, err
 	}
 
 	section := func(kind uint8, col int, payload []byte) error {
-		frame := make([]byte, 0, 13)
-		frame = append(frame, kind)
-		frame = binary.LittleEndian.AppendUint32(frame, uint32(int32(col)))
-		frame = binary.LittleEndian.AppendUint64(frame, uint64(len(payload)))
-		if err := write(frame); err != nil {
-			return err
-		}
-		if err := write(payload); err != nil {
-			return err
-		}
-		crc := make([]byte, 4)
-		binary.LittleEndian.PutUint32(crc, crc32.ChecksumIEEE(payload))
-		return write(crc)
+		m, err := writeSection(w, kind, col, payload)
+		n += m
+		return err
 	}
 
 	var sw sectionWriter
@@ -285,26 +273,6 @@ func Encode(w io.Writer, sig Sig, t *Table) (int64, error) {
 			}
 		}
 		if err := section(kindRegions, -1, sw.buf); err != nil {
-			return n, err
-		}
-	}
-	if t.Splits != nil && (len(t.Splits.Sidecars) > 0 || len(t.Splits.Rests) > 0) {
-		sw = sectionWriter{}
-		sw.u32(uint32(t.Splits.Seq))
-		sw.u32(uint32(len(t.Splits.Sidecars)))
-		for _, c := range sortedKeys(t.Splits.Sidecars) {
-			sw.u32(uint32(int32(c)))
-			sw.str(t.Splits.Sidecars[c])
-		}
-		sw.u32(uint32(len(t.Splits.Rests)))
-		for _, rf := range t.Splits.Rests {
-			sw.str(rf.Path)
-			sw.u32(uint32(len(rf.Cols)))
-			for _, c := range rf.Cols {
-				sw.u32(uint32(int32(c)))
-			}
-		}
-		if err := section(kindSplits, -1, sw.buf); err != nil {
 			return n, err
 		}
 	}
@@ -363,15 +331,6 @@ func encodeValues(sw *sectionWriter, typ schema.Type, ints []int64, floats []flo
 			sw.str(s)
 		}
 	}
-}
-
-func sortedKeys(m map[int]string) []int {
-	out := make([]int, 0, len(m))
-	for k := range m {
-		out = append(out, k)
-	}
-	sort.Ints(out)
-	return out
 }
 
 // payloadReader decodes one section's payload; every read is
@@ -878,50 +837,6 @@ func (r *Reader) Synopsis() ([]SynPortion, error) {
 	return out, nil
 }
 
-// SplitsManifest decodes the split-file manifest (nil when absent).
-func (r *Reader) SplitsManifest() (*Splits, error) {
-	s, ok := r.find(kindSplits, -1)
-	if !ok {
-		return nil, nil
-	}
-	payload, err := r.payloadAt(s)
-	if err != nil {
-		return nil, err
-	}
-	return decodeSplits(&payloadReader{buf: payload})
-}
-
-func decodeSplits(pr *payloadReader) (*Splits, error) {
-	out := &Splits{Seq: int(pr.u32()), Sidecars: map[int]string{}}
-	n := int(pr.u32())
-	if pr.err != nil || n > len(pr.buf) {
-		return nil, ErrCorrupt
-	}
-	for i := 0; i < n; i++ {
-		c := int(int32(pr.u32()))
-		out.Sidecars[c] = pr.str()
-	}
-	n = int(pr.u32())
-	if pr.err != nil || n > len(pr.buf) {
-		return nil, ErrCorrupt
-	}
-	for i := 0; i < n; i++ {
-		rf := RestFile{Path: pr.str()}
-		nc := int(pr.u32())
-		if pr.err != nil || nc > len(pr.buf) {
-			return nil, ErrCorrupt
-		}
-		for j := 0; j < nc; j++ {
-			rf.Cols = append(rf.Cols, int(int32(pr.u32())))
-		}
-		out.Rests = append(out.Rests, rf)
-	}
-	if pr.err != nil {
-		return nil, pr.err
-	}
-	return out, nil
-}
-
 // Close releases the underlying file.
 func (r *Reader) Close() error {
 	if r.f == nil {
@@ -976,9 +891,6 @@ func DecodeAllFS(fsys vfs.FS, path string, want Sig, onRead func(int64)) (*Table
 	regs, err := r.Regions()
 	keep(err)
 	t.Regions = regs
-	spl, err := r.SplitsManifest()
-	keep(err)
-	t.Splits = spl
 	sy, err := r.Synopsis()
 	keep(err)
 	t.Synopsis = sy

@@ -43,11 +43,6 @@ func testTable(rows int) *Table {
 	t.Regions = append(t.Regions, Region{
 		Cols: []int{3}, RangeCols: []int{3}, Los: []int64{0}, His: []int64{100},
 	})
-	t.Splits = &Splits{
-		Seq:      2,
-		Sidecars: map[int]string{0: "/tmp/x.c0.col"},
-		Rests:    []RestFile{{Path: "/tmp/x.rest1.csv", Cols: []int{1, 2, 3}}},
-	}
 	return t
 }
 
@@ -103,12 +98,97 @@ func TestRoundTrip(t *testing.T) {
 	if len(r.Cols) != 1 || r.Cols[0] != 3 || r.Los[0] != 0 || r.His[0] != 100 {
 		t.Errorf("region mismatch: %+v", r)
 	}
-	if got.Splits == nil || got.Splits.Sidecars[0] != "/tmp/x.c0.col" || got.Splits.Seq != 2 {
-		t.Errorf("splits mismatch: %+v", got.Splits)
+}
+
+// legacySplitsSnapshot returns a snapshot as an older build wrote it: a
+// positional map, a dense column, a kind-6 split-file manifest and a
+// synopsis, in the order that build's Encode emitted them.
+func legacySplitsSnapshot(tb testing.TB) []byte {
+	tb.Helper()
+	tbl := &Table{
+		Rows:   3,
+		PosMap: []PosMapCol{{Col: 0, Rows: []int64{0, 1, 2}, Offs: []int64{0, 4, 8}}},
+		Dense:  []DenseCol{{Col: 1, Typ: schema.Int64, Ints: []int64{7, 8, 9}}},
 	}
-	if len(got.Splits.Rests) != 1 || got.Splits.Rests[0].Cols[2] != 3 {
-		t.Errorf("rests mismatch: %+v", got.Splits)
+	var head bytes.Buffer
+	if _, err := Encode(&head, testSig(), tbl); err != nil {
+		tb.Fatal(err)
 	}
+	tbl.Synopsis = []SynPortion{{Off: 0, End: 12, Rows: 3, Cols: []SynCol{{Col: 1, Typ: schema.Int64, MinI: 7, MaxI: 9, MinExact: true, MaxExact: true}}}}
+	var full bytes.Buffer
+	if _, err := Encode(&full, testSig(), tbl); err != nil {
+		tb.Fatal(err)
+	}
+	if !bytes.HasPrefix(full.Bytes(), head.Bytes()) {
+		tb.Fatal("the synopsis section is not encoded last")
+	}
+	// The old manifest payload: seq, sidecars (col, path), residual files
+	// (path, cols).
+	var sw sectionWriter
+	sw.u32(2)
+	sw.u32(1)
+	sw.u32(0)
+	sw.str("/gone/t.csv.c0.2.col")
+	sw.u32(1)
+	sw.str("/gone/t.csv.rest1.2.csv")
+	sw.u32(1)
+	sw.u32(1)
+	out := bytes.NewBuffer(append([]byte(nil), head.Bytes()...))
+	if _, err := writeSection(out, 6, -1, sw.buf); err != nil {
+		tb.Fatal(err)
+	}
+	out.Write(full.Bytes()[head.Len():])
+	return out.Bytes()
+}
+
+// TestLegacySplitsSectionIgnored opens a snapshot holding the kind-6
+// split-file manifest older builds wrote: the reader skips that section
+// and restores the others.
+func TestLegacySplitsSectionIgnored(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "old.snap")
+	if err := os.WriteFile(path, legacySplitsSnapshot(t), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	check := func(how string, pm []PosMapCol, dense []DenseCol, syn []SynPortion) {
+		t.Helper()
+		if len(pm) != 1 || pm[0].Col != 0 || pm[0].Offs[2] != 8 {
+			t.Errorf("%s: posmap = %+v", how, pm)
+		}
+		if len(dense) != 1 || dense[0].Col != 1 || dense[0].Ints[2] != 9 {
+			t.Errorf("%s: dense = %+v", how, dense)
+		}
+		if len(syn) != 1 || len(syn[0].Cols) != 1 || syn[0].Cols[0].MaxI != 9 || syn[0].Rows != 3 {
+			t.Errorf("%s: synopsis = %+v", how, syn)
+		}
+	}
+
+	r, err := OpenReader(path, testSig(), nil)
+	if err != nil {
+		t.Fatalf("OpenReader: %v", err)
+	}
+	defer r.Close()
+	if r.Truncated() || r.Rows() != 3 {
+		t.Fatalf("truncated=%v rows=%d", r.Truncated(), r.Rows())
+	}
+	pm, err := r.PosMap()
+	if err != nil {
+		t.Fatalf("PosMap: %v", err)
+	}
+	d, err := r.Dense(1)
+	if err != nil {
+		t.Fatalf("Dense: %v", err)
+	}
+	syn, err := r.Synopsis()
+	if err != nil {
+		t.Fatalf("Synopsis: %v", err)
+	}
+	check("Reader", pm, []DenseCol{d}, syn)
+
+	all, err := DecodeAll(path, testSig(), nil)
+	if err != nil {
+		t.Fatalf("DecodeAll: %v", err)
+	}
+	check("DecodeAll", all.PosMap, all.Dense, all.Synopsis)
 }
 
 func TestStaleSignature(t *testing.T) {
@@ -209,7 +289,7 @@ func TestCorruptSectionIsIsolated(t *testing.T) {
 	}
 	if bad == 0 {
 		// The flip landed outside dense payloads; it must then surface in
-		// posmap/sparse/regions/splits instead — either way DecodeAll sees it.
+		// posmap/sparse/regions instead — either way DecodeAll sees it.
 		if _, err := DecodeAll(path, testSig(), nil); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("corruption vanished: DecodeAll err = %v", err)
 		}

@@ -23,7 +23,6 @@ import (
 //
 //	<key>.snap           full snapshot (written on DB.Close / periodic flush)
 //	<key>.<what>.spill   one spilled structure (eviction's disk tier)
-//	<key>.splits/        split files moved out of the governed hot tier
 //
 // One process per cache directory is assumed; concurrent engines sharing
 // a directory race benignly (rename is atomic, losers overwrite) but
@@ -141,9 +140,6 @@ func (s *Store) SnapPath(key string) string { return filepath.Join(s.dir, key+".
 func (s *Store) SpillPath(key, what string) string {
 	return filepath.Join(s.dir, key+"."+what+".spill")
 }
-
-// SplitSpillDir returns the directory spilled split files are moved to.
-func (s *Store) SplitSpillDir(key string) string { return filepath.Join(s.dir, key+".splits") }
 
 // save writes a snapshot stream atomically: temp file in the same
 // directory, fsync-free write, rename into place. A torn write therefore
@@ -351,9 +347,9 @@ func (s *Store) HasSpill(key, what string) bool {
 	return err == nil
 }
 
-// Remove deletes every file of key: the snapshot, all spills, and the
-// spilled split directory. Used when the raw file changed (the files
-// would self-invalidate anyway; removing them reclaims the space now).
+// Remove deletes every file of key: the snapshot and all spills. Used
+// when the raw file changed (the files would self-invalidate anyway;
+// removing them reclaims the space now).
 func (s *Store) Remove(key string) {
 	fsys := s.fs()
 	fsys.Remove(s.SnapPath(key))
@@ -361,5 +357,4 @@ func (s *Store) Remove(key string) {
 	for _, m := range matches {
 		fsys.Remove(m)
 	}
-	os.RemoveAll(s.SplitSpillDir(key))
 }

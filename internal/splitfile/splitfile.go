@@ -7,12 +7,15 @@
 // j > k read only the (narrower) residual file. Residual files can be
 // split again, recursively, so the raw file's loading cost keeps shrinking
 // as the workload touches more of it.
+//
+// The engine does not serve through split files: loader's
+// SplitColumnLoadContext, given a Registry, is the only reader and writer,
+// and Figure 4 and the split-file ablation are its only callers.
 package splitfile
 
 import (
 	"bufio"
 	"fmt"
-	"os"
 	"path/filepath"
 	"sort"
 	"sync"
@@ -36,15 +39,6 @@ type Source struct {
 	Raw bool
 }
 
-// Accountant receives the registry's byte footprint and usage signals; the
-// memory governor's handles satisfy it. All methods must be safe for
-// concurrent use.
-type Accountant interface {
-	AddBytes(delta int64)
-	SetBytes(n int64)
-	Touch()
-}
-
 // Registry tracks the split files that exist for one raw file. Split files
 // are derived state: they are dropped wholesale when the raw file changes.
 // Registry is safe for concurrent use.
@@ -54,12 +48,10 @@ type Registry struct {
 	base     string // name prefix for split files
 	rawPath  string
 	ncols    int
-	delim    byte
 	seq      int            // suffix for unique file names
 	colFiles map[int]string // attribute → sidecar path
 	rests    []restFile     // residual files, most recent last
 	counters *metrics.Counters
-	acct     Accountant
 
 	// FS is the filesystem split files are written and read through;
 	// nil means the real disk. Set before the registry is shared.
@@ -67,14 +59,6 @@ type Registry struct {
 }
 
 func (r *Registry) fs() vfs.FS { return vfs.Default(r.FS) }
-
-// SetAccountant attaches the byte-footprint sink (the memory governor's
-// handle for this registry). Call before the registry is shared.
-func (r *Registry) SetAccountant(a Accountant) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.acct = a
-}
 
 // restFile is a residual CSV holding a contiguous suffix of the original
 // attributes.
@@ -84,15 +68,13 @@ type restFile struct {
 }
 
 // NewRegistry creates a registry for rawPath whose split files live in dir
-// (created on demand). ncols is the raw file's attribute count and delim
-// its delimiter.
-func NewRegistry(dir, rawPath string, ncols int, delim byte, counters *metrics.Counters) *Registry {
+// (created on demand). ncols is the raw file's attribute count.
+func NewRegistry(dir, rawPath string, ncols int, counters *metrics.Counters) *Registry {
 	return &Registry{
 		dir:      dir,
 		base:     sanitize(filepath.Base(rawPath)),
 		rawPath:  rawPath,
 		ncols:    ncols,
-		delim:    delim,
 		colFiles: make(map[int]string),
 		counters: counters,
 	}
@@ -118,9 +100,6 @@ func sanitize(name string) string {
 func (r *Registry) Lookup(col int) Source {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	if r.acct != nil {
-		r.acct.Touch()
-	}
 	if p, ok := r.colFiles[col]; ok {
 		return Source{Path: p, LocalCol: 0, Cols: []int{col}}
 	}
@@ -351,12 +330,10 @@ func (w *Writer) Close() error {
 	r := w.reg
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	var registered int64
 	for i, local := range w.locals {
 		orig := w.plan.Sidecars[local]
 		if _, exists := r.colFiles[orig]; !exists {
 			r.colFiles[orig] = w.paths[i]
-			registered += fileSize(w.paths[i])
 		} else {
 			r.fs().Remove(w.paths[i]) // a concurrent load beat us; keep theirs
 		}
@@ -364,341 +341,15 @@ func (w *Writer) Close() error {
 	if len(w.plan.RestCols) > 0 {
 		path := w.paths[len(w.paths)-1]
 		r.rests = append(r.rests, restFile{path: path, cols: append([]int(nil), w.plan.RestCols...)})
-		registered += fileSize(path)
 	}
 	if r.counters != nil {
 		r.counters.AddSplitBytesWritten(w.written)
 	}
-	if r.acct != nil {
-		r.acct.AddBytes(registered)
-	}
 	return nil
 }
 
-func fileSize(path string) int64 {
-	st, err := os.Stat(path)
-	if err != nil {
-		return 0
-	}
-	return st.Size()
-}
-
-// Paths returns every file currently registered (for eviction accounting
-// and cleanup).
-func (r *Registry) Paths() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	var out []string
-	for _, p := range r.colFiles {
-		out = append(out, p)
-	}
-	for _, rf := range r.rests {
-		out = append(out, rf.path)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// DiskSize returns the total bytes of all registered split files.
-func (r *Registry) DiskSize() int64 {
-	var total int64
-	for _, p := range r.Paths() {
-		if st, err := os.Stat(p); err == nil {
-			total += st.Size()
-		}
-	}
-	return total
-}
-
-// ManifestRest describes one residual file in a manifest.
-type ManifestRest struct {
-	Path string
-	Cols []int
-}
-
-// Manifest is the registry's serializable state: where each sidecar and
-// residual file lives. Split data is plain files, so persisting a split
-// set means persisting this (tiny) manifest — the data stays in place.
-type Manifest struct {
-	Seq      int
-	Sidecars map[int]string
-	Rests    []ManifestRest
-}
-
-// Manifest returns the registry's current manifest.
-func (r *Registry) Manifest() Manifest {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.manifestLocked()
-}
-
-func (r *Registry) manifestLocked() Manifest {
-	m := Manifest{Seq: r.seq, Sidecars: make(map[int]string, len(r.colFiles))}
-	for c, p := range r.colFiles {
-		m.Sidecars[c] = p
-	}
-	for _, rf := range r.rests {
-		m.Rests = append(m.Rests, ManifestRest{Path: rf.path, Cols: append([]int(nil), rf.cols...)})
-	}
-	return m
-}
-
-// Adopt re-registers the files of a previously persisted manifest:
-// entries whose file still exists and whose slot is free are taken over;
-// the rest are skipped silently (a missing file just means a cold load
-// later). Returns the on-disk bytes adopted.
-func (r *Registry) Adopt(m Manifest) int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if m.Seq > r.seq {
-		r.seq = m.Seq
-	}
-	var adopted int64
-	for col, p := range m.Sidecars {
-		if _, exists := r.colFiles[col]; exists {
-			continue
-		}
-		if sz := fileSize(p); sz > 0 {
-			r.colFiles[col] = p
-			adopted += sz
-		}
-	}
-rests:
-	for _, mr := range m.Rests {
-		for _, have := range r.rests {
-			if have.path == mr.Path {
-				continue rests
-			}
-		}
-		if sz := fileSize(mr.Path); sz > 0 {
-			r.rests = append(r.rests, restFile{path: mr.Path, cols: append([]int(nil), mr.Cols...)})
-			adopted += sz
-		}
-	}
-	if r.acct != nil && adopted > 0 {
-		r.acct.AddBytes(adopted)
-	}
-	return adopted
-}
-
-// Detach forgets every registered file without deleting it and zeroes the
-// accounting. Used at engine close after the manifest was snapshotted:
-// the files stay on disk for the next process to Adopt.
-func (r *Registry) Detach() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.colFiles = make(map[int]string)
-	r.rests = nil
-	if r.acct != nil {
-		r.acct.SetBytes(0)
-	}
-}
-
-// SpillTo moves every registered file into dir (the disk cache tier),
-// returning the manifest with the new paths and the bytes moved. The
-// registry is left empty with zeroed accounting — the spilled set leaves
-// the governed hot tier. Files that cannot be moved are deleted instead
-// (degrading to the plain-eviction behavior for them).
-func (r *Registry) SpillTo(dir string) (Manifest, int64, error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if len(r.colFiles) == 0 && len(r.rests) == 0 {
-		return Manifest{Seq: r.seq, Sidecars: map[int]string{}}, 0, nil
-	}
-	if err := r.fs().MkdirAll(dir, 0o755); err != nil {
-		return Manifest{}, 0, errs.ClassifyWrite("splitfile spill", dir, fmt.Errorf("splitfile: %w", err))
-	}
-	m := Manifest{Seq: r.seq, Sidecars: make(map[int]string, len(r.colFiles))}
-	var moved int64
-	move := func(p string) (string, bool) {
-		dst := filepath.Join(dir, filepath.Base(p))
-		sz := fileSize(p)
-		if err := r.fs().Rename(p, dst); err != nil {
-			r.fs().Remove(p) // cross-device or permission trouble: plain evict
-			return "", false
-		}
-		moved += sz
-		return dst, true
-	}
-	for c, p := range r.colFiles {
-		if dst, ok := move(p); ok {
-			m.Sidecars[c] = dst
-		}
-	}
-	for _, rf := range r.rests {
-		if dst, ok := move(rf.path); ok {
-			m.Rests = append(m.Rests, ManifestRest{Path: dst, Cols: append([]int(nil), rf.cols...)})
-		}
-	}
-	r.colFiles = make(map[int]string)
-	r.rests = nil
-	if r.acct != nil {
-		r.acct.SetBytes(0)
-	}
-	return m, moved, nil
-}
-
-// Extender appends the rows of a prefix-stable growth to every registered
-// split file, keeping sidecars and residual files row-aligned with the
-// grown raw file. Create with NewExtender, feed every appended row in
-// order with AppendRow, then Close. Any failure poisons the extender and
-// Close reports it; the caller must then Drop the registry — a partially
-// extended split set is row-misaligned and unusable.
-type Extender struct {
-	reg     *Registry
-	delim   byte
-	cols    []int // original attribute ids with sidecars, ascending
-	files   []vfs.File
-	bufs    []*bufio.Writer
-	rests   [][]int // column sets of the residual files, same order
-	written int64
-	failed  bool
-}
-
-// extOpen opens path for appending.
-func (r *Registry) extOpen(path string) (vfs.File, error) {
-	return r.fs().OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-}
-
-// NewExtender opens every registered split file for appending. Returns
-// (nil, nil) when the registry holds no files — a nil *Extender is valid
-// and inert. On an open failure the caller should Drop the registry.
-func (r *Registry) NewExtender() (*Extender, error) {
-	r.mu.Lock()
-	type sidecar struct {
-		col  int
-		path string
-	}
-	sides := make([]sidecar, 0, len(r.colFiles))
-	for c, p := range r.colFiles {
-		sides = append(sides, sidecar{c, p})
-	}
-	rests := make([]restFile, len(r.rests))
-	copy(rests, r.rests)
-	delim := r.delim
-	r.mu.Unlock()
-	if len(sides) == 0 && len(rests) == 0 {
-		return nil, nil
-	}
-	sort.Slice(sides, func(i, j int) bool { return sides[i].col < sides[j].col })
-
-	e := &Extender{reg: r, delim: delim}
-	fail := func(err error) (*Extender, error) {
-		for _, f := range e.files {
-			f.Close()
-		}
-		return nil, fmt.Errorf("splitfile: %w", err)
-	}
-	for _, s := range sides {
-		f, err := r.extOpen(s.path)
-		if err != nil {
-			return fail(err)
-		}
-		e.cols = append(e.cols, s.col)
-		e.files = append(e.files, f)
-		e.bufs = append(e.bufs, bufio.NewWriterSize(f, 256<<10))
-	}
-	for _, rf := range rests {
-		f, err := r.extOpen(rf.path)
-		if err != nil {
-			return fail(err)
-		}
-		e.files = append(e.files, f)
-		e.bufs = append(e.bufs, bufio.NewWriterSize(f, 256<<10))
-		e.rests = append(e.rests, append([]int(nil), rf.cols...))
-	}
-	return e, nil
-}
-
-// AppendRow writes one appended raw row to every open split file.
-// fields[i] must be the raw text of original attribute i — the full row,
-// every column tokenized. Nil-safe.
-func (e *Extender) AppendRow(fields [][]byte) error {
-	if e == nil {
-		return nil
-	}
-	write := func(buf *bufio.Writer, b []byte) error {
-		if _, err := buf.Write(b); err != nil {
-			e.failed = true
-			return err
-		}
-		e.written += int64(len(b))
-		return nil
-	}
-	for i, col := range e.cols {
-		if col >= len(fields) {
-			e.failed = true
-			return fmt.Errorf("splitfile: row has %d fields, sidecar wants col %d", len(fields), col)
-		}
-		if err := write(e.bufs[i], fields[col]); err != nil {
-			return err
-		}
-		if err := write(e.bufs[i], []byte{'\n'}); err != nil {
-			return err
-		}
-	}
-	for i, cols := range e.rests {
-		buf := e.bufs[len(e.cols)+i]
-		for j, col := range cols {
-			if col >= len(fields) {
-				e.failed = true
-				return fmt.Errorf("splitfile: row has %d fields, rest wants col %d", len(fields), col)
-			}
-			if j > 0 {
-				if err := write(buf, []byte{e.delim}); err != nil {
-					return err
-				}
-			}
-			if err := write(buf, fields[col]); err != nil {
-				return err
-			}
-		}
-		if err := write(buf, []byte{'\n'}); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// Close flushes and closes the split files and updates the registry's
-// accounting. On any failure (during writes or here) it reports an error
-// and the caller must Drop the registry. Nil-safe.
-func (e *Extender) Close() error {
-	if e == nil {
-		return nil
-	}
-	var firstErr error
-	for _, b := range e.bufs {
-		if err := b.Flush(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	for _, f := range e.files {
-		if err := f.Close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	if e.failed || firstErr != nil {
-		if firstErr != nil {
-			return fmt.Errorf("splitfile: %w", firstErr)
-		}
-		return fmt.Errorf("splitfile: extender failed")
-	}
-	r := e.reg
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.counters != nil {
-		r.counters.AddSplitBytesWritten(e.written)
-	}
-	if r.acct != nil {
-		r.acct.AddBytes(e.written)
-		r.acct.Touch()
-	}
-	return nil
-}
-
-// Drop removes every registered split file and resets the registry (raw
-// file changed, or eviction reclaiming the storage budget).
+// Drop removes every registered split file and resets the registry (a
+// split source turned out misaligned with the raw file).
 func (r *Registry) Drop() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -710,7 +361,4 @@ func (r *Registry) Drop() {
 	}
 	r.colFiles = make(map[int]string)
 	r.rests = nil
-	if r.acct != nil {
-		r.acct.SetBytes(0)
-	}
 }

@@ -17,7 +17,7 @@ func newTestRegistry(t *testing.T, ncols int) (*Registry, string) {
 	if err := os.WriteFile(raw, []byte("placeholder\n"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	return NewRegistry(filepath.Join(dir, "splits"), raw, ncols, ',', nil), raw
+	return NewRegistry(filepath.Join(dir, "splits"), raw, ncols, nil), raw
 }
 
 func TestLookupRawFallback(t *testing.T) {
@@ -190,12 +190,16 @@ func TestDropRemovesFiles(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
-	paths := r.Paths()
-	if len(paths) == 0 {
-		t.Fatal("no files registered")
-	}
-	if r.DiskSize() <= 0 {
-		t.Error("DiskSize should be positive")
+	var paths []string
+	for c := range 2 {
+		src := r.Lookup(c)
+		if src.Raw {
+			t.Fatalf("col %d has no sidecar after Close", c)
+		}
+		if st, err := os.Stat(src.Path); err != nil || st.Size() == 0 {
+			t.Fatalf("sidecar %s: %v", src.Path, err)
+		}
+		paths = append(paths, src.Path)
 	}
 	r.Drop()
 	for _, p := range paths {
@@ -213,7 +217,7 @@ func TestCountersAccounting(t *testing.T) {
 	dir := t.TempDir()
 	raw := filepath.Join(dir, "t.csv")
 	os.WriteFile(raw, []byte("x\n"), 0o644)
-	r := NewRegistry(filepath.Join(dir, "s"), raw, 2, ',', &c)
+	r := NewRegistry(filepath.Join(dir, "s"), raw, 2, &c)
 	w, err := r.NewWriter(PlanSplit(r.Lookup(0), []int{0}))
 	if err != nil {
 		t.Fatal(err)
@@ -283,6 +287,30 @@ func TestWriterCloseAfterFailureRemovesFiles(t *testing.T) {
 	}
 }
 
+// TestWriterAbortRemovesFiles: a load whose row feed stopped early aborts
+// its writer, which removes the partial files and registers nothing.
+func TestWriterAbortRemovesFiles(t *testing.T) {
+	r, _ := newTestRegistry(t, 3)
+	w, err := r.NewWriter(PlanSplit(r.Lookup(1), []int{1}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := w.WriteRow([][]byte{[]byte("1"), []byte("2")}, []byte("3")); err != nil {
+		t.Fatal(err)
+	}
+	w.Abort()
+	for _, p := range w.paths {
+		if _, err := os.Stat(p); !os.IsNotExist(err) {
+			t.Errorf("aborted file %s survived", p)
+		}
+	}
+	for c := range 3 {
+		if !r.Lookup(c).Raw {
+			t.Errorf("col %d registered by an aborted writer", c)
+		}
+	}
+}
+
 func TestLookupPrefersNarrowestResidual(t *testing.T) {
 	r, _ := newTestRegistry(t, 6)
 	// First split: sidecars 0..1, residual {2,3,4,5}.
@@ -307,98 +335,5 @@ func TestLookupPrefersNarrowestResidual(t *testing.T) {
 func TestSanitize(t *testing.T) {
 	if s := sanitize("weird name!.csv"); s != "weird_name_.csv" {
 		t.Errorf("sanitize = %q", s)
-	}
-}
-
-func TestExtenderAppendsAllFiles(t *testing.T) {
-	// Split a 4-col table into sidecars 0..1 and residual {2,3}, then
-	// extend with two appended rows: every file must gain the rows in
-	// order, keeping row alignment with the grown raw file.
-	r, _ := newTestRegistry(t, 4)
-	w, err := r.NewWriter(PlanSplit(r.Lookup(1), []int{1}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.WriteRow([][]byte{[]byte("10"), []byte("20")}, []byte("30,40"))
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	sizeBefore := r.DiskSize()
-
-	e, err := r.NewExtender()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if e == nil {
-		t.Fatal("registry with files returned a nil extender")
-	}
-	for _, row := range [][]string{{"11", "21", "31", "41"}, {"12", "22", "32", "42"}} {
-		fields := make([][]byte, len(row))
-		for i, v := range row {
-			fields[i] = []byte(v)
-		}
-		if err := e.AppendRow(fields); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := e.Close(); err != nil {
-		t.Fatal(err)
-	}
-
-	for col, want := range map[int]string{0: "10\n11\n12\n", 1: "20\n21\n22\n"} {
-		data, err := os.ReadFile(r.Lookup(col).Path)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if string(data) != want {
-			t.Errorf("sidecar %d = %q, want %q", col, data, want)
-		}
-	}
-	data, err := os.ReadFile(r.Lookup(2).Path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(data) != "30,40\n31,41\n32,42\n" {
-		t.Errorf("residual = %q", data)
-	}
-	if r.DiskSize() <= sizeBefore {
-		t.Errorf("DiskSize %d -> %d, want growth accounted", sizeBefore, r.DiskSize())
-	}
-}
-
-func TestExtenderEmptyRegistry(t *testing.T) {
-	r, _ := newTestRegistry(t, 2)
-	e, err := r.NewExtender()
-	if err != nil || e != nil {
-		t.Fatalf("empty registry: extender=%v err=%v, want nil, nil", e, err)
-	}
-	// A nil extender is inert.
-	if err := e.AppendRow([][]byte{[]byte("x")}); err != nil {
-		t.Error(err)
-	}
-	if err := e.Close(); err != nil {
-		t.Error(err)
-	}
-}
-
-func TestExtenderShortRowPoisons(t *testing.T) {
-	r, _ := newTestRegistry(t, 3)
-	w, err := r.NewWriter(PlanSplit(r.Lookup(2), []int{2}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	w.WriteRow([][]byte{[]byte("a"), []byte("b"), []byte("c")}, nil)
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	e, err := r.NewExtender()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := e.AppendRow([][]byte{[]byte("only")}); err == nil {
-		t.Fatal("short row should error")
-	}
-	if err := e.Close(); err == nil {
-		t.Error("Close after a failed append must report the poison")
 	}
 }

@@ -1,6 +1,6 @@
 // Package vfs is the engine's filesystem seam. Every component that
-// touches disk — scanner, loader, catalog, snapshot store, split files,
-// follow-mode refresh — goes through an FS instead of calling the os
+// touches disk — scanner, loader, catalog, snapshot store, follow-mode
+// refresh — goes through an FS instead of calling the os
 // package directly, so tests can substitute a FaultFS that injects
 // scheduled failures (EIO at byte N, ENOSPC, torn writes, shrinking
 // files) and prove the engine's failure semantics.

@@ -12,11 +12,9 @@
 //
 // There is no load step. The engine brings data in adaptively, driven by
 // the queries: depending on the configured policy it loads whole columns
-// on demand (ColumnLoads), only the qualifying values (PartialLoads), or
-// cracks the raw file into per-column split files as a side effect of
-// scanning (SplitFiles). Everything it learns — parsed columns, covered
-// value regions, attribute byte positions, split files — makes the next
-// query cheaper, and all of it is disposable: edit the CSV with a text
+// on demand (ColumnLoads) or only the qualifying values (PartialLoads).
+// Everything it learns — parsed columns, covered value regions, attribute
+// byte positions, per-portion zone maps — makes the next query cheaper, and all of it is disposable: edit the CSV with a text
 // editor and the engine notices and starts over.
 package nodb
 
@@ -55,9 +53,6 @@ const (
 	// PartialLoadsV2 retains qualifying values; repeated or narrower
 	// queries are answered without touching the file.
 	PartialLoadsV2 = plan.PolicyPartialV2
-	// SplitFiles loads columns through per-column split files created as
-	// a side effect of earlier scans ("file cracking").
-	SplitFiles = plan.PolicySplitFiles
 	// External re-reads and re-parses the file for every query, caching
 	// nothing (MySQL-CSV-engine-style external tables).
 	External = plan.PolicyExternal
@@ -68,7 +63,7 @@ const (
 )
 
 // ParsePolicy converts a policy name ("columns", "full", "partial-v1",
-// "partial-v2", "splitfiles", "external", "auto") to a Policy.
+// "partial-v2", "external", "auto") to a Policy.
 func ParsePolicy(s string) (Policy, error) { return plan.ParsePolicy(s) }
 
 // ParseEvictionPolicy validates an eviction policy name ("cost", "lru";
@@ -88,13 +83,9 @@ func ParseEvictionPolicy(s string) (string, error) {
 type Options struct {
 	// Policy is the adaptive loading strategy (default ColumnLoads).
 	Policy Policy
-	// SplitDir is the directory for split files; required for the
-	// SplitFiles policy. Files there are derived state and safe to
-	// delete.
-	SplitDir string
 	// MemoryBudget caps the bytes of adaptive state the engine may hold
 	// (0 = unlimited, the default). Cached columns, retained partial
-	// loads, positional maps and split files all register with a global
+	// loads, positional maps and synopses all register with a global
 	// memory governor; when their total exceeds the budget, the governor
 	// evicts individual structures — chosen by EvictionPolicy, never while
 	// a running query has them pinned — until the total fits again.
@@ -114,7 +105,7 @@ type Options struct {
 	// CacheDir enables the persistent auxiliary-structure cache (the
 	// disk tier of the adaptive store). When set, everything the engine
 	// learns — positional maps, cached columns, retained partial loads
-	// with their coverage regions, split-file manifests — is snapshotted
+	// with their coverage regions, scan synopses — is snapshotted
 	// there on Close (and by Snapshot / the server's periodic flusher)
 	// and restored lazily by the first query that wants it after a
 	// restart, so a reopened DB starts warm instead of re-paying the
@@ -303,7 +294,6 @@ func OpenErr(opts Options) (*DB, error) {
 func coreOptions(opts Options) core.Options {
 	return core.Options{
 		Policy:               opts.Policy,
-		SplitDir:             opts.SplitDir,
 		MemoryBudget:         opts.MemoryBudget,
 		EvictionPolicy:       opts.EvictionPolicy,
 		CacheDir:             opts.CacheDir,
@@ -388,8 +378,8 @@ type RefreshResult = core.RefreshResult
 
 // Refresh re-stats a table's raw file now. Rows appended since the last
 // look (the file grew and its previous contents are intact) extend the
-// positional map, cached columns, coverage regions, scan synopsis and
-// split files in one pass over just the new tail; any other edit
+// positional map, cached columns, coverage regions and scan synopsis in
+// one pass over just the new tail; any other edit
 // invalidates the derived state, exactly as a query would. Queries detect
 // both cases automatically unless DisableRevalidation is set; Refresh is
 // for follow loops and for engines that disabled revalidation.
@@ -472,7 +462,7 @@ type MemStats = govern.Stats
 
 // MemStats reports the memory governor's accounting. Used is the total
 // bytes of governed adaptive state (columns, partial loads, positional
-// maps, split files); with a MemoryBudget set, Used returns under the
+// maps, synopses, cached results); with a MemoryBudget set, Used returns under the
 // budget after each query completes (pinned in-flight state may exceed it
 // transiently).
 func (db *DB) MemStats() MemStats { return db.e.MemStats() }
@@ -488,7 +478,7 @@ func (db *DB) ResultCacheStats() ResultCacheStats { return db.e.ResultCacheStats
 
 // TableStats describes the adaptive-store state of one attached table:
 // which columns are fully or partially loaded, covered regions, positional
-// map entries, and split-file footprint.
+// map entries, and synopsis size.
 type TableStats = core.TableStats
 
 // TableStats reports what the engine has adaptively built for a table.

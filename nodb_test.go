@@ -33,9 +33,9 @@ func TestOpenLinkQuery(t *testing.T) {
 }
 
 func TestAllPublicPolicies(t *testing.T) {
-	for _, pol := range []Policy{ColumnLoads, FullLoad, PartialLoadsV1, PartialLoadsV2, SplitFiles, External, Auto} {
+	for _, pol := range []Policy{ColumnLoads, FullLoad, PartialLoadsV1, PartialLoadsV2, External, Auto} {
 		t.Run(pol.String(), func(t *testing.T) {
-			db := Open(Options{Policy: pol, SplitDir: filepath.Join(t.TempDir(), "s")})
+			db := Open(Options{Policy: pol})
 			defer db.Close()
 			linkFile(t, db, "t", "5\n6\n7\n")
 			res, err := db.Query("select sum(a1) from t")
@@ -50,14 +50,16 @@ func TestAllPublicPolicies(t *testing.T) {
 }
 
 func TestPolicyParseRoundTrip(t *testing.T) {
-	for _, pol := range []Policy{ColumnLoads, FullLoad, PartialLoadsV1, PartialLoadsV2, SplitFiles, External, Auto} {
+	for _, pol := range []Policy{ColumnLoads, FullLoad, PartialLoadsV1, PartialLoadsV2, External, Auto} {
 		got, err := ParsePolicy(pol.String())
 		if err != nil || got != pol {
 			t.Errorf("round trip %v: got %v, %v", pol, got, err)
 		}
 	}
-	if _, err := ParsePolicy("nope"); err == nil {
-		t.Error("bad name should fail")
+	for _, name := range []string{"nope", "splitfiles"} {
+		if _, err := ParsePolicy(name); err == nil {
+			t.Errorf("policy %q should fail", name)
+		}
 	}
 }
 

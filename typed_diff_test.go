@@ -90,15 +90,12 @@ func TestMixedTypeDifferential(t *testing.T) {
 	path := filepath.Join(dir, "m.csv")
 	writeMixedTable(t, path, 700, 27)
 	o := newOracle(t, map[string]string{"m": path})
-	for _, cfg := range diffConfigs(dir) {
+	for _, cfg := range diffConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
 			for _, batch := range []int{1, 7, 64, 1024} {
 				opts := cfg.opts
 				opts.Workers = 1
 				opts.BatchSize = batch
-				if opts.SplitDir != "" {
-					opts.SplitDir = filepath.Join(dir, fmt.Sprintf("sf-%s-%d", cfg.name, batch))
-				}
 				db := Open(opts)
 				if err := db.Attach("m", TableSpec{Path: path}); err != nil {
 					t.Fatal(err)

@@ -78,18 +78,13 @@ func TestVectorVsLegacyPolicies(t *testing.T) {
 	writeRandomTable(t, path, 1500, 3, 1000, 42)
 	o := newOracle(t, map[string]string{"t": path})
 
-	for _, cfg := range diffConfigs(dir) {
+	for _, cfg := range diffConfigs {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
 			for _, batch := range []int{0, 1, 7, 64} {
 				opts := cfg.opts
 				opts.Workers = 1
 				opts.BatchSize = batch
-				// Split dirs are per-engine state; give each engine its own
-				// so the runs cannot share split files.
-				if opts.SplitDir != "" {
-					opts.SplitDir = filepath.Join(dir, fmt.Sprintf("sf-%s-%d", cfg.name, batch))
-				}
 				db := Open(opts)
 				if err := db.Attach("t", TableSpec{Path: path}); err != nil {
 					t.Fatal(err)
@@ -120,7 +115,6 @@ func TestVectorVsLegacyJoins(t *testing.T) {
 		{"partial-v2", Options{Policy: PartialLoadsV2}},
 		{"external", Options{Policy: External}},
 		{"auto", Options{Policy: Auto}},
-		{"splitfiles", Options{Policy: SplitFiles, SplitDir: filepath.Join(dir, "sf")}},
 	} {
 		cfg := cfg
 		t.Run(cfg.name, func(t *testing.T) {
@@ -163,7 +157,7 @@ func TestJoinNumericKeys(t *testing.T) {
 		"select count(*), sum(u.a3) from u join t on u.a1 = t.a1",
 		"select t.a2, u.a3 from t join u on t.a2 = u.a2 order by t.a2, u.a3",
 	}
-	for _, cfg := range diffConfigs(dir) {
+	for _, cfg := range diffConfigs {
 		t.Run(cfg.name, func(t *testing.T) {
 			db := Open(cfg.opts)
 			defer db.Close()
