@@ -1,5 +1,8 @@
 // Command nodbd is the NoDB query server: it attaches raw CSV files to one
 // shared engine and serves SQL over HTTP/JSON to many concurrent clients.
+// It serves the files it attaches and nothing else; to scale out, run N
+// nodbd over the same files behind any HTTP load balancer that checks
+// /readyz.
 //
 // Usage:
 //
@@ -9,18 +12,6 @@
 //	      [-follow d] [-tenants spec] [-tenant-unknown reject|default] [-pprof addr]
 //	      [-max-inflight n] [-timeout d] [-max-timeout d] [-grace d]
 //	      name=path.csv [name=path.csv ...]
-//
-//	nodbd -coordinator -shards host1:8080,host2:8080,host3:8080
-//	      [-shard-timeout d] [-shard-retries n] [-retry-backoff d]
-//	      [-synopsis-ttl d] [-health-interval d] [-partial-results]
-//
-// In coordinator mode nodbd holds no data: it fans each query out to the
-// shard nodbd instances, pushes filters and partial aggregates down so
-// only reduced rows cross the network, consults cached shard synopses to
-// skip shards whose zone maps prove zero qualifying rows, and merges the
-// NDJSON partial streams into one result with the same HTTP surface as a
-// single node. With -partial-results a dead shard degrades the answer
-// (reported in the stats trailer) instead of failing the query.
 //
 // Multi-tenant serving: -tenants takes "name:key[:weight],..." (or
 // "@file" with one entry per line) and partitions both the -mem budget
@@ -87,7 +78,6 @@ import (
 
 	"nodb"
 	"nodb/internal/cliutil"
-	"nodb/internal/cluster"
 	"nodb/internal/qos"
 	"nodb/internal/server"
 )
@@ -111,15 +101,6 @@ func main() {
 		timeout      = flag.Duration("timeout", 30*time.Second, "default per-query timeout (0 = none)")
 		maxTimeout   = flag.Duration("max-timeout", 5*time.Minute, "cap on per-request timeout_ms (0 = no cap)")
 		grace        = flag.Duration("grace", 10*time.Second, "shutdown grace period for in-flight queries")
-
-		coordinator    = flag.Bool("coordinator", false, "run as a scatter-gather coordinator over -shards instead of serving local data")
-		shards         = flag.String("shards", "", "comma-separated shard addresses (coordinator mode)")
-		shardTimeout   = flag.Duration("shard-timeout", 30*time.Second, "per-attempt timeout against each shard (0 = none)")
-		shardRetries   = flag.Int("shard-retries", 2, "retries per failed shard interaction (total attempts = retries+1)")
-		retryBackoff   = flag.Duration("retry-backoff", 100*time.Millisecond, "first retry backoff, doubling per retry")
-		synopsisTTL    = flag.Duration("synopsis-ttl", 5*time.Second, "how long cached shard synopses are trusted for pruning")
-		healthInterval = flag.Duration("health-interval", 2*time.Second, "shard /readyz polling period (0 = no background poller)")
-		partialResults = flag.Bool("partial-results", false, "complete queries with partial results when a shard stays dead (reported in the stats trailer)")
 	)
 	flag.Parse()
 
@@ -148,24 +129,6 @@ func main() {
 		}
 	}
 
-	if *coordinator {
-		runCoordinator(coordinatorOpts{
-			addr:           *addr,
-			shards:         *shards,
-			shardTimeout:   *shardTimeout,
-			shardRetries:   *shardRetries,
-			retryBackoff:   *retryBackoff,
-			synopsisTTL:    *synopsisTTL,
-			healthInterval: *healthInterval,
-			partialResults: *partialResults,
-			maxInFlight:    *maxInFlight,
-			timeout:        *timeout,
-			maxTimeout:     *maxTimeout,
-			grace:          *grace,
-			tenants:        registry,
-		})
-		return
-	}
 	cliutil.Exit(cliutil.CheckFlags(
 		cliutil.NonNegativeInt("nodbd", "workers", *workers),
 		cliutil.NonNegativeInt("nodbd", "chunksize", *chunkSize),
@@ -221,8 +184,8 @@ func main() {
 		Tenants:          registry,
 	})
 	defer srv.Close()
-	// Every table is attached: flip the readiness probe so coordinators
-	// start routing queries here.
+	// Every table is attached: flip the readiness probe so a load
+	// balancer starts routing queries here.
 	srv.MarkReady()
 
 	httpSrv := &http.Server{
@@ -266,89 +229,6 @@ func main() {
 		// context plumbing stops their scans between chunks.
 		fmt.Fprintln(os.Stderr, "nodbd: shutting down")
 		shutCtx, cancel := context.WithTimeout(context.Background(), *grace)
-		defer cancel()
-		if err := httpSrv.Shutdown(shutCtx); err != nil {
-			httpSrv.Close()
-		}
-	case err := <-errCh:
-		if err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fmt.Fprintf(os.Stderr, "nodbd: %v\n", err)
-			os.Exit(1)
-		}
-	}
-}
-
-type coordinatorOpts struct {
-	addr           string
-	shards         string
-	shardTimeout   time.Duration
-	shardRetries   int
-	retryBackoff   time.Duration
-	synopsisTTL    time.Duration
-	healthInterval time.Duration
-	partialResults bool
-	maxInFlight    int
-	timeout        time.Duration
-	maxTimeout     time.Duration
-	grace          time.Duration
-	tenants        *qos.Registry
-}
-
-// runCoordinator serves the scatter-gather coordinator: no local data,
-// just fan-out, merge, and the same HTTP surface as a single node.
-func runCoordinator(opts coordinatorOpts) {
-	var addrs []string
-	for _, a := range strings.Split(opts.shards, ",") {
-		if a = strings.TrimSpace(a); a != "" {
-			addrs = append(addrs, a)
-		}
-	}
-	if len(addrs) == 0 {
-		fmt.Fprintln(os.Stderr, "nodbd: -coordinator requires -shards host1,host2,...")
-		os.Exit(2)
-	}
-	if len(flag.Args()) > 0 {
-		fmt.Fprintln(os.Stderr, "nodbd: coordinator mode takes no name=path arguments; attach files on the shards")
-		os.Exit(2)
-	}
-
-	coord, err := cluster.NewCoordinator(cluster.CoordinatorConfig{
-		Shards:         addrs,
-		ShardTimeout:   opts.shardTimeout,
-		Retries:        opts.shardRetries,
-		RetryBackoff:   opts.retryBackoff,
-		SynopsisTTL:    opts.synopsisTTL,
-		HealthInterval: opts.healthInterval,
-		AllowPartial:   opts.partialResults,
-		MaxInFlight:    opts.maxInFlight,
-		DefaultTimeout: opts.timeout,
-		MaxTimeout:     opts.maxTimeout,
-		Tenants:        opts.tenants,
-	})
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nodbd: %v\n", err)
-		os.Exit(2)
-	}
-	defer coord.Close()
-
-	httpSrv := &http.Server{
-		Addr:              opts.addr,
-		Handler:           coord,
-		ReadHeaderTimeout: 10 * time.Second,
-	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-
-	errCh := make(chan error, 1)
-	go func() { errCh <- httpSrv.ListenAndServe() }()
-	fmt.Printf("nodbd coordinator listening on %s (shards=%d, partial-results=%v)\n",
-		opts.addr, len(addrs), opts.partialResults)
-
-	select {
-	case <-ctx.Done():
-		fmt.Fprintln(os.Stderr, "nodbd: shutting down")
-		shutCtx, cancel := context.WithTimeout(context.Background(), opts.grace)
 		defer cancel()
 		if err := httpSrv.Shutdown(shutCtx); err != nil {
 			httpSrv.Close()

@@ -8,22 +8,12 @@
 //	nodbgen -rows 1000000 -cols 4 -o table.csv
 //	nodbgen -rows 100000 -cols 3 -kinds seq,float,string -header -o mixed.csv
 //	nodbgen -rows 100000 -cols 3 -format ndjson -o events.ndjson
-//
-// For cluster mode, -shard i/n emits only the i-th of n disjoint
-// contiguous row ranges of the same deterministic table — run it once per
-// shard with the same -rows/-seed and concatenating the outputs (headers
-// stripped) reproduces the unsharded file byte for byte:
-//
-//	nodbgen -rows 1000000 -cols 4 -shard 1/3 -o shard1/table.csv
-//	nodbgen -rows 1000000 -cols 4 -shard 2/3 -o shard2/table.csv
-//	nodbgen -rows 1000000 -cols 4 -shard 3/3 -o shard3/table.csv
 package main
 
 import (
 	"flag"
 	"fmt"
 	"os"
-	"strconv"
 	"strings"
 
 	"nodb/internal/csvgen"
@@ -39,17 +29,11 @@ func main() {
 		delim  = flag.String("delim", ",", "field delimiter (one character)")
 		kinds  = flag.String("kinds", "", "comma-separated per-column kinds: unique,uniform,zipf,float,string,seq")
 		format = flag.String("format", "csv", "output format: csv or ndjson")
-		shard  = flag.String("shard", "", "emit only shard i of n disjoint row ranges, as i/n (e.g. 2/3)")
 	)
 	flag.Parse()
 
 	if *out == "" {
 		fmt.Fprintln(os.Stderr, "nodbgen: -o is required")
-		os.Exit(2)
-	}
-	shardIndex, shardCount, err := parseShard(*shard)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "nodbgen: %v\n", err)
 		os.Exit(2)
 	}
 	if len(*delim) != 1 {
@@ -68,14 +52,12 @@ func main() {
 	}
 
 	spec := csvgen.Spec{
-		Rows:       *rows,
-		Cols:       *cols,
-		Seed:       *seed,
-		Header:     *header,
-		Delimiter:  (*delim)[0],
-		Format:     ofmt,
-		ShardIndex: shardIndex,
-		ShardCount: shardCount,
+		Rows:      *rows,
+		Cols:      *cols,
+		Seed:      *seed,
+		Header:    *header,
+		Delimiter: (*delim)[0],
+		Format:    ofmt,
 	}
 	if *kinds != "" {
 		for _, k := range strings.Split(*kinds, ",") {
@@ -97,35 +79,7 @@ func main() {
 		fmt.Fprintf(os.Stderr, "nodbgen: %v\n", err)
 		os.Exit(1)
 	}
-	if shardCount > 1 {
-		fmt.Printf("wrote %s: shard %d/%d of %d rows x %d cols, %d bytes\n",
-			*out, shardIndex, shardCount, *rows, *cols, st.Size())
-		return
-	}
 	fmt.Printf("wrote %s: %d rows x %d cols, %d bytes\n", *out, *rows, *cols, st.Size())
-}
-
-// parseShard parses "i/n"; empty means unsharded.
-func parseShard(s string) (index, count int, err error) {
-	if s == "" {
-		return 0, 0, nil
-	}
-	is, ns, ok := strings.Cut(s, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf("-shard must be i/n (got %q)", s)
-	}
-	index, err = strconv.Atoi(is)
-	if err != nil {
-		return 0, 0, fmt.Errorf("-shard index %q is not a number", is)
-	}
-	count, err = strconv.Atoi(ns)
-	if err != nil {
-		return 0, 0, fmt.Errorf("-shard count %q is not a number", ns)
-	}
-	if count < 1 || index < 1 || index > count {
-		return 0, 0, fmt.Errorf("-shard %d/%d out of range", index, count)
-	}
-	return index, count, nil
 }
 
 func parseKind(k string) (csvgen.ColSpec, error) {

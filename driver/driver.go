@@ -110,7 +110,7 @@ func (d *Driver) OpenConnector(dsn string) (sqldriver.Connector, error) {
 			return nil, err
 		}
 	}
-	return &Connector{drv: d, dsn: dsn, db: db, tenant: tenant, apikey: cfg.APIKey}, nil
+	return &Connector{drv: d, dsn: dsn, db: db, tenant: tenant}, nil
 }
 
 // Link is one link=NAME=PATH table from a DSN.
@@ -213,12 +213,11 @@ type Connector struct {
 	dsn    string
 	db     *nodb.DB
 	tenant string
-	apikey string
 }
 
 // Connect hands out a connection sharing the engine.
 func (c *Connector) Connect(context.Context) (sqldriver.Conn, error) {
-	return &nodbConn{db: c.db, tenant: c.tenant, apikey: c.apikey}, nil
+	return &nodbConn{db: c.db, tenant: c.tenant}, nil
 }
 
 // Driver returns the parent driver.
@@ -238,21 +237,8 @@ var errReadOnly = errors.New("nodb: the engine is read-only; only SELECT is supp
 type nodbConn struct {
 	db     *nodb.DB
 	tenant string
-	apikey string
 	ownsDB bool // legacy Driver.Open path: the conn owns the engine
 	closed bool
-}
-
-// tenantContext tags the execution context with the connection's tenant
-// identity so the engine's governor attributes adaptive state to it.
-func tenantContext(ctx context.Context, tenant, apikey string) context.Context {
-	if tenant != "" {
-		ctx = qos.WithTenant(ctx, tenant)
-	}
-	if apikey != "" {
-		ctx = qos.WithAPIKey(ctx, apikey)
-	}
-	return ctx
 }
 
 // Prepare implements driver.Conn.
@@ -269,7 +255,7 @@ func (c *nodbConn) PrepareContext(ctx context.Context, query string) (sqldriver.
 	if err != nil {
 		return nil, err
 	}
-	return &nodbStmt{s: s, tenant: c.tenant, apikey: c.apikey}, nil
+	return &nodbStmt{s: s, tenant: c.tenant}, nil
 }
 
 // Close implements driver.Conn. Connections are handles; only the legacy
@@ -309,7 +295,9 @@ func (c *nodbConn) QueryContext(ctx context.Context, query string, args []sqldri
 	if err != nil {
 		return nil, err
 	}
-	r, err := c.db.QueryRows(tenantContext(ctx, c.tenant, c.apikey), query, vals...)
+	// The tenant tag makes the engine's governor attribute adaptive
+	// state to this connection's tenant.
+	r, err := c.db.QueryRows(qos.WithTenant(ctx, c.tenant), query, vals...)
 	if err != nil {
 		return nil, err
 	}
@@ -337,7 +325,6 @@ func namedValues(args []sqldriver.NamedValue) ([]any, error) {
 type nodbStmt struct {
 	s      *nodb.Stmt
 	tenant string
-	apikey string
 }
 
 // Close implements driver.Stmt.
@@ -366,7 +353,7 @@ func (s *nodbStmt) QueryContext(ctx context.Context, args []sqldriver.NamedValue
 	if err != nil {
 		return nil, err
 	}
-	r, err := s.s.QueryRows(tenantContext(ctx, s.tenant, s.apikey), vals...)
+	r, err := s.s.QueryRows(qos.WithTenant(ctx, s.tenant), vals...)
 	if err != nil {
 		return nil, err
 	}

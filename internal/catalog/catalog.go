@@ -314,8 +314,8 @@ func (t *Table) Path() string { return t.path }
 func (t *Table) Schema() *schema.Schema { return t.schema }
 
 // Signature returns the raw file's signature as of the last
-// (re)validation. Cluster synopsis exports carry it so a coordinator can
-// tell stale cached state from live state.
+// (re)validation. Table stats and the result cache's keys carry it, so a
+// reader can tell stale state from live state.
 func (t *Table) Signature() Signature {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
@@ -539,7 +539,7 @@ func (t *Table) evictPosMap(h *govern.Handle) bool {
 	t.PosMap.Drop()
 	t.mu.Unlock()
 	if tbl != nil {
-		if err := t.snap.SaveSpill(t.snapKey, "posmap", snapSig(sig), tbl); err == nil {
+		if err := t.snap.SaveSpill(t.snapKey, snapSig(sig), tbl); err == nil {
 			t.mu.Lock()
 			t.spillPM = true
 			t.snapPending.Store(true)
@@ -862,7 +862,7 @@ func (t *Table) restoreSectionsLocked(r *snapshot.Reader) {
 		}
 	}
 	t.mu.Lock()
-	if t.snap.HasSpill(t.snapKey, "posmap") {
+	if t.snap.HasSpill(t.snapKey) {
 		t.spillPM = true
 	}
 	t.mu.Unlock()
@@ -1095,7 +1095,7 @@ func (t *Table) unspillAs(sig Signature) {
 	if !pm {
 		return
 	}
-	if tbl := t.snap.LoadSpill(t.snapKey, "posmap", snapSig(sig)); tbl != nil {
+	if tbl := t.snap.LoadSpill(t.snapKey, snapSig(sig)); tbl != nil {
 		for _, pc := range tbl.PosMap {
 			t.PosMap.LoadColumn(pc.Col, pc.Rows, pc.Offs)
 		}

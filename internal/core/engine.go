@@ -32,7 +32,6 @@ import (
 	"nodb/internal/snapshot"
 	"nodb/internal/sql"
 	"nodb/internal/storage"
-	"nodb/internal/synopsis"
 	"nodb/internal/vfs"
 )
 
@@ -736,16 +735,3 @@ func (e *Engine) TableStats(name string) (TableStats, error) {
 	return st, nil
 }
 
-// TableSynopsis exports a table's scan synopsis — the learned portion
-// layout plus per-portion zone maps — together with the raw file's
-// signature. The export is nil until a complete layout exists (no scan has
-// finished yet, or the synopsis was dropped). Cluster coordinators consume
-// this through /cluster/synopsis to prune whole shards without a round
-// trip per query.
-func (e *Engine) TableSynopsis(name string) ([]synopsis.PortionState, catalog.Signature, error) {
-	t, err := e.cat.Get(name)
-	if err != nil {
-		return nil, catalog.Signature{}, err
-	}
-	return t.Syn.Export(), t.Signature(), nil
-}

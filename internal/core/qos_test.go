@@ -55,8 +55,8 @@ func TestResultCacheReplaysThroughCursor(t *testing.T) {
 	if !strings.Contains(out, "this-query=cached") || !strings.Contains(out, "tenant a:") {
 		t.Errorf("Explain should report the cached entry and the tenant:\n%s", out)
 	}
-	if ports, _, err := e.TableSynopsis("G"); err != nil || len(ports) == 0 {
-		t.Errorf("TableSynopsis = %d portions (%v), want the learned layout", len(ports), err)
+	if st, err := e.TableStats("G"); err != nil || st.SynopsisPortions == 0 {
+		t.Errorf("TableStats.SynopsisPortions = %d (%v), want the learned layout", st.SynopsisPortions, err)
 	}
 	if _, err := e.QueryStmt(stmt); err != nil {
 		t.Fatal(err)

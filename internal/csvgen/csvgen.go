@@ -48,28 +48,6 @@ type Spec struct {
 	ColSpecs []ColSpec
 	// Format selects the output encoding (default FormatCSV).
 	Format Format
-	// ShardIndex/ShardCount emit only shard ShardIndex (1-based) of
-	// ShardCount disjoint contiguous row ranges of the full table: rows
-	// [(i-1)*Rows/n, i*Rows/n) of the same deterministic sequence the
-	// unsharded spec produces. Concatenating the n shard files (headers
-	// stripped) is byte-identical to the unsharded file, which is what
-	// makes cluster results comparable to a single node. ShardCount 0 or
-	// 1 emits the whole table.
-	ShardIndex int
-	ShardCount int
-}
-
-// shardRange returns the half-open row range [lo, hi) this spec emits.
-func (s Spec) shardRange() (lo, hi int, err error) {
-	if s.ShardCount <= 1 {
-		return 0, s.Rows, nil
-	}
-	if s.ShardIndex < 1 || s.ShardIndex > s.ShardCount {
-		return 0, 0, fmt.Errorf("csvgen: shard index %d out of range 1..%d", s.ShardIndex, s.ShardCount)
-	}
-	lo = (s.ShardIndex - 1) * s.Rows / s.ShardCount
-	hi = s.ShardIndex * s.Rows / s.ShardCount
-	return lo, hi, nil
 }
 
 // Kind selects a per-column value distribution.
@@ -236,28 +214,18 @@ func Write(w io.Writer, s Spec) error {
 			return err
 		}
 	}
-	lo, hi, err := s.shardRange()
-	if err != nil {
-		return err
-	}
 	gens := make([]columnGen, s.Cols)
 	for c := range gens {
 		gens[c] = s.newGen(c)
 	}
 	buf := make([]byte, 0, 256)
 	for r := 0; r < s.Rows; r++ {
-		// Rows outside the shard's range are still generated — the
-		// column generators are sequential, so skipping them would shift
-		// every later value — just not written.
 		buf = buf[:0]
 		for c := 0; c < s.Cols; c++ {
 			if c > 0 {
 				buf = append(buf, d)
 			}
 			buf = gens[c].next(buf)
-		}
-		if r < lo || r >= hi {
-			continue
 		}
 		buf = append(buf, '\n')
 		if _, err := bw.Write(buf); err != nil {
@@ -271,10 +239,6 @@ func Write(w io.Writer, s Spec) error {
 // values are lowercase letters, so quoting needs no escaping; numeric
 // kinds emit their text unquoted (valid JSON numbers).
 func writeNDJSON(bw *bufio.Writer, s Spec) error {
-	lo, hi, err := s.shardRange()
-	if err != nil {
-		return err
-	}
 	gens := make([]columnGen, s.Cols)
 	quoted := make([]bool, s.Cols)
 	for c := range gens {
@@ -298,9 +262,6 @@ func writeNDJSON(bw *bufio.Writer, s Spec) error {
 			} else {
 				buf = gens[c].next(buf)
 			}
-		}
-		if r < lo || r >= hi {
-			continue
 		}
 		buf = append(buf, '}', '\n')
 		if _, err := bw.Write(buf); err != nil {

@@ -188,44 +188,3 @@ func BenchmarkWrite1Mx4(b *testing.B) {
 	}
 	b.SetBytes(int64(buf.Len()))
 }
-
-func TestShardsConcatenateToUnsharded(t *testing.T) {
-	for _, format := range []Format{FormatCSV, FormatNDJSON} {
-		full := genString(t, Spec{Rows: 103, Cols: 3, Seed: 9, Format: format,
-			ColSpecs: []ColSpec{{Kind: UniqueInts}, {Kind: Floats}, {Kind: Strings}}})
-		var cat strings.Builder
-		total := 0
-		for i := 1; i <= 3; i++ {
-			part := genString(t, Spec{Rows: 103, Cols: 3, Seed: 9, Format: format,
-				ColSpecs:   []ColSpec{{Kind: UniqueInts}, {Kind: Floats}, {Kind: Strings}},
-				ShardIndex: i, ShardCount: 3})
-			total += strings.Count(part, "\n")
-			cat.WriteString(part)
-		}
-		if total != 103 {
-			t.Fatalf("format %d: shards hold %d rows, want 103", format, total)
-		}
-		if cat.String() != full {
-			t.Fatalf("format %d: concatenated shards differ from unsharded output", format)
-		}
-	}
-}
-
-func TestShardHeaderOnEveryShard(t *testing.T) {
-	for i := 1; i <= 2; i++ {
-		out := genString(t, Spec{Rows: 10, Cols: 2, Seed: 1, Header: true, ShardIndex: i, ShardCount: 2})
-		if !strings.HasPrefix(out, "a1,a2\n") {
-			t.Fatalf("shard %d missing header: %q", i, out[:20])
-		}
-	}
-}
-
-func TestShardRangeValidation(t *testing.T) {
-	var buf bytes.Buffer
-	if err := Write(&buf, Spec{Rows: 10, Cols: 1, ShardIndex: 4, ShardCount: 3}); err == nil {
-		t.Fatal("want error for shard index out of range")
-	}
-	if err := Write(&buf, Spec{Rows: 10, Cols: 1, ShardIndex: 0, ShardCount: 3}); err == nil {
-		t.Fatal("want error for shard index 0")
-	}
-}

@@ -40,14 +40,6 @@ var (
 	// file was truncated or replaced under us. Results computed against
 	// the stale size would be silently wrong, so reads fail instead.
 	ErrFileShrunk = errors.New("raw file shrunk during scan")
-
-	// ErrShardUnavailable marks a cluster shard that could not serve a
-	// request after the retry budget was exhausted.
-	ErrShardUnavailable = errors.New("shard unavailable")
-
-	// ErrCircuitOpen marks a shard request refused locally because the
-	// shard's circuit breaker is open — no network I/O was attempted.
-	ErrCircuitOpen = errors.New("shard circuit open")
 )
 
 // IOError attaches a category sentinel to an underlying cause.

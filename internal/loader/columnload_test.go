@@ -77,8 +77,9 @@ func TestColumnLoadWorkersAgree(t *testing.T) {
 		}
 		// Per column: 20 sealed blocks, 19 of 1024 rows and the last of
 		// 544, each 2 B per row plus a 16 B base and stride and an 8 B
-		// index slot. Cols 1, 2, 4 use 5 column slots.
-		if got, want := other.tab.PosMap.MemSize(), int64(5*8+3*(20*(16+8)+2*20000)); got != want {
+		// index slot, and one 48 B coverage interval. Cols 1, 2, 4 use 5
+		// column slots.
+		if got, want := other.tab.PosMap.MemSize(), int64(5*8+3*(20*(16+8)+2*20000+48)); got != want {
 			t.Fatalf("posmap bytes = %d, want %d", got, want)
 		}
 		s, o := seq.work, other.work

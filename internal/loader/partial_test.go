@@ -224,9 +224,10 @@ func TestPartialPassPositions(t *testing.T) {
 				t.Fatal(err)
 			}
 			// Four column slots (cols 0..3) and, per column, an index
-			// slot, a base and stride per block and 2 B per row.
+			// slot, a base and stride per block, 2 B per row and one 48 B
+			// coverage interval.
 			blocks := int64(rows+1023) / 1024
-			sealed := 4*8 + int64(len(cols))*(blocks*(8+16)+2*rows)
+			sealed := 4*8 + int64(len(cols))*(blocks*(8+16)+2*rows+48)
 			if got, want := tab.PosMap.MemSize(), twin.PosMap.MemSize(); got != want || got != sealed {
 				t.Fatalf("the partial pass' map takes %d B, a column load's %d B, want both %d (sealed)", got, want, sealed)
 			}

@@ -41,10 +41,6 @@ type Counters struct {
 	snapInvalidations  atomic.Int64 // stale or corrupt snapshot files/sections discarded
 	portionsSkipped    atomic.Int64 // file portions pruned by a scan synopsis (zero bytes read)
 	synopsisHits       atomic.Int64 // scans in which the synopsis pruned at least one portion
-	shardsPruned       atomic.Int64 // whole shards skipped by the coordinator via cached synopses
-	shardRetries       atomic.Int64 // shard sub-queries retried after a transient failure
-	partialResults     atomic.Int64 // coordinator queries answered in partial_results degraded mode
-	shardBytesMerged   atomic.Int64 // NDJSON payload bytes merged from shard streams
 	resultCacheHits    atomic.Int64 // queries answered entirely from the result cache
 	resultCacheMisses  atomic.Int64 // cacheable queries that had to execute
 	queriesCollapsed   atomic.Int64 // duplicate in-flight queries served by a singleflight leader
@@ -126,22 +122,6 @@ func (c *Counters) AddPortionsSkipped(n int64) { c.portionsSkipped.Add(n) }
 // one portion.
 func (c *Counters) AddSynopsisHit(n int64) { c.synopsisHits.Add(n) }
 
-// AddShardsPruned records whole shards a coordinator skipped because their
-// cached synopses proved no portion could satisfy the predicates.
-func (c *Counters) AddShardsPruned(n int64) { c.shardsPruned.Add(n) }
-
-// AddShardRetries records shard sub-queries re-sent after a transient
-// failure (connection error or timeout before any row was emitted).
-func (c *Counters) AddShardRetries(n int64) { c.shardRetries.Add(n) }
-
-// AddPartialResults records coordinator queries that completed in the
-// partial_results degraded mode (one or more shards failed permanently).
-func (c *Counters) AddPartialResults(n int64) { c.partialResults.Add(n) }
-
-// AddShardBytesMerged records NDJSON payload bytes consumed from shard
-// streams by the coordinator's merge operators.
-func (c *Counters) AddShardBytesMerged(n int64) { c.shardBytesMerged.Add(n) }
-
 // AddResultCacheHit records a query answered entirely from the result
 // cache (no planning, no scan).
 func (c *Counters) AddResultCacheHit(n int64) { c.resultCacheHits.Add(n) }
@@ -187,10 +167,6 @@ type Snapshot struct {
 	SnapshotInvalid      int64
 	PortionsSkipped      int64
 	SynopsisHits         int64
-	ShardsPruned         int64
-	ShardRetries         int64
-	PartialResults       int64
-	ShardBytesMerged     int64
 	ResultCacheHits      int64
 	ResultCacheMisses    int64
 	QueriesCollapsed     int64
@@ -225,10 +201,6 @@ func (c *Counters) Snapshot() Snapshot {
 		SnapshotInvalid:      c.snapInvalidations.Load(),
 		PortionsSkipped:      c.portionsSkipped.Load(),
 		SynopsisHits:         c.synopsisHits.Load(),
-		ShardsPruned:         c.shardsPruned.Load(),
-		ShardRetries:         c.shardRetries.Load(),
-		PartialResults:       c.partialResults.Load(),
-		ShardBytesMerged:     c.shardBytesMerged.Load(),
 		ResultCacheHits:      c.resultCacheHits.Load(),
 		ResultCacheMisses:    c.resultCacheMisses.Load(),
 		QueriesCollapsed:     c.queriesCollapsed.Load(),
@@ -263,10 +235,6 @@ func (c *Counters) Reset() {
 	c.snapInvalidations.Store(0)
 	c.portionsSkipped.Store(0)
 	c.synopsisHits.Store(0)
-	c.shardsPruned.Store(0)
-	c.shardRetries.Store(0)
-	c.partialResults.Store(0)
-	c.shardBytesMerged.Store(0)
 	c.resultCacheHits.Store(0)
 	c.resultCacheMisses.Store(0)
 	c.queriesCollapsed.Store(0)
@@ -302,10 +270,6 @@ func (s Snapshot) Sub(prev Snapshot) Snapshot {
 		SnapshotInvalid:      s.SnapshotInvalid - prev.SnapshotInvalid,
 		PortionsSkipped:      s.PortionsSkipped - prev.PortionsSkipped,
 		SynopsisHits:         s.SynopsisHits - prev.SynopsisHits,
-		ShardsPruned:         s.ShardsPruned - prev.ShardsPruned,
-		ShardRetries:         s.ShardRetries - prev.ShardRetries,
-		PartialResults:       s.PartialResults - prev.PartialResults,
-		ShardBytesMerged:     s.ShardBytesMerged - prev.ShardBytesMerged,
 		ResultCacheHits:      s.ResultCacheHits - prev.ResultCacheHits,
 		ResultCacheMisses:    s.ResultCacheMisses - prev.ResultCacheMisses,
 		QueriesCollapsed:     s.QueriesCollapsed - prev.QueriesCollapsed,
@@ -321,7 +285,7 @@ func (s Snapshot) Add(o Snapshot) Snapshot {
 
 func (s Snapshot) String() string {
 	return fmt.Sprintf(
-		"raw=%dB internalR=%dB internalW=%dB splitR=%dB splitW=%dB rows=%d attrs=%d parsed=%d abandoned=%d pmHit=%d pmMiss=%d cacheHit=%d cacheMiss=%d evict=%d evictB=%dB snapR=%dB snapW=%dB snapHit=%d snapMiss=%d snapSpill=%d snapInvalid=%d portionsSkipped=%d synHit=%d shardsPruned=%d shardRetries=%d partialResults=%d shardMergedB=%dB resultHit=%d resultMiss=%d collapsed=%d",
+		"raw=%dB internalR=%dB internalW=%dB splitR=%dB splitW=%dB rows=%d attrs=%d parsed=%d abandoned=%d pmHit=%d pmMiss=%d cacheHit=%d cacheMiss=%d evict=%d evictB=%dB snapR=%dB snapW=%dB snapHit=%d snapMiss=%d snapSpill=%d snapInvalid=%d portionsSkipped=%d synHit=%d resultHit=%d resultMiss=%d collapsed=%d",
 		s.RawBytesRead, s.InternalBytesRead, s.InternalBytesWritten,
 		s.SplitBytesRead, s.SplitBytesWritten,
 		s.RowsTokenized, s.AttrsTokenized, s.ValuesParsed, s.RowsAbandoned,
@@ -330,7 +294,6 @@ func (s Snapshot) String() string {
 		s.SnapshotBytesRead, s.SnapshotBytesWritten,
 		s.SnapshotHits, s.SnapshotMisses, s.SnapshotSpills, s.SnapshotInvalid,
 		s.PortionsSkipped, s.SynopsisHits,
-		s.ShardsPruned, s.ShardRetries, s.PartialResults, s.ShardBytesMerged,
 		s.ResultCacheHits, s.ResultCacheMisses, s.QueriesCollapsed)
 }
 

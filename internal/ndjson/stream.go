@@ -1,17 +1,15 @@
-// Package ndjson writes the NDJSON result stream that nodbd's single-node
-// server and its cluster coordinator both serve on /v1/query/stream: a
-// header line, one JSON array per row, and a trailer line.
+// Package ndjson writes the NDJSON result stream nodbd serves on
+// /v1/query/stream: a header line, one JSON array per row, and a trailer
+// line.
 //
-// Rows are appended straight from their typed values onto one pending
-// buffer — boxed rows with storage.AppendJSONRow, column vectors with
-// storage.AppendJSONCols — under one write policy for both servers: the
-// first rows after the header go out at once, so the client holds an
-// answer as soon as there is one; after that the buffer is written
-// whenever it reaches maxPending (64 KiB), one Write and one Flush each.
-// A background ticker writes whatever is still pending every
-// FlushInterval, so rows that trickle out of a selective scan, or a merge
-// waiting on slow shards, reach the client promptly, and the trailer
-// writes the rest.
+// Rows are appended straight from their column vectors onto one pending
+// buffer with storage.AppendJSONCols, under one write policy: the first
+// rows after the header go out at once, so the client holds an answer as
+// soon as there is one; after that the buffer is written whenever it
+// reaches maxPending (64 KiB), one Write and one Flush each. A background
+// ticker writes whatever is still pending every FlushInterval, so rows
+// that trickle out of a selective scan reach the client promptly, and the
+// trailer writes the rest.
 package ndjson
 
 import (
@@ -100,26 +98,14 @@ func (s *Stream) Line(v any) error {
 	return s.writeLocked()
 }
 
-// Append encodes rows onto the pending buffer, one line each, under one
-// lock acquisition, and writes the buffer out per the stream's policy. A
-// row holding a value JSON cannot represent (a NaN or infinite float)
-// stops the batch with a *json.UnsupportedValueError; the rows before it
-// stay pending, so a trailer written next follows them exactly as if
-// they had been written one by one.
-func (s *Stream) Append(rows ...[]storage.Value) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for _, row := range rows {
-		var err error
-		if s.pending, err = storage.AppendJSONRow(s.pending, row); err != nil {
-			return err
-		}
-	}
-	return s.appendedLocked()
-}
-
-// AppendCols is Append for n rows of column vectors (see
-// storage.AppendJSONCols), with the same error semantics.
+// AppendCols encodes n rows of column vectors (see
+// storage.AppendJSONCols) onto the pending buffer, one line each, under
+// one lock acquisition, and applies the write policy: the first rows go
+// out at once, later ones once the buffer is full. A row holding a value
+// JSON cannot represent (a NaN or infinite float) stops the batch with a
+// *json.UnsupportedValueError; the rows before it stay pending, so a
+// trailer written next follows them exactly as if they had been written
+// one by one. It returns the first write error the stream has seen.
 func (s *Stream) AppendCols(cols []*storage.DenseColumn, sel []int32, n int) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -127,13 +113,6 @@ func (s *Stream) AppendCols(cols []*storage.DenseColumn, sel []int32, n int) err
 	if s.pending, err = storage.AppendJSONCols(s.pending, cols, sel, n); err != nil {
 		return err
 	}
-	return s.appendedLocked()
-}
-
-// appendedLocked applies the write policy after rows were appended: the
-// first rows go out at once, later ones once the buffer is full. It
-// returns the first write error the stream has seen.
-func (s *Stream) appendedLocked() error {
 	if s.rowsOut && len(s.pending) < maxPending {
 		return s.err
 	}

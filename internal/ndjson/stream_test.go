@@ -52,12 +52,17 @@ func (r *recorder) snapshot() (body string, writes, flushes int) {
 	return r.body.String(), r.writes, r.flushes
 }
 
-func intRow(vs ...int64) []storage.Value {
-	row := make([]storage.Value, len(vs))
-	for i, v := range vs {
-		row[i] = storage.IntValue(v)
+// appendInts appends rows of int64 values through AppendCols: one
+// column vector per attribute, no selection vector.
+func appendInts(s *Stream, rows ...[]int64) error {
+	cols := make([]*storage.DenseColumn, len(rows[0]))
+	for c := range cols {
+		cols[c] = storage.NewDense(schema.Int64, len(rows))
+		for _, row := range rows {
+			cols[c].Ints = append(cols[c].Ints, row[c])
+		}
 	}
-	return row
+	return s.AppendCols(cols, nil, len(rows))
 }
 
 func TestStreamFraming(t *testing.T) {
@@ -70,10 +75,10 @@ func TestStreamFraming(t *testing.T) {
 	if err := s.Line(map[string][]string{"columns": {"a<b", "c"}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(intRow(1, 2), intRow(3, 4)); err != nil {
+	if err := appendInts(s, []int64{1, 2}, []int64{3, 4}); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Append(intRow(5, 6)); err != nil {
+	if err := appendInts(s, []int64{5, 6}); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Line(map[string]int{"stats": 7}); err != nil {
@@ -91,19 +96,19 @@ func TestStreamFraming(t *testing.T) {
 }
 
 // TestStreamTickerDrainsPending: rows appended after the first, short of
-// a full buffer, reach the client once the ticker fires — the
-// coordinator's merge relies on this.
+// a full buffer, reach the client once the ticker fires — a selective
+// scan that yields rows slowly relies on this.
 func TestStreamTickerDrainsPending(t *testing.T) {
 	rec := newRecorder()
 	s := Start(rec)
 	defer s.Close()
-	if err := s.Append(intRow(41)); err != nil {
+	if err := appendInts(s, []int64{41}); err != nil {
 		t.Fatal(err)
 	}
 	if body, writes, _ := rec.snapshot(); body != "[41]\n" || writes != 1 {
 		t.Fatalf("first row: body %q after %d writes, want it written at once", body, writes)
 	}
-	if err := s.Append(intRow(42)); err != nil {
+	if err := appendInts(s, []int64{42}); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(20 * FlushInterval)
@@ -115,26 +120,6 @@ func TestStreamTickerDrainsPending(t *testing.T) {
 			t.Fatal("pending row never written by the ticker")
 		}
 		time.Sleep(5 * time.Millisecond)
-	}
-}
-
-// TestStreamUnsupportedValue: a NaN stops the batch at that row; the rows
-// before it go out ahead of the trailer, exactly as a row-by-row encoder
-// would have written them.
-func TestStreamUnsupportedValue(t *testing.T) {
-	rec := newRecorder()
-	s := Start(rec)
-	defer s.Close()
-	bad := []storage.Value{storage.IntValue(2), storage.FloatValue(math.NaN())}
-	err := s.Append(intRow(1), bad, intRow(3))
-	if err == nil || err.Error() != "json: unsupported value: NaN" {
-		t.Fatalf("Append = %v, want the unsupported-value error", err)
-	}
-	if err := s.Line(map[string]string{"error": err.Error()}); err != nil {
-		t.Fatal(err)
-	}
-	if body, _, _ := rec.snapshot(); body != "[1]\n{\"error\":\"json: unsupported value: NaN\"}\n" {
-		t.Fatalf("body %q", body)
 	}
 }
 
@@ -169,9 +154,9 @@ func TestStreamPendingBound(t *testing.T) {
 	rec := newRecorder()
 	s := Start(rec)
 	defer s.Close()
-	row := []storage.Value{storage.StringValue(strings.Repeat("x", 1000))}
+	col := []*storage.DenseColumn{{Typ: schema.String, Strs: []string{strings.Repeat("x", 1000)}}}
 	for i := 0; i < 3*maxPending/1000; i++ {
-		if err := s.Append(row); err != nil {
+		if err := s.AppendCols(col, nil, 1); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -188,7 +173,7 @@ func TestStreamWriteErrorSticks(t *testing.T) {
 	if err := s.Line(map[string]int{"x": 1}); err == nil {
 		t.Fatal("Line on a dead client returned nil")
 	}
-	if err := s.Append(intRow(1)); err == nil {
-		t.Fatal("Append after a write error returned nil")
+	if err := appendInts(s, []int64{1}); err == nil {
+		t.Fatal("AppendCols after a write error returned nil")
 	}
 }

@@ -65,7 +65,8 @@ func (in *fuzzInput) offsets(start int64, n int, salt int64) []int64 {
 // run written by writers split at random seams), LoadColumn and Drop, and
 // after every step compares Lookup, Offsets, Pairs, Covers and Entries
 // with a map[int64]int64 per column, and MemSize with both the
-// accountant's bytes and the sum of the map's slots and blocks.
+// accountant's bytes and the sum of the map's slots, blocks and coverage
+// intervals.
 func FuzzPosMap(f *testing.F) {
 	f.Add([]byte{1, 0, 0, 0, 8, 0, 0, 0})
 	f.Add([]byte{2, 1, 0, 0, 12, 0, 1, 0, 3, 2, 0, 0, 0, 0, 0, 0, 9, 0, 0, 1, 0, 0, 7})
@@ -211,9 +212,9 @@ func checkFuzz(m *Map, acct *fuzzAcct, model map[int]map[int64]int64, in *fuzzIn
 	return ""
 }
 
-// blockBytes sums m's column slots, block index slots and blocks, and
-// checks each sealed block against its column's coverage: its recorded
-// rows are exactly its first len(res).
+// blockBytes sums m's column slots, block index slots, blocks and
+// coverage intervals, and checks each sealed block against its column's
+// coverage: its recorded rows are exactly its first len(res).
 func blockBytes(m *Map) int64 {
 	m.mu.RLock()
 	defer m.mu.RUnlock()
@@ -222,7 +223,7 @@ func blockBytes(m *Map) int64 {
 		if c == nil {
 			continue
 		}
-		n += 8 * int64(len(c.blocks))
+		n += 8*int64(len(c.blocks)) + intervalCost*int64(c.cov.Len())
 		for bi, b := range c.blocks {
 			if b == nil {
 				continue

@@ -40,8 +40,10 @@
 // wide one. A block adds its head (a sealed block's base and stride, 16 B;
 // another's base, 8 B) and an 8 B slot in the column's block index: 2.02 B
 // per row of a sealed column, 4.02 B of a narrow one, and up to 4 KiB for
-// a scattered row that is the first recorded in its block. MemSize, and
-// what the Accountant hears, is that footprint, with the block and column
+// a scattered row that is the first recorded in its block. Each interval
+// of a column's coverage set adds 48 B: one per column after a column
+// load, one per scattered row after a selective pass. MemSize, and what
+// the Accountant hears, is that footprint, with the block and column
 // indexes counted by the slots in use, so it is a function of what the
 // map holds: a cold load, a Refresh tail and a warm restart that hold the
 // same positions hold the same bytes. The budget cuts whole blocks.
@@ -83,6 +85,10 @@ const (
 	window     = 1 << 31         // a narrow block's base sits this far below its first offset
 	narrowCost = 8 + 4*blockRows // a narrow block's base and deltas
 	sealedHead = 16              // a sealed block's base and stride
+	// intervalCost is one interval of a column's coverage set: an AVL
+	// node of 40 B (the interval, two children, a height), allocated in
+	// Go's 48 B size class.
+	intervalCost = 48
 )
 
 // Accountant receives the map's byte footprint and usage signals; the
@@ -307,7 +313,13 @@ func (m *Map) putLocked(col int, start int64, offs []int64) int {
 		if fresh {
 			cost += b.cost()
 		}
-		room := m.maxBytes - m.bytes - added - cost
+		// The segment adds at most one interval to the coverage set, and
+		// none when it touches one already there.
+		hi := row + int64(len(seg))
+		room := m.maxBytes - m.bytes - added - cost - intervalCost
+		if room < 0 && c.touches(row, hi) {
+			room += intervalCost
+		}
 		d, ok := int64(0), room >= 0
 		if !fresh || b.res == nil { // a fresh sealed block holds seg already
 			d, ok = b.put(s, seg, room)
@@ -317,9 +329,11 @@ func (m *Map) putLocked(col int, start int64, offs []int64) int {
 		}
 		blocks[bi], c.blocks = b, blocks
 		added += cost + d
-		c.cov.Add(intervals.Interval{Lo: row, Hi: row + int64(len(seg))})
+		ivs := c.cov.Len()
+		c.cov.Add(intervals.Interval{Lo: row, Hi: hi})
+		added += int64(c.cov.Len()-ivs) * intervalCost
 		if b.res == nil {
-			if k := c.prefix(bi, row+int64(len(seg))); k > 0 {
+			if k := c.prefix(bi, hi); k > 0 {
 				added += b.seal(k)
 			}
 		}
@@ -330,6 +344,12 @@ func (m *Map) putLocked(col int, start int64, offs []int64) int {
 		m.charge(added)
 	}
 	return n
+}
+
+// touches reports whether rows [lo, hi) overlap or adjoin an interval at
+// either end, so that recording them adds no interval to the coverage.
+func (c *colMap) touches(lo, hi int64) bool {
+	return c.cov.Contains(lo-1) || c.cov.Contains(lo) || c.cov.Contains(hi)
 }
 
 // prefix returns k when block bi's recorded rows are exactly its first k,
@@ -604,7 +624,7 @@ func (m *Map) InstallRun(col int, r *Run, n int64) {
 	defer m.mu.Unlock()
 	if col >= 0 && int64(col) < m.maxBytes/8 && m.colLocked(col) == nil {
 		cols, cost := grow(m.cols, col+1, col+1)
-		cost += 8 * int64(len(c.blocks))
+		cost += 8*int64(len(c.blocks)) + intervalCost
 		for _, b := range c.blocks {
 			cost += b.cost()
 		}

@@ -119,10 +119,10 @@ func TestRecordRunMatchesRecord(t *testing.T) {
 		}
 	}
 	// Rows 200..5199 fill blocks 0..5, and every map uses 5 column slots
-	// (for col 4) and 6 index slots. Each seals the blocks it covers from
-	// their first row, 1..4 whole and 5's first 80 rows, whether one write
-	// or many left them covered.
-	want := int64(5*8+6*8+narrowCost) + 4*sealedCost(blockRows) + sealedCost(80)
+	// (for col 4), 6 index slots and one coverage interval. Each seals the
+	// blocks it covers from their first row, 1..4 whole and 5's first 80
+	// rows, whether one write or many left them covered.
+	want := int64(5*8+6*8+narrowCost+intervalCost) + 4*sealedCost(blockRows) + sealedCost(80)
 	for name, m := range map[string]*Map{"bulk": bulk, "single": single, "rows": rowsMap} {
 		if got := m.MemSize(); got != want {
 			t.Fatalf("%s MemSize = %d, want %d", name, got, want)
@@ -134,13 +134,14 @@ func TestRecordRunMatchesRecord(t *testing.T) {
 // fit the budget, and later growth adds nothing; writes into blocks
 // already allocated still land.
 func TestRecordRunBudgetCut(t *testing.T) {
-	// Column 0: one column slot, two index slots, two sealed blocks.
-	col0 := 8 + 2*8 + 2*sealedCost(blockRows)
-	// Column 1 (3000 rows): a second column slot, two index slots and two
-	// sealed blocks fit; the tail block (952 rows) does not, and neither
-	// does a third column of one row.
-	full := col0 + 8 + 2*8 + 2*sealedCost(blockRows)
-	budget := full + 8 + 8 + sealedCost(1) - 1
+	// Column 0: one column slot, two index slots, two sealed blocks and
+	// one coverage interval.
+	col0 := 8 + 2*8 + 2*sealedCost(blockRows) + intervalCost
+	// Column 1 (3000 rows): a second column slot, two index slots, two
+	// sealed blocks and an interval fit; the tail block (952 rows) does
+	// not, and neither does a third column of one row.
+	full := col0 + 8 + 2*8 + 2*sealedCost(blockRows) + intervalCost
+	budget := full + 8 + 8 + sealedCost(1) + intervalCost - 1
 	m := New(budget, nil)
 	m.RecordRun(0, 0, seqOffs(2*blockRows, 0))
 	if got := m.MemSize(); got != col0 {
@@ -198,8 +199,9 @@ func TestRecordRunOverlapMerges(t *testing.T) {
 		t.Fatalf("merged pairs wrong: %d rows, offs[0]=%d offs[50]=%d", len(rows), offs[0], offs[50])
 	}
 	// One column slot, one index slot, one block, sealed by the run that
-	// left its first 100 rows covered.
-	if m.MemSize() != 8+8+sealedCost(100) || !m.Covers(0, 0, 100) {
+	// left its first 100 rows covered, and the one interval the run
+	// merged the ten scattered rows' intervals into.
+	if m.MemSize() != 8+8+sealedCost(100)+intervalCost || !m.Covers(0, 0, 100) {
 		t.Fatalf("MemSize = %d, covers=%v", m.MemSize(), m.Covers(0, 0, 100))
 	}
 }
@@ -223,13 +225,14 @@ func TestRecordInOrderAllocFree(t *testing.T) {
 }
 
 // TestBudget: the budget caps allocations, not entries. Row 1's write
-// takes a column slot, an index slot and a block, and leaves exactly the
-// room of a wide escape. Row 2000 needs a new block and is dropped; row 3
-// lands in the block already allocated (rows 1 and 3 are no run from the
-// block's first row, so the block stays narrow).
+// takes a column slot, an index slot, a block and a coverage interval,
+// and leaves exactly the room of a wide escape and three more intervals.
+// Row 2000 needs a new block and is dropped; row 3 lands in the block
+// already allocated, at the cost of its interval (rows 1 and 3 are no run
+// from the block's first row, so the block stays narrow).
 func TestBudget(t *testing.T) {
-	const used = 8 + 8 + narrowCost
-	m := New(used+4*blockRows, nil)
+	const used = 8 + 8 + narrowCost + intervalCost
+	m := New(used+4*blockRows+3*intervalCost, nil)
 	m.RecordRun(0, 1, []int64{10})
 	if m.MemSize() != used {
 		t.Fatalf("MemSize = %d, want %d", m.MemSize(), used)
@@ -242,8 +245,8 @@ func TestBudget(t *testing.T) {
 	if off, ok := m.Lookup(0, 3); !ok || off != 5 {
 		t.Errorf("record into an allocated slot = %d, %v", off, ok)
 	}
-	if m.Entries() != 2 || m.MemSize() != used {
-		t.Errorf("Entries = %d, MemSize = %d, want 2, %d", m.Entries(), m.MemSize(), used)
+	if m.Entries() != 2 || m.MemSize() != used+intervalCost {
+		t.Errorf("Entries = %d, MemSize = %d, want 2, %d", m.Entries(), m.MemSize(), used+intervalCost)
 	}
 	// A run the budget cuts does not end a RecordRows: row 7, after the
 	// dropped row 2001, still lands in the block already allocated.
@@ -251,8 +254,8 @@ func TestBudget(t *testing.T) {
 	if off, ok := m.Lookup(0, 7); !ok || off != 70 {
 		t.Errorf("row after a cut run = %d, %v", off, ok)
 	}
-	if _, ok := m.Lookup(0, 2001); ok || m.Entries() != 4 || m.MemSize() != used {
-		t.Errorf("Entries = %d, MemSize = %d, want 4, %d", m.Entries(), m.MemSize(), used)
+	if _, ok := m.Lookup(0, 2001); ok || m.Entries() != 4 || m.MemSize() != used+3*intervalCost {
+		t.Errorf("Entries = %d, MemSize = %d, want 4, %d", m.Entries(), m.MemSize(), used+3*intervalCost)
 	}
 }
 
@@ -438,8 +441,9 @@ func TestRecordInterleavedBulk(t *testing.T) {
 		}
 	}
 	// One column slot, 118 index slots in use and 118 blocks, each sealed
-	// once the wide pass covered it: 117 whole and the last's 192 rows.
-	if got, want := m.MemSize(), int64(8+118*8)+117*sealedCost(blockRows)+sealedCost(n-117*blockRows); got != want {
+	// once the wide pass covered it: 117 whole and the last's 192 rows,
+	// and the one interval the wide pass left.
+	if got, want := m.MemSize(), int64(8+118*8+intervalCost)+117*sealedCost(blockRows)+sealedCost(n-117*blockRows); got != want {
 		t.Fatalf("MemSize = %d, want %d", got, want)
 	}
 }
@@ -471,8 +475,9 @@ func TestRecordOutOfOrderVisibleToReaders(t *testing.T) {
 	if off, _ := m.Lookup(2, 5); off != 51 {
 		t.Fatalf("overwrite lost: %d", off)
 	}
-	// Three column slots (col 2), one index slot and one block.
-	if got, want := m.MemSize(), int64(3*8+8+narrowCost); got != want {
+	// Three column slots (col 2), one index slot, one block and the
+	// three rows' intervals.
+	if got, want := m.MemSize(), int64(3*8+8+narrowCost+3*intervalCost); got != want {
 		t.Fatalf("MemSize = %d, want %d", got, want)
 	}
 }
@@ -512,7 +517,7 @@ func TestInstallRun(t *testing.T) {
 		if m.MemSize() != want.MemSize() {
 			t.Fatalf("%s: MemSize = %d, RecordRun's = %d", tc.name, m.MemSize(), want.MemSize())
 		}
-		if got, want := m.MemSize(), 8+3*8+2*sealedCost(blockRows)+sealedCost(n-2*blockRows); got != want {
+		if got, want := m.MemSize(), 8+3*8+2*sealedCost(blockRows)+sealedCost(n-2*blockRows)+intervalCost; got != want {
 			t.Fatalf("%s: MemSize = %d, want %d: every block sealed", tc.name, got, want)
 		}
 	}
@@ -531,7 +536,7 @@ func TestInstallRun(t *testing.T) {
 	if off, ok := m.Lookup(0, 5); !ok || off != 1<<33 {
 		t.Fatalf("Lookup(5) = %d,%v, want %d", off, ok, int64(1)<<33)
 	}
-	if got, want := m.MemSize(), 8+3*8+narrowCost+4*blockRows+sealedCost(blockRows)+sealedCost(n-2*blockRows); got != want {
+	if got, want := m.MemSize(), 8+3*8+narrowCost+4*blockRows+sealedCost(blockRows)+sealedCost(n-2*blockRows)+intervalCost; got != want {
 		t.Fatalf("MemSize = %d, want %d: block 0 wide, the others sealed", got, want)
 	}
 
@@ -612,7 +617,7 @@ func TestLoadColumn(t *testing.T) {
 	if !slices.Equal(gr, rows) || !slices.Equal(gw, offs) || m.MemSize() != src.MemSize() {
 		t.Fatalf("restored %d pairs in %d bytes, want %d in %d", len(gr), m.MemSize(), len(rows), src.MemSize())
 	}
-	if got, want := m.MemSize(), 8+4*8+2*sealedCost(blockRows)+sealedCost(3000-2*blockRows)+narrowCost; got != want {
+	if got, want := m.MemSize(), 8+4*8+2*sealedCost(blockRows)+sealedCost(3000-2*blockRows)+narrowCost+2*intervalCost; got != want {
 		t.Fatalf("MemSize = %d, want %d", got, want)
 	}
 	m.LoadColumn(0, []int64{7000}, []int64{1})
@@ -667,6 +672,33 @@ func TestMemSizeMatchesHeap(t *testing.T) {
 	}
 }
 
+// TestMemSizeScatteredMatchesHeap: a selective pass's scattered rows, one
+// coverage interval each, cost what the heap grows by, within 10 %: the
+// intervals are charged, not only the blocks.
+func TestMemSizeScatteredMatchesHeap(t *testing.T) {
+	const n = 500_000
+	rows := make([]int64, 0, n/10)
+	offs := make([]int64, 0, n/10)
+	for r := int64(0); r < n; r += 10 {
+		rows, offs = append(rows, r), append(offs, r*37)
+	}
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	m := New(0, nil)
+	m.RecordRows(0, rows, offs)
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(rows)
+	runtime.KeepAlive(offs)
+	heap := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+	got := m.MemSize()
+	runtime.KeepAlive(m)
+	if d := got - heap; d > heap/10 || -d > heap/10 {
+		t.Fatalf("MemSize = %d, live heap grew by %d: off by more than 10 %%", got, heap)
+	}
+}
+
 // TestWideEscapeEdges: offsets at the edges of a block's narrow window
 // keep their exact value, and the escape is charged its wide slots. Row
 // 0's offset sets the block's base 2 GiB below it.
@@ -693,9 +725,9 @@ func TestWideEscapeEdges(t *testing.T) {
 		if _, ok := m.Lookup(0, 3); ok {
 			t.Fatalf("offset %d: unrecorded row 3 found", c.off)
 		}
-		// A column slot, an index slot and a block, whose escape to the
-		// wide layout doubles its slots' bytes.
-		want := int64(8 + 8 + narrowCost)
+		// A column slot, an index slot, a block, whose escape to the wide
+		// layout doubles its slots' bytes, and the two rows' intervals.
+		want := int64(8 + 8 + narrowCost + 2*intervalCost)
 		if c.wide {
 			want += 4 * blockRows
 		}

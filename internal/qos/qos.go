@@ -53,10 +53,7 @@ func (t Tenant) weight() float64 {
 // ctxKey is the private context-key namespace.
 type ctxKey int
 
-const (
-	tenantCtxKey ctxKey = iota
-	apiKeyCtxKey
-)
+const tenantCtxKey ctxKey = 0
 
 // WithTenant returns a context carrying the resolved tenant name; the
 // engine attributes governed structures and the result cache's accounting
@@ -72,21 +69,6 @@ func WithTenant(ctx context.Context, name string) context.Context {
 func TenantFrom(ctx context.Context) string {
 	name, _ := ctx.Value(tenantCtxKey).(string)
 	return name
-}
-
-// WithAPIKey returns a context carrying the raw API key, for forwarding a
-// caller's identity to downstream shards.
-func WithAPIKey(ctx context.Context, key string) context.Context {
-	if key == "" {
-		return ctx
-	}
-	return context.WithValue(ctx, apiKeyCtxKey, key)
-}
-
-// APIKeyFrom returns the raw API key carried by ctx ("" when absent).
-func APIKeyFrom(ctx context.Context) string {
-	key, _ := ctx.Value(apiKeyCtxKey).(string)
-	return key
 }
 
 // Registry resolves API keys to tenants. The zero value is unusable; build

@@ -231,14 +231,11 @@ func TestParseTenantSpec(t *testing.T) {
 }
 
 func TestContextPlumbing(t *testing.T) {
-	ctx := WithAPIKey(WithTenant(t.Context(), "acme"), "secret")
+	ctx := WithTenant(t.Context(), "acme")
 	if got := TenantFrom(ctx); got != "acme" {
 		t.Fatalf("TenantFrom = %q", got)
 	}
-	if got := APIKeyFrom(ctx); got != "secret" {
-		t.Fatalf("APIKeyFrom = %q", got)
-	}
-	if TenantFrom(t.Context()) != "" || APIKeyFrom(t.Context()) != "" {
+	if TenantFrom(t.Context()) != "" {
 		t.Fatal("bare context leaked an identity")
 	}
 	if WithTenant(t.Context(), "") != t.Context() {

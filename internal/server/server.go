@@ -25,7 +25,6 @@
 //	                                                             rows are folded in incrementally
 //	GET  /v1/schema?table=name                                -> detected schema
 //	GET  /v1/stats                                            -> engine + server counters
-//	GET  /v1/cluster/synopsis                                 -> scan synopses for coordinator pruning
 //	GET  /healthz, /readyz                                    -> probes (unversioned)
 //
 // Every response echoes the request's X-Request-Id header (generating one
@@ -60,7 +59,6 @@ import (
 	"time"
 
 	"nodb"
-	"nodb/internal/cluster"
 	"nodb/internal/core"
 	"nodb/internal/errs"
 	"nodb/internal/metrics"
@@ -144,7 +142,7 @@ type Server struct {
 	closeOnce  sync.Once
 
 	// ready flips once the operator has linked all tables; /readyz serves
-	// 503 until then so a coordinator doesn't route queries at a node
+	// 503 until then so a load balancer doesn't route queries at a node
 	// still attaching files.
 	ready atomic.Bool
 
@@ -221,7 +219,6 @@ func New(cfg Config) *Server {
 	s.mux.Handle("POST /v1/tables/{name}/refresh", s.wrap(s.handleTableRefresh))
 	s.route("/schema", s.handleSchema)
 	s.route("/stats", s.handleStats)
-	s.route("/cluster/synopsis", s.handleClusterSynopsis)
 	s.mux.Handle("/healthz", s.wrap(s.handleHealthz))
 	s.mux.Handle("/readyz", s.wrap(s.handleReadyz))
 	if cfg.SnapshotInterval > 0 {
@@ -464,8 +461,7 @@ type errorBody struct {
 // streamError is the NDJSON in-band trailer for a query that dies
 // mid-stream. It keeps the flat {"error": "..."} shape (headers are gone
 // by then, so this is a line in a row stream, not an HTTP error body) —
-// stream consumers, including the cluster coordinator's merge path,
-// parse it positionally.
+// stream consumers parse it positionally.
 type streamError struct {
 	Error string `json:"error"`
 }
@@ -690,11 +686,6 @@ func (s *Server) queryContext(r *http.Request, req queryRequest, tenant string) 
 		timeout = s.cfg.MaxTimeout
 	}
 	ctx := qos.WithTenant(r.Context(), tenant)
-	if key := r.Header.Get("X-API-Key"); key != "" {
-		// Stash the raw key too, so a coordinator forwards the caller's
-		// identity to its shards instead of its own.
-		ctx = qos.WithAPIKey(ctx, key)
-	}
 	if timeout > 0 {
 		return context.WithTimeout(ctx, timeout)
 	}
@@ -1142,9 +1133,9 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 // moment the process is up, /readyz only after MarkReady.
 func (s *Server) MarkReady() { s.ready.Store(true) }
 
-// handleReadyz is the readiness probe coordinators use for shard
-// admission: 503 while starting (tables still linking), 200 with the
-// linked table set once MarkReady has been called.
+// handleReadyz is the readiness probe a load balancer uses to admit this
+// node: 503 while starting (tables still linking), 200 with the linked
+// table set once MarkReady has been called.
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if !s.ready.Load() {
 		writeJSON(w, http.StatusServiceUnavailable, map[string]string{"status": "starting"})
@@ -1158,25 +1149,4 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 		Status string   `json:"status"`
 		Tables []string `json:"tables"`
 	}{Status: "ok", Tables: tables})
-}
-
-// handleClusterSynopsis exports every linked table's scan synopsis (the
-// per-portion zone maps), schema, and raw-file signature, for
-// coordinator-side shard pruning. Tables whose synopsis is incomplete
-// export with no portions — a coordinator can then bind names but not
-// prune, which is always safe.
-func (s *Server) handleClusterSynopsis(w http.ResponseWriter, r *http.Request) {
-	out := cluster.SynopsisResponse{Tables: map[string]cluster.TableSynopsis{}}
-	for _, name := range s.db.Tables() {
-		exp, err := s.db.TableSynopsis(name)
-		if err != nil {
-			continue
-		}
-		sch, err := s.db.Schema(name)
-		if err != nil {
-			continue
-		}
-		out.Tables[name] = cluster.EncodeTableSynopsis(exp, sch)
-	}
-	writeJSON(w, http.StatusOK, out)
 }

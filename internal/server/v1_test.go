@@ -59,6 +59,48 @@ func TestErrorEnvelope(t *testing.T) {
 	}
 }
 
+// TestNoClusterSynopsisRoute: nodbd serves one node, so the synopsis
+// export a scatter-gather coordinator once read is not a route.
+func TestNoClusterSynopsisRoute(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	resp, err := http.Get(ts.URL + "/v1/cluster/synopsis")
+	if err != nil {
+		t.Fatal(err)
+	}
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("GET /v1/cluster/synopsis = %d, want 404", resp.StatusCode)
+	}
+}
+
+// TestReadyzGatesOnMarkReady: /readyz answers 503 until MarkReady, so a
+// load balancer routes nothing at a node still attaching files, while
+// /healthz is live from the start.
+func TestReadyzGatesOnMarkReady(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	get := func(path string) int {
+		t.Helper()
+		resp, err := http.Get(ts.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp.StatusCode
+	}
+	if code := get("/readyz"); code != http.StatusServiceUnavailable {
+		t.Fatalf("/readyz before MarkReady = %d, want 503", code)
+	}
+	if code := get("/healthz"); code != http.StatusOK {
+		t.Fatalf("/healthz before MarkReady = %d, want 200", code)
+	}
+	s.MarkReady()
+	if code := get("/readyz"); code != http.StatusOK {
+		t.Fatalf("/readyz after MarkReady = %d, want 200", code)
+	}
+}
+
 func testRegistry(t *testing.T, reject bool) *qos.Registry {
 	t.Helper()
 	reg, err := qos.NewRegistry([]qos.Tenant{

@@ -404,25 +404,31 @@ func TestStoreSaveLoadInvalidate(t *testing.T) {
 }
 
 func TestStoreSpillRoundTrip(t *testing.T) {
-	s := NewStore(t.TempDir(), nil)
+	dir := t.TempDir()
+	s := NewStore(dir, nil)
 	s.Logf = func(string, ...any) {}
 	key := Key("t", "/x.csv")
 	want := &Table{Rows: 10, PosMap: []PosMapCol{{Col: 2, Rows: []int64{0, 1}, Offs: []int64{5, 11}}}}
-	if err := s.SaveSpill(key, "posmap", testSig(), want); err != nil {
+	if err := s.SaveSpill(key, testSig(), want); err != nil {
 		t.Fatal(err)
 	}
-	if !s.HasSpill(key, "posmap") {
+	// The file name is stable across versions, so a spill written by an
+	// earlier process still restores.
+	if _, err := os.Stat(filepath.Join(dir, key+".posmap.spill")); err != nil {
+		t.Fatalf("spill file not at <key>.posmap.spill: %v", err)
+	}
+	if !s.HasSpill(key) {
 		t.Fatal("spill not detected")
 	}
-	got := s.LoadSpill(key, "posmap", testSig())
+	got := s.LoadSpill(key, testSig())
 	if got == nil || len(got.PosMap) != 1 || got.PosMap[0].Offs[1] != 11 {
 		t.Fatalf("spill round trip: %+v", got)
 	}
 	// One-shot: the file is consumed by a successful load.
-	if s.HasSpill(key, "posmap") {
+	if s.HasSpill(key) {
 		t.Fatal("spill file survived its restore")
 	}
-	if got := s.LoadSpill(key, "posmap", testSig()); got != nil {
+	if got := s.LoadSpill(key, testSig()); got != nil {
 		t.Fatal("second load served data")
 	}
 	if st := s.Stats(); st.Spills != 1 || st.Hits != 1 {

@@ -22,7 +22,7 @@ import (
 // Layout, one file set per (table, raw-file-path) key:
 //
 //	<key>.snap           full snapshot (written on DB.Close / periodic flush)
-//	<key>.<what>.spill   one spilled structure (eviction's disk tier)
+//	<key>.posmap.spill   the spilled positional map (eviction's disk tier)
 //
 // One process per cache directory is assumed; concurrent engines sharing
 // a directory race benignly (rename is atomic, losers overwrite) but
@@ -136,9 +136,10 @@ func sanitize(name string) string {
 // SnapPath returns the full-snapshot path for key.
 func (s *Store) SnapPath(key string) string { return filepath.Join(s.dir, key+".snap") }
 
-// SpillPath returns the spill-file path for one structure of key.
-func (s *Store) SpillPath(key, what string) string {
-	return filepath.Join(s.dir, key+"."+what+".spill")
+// SpillPath returns the spill-file path of key's positional map, the one
+// structure eviction spills.
+func (s *Store) SpillPath(key string) string {
+	return filepath.Join(s.dir, key+".posmap.spill")
 }
 
 // save writes a snapshot stream atomically: temp file in the same
@@ -203,12 +204,12 @@ func (s *Store) Save(key string, sig Sig, t *Table) error {
 	return nil
 }
 
-// SaveSpill writes one evicted structure for key. Counted as a spill.
-func (s *Store) SaveSpill(key, what string, sig Sig, t *Table) error {
-	err := s.save(s.SpillPath(key, what), sig, t)
+// SaveSpill writes key's evicted positional map. Counted as a spill.
+func (s *Store) SaveSpill(key string, sig Sig, t *Table) error {
+	err := s.save(s.SpillPath(key), sig, t)
 	s.noteSaveResult(err)
 	if err != nil {
-		s.Logf("nodb/snapshot: spilling %s: %v", s.SpillPath(key, what), err)
+		s.Logf("nodb/snapshot: spilling %s: %v", s.SpillPath(key), err)
 		return err
 	}
 	s.spills.Add(1)
@@ -319,11 +320,11 @@ func (s *Store) CountCorrupt(key string, err error) {
 	s.Logf("nodb/snapshot: corrupt section in %s: %v (cold start for that structure)", s.SnapPath(key), err)
 }
 
-// LoadSpill decodes and removes one spilled structure. A missing file
-// returns nil silently (no spill outstanding is the common case); stale
-// or corrupt files are invalidated.
-func (s *Store) LoadSpill(key, what string, sig Sig) *Table {
-	path := s.SpillPath(key, what)
+// LoadSpill decodes and removes key's spilled positional map. A missing
+// file returns nil silently (no spill outstanding is the common case);
+// stale or corrupt files are invalidated.
+func (s *Store) LoadSpill(key string, sig Sig) *Table {
+	path := s.SpillPath(key)
 	t, err := DecodeAllFS(s.FS, path, sig, s.onRead())
 	switch {
 	case err == nil:
@@ -341,15 +342,16 @@ func (s *Store) LoadSpill(key, what string, sig Sig) *Table {
 	}
 }
 
-// HasSpill reports whether a spill file exists for (key, what).
-func (s *Store) HasSpill(key, what string) bool {
-	_, err := s.fs().Stat(s.SpillPath(key, what))
+// HasSpill reports whether a spill file exists for key.
+func (s *Store) HasSpill(key string) bool {
+	_, err := s.fs().Stat(s.SpillPath(key))
 	return err == nil
 }
 
-// Remove deletes every file of key: the snapshot and all spills. Used
-// when the raw file changed (the files would self-invalidate anyway;
-// removing them reclaims the space now).
+// Remove deletes every file of key: the snapshot and all spills, older
+// *.splits.spill files included. Used when the raw file changed (the
+// files would self-invalidate anyway; removing them reclaims the space
+// now).
 func (s *Store) Remove(key string) {
 	fsys := s.fs()
 	fsys.Remove(s.SnapPath(key))

@@ -83,43 +83,6 @@ func (s *Synopsis) EstimateSkips(conj expr.Conjunction) (portions, skipped int) 
 	return portions, skipped
 }
 
-// SkippableAll reports whether every exported portion is provably
-// unsatisfiable under conj — i.e. the whole file holds no qualifying row.
-// This is the shard-pruning decision a cluster coordinator takes against a
-// cached synopsis export: true means the shard need not be contacted at
-// all. Conservative like Skip: an empty export, an empty conjunction, or a
-// portion lacking bounds for every predicate column all answer false.
-func SkippableAll(ps []PortionState, conj expr.Conjunction) bool {
-	if len(ps) == 0 || conj.Empty() {
-		return false
-	}
-	cols := conj.Columns()
-	for _, p := range ps {
-		skippable := false
-		for _, col := range cols {
-			var b ColBounds
-			found := false
-			for _, c := range p.Cols {
-				if c.Col == col {
-					b, found = c, true
-					break
-				}
-			}
-			if !found {
-				continue
-			}
-			if !satisfiable(conj.OnColumn(col), b) {
-				skippable = true
-				break
-			}
-		}
-		if !skippable {
-			return false
-		}
-	}
-	return true
-}
-
 // satisfiable reports whether some value within b could satisfy every
 // predicate in preds. It tests each predicate independently (a joint
 // violation merely misses a skip, never causes one) and answers true

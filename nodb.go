@@ -32,7 +32,6 @@ import (
 	"nodb/internal/schema"
 	"nodb/internal/snapshot"
 	"nodb/internal/storage"
-	"nodb/internal/synopsis"
 	"nodb/internal/vfs"
 )
 
@@ -198,13 +197,6 @@ var (
 	ErrDiskFull = errs.ErrDiskFull
 	// ErrFileShrunk marks a raw file that got shorter mid-scan.
 	ErrFileShrunk = errs.ErrFileShrunk
-	// ErrShardUnavailable marks a cluster shard that exhausted its
-	// retry budget; with AllowPartial the coordinator reports it in
-	// the trailer instead of failing the query.
-	ErrShardUnavailable = errs.ErrShardUnavailable
-	// ErrCircuitOpen marks a shard request refused locally because
-	// that shard's circuit breaker is open.
-	ErrCircuitOpen = errs.ErrCircuitOpen
 )
 
 // QueryStats is the per-query work accounting attached to results.
@@ -492,24 +484,3 @@ type IngestStats = catalog.IngestStats
 // prefix/tail checksums that certify prefix-stable growth.
 type Signature = catalog.Signature
 
-// SynopsisExport is one table's exported scan synopsis: the learned
-// portion layout with per-portion zone maps, plus the raw file's signature
-// so consumers can detect staleness.
-type SynopsisExport struct {
-	// Portions is the per-portion state; nil until a complete layout has
-	// been learned (no scan finished yet, or the synopsis was dropped).
-	Portions []synopsis.PortionState
-	// Signature identifies the raw file version the synopsis describes.
-	Signature catalog.Signature
-}
-
-// TableSynopsis exports a table's scan synopsis. Cluster coordinators use
-// it (via nodbd's /cluster/synopsis) to skip whole shards whose value
-// ranges provably cannot satisfy a query's predicates.
-func (db *DB) TableSynopsis(name string) (SynopsisExport, error) {
-	ps, sig, err := db.e.TableSynopsis(name)
-	if err != nil {
-		return SynopsisExport{}, err
-	}
-	return SynopsisExport{Portions: ps, Signature: sig}, nil
-}

@@ -19,20 +19,22 @@ import (
 )
 
 // Bytes of the positional map's parts: a column or block index slot, a
-// sealed block's base and stride and each of its residuals, and a narrow
-// block of 1024 uint32 deltas and its base.
+// sealed block's base and stride and each of its residuals, a narrow
+// block of 1024 uint32 deltas and its base, and one interval of a
+// column's coverage set.
 const (
 	pmSlot       = 8
 	pmSealedHead = 16
 	pmResidual   = 2
 	pmNarrow     = 8 + 4*1024
+	pmInterval   = 48
 )
 
 // sealedBytes is the map's size when cols columns, 0..cols-1, hold rows
-// positions each, every block sealed.
+// positions each, every block sealed and each column one interval.
 func sealedBytes(rows int64, cols int) int64 {
 	blocks := (rows + 1023) / 1024
-	return pmSlot*int64(cols) + int64(cols)*(blocks*(pmSlot+pmSealedHead)+pmResidual*rows)
+	return pmSlot*int64(cols) + int64(cols)*(blocks*(pmSlot+pmSealedHead)+pmResidual*rows+pmInterval)
 }
 
 // fieldOffsets reads the file offset of attribute col of every row of a
