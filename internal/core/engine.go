@@ -734,4 +734,3 @@ func (e *Engine) TableStats(name string) (TableStats, error) {
 	st.SynopsisPortions, st.SynopsisBounds = t.Syn.Stats()
 	return st, nil
 }
-

@@ -2,7 +2,6 @@ package exec
 
 import (
 	"math"
-	"sort"
 
 	"nodb/internal/sql"
 	"nodb/internal/storage"
@@ -61,29 +60,4 @@ func (a *aggState) result() storage.Value {
 type SortKey struct {
 	Index int
 	Desc  bool
-}
-
-// SortRows sorts result rows in place by the given keys.
-func SortRows(rows [][]storage.Value, keys []SortKey) {
-	sort.SliceStable(rows, func(i, j int) bool {
-		for _, k := range keys {
-			c := rows[i][k.Index].Compare(rows[j][k.Index])
-			if c == 0 {
-				continue
-			}
-			if k.Desc {
-				return c > 0
-			}
-			return c < 0
-		}
-		return false
-	})
-}
-
-// LimitRows truncates rows to at most n (n < 0 means no limit).
-func LimitRows(rows [][]storage.Value, n int) [][]storage.Value {
-	if n < 0 || n >= len(rows) {
-		return rows
-	}
-	return rows[:n]
 }

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"nodb/internal/expr"
@@ -10,6 +11,32 @@ import (
 	"nodb/internal/sql"
 	"nodb/internal/storage"
 )
+
+// SortRows sorts result rows in place by the given keys: the reference
+// SortOp and TopKOp are held to.
+func SortRows(rows [][]storage.Value, keys []SortKey) {
+	sort.SliceStable(rows, func(i, j int) bool {
+		for _, k := range keys {
+			c := rows[i][k.Index].Compare(rows[j][k.Index])
+			if c == 0 {
+				continue
+			}
+			if k.Desc {
+				return c > 0
+			}
+			return c < 0
+		}
+		return false
+	})
+}
+
+// LimitRows truncates rows to at most n (n < 0 means no limit).
+func LimitRows(rows [][]storage.Value, n int) [][]storage.Value {
+	if n < 0 || n >= len(rows) {
+		return rows
+	}
+	return rows[:n]
+}
 
 // mkSource builds a dense source from int columns.
 func mkSource(cols map[int][]int64) DenseSource {

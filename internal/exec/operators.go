@@ -14,10 +14,11 @@ import (
 // store's columns.
 type DenseScan struct {
 	opBase
-	src  DenseSource
-	tab  int
-	cols []int
-	win  *windows
+	src    DenseSource
+	tab    int
+	cols   []int
+	win    *windows
+	perRow int64 // internal bytes a scanned row charges: 8 per number, 24 per string column
 }
 
 // NewDenseScan builds a scan of cols (attribute indices) from src under
@@ -25,13 +26,19 @@ type DenseScan struct {
 func NewDenseScan(src DenseSource, tab int, cols []int, batchSize int) (*DenseScan, error) {
 	keys := make([]ColKey, len(cols))
 	srcs := make([]*storage.DenseColumn, len(cols))
+	var perRow int64
 	for j, c := range cols {
 		if srcs[j] = src.Columns[c]; srcs[j] == nil {
 			return nil, fmt.Errorf("exec: scan column %d not loaded", c)
 		}
 		keys[j] = ColKey{Tab: tab, Col: c}
+		if srcs[j].Typ == schema.String {
+			perRow += 24
+		} else {
+			perRow += 8
+		}
 	}
-	return &DenseScan{src: src, tab: tab, cols: cols, win: newWindows(keys, srcs, int(src.NumRows), batchSize)}, nil
+	return &DenseScan{src: src, tab: tab, cols: cols, perRow: perRow, win: newWindows(keys, srcs, int(src.NumRows), batchSize)}, nil
 }
 
 func (s *DenseScan) Name() string {
@@ -42,8 +49,8 @@ func (s *DenseScan) Close()               {}
 
 func (s *DenseScan) Next() (*Batch, error) {
 	b := s.win.next()
-	if b != nil {
-		s.src.countScanBytes(s.cols, int64(b.N))
+	if b != nil && s.src.Counters != nil {
+		s.src.Counters.AddInternalBytesRead(int64(b.N) * s.perRow)
 	}
 	return s.observe(b), nil
 }

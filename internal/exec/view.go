@@ -16,7 +16,6 @@ import (
 	"fmt"
 
 	"nodb/internal/metrics"
-	"nodb/internal/schema"
 	"nodb/internal/storage"
 )
 
@@ -81,22 +80,4 @@ type DenseSource struct {
 	// Counters, when non-nil, receives internal-read accounting for the
 	// bytes selections touch (reported in the query's work counters).
 	Counters *metrics.Counters
-}
-
-// countScanBytes charges the bytes a predicate scan touches.
-func (s DenseSource) countScanBytes(cols []int, rows int64) {
-	if s.Counters == nil {
-		return
-	}
-	var b int64
-	for _, c := range cols {
-		if d := s.Columns[c]; d != nil {
-			if d.Typ == schema.String {
-				b += rows * 24
-			} else {
-				b += rows * 8
-			}
-		}
-	}
-	s.Counters.AddInternalBytesRead(b)
 }

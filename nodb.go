@@ -483,4 +483,3 @@ type IngestStats = catalog.IngestStats
 // Signature identifies one version of a raw file: size, mtime, and the
 // prefix/tail checksums that certify prefix-stable growth.
 type Signature = catalog.Signature
-
