@@ -89,7 +89,8 @@ func SignFileFS(fsys vfs.FS, path string) (Signature, error) {
 	if size < pEnd {
 		pEnd = size
 	}
-	prefix, err := crcRange(f, 0, pEnd)
+	buf := make([]byte, sigProbeLen) // both probes read through it
+	prefix, err := crcRange(f, buf, 0, pEnd)
 	if err != nil {
 		return Signature{}, errs.Wrap(errs.ErrRawIO, "catalog sign", path, err)
 	}
@@ -97,7 +98,7 @@ func SignFileFS(fsys vfs.FS, path string) (Signature, error) {
 	if tStart < 0 {
 		tStart = 0
 	}
-	tail, err := crcRange(f, tStart, size)
+	tail, err := crcRange(f, buf, tStart, size)
 	if err != nil {
 		return Signature{}, errs.Wrap(errs.ErrRawIO, "catalog sign", path, err)
 	}
@@ -109,15 +110,15 @@ func SignFileFS(fsys vfs.FS, path string) (Signature, error) {
 	}, nil
 }
 
-// crcRange CRCs the bytes [off, end) of f. A file shrunk concurrently
-// yields a CRC over the shorter read — a signature that matches nothing,
-// which is the right failure mode.
-func crcRange(f vfs.File, off, end int64) (uint32, error) {
+// crcRange CRCs the bytes [off, end) of f, read into buf (at least
+// end-off bytes long). A file shrunk concurrently yields a CRC over the
+// shorter read — a signature that matches nothing, which is the right
+// failure mode.
+func crcRange(f vfs.File, buf []byte, off, end int64) (uint32, error) {
 	if end <= off {
 		return crc32.ChecksumIEEE(nil), nil
 	}
-	buf := make([]byte, end-off)
-	n, err := f.ReadAt(buf, off)
+	n, err := f.ReadAt(buf[:end-off], off)
 	if err != nil && err != io.EOF {
 		return 0, err
 	}
@@ -154,14 +155,15 @@ func GrownFromFS(fsys vfs.FS, path string, old Signature) (bool, error) {
 	if old.Size < pEnd {
 		pEnd = old.Size
 	}
-	if crc, err := crcRange(f, 0, pEnd); err != nil || crc != old.Prefix {
+	buf := make([]byte, sigProbeLen) // both probes read through it
+	if crc, err := crcRange(f, buf, 0, pEnd); err != nil || crc != old.Prefix {
 		return false, errs.Wrap(errs.ErrRawIO, "catalog grown", path, err)
 	}
 	tStart := old.Size - sigProbeLen
 	if tStart < 0 {
 		tStart = 0
 	}
-	if crc, err := crcRange(f, tStart, old.Size); err != nil || crc != old.Tail {
+	if crc, err := crcRange(f, buf, tStart, old.Size); err != nil || crc != old.Tail {
 		return false, errs.Wrap(errs.ErrRawIO, "catalog grown", path, err)
 	}
 	var last [1]byte

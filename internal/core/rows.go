@@ -104,6 +104,7 @@ type Rows struct {
 
 	// The current batch: output vectors in select-list order, its
 	// selection vector, live row count, and the current row's live index.
+	slots  []int // of OutKey(j) in the root's batches
 	vecs   []*storage.DenseColumn
 	sel    []int32
 	n      int
@@ -162,7 +163,7 @@ func (r *Rows) pull() error {
 		return err
 	}
 	for j := range r.vecs {
-		if r.vecs[j] = b.Col(exec.OutKey(j)); r.vecs[j] == nil {
+		if r.vecs[j] = b.ColAt(exec.OutKey(j), &r.slots[j]); r.vecs[j] == nil {
 			return fmt.Errorf("core: output column %d not in batch", j)
 		}
 	}
@@ -532,6 +533,7 @@ func (e *Engine) newRows(ctx context.Context, cols []string, before metrics.Snap
 		e:      e,
 		before: before,
 		timer:  timer,
+		slots:  make([]int, len(cols)),
 		vecs:   make([]*storage.DenseColumn, len(cols)),
 	}
 }

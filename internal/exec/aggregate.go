@@ -18,6 +18,7 @@ type AggSpec struct {
 // aggState accumulates one aggregate.
 type aggState struct {
 	spec  AggSpec
+	slot  int // of the input column in AggOp's batches
 	count int64
 	sumI  int64
 	sumF  float64

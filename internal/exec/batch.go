@@ -1,8 +1,7 @@
 package exec
 
 import (
-	"fmt"
-	"strings"
+	"strconv"
 
 	"nodb/internal/schema"
 	"nodb/internal/storage"
@@ -15,7 +14,7 @@ import (
 // (joins, sorts, group-bys) materialize.
 
 // DefaultBatchSize is the target rows per Batch. Large enough to amortize
-// per-batch overhead (virtual calls, map lookups, allocation) over ~1k
+// per-batch overhead (virtual calls, slot checks, allocation) over ~1k
 // rows, small enough that a batch's working set stays cache-resident.
 const DefaultBatchSize = 1024
 
@@ -28,21 +27,33 @@ const OutTab = -1
 // OutKey returns the ColKey of select-list output position i.
 func OutKey(i int) ColKey { return ColKey{Tab: OutTab, Col: i} }
 
+// outKeys returns OutKey(0), ..., OutKey(n-1).
+func outKeys(n int) []ColKey {
+	keys := make([]ColKey, n)
+	for i := range keys {
+		keys[i] = OutKey(i)
+	}
+	return keys
+}
+
 // Batch is a column-oriented packet of rows flowing between operators.
-// The vectors hold N positions; Sel, when non-nil, lists the positions
-// that are still alive (ascending). Filters record survivors in a Sel of
-// their own instead of copying values.
+// Vecs[i] is the vector of column Keys[i]; every vector holds N
+// positions. Sel, when non-nil, lists the positions that are still alive
+// (ascending). Filters record survivors in a Sel of their own instead of
+// copying values. A producer emits the same Keys, in the same order, in
+// every batch of its life.
 //
 // A batch belongs to the operator that produced it: it is valid until
-// that producer's next Next or Close, which may reuse its shell, column
-// map, selection vector and vectors for the following batch. A consumer
-// never writes through a batch it received, and one that keeps rows past
-// its child's next Next copies them (join builds, group-by keys, sorts,
-// the cursor's Row and the result-cache tee all do).
+// that producer's next Next or Close, which may reuse its shell, key and
+// vector slices, selection vector and vectors for the following batch. A
+// consumer never writes through a batch it received, and one that keeps
+// rows past its child's next Next copies them (join builds, group-by
+// keys, sorts, the cursor's Row and the result-cache tee all do).
 type Batch struct {
 	N    int
 	Sel  []int32
-	Cols map[ColKey]*storage.DenseColumn
+	Keys []ColKey
+	Vecs []*storage.DenseColumn
 }
 
 // Rows returns the number of live rows.
@@ -53,8 +64,25 @@ func (b *Batch) Rows() int {
 	return b.N
 }
 
-// Col returns the column vector for key, or nil.
-func (b *Batch) Col(k ColKey) *storage.DenseColumn { return b.Cols[k] }
+// Col returns the column vector for key, or nil, by a scan of the keys.
+func (b *Batch) Col(k ColKey) *storage.DenseColumn { return b.ColAt(k, new(int)) }
+
+// ColAt is Col for a consumer of one producer's batches, which keeps
+// *slot per key: it checks Keys[*slot] first, which costs one compare
+// while the producer keeps its layout, and scans the keys (recording the
+// new slot) only when that misses.
+func (b *Batch) ColAt(k ColKey, slot *int) *storage.DenseColumn {
+	if *slot < len(b.Keys) && b.Keys[*slot] == k {
+		return b.Vecs[*slot]
+	}
+	for i, bk := range b.Keys {
+		if bk == k {
+			*slot = i
+			return b.Vecs[i]
+		}
+	}
+	return nil
+}
 
 // OpStats counts what one operator emitted.
 type OpStats struct {
@@ -94,28 +122,26 @@ func (o *opBase) observe(b *Batch) *Batch {
 // ExplainTree renders the operator tree with per-operator batch/row
 // counters, one node per line, children indented under parents.
 func ExplainTree(root Operator) string {
-	var sb strings.Builder
-	var walk func(op Operator, depth int)
-	walk = func(op Operator, depth int) {
+	var b []byte
+	var walk func(op Operator, indent string)
+	walk = func(op Operator, indent string) {
 		st := op.Stats()
-		fmt.Fprintf(&sb, "%s%s  (batches=%d rows=%d)\n",
-			strings.Repeat("  ", depth), op.Name(), st.Batches, st.Rows)
+		b = append(append(append(b, indent...), op.Name()...), "  (batches="...)
+		b = append(strconv.AppendInt(b, st.Batches, 10), " rows="...)
+		b = append(strconv.AppendInt(b, st.Rows, 10), ")\n"...)
 		for _, c := range op.Children() {
-			walk(c, depth+1)
+			walk(c, indent+"  ")
 		}
 	}
-	walk(root, 0)
-	return sb.String()
-}
-
-func newColMap(n int) map[ColKey]*storage.DenseColumn {
-	return make(map[ColKey]*storage.DenseColumn, n)
+	walk(root, "")
+	return string(b)
 }
 
 // windows emits positions [0, n) of a fixed set of columns as zero-copy
-// windows of size rows through one reused batch: the shell, its column
-// map and the window headers are allocated once, so emitting costs no
-// allocation per batch.
+// windows of size rows through one reused batch: the shell, its key and
+// vector slices and the window headers are allocated once, and each batch
+// re-points every window's one typed slice in place, so emitting copies
+// no column header and costs no allocation.
 type windows struct {
 	b            Batch
 	srcs         []*storage.DenseColumn
@@ -127,10 +153,9 @@ func newWindows(keys []ColKey, srcs []*storage.DenseColumn, n, size int) *window
 	if size <= 0 {
 		size = DefaultBatchSize
 	}
-	w := &windows{b: Batch{Cols: newColMap(len(keys))}, srcs: srcs, wins: make([]storage.DenseColumn, len(srcs)), n: n, size: size}
-	for j, k := range keys {
-		w.wins[j].Typ = srcs[j].Typ
-		w.b.Cols[k] = &w.wins[j]
+	w := &windows{b: Batch{Keys: keys, Vecs: make([]*storage.DenseColumn, len(srcs))}, srcs: srcs, wins: make([]storage.DenseColumn, len(srcs)), n: n, size: size}
+	for j := range srcs {
+		w.b.Vecs[j] = &w.wins[j]
 	}
 	return w
 }
@@ -143,7 +168,7 @@ func (w *windows) next() *Batch {
 	lo := w.pos
 	w.pos = min(lo+w.size, w.n)
 	for j, c := range w.srcs {
-		w.wins[j] = c.Slice(lo, w.pos)
+		c.SliceInto(&w.wins[j], lo, w.pos)
 	}
 	w.b.N, w.b.Sel = w.pos-lo, nil
 	return &w.b
@@ -174,27 +199,38 @@ func appendAt(dst, src *storage.DenseColumn, i int) {
 	}
 }
 
+// pull calls f on each batch of op in turn until the end of its stream.
+func pull(op Operator, f func(*Batch) error) error {
+	for {
+		b, err := op.Next()
+		if err != nil || b == nil {
+			return err
+		}
+		if err := f(b); err != nil {
+			return err
+		}
+	}
+}
+
 // DrainView pulls op to exhaustion and compacts every batch into a single
 // View (selection vectors applied). The join build and the adaptive
 // store's covered reads use it.
 func DrainView(op Operator) (*View, error) {
 	v := NewView()
-	for {
-		b, err := op.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			return v, nil
-		}
+	err := pull(op, func(b *Batch) error {
 		v.n += b.Rows()
-		for k, c := range b.Cols {
+		for i, k := range b.Keys {
 			dst := v.Cols[k]
 			if dst == nil {
-				dst = storage.NewDense(c.Typ, b.Rows())
+				dst = storage.NewDense(b.Vecs[i].Typ, b.Rows())
 				v.AddCol(k, dst)
 			}
-			dst.AppendSelected(c, b.Sel, b.N)
+			dst.AppendSelected(b.Vecs[i], b.Sel, b.N)
 		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
+	return v, nil
 }

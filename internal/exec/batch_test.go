@@ -53,7 +53,7 @@ func drainRows(op Operator, arity int) ([][]storage.Value, error) {
 			return out, err
 		}
 		for j := range cols {
-			if cols[j] = b.Cols[OutKey(j)]; cols[j] == nil {
+			if cols[j] = b.Col(OutKey(j)); cols[j] == nil {
 				return nil, fmt.Errorf("output column %d not in batch", j)
 			}
 		}
@@ -599,6 +599,92 @@ func BenchmarkBatchPipeline(b *testing.B) {
 		agg := NewAggOp(NewFilterOp(scan, 0, conj), specs, []int{0})
 		if _, err := drainRows(agg, 1); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// TestExplainTreeText pins the rendering of a multi-node tree with two
+// children under one node, byte for byte.
+func TestExplainTreeText(t *testing.T) {
+	left := mkSource(map[int][]int64{0: {1, 2, 3, 4, 5}, 1: {10, 20, 30, 40, 50}})
+	right := mkSource(map[int][]int64{0: {2, 4, 4, 9}})
+	join := NewHashJoinOp(
+		NewFilterOp(mustDenseScan(t, left, 0, []int{0, 1}, 2), 0, expr.Conjunction{Preds: []expr.Pred{intPred(0, expr.Gt, 1)}}),
+		mustDenseScan(t, right, 1, []int{0}, 3), ColKey{0, 0}, ColKey{1, 0}, 2)
+	proj := NewProjectOp(join, []ColKey{{0, 1}, {1, 0}})
+	root := NewLimitOp(NewTopKOp(proj, []SortKey{{Index: 0, Desc: true}}, 2, 2, 4), 1)
+	if _, err := drainRows(root, 2); err != nil {
+		t.Fatal(err)
+	}
+	const want = `Limit(0)  (batches=1 rows=1)
+  TopK(2 [{0 true}])  (batches=1 rows=2)
+    Project([t0.c1 t1.c0])  (batches=2 rows=3)
+      HashJoin(t0.c0=t1.c0)  (batches=2 rows=3)
+        Filter(t0 1 preds)  (batches=3 rows=4)
+          DenseScan(t0 cols=[0 1])  (batches=3 rows=5)
+        DenseScan(t1 cols=[0])  (batches=2 rows=4)
+`
+	if got := ExplainTree(root); got != want {
+		t.Fatalf("ExplainTree =\n%s\nwant\n%s", got, want)
+	}
+}
+
+// TestTopKEqualsStableSortCut: the heap keeps exactly a stable sort's
+// first k rows, ties in arrival order, on keys with many ties, ASC and
+// DESC, over int keys stored at every width and over float and string
+// keys. Column 6 is the arrival number, so a tie broken the wrong way
+// shows; the filter makes every other batch a selected one.
+func TestTopKEqualsStableSortCut(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	const n = 600
+	src := DenseSource{NumRows: n, Columns: map[int]*storage.DenseColumn{}}
+	for c, span := range []int64{100, 30_000, 1 << 30, 1 << 40} {
+		vals := make([]int64, n)
+		for i := range vals {
+			vals[i] = []int64{-span, -1, 0, 1, span}[rng.Intn(5)]
+		}
+		src.Columns[c] = (&storage.DenseColumn{Typ: schema.Int64, Ints: vals}).Narrow()
+		if w := src.Columns[c].Width(); w != 1<<c {
+			t.Fatalf("column %d stored at width %d", c, w)
+		}
+	}
+	floats, strs, seq := storage.NewDense(schema.Float64, n), storage.NewDense(schema.String, n), storage.NewDense(schema.Int64, n)
+	for i := range n {
+		floats.Append(storage.FloatValue([]float64{-1.5, 0, 2.25}[rng.Intn(3)]))
+		strs.Append(storage.StringValue([]string{"", "a", "b"}[rng.Intn(3)]))
+		seq.Append(storage.IntValue(int64(i)))
+	}
+	src.Columns[4], src.Columns[5], src.Columns[6] = floats, strs, seq
+	cols := []int{0, 1, 2, 3, 4, 5, 6}
+	proj := make([]ColKey, len(cols))
+	for i, c := range cols {
+		proj[i] = ColKey{0, c}
+	}
+	input := func() Operator {
+		f := NewFilterOp(mustDenseScan(t, src, 0, cols, 16), 0, expr.Conjunction{Preds: []expr.Pred{intPred(6, expr.Ne, 40)}})
+		return NewProjectOp(f, proj)
+	}
+	all, err := drainRows(input(), len(cols))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var orders [][]SortKey
+	for c := range 6 {
+		orders = append(orders, []SortKey{{Index: c}}, []SortKey{{Index: c, Desc: true}})
+	}
+	orders = append(orders, []SortKey{{Index: 5}, {Index: 0, Desc: true}}, []SortKey{{Index: 4, Desc: true}, {Index: 3}})
+	for _, keys := range orders {
+		want := append([][]storage.Value(nil), all...)
+		SortRows(want, keys)
+		for _, k := range []int{1, 10, 97, n} {
+			got, err := drainRows(NewTopKOp(input(), keys, len(cols), k, 8), len(cols))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(got) != min(k, len(want)) {
+				t.Fatalf("keys %v, k=%d: %d rows", keys, k, len(got))
+			}
+			rowsEqual(t, got, LimitRows(want, k))
 		}
 	}
 }

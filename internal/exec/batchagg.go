@@ -47,25 +47,15 @@ func (a *AggOp) Next() (*Batch, error) {
 	if a.done {
 		return nil, nil
 	}
-	for {
-		b, err := a.child.Next()
-		if err != nil {
-			return nil, err
-		}
-		if b == nil {
-			break
-		}
-		if err := a.accumulate(b); err != nil {
-			return nil, err
-		}
+	if err := pull(a.child, a.accumulate); err != nil {
+		return nil, err
 	}
 	a.done = true
-	out := &Batch{N: 1, Cols: newColMap(len(a.out))}
+	out := &Batch{N: 1, Keys: outKeys(len(a.out)), Vecs: make([]*storage.DenseColumn, len(a.out))}
 	for i, si := range a.out {
 		v := a.states[si].result()
-		c := storage.NewDense(v.Typ, 1)
-		c.Append(v)
-		out.Cols[OutKey(i)] = c
+		out.Vecs[i] = storage.NewDense(v.Typ, 1)
+		out.Vecs[i].Append(v)
 	}
 	return a.observe(out), nil
 }
@@ -77,7 +67,7 @@ func (a *AggOp) accumulate(b *Batch) error {
 			st.count += rows
 			continue
 		}
-		col := b.Cols[st.spec.Col]
+		col := b.ColAt(st.spec.Col, &st.slot)
 		if col == nil {
 			return fmt.Errorf("exec: aggregate column %v not in batch", st.spec.Col)
 		}

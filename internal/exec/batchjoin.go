@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"nodb/internal/schema"
 	"nodb/internal/storage"
@@ -26,16 +27,18 @@ type HashJoinOp struct {
 	lkey, rkey  ColKey
 	size        int
 
-	build *View     // the drained right input
-	index joinIndex // built on the first probe batch, once both key types are known
-	in    *Batch    // the left batch being probed
-	ident []int32
-	pIdx  []int32 // matched positions in `in`
-	bIdx  []int32 // matched rows of build, aligned with pIdx
-	at    int     // next pair of pIdx/bIdx to emit
-	out   Batch
-	vecs  map[ColKey]*storage.DenseColumn // the owned output vectors
-	done  bool
+	build  *View                  // the drained right input
+	index  joinIndex              // built on the first probe batch, once both key types are known
+	kslot  int                    // of the probe key in the left batches
+	lslots []int                  // of out's first len(lslots) keys in the left batches
+	bvecs  []*storage.DenseColumn // the build columns, in out's remaining slots
+	in     *Batch                 // the left batch being probed
+	ident  []int32
+	pIdx   []int32 // matched positions in `in`
+	bIdx   []int32 // matched rows of build, aligned with pIdx
+	at     int     // next pair of pIdx/bIdx to emit
+	out    Batch   // its vectors are owned and refilled on every Next
+	done   bool
 }
 
 func NewHashJoinOp(left, right Operator, lkey, rkey ColKey, batchSize int) *HashJoinOp {
@@ -82,11 +85,15 @@ func (j *HashJoinOp) Next() (*Batch, error) {
 	}
 	lo := j.at
 	j.at = min(lo+j.size, len(j.pIdx))
-	for k, c := range j.in.Cols {
-		gather(j.vecs[k], c, j.pIdx[lo:j.at])
+	for i := range j.lslots {
+		c := j.in.ColAt(j.out.Keys[i], &j.lslots[i])
+		if c == nil {
+			return nil, fmt.Errorf("exec: join column %v not in the left input", j.out.Keys[i])
+		}
+		gather(j.out.Vecs[i], c, j.pIdx[lo:j.at])
 	}
-	for k, c := range j.build.Cols {
-		gather(j.vecs[k], c, j.bIdx[lo:j.at])
+	for i, c := range j.bvecs {
+		gather(j.out.Vecs[len(j.lslots)+i], c, j.bIdx[lo:j.at])
 	}
 	j.out.N = j.at - lo
 	return j.observe(&j.out), nil
@@ -95,7 +102,7 @@ func (j *HashJoinOp) Next() (*Batch, error) {
 // probe matches every live row of b against the index, recording the
 // pairs for Next to emit.
 func (j *HashJoinOp) probe(b *Batch) error {
-	kc := b.Cols[j.lkey]
+	kc := b.ColAt(j.lkey, &j.kslot)
 	if kc == nil {
 		return fmt.Errorf("exec: join key %v not in the left input", j.lkey)
 	}
@@ -126,14 +133,12 @@ func (j *HashJoinOp) open(b *Batch, kc *storage.DenseColumn) error {
 	default:
 		j.index = newHashIndex(bc, floatKey)
 	}
-	j.vecs = newColMap(len(b.Cols) + len(j.build.Cols))
-	for k, c := range b.Cols {
-		j.vecs[k] = storage.NewDense(c.Typ, j.size)
+	bkeys, bvecs := j.build.columns()
+	j.lslots, j.bvecs = make([]int, len(b.Keys)), bvecs
+	j.out.Keys = append(slices.Clone(b.Keys), bkeys...)
+	for _, c := range append(slices.Clone(b.Vecs), bvecs...) {
+		j.out.Vecs = append(j.out.Vecs, storage.NewDense(c.Typ, j.size))
 	}
-	for k, c := range j.build.Cols {
-		j.vecs[k] = storage.NewDense(c.Typ, j.size)
-	}
-	j.out.Cols = j.vecs
 	return nil
 }
 

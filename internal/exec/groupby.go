@@ -35,6 +35,8 @@ type GroupByOp struct {
 	small   *[256]int32     // single int key of width 1: gid+1 by uint8(key), 0 = no group yet
 	byteIdx map[string]int32
 	kbuf    []byte
+	kslots  []int // of the key and aggregate columns in the child's batches
+	aslots  []int
 	kcols   []*storage.DenseColumn // the current batch's key and aggregate vectors
 	acols   []*storage.DenseColumn
 	ident   []int32
@@ -46,7 +48,9 @@ type GroupByOp struct {
 }
 
 func NewGroupByOp(child Operator, keys []ColKey, specs []AggSpec, slots []OutSlot, proj []ColKey, batchSize int) *GroupByOp {
-	return &GroupByOp{child: child, keys: keys, specs: specs, slots: slots, proj: proj, size: batchSize}
+	return &GroupByOp{child: child, keys: keys, specs: specs, slots: slots, proj: proj, size: batchSize,
+		kslots: make([]int, len(keys)), aslots: make([]int, len(specs)),
+		kcols: make([]*storage.DenseColumn, len(keys)), acols: make([]*storage.DenseColumn, len(specs))}
 }
 
 func (g *GroupByOp) Name() string {
@@ -57,17 +61,8 @@ func (g *GroupByOp) Close()               { g.child.Close() }
 
 func (g *GroupByOp) Next() (*Batch, error) {
 	if g.emit == nil {
-		for {
-			b, err := g.child.Next()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				break
-			}
-			if err := g.consume(b); err != nil {
-				return nil, err
-			}
+		if err := pull(g.child, g.consume); err != nil {
+			return nil, err
 		}
 		if err := g.shape(); err != nil {
 			return nil, err
@@ -160,13 +155,8 @@ func groupInts[T storage.Int](g *GroupByOp, v []T, sel, gids []int32) {
 // resolve looks up b's key and aggregate vectors; the first batch also
 // fixes the key index and the state types.
 func (g *GroupByOp) resolve(b *Batch) error {
-	first := g.kcols == nil
-	if first {
-		g.kcols = make([]*storage.DenseColumn, len(g.keys))
-		g.acols = make([]*storage.DenseColumn, len(g.specs))
-	}
 	for j, k := range g.keys {
-		if g.kcols[j] = b.Cols[k]; g.kcols[j] == nil {
+		if g.kcols[j] = b.ColAt(k, &g.kslots[j]); g.kcols[j] == nil {
 			return fmt.Errorf("exec: group key %v not in batch", k)
 		}
 	}
@@ -174,11 +164,11 @@ func (g *GroupByOp) resolve(b *Batch) error {
 		if s.Star {
 			continue
 		}
-		if g.acols[a] = b.Cols[s.Col]; g.acols[a] == nil {
+		if g.acols[a] = b.ColAt(s.Col, &g.aslots[a]); g.acols[a] == nil {
 			return fmt.Errorf("exec: aggregate column %v not in batch", s.Col)
 		}
 	}
-	if !first {
+	if g.gkeys != nil {
 		return nil
 	}
 	if len(g.keys) == 1 && g.kcols[0].Typ == schema.Int64 {
@@ -240,10 +230,8 @@ func (g *GroupByOp) shape() error {
 		g.emit = newWindows(nil, nil, 0, g.size)
 		return nil
 	}
-	keys := make([]ColKey, len(g.slots))
 	cols := make([]*storage.DenseColumn, len(g.slots))
 	for i, s := range g.slots {
-		keys[i] = OutKey(i)
 		if s.Agg {
 			cols[i] = g.aggs[s.Idx].result()
 			continue
@@ -257,7 +245,7 @@ func (g *GroupByOp) shape() error {
 			return fmt.Errorf("exec: projected column %v is not a group key", g.proj[s.Idx])
 		}
 	}
-	g.emit = newWindows(keys, cols, g.n, g.size)
+	g.emit = newWindows(outKeys(len(cols)), cols, g.n, g.size)
 	return nil
 }
 

@@ -32,10 +32,8 @@ func NewDenseScan(src DenseSource, tab int, cols []int, batchSize int) (*DenseSc
 			return nil, fmt.Errorf("exec: scan column %d not loaded", c)
 		}
 		keys[j] = ColKey{Tab: tab, Col: c}
-		if srcs[j].Typ == schema.String {
-			perRow += 24
-		} else {
-			perRow += 8
+		if perRow += 8; srcs[j].Typ == schema.String {
+			perRow += 16
 		}
 	}
 	return &DenseScan{src: src, tab: tab, cols: cols, perRow: perRow, win: newWindows(keys, srcs, int(src.NumRows), batchSize)}, nil
@@ -65,12 +63,7 @@ type ViewScan struct {
 }
 
 func NewViewScan(v *View, batchSize int) *ViewScan {
-	keys := make([]ColKey, 0, len(v.Cols))
-	srcs := make([]*storage.DenseColumn, 0, len(v.Cols))
-	for k, c := range v.Cols {
-		keys = append(keys, k)
-		srcs = append(srcs, c)
-	}
+	keys, srcs := v.columns()
 	return &ViewScan{v: v, win: newWindows(keys, srcs, v.Len(), batchSize)}
 }
 
@@ -92,14 +85,19 @@ type FilterOp struct {
 	conj   expr.Conjunction
 	filter *expr.Filter
 	in     *Batch // the child's batch being filtered
+	slots  []int  // by predicate column, its slot in the child's batches
 	get    func(col int) *storage.DenseColumn
 	sel    []int32
 	out    Batch
 }
 
 func NewFilterOp(child Operator, tab int, conj expr.Conjunction) *FilterOp {
-	f := &FilterOp{child: child, tab: tab, conj: conj}
-	f.get = func(col int) *storage.DenseColumn { return f.in.Cols[ColKey{Tab: f.tab, Col: col}] }
+	cols := 0
+	for _, p := range conj.Preds {
+		cols = max(cols, p.Col+1)
+	}
+	f := &FilterOp{child: child, tab: tab, conj: conj, slots: make([]int, cols)}
+	f.get = func(col int) *storage.DenseColumn { return f.in.ColAt(ColKey{Tab: f.tab, Col: col}, &f.slots[col]) }
 	return f
 }
 
@@ -147,7 +145,7 @@ func (f *FilterOp) Next() (*Batch, error) {
 			// downstream loops run without the indirection.
 			sel = nil
 		}
-		f.out = Batch{N: b.N, Sel: sel, Cols: b.Cols}
+		f.out = Batch{N: b.N, Sel: sel, Keys: b.Keys, Vecs: b.Vecs}
 		return f.observe(&f.out), nil
 	}
 }
@@ -172,11 +170,13 @@ type ProjectOp struct {
 	opBase
 	child Operator
 	keys  []ColKey
+	slots []int
 	out   Batch
 }
 
 func NewProjectOp(child Operator, keys []ColKey) *ProjectOp {
-	return &ProjectOp{child: child, keys: keys, out: Batch{Cols: newColMap(len(keys))}}
+	out := Batch{Keys: outKeys(len(keys)), Vecs: make([]*storage.DenseColumn, len(keys))}
+	return &ProjectOp{child: child, keys: keys, slots: make([]int, len(keys)), out: out}
 }
 
 func (p *ProjectOp) Name() string         { return fmt.Sprintf("Project(%v)", p.keys) }
@@ -189,11 +189,9 @@ func (p *ProjectOp) Next() (*Batch, error) {
 		return nil, err
 	}
 	for i, k := range p.keys {
-		c := b.Cols[k]
-		if c == nil {
+		if p.out.Vecs[i] = b.ColAt(k, &p.slots[i]); p.out.Vecs[i] == nil {
 			return nil, fmt.Errorf("exec: projected column %v not in batch", k)
 		}
-		p.out.Cols[OutKey(i)] = c
 	}
 	p.out.N, p.out.Sel = b.N, b.Sel
 	return p.observe(&p.out), nil
@@ -206,18 +204,15 @@ func (p *ProjectOp) Next() (*Batch, error) {
 type LimitOp struct {
 	opBase
 	child     Operator
-	remaining int
-	unlimited bool
+	remaining int // rows still to pass; < 0 without a limit
 	done      bool
 	out       Batch
 }
 
-func NewLimitOp(child Operator, n int) *LimitOp {
-	return &LimitOp{child: child, remaining: n, unlimited: n < 0}
-}
+func NewLimitOp(child Operator, n int) *LimitOp { return &LimitOp{child: child, remaining: n} }
 
 func (l *LimitOp) Name() string {
-	if l.unlimited {
+	if l.remaining < 0 {
 		return "Limit(none)"
 	}
 	return fmt.Sprintf("Limit(%d)", l.remaining)
@@ -229,7 +224,7 @@ func (l *LimitOp) Next() (*Batch, error) {
 	if l.done {
 		return nil, nil
 	}
-	if !l.unlimited && l.remaining == 0 {
+	if l.remaining == 0 {
 		l.done = true
 		l.child.Close()
 		return nil, nil
@@ -239,11 +234,10 @@ func (l *LimitOp) Next() (*Batch, error) {
 		l.done = b == nil && err == nil
 		return nil, err
 	}
-	if l.unlimited {
+	if l.remaining < 0 {
 		return l.observe(b), nil
 	}
-	r := b.Rows()
-	if r < l.remaining {
+	if r := b.Rows(); r < l.remaining {
 		l.remaining -= r
 		return l.observe(b), nil
 	}
@@ -253,10 +247,7 @@ func (l *LimitOp) Next() (*Batch, error) {
 	} else if b.N > l.remaining {
 		// Truncating a dense batch needs an explicit selection: its
 		// vectors are the producer's and must not be re-sliced.
-		l.out.Sel = make([]int32, l.remaining)
-		for i := range l.out.Sel {
-			l.out.Sel[i] = int32(i)
-		}
+		l.out.Sel = liveRows(&Batch{N: l.remaining}, new([]int32))
 	}
 	l.remaining = 0
 	return l.observe(&l.out), nil

@@ -2,6 +2,7 @@ package exec
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nodb/internal/expr"
@@ -16,12 +17,15 @@ import (
 // batch, and every Next first overwrites the previous batch's vectors and
 // selection with junk before writing the next rows into the same arrays.
 // Without it, every batch is freshly allocated and never touched again.
+// With rotate set it breaks the one-layout rule consumers rely on: every
+// batch lists the same columns under a new rotation of the key order.
 type batchSource struct {
 	opBase
 	v        *View
 	keys     []ColKey
 	size     int
 	scribble bool
+	rotate   bool
 	pos, n   int
 	b        Batch
 	cols     []*storage.DenseColumn
@@ -29,9 +33,7 @@ type batchSource struct {
 
 func newBatchSource(v *View, size int, scribble bool) *batchSource {
 	s := &batchSource{v: v, size: size, scribble: scribble}
-	for k := range v.Cols {
-		s.keys = append(s.keys, k)
-	}
+	s.keys, _ = v.columns()
 	return s
 }
 
@@ -41,12 +43,11 @@ func (s *batchSource) Close()               {}
 
 func (s *batchSource) Next() (*Batch, error) {
 	if !s.scribble || s.cols == nil {
-		s.b = Batch{Cols: newColMap(len(s.keys))}
 		s.cols = make([]*storage.DenseColumn, len(s.keys))
 		for j, k := range s.keys {
 			s.cols[j] = storage.NewDense(s.v.Cols[k].Typ, 0)
-			s.b.Cols[k] = s.cols[j]
 		}
+		s.b = Batch{Keys: s.keys, Vecs: s.cols}
 	}
 	for _, c := range s.cols {
 		for i := range c.Ints {
@@ -89,12 +90,18 @@ func (s *batchSource) Next() (*Batch, error) {
 	} else {
 		s.b.Sel = nil
 	}
+	if s.rotate {
+		r := s.n % len(s.keys)
+		s.b.Keys = append(slices.Clone(s.keys[r:]), s.keys[:r]...)
+		s.b.Vecs = append(slices.Clone(s.cols[r:]), s.cols[:r]...)
+	}
 	return s.observe(&s.b), nil
 }
 
 // TestOperatorsCopyWhatTheyKeep runs every operator over a source that
 // recycles its batch on each Next, and demands the answers the same trees
-// give over a source that never reuses one.
+// give over a source that never reuses one; and the same answers over a
+// source that changes its key layout between batches.
 func TestOperatorsCopyWhatTheyKeep(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	mk := func(tab, n int) *View {
@@ -150,23 +157,86 @@ func TestOperatorsCopyWhatTheyKeep(t *testing.T) {
 	}
 	for name, tree := range trees {
 		for _, size := range []int{1, 6, 64} {
-			run := func(scribble bool) [][]storage.Value {
-				root := tree.build(newBatchSource(left, size, scribble), newBatchSource(right, size, scribble))
+			run := func(scribble, rotate bool) [][]storage.Value {
+				l, r := newBatchSource(left, size, scribble), newBatchSource(right, size, scribble)
+				l.rotate, r.rotate = rotate, rotate
+				root := tree.build(l, r)
 				rows, err := drainRows(root, tree.arity)
 				if err != nil {
 					t.Fatalf("%s: %v", name, err)
 				}
 				return rows
 			}
-			want := run(false)
+			want := run(false, false)
 			if len(want) == 0 {
 				t.Fatalf("%s: reference is empty; the tree tests nothing", name)
 			}
-			got := run(true)
+			got := run(true, false)
 			if len(got) != len(want) {
 				t.Fatalf("%s size=%d: %d rows over a recycling source, want %d", name, size, len(got), len(want))
 			}
 			rowsEqual(t, got, want)
+			// A source that reorders its keys on every batch defeats each
+			// consumer's cached slot; the answers must not change.
+			rowsEqual(t, run(false, true), want)
+		}
+	}
+}
+
+// TestBatchLayoutFixed: every operator emits the same Keys, in the same
+// order, in every batch, with one vector per key — the layout consumers
+// cache their slots against.
+func TestBatchLayoutFixed(t *testing.T) {
+	vals := make([]int64, 100)
+	for i := range vals {
+		vals[i] = int64(i % 13)
+	}
+	src := mkSource(map[int][]int64{0: vals, 1: vals, 2: vals})
+	scan := func() Operator { return mustDenseScan(t, src, 0, []int{0, 1, 2}, 7) }
+	filter := func() Operator {
+		return NewFilterOp(scan(), 0, expr.Conjunction{Preds: []expr.Pred{intPred(0, expr.Ge, 2), intPred(1, expr.Ne, 5)}})
+	}
+	keys := []ColKey{{0, 2}, {0, 0}}
+	project := func() Operator { return NewProjectOp(filter(), keys) }
+	sortKeys := []SortKey{{Index: 1, Desc: true}}
+	specs := []AggSpec{{Kind: sql.AggCount, Star: true}, {Kind: sql.AggSum, Col: ColKey{0, 1}}}
+	right := mkView(1, map[int][]int64{0: {1, 2, 3, 4, 5, 6, 7, 8}, 1: {9, 8, 7, 6, 5, 4, 3, 2}})
+	trees := map[string]Operator{
+		"dense-scan": scan(),
+		"view-scan":  NewViewScan(mkView(0, map[int][]int64{0: vals, 1: vals}), 9),
+		"filter":     filter(),
+		"project":    project(),
+		"aggregate":  NewAggOp(filter(), specs, []int{1, 0}),
+		"group-by": NewGroupByOp(filter(), []ColKey{{0, 0}}, specs,
+			[]OutSlot{{Idx: 0}, {Agg: true, Idx: 0}, {Agg: true, Idx: 1}}, []ColKey{{0, 0}}, 4),
+		"sort":      NewSortOp(project(), sortKeys, 2, 5),
+		"top-k":     NewTopKOp(project(), sortKeys, 2, 30, 5),
+		"hash-join": NewHashJoinOp(filter(), NewViewScan(right, 3), ColKey{0, 0}, ColKey{1, 0}, 6),
+		"limit":     NewLimitOp(project(), 40),
+	}
+	for name, op := range trees {
+		var first []ColKey
+		batches := 0
+		for {
+			b, err := op.Next()
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if b == nil {
+				break
+			}
+			if len(b.Vecs) != len(b.Keys) {
+				t.Fatalf("%s batch %d: %d keys, %d vectors", name, batches, len(b.Keys), len(b.Vecs))
+			}
+			if batches == 0 {
+				first = slices.Clone(b.Keys)
+			} else if !slices.Equal(b.Keys, first) {
+				t.Fatalf("%s batch %d: keys %v, first batch %v", name, batches, b.Keys, first)
+			}
+			batches++
+		}
+		if batches < 2 && name != "aggregate" {
+			t.Fatalf("%s: %d batches; the layout is not tested across batches", name, batches)
 		}
 	}
 }

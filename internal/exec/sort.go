@@ -14,34 +14,35 @@ import (
 // per output column, for the operators that must keep rows past their
 // child's next Next (sorts).
 type rowStore struct {
-	cols []*storage.DenseColumn
-	in   []*storage.DenseColumn // the current batch's output vectors
+	cols  []*storage.DenseColumn
+	in    []*storage.DenseColumn // the current batch's output vectors
+	slots []int                  // of OutKey(j) in the child's batches
+	ident []int32
 }
 
-// resolve looks up b's output vectors; the first batch fixes the types.
-func (s *rowStore) resolve(b *Batch, arity int) error {
-	if s.in == nil {
-		s.in = make([]*storage.DenseColumn, arity)
-	}
-	for j := range s.in {
-		c := b.Cols[OutKey(j)]
-		if c == nil {
-			return fmt.Errorf("exec: output column %d not in batch", j)
+func newRowStore(arity int) rowStore {
+	return rowStore{cols: make([]*storage.DenseColumn, arity), in: make([]*storage.DenseColumn, arity), slots: make([]int, arity)}
+}
+
+// pull drains child: it looks up each batch's output vectors (the first
+// batch fixes the types) and passes take the batch's live rows.
+func (s *rowStore) pull(child Operator, take func(rows []int32)) error {
+	return pull(child, func(b *Batch) error {
+		for j := range s.in {
+			c := b.ColAt(OutKey(j), &s.slots[j])
+			switch {
+			case c == nil:
+				return fmt.Errorf("exec: output column %d not in batch", j)
+			case s.cols[j] == nil:
+				s.cols[j] = storage.NewDense(c.Typ, 0)
+			case c.Typ != s.cols[j].Typ:
+				return fmt.Errorf("exec: output column %d changed type from %v to %v", j, s.cols[j].Typ, c.Typ)
+			}
+			s.in[j] = c
 		}
-		s.in[j] = c
-	}
-	if s.cols == nil {
-		s.cols = make([]*storage.DenseColumn, arity)
-		for j, c := range s.in {
-			s.cols[j] = storage.NewDense(c.Typ, 0)
-		}
-	}
-	for j, c := range s.in {
-		if c.Typ != s.cols[j].Typ {
-			return fmt.Errorf("exec: output column %d changed type from %v to %v", j, s.cols[j].Typ, c.Typ)
-		}
-	}
-	return nil
+		take(liveRows(b, &s.ident))
+		return nil
+	})
 }
 
 // appendRow copies row i of the current batch to the end of the store.
@@ -65,22 +66,28 @@ func (s *rowStore) setRow(at, i int) {
 	}
 }
 
-// compare orders stored rows a and b by keys, with Value.Compare's
-// semantics per column (NaN ties with every float).
-func (s *rowStore) compare(keys []SortKey, a, b int32) int {
+// compareRows orders row i of the vectors x against stored row j of y
+// (rowStore.cols, same types) by keys, with Value.Compare's semantics per
+// column (NaN ties with every float). x is y itself, or a batch's vectors
+// (rowStore.in), whose ints may be narrower than the store's 8 bytes.
+func compareRows(keys []SortKey, x []*storage.DenseColumn, i int, y []*storage.DenseColumn, j int) int {
 	for _, k := range keys {
 		var c int
-		switch col := s.cols[k.Index]; col.Typ {
+		switch xc, yc := x[k.Index], y[k.Index]; xc.Typ {
 		case schema.Int64:
-			c = cmp.Compare(col.Ints[a], col.Ints[b])
+			if xc.Ints != nil {
+				c = cmp.Compare(xc.Ints[i], yc.Ints[j])
+			} else {
+				c = cmp.Compare(xc.Int(i), yc.Ints[j])
+			}
 		case schema.Float64:
-			if x, y := col.Floats[a], col.Floats[b]; x < y {
+			if a, b := xc.Floats[i], yc.Floats[j]; a < b {
 				c = -1
-			} else if x > y {
+			} else if a > b {
 				c = 1
 			}
 		default:
-			c = strings.Compare(col.Strs[a], col.Strs[b])
+			c = strings.Compare(xc.Strs[i], yc.Strs[j])
 		}
 		if c != 0 {
 			if k.Desc {
@@ -95,16 +102,14 @@ func (s *rowStore) compare(keys []SortKey, a, b int32) int {
 // gather returns the stored rows perm, in that order, as output windows
 // of size rows.
 func (s *rowStore) gather(perm []int32, size int) *windows {
-	keys := make([]ColKey, len(s.cols))
 	out := make([]*storage.DenseColumn, len(s.cols))
 	for j, c := range s.cols {
-		keys[j] = OutKey(j)
 		out[j] = storage.NewDense(c.Typ, len(perm))
 		for _, r := range perm {
 			appendAt(out[j], c, int(r))
 		}
 	}
-	return newWindows(keys, out, len(perm), size)
+	return newWindows(outKeys(len(out)), out, len(perm), size)
 }
 
 // SortOp copies its (output-keyed) input into typed vectors, sorts an
@@ -114,15 +119,13 @@ type SortOp struct {
 	opBase
 	child Operator
 	keys  []SortKey
-	arity int
 	size  int
 	store rowStore
-	ident []int32
 	emit  *windows
 }
 
 func NewSortOp(child Operator, keys []SortKey, arity, batchSize int) *SortOp {
-	return &SortOp{child: child, keys: keys, arity: arity, size: batchSize}
+	return &SortOp{child: child, keys: keys, size: batchSize, store: newRowStore(arity)}
 }
 
 func (s *SortOp) Name() string         { return fmt.Sprintf("Sort(%v)", s.keys) }
@@ -132,24 +135,17 @@ func (s *SortOp) Close()               { s.child.Close() }
 func (s *SortOp) Next() (*Batch, error) {
 	if s.emit == nil {
 		var perm []int32
-		for {
-			b, err := s.child.Next()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				break
-			}
-			if err := s.store.resolve(b, s.arity); err != nil {
-				return nil, err
-			}
-			for _, i := range liveRows(b, &s.ident) {
+		err := s.store.pull(s.child, func(rows []int32) {
+			for _, i := range rows {
 				s.store.appendRow(int(i))
 				perm = append(perm, int32(len(perm)))
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
 		slices.SortFunc(perm, func(a, b int32) int {
-			if c := s.store.compare(s.keys, a, b); c != 0 {
+			if c := compareRows(s.keys, s.store.cols, int(a), s.store.cols, int(b)); c != 0 {
 				return c
 			}
 			return cmp.Compare(a, b)
@@ -160,28 +156,27 @@ func (s *SortOp) Next() (*Batch, error) {
 }
 
 // TopKOp is ORDER BY … LIMIT k: a bounded max-heap of at most k copied
-// rows, the worst on top, that a new row enters only by beating the top.
-// Ties break by arrival order, so the rows and their order equal a stable
-// sort cut at k. Memory grows with the rows kept, not with k.
+// rows, the worst on top (heapified once the first k are in), that a new
+// row enters only by beating the top. Ties break by arrival order, so the
+// rows and their order equal a stable sort cut at k. Once the heap is full
+// a row is compared in its batch and copied only if it enters. Memory
+// grows with the rows kept, not with k.
 type TopKOp struct {
 	opBase
 	child   Operator
 	keys    []SortKey
-	arity   int
 	k       int
 	size    int
 	store   rowStore
 	seq     []int64 // arrival number per stored row
 	heap    []int32 // stored rows kept, worst first
-	scratch int32   // stored row that receives each candidate once full
 	arrived int64
-	ident   []int32
 	emit    *windows
 }
 
 // NewTopKOp keeps the first k rows of the order keys.
 func NewTopKOp(child Operator, keys []SortKey, arity, k, batchSize int) *TopKOp {
-	return &TopKOp{child: child, keys: keys, arity: arity, k: k, size: batchSize, scratch: -1}
+	return &TopKOp{child: child, keys: keys, k: k, size: batchSize, store: newRowStore(arity)}
 }
 
 func (t *TopKOp) Name() string         { return fmt.Sprintf("TopK(%d %v)", t.k, t.keys) }
@@ -194,20 +189,13 @@ func (t *TopKOp) Next() (*Batch, error) {
 			t.child.Close()
 			return nil, nil
 		}
-		for {
-			b, err := t.child.Next()
-			if err != nil {
-				return nil, err
-			}
-			if b == nil {
-				break
-			}
-			if err := t.store.resolve(b, t.arity); err != nil {
-				return nil, err
-			}
-			for _, i := range liveRows(b, &t.ident) {
+		err := t.store.pull(t.child, func(rows []int32) {
+			for _, i := range rows {
 				t.offer(int(i))
 			}
+		})
+		if err != nil {
+			return nil, err
 		}
 		slices.SortFunc(t.heap, t.compare)
 		t.emit = t.store.gather(t.heap, t.size)
@@ -221,52 +209,38 @@ func (t *TopKOp) offer(i int) {
 	if len(t.heap) < t.k {
 		t.store.appendRow(i)
 		t.seq = append(t.seq, t.arrived)
-		t.heap = append(t.heap, int32(len(t.seq)-1))
-		t.up(len(t.heap) - 1)
+		if t.heap = append(t.heap, int32(len(t.seq)-1)); len(t.heap) == t.k {
+			for j := t.k/2 - 1; j >= 0; j-- {
+				t.down(j)
+			}
+		}
 		return
 	}
-	if t.scratch < 0 {
-		t.store.appendRow(i)
-		t.seq = append(t.seq, t.arrived)
-		t.scratch = int32(len(t.seq) - 1)
-	} else {
-		t.store.setRow(int(t.scratch), i)
-		t.seq[t.scratch] = t.arrived
+	// Every stored row arrived earlier, so on equal keys the row loses.
+	if compareRows(t.keys, t.store.in, i, t.store.cols, int(t.heap[0])) >= 0 {
+		return
 	}
-	if t.less(t.scratch, t.heap[0]) {
-		t.heap[0], t.scratch = t.scratch, t.heap[0]
-		t.down(0)
-	}
+	top := t.heap[0]
+	t.store.setRow(int(top), i)
+	t.seq[top] = t.arrived
+	t.down(0)
 }
 
 // compare orders stored rows by the keys, then by arrival.
 func (t *TopKOp) compare(a, b int32) int {
-	if c := t.store.compare(t.keys, a, b); c != 0 {
+	if c := compareRows(t.keys, t.store.cols, int(a), t.store.cols, int(b)); c != 0 {
 		return c
 	}
 	return cmp.Compare(t.seq[a], t.seq[b])
 }
 
-func (t *TopKOp) less(a, b int32) bool { return t.compare(a, b) < 0 }
-
-func (t *TopKOp) up(j int) {
-	for j > 0 {
-		p := (j - 1) / 2
-		if !t.less(t.heap[p], t.heap[j]) {
-			return
-		}
-		t.heap[p], t.heap[j] = t.heap[j], t.heap[p]
-		j = p
-	}
-}
-
 func (t *TopKOp) down(j int) {
 	for {
 		w, l, r := j, 2*j+1, 2*j+2
-		if l < len(t.heap) && t.less(t.heap[w], t.heap[l]) {
+		if l < len(t.heap) && t.compare(t.heap[w], t.heap[l]) < 0 {
 			w = l
 		}
-		if r < len(t.heap) && t.less(t.heap[w], t.heap[r]) {
+		if r < len(t.heap) && t.compare(t.heap[w], t.heap[r]) < 0 {
 			w = r
 		}
 		if w == j {

@@ -114,12 +114,11 @@ func TestGroupByKeyWidthChangesMidStream(t *testing.T) {
 		for i := range v {
 			v[i] = int64(10*p + i)
 		}
-		bs = append(bs, &Batch{N: len(keys), Cols: map[ColKey]*storage.DenseColumn{
-			{0, 0}: k, {0, 1}: {Typ: schema.Int64, Ints: v},
-		}})
+		bs = append(bs, &Batch{N: len(keys), Keys: []ColKey{{0, 0}, {0, 1}},
+			Vecs: []*storage.DenseColumn{k, {Typ: schema.Int64, Ints: v}}})
 		all, vals = append(all, keys...), append(vals, v...)
 	}
-	if bs[0].Cols[ColKey{0, 0}].Width() != 1 || bs[1].Cols[ColKey{0, 0}].Width() != 2 {
+	if bs[0].Col(ColKey{0, 0}).Width() != 1 || bs[1].Col(ColKey{0, 0}).Width() != 2 {
 		t.Fatal("batches do not change key width")
 	}
 	view := NewView()

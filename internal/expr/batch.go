@@ -22,9 +22,13 @@ import (
 // the folded interval, runs an AVX2 kernel on amd64 CPUs that have it
 // (select_amd64.s): 8 rows per step at every width, each lane compared
 // with one biased signed compare, the survivors written by one table
-// lookup on the lanes' mask. The Go loop takes the last len%8 rows, other
-// architectures and CPUs without AVX2, and is the reference the kernel is
-// tested against.
+// lookup on the lanes' mask. The folded interval over a selection vector
+// runs a gather kernel on 4- and 8-byte columns: 8 positions per step,
+// their rows gathered, the same compare, the kept positions written by
+// one permutation of the loaded ones. The Go loops take the last len%8
+// rows or positions, 1- and 2-byte columns over a selection vector, other
+// architectures and CPUs without AVX2, and are the references the kernels
+// are tested against.
 
 // Filter is a Conjunction compiled for one set of column types. The zero
 // Filter keeps every row.
@@ -241,13 +245,24 @@ func b2i(b bool) int {
 	return i
 }
 
-// selectRange keeps the positions whose value lies in [lo, hi] with one
-// unsigned compare: v-lo wraps past hi-lo exactly when v is outside.
+// selectRange keeps the positions of sel whose value lies in [lo, hi]:
+// the platform's vector kernel takes the positions it can
+// (select_amd64.go), the Go loop the rest.
 func selectRange[T storage.Int](v []T, lo, hi int64, sel, out []int32) int {
-	span, k := uint64(hi-lo), 0
-	for _, i := range sel {
-		out[k] = i
-		k += b2i(uint64(int64(v[i])-lo) <= span)
+	k, i := selectRangeSelSIMD(v, lo, hi, sel, out)
+	return selectRangeGo(v, i, k, lo, hi, sel, out)
+}
+
+// selectRangeGo keeps the positions of sel from sel[i] on whose value
+// lies in [lo, hi], writing them from out[k] on, with one unsigned
+// compare: v-lo wraps past hi-lo exactly when v is outside. It returns
+// the new count. From (0, 0) it is the reference the vector kernel is
+// tested against.
+func selectRangeGo[T storage.Int](v []T, i, k int, lo, hi int64, sel, out []int32) int {
+	span := uint64(hi - lo)
+	for _, x := range sel[i:] {
+		out[k] = x
+		k += b2i(uint64(int64(v[x])-lo) <= span)
 	}
 	return k
 }

@@ -8,6 +8,7 @@ package expr
 import (
 	"fmt"
 	"math"
+	"strconv"
 	"strings"
 
 	"nodb/internal/intervals"
@@ -83,9 +84,9 @@ func (p Pred) Eval(v storage.Value) bool {
 
 func (p Pred) String() string {
 	if p.Between {
-		return fmt.Sprintf("col%d BETWEEN %s AND %s", p.Col, p.Val, p.Val2)
+		return "col" + strconv.Itoa(p.Col) + " BETWEEN " + p.Val.String() + " AND " + p.Val2.String()
 	}
-	return fmt.Sprintf("col%d %s %s", p.Col, p.Op, p.Val)
+	return "col" + strconv.Itoa(p.Col) + " " + p.Op.String() + " " + p.Val.String()
 }
 
 // Conjunction is an AND of predicates over one table.

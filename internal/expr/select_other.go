@@ -9,3 +9,8 @@ import "nodb/internal/storage"
 func selectRangeSIMD[T storage.Int](v []T, lo, hi int64, out []int32) (k, n int) {
 	return 0, 0
 }
+
+// selectRangeSelSIMD has no vector kernel on this architecture.
+func selectRangeSelSIMD[T storage.Int](v []T, lo, hi int64, sel, out []int32) (k, n int) {
+	return 0, 0
+}

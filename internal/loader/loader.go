@@ -591,7 +591,8 @@ func (cl *columnLoad) settle(rows int64) {
 		at := 0 // the first row not yet copied
 		for _, sp := range append(sps, &spill{from: d.Len()}) {
 			if sp.from > at {
-				part := d.Slice(at, sp.from)
+				var part storage.DenseColumn
+				d.SliceInto(&part, at, sp.from)
 				x.PutInts(at, &part)
 			}
 			x.PutInts(sp.from, &storage.DenseColumn{Typ: schema.Int64, Ints: sp.vals})

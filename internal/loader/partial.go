@@ -276,12 +276,12 @@ func (l *Loader) ScanBatchesContext(ctx context.Context, t *catalog.Table, outCo
 	if batchSize <= 0 {
 		batchSize = exec.DefaultBatchSize
 	}
+	keys := make([]exec.ColKey, len(outCols))
+	for j, c := range outCols {
+		keys[j] = exec.ColKey{Tab: tab, Col: c}
+	}
 	_, _, err := l.partialPass(ctx, t, outCols, conj, batchSize, func(rows []int64, vecs []*storage.DenseColumn) error {
-		b := &exec.Batch{N: len(rows), Cols: make(map[exec.ColKey]*storage.DenseColumn, len(outCols))}
-		for j, c := range outCols {
-			b.Cols[exec.ColKey{Tab: tab, Col: c}] = vecs[j]
-		}
-		return emit(b)
+		return emit(&exec.Batch{N: len(rows), Keys: keys, Vecs: vecs})
 	})
 	return err
 }

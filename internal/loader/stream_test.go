@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"sync"
@@ -76,5 +77,34 @@ func TestScanBatchesFlushesAtPortionEnd(t *testing.T) {
 			}
 			t.Logf("first batch after %d of %d bytes", atFirst, size)
 		})
+	}
+}
+
+// TestScanBatchesLayoutFixed: every batch of a streaming scan, from any
+// worker, carries the same keys in the same order (the requested columns
+// under the table ordinal), one vector per key.
+func TestScanBatchesLayoutFixed(t *testing.T) {
+	path := writeGen(t, csvgen.Spec{Rows: 5000, Cols: 3, Seed: 9})
+	want := []exec.ColKey{{Tab: 2, Col: 2}, {Tab: 2, Col: 0}}
+	for _, workers := range []int{1, 4} {
+		tab, c := linkFresh(t, path, catalog.Options{})
+		l := &Loader{Counters: c, Workers: workers, ChunkSize: 4096}
+		var mu sync.Mutex
+		batches := 0
+		err := l.ScanBatchesContext(context.Background(), tab, []int{2, 0}, expr.Conjunction{}, 2, 100, func(b *exec.Batch) error {
+			mu.Lock()
+			defer mu.Unlock()
+			batches++
+			if !slices.Equal(b.Keys, want) || len(b.Vecs) != len(want) {
+				return fmt.Errorf("batch keys %v with %d vectors, want %v", b.Keys, len(b.Vecs), want)
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if batches < 2 {
+			t.Fatalf("workers=%d: %d batches", workers, batches)
+		}
 	}
 }

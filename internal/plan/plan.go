@@ -9,6 +9,7 @@ package plan
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 
 	"nodb/internal/exec"
@@ -188,26 +189,60 @@ func (p *Plan) HasAggregates() bool { return len(p.Aggs) > 0 }
 
 // String renders the plan for EXPLAIN-style display.
 func (p *Plan) String() string {
-	var sb strings.Builder
+	var b []byte
 	for _, t := range p.Tables {
-		fmt.Fprintf(&sb, "scan %s (t%d) cols=%v load=%s pin=%v", t.Name, t.Ordinal, t.NeedCols, t.LoadOp, t.Pins)
+		b = append(b, "scan "...)
+		b = append(b, t.Name...)
+		b = append(b, " (t"...)
+		b = strconv.AppendInt(b, int64(t.Ordinal), 10)
+		b = append(b, ") cols="...)
+		b = appendList(b, t.NeedCols, appendInt)
+		b = append(b, " load="...)
+		b = append(b, t.LoadOp.String()...)
+		b = append(b, " pin="...)
+		b = appendList(b, t.Pins, appendInt)
 		if !t.Conj.Empty() {
-			fmt.Fprintf(&sb, " where %s", t.Conj.String())
+			b = append(b, " where "...)
+			b = append(b, t.Conj.String()...)
 		}
-		sb.WriteByte('\n')
+		b = append(b, '\n')
 	}
 	for _, j := range p.Joins {
-		fmt.Fprintf(&sb, "hash join %v = %v\n", j.Left, j.Right)
+		b = append(b, "hash join "...)
+		b = append(b, j.Left.String()...)
+		b = append(b, " = "...)
+		b = append(b, j.Right.String()...)
+		b = append(b, '\n')
 	}
 	if len(p.GroupBy) > 0 {
-		fmt.Fprintf(&sb, "group by %v\n", p.GroupBy)
+		b = append(b, "group by "...)
+		b = appendList(b, p.GroupBy, func(b []byte, k exec.ColKey) []byte { return append(b, k.String()...) })
+		b = append(b, '\n')
 	}
 	if len(p.Aggs) > 0 {
-		fmt.Fprintf(&sb, "aggregate %d exprs\n", len(p.Aggs))
+		b = append(b, "aggregate "...)
+		b = strconv.AppendInt(b, int64(len(p.Aggs)), 10)
+		b = append(b, " exprs\n"...)
 	}
-	fmt.Fprintf(&sb, "output %v\n", p.Output)
-	return sb.String()
+	b = append(b, "output "...)
+	b = appendList(b, p.Output, func(b []byte, s string) []byte { return append(b, s...) })
+	b = append(b, '\n')
+	return string(b)
 }
+
+// appendList appends items as fmt's %v prints a slice: "[a b c]".
+func appendList[T any](b []byte, items []T, appendItem func([]byte, T) []byte) []byte {
+	b = append(b, '[')
+	for i, x := range items {
+		if i > 0 {
+			b = append(b, ' ')
+		}
+		b = appendItem(b, x)
+	}
+	return append(b, ']')
+}
+
+func appendInt(b []byte, i int) []byte { return strconv.AppendInt(b, int64(i), 10) }
 
 // binder resolves names against the referenced tables.
 type binder struct {

@@ -6,8 +6,10 @@ import (
 	"testing"
 
 	"nodb/internal/exec"
+	"nodb/internal/expr"
 	"nodb/internal/schema"
 	"nodb/internal/sql"
+	"nodb/internal/storage"
 )
 
 // fakeCat implements CatalogInfo over in-memory schemas.
@@ -295,5 +297,37 @@ func TestLoadOpString(t *testing.T) {
 		if op.String() != want {
 			t.Errorf("LoadOp %d = %q, want %q", op, op.String(), want)
 		}
+	}
+}
+
+// TestPlanStringText pins the rendering of a plan with every part — two
+// scans, one with predicates of each literal type, a join, grouping,
+// aggregates — byte for byte.
+func TestPlanStringText(t *testing.T) {
+	p := &Plan{
+		Tables: []TablePlan{
+			{Name: "R", Ordinal: 0, NeedCols: []int{0, 2}, LoadOp: LoadColumns, Pins: []int{0, 1, 2},
+				Conj: expr.Conjunction{Preds: []expr.Pred{
+					{Col: 1, Op: expr.Gt, Val: storage.IntValue(-5)},
+					{Col: 2, Op: expr.Le, Val: storage.FloatValue(2.5e-7)},
+					{Col: 0, Between: true, Val: storage.FloatValue(1e21), Val2: storage.IntValue(7)},
+					{Col: 3, Op: expr.Ne, Val: storage.StringValue("a b")},
+				}}},
+			{Name: "S", Ordinal: 1, LoadOp: LoadPartialRetained},
+		},
+		Joins:   []JoinEdge{{Left: exec.ColKey{Tab: 0, Col: 2}, Right: exec.ColKey{Tab: 1, Col: 0}}},
+		GroupBy: []exec.ColKey{{Tab: 0, Col: 0}, {Tab: 1, Col: 3}},
+		Aggs:    []exec.AggSpec{{Kind: sql.AggCount, Star: true}, {Kind: sql.AggSum, Col: exec.ColKey{Col: 2}}},
+		Output:  []string{"a1", "count(*)", "sum(a3)"},
+	}
+	const want = `scan R (t0) cols=[0 2] load=column-load pin=[0 1 2] where col1 > -5 AND col2 <= 2.5e-07 AND col0 BETWEEN 1e+21 AND 7 AND col3 <> a b
+scan S (t1) cols=[] load=partial-load-v2 pin=[]
+hash join t0.c2 = t1.c0
+group by [t0.c0 t1.c3]
+aggregate 2 exprs
+output [a1 count(*) sum(a3)]
+`
+	if got := p.String(); got != want {
+		t.Fatalf("Plan.String =\n%s\nwant\n%s", got, want)
 	}
 }

@@ -17,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"sort"
+	"strconv"
 
 	"nodb/internal/schema"
 )
@@ -53,9 +54,9 @@ func (v Value) AsFloat() float64 {
 func (v Value) String() string {
 	switch v.Typ {
 	case schema.Int64:
-		return fmt.Sprintf("%d", v.I)
+		return strconv.FormatInt(v.I, 10)
 	case schema.Float64:
-		return fmt.Sprintf("%g", v.F)
+		return strconv.FormatFloat(v.F, 'g', -1, 64)
 	default:
 		return v.S
 	}
@@ -245,28 +246,27 @@ func (c *DenseColumn) Value(i int) Value {
 	}
 }
 
-// Slice returns the window of positions [lo, hi) of c: a header over c's
-// values, which it shares.
-func (c *DenseColumn) Slice(lo, hi int) DenseColumn {
-	w := DenseColumn{Typ: c.Typ}
-	switch c.Typ {
-	case schema.Int64:
-		switch c.Width() {
-		case 1:
-			w.I8 = c.I8[lo:hi]
-		case 2:
-			w.I16 = c.I16[lo:hi]
-		case 4:
-			w.I32 = c.I32[lo:hi]
-		default:
-			w.Ints = c.Ints[lo:hi]
-		}
-	case schema.Float64:
+// SliceInto points w at positions [lo, hi) of c, a window over c's
+// values, which it shares. Only the one slice c stores its values in is
+// written, so w must be zero or a window of c (or of a column of c's type
+// and width) already: re-pointing a reused window copies one slice
+// header, not the column.
+func (c *DenseColumn) SliceInto(w *DenseColumn, lo, hi int) {
+	w.Typ = c.Typ
+	switch {
+	case c.I8 != nil:
+		w.I8 = c.I8[lo:hi]
+	case c.I16 != nil:
+		w.I16 = c.I16[lo:hi]
+	case c.I32 != nil:
+		w.I32 = c.I32[lo:hi]
+	case c.Typ == schema.Int64:
+		w.Ints = c.Ints[lo:hi]
+	case c.Typ == schema.Float64:
 		w.Floats = c.Floats[lo:hi]
 	default:
 		w.Strs = c.Strs[lo:hi]
 	}
-	return w
 }
 
 // Append adds v (which must match the column type family) at the end.
@@ -441,7 +441,8 @@ func (c *DenseColumn) PutInts(at int, src *DenseColumn) {
 	if at+n > c.Len() {
 		panic(fmt.Sprintf("storage: PutInts of %d values at %d overruns %d", n, at, c.Len()))
 	}
-	w := c.Slice(at, at)
+	var w DenseColumn
+	c.SliceInto(&w, at, at)
 	w.appendInts(src, nil, n)
 }
 
