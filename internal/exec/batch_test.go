@@ -384,6 +384,45 @@ func TestGroupByOpEmptyInput(t *testing.T) {
 	}
 }
 
+// TestSortOverEmptyInput: a sort or top-k whose child sends no batch — a
+// filter that keeps no row, an empty table, a group-by with no groups —
+// ends its stream without an error.
+func TestSortOverEmptyInput(t *testing.T) {
+	proj := []ColKey{{0, 0}}
+	inputs := map[string]func() Operator{
+		"filter": func() Operator {
+			scan := mustDenseScan(t, mkSource(map[int][]int64{0: {1, 2, 3}}), 0, []int{0}, 2)
+			f := NewFilterOp(scan, 0, expr.Conjunction{Preds: []expr.Pred{intPred(0, expr.Gt, 99)}})
+			return NewProjectOp(f, proj)
+		},
+		"table": func() Operator {
+			return NewProjectOp(mustDenseScan(t, mkSource(map[int][]int64{0: {}}), 0, []int{0}, 2), proj)
+		},
+		"groupby": func() Operator {
+			scan := mustDenseScan(t, mkSource(map[int][]int64{0: {1, 2, 3}}), 0, []int{0}, 2)
+			f := NewFilterOp(scan, 0, expr.Conjunction{Preds: []expr.Pred{intPred(0, expr.Gt, 99)}})
+			return NewGroupByOp(f, []ColKey{{0, 0}}, []AggSpec{{Kind: sql.AggCount, Star: true}},
+				[]OutSlot{{Agg: false, Idx: 0}, {Agg: true, Idx: 0}}, []ColKey{{0, 0}}, 0)
+		},
+	}
+	keys := []SortKey{{Index: 0}}
+	for name, input := range inputs {
+		arity := 1
+		if name == "groupby" {
+			arity = 2
+		}
+		ops := map[string]Operator{
+			"sort": NewSortOp(input(), keys, arity, 4),
+			"topk": NewTopKOp(input(), keys, arity, 3, 4),
+		}
+		for opName, op := range ops {
+			if rows, err := drainRows(op, arity); err != nil || len(rows) != 0 {
+				t.Fatalf("%s over an empty %s = %d rows (%v), want none", opName, name, len(rows), err)
+			}
+		}
+	}
+}
+
 // TestHashJoinOpMatchesHashJoin holds the streaming join to a nested
 // loop over the same rows: probe rows in order, each with its build
 // matches in build order, at batch sizes around and across the inputs.

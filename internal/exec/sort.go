@@ -102,6 +102,9 @@ func compareRows(keys []SortKey, x []*storage.DenseColumn, i int, y []*storage.D
 // gather returns the stored rows perm, in that order, as output windows
 // of size rows.
 func (s *rowStore) gather(perm []int32, size int) *windows {
+	if len(perm) == 0 { // no batch may have come to type the columns
+		return newWindows(nil, nil, 0, size)
+	}
 	out := make([]*storage.DenseColumn, len(s.cols))
 	for j, c := range s.cols {
 		out[j] = storage.NewDense(c.Typ, len(perm))

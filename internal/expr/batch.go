@@ -156,13 +156,13 @@ func (s *step) apply(col *storage.DenseColumn, sel, out []int32) int {
 	if s.ranged {
 		switch col.Width() {
 		case 1:
-			return selectRange(col.I8, s.lo, s.hi, sel, out)
+			return selectRangeGo(col.I8, 0, 0, s.lo, s.hi, sel, out)
 		case 2:
-			return selectRange(col.I16, s.lo, s.hi, sel, out)
+			return selectRangeGo(col.I16, 0, 0, s.lo, s.hi, sel, out)
 		case 4:
-			return selectRange(col.I32, s.lo, s.hi, sel, out)
+			return selectRange32(col.I32, s.lo, s.hi, sel, out)
 		}
-		return selectRange(col.Ints, s.lo, s.hi, sel, out)
+		return selectRangeGo(col.Ints, 0, 0, s.lo, s.hi, sel, out)
 	}
 	return s.pred.selectColumn(col, sel, out)
 }
@@ -245,10 +245,11 @@ func b2i(b bool) int {
 	return i
 }
 
-// selectRange keeps the positions of sel whose value lies in [lo, hi]:
-// the platform's vector kernel takes the positions it can
-// (select_amd64.go), the Go loop the rest.
-func selectRange[T storage.Int](v []T, lo, hi int64, sel, out []int32) int {
+// selectRange32 keeps the positions of sel whose 4-byte value lies in
+// [lo, hi]: the platform's gather kernel takes the positions it can
+// (select_amd64.go), the Go loop the rest. The other widths run the Go
+// loop alone.
+func selectRange32(v []int32, lo, hi int64, sel, out []int32) int {
 	k, i := selectRangeSelSIMD(v, lo, hi, sel, out)
 	return selectRangeGo(v, i, k, lo, hi, sel, out)
 }

@@ -85,7 +85,7 @@ func selectRangeAVX2[T storage.Int](v []T, lo, hi int64, out []int32) (k, n int)
 }
 
 // selectRangeSelSIMD runs the AVX2 kernel over sel when the CPU has it.
-func selectRangeSelSIMD[T storage.Int](v []T, lo, hi int64, sel, out []int32) (k, n int) {
+func selectRangeSelSIMD(v []int32, lo, hi int64, sel, out []int32) (k, n int) {
 	if !hasAVX2 {
 		return 0, 0
 	}
@@ -96,34 +96,29 @@ func selectRangeSelSIMD[T storage.Int](v []T, lo, hi int64, sel, out []int32) (k
 // positions of sel, 8 per step: it gathers their rows of v, compares them
 // as selectRangeAVX2 does and writes the kept positions by one
 // permutation of the loaded ones. It returns the survivors' count and n.
-//   - At width 4 the interval is first clamped to int32's range, so the
-//     int32 lanes compare as the int64 loop does; an interval that misses
-//     the range keeps no position of sel. Width 8 needs no clamp, and
-//     lo > hi, which Compile never folds, is left to the Go loop.
+//   - The interval is first clamped to int32's range, so the int32 lanes
+//     compare as the int64 loop does; an interval that misses the range
+//     keeps no position of sel. lo > hi, which Compile never folds, is
+//     left to the Go loop.
 //   - out may be sel itself, as Filter.Apply passes out[:k] as both: each
 //     step stores 8 positions at out[k] with k <= i, so it overwrites
 //     only positions already loaded, and k+8 <= n keeps it within out[:n].
 //   - The gathers read v unchecked at every position of sel[:n]. sel is
 //     ascending, so checking its first and last position bounds them all.
-//   - Widths 1 and 2 are left to the Go loop: a dword gather at byte or
-//     word scale reads 3 or 2 bytes past a position, past the last row of
-//     v when the position is the last row.
-func selectRangeSelAVX2[T storage.Int](v []T, lo, hi int64, sel, out []int32) (k, n int) {
-	width := unsafe.Sizeof(*new(T))
+//   - Only 4-byte columns come here. A dword gather at byte or word scale
+//     reads 3 or 2 bytes past a position, past the last row of v when the
+//     position is the last row; 8-byte columns showed no gain.
+func selectRangeSelAVX2(v []int32, lo, hi int64, sel, out []int32) (k, n int) {
 	n = len(sel) &^ 7
-	if width < 4 || n == 0 || lo > hi || sel[0] < 0 || int(sel[n-1]) >= len(v) {
+	if n == 0 || lo > hi || sel[0] < 0 || int(sel[n-1]) >= len(v) {
 		return 0, 0 // out-of-range positions panic in the Go loop
 	}
-	_ = out[n-1] // the kernels write out[:n] unchecked
-	p, s, o := unsafe.Pointer(unsafe.SliceData(v)), unsafe.SliceData(sel), unsafe.SliceData(out)
-	if width == 8 {
-		return selectRangeSel64AVX2((*int64)(p), s, n, lo^math.MinInt64, int64(uint64(hi-lo))^math.MinInt64, o), n
-	}
+	_ = out[n-1] // the kernel writes out[:n] unchecked
 	lo, hi = max(lo, math.MinInt32), min(hi, math.MaxInt32)
 	if lo > hi {
 		return 0, len(sel)
 	}
-	return selectRangeSel32AVX2((*int32)(p), s, n, int32(lo)^math.MinInt32, int32(uint32(hi-lo))^math.MinInt32, o), n
+	return selectRangeSel32AVX2(unsafe.SliceData(v), unsafe.SliceData(sel), n, int32(lo)^math.MinInt32, int32(uint32(hi-lo))^math.MinInt32, unsafe.SliceData(out)), n
 }
 
 // The kernels in select_amd64.s keep row x of v[:n] unless x-base >
@@ -141,15 +136,12 @@ func selectRange32AVX2(v *int32, n int, base, limit int32, out *int32) (k int)
 //go:noescape
 func selectRange64AVX2(v *int64, n int, base, limit int64, out *int32) (k int)
 
-// The gather kernels keep position sel[i] of sel[:n] unless v[sel[i]] -
-// base > limit, signed, in the lane type; n is a positive multiple of 8
-// and every position is a row of v.
+// The gather kernel keeps position sel[i] of sel[:n] unless v[sel[i]] -
+// base > limit, signed; n is a positive multiple of 8 and every position
+// is a row of v.
 
 //go:noescape
 func selectRangeSel32AVX2(v *int32, sel *int32, n int, base, limit int32, out *int32) (k int)
-
-//go:noescape
-func selectRangeSel64AVX2(v *int64, sel *int32, n int, base, limit int64, out *int32) (k int)
 
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 

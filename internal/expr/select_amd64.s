@@ -122,27 +122,19 @@ loop64:
 	MOVQ      DX, k+40(FP)
 	RET
 
-// The ranged step over a selection vector, widths 4 and 8: 8 positions
-// of sel per iteration. Register use: SI v, R10 sel, CX index i into
-// sel, R9 positions n, DI out, DX survivors k, R8 &compressIdx, Y1 base,
-// Y2 limit, Y3 the positions sel[i:i+8], Y7 the gather mask (a gather
+// func selectRangeSel32AVX2(v *int32, sel *int32, n int, base, limit int32, out *int32) (k int)
+//
+// The ranged step over a selection vector, width 4: 8 positions of sel
+// per iteration. Register use: SI v, R10 sel, CX index i into sel, R9
+// positions n, DI out, DX survivors k, R8 &compressIdx, Y1 base, Y2
+// limit, Y3 the positions sel[i:i+8], Y7 the gather mask (a gather
 // clears it, so it is refilled before each).
-
-// PERMUTE writes the positions of the kept lanes of Y3 — VPERMD by
+//
+// It writes the positions of the kept lanes of Y3 — VPERMD by
 // compressIdx[m], ascending, then garbage — as 8 int32 at out[k] and
 // advances k by popcount(m) and i by 8. The store stays within out[:n]
 // because k <= i and i+8 <= n. When out is sel itself the store at
 // out[k] with k <= i overwrites only positions already loaded.
-#define PERMUTE \
-	POPCNTL AX, BX; \
-	SHLQ    $5, AX; \
-	VMOVDQU (R8)(AX*1), Y6; \
-	VPERMD  Y3, Y6, Y6; \
-	VMOVDQU Y6, (DI)(DX*4); \
-	ADDQ    BX, DX; \
-	ADDQ    $8, CX
-
-// func selectRangeSel32AVX2(v *int32, sel *int32, n int, base, limit int32, out *int32) (k int)
 TEXT ·selectRangeSel32AVX2(SB), NOSPLIT, $0-48
 	MOVQ         v+0(FP), SI
 	MOVQ         sel+8(FP), R10
@@ -163,49 +155,17 @@ loopsel32:
 	VPCMPEQD   Y7, Y7, Y7
 	VPGATHERDD Y7, (SI)(Y3*4), Y0
 	MASK32
-	PERMUTE
+	POPCNTL    AX, BX
+	SHLQ       $5, AX
+	VMOVDQU    (R8)(AX*1), Y6
+	VPERMD     Y3, Y6, Y6
+	VMOVDQU    Y6, (DI)(DX*4)
+	ADDQ       BX, DX
+	ADDQ       $8, CX
 	CMPQ       CX, R9
 	JB         loopsel32
 	VZEROUPPER
 	MOVQ       DX, k+40(FP)
-	RET
-
-// func selectRangeSel64AVX2(v *int64, sel *int32, n int, base, limit int64, out *int32) (k int)
-//
-// Two 4-lane gathers per iteration, by the low and the high half of Y3;
-// the second's reject bits become bits 4-7 of the mask.
-TEXT ·selectRangeSel64AVX2(SB), NOSPLIT, $0-56
-	MOVQ         v+0(FP), SI
-	MOVQ         sel+8(FP), R10
-	MOVQ         n+16(FP), R9
-	VPBROADCASTQ base+24(FP), Y1
-	VPBROADCASTQ limit+32(FP), Y2
-	MOVQ         out+40(FP), DI
-	LEAQ         ·compressIdx(SB), R8
-	XORQ         CX, CX
-	XORQ         DX, DX
-
-loopsel64:
-	VMOVDQU      (R10)(CX*4), Y3
-	VEXTRACTI128 $1, Y3, X8
-	VPCMPEQD     Y7, Y7, Y7
-	VPGATHERDQ   Y7, (SI)(X3*8), Y0
-	VPCMPEQD     Y7, Y7, Y7
-	VPGATHERDQ   Y7, (SI)(X8*8), Y9
-	VPSUBQ       Y1, Y0, Y0
-	VPSUBQ       Y1, Y9, Y9
-	VPCMPGTQ     Y2, Y0, Y0
-	VPCMPGTQ     Y2, Y9, Y9
-	VMOVMSKPD    Y0, AX
-	VMOVMSKPD    Y9, BX
-	SHLL         $4, BX
-	ORL          BX, AX
-	XORL         $0xff, AX
-	PERMUTE
-	CMPQ         CX, R9
-	JB           loopsel64
-	VZEROUPPER
-	MOVQ         DX, k+48(FP)
 	RET
 
 // func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)

@@ -53,25 +53,17 @@ func testAVX2MatchesGo[T storage.Int](t *testing.T) {
 }
 
 // TestSelectRangeSelAVX2MatchesGo runs the gather kernel and the Go loop
-// side by side on every width, in place and into a separate out, on
+// side by side on 4-byte columns, in place and into a separate out, on
 // selections of 0 to 100 % of the rows (ending at the last row or not),
-// for intervals at and past each width's bounds. Widths 1 and 2 must be
-// left to the Go loop; at 4 and 8 the kernel must cover len(sel)&^7
-// positions (every one when the clamped interval is empty), and the Go
-// loop, given the positions it left, must reach the reference's count and
-// positions.
+// for intervals at and past int32's bounds. The kernel must cover
+// len(sel)&^7 positions (every one when the clamped interval is empty,
+// none when lo > hi), and the Go loop, given the positions it left, must
+// reach the reference's count and positions.
 func TestSelectRangeSelAVX2MatchesGo(t *testing.T) {
 	if !hasAVX2 {
 		t.Skip("CPU without AVX2")
 	}
-	testSelAVX2MatchesGo[int8](t)
-	testSelAVX2MatchesGo[int16](t)
-	testSelAVX2MatchesGo[int32](t)
-	testSelAVX2MatchesGo[int64](t)
-}
-
-func testSelAVX2MatchesGo[T storage.Int](t *testing.T) {
-	tmin, tmax := widthBounds[T]()
+	tmin, tmax := widthBounds[int32]()
 	bounds := []int64{math.MinInt64, tmin - 1, tmin, tmin + 1, -2, 0, 2, tmax - 1, tmax, tmax + 1, math.MaxInt64}
 	for _, lo := range bounds {
 		for _, hi := range bounds {
@@ -79,7 +71,7 @@ func testSelAVX2MatchesGo[T storage.Int](t *testing.T) {
 				for _, pct := range []int{0, 30, 100} {
 					for _, inPlace := range []bool{false, true} {
 						sel := selPositions(rows, pct, lo^hi^int64(rows), rows%2 == 1)
-						v := rangeValues[T](rows, lo^hi^int64(rows+pct), lo, hi)
+						v := rangeValues[int32](rows, lo^hi^int64(rows+pct), lo, hi)
 						want := make([]int32, len(sel))
 						wk := selectRangeGo(v, 0, 0, lo, hi, sel, want)
 						got := make([]int32, len(sel))
@@ -89,19 +81,18 @@ func testSelAVX2MatchesGo[T storage.Int](t *testing.T) {
 							in = got
 						}
 						k, done := selectRangeSelAVX2(v, lo, hi, in, got)
-						n := len(sel) &^ 7
-						switch {
-						case widthOf[T]() < 4 || lo > hi:
+						switch n := len(sel) &^ 7; {
+						case lo > hi:
 							if done != 0 {
-								t.Fatalf("width %d, [%d, %d]: kernel took %d positions it leaves to the Go loop", widthOf[T](), lo, hi, done)
+								t.Fatalf("[%d, %d]: kernel took %d positions it leaves to the Go loop", lo, hi, done)
 							}
 						case done != n && !(done == len(sel) && k == 0):
-							t.Fatalf("width %d, %d positions, [%d, %d]: kernel covered %d", widthOf[T](), len(sel), lo, hi, done)
+							t.Fatalf("%d positions, [%d, %d]: kernel covered %d", len(sel), lo, hi, done)
 						}
 						k = selectRangeGo(v, done, k, lo, hi, in, got)
 						if k != wk || !slices.Equal(got[:k], want[:wk]) {
-							t.Fatalf("width %d, %d positions, [%d, %d], in place %v: AVX2 %d survivors %v, Go %d %v",
-								widthOf[T](), len(sel), lo, hi, inPlace, k, got[:k], wk, want[:wk])
+							t.Fatalf("%d positions, [%d, %d], in place %v: AVX2 %d survivors %v, Go %d %v",
+								len(sel), lo, hi, inPlace, k, got[:k], wk, want[:wk])
 						}
 					}
 				}

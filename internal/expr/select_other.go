@@ -11,6 +11,6 @@ func selectRangeSIMD[T storage.Int](v []T, lo, hi int64, out []int32) (k, n int)
 }
 
 // selectRangeSelSIMD has no vector kernel on this architecture.
-func selectRangeSelSIMD[T storage.Int](v []T, lo, hi int64, sel, out []int32) (k, n int) {
+func selectRangeSelSIMD(v []int32, lo, hi int64, sel, out []int32) (k, n int) {
 	return 0, 0
 }

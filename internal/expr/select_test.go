@@ -8,6 +8,7 @@ import (
 	"testing"
 	"unsafe"
 
+	"nodb/internal/schema"
 	"nodb/internal/storage"
 )
 
@@ -120,10 +121,28 @@ func selPositions(rows, pct int, seed int64, last bool) []int32 {
 	return sel
 }
 
-// checkSelectRangeSel compares selectRange — the vector kernel where the
-// CPU has one for the width — with the Go loop on count and positions, in
-// place (sel as out) or into a separate out it must not write past
-// out[:len(sel)].
+// rangeStep runs a ranged step over v's positions sel as Filter.Apply
+// does, through step.apply's dispatch by width.
+func rangeStep[T storage.Int](v []T, lo, hi int64, sel, out []int32) int {
+	col := &storage.DenseColumn{Typ: schema.Int64}
+	switch v := any(v).(type) {
+	case []int8:
+		col.I8 = v
+	case []int16:
+		col.I16 = v
+	case []int32:
+		col.I32 = v
+	case []int64:
+		col.Ints = v
+	}
+	s := step{ranged: true, lo: lo, hi: hi}
+	return s.apply(col, sel, out)
+}
+
+// checkSelectRangeSel compares the ranged step — the gather kernel where
+// the CPU has one for the width — with the Go loop on count and
+// positions, in place (sel as out) or into a separate out it must not
+// write past out[:len(sel)].
 func checkSelectRangeSel[T storage.Int](t *testing.T, v []T, sel []int32, lo, hi int64, inPlace bool) {
 	t.Helper()
 	n := len(sel)
@@ -137,9 +156,9 @@ func checkSelectRangeSel[T storage.Int](t *testing.T, v []T, sel []int32, lo, hi
 	var k int
 	if inPlace {
 		copy(buf, sel)
-		k = selectRange(v, lo, hi, buf[:n], buf[:n])
+		k = rangeStep(v, lo, hi, buf[:n], buf[:n])
 	} else {
-		k = selectRange(v, lo, hi, sel, buf[:n])
+		k = rangeStep(v, lo, hi, sel, buf[:n])
 	}
 	if k != wk || !slices.Equal(buf[:k], want[:wk]) {
 		t.Fatalf("width %d, %d rows, %d positions, [%d, %d], in place %v: %d survivors %v, Go loop %d %v",
@@ -192,8 +211,8 @@ func FuzzSelectRangeSel(f *testing.F) {
 // BenchmarkSelectRangeSel times the ranged step over a selection vector,
 // in place as Filter.Apply's later steps run it, in 1024-row batches of a
 // 300k-row column: per width, share of rows selected and selectivity,
-// through the Go loop and through the dispatch (the gather kernel where
-// the CPU has one for the width).
+// through the Go loop and through step.apply's dispatch (the gather
+// kernel where the CPU has one for the width).
 func BenchmarkSelectRangeSel(b *testing.B) {
 	benchSelectRangeSel[int8](b)
 	benchSelectRangeSel[int16](b)
@@ -221,7 +240,7 @@ func benchSelectRangeSel[T storage.Int](b *testing.B) {
 				run  func(v []T) int
 			}{
 				{"go", func(v []T) int { return selectRangeGo(v, 0, 0, benchLo, benchHi, buf, buf) }},
-				{"simd", func(v []T) int { return selectRange(v, benchLo, benchHi, buf, buf) }},
+				{"step", func(v []T) int { return rangeStep(v, benchLo, benchHi, buf, buf) }},
 			}
 			for _, p := range paths {
 				b.Run(fmt.Sprintf("width=%d/in=%d%%/sel=%g%%/path=%s", widthOf[T](), in, pct, p.name), func(b *testing.B) {

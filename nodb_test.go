@@ -49,6 +49,36 @@ func TestAllPublicPolicies(t *testing.T) {
 	}
 }
 
+// TestOrderByEmptyResult: ORDER BY, with and without LIMIT, over a
+// filter that keeps no row and over a group-by with no groups answers
+// with no rows under every policy.
+func TestOrderByEmptyResult(t *testing.T) {
+	queries := []string{
+		"select a1 from t where a1 > 100 order by a1",
+		"select a1, a2 from t where a1 > 100 order by a2 desc limit 2",
+		"select a1, count(*) from t where a1 > 100 group by a1 order by a1",
+		"select a1, count(*) from t where a1 > 100 group by a1 order by a1 limit 1",
+	}
+	for _, pol := range []Policy{ColumnLoads, FullLoad, PartialLoadsV1, PartialLoadsV2, External, Auto} {
+		t.Run(pol.String(), func(t *testing.T) {
+			db := Open(Options{Policy: pol})
+			defer db.Close()
+			linkFile(t, db, "t", "5,1\n6,2\n7,3\n")
+			for range 2 { // cold, then over what the first pass loaded
+				for _, q := range queries {
+					res, err := db.Query(q)
+					if err != nil {
+						t.Fatalf("%s: %v", q, err)
+					}
+					if len(res.Rows) != 0 {
+						t.Fatalf("%s = %v, want no rows", q, res.Rows)
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestPolicyParseRoundTrip(t *testing.T) {
 	for _, pol := range []Policy{ColumnLoads, FullLoad, PartialLoadsV1, PartialLoadsV2, External, Auto} {
 		got, err := ParsePolicy(pol.String())
