@@ -655,7 +655,7 @@ func TestExplainTreeText(t *testing.T) {
 	if _, err := drainRows(root, 2); err != nil {
 		t.Fatal(err)
 	}
-	const want = `Limit(0)  (batches=1 rows=1)
+	const want = `Limit(1)  (batches=1 rows=1)
   TopK(2 [{0 true}])  (batches=1 rows=2)
     Project([t0.c1 t1.c0])  (batches=2 rows=3)
       HashJoin(t0.c0=t1.c0)  (batches=2 rows=3)

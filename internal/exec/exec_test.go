@@ -404,13 +404,6 @@ func TestLimitOverHashJoinStopsProbe(t *testing.T) {
 	}
 }
 
-func TestViewMemSize(t *testing.T) {
-	v := mkView(0, map[int][]int64{0: {1, 2, 3}})
-	if v.MemSize() <= 0 {
-		t.Error("MemSize should be positive")
-	}
-}
-
 // BenchmarkHashJoin100k joins two 100k-row dense scans 1:1: build the
 // right side's index, stream the left side through it.
 func BenchmarkHashJoin100k(b *testing.B) {

@@ -204,18 +204,21 @@ func (p *ProjectOp) Next() (*Batch, error) {
 type LimitOp struct {
 	opBase
 	child     Operator
+	limit     int // the rows asked for; < 0 without a limit
 	remaining int // rows still to pass; < 0 without a limit
 	done      bool
 	out       Batch
 }
 
-func NewLimitOp(child Operator, n int) *LimitOp { return &LimitOp{child: child, remaining: n} }
+func NewLimitOp(child Operator, n int) *LimitOp {
+	return &LimitOp{child: child, limit: n, remaining: n}
+}
 
 func (l *LimitOp) Name() string {
-	if l.remaining < 0 {
+	if l.limit < 0 {
 		return "Limit(none)"
 	}
-	return fmt.Sprintf("Limit(%d)", l.remaining)
+	return fmt.Sprintf("Limit(%d)", l.limit)
 }
 func (l *LimitOp) Children() []Operator { return []Operator{l.child} }
 func (l *LimitOp) Close()               { l.child.Close() }

@@ -76,15 +76,6 @@ func (v *View) columns() ([]ColKey, []*storage.DenseColumn) {
 // Value returns the value of column k at position i.
 func (v *View) Value(k ColKey, i int) storage.Value { return v.Cols[k].Value(i) }
 
-// MemSize returns approximate heap bytes of the view.
-func (v *View) MemSize() int64 {
-	sz := int64(cap(v.Rows)) * 8
-	for _, c := range v.Cols {
-		sz += c.MemSize()
-	}
-	return sz
-}
-
 // DenseSource is the executor's handle on a fully loaded table: dense
 // columns by attribute index plus the table's row count. The engine
 // assembles it from the adaptive store.

@@ -4,27 +4,13 @@ import (
 	"math"
 	"unsafe"
 
+	"nodb/internal/cpu"
 	"nodb/internal/storage"
 )
 
 // hasAVX2 is read once per process: the CPU has AVX2 and POPCNT, and the
 // operating system saves the YMM registers.
-var hasAVX2 = cpuHasAVX2()
-
-func cpuHasAVX2() bool {
-	if maxID, _, _, _ := cpuid(0, 0); maxID < 7 {
-		return false
-	}
-	const popcnt, osxsave, avx = 1 << 23, 1 << 27, 1 << 28
-	if _, _, ecx, _ := cpuid(1, 0); ecx&(popcnt|osxsave|avx) != popcnt|osxsave|avx {
-		return false
-	}
-	if xcr0, _ := xgetbv(); xcr0&6 != 6 { // XMM and YMM state
-		return false
-	}
-	_, ebx, _, _ := cpuid(7, 0)
-	return ebx&(1<<5) != 0
-}
+var hasAVX2 = cpu.HasAVX2
 
 // compressIdx[m] lists the set bits of m, ascending, padded with zeros:
 // the lanes a keep mask m keeps, in the order the kernels write them.
@@ -142,7 +128,3 @@ func selectRange64AVX2(v *int64, n int, base, limit int64, out *int32) (k int)
 
 //go:noescape
 func selectRangeSel32AVX2(v *int32, sel *int32, n int, base, limit int32, out *int32) (k int)
-
-func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-
-func xgetbv() (eax, edx uint32)

@@ -1,12 +1,20 @@
 // Package scan implements tokenization of raw flat files (CSV and NDJSON).
 //
 // It follows the design of the paper's adaptive loading operators (§3.2):
-// the file is split into horizontal portions; tokenization happens in two
-// steps per portion — first row boundaries are identified, then the
-// relevant attributes are located within each row. Tokenization of a row
-// stops as soon as all attributes a query needs have been found, and a
-// pushed-down predicate can abandon the rest of a row the moment it fails
-// ("early tuple elimination").
+// the file is split into horizontal portions, which workers read a chunk
+// at a time. Tokenization of a row stops as soon as all attributes a query
+// needs have been found, and a pushed-down predicate can abandon the rest
+// of a row the moment it fails ("early tuple elimination").
+//
+// A projected CSV scan on a CPU with AVX2 tokenizes in two stages per
+// chunk (Langdale and Lemire's structural index). Stage 1 marks every
+// newline and every delimiter of the chunk in two bitmaps, one bit per
+// byte (index_amd64.s). Stage 2 walks the bits: TrailingZeros64 finds each
+// row's end, and reaching attribute k counts k delimiters off with
+// OnesCount64 a word at a time instead of reading the bytes between. The
+// byte walk — IndexByte per row, skipDelims per gap — is the reference,
+// the path on every other CPU and format, and the reporter of every
+// malformed row: the bit walk hands a row that ends too early back to it.
 //
 // Both supported formats are newline-delimited, so portioning, row
 // counting, parallel scheduling and positional maps are shared; only the
@@ -666,7 +674,7 @@ func (s *Scanner) info(i int) PortionInfo {
 
 // runPortion scans one portion through the per-portion hooks, reading
 // through the calling worker's buffer.
-func (s *Scanner) runPortion(i int, cols []int, handler RowHandler, tailH RowTailHandler, abandon AbandonFunc, pf PortionFuncs, buf *[]byte) error {
+func (s *Scanner) runPortion(i int, cols []int, handler RowHandler, tailH RowTailHandler, abandon AbandonFunc, pf PortionFuncs, buf *readBuf) error {
 	pi := s.info(i)
 	var tok rowTokenizer
 	if pf.Lines != nil {
@@ -731,7 +739,7 @@ func (s *Scanner) scan(cols []int, handler RowHandler, tailH RowTailHandler, aba
 	// Each worker reads every portion it takes through one buffer,
 	// allocated on its first portion and kept for the pass.
 	if w == 1 {
-		var buf []byte
+		buf := newReadBuf()
 		for _, i := range survivors {
 			if err := s.runPortion(i, cols, handler, tailH, abandon, pf, &buf); err != nil {
 				if errors.Is(err, ErrStop) {
@@ -752,7 +760,7 @@ func (s *Scanner) scan(cols []int, handler RowHandler, tailH RowTailHandler, aba
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			var buf []byte
+			buf := newReadBuf()
 			for idx := range work {
 				if err := s.runPortion(idx, cols, handler, tailH, abandon, pf, &buf); err != nil {
 					errCh <- err
@@ -801,11 +809,54 @@ func (w *tally) flush(c *metrics.Counters) {
 	c.AddRowsAbandoned(w.abandoned)
 }
 
+// readBuf is one scan worker's read buffer, kept for a whole pass, and
+// the structural index over it. stage1, nil where no kernel runs, builds
+// the index of each chunk read into b; nl and dl then hold one bit per
+// byte of b, two words per 64 bytes.
+type readBuf struct {
+	b      []byte
+	nl, dl []uint64
+	stage1 func(data []byte, delim byte, nl, dl []uint64)
+}
+
+// newReadBuf returns a worker's empty buffer, indexed when the CPU has
+// the stage-1 kernel.
+func newReadBuf() readBuf {
+	if hasAVX2 {
+		return readBuf{stage1: structuralIndex}
+	}
+	return readBuf{}
+}
+
+// index builds the structural index of data, b's first bytes, growing the
+// bitmaps with b.
+func (rb *readBuf) index(data []byte, delim byte) (nl, dl []uint64) {
+	words := (len(data) + 63) / 64
+	if cap(rb.nl) < words {
+		all := (len(rb.b) + 63) / 64
+		rb.nl, rb.dl = make([]uint64, all), make([]uint64, all)
+	}
+	nl, dl = rb.nl[:words], rb.dl[:words]
+	rb.stage1(data, delim, nl, dl)
+	return nl, dl
+}
+
+// portionRows carries one portion's per-row state through its chunks.
+type portionRows struct {
+	tok     rowTokenizer
+	handler RowHandler
+	tailH   RowTailHandler
+	abandon AbandonFunc
+	rowID   int64
+	w       tally
+}
+
 // scanPortion streams one portion and tokenizes its rows with tok,
 // returning how many it tokenized. It reads through the worker's buffer
-// *bufp, allocating it on first use; a buffer outgrown by a long row is
-// replaced by a larger one, which the worker keeps.
-func (s *Scanner) scanPortion(p portion, tok rowTokenizer, handler RowHandler, tailH RowTailHandler, abandon AbandonFunc, bufp *[]byte) (int64, error) {
+// rb, allocating it on first use; a buffer outgrown by a long row is
+// replaced by a larger one, which the worker keeps. A CSV walk over a
+// buffer with a stage 1 indexes each chunk and walks its bits.
+func (s *Scanner) scanPortion(p portion, tok rowTokenizer, handler RowHandler, tailH RowTailHandler, abandon AbandonFunc, rb *readBuf) (int64, error) {
 	f, err := s.opts.fs().Open(s.path)
 	if err != nil {
 		return 0, errs.Wrap(errs.ErrRawIO, "scan open", s.path, err)
@@ -813,23 +864,26 @@ func (s *Scanner) scanPortion(p portion, tok rowTokenizer, handler RowHandler, t
 	defer f.Close()
 
 	c := s.opts.Counters
-	var w tally
+	r := portionRows{tok: tok, handler: handler, tailH: tailH, abandon: abandon, rowID: p.firstRow}
 	defer func() {
-		s.scannedRows.Add(w.rows)
-		w.flush(c)
+		s.scannedRows.Add(r.w.rows)
+		r.w.flush(c)
 	}()
-	chunk := s.opts.chunkSize()
-	if *bufp == nil {
-		*bufp = make([]byte, s.readBufSize())
+	wk, _ := tok.(*Walker)
+	if rb.stage1 == nil {
+		wk = nil
 	}
-	buf := *bufp
+	chunk := s.opts.chunkSize()
+	if rb.b == nil {
+		rb.b = make([]byte, s.readBufSize())
+	}
+	buf := rb.b
 	carry := 0 // bytes of an incomplete row carried from the previous chunk
 	pos := p.off
-	rowID := p.firstRow
 
 	for pos < p.end || carry > 0 {
 		if err := s.opts.canceled(); err != nil {
-			return w.rows, err
+			return r.w.rows, err
 		}
 		n := 0
 		if pos < p.end {
@@ -840,7 +894,7 @@ func (s *Scanner) scanPortion(p portion, tok rowTokenizer, handler RowHandler, t
 			if carry+want > len(buf) {
 				nb := make([]byte, carry+want+carryRoom)
 				copy(nb, buf[:carry])
-				buf, *bufp = nb, nb
+				buf, rb.b = nb, nb
 			}
 			m, err := f.ReadAt(buf[carry:carry+want], pos)
 			if m > 0 {
@@ -850,14 +904,14 @@ func (s *Scanner) scanPortion(p portion, tok rowTokenizer, handler RowHandler, t
 				}
 			}
 			if err != nil && err != io.EOF {
-				return w.rows, errs.Wrap(errs.ErrRawIO, "scan read", s.path, err)
+				return r.w.rows, errs.Wrap(errs.ErrRawIO, "scan read", s.path, err)
 			}
 			n = carry + m
 			if m == 0 && err == io.EOF {
 				// EOF before the portion's end: the file shrank after
 				// its size was captured. Tokenizing the prefix as if it
 				// were the whole portion would return wrong results.
-				return w.rows, errs.New(errs.ErrFileShrunk, "scan read", s.path)
+				return r.w.rows, errs.New(errs.ErrFileShrunk, "scan read", s.path)
 			}
 		} else {
 			n = carry
@@ -868,37 +922,16 @@ func (s *Scanner) scanPortion(p portion, tok rowTokenizer, handler RowHandler, t
 
 		data := buf[:n]
 		base := pos - int64(n) // file offset of data[0]
-		consumed := 0
-		for {
-			nl := bytes.IndexByte(data[consumed:], '\n')
-			var line []byte
-			lineStart := consumed
-			if nl < 0 {
-				if pos < p.end {
-					break // incomplete row; wait for more data
-				}
-				// Final row without trailing newline.
-				line = data[consumed:]
-				consumed = len(data)
-				if len(line) == 0 {
-					break
-				}
-			} else {
-				line = data[consumed : consumed+nl]
-				consumed += nl + 1
-			}
-			if len(line) > 0 && line[len(line)-1] == '\r' {
-				line = line[:len(line)-1]
-			}
-			w.rows++
-			err := tok.row(line, base+int64(lineStart), rowID, handler, tailH, abandon, &w)
-			rowID++
-			if err != nil {
-				return w.rows, err
-			}
-			if consumed >= len(data) {
-				break
-			}
+		more := pos < p.end
+		var consumed int
+		if wk != nil {
+			nl, dl := rb.index(data, wk.delim)
+			consumed, err = r.indexedLines(wk, data, nl, dl, base, more)
+		} else {
+			consumed, err = r.lines(data, base, more)
+		}
+		if err != nil {
+			return r.w.rows, err
 		}
 		// Carry the incomplete tail to the front of the buffer.
 		carry = len(data) - consumed
@@ -909,10 +942,50 @@ func (s *Scanner) scanPortion(p portion, tok rowTokenizer, handler RowHandler, t
 			carry = 0
 		}
 		if pos >= p.end && carry > 0 && consumed == 0 {
-			return w.rows, fmt.Errorf("scan: row longer than buffer at offset %d", base)
+			return r.w.rows, fmt.Errorf("scan: row longer than buffer at offset %d", base)
 		}
 	}
-	return w.rows, nil
+	return r.w.rows, nil
+}
+
+// lines tokenizes the complete rows of data, whose first byte sits at file
+// offset base, and returns how many bytes they take; more reports that
+// the portion continues past data, so a last row without a newline is
+// incomplete rather than final. It finds each row's end with IndexByte.
+func (r *portionRows) lines(data []byte, base int64, more bool) (int, error) {
+	consumed := 0
+	for {
+		nl := bytes.IndexByte(data[consumed:], '\n')
+		var line []byte
+		lineStart := consumed
+		if nl < 0 {
+			if more {
+				break // incomplete row; wait for more data
+			}
+			// Final row without trailing newline.
+			line = data[consumed:]
+			consumed = len(data)
+			if len(line) == 0 {
+				break
+			}
+		} else {
+			line = data[consumed : consumed+nl]
+			consumed += nl + 1
+		}
+		if len(line) > 0 && line[len(line)-1] == '\r' {
+			line = line[:len(line)-1]
+		}
+		r.w.rows++
+		err := r.tok.row(line, base+int64(lineStart), r.rowID, r.handler, r.tailH, r.abandon, &r.w)
+		r.rowID++
+		if err != nil {
+			return consumed, err
+		}
+		if consumed >= len(data) {
+			break
+		}
+	}
+	return consumed, nil
 }
 
 // rowTokenizer locates requested attributes within one line. The CSV
@@ -955,7 +1028,15 @@ type Walker struct {
 	delim  byte
 	sorted []int   // unique requested attributes, ascending
 	dup    [][]int // dup[i]: every index into cols that asks for sorted[i]
+	steps  []walkStep
 	fields []FieldRef
+}
+
+// walkStep is the bit walk's plan for sorted[i]: the delimiters between
+// the end of the attribute before it (or the row's start) and its start,
+// and the one index into cols it fills, or -1 when dup[i] holds several.
+type walkStep struct {
+	skip, ci int
 }
 
 // NewWalker returns a walker for cols: 0-based attribute indices in any
@@ -981,8 +1062,16 @@ func NewWalker(delim byte, cols []int) *Walker {
 			idxs = append(idxs, pairs[j].idx)
 			j++
 		}
+		skip, ci := pairs[i].col, -1
+		if len(t.sorted) > 0 {
+			skip -= t.sorted[len(t.sorted)-1] + 1
+		}
+		if len(idxs) == 1 {
+			ci = idxs[0]
+		}
 		t.sorted = append(t.sorted, pairs[i].col)
 		t.dup = append(t.dup, idxs)
+		t.steps = append(t.steps, walkStep{skip: skip, ci: ci})
 		i = j
 	}
 	return t
@@ -1042,6 +1131,12 @@ func (t *Walker) row(line []byte, lineOff, rowID int64, handler RowHandler, tail
 	if err != nil {
 		return err
 	}
+	return t.emit(line, lineOff, rowID, attrs, end, dropped, handler, tailH, w)
+}
+
+// emit counts a walked row and hands it on unless it was dropped; end is
+// the index in line just past its last requested attribute.
+func (t *Walker) emit(line []byte, lineOff, rowID, attrs int64, end int, dropped bool, handler RowHandler, tailH RowTailHandler, w *tally) error {
 	w.attrs += attrs
 	if dropped {
 		w.abandoned++

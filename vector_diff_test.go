@@ -368,3 +368,25 @@ func TestVectorExplainTree(t *testing.T) {
 		}
 	}
 }
+
+// TestExecutedPlanNamesLimit: the plan a query reports after running
+// names the limit it asked for, not the quota left once the rows passed.
+func TestExecutedPlanNamesLimit(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "t.csv")
+	writeRandomTable(t, path, 500, 3, 100, 9)
+	db := Open(Options{Policy: ColumnLoads, Workers: 1})
+	defer db.Close()
+	if err := db.Attach("t", TableSpec{Path: path}); err != nil {
+		t.Fatal(err)
+	}
+	res, err := db.Query("select a1, a2 from t where a3 < 90 limit 3")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Rows) != 3 {
+		t.Fatalf("%d rows, want 3", len(res.Rows))
+	}
+	if !strings.Contains(res.Stats.Plan, "Limit(3)  (batches=1 rows=3)") {
+		t.Errorf("executed plan does not name Limit(3):\n%s", res.Stats.Plan)
+	}
+}
